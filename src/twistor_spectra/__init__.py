@@ -11,12 +11,11 @@ from .exact import (GammaPoleError, GammaQuotient, NonCommensurableError,
                     Phase, Rational, ReducedValue, UncancelledPoleError,
                     evaluate_numeric, format_rational, pochhammer, ratio,
                     ratio_tagged, rational, reduce_exact)
-from .ktypes import (BadDimensionError, DIRECTIONS, Direction, EigData,
+from .ktypes import (BadDimensionError, DIRECTIONS, Direction,
                      InterfaceSquare, InvalidWeightError, KType, LTable,
                      Params, SphereEigenvalues, case1_partners,
-                     dirac_eigenvalue, eig_data, enumerate_ktypes,
-                     interface_square, make_ktype, neighbors,
-                     twistor_tt_eigenvalue)
+                     dirac_eigenvalue, enumerate_ktypes, interface_square,
+                     make_ktype, neighbors, twistor_tt_eigenvalue)
 from .operators import (Case1Data, Case2Data, Case3Data, DBlock,
                         DegenerateTargetError, MissingLError,
                         NotNeighborsError, bochner_compression, c_ba,

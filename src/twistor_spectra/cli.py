@@ -18,12 +18,11 @@ from typing import Dict, List, Optional, Sequence
 from .exact import (GammaPoleError, NonCommensurableError, evaluate_numeric,
                     format_rational, ratio_tagged, rational)
 from .ktypes import (BadDimensionError, InvalidWeightError, KType, Params,
-                     enumerate_ktypes, interface_square, make_ktype,
-                     neighbors)
-from .spectra import (InconsistentSystemError, SingularCoefficientError,
-                      block_coefficients, block2x2, calibrate_L,
-                      mult1_quotient_matrix, mult2_det_quotient_matrix,
-                      first_order_block, z_for)
+                     enumerate_ktypes, interface_square, make_ktype)
+from .spectra import (EmptyWindowError, InconsistentSystemError,
+                      SingularCoefficientError, block_coefficients, block2x2,
+                      calibrate_L, mult1_quotient_matrix,
+                      mult2_det_quotient_matrix, first_order_block, z_for)
 from .verify import CONVENTION, run_all_suites, resolve_block_factor_reading
 
 SCHEMA_VERSION = 1
@@ -235,7 +234,6 @@ def cmd_neighbors(args) -> int:
         matrix = mult1_quotient_matrix(params, kt)
     else:
         matrix = mult2_det_quotient_matrix(params, kt, args.strict_paper)
-    present = dict(neighbors(kt))
     rows = []
     for dj, entries in matrix.rows():
         row = {"dj": f"{dj:+d}"}
@@ -244,8 +242,7 @@ def cmd_neighbors(args) -> int:
             if entry is None:
                 row[key] = "absent"
             else:
-                nb = present[entry.direction]
-                row[key] = f"{entry.render()}  -> {nb.label()}"
+                row[key] = f"{entry.render()}  -> {entry.neighbor.label()}"
         rows.append(row)
     text = _rows_text(rows, ["dj", "df=-1", "df=+1"], args.format)
     if kt.multiplicity == 2 and kt.j >= Fraction(3, 2) and args.format == "table":
@@ -271,10 +268,14 @@ def cmd_verify(args) -> int:
         return 1
     reading = resolve_block_factor_reading(params, centers_m2[:40])
     all_ok = all(rep.ok for rep in reports.values()) and \
-        all(cal.consistent for cal in calibrations.values())
+        all(isinstance(cal, EmptyWindowError) or cal.consistent
+            for cal in calibrations.values())
     for rep in reports.values():
         print(rep.summary_line())
     for xi, cal in sorted(calibrations.items()):
+        if isinstance(cal, EmptyWindowError):
+            print(f"calibration xi={xi:+d}   skipped ({cal})")
+            continue
         status = "consistent" if cal.consistent else "INCONSISTENT"
         print(f"calibration xi={xi:+d}   {status} "
               f"({cal.difference_edges} constraints, {len(cal.table)} classes)")
@@ -298,15 +299,7 @@ def cmd_verify(args) -> int:
                        "j_max": format_rational(j_max),
                        "xi": sorted(xis), "eps": sorted(epss)},
             "convention": dict(CONVENTION, block_factor_resolution=reading),
-            "calibration": {str(xi): {"consistent": cal.consistent,
-                                      "difference_edges": cal.difference_edges,
-                                      "unconstraining_edges": cal.unconstraining_edges,
-                                      "probe": cal.probe,
-                                      "classes": [
-                                          {"j": format_rational(j), "eps": eps,
-                                           "L": format_rational(val)}
-                                          for (j, eps), val in cal.table.items()],
-                                      "issues": cal.issues}
+            "calibration": {str(xi): _calibration_json(cal)
                             for xi, cal in calibrations.items()},
             "suites": {name: rep.to_json() for name, rep in reports.items()},
             "ok": all_ok,
@@ -315,6 +308,18 @@ def cmd_verify(args) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if all_ok else 1
+
+
+def _calibration_json(cal) -> dict:
+    if isinstance(cal, EmptyWindowError):
+        return {"skipped": str(cal)}
+    return {"consistent": cal.consistent,
+            "difference_edges": cal.difference_edges,
+            "unconstraining_edges": cal.unconstraining_edges,
+            "probe": cal.probe,
+            "classes": [{"j": format_rational(j), "eps": eps, "L": format_rational(val)}
+                        for (j, eps), val in cal.table.items()],
+            "issues": cal.issues}
 
 
 def cmd_calibrate(args) -> int:

@@ -4,12 +4,18 @@ The verification suites are only trustworthy if a wrong coefficient anywhere
 actually flips a verdict.  Formula sites route their constants through
 :func:`bump`, which is the identity unless a test has armed an offset with
 :func:`inject`.  Production code never arms anything.
+
+Sites: ``C1``-``C6`` (block coefficient factors), ``D11``-``D22`` and ``D33``
+(operator block entries), ``Q1``/``Q2`` (quotient-matrix numerators) and
+``DIRAC`` (the signed sphere Dirac eigenvalue, so an alternate eigenvalue
+convention can be tried against the suites).
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, Iterator
+from functools import lru_cache, wraps
+from typing import Callable, Dict, Iterator
 
 _ACTIVE: Dict[str, Fraction] = {}
 
@@ -19,6 +25,7 @@ SITES = (
     "C1", "C2", "C3", "C4", "C5", "C6",
     "D11", "D12", "D21", "D22", "D33",
     "Q1", "Q2",
+    "DIRAC",
 )
 
 
@@ -27,6 +34,21 @@ def bump(name: str, value: Fraction) -> Fraction:
         return value
     off = _ACTIVE.get(name)
     return value if off is None else value + off
+
+
+def memo(fn: Callable) -> Callable:
+    """Unbounded memo of a function whose body calls :func:`bump`.
+
+    While any site is armed the call bypasses the cache, so perturbed values
+    never populate it.  ``cache_info`` is the underlying lru_cache's.
+    """
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def call(*args):
+        return fn(*args) if _ACTIVE else cached(*args)
+    call.cache_info = cached.cache_info
+    return call
 
 
 @contextmanager

@@ -9,9 +9,11 @@ multiplicity one (the divergence summand).
 Sphere eigenvalue data hangs off the label: the Dirac eigenvalue
 ``J_signed = eps * (j + (n-2)/2)`` and the twistor Laplacian eigenvalue
 ``lambda(T*T) = ((n-2)/(n-1)) * (J^2 - ((n-1)/2)^2)``, which vanishes exactly
-at the bottom label ``j = 1/2``.  Both closed forms sit behind a provider so
-an alternate convention can be injected; the divergence-part eigenvalue ``L``
-is never hard-coded and comes from a calibration table.
+at the bottom label ``j = 1/2``.  Every module reads both closed forms from
+the one ``DEFAULT_EIGENVALUES`` instance, and the Dirac eigenvalue passes the
+``DIRAC`` fault site so tests can check that the suites reject a shifted
+convention; the divergence-part eigenvalue ``L`` is never hard-coded and comes
+from a calibration table.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import faults
 from .exact import RationalLike, format_rational, rational
 
 HALF = Fraction(1, 2)
@@ -27,7 +30,6 @@ __all__ = [
     "HALF",
     "Params",
     "KType",
-    "EigData",
     "Direction",
     "DIRECTIONS",
     "InterfaceSquare",
@@ -37,10 +39,10 @@ __all__ = [
     "make_ktype",
     "dirac_eigenvalue",
     "twistor_tt_eigenvalue",
-    "eig_data",
     "neighbors",
     "interface_square",
     "case1_partners",
+    "f_points",
     "enumerate_ktypes",
     "BadDimensionError",
     "InvalidWeightError",
@@ -126,14 +128,16 @@ def make_ktype(params: Params, xi: int, f: RationalLike, j: RationalLike,
 
 
 class SphereEigenvalues:
-    """Closed-form sphere spectra used throughout; injectable convention point.
+    """Closed-form sphere spectra; ``DEFAULT_EIGENVALUES`` is the one instance.
 
     ``dirac`` must be the unique convention under which the spectral quotient
-    identities close; the default is the one the verification suites certify.
+    identities close; it is the one the verification suites certify, and the
+    ``DIRAC`` fault site shifts it so tests can check that a shifted
+    convention fails.
     """
 
     def dirac(self, params: Params, j: Fraction, eps: int) -> Fraction:
-        return eps * (j + Fraction(params.n - 2, 2))
+        return faults.bump("DIRAC", eps * (j + Fraction(params.n - 2, 2)))
 
     def twistor_tt(self, params: Params, j: Fraction) -> Fraction:
         n = params.n
@@ -144,26 +148,14 @@ class SphereEigenvalues:
 DEFAULT_EIGENVALUES = SphereEigenvalues()
 
 
-def dirac_eigenvalue(params: Params, j: RationalLike, eps: int,
-                     eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> Fraction:
+def dirac_eigenvalue(params: Params, j: RationalLike, eps: int) -> Fraction:
     """Signed Dirac eigenvalue on the sphere spinor label (j, eps)."""
-    return eig.dirac(params, rational(j), eps)
+    return DEFAULT_EIGENVALUES.dirac(params, rational(j), eps)
 
 
-def twistor_tt_eigenvalue(params: Params, j: RationalLike,
-                          eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> Fraction:
+def twistor_tt_eigenvalue(params: Params, j: RationalLike) -> Fraction:
     """Eigenvalue of T*T on the sphere label j; zero exactly at j = 1/2."""
-    return eig.twistor_tt(params, rational(j))
-
-
-@dataclass(frozen=True)
-class EigData:
-    """Assembled eigenvalue data for one K-type."""
-
-    J_signed: Fraction
-    J_unsigned: Fraction
-    lambda_tt: Fraction
-    L: Optional[Fraction]  # divergence-part eigenvalue; None until calibrated
+    return DEFAULT_EIGENVALUES.twistor_tt(params, rational(j))
 
 
 class LTable:
@@ -180,15 +172,6 @@ class LTable:
 
     def __len__(self) -> int:
         return len(self._values)
-
-
-def eig_data(params: Params, ktype: KType, l_provider: Optional[LTable] = None,
-             eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> EigData:
-    J_signed = eig.dirac(params, ktype.j, ktype.eps)
-    J_unsigned = ktype.eps * J_signed
-    lam = eig.twistor_tt(params, ktype.j)
-    L = l_provider.lvalue(ktype) if l_provider is not None else None
-    return EigData(J_signed, J_unsigned, lam, L)
 
 
 class Direction(NamedTuple):
@@ -269,30 +252,37 @@ def case1_partners(ktype: KType) -> List[Tuple[int, KType]]:
             for df in (1, -1)]
 
 
+def f_points(params: Params, f_min: RationalLike, f_max: RationalLike) -> List[Fraction]:
+    """Circle weights on the configured lattice in [f_min, f_max], ascending."""
+    f_lo, f_hi = rational(f_min), rational(f_max)
+    # snap up to the first lattice point
+    offset = HALF if params.f_lattice == "half" else Fraction(0)
+    k = f_lo - offset
+    f = offset + k.numerator // k.denominator
+    if f < f_lo:
+        f += 1
+    out = []
+    while f <= f_hi:
+        out.append(f)
+        f += 1
+    return out
+
+
 def enumerate_ktypes(params: Params, f_min: RationalLike, f_max: RationalLike,
                      j_max: RationalLike, qs: Sequence[int] = (0, 1),
                      xi_values: Sequence[int] = (-1, 1),
                      eps_values: Sequence[int] = (-1, 1)) -> Iterator[KType]:
     """All K-types in a finite window, in deterministic (xi, f, j, eps, q) order."""
-    f_lo, f_hi, j_hi = rational(f_min), rational(f_max), rational(j_max)
-    f_start = f_lo
-    if not params.on_f_lattice(f_start):
-        # snap up to the first lattice point
-        offset = HALF if params.f_lattice == "half" else Fraction(0)
-        k = f_start - offset
-        f_start = offset + k.numerator // k.denominator
-        if f_start < f_lo:
-            f_start += 1
+    j_hi = rational(j_max)
+    fs = f_points(params, f_min, f_max)
     types = []
     for xi in sorted(xi_values):
-        f = f_start
-        while f <= f_hi:
+        for f in fs:
             for q in sorted(qs):
                 j = HALF + q
                 while j <= j_hi:
                     for eps in sorted(eps_values):
                         types.append(KType(xi, f, j, q, eps))
                     j += 1
-            f += 1
     types.sort(key=KType.sort_key)
     return iter(types)

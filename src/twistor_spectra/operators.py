@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Tuple
 
 from . import faults
-from .ktypes import (DEFAULT_EIGENVALUES, KType, LTable, Params,
-                     SphereEigenvalues)
+from .ktypes import DEFAULT_EIGENVALUES, KType, LTable, Params
 
 __all__ = [
     "DBlock",
@@ -40,6 +38,7 @@ __all__ = [
     "case1_data",
     "case2_data",
     "case3_data",
+    "case3_mid",
     "classify_pair",
     "DegenerateTargetError",
     "NotNeighborsError",
@@ -74,7 +73,8 @@ class DBlock:
         return self.d33 is not None
 
 
-def _d_entries_raw(n: int, J_signed: Fraction) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+@faults.memo
+def _d_entries(n: int, J_signed: Fraction) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     # D11 is perturbed in its Dirac-eigenvalue coefficient: the identities
     # consume only differences of this entry across labels, so a constant
     # shift of it is a gauge freedom no suite could (or should) detect
@@ -85,20 +85,14 @@ def _d_entries_raw(n: int, J_signed: Fraction) -> Tuple[Fraction, Fraction, Frac
     return d11, d12, d21, d22
 
 
-_d_entries = lru_cache(maxsize=None)(_d_entries_raw)
-
-
-def d_block(params: Params, ktype: KType, l_provider: Optional[LTable] = None,
-            eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> DBlock:
+def d_block(params: Params, ktype: KType, l_provider: Optional[LTable] = None) -> DBlock:
     """Operator block at the label of ``ktype``.
 
     The upper-left entries depend on the label only through the signed Dirac
     eigenvalue; d33 = L/2 when the provider has L, else it stays unknown.
     """
-    J = eig.dirac(params, ktype.j, ktype.eps)
-    # perturbed values must never populate the cache
-    entries = _d_entries_raw if faults._ACTIVE else _d_entries
-    d11, d12, d21, d22 = entries(params.n, J)
+    J = DEFAULT_EIGENVALUES.dirac(params, ktype.j, ktype.eps)
+    d11, d12, d21, d22 = _d_entries(params.n, J)
     d33 = None
     if l_provider is not None:
         L = l_provider.lvalue(ktype)
@@ -107,8 +101,7 @@ def d_block(params: Params, ktype: KType, l_provider: Optional[LTable] = None,
     return DBlock(d11, d12, d21, d22, d33)
 
 
-def c_ba(params: Params, a: KType, b: KType,
-         eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> Fraction:
+def c_ba(params: Params, a: KType, b: KType) -> Fraction:
     """Twistor-range compression coefficient for the transition a -> b.
 
     Exact rational; requires multiplicity-2 neighbor labels and a
@@ -118,24 +111,18 @@ def c_ba(params: Params, a: KType, b: KType,
         raise NotNeighborsError("c_ba needs two multiplicity-2 labels")
     if classify_pair(a, b) != "same-mult":
         raise NotNeighborsError(f"{a.label()} and {b.label()} are not a transition pair")
-    n = params.n
-    Ja = eig.dirac(params, a.j, a.eps)
-    Jb = eig.dirac(params, b.j, b.eps)
-    lam_b = eig.twistor_tt(params, b.j)
+    lam_b = DEFAULT_EIGENVALUES.twistor_tt(params, b.j)
     if lam_b == 0:
         raise DegenerateTargetError(
             f"lambda(T*T) = 0 at target {b.label()}; compression undefined")
-    numerator = Jb * Jb / 2 + Ja * Ja / 2 - Ja * Jb / Fraction(n - 1) \
-        - Fraction(n * (n - 1), 4)
-    return numerator / lam_b
+    return c_ba_numerator(params, a, b) / lam_b
 
 
-def c_ba_numerator(params: Params, a: KType, b: KType,
-                   eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> Fraction:
+def c_ba_numerator(params: Params, a: KType, b: KType) -> Fraction:
     """The symmetric bracket of c_ba before dividing by lambda_b(T*T)."""
     n = params.n
-    Ja = eig.dirac(params, a.j, a.eps)
-    Jb = eig.dirac(params, b.j, b.eps)
+    Ja = DEFAULT_EIGENVALUES.dirac(params, a.j, a.eps)
+    Jb = DEFAULT_EIGENVALUES.dirac(params, b.j, b.eps)
     return Jb * Jb / 2 + Ja * Ja / 2 - Ja * Jb / Fraction(n - 1) - Fraction(n * (n - 1), 4)
 
 
@@ -156,8 +143,7 @@ def classify_pair(frm: KType, to: KType) -> Optional[str]:
     return None
 
 
-def bochner_compression(params: Params, frm: KType, to: KType,
-                        eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> Fraction:
+def bochner_compression(params: Params, frm: KType, to: KType) -> Fraction:
     """Compressed Bochner-Laplacian commutator coefficient for frm -> to.
 
     Antisymmetric under swapping the endpoints.  Same-multiplicity pairs get
@@ -169,14 +155,13 @@ def bochner_compression(params: Params, frm: KType, to: KType,
     if kind is None:
         raise NotNeighborsError(f"{frm.label()} -> {to.label()} is not a transition pair")
     if kind == "same-mult":
-        return _bochner_same_mult(params, frm, to, eig)
+        return _bochner_same_mult(params, frm, to)
     return _bochner_mixed(params, frm, to)
 
 
-def _bochner_same_mult(params: Params, frm: KType, to: KType,
-                       eig: SphereEigenvalues) -> Fraction:
-    Jf = eig.dirac(params, frm.j, frm.eps)
-    Jt = eig.dirac(params, to.j, to.eps)
+def _bochner_same_mult(params: Params, frm: KType, to: KType) -> Fraction:
+    Jf = DEFAULT_EIGENVALUES.dirac(params, frm.j, frm.eps)
+    Jt = DEFAULT_EIGENVALUES.dirac(params, to.j, to.eps)
     return to.f ** 2 - frm.f ** 2 + Jt * Jt - Jf * Jf
 
 
@@ -195,8 +180,7 @@ class Case1Data:
     e_plus: Fraction
 
 
-def case1_data(params: Params, alpha: KType, beta: KType, l_provider: LTable,
-               eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> Case1Data:
+def case1_data(params: Params, alpha: KType, beta: KType, l_provider: LTable) -> Case1Data:
     """Quantities for a multiplicity-2 label alpha paired with a q=1 label beta.
 
     Needs the calibrated divergence eigenvalue at beta; raises MissingL
@@ -206,8 +190,8 @@ def case1_data(params: Params, alpha: KType, beta: KType, l_provider: LTable,
         raise NotNeighborsError("case1_data wants (multiplicity-2, multiplicity-1)")
     if classify_pair(alpha, beta) != "mixed":
         raise NotNeighborsError(f"{alpha.label()} and {beta.label()} are not a mixed pair")
-    d_a = d_block(params, alpha, eig=eig)
-    d_b = d_block(params, beta, l_provider, eig=eig)
+    d_a = d_block(params, alpha)
+    d_b = d_block(params, beta, l_provider)
     if d_b.d33 is None:
         raise MissingLError(f"no divergence eigenvalue for {beta.label()}")
     df = alpha.f - beta.f
@@ -244,8 +228,7 @@ class Case2Data:
         return self.c_ba * self.f1_plus * self.f2_plus - self.g1 * self.g2
 
 
-def case2_data(params: Params, alpha: KType, beta: KType,
-               eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> Case2Data:
+def case2_data(params: Params, alpha: KType, beta: KType) -> Case2Data:
     """Quantities for a multiplicity-2 edge alpha -> beta.
 
     Propagates DegenerateTarget from c_ba when beta sits at the lattice
@@ -254,11 +237,11 @@ def case2_data(params: Params, alpha: KType, beta: KType,
     """
     if classify_pair(alpha, beta) != "same-mult" or alpha.multiplicity != 2:
         raise NotNeighborsError(f"{alpha.label()} -> {beta.label()} is not a multiplicity-2 edge")
-    cba = c_ba(params, alpha, beta, eig)
-    d_a = d_block(params, alpha, eig=eig)
-    d_b = d_block(params, beta, eig=eig)
-    Ja = eig.dirac(params, alpha.j, alpha.eps)
-    Jb = eig.dirac(params, beta.j, beta.eps)
+    cba = c_ba(params, alpha, beta)
+    d_a = d_block(params, alpha)
+    d_b = d_block(params, beta)
+    Ja = DEFAULT_EIGENVALUES.dirac(params, alpha.j, alpha.eps)
+    Jb = DEFAULT_EIGENVALUES.dirac(params, beta.j, beta.eps)
     df = beta.f - alpha.f
     r = params.r
     mid = (beta.f ** 2 - alpha.f ** 2) / 2 + (Jb * Jb - Ja * Ja) / 2
@@ -278,20 +261,24 @@ class Case3Data:
     p_plus: Fraction
 
 
-def case3_data(params: Params, alpha: KType, beta: KType, l_provider: LTable,
-               eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> Case3Data:
+def case3_mid(params: Params, alpha: KType, beta: KType) -> Fraction:
+    """The r-free, L-free bracket shared by P- and P+ on the edge alpha -> beta."""
+    Ja = DEFAULT_EIGENVALUES.dirac(params, alpha.j, alpha.eps)
+    Jb = DEFAULT_EIGENVALUES.dirac(params, beta.j, beta.eps)
+    return (alpha.f ** 2 - beta.f ** 2) / 2 + (Ja * Ja - Jb * Jb) / 2
+
+
+def case3_data(params: Params, alpha: KType, beta: KType, l_provider: LTable) -> Case3Data:
     """Quantities for a multiplicity-1 edge with alpha as center, beta as neighbor."""
     if classify_pair(alpha, beta) != "same-mult" or alpha.multiplicity != 1:
         raise NotNeighborsError(f"{alpha.label()} -> {beta.label()} is not a multiplicity-1 edge")
-    d_a = d_block(params, alpha, l_provider, eig=eig)
-    d_b = d_block(params, beta, l_provider, eig=eig)
+    d_a = d_block(params, alpha, l_provider)
+    d_b = d_block(params, beta, l_provider)
     if d_a.d33 is None:
         raise MissingLError(f"no divergence eigenvalue for {alpha.label()}")
     if d_b.d33 is None:
         raise MissingLError(f"no divergence eigenvalue for {beta.label()}")
-    Ja = eig.dirac(params, alpha.j, alpha.eps)
-    Jb = eig.dirac(params, beta.j, beta.eps)
     r = params.r
-    mid = (alpha.f ** 2 - beta.f ** 2) / 2 + (Ja * Ja - Jb * Jb) / 2
+    mid = case3_mid(params, alpha, beta)
     dd = alpha.xi * (alpha.f - beta.f) * (d_a.d33 - d_b.d33)
     return Case3Data(mid - r + dd, mid + r - dd)

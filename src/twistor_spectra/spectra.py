@@ -31,10 +31,9 @@ from typing import Dict, List, Optional, Tuple
 from . import faults
 from .exact import (GammaQuotient, IMAG, ONE_PHASE, Phase, RationalLike,
                     ReducedValue, format_rational, ratio_tagged, rational)
-from .ktypes import (DEFAULT_EIGENVALUES, DIRECTIONS, HALF, Direction, KType,
-                     LTable, Params, SphereEigenvalues, case1_partners,
-                     neighbor_of)
-from .operators import MissingLError, case1_data, case3_data, d_block
+from .ktypes import (DEFAULT_EIGENVALUES, HALF, Direction, KType, LTable,
+                     Params, case1_partners, f_points, neighbors)
+from .operators import Case1Data, case1_data, case3_data, case3_mid, d_block
 
 __all__ = [
     "Block",
@@ -43,11 +42,13 @@ __all__ = [
     "CalibrationResult",
     "z_value",
     "z_for",
+    "block_factor",
     "mult2_gamma_product",
     "mult1_quotient_matrix",
     "mult2_det_quotient_matrix",
     "block2x2",
     "block_coefficients",
+    "case1_residuals",
     "mult1_block",
     "first_order_block",
     "exchanged_rs_eigenvalue",
@@ -56,6 +57,7 @@ __all__ = [
     "B33_PHASE",
     "SingularCoefficientError",
     "InconsistentSystemError",
+    "EmptyWindowError",
 ]
 
 # Multiplicity-one operator value = B33_SCALE * B33_PHASE * z_value:
@@ -82,6 +84,10 @@ class InconsistentSystemError(ArithmeticError):
         super().__init__(message)
 
 
+class EmptyWindowError(InconsistentSystemError):
+    """The calibration window holds no (j, eps) class or no circle weight."""
+
+
 @lru_cache(maxsize=None)
 def _z_cached(r: Fraction, f: Fraction, J: Fraction, s: int) -> GammaQuotient:
     sh = Fraction(s, 2)
@@ -102,11 +108,16 @@ def z_value(params: Params, f: RationalLike, J: RationalLike, xi_eps: int) -> Ga
     return _z_cached(params.r, rational(f), rational(J), xi_eps)
 
 
-def z_for(params: Params, ktype: KType,
-          eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> GammaQuotient:
+def z_for(params: Params, ktype: KType) -> GammaQuotient:
     """z_value at a K-type's own label data."""
-    J = ktype.eps * eig.dirac(params, ktype.j, ktype.eps)
+    J = ktype.eps * DEFAULT_EIGENVALUES.dirac(params, ktype.j, ktype.eps)
     return z_value(params, ktype.f, J, ktype.xi * ktype.eps)
+
+
+def block_factor(params: Params, center: KType) -> GammaQuotient:
+    """The 2x2 block's shared factor z(r; f+1, J, s) at a multiplicity-two label."""
+    J = center.eps * DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
+    return z_value(params, center.f + 1, J, center.xi * center.eps)
 
 
 @lru_cache(maxsize=None)
@@ -128,9 +139,8 @@ def mult2_gamma_product(params: Params, f: RationalLike, J: RationalLike,
     return _w_cached(params.r, rational(f), rational(J), xi_eps)
 
 
-def w_for(params: Params, ktype: KType,
-          eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> GammaQuotient:
-    J = ktype.eps * eig.dirac(params, ktype.j, ktype.eps)
+def w_for(params: Params, ktype: KType) -> GammaQuotient:
+    J = ktype.eps * DEFAULT_EIGENVALUES.dirac(params, ktype.j, ktype.eps)
     return mult2_gamma_product(params, ktype.f, J, ktype.xi * ktype.eps)
 
 
@@ -140,10 +150,12 @@ class QuotientEntry:
 
     kind: 'finite' (value = num/den), 'pole' (den = 0), 'zero' (num = 0), or
     'indeterminate' (both vanish: the displayed closed form cannot decide the
-    edge and only the gamma-quotient route can).
+    edge and only the gamma-quotient route can).  ``neighbor`` is the label
+    the entry divides by the center's.
     """
 
     direction: Direction
+    neighbor: KType
     num: Fraction
     den: Fraction
 
@@ -207,26 +219,22 @@ def _corner_pairs(r: Fraction, f: Fraction, J: Fraction, s: int):
     }
 
 
-def mult1_quotient_matrix(params: Params, center: KType,
-                          eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> QuotientMatrix:
+def mult1_quotient_matrix(params: Params, center: KType) -> QuotientMatrix:
     """Eigenvalue quotients around a multiplicity-one center."""
     if center.multiplicity != 1:
         raise ValueError("mult1_quotient_matrix needs a multiplicity-1 center")
     s = center.xi * center.eps
-    J = center.eps * eig.dirac(params, center.j, center.eps)
+    J = center.eps * DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
     raw = _corner_pairs(params.r, center.f, J, s)
     entries = {}
-    for direction in DIRECTIONS:
-        if neighbor_of(center, direction) is None:
-            continue
-        num, den = raw[(direction.df, direction.dj)]
-        entries[direction] = QuotientEntry(direction, faults.bump("Q1", num), den)
+    for direction, nb in neighbors(center):
+        num, den = raw[direction]
+        entries[direction] = QuotientEntry(direction, nb, faults.bump("Q1", num), den)
     return QuotientMatrix(center, entries)
 
 
 def mult2_det_quotient_matrix(params: Params, center: KType,
-                              strict_paper: bool = False,
-                              eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> QuotientMatrix:
+                              strict_paper: bool = False) -> QuotientMatrix:
     """Determinant quotients around a multiplicity-two center.
 
     Each entry is a product of two factors over a product of two factors;
@@ -241,24 +249,23 @@ def mult2_det_quotient_matrix(params: Params, center: KType,
     f, r = center.f, params.r
     xi, eps = center.xi, center.eps
     s = xi * eps
-    J = eps * eig.dirac(params, center.j, center.eps)
+    J = eps * DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
     raw = _corner_pairs(r, f, J, s)
     entries = {}
-    for direction in DIRECTIONS:
-        if neighbor_of(center, direction) is None:
-            continue
-        y_num, y_den = raw[(direction.df, direction.dj)]
+    for direction, nb in neighbors(center):
+        y_num, y_den = raw[direction]
         num = y_num * y_num - 1
         if strict_paper and direction == (1, 0):
             den = (f + HALF - xi - r - s * J) * (f + HALF + xi - r - xi * J)
         else:
             den = y_den * y_den - 1
-        entries[direction] = QuotientEntry(direction, faults.bump("Q2", num), den)
+        entries[direction] = QuotientEntry(direction, nb, faults.bump("Q2", num), den)
     return QuotientMatrix(center, entries)
 
 
-def _block_coeffs_raw(n: int, r: Fraction, f: Fraction, Ja: Fraction, xi: int,
-                      strict_paper: bool) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+@faults.memo
+def _block_coeffs(n: int, r: Fraction, f: Fraction, Ja: Fraction, xi: int,
+                  strict_paper: bool) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     c1 = faults.bump("C1", 2*f*n - 2*f - 2*n + 1 + n*n + 2*r*n - 2*r - 2*xi*Ja)
     c2 = faults.bump("C2", 2*f*r + xi*Ja)
     c3 = faults.bump("C3", Fraction(n - 1) + 2*r)
@@ -283,17 +290,12 @@ class _Singular(Exception):
         self.which = which
 
 
-_block_coeffs = lru_cache(maxsize=None)(_block_coeffs_raw)
-
-
-def block_coefficients(params: Params, center: KType, strict_paper: bool = False,
-                       eig: SphereEigenvalues = DEFAULT_EIGENVALUES
+def block_coefficients(params: Params, center: KType, strict_paper: bool = False
                        ) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """The four rational coefficients (b11, b12, b21, b22) of the 2x2 block."""
-    Ja = eig.dirac(params, center.j, center.eps)
-    fn = _block_coeffs_raw if faults._ACTIVE else _block_coeffs
+    Ja = DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
     try:
-        return fn(params.n, params.r, center.f, Ja, center.xi, strict_paper)
+        return _block_coeffs(params.n, params.r, center.f, Ja, center.xi, strict_paper)
     except _Singular as exc:
         raise SingularCoefficientError(exc.which, center) from None
 
@@ -321,8 +323,7 @@ class Block:
 
 
 def block2x2(params: Params, center: KType, strict_paper: bool = False,
-             factor_at: str = "f+1",
-             eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> Block:
+             factor_at: str = "f+1") -> Block:
     """The 2x2 block on a multiplicity-two K-type.
 
     The shared factor sits at circle weight f+1 (``factor_at='f'`` keeps the
@@ -331,19 +332,16 @@ def block2x2(params: Params, center: KType, strict_paper: bool = False,
     """
     if center.multiplicity != 2:
         raise ValueError("block2x2 needs a multiplicity-2 center")
-    coeffs = block_coefficients(params, center, strict_paper, eig)
-    J = center.eps * eig.dirac(params, center.j, center.eps)
-    f_fac = center.f + 1 if factor_at == "f+1" else center.f
-    factor = z_value(params, f_fac, J, center.xi * center.eps)
+    coeffs = block_coefficients(params, center, strict_paper)
+    factor = block_factor(params, center) if factor_at == "f+1" else z_for(params, center)
     return Block("mult2", center, factor, coeffs)
 
 
-def mult1_block(params: Params, center: KType,
-                eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> Block:
+def mult1_block(params: Params, center: KType) -> Block:
     """The scalar block on a multiplicity-one K-type (raw z normalization)."""
     if center.multiplicity != 1:
         raise ValueError("mult1_block needs a multiplicity-1 center")
-    return Block("mult1", center, z_for(params, center, eig))
+    return Block("mult1", center, z_for(params, center))
 
 
 def exchanged_rs_eigenvalue(params: Params, f: RationalLike, J: RationalLike,
@@ -356,8 +354,7 @@ def exchanged_rs_eigenvalue(params: Params, f: RationalLike, J: RationalLike,
     return rational(f) - xi_eps * rational(J), IMAG
 
 
-def first_order_block(params: Params, center: KType, strict_paper: bool = False,
-                      eig: SphereEigenvalues = DEFAULT_EIGENVALUES
+def first_order_block(params: Params, center: KType, strict_paper: bool = False
                       ) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
     """The first-order 2x2 block, divided by the common phase i.
 
@@ -370,7 +367,7 @@ def first_order_block(params: Params, center: KType, strict_paper: bool = False,
     f = center.f
     xi = center.xi
     s = center.xi * center.eps
-    J = center.eps * eig.dirac(params, center.j, center.eps)
+    J = center.eps * DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
     sign = 1 if strict_paper else -1
     e11 = -Fraction(n - 2, n) * (f + sign * Fraction(n + 1, n - 1) * s * J)
     e12 = -Fraction(2 * xi, n * (n - 1)) * (Fraction((n - 1) * (n - 2), 4)
@@ -392,7 +389,8 @@ class CalibrationResult:
     identities that constrained the solve, ``unconstraining_edges`` the ones
     that degenerate (quotient -1).  The additive constant is pinned by one
     mixed-multiplicity probe; ``issues`` lists every residual inconsistency
-    found when re-verifying the full system (empty iff consistent).
+    found when re-verifying the full system, then an ``unpinned-constant``
+    entry when no probe pins the constant (empty iff consistent).
     """
 
     table: LTable
@@ -406,15 +404,8 @@ class CalibrationResult:
         return not self.issues
 
 
-def _case3_mid(params: Params, center: KType, nb: KType, eig: SphereEigenvalues) -> Fraction:
-    Ja = eig.dirac(params, center.j, center.eps)
-    Jb = eig.dirac(params, nb.j, nb.eps)
-    return (center.f ** 2 - nb.f ** 2) / 2 + (Ja * Ja - Jb * Jb) / 2
-
-
 def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLike,
-                j_max: RationalLike,
-                eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> CalibrationResult:
+                j_max: RationalLike) -> CalibrationResult:
     """Solve the quotient identities for the divergence-part eigenvalues.
 
     Every multiplicity-one edge in the window forces a difference of d33
@@ -422,10 +413,10 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     across the whole f-window, close around cycles, and leave exactly one
     additive constant free, which a mixed-multiplicity probe then pins.
     Raises :class:`InconsistentSystemError` with the violating edge if the
-    overdetermined system has no solution; re-verification residuals of the
+    overdetermined system has no solution, and :class:`EmptyWindowError` when
+    the window holds nothing to solve; re-verification residuals of the
     solved table are reported in ``issues``.
     """
-    from math import floor
     f_lo, f_hi, j_hi = rational(f_min), rational(f_max), rational(j_max)
     r = params.r
 
@@ -435,34 +426,27 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     while j <= j_hi:
         nodes += [(j, 1), (j, -1)]
         j += 1
+    fs = f_points(params, f_lo, f_hi)
     if not nodes:
-        raise InconsistentSystemError("empty calibration window")
+        raise EmptyWindowError("empty calibration window: no (j, eps) class "
+                               f"with 3/2 <= j <= {format_rational(j_hi)}")
+    if not fs:
+        raise EmptyWindowError("empty calibration window: no circle weight in "
+                               f"[{format_rational(f_lo)}, {format_rational(f_hi)}]")
     node_set = set(nodes)
 
     deltas: Dict[Tuple[Tuple[Fraction, int], Tuple[Fraction, int]], Tuple[Fraction, dict]] = {}
     n_edges = 0
     n_unconstraining = 0
 
-    def f_points():
-        f = f_lo
-        off = HALF if params.f_lattice == "half" else Fraction(0)
-        k = f - off
-        f = off + floor(k)
-        if f < f_lo:
-            f += 1
-        while f <= f_hi:
-            yield f
-            f += 1
-
     for (j, eps) in nodes:
-        for f in f_points():
+        for f in fs:
             center = KType(xi, f, j, 1, eps)
-            for direction in DIRECTIONS:
-                nb = neighbor_of(center, direction)
-                if nb is None or (nb.j, nb.eps) not in node_set:
+            for _, nb in neighbors(center):
+                if (nb.j, nb.eps) not in node_set:
                     continue
-                zr = ratio_tagged(z_for(params, nb, eig), z_for(params, center, eig))
-                mid = _case3_mid(params, center, nb, eig)
+                zr = ratio_tagged(z_for(params, nb), z_for(params, center))
+                mid = case3_mid(params, center, nb)
                 xd = xi * (center.f - nb.f)
                 if zr.kind == "finite":
                     if zr.value == -1:
@@ -511,30 +495,32 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
         raise InconsistentSystemError(
             f"calibration window leaves {len(missing)} classes unconstrained")
 
-    shift, probe = _pin_constant(params, xi, f_points(), potential, eig)
+    shift, probe = _pin_constant(params, xi, fs, potential)
     table = LTable({nd: 2 * (pot + shift) for nd, pot in potential.items()})
 
-    issues = _reverify(params, xi, f_points, table, eig)
+    issues = _reverify(params, xi, fs, table)
+    if probe is None:
+        issues.append({"kind": "unpinned-constant"})
     return CalibrationResult(table, n_edges, n_unconstraining, probe, issues)
 
 
-def _pin_constant(params, xi, f_points, potential, eig):
+def _pin_constant(params, xi, fs, potential):
     """Fix the additive constant via one mixed-multiplicity relation.
 
     Uses the f+1 partner, whose z factor coincides with the block's shared
     factor, so the relation A2 b11 - E- b21 = -A2 reduces to rationals.
     """
-    for f in f_points:
+    for f in fs:
         for (j, eps), pot in sorted(potential.items()):
             alpha = KType(xi, f, j, 0, eps)
             beta = KType(xi, f + 1, j, 1, eps)
             try:
-                b11, _, b21, _ = block_coefficients(params, alpha, eig=eig)
+                b11, _, b21, _ = block_coefficients(params, alpha)
             except SingularCoefficientError:
                 continue
             if b21 == 0:
                 continue
-            d_a = d_block(params, alpha, eig=eig)
+            d_a = d_block(params, alpha)
             a2 = -xi * (alpha.f - beta.f) * d_a.d21
             if a2 == 0:
                 continue
@@ -551,19 +537,18 @@ def _pin_constant(params, xi, f_points, potential, eig):
     return Fraction(0), None
 
 
-def _reverify(params, xi, f_points, table, eig):
+def _reverify(params, xi, fs, table):
     """Residuals of the solved table against both transition families."""
     issues: List[dict] = []
     keys = [k for k, _ in table.items()]
     for (j, eps) in keys:
-        for f in f_points():
+        for f in fs:
             center = KType(xi, f, j, 1, eps)
-            for direction in DIRECTIONS:
-                nb = neighbor_of(center, direction)
-                if nb is None or table.lvalue(nb) is None:
+            for _, nb in neighbors(center):
+                if table.lvalue(nb) is None:
                     continue
-                data = case3_data(params, center, nb, table, eig)
-                zr = ratio_tagged(z_for(params, nb, eig), z_for(params, center, eig))
+                data = case3_data(params, center, nb, table)
+                zr = ratio_tagged(z_for(params, nb), z_for(params, center))
                 ok = _case3_edge_ok(data, zr)
                 if not ok:
                     issues.append({"kind": "mult1-edge", "center": center.to_json(),
@@ -572,7 +557,10 @@ def _reverify(params, xi, f_points, table, eig):
             for df, beta in case1_partners(alpha):
                 if table.lvalue(beta) is None:
                     continue
-                bad = _case1_residuals(params, alpha, beta, table, eig)
+                try:
+                    _, _, bad = case1_residuals(params, alpha, beta, table)
+                except SingularCoefficientError:
+                    continue
                 if bad:
                     issues.append({"kind": "mixed-edge", "alpha": alpha.to_json(),
                                    "beta": beta.to_json(), "residuals": bad})
@@ -591,34 +579,27 @@ def _case3_edge_ok(data, zr: ReducedValue) -> bool:
     return data.p_minus / data.p_plus == zr.value
 
 
-def _case1_residuals(params, alpha: KType, beta: KType, l_table: LTable,
-                     eig) -> Optional[dict]:
-    """Check all four scalar mixed-multiplicity relations on one edge.
+def case1_residuals(params: Params, alpha: KType, beta: KType, l_table: LTable,
+                    strict_paper: bool = False
+                    ) -> Tuple[Case1Data, ReducedValue, Dict[str, str]]:
+    """All four scalar mixed-multiplicity equations on one edge.
 
-    Returns None when they hold (or the edge cannot be checked), else a dict
-    of the nonzero residuals, keyed by which of the two relation forms
-    (column and row form) each equation belongs to.
+    Returns the transition quantities, the tagged ratio rho of beta's z to
+    alpha's block factor, and the nonzero residuals keyed by relation form
+    (column or row) and equation; the residuals are empty when rho is not
+    finite, since the edge cannot be checked then.  Raises
+    :class:`SingularCoefficientError` when alpha's block is singular.
     """
-    try:
-        coeffs = block_coefficients(params, alpha, eig=eig)
-    except SingularCoefficientError:
-        return None
-    try:
-        data = case1_data(params, alpha, beta, l_table, eig)
-    except MissingLError:
-        return None
-    J = alpha.eps * eig.dirac(params, alpha.j, alpha.eps)
-    z_plus = z_value(params, alpha.f + 1, J, alpha.xi * alpha.eps)
-    zr = ratio_tagged(z_for(params, beta, eig), z_plus)
-    if zr.kind != "finite":
-        return None
-    rho = zr.value
-    b11, b12, b21, b22 = coeffs
+    b11, b12, b21, b22 = block_coefficients(params, alpha, strict_paper)
+    data = case1_data(params, alpha, beta, l_table)
+    rho = ratio_tagged(z_for(params, beta), block_factor(params, alpha))
+    if rho.kind != "finite":
+        return data, rho, {}
+    p = rho.value
     eqs = {
-        "column.1": b11 * data.a1 + b12 * data.e_minus + data.a1 * rho,
-        "column.2": b21 * data.a1 + b22 * data.e_minus - data.e_plus * rho,
-        "row.1": data.a2 * b11 - data.e_minus * b21 + data.a2 * rho,
-        "row.2": data.a2 * b12 - data.e_minus * b22 + data.e_plus * rho,
+        "column.1": b11 * data.a1 + b12 * data.e_minus + data.a1 * p,
+        "column.2": b21 * data.a1 + b22 * data.e_minus - data.e_plus * p,
+        "row.1": data.a2 * b11 - data.e_minus * b21 + data.a2 * p,
+        "row.2": data.a2 * b12 - data.e_minus * b22 + data.e_plus * p,
     }
-    bad = {k: format_rational(v) for k, v in eqs.items() if v != 0}
-    return bad or None
+    return data, rho, {k: format_rational(v) for k, v in eqs.items() if v != 0}

@@ -13,16 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import ReducedValue, format_rational, ratio_tagged
 from .ktypes import (DEFAULT_EIGENVALUES, Direction, KType, LTable, Params,
-                     SphereEigenvalues, case1_partners, interface_square,
-                     neighbors)
-from .operators import DegenerateTargetError, case1_data, case2_data
-from .spectra import (CalibrationResult, SingularCoefficientError,
-                      block_coefficients, calibrate_L, mult1_quotient_matrix,
-                      mult2_det_quotient_matrix, w_for, z_for, z_value)
+                     case1_partners, interface_square, neighbors)
+from .operators import DegenerateTargetError, case2_data
+from .spectra import (CalibrationResult, EmptyWindowError,
+                      SingularCoefficientError, block_coefficients,
+                      block_factor, calibrate_L, case1_residuals,
+                      mult1_quotient_matrix, mult2_det_quotient_matrix, w_for,
+                      z_for)
 
 __all__ = [
     "PASS", "FAIL", "POLE", "ZERO", "INDETERMINATE",
@@ -155,47 +156,43 @@ def _render_tagged(t: ReducedValue) -> str:
     return "POLE" if t.kind == "pole" else "0"
 
 
-def verify_mult1_quotients(params: Params, centers: Iterable[KType],
-                           eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> SuiteReport:
+def verify_mult1_quotients(params: Params, centers: Iterable[KType]) -> SuiteReport:
     """Eigenvalue-quotient matrix vs exact spectral-function ratios."""
     report = SuiteReport("mult1-quotients")
     for center in centers:
         if center.multiplicity != 1:
             continue
-        matrix = mult1_quotient_matrix(params, center, eig)
-        zc = z_for(params, center, eig)
-        for direction, nb in neighbors(center):
-            entry = matrix.entries[direction]
-            tagged = ratio_tagged(z_for(params, nb, eig), zc)
+        matrix = mult1_quotient_matrix(params, center)
+        zc = z_for(params, center)
+        for entry in matrix.entries.values():
+            tagged = ratio_tagged(z_for(params, entry.neighbor), zc)
             verdict, residuals = _compare_entry(entry, tagged)
             quantities = None
             if verdict not in (PASS, POLE, ZERO):
                 quantities = {"entry": entry.render(),
                               "z_ratio": _render_tagged(tagged)}
-            report.add(EdgeCheck(3, center, nb, direction, verdict,
+            report.add(EdgeCheck(3, center, entry.neighbor, entry.direction, verdict,
                                  quantities=quantities, residuals=residuals or None))
     return report
 
 
 def verify_mult2_quotients(params: Params, centers: Iterable[KType],
-                           strict_paper: bool = False,
-                           eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> SuiteReport:
+                           strict_paper: bool = False) -> SuiteReport:
     """Determinant-quotient matrix vs exact eight-gamma product ratios."""
     report = SuiteReport("mult2-quotients")
     for center in centers:
         if center.multiplicity != 2:
             continue
-        matrix = mult2_det_quotient_matrix(params, center, strict_paper, eig)
-        wc = w_for(params, center, eig)
-        for direction, nb in neighbors(center):
-            entry = matrix.entries[direction]
-            tagged = ratio_tagged(w_for(params, nb, eig), wc)
+        matrix = mult2_det_quotient_matrix(params, center, strict_paper)
+        wc = w_for(params, center)
+        for entry in matrix.entries.values():
+            tagged = ratio_tagged(w_for(params, entry.neighbor), wc)
             verdict, residuals = _compare_entry(entry, tagged)
             quantities = None
             if verdict not in (PASS, POLE, ZERO):
                 quantities = {"entry": entry.render(),
                               "product_ratio": _render_tagged(tagged)}
-            report.add(EdgeCheck(2, center, nb, direction, verdict,
+            report.add(EdgeCheck(2, center, entry.neighbor, entry.direction, verdict,
                                  quantities=quantities, residuals=residuals or None))
     return report
 
@@ -213,8 +210,7 @@ def _as_matrix(coeffs):
 
 
 def verify_case2_relation(params: Params, centers: Iterable[KType],
-                          strict_paper: bool = False,
-                          eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> SuiteReport:
+                          strict_paper: bool = False) -> SuiteReport:
     """Full 2x2 relation  B(neighbor) M1 = M2 B(center)  on every edge.
 
     Both blocks share their own gamma-quotient factor; dividing by the
@@ -226,30 +222,27 @@ def verify_case2_relation(params: Params, centers: Iterable[KType],
         if center.multiplicity != 2:
             continue
         try:
-            coeffs_a = block_coefficients(params, center, strict_paper, eig)
+            coeffs_a = block_coefficients(params, center, strict_paper)
         except SingularCoefficientError as exc:
             for direction, nb in neighbors(center):
                 report.add(EdgeCheck(2, center, nb, direction, SKIP_SINGULAR,
                                      detail=f"center block: {exc.which} = 0"))
             continue
-        Jc = center.eps * eig.dirac(params, center.j, center.eps)
-        z_a = z_value(params, center.f + 1, Jc, center.xi * center.eps)
+        z_a = block_factor(params, center)
         for direction, nb in neighbors(center):
             try:
-                data = case2_data(params, center, nb, eig)
+                data = case2_data(params, center, nb)
             except DegenerateTargetError:
                 report.add(EdgeCheck(2, center, nb, direction, SKIP_DEGENERATE,
                                      detail="lambda(T*T) = 0 at target"))
                 continue
             try:
-                coeffs_b = block_coefficients(params, nb, strict_paper, eig)
+                coeffs_b = block_coefficients(params, nb, strict_paper)
             except SingularCoefficientError as exc:
                 report.add(EdgeCheck(2, center, nb, direction, SKIP_SINGULAR,
                                      detail=f"neighbor block: {exc.which} = 0"))
                 continue
-            Jn = nb.eps * eig.dirac(params, nb.j, nb.eps)
-            z_b = z_value(params, nb.f + 1, Jn, nb.xi * nb.eps)
-            rho = ratio_tagged(z_b, z_a)
+            rho = ratio_tagged(block_factor(params, nb), z_a)
             if rho.kind != "finite":
                 report.add(EdgeCheck(2, center, nb, direction, SKIP_POLE,
                                      detail=f"shared-factor ratio is {rho.kind}"))
@@ -276,33 +269,21 @@ def verify_case2_relation(params: Params, centers: Iterable[KType],
 
 
 def _check_case1_edge(params: Params, alpha: KType, beta: KType,
-                      l_table: LTable, strict_paper: bool,
-                      eig: SphereEigenvalues) -> EdgeCheck:
-    """All four scalar mixed-multiplicity equations on one edge.
+                      l_table: LTable, strict_paper: bool) -> EdgeCheck:
+    """Verdict of the four mixed-multiplicity equations on one edge.
 
     The column and row forms are tracked separately so a candidate table
     satisfying only one of the two relation forms is reported as such.
     """
     try:
-        coeffs = block_coefficients(params, alpha, strict_paper, eig)
+        data, rho, residuals = case1_residuals(params, alpha, beta, l_table,
+                                               strict_paper)
     except SingularCoefficientError as exc:
         return EdgeCheck(1, alpha, beta, None, SKIP_SINGULAR,
                          detail=f"block: {exc.which} = 0")
-    data = case1_data(params, alpha, beta, l_table, eig)
-    J = alpha.eps * eig.dirac(params, alpha.j, alpha.eps)
-    z_plus = z_value(params, alpha.f + 1, J, alpha.xi * alpha.eps)
-    rho = ratio_tagged(z_for(params, beta, eig), z_plus)
     if rho.kind != "finite":
         return EdgeCheck(1, alpha, beta, None, SKIP_POLE,
                          detail=f"scalar-to-block factor ratio is {rho.kind}")
-    b11, b12, b21, b22 = coeffs
-    eqs = {
-        "column.1": b11 * data.a1 + b12 * data.e_minus + data.a1 * rho.value,
-        "column.2": b21 * data.a1 + b22 * data.e_minus - data.e_plus * rho.value,
-        "row.1": data.a2 * b11 - data.e_minus * b21 + data.a2 * rho.value,
-        "row.2": data.a2 * b12 - data.e_minus * b22 + data.e_plus * rho.value,
-    }
-    residuals = {k: format_rational(v) for k, v in eqs.items() if v != 0}
     detail = ""
     if residuals:
         col_ok = "column.1" not in residuals and "column.2" not in residuals
@@ -317,8 +298,7 @@ def _check_case1_edge(params: Params, alpha: KType, beta: KType,
 
 
 def verify_interface(params: Params, centers: Iterable[KType], l_table: LTable,
-                     strict_paper: bool = False,
-                     eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> SuiteReport:
+                     strict_paper: bool = False) -> SuiteReport:
     """Interface coherence between the multiplicity 1 and 2 parts.
 
     Per center: both mixed-multiplicity edges (f +- 1, under the -4i z
@@ -333,23 +313,22 @@ def verify_interface(params: Params, centers: Iterable[KType], l_table: LTable,
             if l_table.lvalue(beta) is None:
                 continue
             report.add(_check_case1_edge(params, center, beta, l_table,
-                                         strict_paper, eig))
+                                         strict_paper))
         square = interface_square(center)
-        report.add(_check_square(params, square, strict_paper, eig))
+        report.add(_check_square(params, square, strict_paper))
     return report
 
 
-def _check_square(params: Params, square, strict_paper: bool,
-                  eig: SphereEigenvalues) -> EdgeCheck:
+def _check_square(params: Params, square, strict_paper: bool) -> EdgeCheck:
     a1, a2 = square.alpha1, square.alpha2
     try:
-        ca = block_coefficients(params, a1, strict_paper, eig)
-        cb = block_coefficients(params, a2, strict_paper, eig)
+        ca = block_coefficients(params, a1, strict_paper)
+        cb = block_coefficients(params, a2, strict_paper)
     except SingularCoefficientError as exc:
         return EdgeCheck(2, a1, a2, Direction(1, 1), SKIP_SINGULAR,
                          detail=f"block: {exc.which} = 0")
     try:
-        data = case2_data(params, a1, a2, eig)
+        data = case2_data(params, a1, a2)
     except DegenerateTargetError:
         return EdgeCheck(2, a1, a2, Direction(1, 1), SKIP_DEGENERATE,
                          detail="lambda(T*T) = 0 at target")
@@ -357,11 +336,7 @@ def _check_square(params: Params, square, strict_paper: bool,
     if det_m1 == 0:
         return EdgeCheck(2, a1, a2, Direction(1, 1), SKIP_DEGENERATE,
                          detail="det M1 = 0: propagation is vacuous")
-    J1 = a1.eps * eig.dirac(params, a1.j, a1.eps)
-    J2 = a2.eps * eig.dirac(params, a2.j, a2.eps)
-    z1 = z_value(params, a1.f + 1, J1, a1.xi * a1.eps)
-    z2 = z_value(params, a2.f + 1, J2, a2.xi * a2.eps)
-    rho = ratio_tagged(z2, z1)
+    rho = ratio_tagged(block_factor(params, a2), block_factor(params, a1))
     if rho.kind != "finite":
         return EdgeCheck(2, a1, a2, Direction(1, 1), SKIP_POLE,
                          detail=f"shared-factor ratio is {rho.kind}")
@@ -376,8 +351,7 @@ def _check_square(params: Params, square, strict_paper: bool,
                      residuals={"det": format_rational(lhs - rhs)})
 
 
-def resolve_block_factor_reading(params: Params, centers: Sequence[KType],
-                                 eig: SphereEigenvalues = DEFAULT_EIGENVALUES) -> dict:
+def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> dict:
     """Adjudicate where the block's shared factor sits: weight f+1 or f.
 
     Tries both readings of the degeneration at r = 1/2 against the
@@ -391,11 +365,11 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType],
         if center.multiplicity != 2:
             continue
         try:
-            coeffs = block_coefficients(half_params, center, eig=eig)
+            coeffs = block_coefficients(half_params, center)
         except SingularCoefficientError:
             continue
-        want = first_order_block(half_params, center, eig=eig)
-        J = center.eps * eig.dirac(half_params, center.j, center.eps)
+        want = first_order_block(half_params, center)
+        J = center.eps * DEFAULT_EIGENVALUES.dirac(half_params, center.j, center.eps)
         s = center.xi * center.eps
         outcome["checked"] += 1
         for reading, f_fac in (("f+1", center.f + 1), ("f", center.f)):
@@ -409,23 +383,32 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType],
 
 def run_all_suites(params: Params, centers_mult1: Sequence[KType],
                    centers_mult2: Sequence[KType], xi_values: Sequence[int],
-                   f_min, f_max, j_max, strict_paper: bool = False,
-                   eig: SphereEigenvalues = DEFAULT_EIGENVALUES):
-    """Drive all four suites plus calibration; returns (reports, calibrations)."""
+                   f_min, f_max, j_max, strict_paper: bool = False):
+    """Drive all four suites plus calibration; returns (reports, calibrations).
+
+    A calibration whose window holds nothing to solve maps its xi to the
+    :class:`EmptyWindowError` naming why, and that xi gets no interface
+    checks (an interface center in the same window needs j >= 3/2 and an
+    f point, so none exists).
+    """
     reports: Dict[str, SuiteReport] = {}
-    reports["mult1-quotients"] = verify_mult1_quotients(params, centers_mult1, eig)
+    reports["mult1-quotients"] = verify_mult1_quotients(params, centers_mult1)
     reports["mult2-quotients"] = verify_mult2_quotients(
-        params, centers_mult2, strict_paper, eig)
+        params, centers_mult2, strict_paper)
     reports["case2-relation"] = verify_case2_relation(
-        params, centers_mult2, strict_paper, eig)
-    calibrations: Dict[int, CalibrationResult] = {}
+        params, centers_mult2, strict_paper)
+    calibrations: Dict[int, Union[CalibrationResult, EmptyWindowError]] = {}
     interface = SuiteReport("interface")
     for xi in sorted(set(xi_values)):
-        result = calibrate_L(params, xi, f_min, f_max, j_max, eig)
+        try:
+            result = calibrate_L(params, xi, f_min, f_max, j_max)
+        except EmptyWindowError as exc:
+            calibrations[xi] = exc
+            continue
         calibrations[xi] = result
         sub = verify_interface(params,
                                [c for c in centers_mult2 if c.xi == xi],
-                               result.table, strict_paper, eig)
+                               result.table, strict_paper)
         interface.checks.extend(sub.checks)
     reports["interface"] = interface
     return reports, calibrations

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction as Q
@@ -112,6 +113,35 @@ class TestVerify:
         run(capsys, "verify", "--n", "4", "--r", "1", *REGION, "--out", str(a))
         run(capsys, "verify", "--n", "4", "--r", "1", *REGION, "--out", str(b))
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (("--n", "4", "--r", "1"), 0,
+         "fdba010d31652aca99507fc3e23b7715fd25732eca713db15f669921e5c59c92"),
+        (("--n", "6", "--r", "3/2", "--strict-paper"), 1,
+         "dcfbee142254ddf98fae5cf3aaaa018c761366971d7b506253e5d9013c0f4b6f"),
+    ])
+    def test_report_bytes_are_pinned(self, capsys, tmp_path, argv, code, digest):
+        # the whole report byte for byte: any change to a verdict, residual
+        # or report field changes the digest
+        out_path = tmp_path / "report.json"
+        got, _ = run(capsys, "verify", *argv, *REGION, "--out", str(out_path))
+        assert got == code
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("window", [
+        ("--j-max", "1/2"),
+        ("--f-min", "3/2", "--f-max=-3/2"),
+    ])
+    def test_empty_calibration_window_is_a_skip(self, capsys, tmp_path, window):
+        out_path = tmp_path / "report.json"
+        code, out = run(capsys, "verify", "--n", "4", *window, "--out", str(out_path))
+        assert code == 0
+        assert "interface" in out and "calibration inconsistent" not in out
+        assert out.count("skipped (empty calibration window") == 2
+        payload = json.loads(out_path.read_text())
+        assert payload["ok"] is True
+        for cal in payload["calibration"].values():
+            assert cal["skipped"].startswith("empty calibration window")
 
 
 class TestNeighbors:

@@ -2,9 +2,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from twistor_spectra import faults
 from twistor_spectra.exact import Phase, ratio, ratio_tagged, reduce_exact
-from twistor_spectra.ktypes import (Direction, Params, SphereEigenvalues,
-                                    make_ktype)
+from twistor_spectra.ktypes import Direction, Params, make_ktype
 from twistor_spectra.spectra import (InconsistentSystemError,
                                      SingularCoefficientError, block2x2,
                                      block_coefficients, calibrate_L,
@@ -313,12 +313,18 @@ class TestCalibration:
         assert result.consistent
 
     def test_alternate_convention_is_rejected(self):
-        class Shifted(SphereEigenvalues):
-            def dirac(self, params, j, eps):
-                return eps * (j + Q(params.n - 2, 2)) + 1
+        # every Dirac eigenvalue shifted by +1: J = eps (j + (n-2)/2) + 1
+        with faults.inject("DIRAC", 1):
+            with pytest.raises(InconsistentSystemError):
+                calibrate_L(P4H, 1, Q(-5, 2), Q(5, 2), Q(7, 2))
 
-        with pytest.raises(InconsistentSystemError):
-            calibrate_L(P4H, 1, Q(-5, 2), Q(5, 2), Q(7, 2), eig=Shifted())
+    def test_unpinned_constant_is_an_issue(self):
+        # d21 = -n + 4 vanishes at n = 4, so every probe's a2 does too
+        with faults.inject("D21", Q(4)):
+            result = calibrate_L(Params(4, Q(1)), 1, Q(-3, 2), Q(3, 2), Q(5, 2))
+        assert result.probe is None
+        assert {"kind": "unpinned-constant"} in result.issues
+        assert not result.consistent
 
 
 def make_k(j, eps):

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction as Q
+from pathlib import Path
 
 from conftest import dirac_l_table
 
@@ -165,3 +167,13 @@ class TestDrivers:
         edge = payload["edges"][0]
         assert set(edge) >= {"case", "from", "to", "direction", "verdict"}
         assert report.summary_line().startswith("mult1-quotients")
+
+
+class TestFaultCatalogue:
+    def test_every_bump_site_is_registered(self):
+        # a site missing from SITES would never be swept by mutation sanity
+        src = Path(faults.__file__).parent
+        used = set()
+        for path in src.glob("*.py"):
+            used |= set(re.findall(r'faults\.bump\(\s*"(\w+)"', path.read_text()))
+        assert used == set(faults.SITES)
