@@ -3,7 +3,8 @@
 Subcommands: spectrum, block, neighbors, verify, calibrate.  Output is a
 pure function of the flags: deterministic row order, exact values printed as
 p/q, numerics with 15 significant digits, poles printed as POLE.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error (including a calibrate
+window with nothing to solve).
 """
 from __future__ import annotations
 
@@ -32,19 +33,27 @@ def _num(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=4, help="sphere dimension + 1 (even, >= 4)")
     p.add_argument("--r", default="1/2", help="half the operator order, as p/q")
     p.add_argument("--lattice", choices=("half", "int"), default="half",
                    help="circle weight lattice")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_params(p)
     p.add_argument("--strict-paper", action="store_true",
                    help="use the strict formula variants, including their known misprints")
 
 
-def _add_region(p: argparse.ArgumentParser) -> None:
+def _add_window(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f-min", default="-9/2")
     p.add_argument("--f-max", default="9/2")
     p.add_argument("--j-max", default="9/2")
+
+
+def _add_region(p: argparse.ArgumentParser) -> None:
+    _add_window(p)
     p.add_argument("--xi", choices=("1", "-1", "both"), default="both")
     p.add_argument("--eps", choices=("1", "-1", "both"), default="both")
 
@@ -92,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--out", default=None, help="write the JSON report here")
 
     p_cal = sub.add_parser("calibrate", help="solve for the divergence-part eigenvalues")
-    for add in (_add_common, _add_region, _add_output):
+    for add in (_add_params, _add_window, _add_output):
         add(p_cal)
     p_cal.add_argument("--xi-solve", type=int, choices=(1, -1), default=1,
                        help="chirality used for the solve")
@@ -110,13 +119,16 @@ def _params(args) -> Params:
         raise SystemExit(2)
 
 
-def _region_args(args):
+def _window_args(args):
     try:
-        return (rational(args.f_min), rational(args.f_max), rational(args.j_max),
-                _pm(args.xi), _pm(args.eps))
+        return rational(args.f_min), rational(args.f_max), rational(args.j_max)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"bad region: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _region_args(args):
+    return (*_window_args(args), _pm(args.xi), _pm(args.eps))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -324,9 +336,12 @@ def _calibration_json(cal) -> dict:
 
 def cmd_calibrate(args) -> int:
     params = _params(args)
-    f_min, f_max, j_max, _, _ = _region_args(args)
+    f_min, f_max, j_max = _window_args(args)
     try:
         result = calibrate_L(params, args.xi_solve, f_min, f_max, j_max)
+    except EmptyWindowError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except InconsistentSystemError as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return 1

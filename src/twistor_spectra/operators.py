@@ -36,6 +36,7 @@ __all__ = [
     "c_ba",
     "bochner_compression",
     "case1_data",
+    "case1_mid",
     "case2_data",
     "case3_data",
     "case3_mid",
@@ -180,6 +181,11 @@ class Case1Data:
     e_plus: Fraction
 
 
+def case1_mid(params: Params, alpha: KType, beta: KType) -> Fraction:
+    """The r-free, L-free bracket shared by E- and E+ on the mixed pair alpha -> beta."""
+    return (alpha.f ** 2 - beta.f ** 2) / 2 - Fraction(params.n - 2, 2)
+
+
 def case1_data(params: Params, alpha: KType, beta: KType, l_provider: LTable) -> Case1Data:
     """Quantities for a multiplicity-2 label alpha paired with a q=1 label beta.
 
@@ -198,7 +204,7 @@ def case1_data(params: Params, alpha: KType, beta: KType, l_provider: LTable) ->
     r = params.r
     a1 = alpha.xi * df * d_a.d12
     a2 = -alpha.xi * df * d_a.d21
-    mid = (alpha.f ** 2 - beta.f ** 2) / 2 - Fraction(params.n - 2, 2)
+    mid = case1_mid(params, alpha, beta)
     dd = alpha.xi * df * (d_a.d22 - d_b.d33)
     return Case1Data(a1, a2, mid - r + dd, mid + r - dd)
 

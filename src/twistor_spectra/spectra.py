@@ -18,22 +18,25 @@ the multiplicity-one block to -4i * z, under which the r = 1/2 block matches
 the first-order (exchanged Rarita-Schwinger) matrix entry by entry.
 
 The divergence-part sphere eigenvalue L is never assumed: ``calibrate_L``
-solves the overdetermined system of quotient identities for it, checks
-consistency, and returns the table the other modules consume.
+solves the overdetermined system of multiplicity-one relations for it and
+returns the table the other modules consume.  Every such relation on the
+window is either one of the solve's equations or checked inside the solve, so
+a returned table satisfies all of them; the mixed-multiplicity relations it
+feeds are checked by the interface suite in ``verify``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import faults
 from .exact import (GammaQuotient, IMAG, ONE_PHASE, Phase, RationalLike,
-                    ReducedValue, format_rational, ratio_tagged, rational)
+                    format_rational, ratio_tagged, rational)
 from .ktypes import (DEFAULT_EIGENVALUES, HALF, Direction, KType, LTable,
-                     Params, case1_partners, f_points, neighbors)
-from .operators import Case1Data, case1_data, case3_data, case3_mid, d_block
+                     Params, f_points, neighbors)
+from .operators import case1_mid, case3_mid, d_block
 
 __all__ = [
     "Block",
@@ -48,7 +51,6 @@ __all__ = [
     "mult2_det_quotient_matrix",
     "block2x2",
     "block_coefficients",
-    "case1_residuals",
     "mult1_block",
     "first_order_block",
     "exchanged_rs_eigenvalue",
@@ -383,25 +385,27 @@ def first_order_block(params: Params, center: KType, strict_paper: bool = False
 
 @dataclass
 class CalibrationResult:
-    """Solved divergence eigenvalues plus the consistency evidence.
+    """Solved divergence eigenvalues plus the evidence for their constraints.
 
     ``table`` maps (j, eps) to L.  ``difference_edges`` counts the quotient
     identities that constrained the solve, ``unconstraining_edges`` the ones
     that degenerate (quotient -1).  The additive constant is pinned by one
-    mixed-multiplicity probe; ``issues`` lists every residual inconsistency
-    found when re-verifying the full system, then an ``unpinned-constant``
-    entry when no probe pins the constant (empty iff consistent).
+    mixed-multiplicity ``probe``; without one the table is determined only up
+    to that constant, which ``issues`` reports as ``unpinned-constant``.
     """
 
     table: LTable
     difference_edges: int
     unconstraining_edges: int
     probe: Optional[dict]
-    issues: List[dict] = field(default_factory=list)
 
     @property
     def consistent(self) -> bool:
-        return not self.issues
+        return self.probe is not None
+
+    @property
+    def issues(self) -> List[dict]:
+        return [] if self.consistent else [{"kind": "unpinned-constant"}]
 
 
 def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLike,
@@ -411,11 +415,13 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     Every multiplicity-one edge in the window forces a difference of d33
     values between its endpoint (j, eps) classes; the differences must agree
     across the whole f-window, close around cycles, and leave exactly one
-    additive constant free, which a mixed-multiplicity probe then pins.
-    Raises :class:`InconsistentSystemError` with the violating edge if the
+    additive constant free, which a mixed-multiplicity probe then pins.  An
+    edge whose z-ratio is -1 constrains nothing, and its relation holds for
+    every table iff its bracket vanishes.  So a returned table satisfies the
+    multiplicity-one relation on every edge of the window.  Raises
+    :class:`InconsistentSystemError` with the violating edge if the
     overdetermined system has no solution, and :class:`EmptyWindowError` when
-    the window holds nothing to solve; re-verification residuals of the
-    solved table are reported in ``issues``.
+    the window holds nothing to solve.
     """
     f_lo, f_hi, j_hi = rational(f_min), rational(f_max), rational(j_max)
     r = params.r
@@ -450,6 +456,13 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
                 xd = xi * (center.f - nb.f)
                 if zr.kind == "finite":
                     if zr.value == -1:
+                        # P- = -P+ whatever the table: P- + P+ = 2 mid
+                        if mid != 0:
+                            raise InconsistentSystemError(
+                                "unconstraining edge with a nonzero bracket",
+                                witness={"edge": {"center": center.to_json(),
+                                                  "neighbor": nb.to_json()},
+                                         "residual": format_rational(2 * mid)})
                         n_unconstraining += 1
                         continue
                     delta = (zr.value * (mid + r) - (mid - r)) / (xd * (1 + zr.value))
@@ -497,11 +510,7 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
 
     shift, probe = _pin_constant(params, xi, fs, potential)
     table = LTable({nd: 2 * (pot + shift) for nd, pot in potential.items()})
-
-    issues = _reverify(params, xi, fs, table)
-    if probe is None:
-        issues.append({"kind": "unpinned-constant"})
-    return CalibrationResult(table, n_edges, n_unconstraining, probe, issues)
+    return CalibrationResult(table, n_edges, n_unconstraining, probe)
 
 
 def _pin_constant(params, xi, fs, potential):
@@ -527,7 +536,7 @@ def _pin_constant(params, xi, fs, potential):
             # E- required by the relation, then solve for the constant in
             # E- = mid - r + xi (f - f') (d22 - (pot + t))
             e_minus = a2 * (b11 + 1) / b21
-            mid = (alpha.f ** 2 - beta.f ** 2) / 2 - Fraction(params.n - 2, 2)
+            mid = case1_mid(params, alpha, beta)
             xd = xi * (alpha.f - beta.f)
             # e_minus = mid - r + xd*d22 - xd*pot - xd*t
             t = (mid - params.r + xd * d_a.d22 - xd * pot - e_minus) / xd
@@ -535,71 +544,3 @@ def _pin_constant(params, xi, fs, potential):
                      "shift": format_rational(t)}
             return t, probe
     return Fraction(0), None
-
-
-def _reverify(params, xi, fs, table):
-    """Residuals of the solved table against both transition families."""
-    issues: List[dict] = []
-    keys = [k for k, _ in table.items()]
-    for (j, eps) in keys:
-        for f in fs:
-            center = KType(xi, f, j, 1, eps)
-            for _, nb in neighbors(center):
-                if table.lvalue(nb) is None:
-                    continue
-                data = case3_data(params, center, nb, table)
-                zr = ratio_tagged(z_for(params, nb), z_for(params, center))
-                ok = _case3_edge_ok(data, zr)
-                if not ok:
-                    issues.append({"kind": "mult1-edge", "center": center.to_json(),
-                                   "neighbor": nb.to_json()})
-            alpha = KType(xi, f, j, 0, eps)
-            for df, beta in case1_partners(alpha):
-                if table.lvalue(beta) is None:
-                    continue
-                try:
-                    _, _, bad = case1_residuals(params, alpha, beta, table)
-                except SingularCoefficientError:
-                    continue
-                if bad:
-                    issues.append({"kind": "mixed-edge", "alpha": alpha.to_json(),
-                                   "beta": beta.to_json(), "residuals": bad})
-    return issues
-
-
-def _case3_edge_ok(data, zr: ReducedValue) -> bool:
-    if data.p_minus == 0 and data.p_plus == 0:
-        return True  # the relation holds as 0 = 0 whatever the quotient is
-    if zr.kind == "pole":
-        return data.p_plus == 0
-    if zr.kind == "zero":
-        return data.p_minus == 0
-    if data.p_plus == 0:
-        return False
-    return data.p_minus / data.p_plus == zr.value
-
-
-def case1_residuals(params: Params, alpha: KType, beta: KType, l_table: LTable,
-                    strict_paper: bool = False
-                    ) -> Tuple[Case1Data, ReducedValue, Dict[str, str]]:
-    """All four scalar mixed-multiplicity equations on one edge.
-
-    Returns the transition quantities, the tagged ratio rho of beta's z to
-    alpha's block factor, and the nonzero residuals keyed by relation form
-    (column or row) and equation; the residuals are empty when rho is not
-    finite, since the edge cannot be checked then.  Raises
-    :class:`SingularCoefficientError` when alpha's block is singular.
-    """
-    b11, b12, b21, b22 = block_coefficients(params, alpha, strict_paper)
-    data = case1_data(params, alpha, beta, l_table)
-    rho = ratio_tagged(z_for(params, beta), block_factor(params, alpha))
-    if rho.kind != "finite":
-        return data, rho, {}
-    p = rho.value
-    eqs = {
-        "column.1": b11 * data.a1 + b12 * data.e_minus + data.a1 * p,
-        "column.2": b21 * data.a1 + b22 * data.e_minus - data.e_plus * p,
-        "row.1": data.a2 * b11 - data.e_minus * b21 + data.a2 * p,
-        "row.2": data.a2 * b12 - data.e_minus * b22 + data.e_plus * p,
-    }
-    return data, rho, {k: format_rational(v) for k, v in eqs.items() if v != 0}

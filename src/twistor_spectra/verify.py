@@ -18,12 +18,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .exact import ReducedValue, format_rational, ratio_tagged
 from .ktypes import (DEFAULT_EIGENVALUES, Direction, KType, LTable, Params,
                      case1_partners, interface_square, neighbors)
-from .operators import DegenerateTargetError, case2_data
+from .operators import DegenerateTargetError, case1_data, case2_data
 from .spectra import (CalibrationResult, EmptyWindowError,
                       SingularCoefficientError, block_coefficients,
-                      block_factor, calibrate_L, case1_residuals,
-                      mult1_quotient_matrix, mult2_det_quotient_matrix, w_for,
-                      z_for)
+                      block_factor, calibrate_L, mult1_quotient_matrix,
+                      mult2_det_quotient_matrix, w_for, z_for)
 
 __all__ = [
     "PASS", "FAIL", "POLE", "ZERO", "INDETERMINATE",
@@ -272,18 +271,29 @@ def _check_case1_edge(params: Params, alpha: KType, beta: KType,
                       l_table: LTable, strict_paper: bool) -> EdgeCheck:
     """Verdict of the four mixed-multiplicity equations on one edge.
 
-    The column and row forms are tracked separately so a candidate table
-    satisfying only one of the two relation forms is reported as such.
+    Each equation is scaled by rho, the ratio of beta's z to alpha's block
+    factor; the edge is skipped when rho is not finite.  The column and row
+    forms are tracked separately so a candidate table satisfying only one of
+    the two relation forms is reported as such.
     """
     try:
-        data, rho, residuals = case1_residuals(params, alpha, beta, l_table,
-                                               strict_paper)
+        b11, b12, b21, b22 = block_coefficients(params, alpha, strict_paper)
     except SingularCoefficientError as exc:
         return EdgeCheck(1, alpha, beta, None, SKIP_SINGULAR,
                          detail=f"block: {exc.which} = 0")
+    data = case1_data(params, alpha, beta, l_table)
+    rho = ratio_tagged(z_for(params, beta), block_factor(params, alpha))
     if rho.kind != "finite":
         return EdgeCheck(1, alpha, beta, None, SKIP_POLE,
                          detail=f"scalar-to-block factor ratio is {rho.kind}")
+    p = rho.value
+    eqs = {
+        "column.1": b11 * data.a1 + b12 * data.e_minus + data.a1 * p,
+        "column.2": b21 * data.a1 + b22 * data.e_minus - data.e_plus * p,
+        "row.1": data.a2 * b11 - data.e_minus * b21 + data.a2 * p,
+        "row.2": data.a2 * b12 - data.e_minus * b22 + data.e_plus * p,
+    }
+    residuals = {k: format_rational(v) for k, v in eqs.items() if v != 0}
     detail = ""
     if residuals:
         col_ok = "column.1" not in residuals and "column.2" not in residuals

@@ -189,3 +189,31 @@ class TestBlockAndCalibrate:
         got = {(r["j"], r["eps"]): r["L"] for r in rows}
         assert got[("3/2", "+1")] == "5/2"
         assert got[("5/2", "-1")] == "-7/2"
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("--n", "4", "--r", "1"),
+         "16ed07fb828867e4d48ec8903e027566b9b8e8639fdff47254150a4ba41218f2"),
+        (("--n", "8", "--r", "5/2", "--lattice", "int"),
+         "20713af70dd72567c6983e16733e3b175ce7a7bf1a6b147e7370a0e57311c844"),
+    ])
+    def test_calibrate_json_is_pinned(self, capsys, argv, digest):
+        # the solved table byte for byte, as JSON rows
+        code, out = run(capsys, "calibrate", *argv, *REGION, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("window", [
+        ("--j-max", "1/2"),
+        ("--f-min", "3/2", "--f-max=-3/2"),
+    ])
+    def test_calibrate_empty_window_exits_2(self, capsys, window):
+        code = main(["calibrate", "--n", "4", *window])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("empty calibration window")
+
+    def test_calibrate_rejects_unread_flags(self):
+        with pytest.raises(SystemExit) as err:
+            main(["calibrate", "--n", "4", "--strict-paper"])
+        assert err.value.code == 2

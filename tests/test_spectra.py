@@ -2,9 +2,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from twistor_spectra import faults
+from twistor_spectra import faults, spectra
 from twistor_spectra.exact import Phase, ratio, ratio_tagged, reduce_exact
-from twistor_spectra.ktypes import Direction, Params, make_ktype
+from twistor_spectra.ktypes import Direction, KType, Params, make_ktype
 from twistor_spectra.spectra import (InconsistentSystemError,
                                      SingularCoefficientError, block2x2,
                                      block_coefficients, calibrate_L,
@@ -325,6 +325,28 @@ class TestCalibration:
         assert result.probe is None
         assert {"kind": "unpinned-constant"} in result.issues
         assert not result.consistent
+
+    def test_unconstraining_edge_needs_a_vanishing_bracket(self, monkeypatch):
+        # a z-ratio of -1 leaves P- = -P+, which holds iff the bracket is 0
+        params = Params(4, Q(1))
+        true_mid = spectra.case3_mid
+
+        def z_ratio(center, nb):
+            return ratio_tagged(z_for(params, nb), z_for(params, center))
+
+        def shifted_mid(p, center, nb):
+            zr = z_ratio(center, nb)
+            bump = 1 if zr.kind == "finite" and zr.value == -1 else 0
+            return true_mid(p, center, nb) + bump
+
+        monkeypatch.setattr(spectra, "case3_mid", shifted_mid)
+        with pytest.raises(InconsistentSystemError) as err:
+            calibrate_L(params, 1, Q(-5, 2), Q(5, 2), Q(7, 2))
+        edge = err.value.witness["edge"]
+        center = KType.from_json(edge["center"])
+        nb = KType.from_json(edge["neighbor"])
+        assert z_ratio(center, nb).value == -1
+        assert err.value.witness["residual"] == "2"
 
 
 def make_k(j, eps):
