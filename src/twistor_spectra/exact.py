@@ -17,8 +17,12 @@ Three layers live here:
 
 Arguments at non-positive integers are tracked as formal pole/zero flags.
 A net uncancelled pole is an error; a net uncancelled zero reduces to the
-exact value 0 (a finite quantity divided by a pole).  Everything is
-immutable, so unrestricted concurrent use is safe.
+exact value 0 (a finite quantity divided by a pole).  The values here are
+immutable, but the library is not safe for unrestricted concurrent use: the
+fault offsets armed by ``faults.inject`` and the memo tables of ``ktypes``,
+``operators`` and ``spectra`` are process-global.  Threads may share the
+tables only while no fault is armed; a fault armed in one thread perturbs
+every other thread's results.
 """
 from __future__ import annotations
 
@@ -76,7 +80,7 @@ def rational(value: RationalLike) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Canonical 'p/q' string (plain 'p' when the denominator is 1)."""
-    return str(Fraction(x))
+    return str(x) if isinstance(x, Fraction) else str(Fraction(x))
 
 
 @dataclass(frozen=True)

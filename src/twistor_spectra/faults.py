@@ -37,10 +37,17 @@ def bump(name: str, value: Fraction) -> Fraction:
 
 
 def memo(fn: Callable) -> Callable:
-    """Unbounded memo of a function whose body calls :func:`bump`.
+    """Unbounded memo for the library's tables.
 
-    While any site is armed the call bypasses the cache, so perturbed values
-    never populate it.  ``cache_info`` is the underlying lru_cache's.
+    A function whose value passes a :func:`bump` site, directly or through
+    another table, is memoized with this rather than ``lru_cache``: while
+    any site is armed the call bypasses the cache, so perturbed values
+    never populate it and every armed site is seen on every call; disarming
+    restores the cached values.  The label tables in ``ktypes`` and
+    ``operators`` are keyed on n and label values, never on r, so a
+    long-lived process holds at most one entry per label (pair);
+    ``spectra._block_coeffs`` is keyed per block, r included.
+    ``cache_info`` is the underlying lru_cache's.
     """
     cached = lru_cache(maxsize=None)(fn)
 

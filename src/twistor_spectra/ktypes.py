@@ -35,6 +35,8 @@ __all__ = [
     "InterfaceSquare",
     "SphereEigenvalues",
     "DEFAULT_EIGENVALUES",
+    "label_dirac",
+    "label_twistor_tt",
     "LTable",
     "make_ktype",
     "dirac_eigenvalue",
@@ -127,22 +129,34 @@ def make_ktype(params: Params, xi: int, f: RationalLike, j: RationalLike,
     return KType(xi, fq, jq, q, eps)
 
 
+@faults.memo
+def label_dirac(n: int, j: Fraction, eps: int) -> Fraction:
+    """Signed Dirac eigenvalue of the label (j, eps) on S^(n-1), memoized."""
+    return faults.bump("DIRAC", eps * (j + Fraction(n - 2, 2)))
+
+
+@faults.memo
+def label_twistor_tt(n: int, j: Fraction) -> Fraction:
+    """lambda(T*T) of the label j on S^(n-1), memoized."""
+    J = j + Fraction(n - 2, 2)
+    return Fraction(n - 2, n - 1) * (J * J - Fraction(n - 1, 2) ** 2)
+
+
 class SphereEigenvalues:
     """Closed-form sphere spectra; ``DEFAULT_EIGENVALUES`` is the one instance.
 
     ``dirac`` must be the unique convention under which the spectral quotient
     identities close; it is the one the verification suites certify, and the
     ``DIRAC`` fault site shifts it so tests can check that a shifted
-    convention fails.
+    convention fails.  Both read :func:`label_dirac` and
+    :func:`label_twistor_tt`, memoized per (n, j, eps) and never per r.
     """
 
     def dirac(self, params: Params, j: Fraction, eps: int) -> Fraction:
-        return faults.bump("DIRAC", eps * (j + Fraction(params.n - 2, 2)))
+        return label_dirac(params.n, j, eps)
 
     def twistor_tt(self, params: Params, j: Fraction) -> Fraction:
-        n = params.n
-        J = j + Fraction(n - 2, 2)
-        return Fraction(n - 2, n - 1) * (J * J - Fraction(n - 1, 2) ** 2)
+        return label_twistor_tt(params.n, j)
 
 
 DEFAULT_EIGENVALUES = SphereEigenvalues()

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import faults
-from .ktypes import DEFAULT_EIGENVALUES, KType, LTable, Params
+from .ktypes import (DEFAULT_EIGENVALUES, KType, LTable, Params, label_dirac,
+                     label_twistor_tt)
 
 __all__ = [
     "DBlock",
@@ -106,25 +107,60 @@ def c_ba(params: Params, a: KType, b: KType) -> Fraction:
     """Twistor-range compression coefficient for the transition a -> b.
 
     Exact rational; requires multiplicity-2 neighbor labels and a
-    non-degenerate target (lambda_b(T*T) != 0, i.e. b.j != 1/2).
+    non-degenerate target (lambda_b(T*T) != 0, i.e. b.j != 1/2).  Read from
+    the same label-pair row as :func:`case2_data`.
     """
     if a.multiplicity != 2 or b.multiplicity != 2:
         raise NotNeighborsError("c_ba needs two multiplicity-2 labels")
     if classify_pair(a, b) != "same-mult":
         raise NotNeighborsError(f"{a.label()} and {b.label()} are not a transition pair")
-    lam_b = DEFAULT_EIGENVALUES.twistor_tt(params, b.j)
-    if lam_b == 0:
-        raise DegenerateTargetError(
-            f"lambda(T*T) = 0 at target {b.label()}; compression undefined")
-    return c_ba_numerator(params, a, b) / lam_b
+    return _pair_row(params, a, b).c_ba
 
 
 def c_ba_numerator(params: Params, a: KType, b: KType) -> Fraction:
     """The symmetric bracket of c_ba before dividing by lambda_b(T*T)."""
-    n = params.n
-    Ja = DEFAULT_EIGENVALUES.dirac(params, a.j, a.eps)
-    Jb = DEFAULT_EIGENVALUES.dirac(params, b.j, b.eps)
+    return _c_bracket(params.n, DEFAULT_EIGENVALUES.dirac(params, a.j, a.eps),
+                      DEFAULT_EIGENVALUES.dirac(params, b.j, b.eps))
+
+
+def _c_bracket(n: int, Ja: Fraction, Jb: Fraction) -> Fraction:
     return Jb * Jb / 2 + Ja * Ja / 2 - Ja * Jb / Fraction(n - 1) - Fraction(n * (n - 1), 4)
+
+
+class _PairRow(NamedTuple):
+    """Label-only data of a multiplicity-2 transition a -> b."""
+
+    c_ba: Fraction
+    mid0: Fraction       # (J_b^2 - J_a^2 + 1)/2, the f-free part of mid
+    dd11: Fraction       # d11(b) - d11(a)
+    dd22: Fraction       # d22(b) - d22(a)
+    g1: Fraction         # d21(b) - c_ba d21(a)
+    g2: Fraction         # c_ba d12(b) - d12(a)
+
+
+@faults.memo
+def _label_pair(n: int, ja: Fraction, ea: int, jb: Fraction, eb: int
+                ) -> Optional[_PairRow]:
+    # keyed on n and the two labels only, so a long-lived process holds one
+    # row per label pair whatever r it is asked about; None for a
+    # degenerate target
+    lam_b = label_twistor_tt(n, jb)
+    if lam_b == 0:
+        return None
+    Ja, Jb = label_dirac(n, ja, ea), label_dirac(n, jb, eb)
+    cba = _c_bracket(n, Ja, Jb) / lam_b
+    a11, a12, a21, a22 = _d_entries(n, Ja)
+    b11, b12, b21, b22 = _d_entries(n, Jb)
+    return _PairRow(cba, (Jb * Jb - Ja * Ja + 1) / 2, b11 - a11, b22 - a22,
+                    b21 - cba * a21, cba * b12 - a12)
+
+
+def _pair_row(params: Params, a: KType, b: KType) -> _PairRow:
+    row = _label_pair(params.n, a.j, a.eps, b.j, b.eps)
+    if row is None:
+        raise DegenerateTargetError(
+            f"lambda(T*T) = 0 at target {b.label()}; compression undefined")
+    return row
 
 
 def classify_pair(frm: KType, to: KType) -> Optional[str]:
@@ -237,26 +273,26 @@ class Case2Data:
 def case2_data(params: Params, alpha: KType, beta: KType) -> Case2Data:
     """Quantities for a multiplicity-2 edge alpha -> beta.
 
-    Propagates DegenerateTarget from c_ba when beta sits at the lattice
-    bottom.  Note g1 = xi (f'-f) (-n) (1 - c_ba) since the (2,1) operator
+    With s = xi (f' - f) and mid = (f'^2 - f^2)/2 + (J'^2 - J^2)/2:
+    F1-+ = mid -+ r +- s (d11' - d11), F2-+ likewise with d22,
+    g1 = s (d21' - c_ba d21) and g2 = s (c_ba d12' - d12).  All but the
+    f and r terms depend only on the two labels and come from the row keyed
+    on (n, j, eps, j', eps') that :func:`c_ba` reads; since f' - f = +-1,
+    each edge computes only mid = (f' - f) f + 1/2 + (J'^2 - J^2)/2, the
+    sign s and the r terms.  Raises DegenerateTarget when beta sits at the
+    lattice bottom.  Note g1 = s (-n) (1 - c_ba) since the (2,1) operator
     entry is label-independent.
     """
     if classify_pair(alpha, beta) != "same-mult" or alpha.multiplicity != 2:
         raise NotNeighborsError(f"{alpha.label()} -> {beta.label()} is not a multiplicity-2 edge")
-    cba = c_ba(params, alpha, beta)
-    d_a = d_block(params, alpha)
-    d_b = d_block(params, beta)
-    Ja = DEFAULT_EIGENVALUES.dirac(params, alpha.j, alpha.eps)
-    Jb = DEFAULT_EIGENVALUES.dirac(params, beta.j, beta.eps)
-    df = beta.f - alpha.f
-    r = params.r
-    mid = (beta.f ** 2 - alpha.f ** 2) / 2 + (Jb * Jb - Ja * Ja) / 2
-    dd1 = alpha.xi * df * (d_b.d11 - d_a.d11)
-    dd2 = alpha.xi * df * (d_b.d22 - d_a.d22)
-    g1 = alpha.xi * df * (d_b.d21 - cba * d_a.d21)
-    g2 = alpha.xi * df * (cba * d_b.d12 - d_a.d12)
-    return Case2Data(mid - r + dd1, mid + r - dd1,
-                     mid - r + dd2, mid + r - dd2, g1, g2, cba)
+    row = _pair_row(params, alpha, beta)
+    up = beta.f > alpha.f
+    mid = (alpha.f if up else -alpha.f) + row.mid0
+    lo, hi = mid - params.r, mid + params.r
+    dd1, dd2, g1, g2 = row.dd11, row.dd22, row.g1, row.g2
+    if (alpha.xi > 0) != up:
+        dd1, dd2, g1, g2 = -dd1, -dd2, -g1, -g2
+    return Case2Data(lo + dd1, hi - dd1, lo + dd2, hi - dd2, g1, g2, row.c_ba)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import faults
 from .exact import (GammaQuotient, IMAG, ONE_PHASE, Phase, RationalLike,
@@ -267,7 +267,9 @@ def mult2_det_quotient_matrix(params: Params, center: KType,
 
 @faults.memo
 def _block_coeffs(n: int, r: Fraction, f: Fraction, Ja: Fraction, xi: int,
-                  strict_paper: bool) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+                  strict_paper: bool
+                  ) -> Union[str, Tuple[Fraction, Fraction, Fraction, Fraction]]:
+    # a singular block is cached too, as the name of the vanished coefficient
     c1 = faults.bump("C1", 2*f*n - 2*f - 2*n + 1 + n*n + 2*r*n - 2*r - 2*xi*Ja)
     c2 = faults.bump("C2", 2*f*r + xi*Ja)
     c3 = faults.bump("C3", Fraction(n - 1) + 2*r)
@@ -276,7 +278,7 @@ def _block_coeffs(n: int, r: Fraction, f: Fraction, Ja: Fraction, xi: int,
     c6 = faults.bump("C6", 2*f*n - 2*f - 2*n + 1 + n*n - 2*r*n + 2*r + 2*xi*Ja)
     for name, c in (("C3", c3), ("C4", c4), ("C1", c1)):
         if c == 0:
-            raise _Singular(name)
+            return name
     b11 = 4*c1*c2 / ((n - 1) * c3 * c4) - 1
     b12 = -2 * (n - 2) * xi * c5 * c2 / ((n - 1) ** 2 * c3 * c4)
     b21 = 8 * n * xi * c2 / (c3 * c4)
@@ -287,19 +289,14 @@ def _block_coeffs(n: int, r: Fraction, f: Fraction, Ja: Fraction, xi: int,
     return b11, b12, b21, b22
 
 
-class _Singular(Exception):
-    def __init__(self, which: str):
-        self.which = which
-
-
 def block_coefficients(params: Params, center: KType, strict_paper: bool = False
                        ) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """The four rational coefficients (b11, b12, b21, b22) of the 2x2 block."""
     Ja = DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
-    try:
-        return _block_coeffs(params.n, params.r, center.f, Ja, center.xi, strict_paper)
-    except _Singular as exc:
-        raise SingularCoefficientError(exc.which, center) from None
+    coeffs = _block_coeffs(params.n, params.r, center.f, Ja, center.xi, strict_paper)
+    if isinstance(coeffs, str):
+        raise SingularCoefficientError(coeffs, center)
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -441,7 +438,10 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
                                f"[{format_rational(f_lo)}, {format_rational(f_hi)}]")
     node_set = set(nodes)
 
-    deltas: Dict[Tuple[Tuple[Fraction, int], Tuple[Fraction, int]], Tuple[Fraction, dict]] = {}
+    # each constrained class pair keeps its delta and the edge that set it;
+    # the edge is only formatted into a witness when a conflict raises
+    deltas: Dict[Tuple[Tuple[Fraction, int], Tuple[Fraction, int]],
+                 Tuple[Fraction, KType, KType]] = {}
     n_edges = 0
     n_unconstraining = 0
 
@@ -472,22 +472,21 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
                     delta = (r - mid) / xd        # p_minus must vanish
                 n_edges += 1
                 key = ((j, eps), (nb.j, nb.eps))
-                info = {"center": center.to_json(), "neighbor": nb.to_json(),
-                        "delta": format_rational(delta)}
                 prev = deltas.get(key)
                 if prev is not None and prev[0] != delta:
                     raise InconsistentSystemError(
                         "conflicting difference constraints for "
                         f"{key[0]} - {key[1]}: {prev[0]} vs {delta}",
-                        witness={"edge": info, "previous": prev[1],
+                        witness={"edge": _edge_witness(delta, center, nb),
+                                 "previous": _edge_witness(*prev),
                                  "residual": format_rational(delta - prev[0])})
-                deltas[key] = (delta, info)
+                deltas[key] = (delta, center, nb)
 
     # spanning solve over the (j, eps) graph; non-tree edges must close
     potential: Dict[Tuple[Fraction, int], Fraction] = {nodes[0]: Fraction(0)}
     frontier = [nodes[0]]
     adj: Dict[Tuple[Fraction, int], List[Tuple[Tuple[Fraction, int], Fraction]]] = {}
-    for (a, b), (delta, _) in deltas.items():
+    for (a, b), (delta, _, _) in deltas.items():
         adj.setdefault(a, []).append((b, -delta))   # x_b = x_a - delta
         adj.setdefault(b, []).append((a, delta))
     while frontier:
@@ -511,6 +510,11 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     shift, probe = _pin_constant(params, xi, fs, potential)
     table = LTable({nd: 2 * (pot + shift) for nd, pot in potential.items()})
     return CalibrationResult(table, n_edges, n_unconstraining, probe)
+
+
+def _edge_witness(delta: Fraction, center: KType, nb: KType) -> dict:
+    return {"center": center.to_json(), "neighbor": nb.to_json(),
+            "delta": format_rational(delta)}
 
 
 def _pin_constant(params, xi, fs, potential):

@@ -196,16 +196,29 @@ def verify_mult2_quotients(params: Params, centers: Iterable[KType],
     return report
 
 
-def _matmul(a, b):
-    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0],
-             a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0],
-             a[1][0] * b[0][1] + a[1][1] * b[1][1]))
+def _case2_residuals(coeffs_b, m1, m2, coeffs_a, rho: Fraction) -> Dict[str, str]:
+    """Nonzero entries of  B(nb) M1 rho - M2 B(center), formatted.
 
-
-def _as_matrix(coeffs):
-    b11, b12, b21, b22 = coeffs
-    return ((b11, b12), (b21, b22))
+    Entry (i, k) is a sum of four products of Fractions.  It is summed as an
+    unnormalized (num, den) of ints and vanishes iff num == 0; only a
+    nonzero entry is reduced to lowest terms, as ``Fraction(num, den)``.
+    """
+    residuals = {}
+    for i in (0, 1):
+        for k in (0, 1):
+            num, den = 0, 1
+            for sign, factors in ((1, (coeffs_b[2 * i], m1[0][k], rho)),
+                                  (1, (coeffs_b[2 * i + 1], m1[1][k], rho)),
+                                  (-1, (m2[i][0], coeffs_a[k])),
+                                  (-1, (m2[i][1], coeffs_a[2 + k]))):
+                p, q = sign, 1
+                for x in factors:
+                    p *= x.numerator
+                    q *= x.denominator
+                num, den = num * q + p * den, den * q
+            if num:
+                residuals[f"({i + 1},{k + 1})"] = format_rational(Fraction(num, den))
+    return residuals
 
 
 def verify_case2_relation(params: Params, centers: Iterable[KType],
@@ -214,7 +227,8 @@ def verify_case2_relation(params: Params, centers: Iterable[KType],
 
     Both blocks share their own gamma-quotient factor; dividing by the
     center's factor turns the relation into four exact rational identities
-    scaled by the (tagged) factor ratio.
+    scaled by the (tagged) factor ratio, each tested on cleared
+    denominators by :func:`_case2_residuals`.
     """
     report = SuiteReport("case2-relation")
     for center in centers:
@@ -246,14 +260,8 @@ def verify_case2_relation(params: Params, centers: Iterable[KType],
                 report.add(EdgeCheck(2, center, nb, direction, SKIP_POLE,
                                      detail=f"shared-factor ratio is {rho.kind}"))
                 continue
-            lhs = _matmul(_as_matrix(coeffs_b), data.m1())
-            rhs = _matmul(data.m2(), _as_matrix(coeffs_a))
-            residuals = {}
-            for i in (0, 1):
-                for k in (0, 1):
-                    diff = lhs[i][k] * rho.value - rhs[i][k]
-                    if diff != 0:
-                        residuals[f"({i + 1},{k + 1})"] = format_rational(diff)
+            residuals = _case2_residuals(coeffs_b, data.m1(), data.m2(),
+                                         coeffs_a, rho.value)
             quantities = {
                 "c_ba": format_rational(data.c_ba),
                 "f1": f"{format_rational(data.f1_minus)},{format_rational(data.f1_plus)}",

@@ -3,7 +3,9 @@ from fractions import Fraction as Q
 import pytest
 from conftest import dirac_l_table
 
-from twistor_spectra.ktypes import KType, LTable, Params, make_ktype
+from twistor_spectra import faults, ktypes, operators
+from twistor_spectra.ktypes import (DEFAULT_EIGENVALUES, KType, LTable, Params,
+                                    make_ktype, neighbors)
 from twistor_spectra.operators import (Case2Data, DegenerateTargetError,
                                        MissingLError, NotNeighborsError,
                                        bochner_compression, c_ba,
@@ -193,6 +195,85 @@ class TestCase2:
         assert data.m2() == ((Q(2), Q(-6)), (Q(-5), Q(28)))
         assert data.det_m1() == 7 * 1 * 3 - 30
         assert data.det_m2() == 7 * 2 * 4 - 30
+
+
+def reference_case2(params, alpha, beta):
+    """Per-edge Fraction formula of case2_data, from d_block, c_ba_numerator
+    and dirac; raises DegenerateTargetError like case2_data."""
+    lam_b = DEFAULT_EIGENVALUES.twistor_tt(params, beta.j)
+    if lam_b == 0:
+        raise DegenerateTargetError(beta.label())
+    cba = c_ba_numerator(params, alpha, beta) / lam_b
+    d_a, d_b = d_block(params, alpha), d_block(params, beta)
+    Ja = DEFAULT_EIGENVALUES.dirac(params, alpha.j, alpha.eps)
+    Jb = DEFAULT_EIGENVALUES.dirac(params, beta.j, beta.eps)
+    df = beta.f - alpha.f
+    r = params.r
+    mid = (beta.f ** 2 - alpha.f ** 2) / 2 + (Jb * Jb - Ja * Ja) / 2
+    dd1 = alpha.xi * df * (d_b.d11 - d_a.d11)
+    dd2 = alpha.xi * df * (d_b.d22 - d_a.d22)
+    g1 = alpha.xi * df * (d_b.d21 - cba * d_a.d21)
+    g2 = alpha.xi * df * (cba * d_b.d12 - d_a.d12)
+    return Case2Data(mid - r + dd1, mid + r - dd1,
+                     mid - r + dd2, mid + r - dd2, g1, g2, cba)
+
+
+class TestCase2Tables:
+    """case2_data and c_ba read label-pair rows; the per-edge formula is the reference."""
+
+    def test_matches_per_edge_formula(self):
+        checked = degenerate = 0
+        for n in (4, 6, 8):
+            for r in (Q(1, 2), Q(1), Q(3, 2), Q(5, 2), Q(7, 3)):
+                params = Params(n, r)
+                for f in (Q(-19, 2), Q(0), Q(1, 2), Q(17, 2)):
+                    for xi in (1, -1):
+                        for eps in (1, -1):
+                            j = Q(1, 2)
+                            while j <= Q(11, 2):
+                                alpha = KType(xi, f, j, 0, eps)
+                                for _, beta in neighbors(alpha):
+                                    try:
+                                        want = reference_case2(params, alpha, beta)
+                                    except DegenerateTargetError:
+                                        with pytest.raises(DegenerateTargetError):
+                                            case2_data(params, alpha, beta)
+                                        with pytest.raises(DegenerateTargetError):
+                                            c_ba(params, alpha, beta)
+                                        degenerate += 1
+                                        continue
+                                    assert case2_data(params, alpha, beta) == want
+                                    assert c_ba(params, alpha, beta) == want.c_ba
+                                    checked += 1
+                                j += 1
+        assert checked == 3 * 5 * 4 * 2 * 2 * (6 * 6 - 2) - degenerate
+        assert degenerate == 3 * 5 * 4 * 2 * 2 * 4
+
+    def test_armed_faults_bypass_the_tables(self):
+        params = Params(4, Q(1))
+        alpha = make_ktype(params, 1, Q(1, 2), Q(3, 2), 0, 1)
+        beta = make_ktype(params, 1, Q(3, 2), Q(5, 2), 0, 1)
+        tables = (ktypes.label_dirac, ktypes.label_twistor_tt,
+                  operators._label_pair, operators._d_entries)
+        clean = case2_data(params, alpha, beta)
+        clean_c, clean_d = c_ba(params, alpha, beta), d_block(params, alpha)
+        sizes = [t.cache_info().currsize for t in tables]
+        for site in ("DIRAC", "D11", "D12", "D21", "D22"):
+            with faults.inject(site):
+                got = case2_data(params, alpha, beta)
+                assert got == reference_case2(params, alpha, beta), site
+                assert c_ba(params, alpha, beta) == got.c_ba
+                bumped_d = d_block(params, alpha)
+            if site == "D22":
+                # a constant shift of d22 cancels in the label difference
+                assert got == clean and bumped_d.d22 != clean_d.d22
+            else:
+                assert got != clean, site
+            # c_ba reads only the Dirac eigenvalues
+            assert (got.c_ba != clean_c) == (site == "DIRAC")
+            assert [t.cache_info().currsize for t in tables] == sizes, site
+            assert case2_data(params, alpha, beta) == clean
+            assert c_ba(params, alpha, beta) == clean_c
 
 
 class TestCase3:

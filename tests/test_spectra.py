@@ -348,6 +348,34 @@ class TestCalibration:
         assert z_ratio(center, nb).value == -1
         assert err.value.witness["residual"] == "2"
 
+    def test_conflicting_constraints_name_both_edges(self, monkeypatch):
+        # a bracket bumped by the center's f makes a class pair's difference
+        # depend on the edge; unconstraining edges keep their bracket, so
+        # only a conflict can raise
+        params = Params(4, Q(1))
+        true_mid = spectra.case3_mid
+
+        def f_dependent_mid(p, center, nb):
+            zr = ratio_tagged(z_for(p, nb), z_for(p, center))
+            unconstraining = zr.kind == "finite" and zr.value == -1
+            return true_mid(p, center, nb) + (0 if unconstraining else center.f)
+
+        monkeypatch.setattr(spectra, "case3_mid", f_dependent_mid)
+        with pytest.raises(InconsistentSystemError) as err:
+            calibrate_L(params, 1, Q(-5, 2), Q(5, 2), Q(7, 2))
+        witness = err.value.witness
+        assert set(witness) == {"edge", "previous", "residual"}
+        edge, prev = witness["edge"], witness["previous"]
+        assert set(edge) == set(prev) == {"center", "neighbor", "delta"}
+        centers = [KType.from_json(e["center"]) for e in (edge, prev)]
+        nbs = [KType.from_json(e["neighbor"]) for e in (edge, prev)]
+        # two different edges constraining the same class pair
+        assert {(c.j, c.eps) for c in centers} == {(centers[0].j, centers[0].eps)}
+        assert {(b.j, b.eps) for b in nbs} == {(nbs[0].j, nbs[0].eps)}
+        assert (centers[0], nbs[0]) != (centers[1], nbs[1])
+        residual = Q(edge["delta"]) - Q(prev["delta"])
+        assert residual != 0 and witness["residual"] == str(residual)
+
 
 def make_k(j, eps):
     from twistor_spectra.ktypes import KType

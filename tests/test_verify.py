@@ -3,12 +3,17 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 from conftest import dirac_l_table
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from twistor_spectra import faults
+from twistor_spectra import faults, spectra
+from twistor_spectra.exact import format_rational
 from twistor_spectra.ktypes import Params, enumerate_ktypes, make_ktype
-from twistor_spectra.spectra import calibrate_L
+from twistor_spectra.spectra import (SingularCoefficientError,
+                                     block_coefficients, calibrate_L)
 from twistor_spectra.verify import (FAIL, INDETERMINATE, PASS, POLE,
-                                    SKIP_DEGENERATE, ZERO,
+                                    SKIP_DEGENERATE, SKIP_SINGULAR, ZERO,
+                                    _case2_residuals,
                                     resolve_block_factor_reading,
                                     run_all_suites, verify_case2_relation,
                                     verify_interface, verify_mult1_quotients,
@@ -108,6 +113,72 @@ class TestCase2Suite:
             with faults.inject(site):
                 report = verify_case2_relation(params, region(params, 0))
             assert not report.ok, site
+
+
+def _matmul(a, b):
+    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0],
+             a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+            (a[1][0] * b[0][0] + a[1][1] * b[1][0],
+             a[1][0] * b[0][1] + a[1][1] * b[1][1]))
+
+
+def reference_case2_residuals(coeffs_b, m1, m2, coeffs_a, rho):
+    """The Fraction matrix-product residual of B(nb) M1 rho = M2 B(center)."""
+    b11, b12, b21, b22 = coeffs_b
+    a11, a12, a21, a22 = coeffs_a
+    lhs = _matmul(((b11, b12), (b21, b22)), m1)
+    rhs = _matmul(m2, ((a11, a12), (a21, a22)))
+    out = {}
+    for i in (0, 1):
+        for k in (0, 1):
+            diff = lhs[i][k] * rho - rhs[i][k]
+            if diff != 0:
+                out[f"({i + 1},{k + 1})"] = format_rational(diff)
+    return out
+
+
+rationals = st.builds(Q, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 60))
+quad = st.tuples(rationals, rationals, rationals, rationals)
+
+
+class TestCase2Residuals:
+    @given(quad, quad, quad, quad, rationals)
+    @example((Q(1), Q(0), Q(0), Q(1)), (Q(1, 2), Q(3), Q(-2, 7), Q(5)),
+             (Q(1, 2), Q(3), Q(-2, 7), Q(5)), (Q(1), Q(0), Q(0), Q(1)), Q(1))
+    def test_cleared_denominators_match_fraction_products(self, b, m1, m2, a, rho):
+        m1 = ((m1[0], m1[1]), (m1[2], m1[3]))
+        m2 = ((m2[0], m2[1]), (m2[2], m2[3]))
+        assert _case2_residuals(b, m1, m2, a, rho) == \
+            reference_case2_residuals(b, m1, m2, a, rho)
+
+    def test_nonzero_residual_is_in_lowest_terms(self):
+        one = (Q(1), Q(0), Q(0), Q(1))
+        m1 = ((Q(1, 6), Q(0)), (Q(0), Q(1)))
+        m2 = ((Q(1, 3), Q(0)), (Q(0), Q(1)))
+        got = _case2_residuals(one, m1, m2, one, Q(3, 2))
+        assert got == {"(1,1)": "-1/12", "(2,2)": "1/2"}
+
+
+class TestSingularBlocks:
+    def test_singular_outcomes_are_cached(self):
+        # at r = 3/2 the window holds centers whose C1 or C4 vanishes
+        params = Params(4, Q(3, 2))
+        centers = region(params, 0)
+        runs = [verify_case2_relation(params, centers) for _ in range(2)]
+        info = spectra._block_coeffs.cache_info()
+        assert info.misses == info.currsize
+        details = [[(c.center, c.neighbor, c.detail) for c in rep.checks
+                    if c.verdict == SKIP_SINGULAR] for rep in runs]
+        assert details[0] and details[0] == details[1]
+        whiches = set()
+        for center in centers:
+            for _ in range(2):
+                try:
+                    block_coefficients(params, center)
+                except SingularCoefficientError as exc:
+                    whiches.add((center, exc.which))
+        assert {w for _, w in whiches} == {"C1", "C4"}
+        assert len(whiches) == len({c for c, _ in whiches})
 
 
 class TestInterfaceSuite:
