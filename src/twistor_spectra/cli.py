@@ -3,8 +3,8 @@
 Subcommands: spectrum, block, neighbors, verify, calibrate.  Output is a
 pure function of the flags: deterministic row order, exact values printed as
 p/q, numerics with 15 significant digits, poles printed as POLE.  Exit codes:
-0 success, 1 verification failure, 2 usage error (including a calibrate
-window with nothing to solve).
+0 success, 1 verification failure, 2 usage error (including a malformed
+label, and a spectrum or calibrate window with nothing to tabulate or solve).
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence
 
 from .exact import (GammaPoleError, NonCommensurableError, evaluate_numeric,
                     format_rational, ratio_tagged, rational)
-from .ktypes import (BadDimensionError, InvalidWeightError, KType, Params,
-                     enumerate_ktypes, interface_square, make_ktype)
+from .ktypes import (BadDimensionError, KType, Params, enumerate_ktypes,
+                     interface_square, make_ktype)
 from .spectra import (EmptyWindowError, InconsistentSystemError,
                       SingularCoefficientError, block_coefficients, block2x2,
                       calibrate_L, mult1_quotient_matrix,
@@ -131,6 +131,15 @@ def _region_args(args):
     return (*_window_args(args), _pm(args.xi), _pm(args.eps))
 
 
+def _label_arg(params: Params, args, q: int) -> Optional[KType]:
+    """The --f/--j label; None, with the reason on stderr, if it is malformed."""
+    try:
+        return make_ktype(params, args.xi, args.f, args.j, q, args.eps)
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"bad label: {exc}", file=sys.stderr)
+        return None
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -190,6 +199,10 @@ def cmd_spectrum(args) -> int:
             except SingularCoefficientError as exc:
                 row["note"] = f"SINGULAR({exc.which})"
         rows.append(row)
+    if not rows:
+        print(f"empty window: no K-type with {format_rational(f_min)} <= f <= "
+              f"{format_rational(f_max)} and j <= {format_rational(j_max)}", file=sys.stderr)
+        return 2
     _emit(_rows_text(rows, SPECTRUM_COLUMNS, args.format), args.out)
     return 0
 
@@ -210,10 +223,8 @@ def _relative_to_base(params, kt, zq, bases):
 
 def cmd_block(args) -> int:
     params = _params(args)
-    try:
-        kt = make_ktype(params, args.xi, rational(args.f), rational(args.j), 0, args.eps)
-    except InvalidWeightError as exc:
-        print(str(exc), file=sys.stderr)
+    kt = _label_arg(params, args, 0)
+    if kt is None:
         return 2
     rows = []
     try:
@@ -236,11 +247,8 @@ def cmd_block(args) -> int:
 
 def cmd_neighbors(args) -> int:
     params = _params(args)
-    try:
-        kt = make_ktype(params, args.xi, rational(args.f), rational(args.j),
-                        args.q, args.eps)
-    except InvalidWeightError as exc:
-        print(str(exc), file=sys.stderr)
+    kt = _label_arg(params, args, args.q)
+    if kt is None:
         return 2
     if kt.multiplicity == 1:
         matrix = mult1_quotient_matrix(params, kt)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Tuple, Union
 
 Rational = Fraction
@@ -98,9 +99,6 @@ class Phase:
     def __truediv__(self, other: "Phase") -> "Phase":
         return Phase(self.exponent - other.exponent)
 
-    def inverse(self) -> "Phase":
-        return Phase(-self.exponent)
-
     def fold(self, value: Fraction) -> Tuple[Fraction, "Phase"]:
         """Fold the even part into a sign: exponent 2 acts as -1.
 
@@ -127,11 +125,14 @@ def _is_nonpositive_integer(x: Fraction) -> bool:
 
 
 def _canonical_factors(factors: Iterable[Tuple[Fraction, int]]) -> Tuple[Tuple[Fraction, int], ...]:
-    merged: dict = {}
-    for arg, exp in factors:
-        a = Fraction(arg)
-        merged[a] = merged.get(a, 0) + int(exp)
-    return tuple(sorted((a, e) for a, e in merged.items() if e != 0))
+    # merged on the sorted arguments: a Fraction hashes far slower than it compares
+    out: list = []
+    for a, e in sorted(((a if isinstance(a, Fraction) else Fraction(a), int(e))
+                        for a, e in factors), key=itemgetter(0)):
+        if out and out[-1][0] == a:
+            e += out.pop()[1]
+        out.append((a, e))
+    return tuple(f for f in out if f[1])
 
 
 @dataclass(frozen=True)
@@ -151,10 +152,6 @@ class GammaQuotient:
         object.__setattr__(self, "factors", facs)
         object.__setattr__(self, "_pq", tuple(
             (a.numerator, a.denominator, e) for a, e in facs))
-
-    @classmethod
-    def unit(cls) -> "GammaQuotient":
-        return cls()
 
     @classmethod
     def single(cls, arg: RationalLike, exp: int = 1) -> "GammaQuotient":
@@ -225,10 +222,6 @@ class ReducedValue:
     phase: Phase = ONE_PHASE
     order: int = 0
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
 
 def pochhammer(x: RationalLike, m: int) -> Fraction:
     """Rising factorial ``x (x+1) ... (x+m-1)`` as an exact rational."""
@@ -285,14 +278,6 @@ def _reduce_classes(classes: dict) -> Tuple[int, Fraction]:
                 num *= qk ** (-e)
                 den *= prod ** (-e)
     return order, Fraction(num, den)
-
-
-def _reduce_factor_multiset(factors: Tuple[Tuple[Fraction, int], ...]) -> Tuple[int, Fraction]:
-    classes: dict = {}
-    for arg, exp in factors:
-        p, q = arg.numerator, arg.denominator
-        classes.setdefault((p % q, q), []).append((p, exp))
-    return _reduce_classes(classes)
 
 
 def ratio_tagged(a: GammaQuotient, b: GammaQuotient) -> ReducedValue:

@@ -35,6 +35,7 @@ __all__ = [
     "InterfaceSquare",
     "SphereEigenvalues",
     "DEFAULT_EIGENVALUES",
+    "spectral_args",
     "label_dirac",
     "label_twistor_tt",
     "LTable",
@@ -160,6 +161,12 @@ class SphereEigenvalues:
 
 
 DEFAULT_EIGENVALUES = SphereEigenvalues()
+
+
+def spectral_args(params: Params, ktype: KType) -> Tuple[Fraction, int]:
+    """(J, s) of a label for the spectral functions: J = eps * J_signed, s = xi * eps."""
+    return (ktype.eps * DEFAULT_EIGENVALUES.dirac(params, ktype.j, ktype.eps),
+            ktype.xi * ktype.eps)
 
 
 def dirac_eigenvalue(params: Params, j: RationalLike, eps: int) -> Fraction:

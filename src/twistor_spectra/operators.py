@@ -183,28 +183,20 @@ def classify_pair(frm: KType, to: KType) -> Optional[str]:
 def bochner_compression(params: Params, frm: KType, to: KType) -> Fraction:
     """Compressed Bochner-Laplacian commutator coefficient for frm -> to.
 
-    Antisymmetric under swapping the endpoints.  Same-multiplicity pairs get
-    f_to^2 - f_from^2 + J_to^2 - J_from^2; mixed pairs (same j, q flipped)
-    get f_to^2 - f_from^2 -+ (n-2), the sign fixed by which side carries the
-    multiplicity-2 label.
+    Antisymmetric under swapping the endpoints: -2 times the bracket of the
+    pair's transition quantities.  Same-multiplicity pairs get
+    f_to^2 - f_from^2 + J_to^2 - J_from^2 = -2 case3_mid; mixed pairs (same
+    j, q flipped) get f_to^2 - f_from^2 -+ (n-2) = -+2 case1_mid, the sign
+    fixed by which side carries the multiplicity-2 label.
     """
     kind = classify_pair(frm, to)
     if kind is None:
         raise NotNeighborsError(f"{frm.label()} -> {to.label()} is not a transition pair")
     if kind == "same-mult":
-        return _bochner_same_mult(params, frm, to)
-    return _bochner_mixed(params, frm, to)
-
-
-def _bochner_same_mult(params: Params, frm: KType, to: KType) -> Fraction:
-    Jf = DEFAULT_EIGENVALUES.dirac(params, frm.j, frm.eps)
-    Jt = DEFAULT_EIGENVALUES.dirac(params, to.j, to.eps)
-    return to.f ** 2 - frm.f ** 2 + Jt * Jt - Jf * Jf
-
-
-def _bochner_mixed(params: Params, frm: KType, to: KType) -> Fraction:
-    sign = -1 if to.multiplicity == 1 else 1
-    return to.f ** 2 - frm.f ** 2 - sign * (params.n - 2)
+        return -2 * case3_mid(params, frm, to)
+    if frm.multiplicity == 2:
+        return -2 * case1_mid(params, frm, to)
+    return 2 * case1_mid(params, to, frm)
 
 
 @dataclass(frozen=True)

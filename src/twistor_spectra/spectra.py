@@ -6,8 +6,9 @@ prefactor s/2 (s = xi*eps).  At r = 1/2 it collapses to the exact rational
 -(f - s J)/4, a quarter of the order-one eigenvalue i(f - s J) divided by i.
 
 On multiplicity-two summands the normalization determinant is carried by the
-eight-gamma product ``mult2_gamma_product``; its exact ratios across diagram
-edges reproduce the determinant-quotient matrix entry by entry.
+eight-gamma product ``mult2_gamma_product``, w(r; f, J, s) =
+z(r; f, J-1, s) * z(r; f, J+1, s); its exact ratios across diagram edges
+reproduce the determinant-quotient matrix entry by entry.
 
 ``block2x2`` reconstructs the whole 2x2 block on a multiplicity-two summand
 as a rational coefficient matrix sharing the factor z(r; f+1, J, s).  The
@@ -35,7 +36,7 @@ from . import faults
 from .exact import (GammaQuotient, IMAG, ONE_PHASE, Phase, RationalLike,
                     format_rational, ratio_tagged, rational)
 from .ktypes import (DEFAULT_EIGENVALUES, HALF, Direction, KType, LTable,
-                     Params, f_points, neighbors)
+                     Params, f_points, neighbors, spectral_args)
 from .operators import case1_mid, case3_mid, d_block
 
 __all__ = [
@@ -55,18 +56,10 @@ __all__ = [
     "first_order_block",
     "exchanged_rs_eigenvalue",
     "calibrate_L",
-    "B33_SCALE",
-    "B33_PHASE",
     "SingularCoefficientError",
     "InconsistentSystemError",
     "EmptyWindowError",
 ]
-
-# Multiplicity-one operator value = B33_SCALE * B33_PHASE * z_value:
-# the normalization that makes the r = 1/2 degeneration come out as the
-# first-order block i(f - sJ) and closes every mixed-multiplicity relation.
-B33_SCALE = Fraction(-4)
-B33_PHASE = IMAG
 
 
 class SingularCoefficientError(ArithmeticError):
@@ -112,38 +105,36 @@ def z_value(params: Params, f: RationalLike, J: RationalLike, xi_eps: int) -> Ga
 
 def z_for(params: Params, ktype: KType) -> GammaQuotient:
     """z_value at a K-type's own label data."""
-    J = ktype.eps * DEFAULT_EIGENVALUES.dirac(params, ktype.j, ktype.eps)
-    return z_value(params, ktype.f, J, ktype.xi * ktype.eps)
+    J, s = spectral_args(params, ktype)
+    return _z_cached(params.r, ktype.f, J, s)
 
 
 def block_factor(params: Params, center: KType) -> GammaQuotient:
     """The 2x2 block's shared factor z(r; f+1, J, s) at a multiplicity-two label."""
-    J = center.eps * DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
-    return z_value(params, center.f + 1, J, center.xi * center.eps)
+    J, s = spectral_args(params, center)
+    return _z_cached(params.r, center.f + 1, J, s)
 
 
 @lru_cache(maxsize=None)
 def _w_cached(r: Fraction, f: Fraction, J: Fraction, s: int) -> GammaQuotient:
-    sh = Fraction(s, 2)
-    num: List[Fraction] = []
-    den: List[Fraction] = []
-    for JJ in (J, J + 2):
-        num += [HALF * (f + JJ + r - sh), HALF * (-f + JJ + r + sh)]
-        den += [HALF * (f + JJ - r + sh), HALF * (-f + JJ - r - sh)]
-    return GammaQuotient.from_args(num, den, prefactor=Fraction(1, 4))
+    return _z_cached(r, f, J - 1, s) * _z_cached(r, f, J + 1, s)
 
 
 def mult2_gamma_product(params: Params, f: RationalLike, J: RationalLike,
                         xi_eps: int) -> GammaQuotient:
-    """Eight-gamma normalization product on a multiplicity-two summand."""
+    """Eight-gamma normalization product on a multiplicity-two summand.
+
+    It is z(r; f, J-1, s) * z(r; f, J+1, s), the multiplicity-one spectral
+    function at the two Dirac eigenvalues one step either side of J.
+    """
     if xi_eps not in (1, -1):
         raise ValueError("xi_eps must be +1 or -1")
     return _w_cached(params.r, rational(f), rational(J), xi_eps)
 
 
 def w_for(params: Params, ktype: KType) -> GammaQuotient:
-    J = ktype.eps * DEFAULT_EIGENVALUES.dirac(params, ktype.j, ktype.eps)
-    return mult2_gamma_product(params, ktype.f, J, ktype.xi * ktype.eps)
+    J, s = spectral_args(params, ktype)
+    return _w_cached(params.r, ktype.f, J, s)
 
 
 @dataclass(frozen=True)
@@ -225,8 +216,7 @@ def mult1_quotient_matrix(params: Params, center: KType) -> QuotientMatrix:
     """Eigenvalue quotients around a multiplicity-one center."""
     if center.multiplicity != 1:
         raise ValueError("mult1_quotient_matrix needs a multiplicity-1 center")
-    s = center.xi * center.eps
-    J = center.eps * DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
+    J, s = spectral_args(params, center)
     raw = _corner_pairs(params.r, center.f, J, s)
     entries = {}
     for direction, nb in neighbors(center):
@@ -248,10 +238,8 @@ def mult2_det_quotient_matrix(params: Params, center: KType,
     """
     if center.multiplicity != 2:
         raise ValueError("mult2_det_quotient_matrix needs a multiplicity-2 center")
-    f, r = center.f, params.r
-    xi, eps = center.xi, center.eps
-    s = xi * eps
-    J = eps * DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
+    f, r, xi = center.f, params.r, center.xi
+    J, s = spectral_args(params, center)
     raw = _corner_pairs(r, f, J, s)
     entries = {}
     for direction, nb in neighbors(center):
@@ -321,19 +309,16 @@ class Block:
         return b11 * b22 - b12 * b21
 
 
-def block2x2(params: Params, center: KType, strict_paper: bool = False,
-             factor_at: str = "f+1") -> Block:
+def block2x2(params: Params, center: KType, strict_paper: bool = False) -> Block:
     """The 2x2 block on a multiplicity-two K-type.
 
-    The shared factor sits at circle weight f+1 (``factor_at='f'`` keeps the
-    alternate reading available for the resolution check; it fails the
-    r = 1/2 degeneration and is not the default).
+    The shared factor sits at circle weight f+1; the reading at weight f
+    fails the r = 1/2 degeneration (see ``verify.resolve_block_factor_reading``).
     """
     if center.multiplicity != 2:
         raise ValueError("block2x2 needs a multiplicity-2 center")
     coeffs = block_coefficients(params, center, strict_paper)
-    factor = block_factor(params, center) if factor_at == "f+1" else z_for(params, center)
-    return Block("mult2", center, factor, coeffs)
+    return Block("mult2", center, block_factor(params, center), coeffs)
 
 
 def mult1_block(params: Params, center: KType) -> Block:
@@ -362,11 +347,8 @@ def first_order_block(params: Params, center: KType, strict_paper: bool = False
     the mixed-multiplicity relations force -s J; corrected by default,
     ``strict_paper`` restores it.
     """
-    n = params.n
-    f = center.f
-    xi = center.xi
-    s = center.xi * center.eps
-    J = center.eps * DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
+    n, f, xi = params.n, center.f, center.xi
+    J, s = spectral_args(params, center)
     sign = 1 if strict_paper else -1
     e11 = -Fraction(n - 2, n) * (f + sign * Fraction(n + 1, n - 1) * s * J)
     e12 = -Fraction(2 * xi, n * (n - 1)) * (Fraction((n - 1) * (n - 2), 4)

@@ -13,15 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
-from .exact import ReducedValue, format_rational, ratio_tagged
-from .ktypes import (DEFAULT_EIGENVALUES, Direction, KType, LTable, Params,
-                     case1_partners, interface_square, neighbors)
+from .exact import GammaQuotient, ReducedValue, format_rational, ratio_tagged
+from .ktypes import (Direction, KType, LTable, Params, case1_partners,
+                     interface_square, neighbors, spectral_args)
 from .operators import DegenerateTargetError, case1_data, case2_data
-from .spectra import (CalibrationResult, EmptyWindowError,
+from .spectra import (CalibrationResult, EmptyWindowError, QuotientMatrix,
                       SingularCoefficientError, block_coefficients,
-                      block_factor, calibrate_L, mult1_quotient_matrix,
+                      block_factor, calibrate_L, exchanged_rs_eigenvalue,
+                      first_order_block, mult1_quotient_matrix,
                       mult2_det_quotient_matrix, w_for, z_for)
 
 __all__ = [
@@ -113,11 +116,9 @@ class SuiteReport:
                 return c
         return None
 
-    def to_json(self, include_edges: bool = True) -> dict:
-        out = {"suite": self.suite, "counts": self.counts, "ok": self.ok}
-        if include_edges:
-            out["edges"] = [c.to_json() for c in self.checks]
-        return out
+    def to_json(self) -> dict:
+        return {"suite": self.suite, "counts": self.counts, "ok": self.ok,
+                "edges": [c.to_json() for c in self.checks]}
 
     def summary_line(self) -> str:
         counts = self.counts
@@ -155,45 +156,40 @@ def _render_tagged(t: ReducedValue) -> str:
     return "POLE" if t.kind == "pole" else "0"
 
 
-def verify_mult1_quotients(params: Params, centers: Iterable[KType]) -> SuiteReport:
-    """Eigenvalue-quotient matrix vs exact spectral-function ratios."""
-    report = SuiteReport("mult1-quotients")
+def _walk_quotients(suite: str, case: int, centers: Iterable[KType],
+                    matrix_of: Callable[[KType], QuotientMatrix],
+                    oracle: Callable[[KType], GammaQuotient],
+                    key: str) -> SuiteReport:
+    """Each matrix entry vs the oracle's exact neighbor/center ratio, kept under ``key``."""
+    report = SuiteReport(suite)
     for center in centers:
-        if center.multiplicity != 1:
-            continue
-        matrix = mult1_quotient_matrix(params, center)
-        zc = z_for(params, center)
+        matrix = matrix_of(center)
+        at_center = oracle(center)
         for entry in matrix.entries.values():
-            tagged = ratio_tagged(z_for(params, entry.neighbor), zc)
+            tagged = ratio_tagged(oracle(entry.neighbor), at_center)
             verdict, residuals = _compare_entry(entry, tagged)
             quantities = None
             if verdict not in (PASS, POLE, ZERO):
-                quantities = {"entry": entry.render(),
-                              "z_ratio": _render_tagged(tagged)}
-            report.add(EdgeCheck(3, center, entry.neighbor, entry.direction, verdict,
+                quantities = {"entry": entry.render(), key: _render_tagged(tagged)}
+            report.add(EdgeCheck(case, center, entry.neighbor, entry.direction, verdict,
                                  quantities=quantities, residuals=residuals or None))
     return report
+
+
+def verify_mult1_quotients(params: Params, centers: Iterable[KType]) -> SuiteReport:
+    """Eigenvalue-quotient matrix vs exact spectral-function ratios."""
+    return _walk_quotients(
+        "mult1-quotients", 3, (c for c in centers if c.multiplicity == 1),
+        partial(mult1_quotient_matrix, params), partial(z_for, params), "z_ratio")
 
 
 def verify_mult2_quotients(params: Params, centers: Iterable[KType],
                            strict_paper: bool = False) -> SuiteReport:
     """Determinant-quotient matrix vs exact eight-gamma product ratios."""
-    report = SuiteReport("mult2-quotients")
-    for center in centers:
-        if center.multiplicity != 2:
-            continue
-        matrix = mult2_det_quotient_matrix(params, center, strict_paper)
-        wc = w_for(params, center)
-        for entry in matrix.entries.values():
-            tagged = ratio_tagged(w_for(params, entry.neighbor), wc)
-            verdict, residuals = _compare_entry(entry, tagged)
-            quantities = None
-            if verdict not in (PASS, POLE, ZERO):
-                quantities = {"entry": entry.render(),
-                              "product_ratio": _render_tagged(tagged)}
-            report.add(EdgeCheck(2, center, entry.neighbor, entry.direction, verdict,
-                                 quantities=quantities, residuals=residuals or None))
-    return report
+    return _walk_quotients(
+        "mult2-quotients", 2, (c for c in centers if c.multiplicity == 2),
+        lambda c: mult2_det_quotient_matrix(params, c, strict_paper),
+        partial(w_for, params), "product_ratio")
 
 
 def _case2_residuals(coeffs_b, m1, m2, coeffs_a, rho: Fraction) -> Dict[str, str]:
@@ -374,9 +370,8 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> di
 
     Tries both readings of the degeneration at r = 1/2 against the
     first-order block and reports which one survives; 'f+1' is the library
-    default.
+    default.  At r = 1/2 the factor -4 z is the first-order eigenvalue f - sJ.
     """
-    from .spectra import first_order_block
     half_params = Params(params.n, Fraction(1, 2), params.f_lattice)
     outcome = {"f+1": 0, "f": 0, "checked": 0}
     for center in centers:
@@ -387,12 +382,11 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> di
         except SingularCoefficientError:
             continue
         want = first_order_block(half_params, center)
-        J = center.eps * DEFAULT_EIGENVALUES.dirac(half_params, center.j, center.eps)
-        s = center.xi * center.eps
+        J, s = spectral_args(half_params, center)
         outcome["checked"] += 1
         for reading, f_fac in (("f+1", center.f + 1), ("f", center.f)):
-            z_rational = -Fraction(1, 4) * (f_fac - s * J)  # z at r = 1/2
-            got = tuple(c * Fraction(-4) * z_rational for c in coeffs)
+            eigenvalue, _ = exchanged_rs_eigenvalue(half_params, f_fac, J, s)
+            got = tuple(c * eigenvalue for c in coeffs)
             if got == (want[0][0], want[0][1], want[1][0], want[1][1]):
                 outcome[reading] += 1
     outcome["resolved"] = "f+1" if outcome["f+1"] >= outcome["f"] else "f"

@@ -25,11 +25,17 @@ class TestSpectrum:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_empty_region_is_fine(self, capsys):
-        code, out = run(capsys, "spectrum", "--n", "4", "--f-min", "5/2",
-                        "--f-max=-5/2", "--j-max", "1/2")
-        assert code == 0
-        assert len(out.strip().splitlines()) == 2  # header + rule only
+    @pytest.mark.parametrize("window", [
+        ("--f-min=3/2", "--f-max=-3/2"),
+        ("--j-max=-1/2",),
+        ("--f-min", "5/2", "--f-max=-5/2", "--j-max", "1/2"),
+    ])
+    def test_empty_window_exits_2(self, capsys, window):
+        code = main(["spectrum", "--n", "4", *window])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("empty window: no K-type")
 
     def test_order_one_rows_match_closed_form(self, capsys):
         code, out = run(capsys, "spectrum", "--n", "4", "--r", "1/2", *REGION,
@@ -84,6 +90,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ("block",),
+        ("neighbors", "--q", "0"),
+    ])
+    @pytest.mark.parametrize("label", [
+        ("--f", "abc", "--j", "1/2"),
+        ("--f", "1/0", "--j", "1/2"),
+    ])
+    def test_malformed_label_exits_2(self, capsys, command, label):
+        code = main([*command, "--n", "4", *label, "--eps", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("bad label: ")
 
 
 class TestVerify:

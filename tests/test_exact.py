@@ -120,6 +120,18 @@ class TestGammaQuotient:
         assert g.pole_arguments() == (Q(-3),)
         assert g.zero_arguments() == (Q(0),)
 
+    @given(st.lists(st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                              st.integers(min_value=-2, max_value=2)), max_size=12))
+    def test_canonical_factors_sum_exponents_per_argument(self, factors):
+        totals = {}
+        for arg, exp in factors:
+            totals[arg] = totals.get(arg, 0) + exp
+        want = tuple(sorted((a, e) for a, e in totals.items() if e != 0))
+        assert GammaQuotient(factors=factors).factors == want
+        ints = [(int(a), e) for a, e in factors if a.denominator == 1]
+        assert GammaQuotient(factors=ints).factors == \
+            GammaQuotient(factors=[(Q(a), e) for a, e in ints]).factors
+
     def test_zero_prefactor_rejected(self):
         with pytest.raises(ValueError):
             GammaQuotient(prefactor=Q(0))

@@ -3,7 +3,8 @@ from fractions import Fraction as Q
 import pytest
 
 from twistor_spectra import faults, spectra
-from twistor_spectra.exact import Phase, ratio, ratio_tagged, reduce_exact
+from twistor_spectra.exact import (GammaQuotient, Phase, ratio, ratio_tagged,
+                                   reduce_exact)
 from twistor_spectra.ktypes import Direction, KType, Params, make_ktype
 from twistor_spectra.spectra import (InconsistentSystemError,
                                      SingularCoefficientError, block2x2,
@@ -67,7 +68,34 @@ class TestZValue:
         assert z_value(P4H, Q(1, 2), Q(3, 2), 1).phase == Phase(0)
 
 
+def eight_gamma_reference(r, f, J, s):
+    """The eight-argument quotient as displayed, written out in full."""
+    sh = Q(s, 2)
+    num, den = [], []
+    for JJ in (J, J + 2):
+        num += [(f + JJ + r - sh) / 2, (-f + JJ + r + sh) / 2]
+        den += [(f + JJ - r + sh) / 2, (-f + JJ - r - sh) / 2]
+    return GammaQuotient.from_args(num, den, prefactor=Q(1, 4))
+
+
 class TestMult2GammaProduct:
+    def test_matches_the_displayed_eight_gamma_quotient(self):
+        rs = [Q(1, 2), Q(1), Q(3, 2), Q(5, 2), Q(7, 3), Q(0), Q(-3, 2), Q(3, 4)]
+        checked = 0
+        for n in (4, 6, 8):
+            for r in rs:
+                for lattice, offset in (("half", Q(1, 2)), ("int", Q(0))):
+                    params = Params(n, r, lattice)
+                    for k in range(-10, 10):
+                        f = k + offset
+                        for j2 in range(1, 12, 2):       # j = 1/2, ..., 11/2
+                            J = Q(j2, 2) + Q(n - 2, 2)
+                            for s in (1, -1):
+                                assert mult2_gamma_product(params, f, J, s) == \
+                                    eight_gamma_reference(r, f, J, s)
+                                checked += 1
+        assert checked == 3 * 8 * 2 * 20 * 6 * 2
+
     def test_order_reversal_product(self):
         pa, pb = Params(4, Q(3, 2)), Params(4, Q(-3, 2))
         prod = mult2_gamma_product(pa, Q(1, 2), Q(5, 2), 1) * \
@@ -231,8 +259,6 @@ class TestBlock2x2:
         assert block.det_coefficient() == \
             block.coefficients[0] * block.coefficients[3] \
             - block.coefficients[1] * block.coefficients[2]
-        alt = block2x2(params, kt, factor_at="f")
-        assert alt.factor == z_value(params, Q(1, 2), Q(5, 2), -1)
 
     def test_det_ratio_reproduces_det_quotient_entry(self):
         params = Params(4, Q(1))
