@@ -2,9 +2,12 @@
 
 Subcommands: spectrum, block, neighbors, verify, calibrate.  Output is a
 pure function of the flags: deterministic row order, exact values printed as
-p/q, numerics with 15 significant digits, poles printed as POLE.  Exit codes:
+p/q, numerics with 15 significant digits, poles printed as POLE.  JSON output
+(the verify report and ``--format json``) is streamed in bounded chunks and is
+byte-identical to ``json.dumps(obj, indent=2, sort_keys=True)``.  Exit codes:
 0 success, 1 verification failure, 2 usage error (including a malformed
-label, and a spectrum or calibrate window with nothing to tabulate or solve).
+label or a zero denominator, named with its flag, and a spectrum or calibrate
+window with nothing to tabulate or solve).
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
+from ._jsontext import IndentedEncoder
 from .exact import (GammaPoleError, NonCommensurableError, evaluate_numeric,
                     format_rational, ratio_tagged, rational)
 from .ktypes import (BadDimensionError, KType, Params, enumerate_ktypes,
@@ -108,21 +112,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_rational(flag: str, text: str) -> Fraction:
+    """``rational(text)``; a ValueError for a bad value names the flag."""
+    try:
+        return rational(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} {text}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{flag} {text}: not a rational number") from None
+
+
 def _params(args) -> Params:
     try:
-        return Params(args.n, rational(args.r), args.lattice)
+        return Params(args.n, _flag_rational("--r", args.r), args.lattice)
     except BadDimensionError:
         print("n must be even and >= 4", file=sys.stderr)
         raise SystemExit(2)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
 
 def _window_args(args):
     try:
-        return rational(args.f_min), rational(args.f_max), rational(args.j_max)
-    except (ValueError, ZeroDivisionError) as exc:
+        return (_flag_rational("--f-min", args.f_min), _flag_rational("--f-max", args.f_max),
+                _flag_rational("--j-max", args.j_max))
+    except ValueError as exc:
         print(f"bad region: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -134,8 +149,9 @@ def _region_args(args):
 def _label_arg(params: Params, args, q: int) -> Optional[KType]:
     """The --f/--j label; None, with the reason on stderr, if it is malformed."""
     try:
-        return make_ktype(params, args.xi, args.f, args.j, q, args.eps)
-    except (ValueError, ZeroDivisionError) as exc:
+        return make_ktype(params, args.xi, _flag_rational("--f", args.f),
+                          _flag_rational("--j", args.j), q, args.eps)
+    except ValueError as exc:
         print(f"bad label: {exc}", file=sys.stderr)
         return None
 
@@ -151,7 +167,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _rows_text(rows: List[Dict[str, str]], columns: List[str], fmt: str) -> str:
     if fmt == "json":
         return json.dumps({"schema_version": SCHEMA_VERSION, "columns": columns,
-                           "rows": rows}, indent=2, sort_keys=True) + "\n"
+                           "rows": rows}, indent=2, sort_keys=True,
+                          cls=IndentedEncoder) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
@@ -321,11 +338,11 @@ def cmd_verify(args) -> int:
             "convention": dict(CONVENTION, block_factor_resolution=reading),
             "calibration": {str(xi): _calibration_json(cal)
                             for xi, cal in calibrations.items()},
-            "suites": {name: rep.to_json() for name, rep in reports.items()},
+            "suites": reports,      # SuiteReport.to_json runs as each suite is written
             "ok": all_ok,
         }
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, cls=IndentedEncoder)
             fh.write("\n")
     return 0 if all_ok else 1
 

@@ -106,6 +106,24 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("bad label: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["block", "--f", "1/0", "--j", "1/2", "--eps", "1"], "bad label: --f 1/0: "),
+        (["neighbors", "--f", "1/2", "--j", "1/0", "--q", "0", "--eps", "1"],
+         "bad label: --j 1/0: "),
+        (["spectrum", "--f-min", "1/0"], "bad region: --f-min 1/0: "),
+        (["verify", "--j-max", "1/0"], "bad region: --j-max 1/0: "),
+        (["spectrum", "--r", "1/0"], "bad configuration: --r 1/0: "),
+    ])
+    def test_zero_denominator_names_the_flag(self, capsys, argv, message):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message + "zero denominator\n"
+
 
 class TestVerify:
     def test_default_region_passes(self, capsys, tmp_path):
