@@ -1,29 +1,26 @@
 """Exact spectra of conformal intertwining operators on the twistor bundle
 over a circle times an even-dimensional sphere.
 
-Everything is exact: rationals are arbitrary-precision fractions, the
-imaginary unit is a formal phase, and gamma-function quotients reduce to
-rationals through the functional equation.  The verification suites certify
-each closed form against an independent exact route and return verdicts with
-exact residuals.
+Everything is exact: rationals are arbitrary-precision fractions and
+gamma-function quotients reduce to rationals through the functional equation.
+The verification suites certify each closed form against an independent exact
+route and return verdicts with exact residuals.
 """
 from .exact import (GammaPoleError, GammaQuotient, NonCommensurableError,
-                    Phase, Rational, ReducedValue, UncancelledPoleError,
-                    evaluate_numeric, format_rational, pochhammer, ratio,
+                    ReducedValue, evaluate_numeric, format_rational,
                     ratio_tagged, rational, reduce_exact)
 from .ktypes import (BadDimensionError, DIRECTIONS, Direction,
                      InterfaceSquare, InvalidWeightError, KType, LTable,
                      Params, SphereEigenvalues, case1_partners,
-                     dirac_eigenvalue, enumerate_ktypes, interface_square,
-                     make_ktype, neighbors, twistor_tt_eigenvalue)
+                     enumerate_ktypes, interface_square, make_ktype, neighbors)
 from .operators import (Case1Data, Case2Data, Case3Data, DBlock,
                         DegenerateTargetError, MissingLError,
-                        NotNeighborsError, bochner_compression, c_ba,
-                        case1_data, case2_data, case3_data, d_block)
+                        NotNeighborsError, c_ba, case1_data, case2_data,
+                        case3_data, d_block)
 from .spectra import (Block, CalibrationResult, InconsistentSystemError,
                       QuotientEntry, QuotientMatrix, SingularCoefficientError,
                       block2x2, block_coefficients, calibrate_L,
-                      exchanged_rs_eigenvalue, first_order_block, mult1_block,
+                      exchanged_rs_eigenvalue, first_order_block,
                       mult1_quotient_matrix, mult2_det_quotient_matrix,
                       mult2_gamma_product, z_for, z_value)
 from .verify import (EdgeCheck, SuiteReport, run_all_suites,

@@ -6,8 +6,9 @@ p/q, numerics with 15 significant digits, poles printed as POLE.  JSON output
 (the verify report and ``--format json``) is streamed in bounded chunks and is
 byte-identical to ``json.dumps(obj, indent=2, sort_keys=True)``.  Exit codes:
 0 success, 1 verification failure, 2 usage error (including a malformed
-label or a zero denominator, named with its flag, and a spectrum or calibrate
-window with nothing to tabulate or solve).
+label or a zero denominator, named with its flag, an ``--out`` path that
+cannot be written, and a spectrum or calibrate window with nothing to
+tabulate or solve).
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -156,6 +158,18 @@ def _label_arg(params: Params, args, q: int) -> Optional[KType]:
         return None
 
 
+def _unwritable(out: str) -> Optional[str]:
+    """Why ``out`` cannot be opened for writing, or None; the file is not touched."""
+    if os.path.isdir(out):
+        return "is a directory"
+    parent = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(parent):
+        return "no such directory"
+    if not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        return "permission denied"
+    return None
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -204,8 +218,7 @@ def cmd_spectrum(args) -> int:
             row["z_rel"] = rel
             row["z_base"] = base.label() if base is not None else ""
             try:
-                val = evaluate_numeric(zq)
-                row["z_numeric"] = _num(val if isinstance(val, float) else val[0])
+                row["z_numeric"] = _num(evaluate_numeric(zq))
             except GammaPoleError:
                 row["z_numeric"] = "POLE"
         else:
@@ -316,7 +329,11 @@ def cmd_verify(args) -> int:
         status = "consistent" if cal.consistent else "INCONSISTENT"
         print(f"calibration xi={xi:+d}   {status} "
               f"({cal.difference_edges} constraints, {len(cal.table)} classes)")
-    print(f"block shared factor resolved at weight: {reading['resolved']}")
+    if reading["resolved"] is None:
+        why = "every r = 1/2 block singular" if centers_m2 else "no multiplicity-two center"
+        print(f"block shared factor: not resolved ({why})")
+    else:
+        print(f"block shared factor resolved at weight: {reading['resolved']}")
     if not all_ok:
         for rep in reports.values():
             fail = rep.first_failure
@@ -383,6 +400,10 @@ def cmd_calibrate(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    reason = args.out and _unwritable(args.out)
+    if reason:
+        print(f"bad output: --out {args.out}: {reason}", file=sys.stderr)
+        return 2
     handlers = {"spectrum": cmd_spectrum, "block": cmd_block,
                 "neighbors": cmd_neighbors, "verify": cmd_verify,
                 "calibrate": cmd_calibrate}

@@ -1,28 +1,23 @@
 """Exact scalar arithmetic.
 
-Three layers live here:
+Rationals are :class:`fractions.Fraction`: arbitrary precision, always in
+lowest terms with a positive denominator, and a hard error on division by
+zero.  :class:`GammaQuotient` is a finite product ``prefactor * prod
+Gamma(arg)**exp`` with rational arguments.  Two quotients whose arguments are
+congruent mod 1 class by class have an exactly computable rational ratio
+through the functional equation ``Gamma(x+1) = x*Gamma(x)``;
+:func:`ratio_tagged` performs that reduction without ever evaluating a gamma
+function numerically.  No complex number appears: the spectral values are
+real gamma quotients times a fixed power of i, and the library records that
+power as a convention, not as a value.
 
-* ``Rational`` is an alias for :class:`fractions.Fraction`: arbitrary
-  precision, always in lowest terms with a positive denominator, exact
-  arithmetic, and a hard error on division by zero.
-* :class:`Phase` is a formal power of sqrt(-1).  No floating complex numbers
-  appear anywhere in the library; the imaginary unit is pure bookkeeping and
-  even powers fold into the sign of the rational part.
-* :class:`GammaQuotient` is a finite product ``prefactor * phase *
-  prod Gamma(arg)**exp`` with rational arguments.  Two quotients whose
-  arguments are congruent mod 1 class by class have an exactly computable
-  rational ratio through the functional equation ``Gamma(x+1) = x*Gamma(x)``;
-  :func:`ratio` performs that reduction without ever evaluating a gamma
-  function numerically.
-
-Arguments at non-positive integers are tracked as formal pole/zero flags.
-A net uncancelled pole is an error; a net uncancelled zero reduces to the
-exact value 0 (a finite quantity divided by a pole).  The values here are
-immutable, but the library is not safe for unrestricted concurrent use: the
-fault offsets armed by ``faults.inject`` and the memo tables of ``ktypes``,
-``operators`` and ``spectra`` are process-global.  Threads may share the
-tables only while no fault is armed; a fault armed in one thread perturbs
-every other thread's results.
+Arguments at non-positive integers are tracked as formal pole/zero flags,
+and a reduction reports a net uncancelled pole or zero as its kind instead of
+raising.  The values here are immutable, but the library is not safe for
+unrestricted concurrent use: the fault offsets armed by ``faults.inject`` and
+the memo tables of ``ktypes``, ``operators`` and ``spectra`` are
+process-global.  Threads may share the tables only while no fault is armed;
+a fault armed in one thread perturbs every other thread's results.
 """
 from __future__ import annotations
 
@@ -32,34 +27,23 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Tuple, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 __all__ = [
-    "Rational",
     "rational",
     "format_rational",
-    "Phase",
     "GammaQuotient",
     "ReducedValue",
-    "ratio",
     "ratio_tagged",
     "reduce_exact",
     "evaluate_numeric",
-    "pochhammer",
     "NonCommensurableError",
-    "UncancelledPoleError",
     "GammaPoleError",
 ]
 
 
 class NonCommensurableError(ValueError):
     """Gamma arguments do not match up mod 1 with balanced exponents."""
-
-
-class UncancelledPoleError(ArithmeticError):
-    """A formal pole or zero survived reduction where a finite value is required."""
 
 
 class GammaPoleError(ArithmeticError):
@@ -84,42 +68,6 @@ def format_rational(x: Fraction) -> str:
     return str(x) if isinstance(x, Fraction) else str(Fraction(x))
 
 
-@dataclass(frozen=True)
-class Phase:
-    """Formal power of sqrt(-1); multiplication adds exponents mod 4."""
-
-    exponent: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", self.exponent % 4)
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.exponent + other.exponent)
-
-    def __truediv__(self, other: "Phase") -> "Phase":
-        return Phase(self.exponent - other.exponent)
-
-    def fold(self, value: Fraction) -> Tuple[Fraction, "Phase"]:
-        """Fold the even part into a sign: exponent 2 acts as -1.
-
-        Returns ``(signed_value, residual)`` with residual exponent 0 or 1.
-        """
-        if self.exponent >= 2:
-            return -value, Phase(self.exponent - 2)
-        return value, self
-
-    @property
-    def is_real(self) -> bool:
-        return self.exponent % 2 == 0
-
-    def __str__(self) -> str:
-        return ("1", "i", "-1", "-i")[self.exponent]
-
-
-ONE_PHASE = Phase(0)
-IMAG = Phase(1)
-
-
 def _is_nonpositive_integer(x: Fraction) -> bool:
     return x.denominator == 1 and x <= 0
 
@@ -137,10 +85,9 @@ def _canonical_factors(factors: Iterable[Tuple[Fraction, int]]) -> Tuple[Tuple[F
 
 @dataclass(frozen=True)
 class GammaQuotient:
-    """``prefactor * phase * prod Gamma(arg)**exp`` with exact bookkeeping."""
+    """``prefactor * prod Gamma(arg)**exp`` with exact bookkeeping."""
 
     prefactor: Fraction = Fraction(1)
-    phase: Phase = ONE_PHASE
     factors: Tuple[Tuple[Fraction, int], ...] = ()
 
     def __post_init__(self) -> None:
@@ -154,31 +101,16 @@ class GammaQuotient:
             (a.numerator, a.denominator, e) for a, e in facs))
 
     @classmethod
-    def single(cls, arg: RationalLike, exp: int = 1) -> "GammaQuotient":
-        return cls(factors=((rational(arg), exp),))
-
-    @classmethod
     def from_args(cls, numerator_args: Iterable[RationalLike],
                   denominator_args: Iterable[RationalLike],
-                  prefactor: RationalLike = 1,
-                  phase: Phase = ONE_PHASE) -> "GammaQuotient":
+                  prefactor: RationalLike = 1) -> "GammaQuotient":
         facs = [(rational(a), 1) for a in numerator_args]
         facs += [(rational(a), -1) for a in denominator_args]
-        return cls(prefactor=rational(prefactor), phase=phase, factors=facs)
-
-    def scale(self, c: RationalLike, phase: Phase = ONE_PHASE) -> "GammaQuotient":
-        return GammaQuotient(self.prefactor * rational(c), self.phase * phase, self.factors)
+        return cls(prefactor=rational(prefactor), factors=facs)
 
     def __mul__(self, other: "GammaQuotient") -> "GammaQuotient":
         return GammaQuotient(self.prefactor * other.prefactor,
-                             self.phase * other.phase,
                              self.factors + other.factors)
-
-    def __truediv__(self, other: "GammaQuotient") -> "GammaQuotient":
-        inverted = tuple((a, -e) for a, e in other.factors)
-        return GammaQuotient(self.prefactor / other.prefactor,
-                             self.phase / other.phase,
-                             self.factors + inverted)
 
     def pole_arguments(self) -> Tuple[Fraction, ...]:
         return tuple(a for a, e in self.factors if e > 0 and _is_nonpositive_integer(a))
@@ -197,15 +129,9 @@ class GammaQuotient:
     def to_json(self) -> dict:
         return {
             "prefactor": format_rational(self.prefactor),
-            "phase": self.phase.exponent,
+            "phase": 0,     # i enters by convention only; the field keeps the schema
             "factors": [{"arg": format_rational(a), "exp": e} for a, e in self.factors],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GammaQuotient":
-        return cls(prefactor=rational(data["prefactor"]),
-                   phase=Phase(int(data["phase"])),
-                   factors=[(rational(f["arg"]), int(f["exp"])) for f in data["factors"]])
 
 
 @dataclass(frozen=True)
@@ -219,19 +145,7 @@ class ReducedValue:
 
     kind: str
     value: Fraction = Fraction(0)
-    phase: Phase = ONE_PHASE
     order: int = 0
-
-
-def pochhammer(x: RationalLike, m: int) -> Fraction:
-    """Rising factorial ``x (x+1) ... (x+m-1)`` as an exact rational."""
-    if m < 0:
-        raise ValueError("pochhammer length must be non-negative")
-    xq = rational(x)
-    out = Fraction(1)
-    for t in range(m):
-        out *= xq + t
-    return out
 
 
 def _reduce_classes(classes: dict) -> Tuple[int, Fraction]:
@@ -288,26 +202,11 @@ def ratio_tagged(a: GammaQuotient, b: GammaQuotient) -> ReducedValue:
     for p, q, exp in b._pq:
         classes.setdefault((p % q, q), []).append((p, -exp))
     order, value = _reduce_classes(classes)
-    phase = a.phase / b.phase
     if order > 0:
-        return ReducedValue("zero", Fraction(0), phase, order)
+        return ReducedValue("zero", Fraction(0), order)
     if order < 0:
-        return ReducedValue("pole", Fraction(0), phase, -order)
-    return ReducedValue("finite", a.prefactor / b.prefactor * value, phase, 0)
-
-
-def ratio(a: GammaQuotient, b: GammaQuotient) -> Tuple[Fraction, Phase]:
-    """Exact value of a/b as (rational, phase).
-
-    Identical pole/zero factors cancel formally before reduction.  A net
-    uncancelled zero is the exact value 0; a net uncancelled pole raises
-    :class:`UncancelledPoleError`.
-    """
-    tagged = ratio_tagged(a, b)
-    if tagged.kind == "pole":
-        raise UncancelledPoleError(
-            f"uncancelled pole of order {tagged.order} in gamma quotient ratio")
-    return tagged.value, tagged.phase
+        return ReducedValue("pole", Fraction(0), -order)
+    return ReducedValue("finite", a.prefactor / b.prefactor * value)
 
 
 _UNIT = GammaQuotient()
@@ -330,29 +229,22 @@ def _log_abs_gamma(x: Fraction) -> Tuple[float, int]:
     return math.lgamma(xf), sign
 
 
-def evaluate_numeric(g: GammaQuotient) -> Union[float, Tuple[float, Phase]]:
+def evaluate_numeric(g: GammaQuotient) -> float:
     """Floating evaluation via log-gamma.
 
-    Target relative accuracy is about 1e-12 away from poles.  The phase is
-    folded into the sign when its exponent is even; otherwise the pair
-    ``(signed_value, phase)`` is returned with phase exponent 1.  A formal
-    zero evaluates to exactly 0.0; a pole raises :class:`GammaPoleError`.
+    Target relative accuracy is about 1e-12 away from poles.  A formal zero
+    evaluates to exactly 0.0; a pole raises :class:`GammaPoleError`.
     """
     poles = g.pole_arguments()
     if poles:
         raise GammaPoleError(poles[0])
-    value, residual = g.phase.fold(g.prefactor)
     if g.is_zero:
-        result = 0.0
-    else:
-        logmag = 0.0
-        sign = 1 if value > 0 else -1
-        for arg, exp in g.factors:
-            lg, s = _log_abs_gamma(arg)
-            logmag += exp * lg
-            if exp % 2 == 1 and s < 0:
-                sign = -sign
-        result = sign * abs(float(value)) * math.exp(logmag)
-    if residual.is_real:
-        return result
-    return result, residual
+        return 0.0
+    logmag = 0.0
+    sign = 1 if g.prefactor > 0 else -1
+    for arg, exp in g.factors:
+        lg, s = _log_abs_gamma(arg)
+        logmag += exp * lg
+        if exp % 2 == 1 and s < 0:
+            sign = -sign
+    return sign * abs(float(g.prefactor)) * math.exp(logmag)

@@ -9,11 +9,10 @@ multiplicity one (the divergence summand).
 Sphere eigenvalue data hangs off the label: the Dirac eigenvalue
 ``J_signed = eps * (j + (n-2)/2)`` and the twistor Laplacian eigenvalue
 ``lambda(T*T) = ((n-2)/(n-1)) * (J^2 - ((n-1)/2)^2)``, which vanishes exactly
-at the bottom label ``j = 1/2``.  Every module reads both closed forms from
-the one ``DEFAULT_EIGENVALUES`` instance, and the Dirac eigenvalue passes the
-``DIRAC`` fault site so tests can check that the suites reject a shifted
-convention; the divergence-part eigenvalue ``L`` is never hard-coded and comes
-from a calibration table.
+at the bottom label ``j = 1/2``.  Both are memoized per label, and the Dirac
+eigenvalue passes the ``DIRAC`` fault site so tests can check that the suites
+reject a shifted convention; the divergence-part eigenvalue ``L`` is never
+hard-coded and comes from a calibration table.
 """
 from __future__ import annotations
 
@@ -40,8 +39,6 @@ __all__ = [
     "label_twistor_tt",
     "LTable",
     "make_ktype",
-    "dirac_eigenvalue",
-    "twistor_tt_eigenvalue",
     "neighbors",
     "interface_square",
     "case1_partners",
@@ -144,20 +141,17 @@ def label_twistor_tt(n: int, j: Fraction) -> Fraction:
 
 
 class SphereEigenvalues:
-    """Closed-form sphere spectra; ``DEFAULT_EIGENVALUES`` is the one instance.
+    """Closed-form sphere Dirac spectrum; ``DEFAULT_EIGENVALUES`` is the one instance.
 
     ``dirac`` must be the unique convention under which the spectral quotient
     identities close; it is the one the verification suites certify, and the
     ``DIRAC`` fault site shifts it so tests can check that a shifted
-    convention fails.  Both read :func:`label_dirac` and
-    :func:`label_twistor_tt`, memoized per (n, j, eps) and never per r.
+    convention fails.  It reads :func:`label_dirac`, memoized per
+    (n, j, eps) and never per r.
     """
 
     def dirac(self, params: Params, j: Fraction, eps: int) -> Fraction:
         return label_dirac(params.n, j, eps)
-
-    def twistor_tt(self, params: Params, j: Fraction) -> Fraction:
-        return label_twistor_tt(params.n, j)
 
 
 DEFAULT_EIGENVALUES = SphereEigenvalues()
@@ -167,16 +161,6 @@ def spectral_args(params: Params, ktype: KType) -> Tuple[Fraction, int]:
     """(J, s) of a label for the spectral functions: J = eps * J_signed, s = xi * eps."""
     return (ktype.eps * DEFAULT_EIGENVALUES.dirac(params, ktype.j, ktype.eps),
             ktype.xi * ktype.eps)
-
-
-def dirac_eigenvalue(params: Params, j: RationalLike, eps: int) -> Fraction:
-    """Signed Dirac eigenvalue on the sphere spinor label (j, eps)."""
-    return DEFAULT_EIGENVALUES.dirac(params, rational(j), eps)
-
-
-def twistor_tt_eigenvalue(params: Params, j: RationalLike) -> Fraction:
-    """Eigenvalue of T*T on the sphere label j; zero exactly at j = 1/2."""
-    return DEFAULT_EIGENVALUES.twistor_tt(params, rational(j))
 
 
 class LTable:

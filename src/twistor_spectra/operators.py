@@ -13,10 +13,12 @@ supplied by a calibration table (d33 stays unknown without one).
 
 Compressing the conformal factor between neighboring labels multiplies the
 twistor-range part by the rational coefficient c_ba; compressing the Bochner
-Laplacian commutator gives the quadratic coefficients below.  Together they
-produce the three families of transition quantities that drive every spectral
-recursion: mixed multiplicity (A1, A2, E-, E+), multiplicity two to two
-(F1-+, F2-+, G1, G2), and multiplicity one to one (P-, P+).
+Laplacian commutator gives a quadratic coefficient, which is -2 times the
+bracket ``case3_mid`` on a same-multiplicity pair and -+2 times ``case1_mid``
+on a mixed pair.  Together they produce the three families of transition
+quantities that drive every spectral recursion: mixed multiplicity (A1, A2,
+E-, E+), multiplicity two to two (F1-+, F2-+, G1, G2), and multiplicity one
+to one (P-, P+).
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ __all__ = [
     "Case3Data",
     "d_block",
     "c_ba",
-    "bochner_compression",
     "case1_data",
     "case1_mid",
     "case2_data",
@@ -69,10 +70,6 @@ class DBlock:
     d21: Fraction
     d22: Fraction
     d33: Optional[Fraction]
-
-    @property
-    def d33_known(self) -> bool:
-        return self.d33 is not None
 
 
 @faults.memo
@@ -115,12 +112,6 @@ def c_ba(params: Params, a: KType, b: KType) -> Fraction:
     if classify_pair(a, b) != "same-mult":
         raise NotNeighborsError(f"{a.label()} and {b.label()} are not a transition pair")
     return _pair_row(params, a, b).c_ba
-
-
-def c_ba_numerator(params: Params, a: KType, b: KType) -> Fraction:
-    """The symmetric bracket of c_ba before dividing by lambda_b(T*T)."""
-    return _c_bracket(params.n, DEFAULT_EIGENVALUES.dirac(params, a.j, a.eps),
-                      DEFAULT_EIGENVALUES.dirac(params, b.j, b.eps))
 
 
 def _c_bracket(n: int, Ja: Fraction, Jb: Fraction) -> Fraction:
@@ -178,25 +169,6 @@ def classify_pair(frm: KType, to: KType) -> Optional[str]:
     if frm.j == to.j and frm.eps == to.eps and frm.j >= Fraction(3, 2):
         return "mixed"
     return None
-
-
-def bochner_compression(params: Params, frm: KType, to: KType) -> Fraction:
-    """Compressed Bochner-Laplacian commutator coefficient for frm -> to.
-
-    Antisymmetric under swapping the endpoints: -2 times the bracket of the
-    pair's transition quantities.  Same-multiplicity pairs get
-    f_to^2 - f_from^2 + J_to^2 - J_from^2 = -2 case3_mid; mixed pairs (same
-    j, q flipped) get f_to^2 - f_from^2 -+ (n-2) = -+2 case1_mid, the sign
-    fixed by which side carries the multiplicity-2 label.
-    """
-    kind = classify_pair(frm, to)
-    if kind is None:
-        raise NotNeighborsError(f"{frm.label()} -> {to.label()} is not a transition pair")
-    if kind == "same-mult":
-        return -2 * case3_mid(params, frm, to)
-    if frm.multiplicity == 2:
-        return -2 * case1_mid(params, frm, to)
-    return 2 * case1_mid(params, to, frm)
 
 
 @dataclass(frozen=True)

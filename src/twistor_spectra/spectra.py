@@ -33,8 +33,8 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import faults
-from .exact import (GammaQuotient, IMAG, ONE_PHASE, Phase, RationalLike,
-                    format_rational, ratio_tagged, rational)
+from .exact import (GammaQuotient, RationalLike, format_rational, ratio_tagged,
+                    rational)
 from .ktypes import (DEFAULT_EIGENVALUES, HALF, Direction, KType, LTable,
                      Params, f_points, neighbors, spectral_args)
 from .operators import case1_mid, case3_mid, d_block
@@ -52,7 +52,6 @@ __all__ = [
     "mult2_det_quotient_matrix",
     "block2x2",
     "block_coefficients",
-    "mult1_block",
     "first_order_block",
     "exchanged_rs_eigenvalue",
     "calibrate_L",
@@ -289,24 +288,16 @@ def block_coefficients(params: Params, center: KType, strict_paper: bool = False
 
 @dataclass(frozen=True)
 class Block:
-    """Spectral data of the operator on one K-type.
+    """The 2x2 block of the operator on a multiplicity-two K-type.
 
-    Multiplicity two: ``coefficients`` is the rational 2x2 matrix sharing the
-    common gamma-quotient ``factor`` z(r; f+1, J, s); its determinant is
-    rational times factor^2.  Multiplicity one: ``coefficients`` is None and
-    ``factor`` is z itself.  ``phase`` is the formal power of i carried in
-    front (0 for the raw z-normalized data).
+    ``coefficients`` (b11, b12, b21, b22) is the rational matrix that
+    multiplies the common gamma-quotient ``factor`` z(r; f+1, J, s); the
+    block's determinant is rational times factor^2.
     """
 
-    kind: str  # "mult1" | "mult2"
     ktype: KType
     factor: GammaQuotient
-    coefficients: Optional[Tuple[Fraction, Fraction, Fraction, Fraction]] = None
-    phase: Phase = ONE_PHASE
-
-    def det_coefficient(self) -> Fraction:
-        b11, b12, b21, b22 = self.coefficients
-        return b11 * b22 - b12 * b21
+    coefficients: Tuple[Fraction, Fraction, Fraction, Fraction]
 
 
 def block2x2(params: Params, center: KType, strict_paper: bool = False) -> Block:
@@ -318,29 +309,22 @@ def block2x2(params: Params, center: KType, strict_paper: bool = False) -> Block
     if center.multiplicity != 2:
         raise ValueError("block2x2 needs a multiplicity-2 center")
     coeffs = block_coefficients(params, center, strict_paper)
-    return Block("mult2", center, block_factor(params, center), coeffs)
-
-
-def mult1_block(params: Params, center: KType) -> Block:
-    """The scalar block on a multiplicity-one K-type (raw z normalization)."""
-    if center.multiplicity != 1:
-        raise ValueError("mult1_block needs a multiplicity-1 center")
-    return Block("mult1", center, z_for(params, center))
+    return Block(center, block_factor(params, center), coeffs)
 
 
 def exchanged_rs_eigenvalue(params: Params, f: RationalLike, J: RationalLike,
-                            xi_eps: int) -> Tuple[Fraction, Phase]:
-    """First-order eigenvalue i (f - s J) on a multiplicity-one summand.
+                            xi_eps: int) -> Fraction:
+    """First-order eigenvalue i (f - s J) on a multiplicity-one summand, divided by i.
 
-    Equals -4i times z_value at r = 1/2; vanishes exactly on the kernel line
+    Equals -4 times z_value at r = 1/2; vanishes exactly on the kernel line
     f = s J.
     """
-    return rational(f) - xi_eps * rational(J), IMAG
+    return rational(f) - xi_eps * rational(J)
 
 
 def first_order_block(params: Params, center: KType, strict_paper: bool = False
                       ) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-    """The first-order 2x2 block, divided by the common phase i.
+    """The first-order 2x2 block, divided by the common factor i.
 
     This is the independent target for the r = 1/2 degeneration of
     ``block2x2``.  The strict variant carries +s J inside the (1,1) entry where

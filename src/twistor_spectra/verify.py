@@ -370,7 +370,9 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> di
 
     Tries both readings of the degeneration at r = 1/2 against the
     first-order block and reports which one survives; 'f+1' is the library
-    default.  At r = 1/2 the factor -4 z is the first-order eigenvalue f - sJ.
+    default and wins a tie.  ``resolved`` is None when no center was checked
+    (none has multiplicity two, or each one's r = 1/2 block is singular).  At
+    r = 1/2 the factor -4 z is the first-order eigenvalue f - sJ.
     """
     half_params = Params(params.n, Fraction(1, 2), params.f_lattice)
     outcome = {"f+1": 0, "f": 0, "checked": 0}
@@ -385,11 +387,12 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> di
         J, s = spectral_args(half_params, center)
         outcome["checked"] += 1
         for reading, f_fac in (("f+1", center.f + 1), ("f", center.f)):
-            eigenvalue, _ = exchanged_rs_eigenvalue(half_params, f_fac, J, s)
+            eigenvalue = exchanged_rs_eigenvalue(half_params, f_fac, J, s)
             got = tuple(c * eigenvalue for c in coeffs)
             if got == (want[0][0], want[0][1], want[1][0], want[1][1]):
                 outcome[reading] += 1
-    outcome["resolved"] = "f+1" if outcome["f+1"] >= outcome["f"] else "f"
+    resolved = "f+1" if outcome["f+1"] >= outcome["f"] else "f"
+    outcome["resolved"] = resolved if outcome["checked"] else None
     return outcome
 
 

@@ -124,6 +124,19 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == message + "zero denominator\n"
 
+    @pytest.mark.parametrize("command", [
+        ("verify", "--n", "4", "--r", "1", "--f-min=-1/2", "--f-max=1/2", "--j-max=3/2"),
+        ("spectrum", "--n", "4"),
+    ])
+    def test_unwritable_out_exits_2_before_any_work(self, capsys, tmp_path, command):
+        target = tmp_path / "missing" / "x.out"
+        code = main([*command, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"bad output: --out {target}: no such directory\n"
+        assert not target.parent.exists()
+
 
 class TestVerify:
     def test_default_region_passes(self, capsys, tmp_path):
@@ -167,11 +180,18 @@ class TestVerify:
         assert got == code
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("window", [
-        ("--j-max", "1/2"),
-        ("--f-min", "3/2", "--f-max=-3/2"),
-    ])
-    def test_empty_calibration_window_is_a_skip(self, capsys, tmp_path, window):
+    def test_singular_half_order_blocks_leave_the_reading_unresolved(self, capsys):
+        # the one multiplicity-two center has C4 = 0 at r = 1/2
+        code, out = run(capsys, "verify", "--n", "4", "--f-min", "1/2", "--f-max", "1/2",
+                        "--j-max", "1/2", "--xi", "1", "--eps", "1")
+        assert code == 0
+        assert "block shared factor: not resolved (every r = 1/2 block singular)" in out
+
+    @pytest.mark.parametrize("window, resolved", [
+        (("--j-max", "1/2"), "f+1"),
+        (("--f-min", "3/2", "--f-max=-3/2"), None),
+    ], ids=["window0", "window1"])
+    def test_empty_calibration_window_is_a_skip(self, capsys, tmp_path, window, resolved):
         out_path = tmp_path / "report.json"
         code, out = run(capsys, "verify", "--n", "4", *window, "--out", str(out_path))
         assert code == 0
@@ -181,6 +201,14 @@ class TestVerify:
         assert payload["ok"] is True
         for cal in payload["calibration"].values():
             assert cal["skipped"].startswith("empty calibration window")
+        # a window with no multiplicity-two center resolves nothing
+        reading = payload["convention"]["block_factor_resolution"]
+        assert reading["resolved"] == resolved
+        if resolved is None:
+            assert reading["checked"] == 0
+            assert "block shared factor: not resolved (no multiplicity-two center)" in out
+        else:
+            assert f"block shared factor resolved at weight: {resolved}" in out
 
 
 class TestNeighbors:

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from twistor_spectra.ktypes import (BadDimensionError, Direction,
                                     InvalidWeightError, KType, Params,
-                                    case1_partners, dirac_eigenvalue,
-                                    enumerate_ktypes, interface_square,
-                                    make_ktype, neighbor_of, neighbors,
-                                    twistor_tt_eigenvalue)
+                                    case1_partners, enumerate_ktypes,
+                                    interface_square, label_dirac,
+                                    label_twistor_tt, make_ktype, neighbor_of,
+                                    neighbors)
 
 P4 = Params(4, Q(1, 2))
 P6 = Params(6, Q(1, 2))
@@ -61,20 +61,20 @@ class TestMakeKType:
 
 class TestEigenvalues:
     def test_dirac_closed_form(self):
-        assert dirac_eigenvalue(P4, Q(1, 2), 1) == Q(3, 2)
-        assert dirac_eigenvalue(P4, Q(1, 2), -1) == Q(-3, 2)
-        assert dirac_eigenvalue(P6, Q(3, 2), 1) == Q(7, 2)
+        assert label_dirac(4, Q(1, 2), 1) == Q(3, 2)
+        assert label_dirac(4, Q(1, 2), -1) == Q(-3, 2)
+        assert label_dirac(6, Q(3, 2), 1) == Q(7, 2)
 
     def test_dirac_unit_steps(self):
         js = [Q(1, 2) + k for k in range(6)]
-        mags = [dirac_eigenvalue(P4, j, 1) for j in js]
+        mags = [label_dirac(4, j, 1) for j in js]
         assert all(b - a == 1 for a, b in zip(mags, mags[1:]))
 
     def test_tt_vanishes_exactly_at_bottom(self):
-        assert twistor_tt_eigenvalue(P4, Q(1, 2)) == 0
-        assert twistor_tt_eigenvalue(P6, Q(1, 2)) == 0
+        assert label_twistor_tt(4, Q(1, 2)) == 0
+        assert label_twistor_tt(6, Q(1, 2)) == 0
         for j in (Q(3, 2), Q(5, 2), Q(7, 2)):
-            assert twistor_tt_eigenvalue(P4, j) > 0
+            assert label_twistor_tt(4, j) > 0
 
     def test_tt_matches_dirac_square_chain(self):
         # independent route: lambda = ((m-1)/m)(D^2 - m^2/4) with m = n-1
@@ -82,12 +82,12 @@ class TestEigenvalues:
         for params in (P4, P6):
             m = params.n - 1
             for j in (Q(1, 2), Q(3, 2), Q(5, 2), Q(9, 2)):
-                D = dirac_eigenvalue(params, j, 1)
+                D = label_dirac(params.n, j, 1)
                 want = Q(m - 1, m) * (D * D - Q(m * m, 4))
-                assert twistor_tt_eigenvalue(params, j) == want
+                assert label_twistor_tt(params.n, j) == want
 
     def test_tt_frozen_value(self):
-        assert twistor_tt_eigenvalue(P4, Q(3, 2)) == Q(8, 3)
+        assert label_twistor_tt(4, Q(3, 2)) == Q(8, 3)
 
 
 class TestNeighbors:

@@ -5,12 +5,12 @@ from conftest import dirac_l_table
 
 from twistor_spectra import faults, ktypes, operators
 from twistor_spectra.ktypes import (DEFAULT_EIGENVALUES, KType, LTable, Params,
-                                    make_ktype, neighbors)
+                                    label_twistor_tt, make_ktype, neighbors)
 from twistor_spectra.operators import (Case2Data, DegenerateTargetError,
-                                       MissingLError, NotNeighborsError,
-                                       bochner_compression, c_ba,
-                                       c_ba_numerator, case1_data, case2_data,
-                                       case3_data, classify_pair, d_block)
+                                       MissingLError, NotNeighborsError, c_ba,
+                                       case1_data, case1_mid, case2_data,
+                                       case3_data, case3_mid, classify_pair,
+                                       d_block)
 
 P4 = Params(4, Q(1, 2))
 P6 = Params(6, Q(1, 2))
@@ -21,7 +21,7 @@ class TestDBlock:
         kt = make_ktype(P4, 1, Q(1, 2), Q(1, 2), 0, 1)
         d = d_block(P4, kt)
         assert (d.d11, d.d12, d.d21, d.d22) == (Q(5, 4), 0, -4, Q(1, 4))
-        assert not d.d33_known
+        assert d.d33 is None
 
     def test_d21_is_minus_n(self):
         kt = make_ktype(P6, 1, Q(1, 2), Q(1, 2), 0, -1)
@@ -42,7 +42,7 @@ class TestDBlock:
         table = dirac_l_table(P4)
         kt = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 1, -1)
         d = d_block(P4, kt, table)
-        assert d.d33_known and d.d33 == Q(-5, 4)
+        assert d.d33 == Q(-5, 4)
 
 
 class TestCBa:
@@ -63,9 +63,11 @@ class TestCBa:
             c_ba(P4, a, b)
 
     def test_numerator_is_symmetric(self):
+        # c_ba times lambda_b(T*T) is a bracket symmetric in the two labels
         a = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, -1)
         b = make_ktype(P4, 1, Q(3, 2), Q(5, 2), 0, 1)
-        assert c_ba_numerator(P4, a, b) == c_ba_numerator(P4, b, a)
+        assert c_ba(P4, a, b) * label_twistor_tt(4, b.j) == \
+            c_ba(P4, b, a) * label_twistor_tt(4, a.j)
 
     def test_rejects_non_pair(self):
         a = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
@@ -75,36 +77,26 @@ class TestCBa:
 
 
 class TestBochner:
+    """The compressed Bochner commutator: -2 case3_mid, or -+2 case1_mid on a mixed pair."""
+
     def test_mixed_pair_frozen_value(self):
         alpha = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
         beta = make_ktype(P4, 1, Q(3, 2), Q(3, 2), 1, 1)
         # landing on the multiplicity-2 side: f^2 - f'^2 - (n-2)
-        assert bochner_compression(P4, beta, alpha) == Q(1, 4) - Q(9, 4) - 2
-
-    def test_antisymmetry(self):
-        alpha = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
-        beta = make_ktype(P4, 1, Q(3, 2), Q(3, 2), 1, 1)
-        assert bochner_compression(P4, alpha, beta) == \
-            -bochner_compression(P4, beta, alpha) == 4
+        assert 2 * case1_mid(P4, alpha, beta) == Q(1, 4) - Q(9, 4) - 2
 
     def test_same_multiplicity_formula(self):
         a = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)    # J = 5/2
         b = make_ktype(P4, 1, Q(3, 2), Q(5, 2), 0, 1)    # J = 7/2
-        got = bochner_compression(P4, a, b)
+        got = -2 * case3_mid(P4, a, b)
         assert got == Q(9, 4) - Q(1, 4) + Q(49, 4) - Q(25, 4)
-        assert bochner_compression(P4, b, a) == -got
+        assert -2 * case3_mid(P4, b, a) == -got
 
     def test_eps_flip_middle_move_cancels_dirac_part(self):
         a = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 1, 1)
         b = make_ktype(P4, 1, Q(3, 2), Q(3, 2), 1, -1)
         # same j: the squared Dirac eigenvalues cancel
-        assert bochner_compression(P4, a, b) == b.f ** 2 - a.f ** 2
-
-    def test_not_neighbors(self):
-        a = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
-        b = make_ktype(P4, 1, Q(1, 2), Q(5, 2), 0, 1)    # same f
-        with pytest.raises(NotNeighborsError):
-            bochner_compression(P4, a, b)
+        assert -2 * case3_mid(P4, a, b) == b.f ** 2 - a.f ** 2
 
     def test_classify_pair(self):
         a = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
@@ -198,15 +190,18 @@ class TestCase2:
 
 
 def reference_case2(params, alpha, beta):
-    """Per-edge Fraction formula of case2_data, from d_block, c_ba_numerator
-    and dirac; raises DegenerateTargetError like case2_data."""
-    lam_b = DEFAULT_EIGENVALUES.twistor_tt(params, beta.j)
+    """Per-edge Fraction formula of case2_data, from d_block and dirac, with
+    c_ba's bracket and lambda(T*T) written out; raises DegenerateTargetError
+    like case2_data."""
+    n = params.n
+    J_unsigned = beta.j + Q(n - 2, 2)
+    lam_b = Q(n - 2, n - 1) * (J_unsigned ** 2 - Q(n - 1, 2) ** 2)
     if lam_b == 0:
         raise DegenerateTargetError(beta.label())
-    cba = c_ba_numerator(params, alpha, beta) / lam_b
     d_a, d_b = d_block(params, alpha), d_block(params, beta)
     Ja = DEFAULT_EIGENVALUES.dirac(params, alpha.j, alpha.eps)
     Jb = DEFAULT_EIGENVALUES.dirac(params, beta.j, beta.eps)
+    cba = (Jb * Jb / 2 + Ja * Ja / 2 - Ja * Jb / (n - 1) - Q(n * (n - 1), 4)) / lam_b
     df = beta.f - alpha.f
     r = params.r
     mid = (beta.f ** 2 - alpha.f ** 2) / 2 + (Jb * Jb - Ja * Ja) / 2

@@ -3,13 +3,12 @@ from fractions import Fraction as Q
 import pytest
 
 from twistor_spectra import faults, spectra
-from twistor_spectra.exact import (GammaQuotient, Phase, ratio, ratio_tagged,
-                                   reduce_exact)
+from twistor_spectra.exact import GammaQuotient, ratio_tagged, reduce_exact
 from twistor_spectra.ktypes import Direction, KType, Params, make_ktype
 from twistor_spectra.spectra import (InconsistentSystemError,
                                      SingularCoefficientError, block2x2,
                                      block_coefficients, calibrate_L,
-                                     exchanged_rs_eigenvalue, mult1_block,
+                                     exchanged_rs_eigenvalue,
                                      mult1_quotient_matrix,
                                      mult2_det_quotient_matrix,
                                      mult2_gamma_product, first_order_block,
@@ -53,8 +52,8 @@ class TestZValue:
         a = z_value(params, Q(3, 2), Q(9, 2), 1)
         b = z_value(params, Q(-3, 2), Q(9, 2), -1)
         assert {arg for arg, _ in a.factors} == {arg for arg, _ in b.factors}
-        value, _ = ratio(a, b)
-        assert value == -1
+        got = ratio_tagged(a, b)
+        assert got.kind == "finite" and got.value == -1
 
     def test_order_reversal_product(self):
         # z(r; f, J, s) * z(-r; f, J, -s) = -1/4: the gamma sets swap exactly
@@ -63,9 +62,6 @@ class TestZValue:
         prod = z_value(pa, Q(3, 2), Q(7, 2), 1) * z_value(pb, Q(3, 2), Q(7, 2), -1)
         out = reduce_exact(prod)
         assert out.kind == "finite" and out.value == Q(-1, 4)
-
-    def test_phase_is_real(self):
-        assert z_value(P4H, Q(1, 2), Q(3, 2), 1).phase == Phase(0)
 
 
 def eight_gamma_reference(r, f, J, s):
@@ -254,11 +250,9 @@ class TestBlock2x2:
         params = Params(4, Q(1))
         kt = make_ktype(params, 1, Q(1, 2), Q(3, 2), 0, -1)
         block = block2x2(params, kt)
-        assert block.kind == "mult2"
+        assert block.ktype == kt
         assert block.factor == z_value(params, Q(3, 2), Q(5, 2), -1)
-        assert block.det_coefficient() == \
-            block.coefficients[0] * block.coefficients[3] \
-            - block.coefficients[1] * block.coefficients[2]
+        assert block.coefficients == block_coefficients(params, kt)
 
     def test_det_ratio_reproduces_det_quotient_entry(self):
         params = Params(4, Q(1))
@@ -268,44 +262,28 @@ class TestBlock2x2:
         bt = block2x2(params, target)
         rho = ratio_tagged(bt.factor, bc.factor)
         assert rho.kind == "finite"
-        got = bt.det_coefficient() * rho.value ** 2 / bc.det_coefficient()
+        def det(block):
+            b11, b12, b21, b22 = block.coefficients
+            return b11 * b22 - b12 * b21
+
+        got = det(bt) * rho.value ** 2 / det(bc)
         entry = mult2_det_quotient_matrix(params, center).entry(1, 1)
         assert got == entry.value == Q(15, 7)
 
-    def test_mult1_block(self):
-        kt = make_ktype(P4H, 1, Q(1, 2), Q(3, 2), 1, 1)
-        block = mult1_block(P4H, kt)
-        assert block.kind == "mult1" and block.coefficients is None
-        assert block.factor == z_for(P4H, kt)
-
 
 class TestExchangedRS:
+    # the eigenvalue is i (f - s J); the function returns it divided by i
     def test_frozen_value(self):
-        value, phase = exchanged_rs_eigenvalue(P4H, Q(5, 2), Q(3, 2), 1)
-        assert value == 1 and phase == Phase(1)
+        assert exchanged_rs_eigenvalue(P4H, Q(5, 2), Q(3, 2), 1) == 1
 
     def test_kernel(self):
-        value, _ = exchanged_rs_eigenvalue(P4H, Q(7, 2), Q(7, 2), 1)
-        assert value == 0
+        assert exchanged_rs_eigenvalue(P4H, Q(7, 2), Q(7, 2), 1) == 0
 
     def test_equals_minus_four_i_z(self):
         for f, J, s in ((Q(5, 2), Q(3, 2), 1), (Q(-1, 2), Q(7, 2), -1)):
-            value, phase = exchanged_rs_eigenvalue(P4H, f, J, s)
             z = reduce_exact(z_value(P4H, f, J, s))
             z_val = z.value if z.kind == "finite" else Q(0)
-            assert value == -4 * z_val and phase == Phase(1)
-
-    def test_square_is_real_and_non_positive(self):
-        # phase discipline: spectral values carry exponent 0 or 1, and the
-        # square of a multiplicity-one value folds to a real <= 0
-        for f, J, s in ((Q(5, 2), Q(3, 2), 1), (Q(-3, 2), Q(5, 2), -1),
-                        (Q(7, 2), Q(7, 2), 1)):
-            value, phase = exchanged_rs_eigenvalue(P4H, f, J, s)
-            assert phase.exponent in (0, 1)
-            squared_phase = phase * phase
-            folded, residual = squared_phase.fold(value * value)
-            assert residual == Phase(0)
-            assert folded <= 0
+            assert exchanged_rs_eigenvalue(P4H, f, J, s) == -4 * z_val
 
 
 class TestCalibration:
