@@ -111,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         add(p_cal)
     p_cal.add_argument("--xi-solve", type=int, choices=(1, -1), default=1,
                        help="chirality used for the solve")
+    p_cal.set_defaults(strict_paper=False)   # the solve uses the corrected forms
     return parser
 
 
@@ -126,7 +127,8 @@ def _flag_rational(flag: str, text: str) -> Fraction:
 
 def _params(args) -> Params:
     try:
-        return Params(args.n, _flag_rational("--r", args.r), args.lattice)
+        return Params(args.n, _flag_rational("--r", args.r), args.lattice,
+                      args.strict_paper)
     except BadDimensionError:
         print("n must be even and >= 4", file=sys.stderr)
         raise SystemExit(2)
@@ -223,7 +225,7 @@ def cmd_spectrum(args) -> int:
                 row["z_numeric"] = "POLE"
         else:
             try:
-                coeffs = block_coefficients(params, kt, args.strict_paper)
+                coeffs = block_coefficients(params, kt)
                 for name, c in zip(("b11", "b12", "b21", "b22"), coeffs):
                     row[name] = format_rational(c)
             except SingularCoefficientError as exc:
@@ -258,7 +260,7 @@ def cmd_block(args) -> int:
         return 2
     rows = []
     try:
-        block = block2x2(params, kt, args.strict_paper)
+        block = block2x2(params, kt)
         for name, c in zip(("b11", "b12", "b21", "b22"), block.coefficients):
             rows.append({"quantity": name, "value": format_rational(c)})
         rows.append({"quantity": "shared_factor",
@@ -266,7 +268,7 @@ def cmd_block(args) -> int:
     except SingularCoefficientError as exc:
         rows.append({"quantity": "block", "value": f"SINGULAR({exc.which})"})
     if params.r == Fraction(1, 2):
-        fo = first_order_block(params, kt, args.strict_paper)
+        fo = first_order_block(params, kt)
         for (i, k), val in zip(((1, 1), (1, 2), (2, 1), (2, 2)),
                                (fo[0][0], fo[0][1], fo[1][0], fo[1][1])):
             rows.append({"quantity": f"order_one_block({i},{k})/i",
@@ -283,7 +285,7 @@ def cmd_neighbors(args) -> int:
     if kt.multiplicity == 1:
         matrix = mult1_quotient_matrix(params, kt)
     else:
-        matrix = mult2_det_quotient_matrix(params, kt, args.strict_paper)
+        matrix = mult2_det_quotient_matrix(params, kt)
     rows = []
     for dj, entries in matrix.rows():
         row = {"dj": f"{dj:+d}"}
@@ -311,8 +313,7 @@ def cmd_verify(args) -> int:
     centers_m2 = list(enumerate_ktypes(params, f_min, f_max, j_max, (0,), xis, epss))
     try:
         reports, calibrations = run_all_suites(
-            params, centers_m1, centers_m2, xis, f_min, f_max, j_max,
-            strict_paper=args.strict_paper)
+            params, centers_m1, centers_m2, xis, f_min, f_max, j_max)
     except InconsistentSystemError as exc:
         print(f"calibration inconsistent: {exc}", file=sys.stderr)
         return 1
@@ -348,7 +349,7 @@ def cmd_verify(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "params": {"n": params.n, "r": format_rational(params.r),
                        "lattice": params.f_lattice,
-                       "strict_paper": bool(args.strict_paper)},
+                       "strict_paper": params.strict_paper},
             "region": {"f_min": format_rational(f_min), "f_max": format_rational(f_max),
                        "j_max": format_rational(j_max),
                        "xi": sorted(xis), "eps": sorted(epss)},

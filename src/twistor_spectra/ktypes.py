@@ -59,11 +59,13 @@ class InvalidWeightError(ValueError):
 
 @dataclass(frozen=True)
 class Params:
-    """Global configuration: dimension n, half-order r, circle weight lattice."""
+    """Global configuration: dimension n, half-order r, circle weight lattice,
+    and the variant of the closed forms (``strict_paper``: the misprinted ones)."""
 
     n: int
     r: Fraction
     f_lattice: str = "half"  # "half": f in Z + 1/2, "int": f in Z
+    strict_paper: bool = False
 
     def __post_init__(self) -> None:
         if self.n % 2 != 0 or self.n < 4:

@@ -11,12 +11,12 @@ z(r; f, J-1, s) * z(r; f, J+1, s); its exact ratios across diagram edges
 reproduce the determinant-quotient matrix entry by entry.
 
 ``block2x2`` reconstructs the whole 2x2 block on a multiplicity-two summand
-as a rational coefficient matrix sharing the factor z(r; f+1, J, s).  The
-strict variant of the (2,2) coefficient drops a factor n(n-2) from its
-first term; the corrected coefficient is the default and the strict variant
-stays available behind ``strict_paper``.  The operator normalization pins
-the multiplicity-one block to -4i * z, under which the r = 1/2 block matches
-the first-order (exchanged Rarita-Schwinger) matrix entry by entry.
+as a rational coefficient matrix sharing the factor z(r; f+1, J, s).
+``Params.strict_paper`` selects, for a whole run, the strict variants of it
+and two other closed forms, which reproduce misprints: its (2,2)
+coefficient drops a factor n(n-2).  The operator normalization pins the
+multiplicity-one block to -4i * z, under which the r = 1/2 block matches the
+first-order (exchanged Rarita-Schwinger) matrix entry by entry.
 
 The divergence-part sphere eigenvalue L is never assumed: ``calibrate_L``
 solves the overdetermined system of multiplicity-one relations for it and
@@ -27,7 +27,7 @@ feeds are checked by the interface suite in ``verify``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
@@ -224,8 +224,7 @@ def mult1_quotient_matrix(params: Params, center: KType) -> QuotientMatrix:
     return QuotientMatrix(center, entries)
 
 
-def mult2_det_quotient_matrix(params: Params, center: KType,
-                              strict_paper: bool = False) -> QuotientMatrix:
+def mult2_det_quotient_matrix(params: Params, center: KType) -> QuotientMatrix:
     """Determinant quotients around a multiplicity-two center.
 
     Each entry is a product of two factors over a product of two factors;
@@ -233,7 +232,7 @@ def mult2_det_quotient_matrix(params: Params, center: KType,
     every entry is (Y_num^2 - 1)/(Y_den^2 - 1) on the linear pairs of
     :func:`_corner_pairs`.  The strict middle-right denominator carries
     xi*J where the gamma-product oracle demands eps*xi*J; the corrected
-    factor is the default and ``strict_paper`` restores the strict one.
+    factor is the default and ``params.strict_paper`` restores the strict one.
     """
     if center.multiplicity != 2:
         raise ValueError("mult2_det_quotient_matrix needs a multiplicity-2 center")
@@ -244,7 +243,7 @@ def mult2_det_quotient_matrix(params: Params, center: KType,
     for direction, nb in neighbors(center):
         y_num, y_den = raw[direction]
         num = y_num * y_num - 1
-        if strict_paper and direction == (1, 0):
+        if params.strict_paper and direction == (1, 0):
             den = (f + HALF - xi - r - s * J) * (f + HALF + xi - r - xi * J)
         else:
             den = y_den * y_den - 1
@@ -276,11 +275,11 @@ def _block_coeffs(n: int, r: Fraction, f: Fraction, Ja: Fraction, xi: int,
     return b11, b12, b21, b22
 
 
-def block_coefficients(params: Params, center: KType, strict_paper: bool = False
+def block_coefficients(params: Params, center: KType
                        ) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """The four rational coefficients (b11, b12, b21, b22) of the 2x2 block."""
     Ja = DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
-    coeffs = _block_coeffs(params.n, params.r, center.f, Ja, center.xi, strict_paper)
+    coeffs = _block_coeffs(params.n, params.r, center.f, Ja, center.xi, params.strict_paper)
     if isinstance(coeffs, str):
         raise SingularCoefficientError(coeffs, center)
     return coeffs
@@ -300,7 +299,7 @@ class Block:
     coefficients: Tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-def block2x2(params: Params, center: KType, strict_paper: bool = False) -> Block:
+def block2x2(params: Params, center: KType) -> Block:
     """The 2x2 block on a multiplicity-two K-type.
 
     The shared factor sits at circle weight f+1; the reading at weight f
@@ -308,7 +307,7 @@ def block2x2(params: Params, center: KType, strict_paper: bool = False) -> Block
     """
     if center.multiplicity != 2:
         raise ValueError("block2x2 needs a multiplicity-2 center")
-    coeffs = block_coefficients(params, center, strict_paper)
+    coeffs = block_coefficients(params, center)
     return Block(center, block_factor(params, center), coeffs)
 
 
@@ -322,18 +321,18 @@ def exchanged_rs_eigenvalue(params: Params, f: RationalLike, J: RationalLike,
     return rational(f) - xi_eps * rational(J)
 
 
-def first_order_block(params: Params, center: KType, strict_paper: bool = False
+def first_order_block(params: Params, center: KType
                       ) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
     """The first-order 2x2 block, divided by the common factor i.
 
     This is the independent target for the r = 1/2 degeneration of
     ``block2x2``.  The strict variant carries +s J inside the (1,1) entry where
     the mixed-multiplicity relations force -s J; corrected by default,
-    ``strict_paper`` restores it.
+    ``params.strict_paper`` restores it.
     """
     n, f, xi = params.n, center.f, center.xi
     J, s = spectral_args(params, center)
-    sign = 1 if strict_paper else -1
+    sign = 1 if params.strict_paper else -1
     e11 = -Fraction(n - 2, n) * (f + sign * Fraction(n + 1, n - 1) * s * J)
     e12 = -Fraction(2 * xi, n * (n - 1)) * (Fraction((n - 1) * (n - 2), 4)
                                             - Fraction(n - 2, n - 1) * J * J)
@@ -386,6 +385,7 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     overdetermined system has no solution, and :class:`EmptyWindowError` when
     the window holds nothing to solve.
     """
+    params = replace(params, strict_paper=False)   # always the corrected closed forms
     f_lo, f_hi, j_hi = rational(f_min), rational(f_max), rational(j_max)
     r = params.r
 
@@ -442,7 +442,7 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
                 if prev is not None and prev[0] != delta:
                     raise InconsistentSystemError(
                         "conflicting difference constraints for "
-                        f"{key[0]} - {key[1]}: {prev[0]} vs {delta}",
+                        f"{_class_name(key[0])} - {_class_name(key[1])}: {prev[0]} vs {delta}",
                         witness={"edge": _edge_witness(delta, center, nb),
                                  "previous": _edge_witness(*prev),
                                  "residual": format_rational(delta - prev[0])})
@@ -465,7 +465,7 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
                 frontier.append(b)
             elif have != want:
                 raise InconsistentSystemError(
-                    f"difference cycle through {b} does not close",
+                    f"difference cycle through {_class_name(b)} does not close",
                     witness={"node": [format_rational(b[0]), b[1]],
                              "residual": format_rational(want - have)})
     missing = [nd for nd in nodes if nd not in potential]
@@ -476,6 +476,10 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     shift, probe = _pin_constant(params, xi, fs, potential)
     table = LTable({nd: 2 * (pot + shift) for nd, pot in potential.items()})
     return CalibrationResult(table, n_edges, n_unconstraining, probe)
+
+
+def _class_name(node: Tuple[Fraction, int]) -> str:
+    return f"(j={format_rational(node[0])}, eps={node[1]:+d})"
 
 
 def _edge_witness(delta: Fraction, center: KType, nb: KType) -> dict:

@@ -183,12 +183,11 @@ def verify_mult1_quotients(params: Params, centers: Iterable[KType]) -> SuiteRep
         partial(mult1_quotient_matrix, params), partial(z_for, params), "z_ratio")
 
 
-def verify_mult2_quotients(params: Params, centers: Iterable[KType],
-                           strict_paper: bool = False) -> SuiteReport:
+def verify_mult2_quotients(params: Params, centers: Iterable[KType]) -> SuiteReport:
     """Determinant-quotient matrix vs exact eight-gamma product ratios."""
     return _walk_quotients(
         "mult2-quotients", 2, (c for c in centers if c.multiplicity == 2),
-        lambda c: mult2_det_quotient_matrix(params, c, strict_paper),
+        partial(mult2_det_quotient_matrix, params),
         partial(w_for, params), "product_ratio")
 
 
@@ -217,8 +216,7 @@ def _case2_residuals(coeffs_b, m1, m2, coeffs_a, rho: Fraction) -> Dict[str, str
     return residuals
 
 
-def verify_case2_relation(params: Params, centers: Iterable[KType],
-                          strict_paper: bool = False) -> SuiteReport:
+def verify_case2_relation(params: Params, centers: Iterable[KType]) -> SuiteReport:
     """Full 2x2 relation  B(neighbor) M1 = M2 B(center)  on every edge.
 
     Both blocks share their own gamma-quotient factor; dividing by the
@@ -231,7 +229,7 @@ def verify_case2_relation(params: Params, centers: Iterable[KType],
         if center.multiplicity != 2:
             continue
         try:
-            coeffs_a = block_coefficients(params, center, strict_paper)
+            coeffs_a = block_coefficients(params, center)
         except SingularCoefficientError as exc:
             for direction, nb in neighbors(center):
                 report.add(EdgeCheck(2, center, nb, direction, SKIP_SINGULAR,
@@ -246,7 +244,7 @@ def verify_case2_relation(params: Params, centers: Iterable[KType],
                                      detail="lambda(T*T) = 0 at target"))
                 continue
             try:
-                coeffs_b = block_coefficients(params, nb, strict_paper)
+                coeffs_b = block_coefficients(params, nb)
             except SingularCoefficientError as exc:
                 report.add(EdgeCheck(2, center, nb, direction, SKIP_SINGULAR,
                                      detail=f"neighbor block: {exc.which} = 0"))
@@ -272,7 +270,7 @@ def verify_case2_relation(params: Params, centers: Iterable[KType],
 
 
 def _check_case1_edge(params: Params, alpha: KType, beta: KType,
-                      l_table: LTable, strict_paper: bool) -> EdgeCheck:
+                      l_table: LTable) -> EdgeCheck:
     """Verdict of the four mixed-multiplicity equations on one edge.
 
     Each equation is scaled by rho, the ratio of beta's z to alpha's block
@@ -281,7 +279,7 @@ def _check_case1_edge(params: Params, alpha: KType, beta: KType,
     the two relation forms is reported as such.
     """
     try:
-        b11, b12, b21, b22 = block_coefficients(params, alpha, strict_paper)
+        b11, b12, b21, b22 = block_coefficients(params, alpha)
     except SingularCoefficientError as exc:
         return EdgeCheck(1, alpha, beta, None, SKIP_SINGULAR,
                          detail=f"block: {exc.which} = 0")
@@ -311,8 +309,8 @@ def _check_case1_edge(params: Params, alpha: KType, beta: KType,
                      detail=detail, quantities=quantities, residuals=residuals)
 
 
-def verify_interface(params: Params, centers: Iterable[KType], l_table: LTable,
-                     strict_paper: bool = False) -> SuiteReport:
+def verify_interface(params: Params, centers: Iterable[KType],
+                     l_table: LTable) -> SuiteReport:
     """Interface coherence between the multiplicity 1 and 2 parts.
 
     Per center: both mixed-multiplicity edges (f +- 1, under the -4i z
@@ -326,18 +324,16 @@ def verify_interface(params: Params, centers: Iterable[KType], l_table: LTable,
         for _, beta in case1_partners(center):
             if l_table.lvalue(beta) is None:
                 continue
-            report.add(_check_case1_edge(params, center, beta, l_table,
-                                         strict_paper))
-        square = interface_square(center)
-        report.add(_check_square(params, square, strict_paper))
+            report.add(_check_case1_edge(params, center, beta, l_table))
+        report.add(_check_square(params, interface_square(center)))
     return report
 
 
-def _check_square(params: Params, square, strict_paper: bool) -> EdgeCheck:
+def _check_square(params: Params, square) -> EdgeCheck:
     a1, a2 = square.alpha1, square.alpha2
     try:
-        ca = block_coefficients(params, a1, strict_paper)
-        cb = block_coefficients(params, a2, strict_paper)
+        ca = block_coefficients(params, a1)
+        cb = block_coefficients(params, a2)
     except SingularCoefficientError as exc:
         return EdgeCheck(2, a1, a2, Direction(1, 1), SKIP_SINGULAR,
                          detail=f"block: {exc.which} = 0")
@@ -398,7 +394,7 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> di
 
 def run_all_suites(params: Params, centers_mult1: Sequence[KType],
                    centers_mult2: Sequence[KType], xi_values: Sequence[int],
-                   f_min, f_max, j_max, strict_paper: bool = False):
+                   f_min, f_max, j_max):
     """Drive all four suites plus calibration; returns (reports, calibrations).
 
     A calibration whose window holds nothing to solve maps its xi to the
@@ -408,10 +404,8 @@ def run_all_suites(params: Params, centers_mult1: Sequence[KType],
     """
     reports: Dict[str, SuiteReport] = {}
     reports["mult1-quotients"] = verify_mult1_quotients(params, centers_mult1)
-    reports["mult2-quotients"] = verify_mult2_quotients(
-        params, centers_mult2, strict_paper)
-    reports["case2-relation"] = verify_case2_relation(
-        params, centers_mult2, strict_paper)
+    reports["mult2-quotients"] = verify_mult2_quotients(params, centers_mult2)
+    reports["case2-relation"] = verify_case2_relation(params, centers_mult2)
     calibrations: Dict[int, Union[CalibrationResult, EmptyWindowError]] = {}
     interface = SuiteReport("interface")
     for xi in sorted(set(xi_values)):
@@ -421,9 +415,8 @@ def run_all_suites(params: Params, centers_mult1: Sequence[KType],
             calibrations[xi] = exc
             continue
         calibrations[xi] = result
-        sub = verify_interface(params,
-                               [c for c in centers_mult2 if c.xi == xi],
-                               result.table, strict_paper)
+        sub = verify_interface(params, [c for c in centers_mult2 if c.xi == xi],
+                               result.table)
         interface.checks.extend(sub.checks)
     reports["interface"] = interface
     return reports, calibrations

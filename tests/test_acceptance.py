@@ -115,9 +115,8 @@ def test_mult2_determinant_coherence():
     strict_fails = 0
     for n in NS:
         for r in RS:
-            params = Params(n, r)
-            report = verify_mult2_quotients(params, centers(params, 0),
-                                            strict_paper=True)
+            params = Params(n, r, strict_paper=True)
+            report = verify_mult2_quotients(params, centers(params, 0))
             for check in report.checks:
                 if check.verdict == FAIL:
                     strict_fails += 1

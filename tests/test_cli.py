@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from twistor_spectra import faults
 from twistor_spectra.cli import main
 
 REGION = ["--f-min=-3/2", "--f-max", "3/2", "--j-max", "5/2"]
@@ -15,6 +16,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def csv_rows(capsys, *argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    return list(csv.DictReader(io.StringIO(out)))
 
 
 class TestSpectrum:
@@ -280,7 +287,43 @@ class TestBlockAndCalibrate:
         assert captured.out == ""
         assert captured.err.startswith("empty calibration window")
 
+    def test_calibrate_conflict_names_the_classes(self, capsys):
+        # a shifted Dirac convention makes two edges disagree on one class pair
+        with faults.inject("DIRAC"):
+            code = main(["calibrate", "--n=4", "--r=1", "--f-min=-3/2",
+                         "--f-max=3/2", "--j-max=7/2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("inconsistent: conflicting difference "
+                                       "constraints for (j=3/2, eps=+1)")
+        assert "Fraction(" not in captured.err
+
     def test_calibrate_rejects_unread_flags(self):
         with pytest.raises(SystemExit) as err:
             main(["calibrate", "--n", "4", "--strict-paper"])
         assert err.value.code == 2
+
+
+class TestStrictPaperFlag:
+    """``--strict-paper`` reaches the closed forms through the CLI's Params."""
+
+    def test_block_changes_only_the_misprinted_rows(self, capsys):
+        argv = ("block", "--n", "6", "--r", "1/2", "--f", "1/2", "--j", "3/2",
+                "--eps", "1", "--format", "csv")
+        rows = {r["quantity"]: r["value"] for r in csv_rows(capsys, *argv)}
+        strict = {r["quantity"]: r["value"]
+                  for r in csv_rows(capsys, *argv, "--strict-paper")}
+        assert rows.keys() == strict.keys()
+        changed = {k: (rows[k], strict[k]) for k in rows if rows[k] != strict[k]}
+        assert changed == {"b22": ("4/5", "79/70"),
+                           "order_one_block(1,1)/i": ("44/15", "-18/5")}
+
+    def test_neighbors_changes_only_the_middle_right_entry(self, capsys):
+        argv = ("neighbors", "--n", "4", "--r", "1", "--f", "3/2", "--j", "3/2",
+                "--q", "0", "--eps", "-1", "--format", "csv")
+        rows = csv_rows(capsys, *argv)
+        strict = csv_rows(capsys, *argv, "--strict-paper")
+        assert [r["dj"] for r in rows] == [r["dj"] for r in strict] == ["+1", "+0", "-1"]
+        changed = [(r["dj"], k, r[k].split()[0], s[k].split()[0])
+                   for r, s in zip(rows, strict) for k in r if r[k] != s[k]]
+        assert changed == [("+0", "df=+1", "-1/15", "3/5")]

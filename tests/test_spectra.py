@@ -175,7 +175,7 @@ class TestMult2DetQuotientMatrix:
         for eps in (1, -1):
             kt = make_ktype(params, 1, Q(3, 2), Q(3, 2), 0, eps)
             default = mult2_det_quotient_matrix(params, kt)
-            strict = mult2_det_quotient_matrix(params, kt, strict_paper=True)
+            strict = mult2_det_quotient_matrix(Params(4, Q(1), strict_paper=True), kt)
             for d in default.entries:
                 same = (strict.entries[d].num == default.entries[d].num
                         and strict.entries[d].den == default.entries[d].den)
@@ -209,10 +209,11 @@ class TestBlock2x2:
         params = Params(6, Q(1, 2))
         kt = make_ktype(params, 1, Q(1, 2), Q(3, 2), 0, 1)   # J = 7/2
         good = block_coefficients(params, kt)
-        strict = block_coefficients(params, kt, strict_paper=True)
+        strict_params = Params(6, Q(1, 2), strict_paper=True)
+        strict = block_coefficients(strict_params, kt)
         assert good[3] != strict[3] and good[:3] == strict[:3]
         want = first_order_block(params, kt)
-        strict_first = first_order_block(params, kt, strict_paper=True)
+        strict_first = first_order_block(strict_params, kt)
         assert want[0][0] != strict_first[0][0]
         z_half = closed_form_half(kt.f + 1, Q(7, 2), 1)
         assert good[3] * Q(-4) * z_half == want[1][1]
@@ -329,6 +330,17 @@ class TestCalibration:
         assert result.probe is None
         assert {"kind": "unpinned-constant"} in result.issues
         assert not result.consistent
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_the_variant_does_not_reach_the_solve(self, n):
+        # calibration always solves with the corrected closed forms
+        for xi in (1, -1):
+            results = [calibrate_L(Params(n, Q(3, 2), strict_paper=strict), xi,
+                                   Q(-3, 2), Q(3, 2), Q(7, 2))
+                       for strict in (False, True)]
+            got = [(r.table.items(), r.difference_edges, r.unconstraining_edges,
+                    r.probe) for r in results]
+            assert results[0].consistent and got[0] == got[1]
 
     def test_unconstraining_edge_needs_a_vanishing_bracket(self, monkeypatch):
         # a z-ratio of -1 leaves P- = -P+, which holds iff the bracket is 0

@@ -64,9 +64,8 @@ class TestMult2Suite:
             assert report.ok and report.counts[PASS] > 100
 
     def test_strict_fails_exactly_middle_right(self):
-        params = Params(4, Q(1))
-        report = verify_mult2_quotients(params, region(params, 0),
-                                        strict_paper=True)
+        params = Params(4, Q(1), strict_paper=True)
+        report = verify_mult2_quotients(params, region(params, 0))
         fails = [c for c in report.checks if c.verdict == FAIL]
         assert fails
         assert {(c.direction.df, c.direction.dj) for c in fails} == {(1, 0)}
@@ -228,6 +227,15 @@ class TestDrivers:
         assert outcome["resolved"] == "f+1"
         assert outcome["checked"] > 0 and outcome["f"] == 0
         assert outcome["f+1"] == outcome["checked"]
+
+    def test_factor_reading_ignores_the_variant(self):
+        # the reading is adjudicated against the corrected order-one block
+        for n in (4, 6):
+            params = Params(n, Q(3, 2))
+            strict = Params(n, Q(3, 2), strict_paper=True)
+            outcome = resolve_block_factor_reading(params, region(params, 0))
+            assert outcome["checked"] > 0
+            assert resolve_block_factor_reading(strict, region(strict, 0)) == outcome
 
     def test_report_json_shape(self):
         params = Params(4, Q(1, 2))
