@@ -147,6 +147,10 @@ class ReducedValue:
     value: Fraction = Fraction(0)
     order: int = 0
 
+    def render(self) -> str:
+        """``p/q`` for a finite value, else ``0`` or ``POLE``."""
+        return "POLE" if self.kind == "pole" else format_rational(self.value)
+
 
 def _reduce_classes(classes: dict) -> Tuple[int, Fraction]:
     """Collapse per-class gamma factor lists to (vanishing order, value).

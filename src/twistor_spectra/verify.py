@@ -45,6 +45,8 @@ INDETERMINATE = "indeterminate"
 SKIP_DEGENERATE = "skipped-degenerate"
 SKIP_SINGULAR = "skipped-singular"
 SKIP_POLE = "skipped-pole"
+_SAME_KIND = {"finite": PASS, "pole": POLE, "zero": ZERO}
+_SKIPPED = (SingularCoefficientError, DegenerateTargetError)   # _skip maps each to a verdict
 
 # conventions the verdicts certify; recorded in every report header
 CONVENTION = {
@@ -128,32 +130,22 @@ class SuiteReport:
 
 
 def _compare_entry(entry, tagged: ReducedValue) -> Tuple[str, Dict[str, str]]:
-    """Verdict for closed-form entry vs gamma-quotient ratio."""
+    """Verdict for closed-form entry vs gamma-quotient ratio: equal kinds and values agree."""
     kind = entry.kind
     if kind == "indeterminate":
         return INDETERMINATE, {}
-    if kind == "pole":
-        if tagged.kind == "pole":
-            return POLE, {}
-        return FAIL, {"expected": "POLE", "got": _render_tagged(tagged)}
-    if kind == "zero":
-        if tagged.kind == "zero":
-            return ZERO, {}
-        return FAIL, {"expected": "0", "got": _render_tagged(tagged)}
-    if tagged.kind != "finite":
-        return FAIL, {"expected": format_rational(entry.value),
-                      "got": _render_tagged(tagged)}
-    if tagged.value == entry.value:
-        return PASS, {}
-    return FAIL, {"residual": format_rational(tagged.value - entry.value),
-                  "expected": format_rational(entry.value),
-                  "got": format_rational(tagged.value)}
+    if kind == tagged.kind and (kind != "finite" or entry.value == tagged.value):
+        return _SAME_KIND[kind], {}
+    residuals = ({"residual": format_rational(tagged.value - entry.value)}
+                 if kind == tagged.kind else {})     # both finite
+    return FAIL, dict(residuals, expected=entry.render(), got=tagged.render())
 
 
-def _render_tagged(t: ReducedValue) -> str:
-    if t.kind == "finite":
-        return format_rational(t.value)
-    return "POLE" if t.kind == "pole" else "0"
+def _skip(exc: ArithmeticError, role: str) -> Tuple[str, str]:
+    """(verdict, detail) for an edge whose data raised; ``role`` names the singular block."""
+    if isinstance(exc, DegenerateTargetError):
+        return SKIP_DEGENERATE, "lambda(T*T) = 0 at target"
+    return SKIP_SINGULAR, f"{role}: {exc.which} = 0"
 
 
 def _walk_quotients(suite: str, case: int, centers: Iterable[KType],
@@ -170,7 +162,7 @@ def _walk_quotients(suite: str, case: int, centers: Iterable[KType],
             verdict, residuals = _compare_entry(entry, tagged)
             quantities = None
             if verdict not in (PASS, POLE, ZERO):
-                quantities = {"entry": entry.render(), key: _render_tagged(tagged)}
+                quantities = {"entry": entry.render(), key: tagged.render()}
             report.add(EdgeCheck(case, center, entry.neighbor, entry.direction, verdict,
                                  quantities=quantities, residuals=residuals or None))
     return report
@@ -230,24 +222,18 @@ def verify_case2_relation(params: Params, centers: Iterable[KType]) -> SuiteRepo
             continue
         try:
             coeffs_a = block_coefficients(params, center)
-        except SingularCoefficientError as exc:
+        except _SKIPPED as exc:
+            skip = _skip(exc, "center block")
             for direction, nb in neighbors(center):
-                report.add(EdgeCheck(2, center, nb, direction, SKIP_SINGULAR,
-                                     detail=f"center block: {exc.which} = 0"))
+                report.add(EdgeCheck(2, center, nb, direction, *skip))
             continue
         z_a = block_factor(params, center)
         for direction, nb in neighbors(center):
-            try:
+            try:    # a degenerate target wins over a singular neighbor
                 data = case2_data(params, center, nb)
-            except DegenerateTargetError:
-                report.add(EdgeCheck(2, center, nb, direction, SKIP_DEGENERATE,
-                                     detail="lambda(T*T) = 0 at target"))
-                continue
-            try:
                 coeffs_b = block_coefficients(params, nb)
-            except SingularCoefficientError as exc:
-                report.add(EdgeCheck(2, center, nb, direction, SKIP_SINGULAR,
-                                     detail=f"neighbor block: {exc.which} = 0"))
+            except _SKIPPED as exc:
+                report.add(EdgeCheck(2, center, nb, direction, *_skip(exc, "neighbor block")))
                 continue
             rho = ratio_tagged(block_factor(params, nb), z_a)
             if rho.kind != "finite":
@@ -278,16 +264,15 @@ def _check_case1_edge(params: Params, alpha: KType, beta: KType,
     forms are tracked separately so a candidate table satisfying only one of
     the two relation forms is reported as such.
     """
+    edge = partial(EdgeCheck, 1, alpha, beta, None)
     try:
         b11, b12, b21, b22 = block_coefficients(params, alpha)
-    except SingularCoefficientError as exc:
-        return EdgeCheck(1, alpha, beta, None, SKIP_SINGULAR,
-                         detail=f"block: {exc.which} = 0")
+    except _SKIPPED as exc:
+        return edge(*_skip(exc, "block"))
     data = case1_data(params, alpha, beta, l_table)
     rho = ratio_tagged(z_for(params, beta), block_factor(params, alpha))
     if rho.kind != "finite":
-        return EdgeCheck(1, alpha, beta, None, SKIP_POLE,
-                         detail=f"scalar-to-block factor ratio is {rho.kind}")
+        return edge(SKIP_POLE, f"scalar-to-block factor ratio is {rho.kind}")
     p = rho.value
     eqs = {
         "column.1": b11 * data.a1 + b12 * data.e_minus + data.a1 * p,
@@ -305,8 +290,7 @@ def _check_case1_edge(params: Params, alpha: KType, beta: KType,
     quantities = {"a1": format_rational(data.a1), "a2": format_rational(data.a2),
                   "e_minus": format_rational(data.e_minus),
                   "e_plus": format_rational(data.e_plus)}
-    return EdgeCheck(1, alpha, beta, None, FAIL if residuals else PASS,
-                     detail=detail, quantities=quantities, residuals=residuals)
+    return edge(FAIL if residuals else PASS, detail, quantities, residuals)
 
 
 def verify_interface(params: Params, centers: Iterable[KType],
@@ -331,34 +315,27 @@ def verify_interface(params: Params, centers: Iterable[KType],
 
 def _check_square(params: Params, square) -> EdgeCheck:
     a1, a2 = square.alpha1, square.alpha2
+    edge = partial(EdgeCheck, 2, a1, a2, Direction(1, 1))
     try:
         ca = block_coefficients(params, a1)
         cb = block_coefficients(params, a2)
-    except SingularCoefficientError as exc:
-        return EdgeCheck(2, a1, a2, Direction(1, 1), SKIP_SINGULAR,
-                         detail=f"block: {exc.which} = 0")
-    try:
         data = case2_data(params, a1, a2)
-    except DegenerateTargetError:
-        return EdgeCheck(2, a1, a2, Direction(1, 1), SKIP_DEGENERATE,
-                         detail="lambda(T*T) = 0 at target")
+    except _SKIPPED as exc:
+        return edge(*_skip(exc, "block"))
     det_m1, det_m2 = data.det_m1(), data.det_m2()
     if det_m1 == 0:
-        return EdgeCheck(2, a1, a2, Direction(1, 1), SKIP_DEGENERATE,
-                         detail="det M1 = 0: propagation is vacuous")
+        return edge(SKIP_DEGENERATE, "det M1 = 0: propagation is vacuous")
     rho = ratio_tagged(block_factor(params, a2), block_factor(params, a1))
     if rho.kind != "finite":
-        return EdgeCheck(2, a1, a2, Direction(1, 1), SKIP_POLE,
-                         detail=f"shared-factor ratio is {rho.kind}")
+        return edge(SKIP_POLE, f"shared-factor ratio is {rho.kind}")
     det_a = ca[0] * ca[3] - ca[1] * ca[2]
     det_b = cb[0] * cb[3] - cb[1] * cb[2]
     lhs = det_b * rho.value ** 2
     rhs = det_m2 / det_m1 * det_a
     quantities = {"det_m_ratio": format_rational(det_m2 / det_m1)}
     if lhs == rhs:
-        return EdgeCheck(2, a1, a2, Direction(1, 1), PASS, quantities=quantities)
-    return EdgeCheck(2, a1, a2, Direction(1, 1), FAIL, quantities=quantities,
-                     residuals={"det": format_rational(lhs - rhs)})
+        return edge(PASS, quantities=quantities)
+    return edge(FAIL, quantities=quantities, residuals={"det": format_rational(lhs - rhs)})
 
 
 def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> dict:

@@ -2,7 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,16 @@ from twistor_spectra import faults
 from twistor_spectra.cli import main
 
 REGION = ["--f-min=-3/2", "--f-max", "3/2", "--j-max", "5/2"]
+
+# sha256 of verify's stdout on REGION, per argv of test_report_bytes_are_pinned
+VERIFY_STDOUT_SHA256 = {
+    ("--n", "4", "--r", "1"):
+        "a6964d8b1c2bf51945a574f6b95e234f1caf57128359fc117a87462eecef6ab9",
+    ("--n", "6", "--r", "3/2", "--strict-paper"):
+        "5e3221e58e4dc66be5337ba97a98286b73171c2bf818c7b89149cd6c85d8c82c",
+    ("--n", "4", "--r", "5/2"):
+        "b1aedc511f7ce6a5cb5e70bd85eb206140317e649753173080194fa5e96258d4",
+}
 
 
 def run(capsys, *argv):
@@ -83,15 +97,16 @@ class TestSpectrum:
 
 class TestUsageErrors:
     def test_odd_dimension_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["verify", "--n", "5"])
-        assert err.value.code == 2
-        assert "n must be even and >= 4" in capsys.readouterr().err
+        assert main(["verify", "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "n must be even and >= 4\n"
 
-    def test_bad_rational_exits_2(self):
-        with pytest.raises(SystemExit) as err:
-            main(["spectrum", "--n", "4", "--r", "x/y"])
-        assert err.value.code == 2
+    def test_bad_rational_exits_2(self, capsys):
+        assert main(["spectrum", "--n", "4", "--r", "x/y"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "bad configuration: --r x/y: not a rational number\n"
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -122,10 +137,7 @@ class TestUsageErrors:
         (["spectrum", "--r", "1/0"], "bad configuration: --r 1/0: "),
     ])
     def test_zero_denominator_names_the_flag(self, capsys, argv, message):
-        try:
-            code = main(argv)
-        except SystemExit as exit_:
-            code = exit_.code
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -136,13 +148,28 @@ class TestUsageErrors:
         ("spectrum", "--n", "4"),
     ])
     def test_unwritable_out_exits_2_before_any_work(self, capsys, tmp_path, command):
-        target = tmp_path / "missing" / "x.out"
-        code = main([*command, "--out", str(target)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == f"bad output: --out {target}: no such directory\n"
-        assert not target.parent.exists()
+        # an empty path would otherwise drop the verify report or go to stdout
+        for target, reason in ((tmp_path / "missing" / "x.out", "no such directory"),
+                               ("", "empty path")):
+            code = main([*command, "--out", str(target)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"bad output: --out {target}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (("verify", "--n", "5"), 2, "n must be even and >= 4\n"),
+        (("verify", "--n", "4", "--r", "1", "--f-min=-1/2", "--f-max=1/2",
+          "--j-max=3/2"), 0, ""),
+    ])
+    def test_module_entry_point_exits_with_main_code(self, argv, code, err):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "twistor_spectra.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == code
+        assert done.stderr == err
 
 
 class TestVerify:
@@ -178,14 +205,20 @@ class TestVerify:
          "fdba010d31652aca99507fc3e23b7715fd25732eca713db15f669921e5c59c92"),
         (("--n", "6", "--r", "3/2", "--strict-paper"), 1,
          "dcfbee142254ddf98fae5cf3aaaa018c761366971d7b506253e5d9013c0f4b6f"),
+        # every skip detail: singular center, neighbor and interface blocks,
+        # a degenerate target, det M1 = 0 and both non-finite factor ratios
+        (("--n", "4", "--r", "5/2"), 0,
+         "e6a4f4b2c5d2cf8e247f52b6ce6739620262dbef23cd95a9c84922d66753fced"),
     ])
     def test_report_bytes_are_pinned(self, capsys, tmp_path, argv, code, digest):
         # the whole report byte for byte: any change to a verdict, residual
-        # or report field changes the digest
+        # or report field changes the digest; stdout carries the first
+        # failing edge's residuals in their report order
         out_path = tmp_path / "report.json"
-        got, _ = run(capsys, "verify", *argv, *REGION, "--out", str(out_path))
+        got, out = run(capsys, "verify", *argv, *REGION, "--out", str(out_path))
         assert got == code
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[argv]
 
     def test_singular_half_order_blocks_leave_the_reading_unresolved(self, capsys):
         # the one multiplicity-two center has C4 = 0 at r = 1/2

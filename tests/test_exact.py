@@ -64,6 +64,11 @@ class TestRatio:
         tagged = ratio_tagged(G(0) * G(-1), G(1) * G(2))
         assert tagged.kind == "pole" and tagged.order == 2
 
+    def test_render_has_one_form_per_kind(self):
+        assert ratio_tagged(G("7/2"), G("1/2")).render() == "15/8"
+        assert ratio_tagged(G(1), G(0)).render() == "0"
+        assert ratio_tagged(G(0), G(1)).render() == "POLE"
+
     def test_non_integer_spacing_rejected(self):
         with pytest.raises(NonCommensurableError):
             ratio_tagged(G("1/3"), G("1/2"))
