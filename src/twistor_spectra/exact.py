@@ -11,6 +11,11 @@ function numerically.  No complex number appears: the spectral values are
 real gamma quotients times a fixed power of i, and the library records that
 power as a convention, not as a value.
 
+:func:`ratio_tagged` is the reference for ``spectra.z_product``, which the
+suites use.  Both tag alike however arguments group into classes: the order is
+minus the total exponent at non-positive integers, and a finite value is the
+limit with every argument shifted by one small amount.
+
 Arguments at non-positive integers are tracked as formal pole/zero flags,
 and a reduction reports a net uncancelled pole or zero as its kind instead of
 raising.  The values here are immutable, but the library is not safe for

@@ -10,6 +10,10 @@ eight-gamma product ``mult2_gamma_product``, w(r; f, J, s) =
 z(r; f, J-1, s) * z(r; f, J+1, s); its exact ratios across diagram edges
 reproduce the determinant-quotient matrix entry by entry.
 
+The suites reduce such ratios with ``z_product``, from the quotients' gamma
+arguments (``_z_gammas``) and never from the closed forms' ``_corner_pairs``:
+each pattern is telescoped once over (f, J, r) and evaluated on integers.
+
 ``block2x2`` reconstructs the whole 2x2 block on a multiplicity-two summand
 as a rational coefficient matrix sharing the factor z(r; f+1, J, s).
 ``Params.strict_paper`` selects, for a whole run, the strict variants of it
@@ -30,11 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple, Union
+from math import lcm
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import faults
-from .exact import (GammaQuotient, RationalLike, format_rational, ratio_tagged,
-                    rational)
+from .exact import (GammaQuotient, NonCommensurableError, RationalLike,
+                    ReducedValue, format_rational, rational)
 from .ktypes import (DEFAULT_EIGENVALUES, HALF, Direction, KType, LTable,
                      Params, f_points, neighbors, spectral_args)
 from .operators import case1_mid, case3_mid, d_block
@@ -46,8 +51,10 @@ __all__ = [
     "CalibrationResult",
     "z_value",
     "z_for",
-    "block_factor",
     "mult2_gamma_product",
+    "z_terms",
+    "w_terms",
+    "z_product",
     "mult1_quotient_matrix",
     "mult2_det_quotient_matrix",
     "block2x2",
@@ -82,12 +89,19 @@ class EmptyWindowError(InconsistentSystemError):
     """The calibration window holds no (j, eps) class or no circle weight."""
 
 
+def _z_gammas(s: int):
+    """(s/2, args): z(r; f, J, s) = s/2 prod Gamma((A f + B J + C r + K)/4)**e over args."""
+    return Fraction(s, 2), ((2, 2, 2, 2 - s, 1), (-2, 2, 2, 2 + s, 1),
+                            (2, 2, -2, 2 + s, -1), (-2, 2, -2, 2 - s, -1))
+
+
 @lru_cache(maxsize=None)
 def _z_cached(r: Fraction, f: Fraction, J: Fraction, s: int) -> GammaQuotient:
-    sh = Fraction(s, 2)
-    num = [HALF * (f + J + 1 + r - sh), HALF * (-f + J + 1 + r + sh)]
-    den = [HALF * (f + J + 1 - r + sh), HALF * (-f + J + 1 - r - sh)]
-    return GammaQuotient.from_args(num, den, prefactor=sh)
+    d = lcm(f.denominator, J.denominator, r.denominator)
+    x, y, z = (v.numerator * (d // v.denominator) for v in (f, J, r))
+    prefactor, args = _z_gammas(s)
+    return GammaQuotient(prefactor, [(Fraction(A * x + B * y + C * z + K * d, 4 * d), e)
+                                     for A, B, C, K, e in args])
 
 
 def z_value(params: Params, f: RationalLike, J: RationalLike, xi_eps: int) -> GammaQuotient:
@@ -108,12 +122,6 @@ def z_for(params: Params, ktype: KType) -> GammaQuotient:
     return _z_cached(params.r, ktype.f, J, s)
 
 
-def block_factor(params: Params, center: KType) -> GammaQuotient:
-    """The 2x2 block's shared factor z(r; f+1, J, s) at a multiplicity-two label."""
-    J, s = spectral_args(params, center)
-    return _z_cached(params.r, center.f + 1, J, s)
-
-
 @lru_cache(maxsize=None)
 def _w_cached(r: Fraction, f: Fraction, J: Fraction, s: int) -> GammaQuotient:
     return _z_cached(r, f, J - 1, s) * _z_cached(r, f, J + 1, s)
@@ -131,9 +139,77 @@ def mult2_gamma_product(params: Params, f: RationalLike, J: RationalLike,
     return _w_cached(params.r, rational(f), rational(J), xi_eps)
 
 
-def w_for(params: Params, ktype: KType) -> GammaQuotient:
+def z_terms(params: Params, ktype: KType, e: int, block: bool = False) -> tuple:
+    """z at a label as (f, J, s, e) terms; ``block``: the block's shared factor z(r; f+1, J, s)."""
     J, s = spectral_args(params, ktype)
-    return _w_cached(params.r, ktype.f, J, s)
+    return ((ktype.f + 1 if block else ktype.f, J, s, e),)
+
+
+def w_terms(params: Params, ktype: KType, e: int) -> tuple:
+    """The eight-gamma product z(r; f, J-1, s) z(r; f, J+1, s) as :func:`z_product` terms."""
+    J, s = spectral_args(params, ktype)
+    return ((ktype.f, J - 1, s, e), (ktype.f, J + 1, s, e))
+
+
+@lru_cache(maxsize=None)
+def _ratio_template(lcd: int, pattern: tuple) -> tuple:
+    """prod z(r; f0 + dF/lcd, J0 + dJ/lcd, s)**e over a pattern's (dF, dJ, s, e), in (f0, J0, r).
+
+    (A, B, C, K) stands for the argument (A f0 + B J0 + C r)/4 + K/(4 lcd).
+    Those with equal (A, B, C) and constants an integer apart form a class,
+    telescoped to its least constant as ``exact._reduce_classes`` does with
+    numbers.  The value is num/den times prod (A x + B y + C z + K w)**e over
+    the factors, with (x, y, z, w) = (f0 lcd, J0 lcd, r lcd, 1) * r.denominator.
+    """
+    prefactor = Fraction(1)
+    step = 4 * lcd                  # 1 in units of K
+    classes: Dict[tuple, list] = {}
+    for dF, dJ, s, e in pattern:
+        pre, args = _z_gammas(s)
+        prefactor *= pre ** e
+        for A, B, C, K, sign in args:
+            K = K * lcd + A * dF + B * dJ
+            classes.setdefault((A, B, C, K % step), []).append((K, sign * e))
+    chain: Dict[tuple, int] = {}
+    for (A, B, C, _), items in classes.items():
+        if sum(e for _, e in items):
+            raise NonCommensurableError("a gamma class of the pattern does not balance")
+        k0 = min(K for K, _ in items)
+        for K, e in items:
+            for k in range(k0, K, step):
+                chain[A, B, C, k] = chain.get((A, B, C, k), 0) + e
+    # each form is over step * w; a finite value's zero factors have exponents summing to 0
+    factors = [(*form, e) for form, e in chain.items() if e]
+    factors.append((0, 0, 0, step, -sum(chain.values())))
+    return tuple(factors), prefactor.numerator, prefactor.denominator
+
+
+def z_product(r: Fraction, terms: Sequence[tuple]) -> ReducedValue:
+    """prod z(r; f, J, s)**e over ``terms`` of (f, J, s, e), tagged as by ``exact.ratio_tagged``.
+
+    The terms' pattern (offsets from the first, each s and e) is telescoped
+    once, and its forms are taken on integers; a factor that is 0 adds its
+    exponent to the vanishing order, as in ``_reduce_classes``.
+    """
+    lcd = lcm(*[x.denominator for f, J, _, _ in terms for x in (f, J)])
+    ints = [(f.numerator * (lcd // f.denominator), J.numerator * (lcd // J.denominator), s, e)
+            for f, J, s, e in terms]
+    F0, J0 = ints[0][0], ints[0][1]
+    factors, num, den = _ratio_template(lcd, tuple([(F - F0, J - J0, s, e) for F, J, s, e in ints]))
+    w = r.denominator
+    x, y, z = F0 * w, J0 * w, r.numerator * lcd
+    order = 0
+    for A, B, C, K, e in factors:
+        v = A * x + B * y + C * z + K * w
+        if v == 0:
+            order += e
+        elif e > 0:
+            num *= v ** e
+        else:
+            den *= v ** -e
+    if order:
+        return ReducedValue("zero" if order > 0 else "pole", Fraction(0), abs(order))
+    return ReducedValue("finite", Fraction(num, den))
 
 
 @dataclass(frozen=True)
@@ -308,7 +384,8 @@ def block2x2(params: Params, center: KType) -> Block:
     if center.multiplicity != 2:
         raise ValueError("block2x2 needs a multiplicity-2 center")
     coeffs = block_coefficients(params, center)
-    return Block(center, block_factor(params, center), coeffs)
+    f, J, s, _ = z_terms(params, center, 1, block=True)[0]
+    return Block(center, _z_cached(params.r, f, J, s), coeffs)
 
 
 def exchanged_rs_eigenvalue(params: Params, f: RationalLike, J: RationalLike,
@@ -414,10 +491,11 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     for (j, eps) in nodes:
         for f in fs:
             center = KType(xi, f, j, 1, eps)
+            at_center = z_terms(params, center, -1)
             for _, nb in neighbors(center):
                 if (nb.j, nb.eps) not in node_set:
                     continue
-                zr = ratio_tagged(z_for(params, nb), z_for(params, center))
+                zr = z_product(r, z_terms(params, nb, 1) + at_center)
                 mid = case3_mid(params, center, nb)
                 xd = xi * (center.f - nb.f)
                 if zr.kind == "finite":

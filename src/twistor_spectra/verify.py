@@ -17,15 +17,15 @@ from functools import partial
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
-from .exact import GammaQuotient, ReducedValue, format_rational, ratio_tagged
+from .exact import ReducedValue, format_rational
 from .ktypes import (Direction, KType, LTable, Params, case1_partners,
                      interface_square, neighbors, spectral_args)
 from .operators import DegenerateTargetError, case1_data, case2_data
 from .spectra import (CalibrationResult, EmptyWindowError, QuotientMatrix,
                       SingularCoefficientError, block_coefficients,
-                      block_factor, calibrate_L, exchanged_rs_eigenvalue,
+                      calibrate_L, exchanged_rs_eigenvalue,
                       first_order_block, mult1_quotient_matrix,
-                      mult2_det_quotient_matrix, w_for, z_for)
+                      mult2_det_quotient_matrix, w_terms, z_product, z_terms)
 
 __all__ = [
     "PASS", "FAIL", "POLE", "ZERO", "INDETERMINATE",
@@ -148,17 +148,16 @@ def _skip(exc: ArithmeticError, role: str) -> Tuple[str, str]:
     return SKIP_SINGULAR, f"{role}: {exc.which} = 0"
 
 
-def _walk_quotients(suite: str, case: int, centers: Iterable[KType],
-                    matrix_of: Callable[[KType], QuotientMatrix],
-                    oracle: Callable[[KType], GammaQuotient],
-                    key: str) -> SuiteReport:
+def _walk_quotients(suite: str, case: int, params: Params, centers: Iterable[KType],
+                    matrix_of: Callable[[Params, KType], QuotientMatrix],
+                    terms_of: Callable[[Params, KType, int], tuple], key: str) -> SuiteReport:
     """Each matrix entry vs the oracle's exact neighbor/center ratio, kept under ``key``."""
     report = SuiteReport(suite)
     for center in centers:
-        matrix = matrix_of(center)
-        at_center = oracle(center)
+        matrix = matrix_of(params, center)
+        at_center = terms_of(params, center, -1)
         for entry in matrix.entries.values():
-            tagged = ratio_tagged(oracle(entry.neighbor), at_center)
+            tagged = z_product(params.r, terms_of(params, entry.neighbor, 1) + at_center)
             verdict, residuals = _compare_entry(entry, tagged)
             quantities = None
             if verdict not in (PASS, POLE, ZERO):
@@ -171,16 +170,15 @@ def _walk_quotients(suite: str, case: int, centers: Iterable[KType],
 def verify_mult1_quotients(params: Params, centers: Iterable[KType]) -> SuiteReport:
     """Eigenvalue-quotient matrix vs exact spectral-function ratios."""
     return _walk_quotients(
-        "mult1-quotients", 3, (c for c in centers if c.multiplicity == 1),
-        partial(mult1_quotient_matrix, params), partial(z_for, params), "z_ratio")
+        "mult1-quotients", 3, params, (c for c in centers if c.multiplicity == 1),
+        mult1_quotient_matrix, z_terms, "z_ratio")
 
 
 def verify_mult2_quotients(params: Params, centers: Iterable[KType]) -> SuiteReport:
     """Determinant-quotient matrix vs exact eight-gamma product ratios."""
     return _walk_quotients(
-        "mult2-quotients", 2, (c for c in centers if c.multiplicity == 2),
-        partial(mult2_det_quotient_matrix, params),
-        partial(w_for, params), "product_ratio")
+        "mult2-quotients", 2, params, (c for c in centers if c.multiplicity == 2),
+        mult2_det_quotient_matrix, w_terms, "product_ratio")
 
 
 def _case2_residuals(coeffs_b, m1, m2, coeffs_a, rho: Fraction) -> Dict[str, str]:
@@ -227,7 +225,7 @@ def verify_case2_relation(params: Params, centers: Iterable[KType]) -> SuiteRepo
             for direction, nb in neighbors(center):
                 report.add(EdgeCheck(2, center, nb, direction, *skip))
             continue
-        z_a = block_factor(params, center)
+        z_a = z_terms(params, center, -1, block=True)
         for direction, nb in neighbors(center):
             try:    # a degenerate target wins over a singular neighbor
                 data = case2_data(params, center, nb)
@@ -235,7 +233,7 @@ def verify_case2_relation(params: Params, centers: Iterable[KType]) -> SuiteRepo
             except _SKIPPED as exc:
                 report.add(EdgeCheck(2, center, nb, direction, *_skip(exc, "neighbor block")))
                 continue
-            rho = ratio_tagged(block_factor(params, nb), z_a)
+            rho = z_product(params.r, z_terms(params, nb, 1, block=True) + z_a)
             if rho.kind != "finite":
                 report.add(EdgeCheck(2, center, nb, direction, SKIP_POLE,
                                      detail=f"shared-factor ratio is {rho.kind}"))
@@ -270,7 +268,7 @@ def _check_case1_edge(params: Params, alpha: KType, beta: KType,
     except _SKIPPED as exc:
         return edge(*_skip(exc, "block"))
     data = case1_data(params, alpha, beta, l_table)
-    rho = ratio_tagged(z_for(params, beta), block_factor(params, alpha))
+    rho = z_product(params.r, z_terms(params, beta, 1) + z_terms(params, alpha, -1, block=True))
     if rho.kind != "finite":
         return edge(SKIP_POLE, f"scalar-to-block factor ratio is {rho.kind}")
     p = rho.value
@@ -325,7 +323,8 @@ def _check_square(params: Params, square) -> EdgeCheck:
     det_m1, det_m2 = data.det_m1(), data.det_m2()
     if det_m1 == 0:
         return edge(SKIP_DEGENERATE, "det M1 = 0: propagation is vacuous")
-    rho = ratio_tagged(block_factor(params, a2), block_factor(params, a1))
+    rho = z_product(params.r, z_terms(params, a2, 1, block=True)
+                    + z_terms(params, a1, -1, block=True))
     if rho.kind != "finite":
         return edge(SKIP_POLE, f"shared-factor ratio is {rho.kind}")
     det_a = ca[0] * ca[3] - ca[1] * ca[2]

@@ -23,6 +23,8 @@ VERIFY_STDOUT_SHA256 = {
         "5e3221e58e4dc66be5337ba97a98286b73171c2bf818c7b89149cd6c85d8c82c",
     ("--n", "4", "--r", "5/2"):
         "b1aedc511f7ce6a5cb5e70bd85eb206140317e649753173080194fa5e96258d4",
+    ("--n", "8", "--r=-3/2"):
+        "288502075567b3d886f41519d3337da5fae400bd1a6486ca1d9c4a694443a506",
 }
 
 
@@ -209,6 +211,10 @@ class TestVerify:
         # a degenerate target, det M1 = 0 and both non-finite factor ratios
         (("--n", "4", "--r", "5/2"), 0,
          "e6a4f4b2c5d2cf8e247f52b6ce6739620262dbef23cd95a9c84922d66753fced"),
+        # r off the grid and negative: pole and zero quotient verdicts and a
+        # skipped-pole case-2 edge
+        (("--n", "8", "--r=-3/2"), 0,
+         "a2fda4bcb409eb393beec4c5f3e6ece07da317ff629e99ccb902b81cc6af1673"),
     ])
     def test_report_bytes_are_pinned(self, capsys, tmp_path, argv, code, digest):
         # the whole report byte for byte: any change to a verdict, residual

@@ -104,6 +104,32 @@ class TestBochner:
         assert classify_pair(a, KType(1, Q(3, 2), Q(5, 2), 0, -1)) == "same-mult"
         assert classify_pair(a, KType(-1, Q(3, 2), Q(5, 2), 0, 1)) is None
 
+    def test_classify_pair_keeps_the_fraction_rule(self):
+        def fraction_rule(frm, to):
+            if frm.xi != to.xi or abs(frm.f - to.f) != 1:
+                return None
+            if frm.q == to.q:
+                return "same-mult" if to.j - frm.j in (1, 0, -1) else None
+            if frm.j == to.j and frm.eps == to.eps and frm.j >= Q(3, 2):
+                return "mixed"
+            return None
+
+        # raw labels, off the lattice too: both f lattices, j = 1 and
+        # q = 1 at j = 1/2, so a mixed pair below j = 3/2 occurs
+        labels = [KType(xi, f, j, q, eps) for xi in (1, -1)
+                  for f in (Q(-3, 2), Q(-1, 2), Q(0), Q(1, 2), Q(3, 2))
+                  for j in (Q(1, 2), Q(1), Q(3, 2), Q(5, 2))
+                  for q in (0, 1) for eps in (1, -1)]
+        for a in labels:
+            for b in labels:
+                assert classify_pair(a, b) == fraction_rule(a, b), (a, b)
+        a = KType(1, Q(-1, 2), Q(1, 2), 0, 1)
+        for b, want in ((KType(-1, Q(1, 2), Q(1, 2), 0, 1), None),       # xi mismatch
+                        (KType(1, Q(3, 2), Q(1, 2), 0, 1), None),        # |df| = 2
+                        (KType(1, Q(1, 2), Q(1, 2), 1, 1), None),        # mixed, j < 3/2
+                        (KType(1, Q(1, 2), Q(1, 2), 0, -1), "same-mult")):   # eps flip
+            assert b in labels and classify_pair(a, b) == want
+
 
 class TestCase1:
     def test_a2_sign(self):

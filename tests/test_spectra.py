@@ -1,18 +1,23 @@
+import contextlib
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twistor_spectra import faults, spectra
-from twistor_spectra.exact import GammaQuotient, ratio_tagged, reduce_exact
-from twistor_spectra.ktypes import Direction, KType, Params, make_ktype
+from twistor_spectra.exact import (GammaQuotient, NonCommensurableError,
+                                   ratio_tagged, reduce_exact)
+from twistor_spectra.ktypes import (Direction, KType, Params, case1_partners,
+                                    enumerate_ktypes, make_ktype, neighbors)
 from twistor_spectra.spectra import (InconsistentSystemError,
                                      SingularCoefficientError, block2x2,
-                                     block_coefficients, calibrate_L,
-                                     exchanged_rs_eigenvalue,
+                                     block_coefficients, calibrate_L, exchanged_rs_eigenvalue,
                                      mult1_quotient_matrix,
                                      mult2_det_quotient_matrix,
                                      mult2_gamma_product, first_order_block,
-                                     z_for, z_value)
+                                     w_terms, z_for, z_product, z_terms,
+                                     z_value)
 
 P4H = Params(4, Q(1, 2))
 
@@ -110,6 +115,110 @@ class TestMult2GammaProduct:
         kt = make_ktype(params, 1, Q(1, 2), Q(1, 2), 0, 1)
         entry = mult2_det_quotient_matrix(params, kt).entry(1, 1)
         assert entry.value == Q(15, 7)
+
+
+def gamma_reference(params, terms):
+    """ratio_tagged on the gamma quotients of prod z(r; f, J, s)**e."""
+    num = den = GammaQuotient()
+    for f, J, s, e in terms:
+        for _ in range(abs(e)):
+            if e > 0:
+                num = num * z_value(params, f, J, s)
+            else:
+                den = den * z_value(params, f, J, s)
+    return ratio_tagged(num, den)
+
+
+# the acceptance grid, r off it, and r in Z + 1/2, where the numerator and
+# denominator gamma classes of z coincide mod 1
+R_DRAWS = [Q(1, 2), Q(1), Q(3, 2), Q(5, 2), Q(7, 3),
+           Q(0), Q(-3, 2), Q(3, 4), Q(1, 3), Q(-1, 2), Q(7, 2)]
+
+
+def shape_calls(params, shape, center):
+    """The (terms) the suites hand to z_product around one center, for one call shape."""
+    if shape == "z/z":
+        at_center = z_terms(params, center, -1)
+        return [z_terms(params, nb, 1) + at_center for _, nb in neighbors(center)]
+    if shape == "w/w":
+        at_center = w_terms(params, center, -1)
+        return [w_terms(params, nb, 1) + at_center for _, nb in neighbors(center)]
+    if shape == "block/block":
+        at_center = z_terms(params, center, -1, block=True)
+        return [z_terms(params, nb, 1, block=True) + at_center for _, nb in neighbors(center)]
+    assert shape == "z/block"
+    at_center = z_terms(params, center, -1, block=True)
+    return [z_terms(params, beta, 1) + at_center for _, beta in case1_partners(center)]
+
+
+class TestZProduct:
+    """The ratio kernel against ratio_tagged on the gamma quotients: kind, value and order."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(n=st.sampled_from([4, 6, 8]), r=st.sampled_from(R_DRAWS),
+           lattice=st.sampled_from(["half", "int"]),
+           shape=st.sampled_from(["z/z", "w/w", "block/block", "z/block", "calibration"]),
+           xi=st.sampled_from([1, -1]), eps=st.sampled_from([1, -1]),
+           k=st.integers(-6, 6), steps=st.integers(0, 4),
+           dirac=st.sampled_from([0, 0, 1, 4]))
+    @example(n=4, r=Q(1, 2), lattice="half", shape="w/w", xi=1, eps=1, k=0, steps=0, dirac=0)
+    @example(n=4, r=Q(-3, 2), lattice="half", shape="block/block", xi=-1, eps=1, k=1,
+             steps=0, dirac=0)
+    @example(n=6, r=Q(3, 2), lattice="half", shape="z/z", xi=1, eps=-1, k=2, steps=0, dirac=4)
+    @example(n=8, r=Q(5, 2), lattice="half", shape="calibration", xi=1, eps=1, k=0,
+             steps=0, dirac=1)
+    def test_matches_ratio_tagged(self, n, r, lattice, shape, xi, eps, k, steps, dirac):
+        params = Params(n, r, lattice)
+        f = Q(k) + (Q(1, 2) if lattice == "half" else 0)
+        q = 1 if shape in ("z/z", "calibration") else 0
+        center = KType(xi, f, Q(1, 2) + q + steps, q, eps)   # steps = 0: the lattice bottom
+        with faults.inject("DIRAC", Q(dirac)) if dirac else contextlib.nullcontext():
+            if shape == "calibration":
+                calls = self.calibration_calls(params, center)
+            else:
+                calls = [(terms, z_product(r, terms))
+                         for terms in shape_calls(params, shape, center)]
+            for terms, got in calls:
+                assert got == gamma_reference(params, terms), terms
+
+    @staticmethod
+    def calibration_calls(params, center):
+        """Every z_product call calibrate_L makes on a window around the center."""
+        calls = []
+
+        def spy(r, terms):
+            calls.append((terms, z_product(r, terms)))
+            return calls[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "z_product", spy)
+            try:
+                calibrate_L(params, center.xi, center.f - 1, center.f + 1, center.j + 1)
+            except InconsistentSystemError:
+                pass      # a fault may leave the system unsolvable; the edges were still seen
+        assert calls
+        return calls
+
+    def test_unbalanced_pattern_raises_like_ratio_tagged(self):
+        params = Params(4, Q(1))
+        terms = ((Q(1, 2), Q(5, 2), 1, 1),)
+        with pytest.raises(NonCommensurableError):
+            gamma_reference(params, terms)
+        with pytest.raises(NonCommensurableError):
+            z_product(params.r, terms)
+
+    def test_templates_are_keyed_on_the_pattern_not_on_r(self):
+        def walk(r):
+            params = Params(6, r)
+            for c in enumerate_ktypes(params, Q(-3, 2), Q(3, 2), Q(7, 2), (0,)):
+                for terms in shape_calls(params, "w/w", c):
+                    z_product(r, terms)
+
+        walk(Q(1))
+        size = spectra._ratio_template.cache_info().currsize
+        for r in (Q(7, 3), Q(3, 4), Q(-5, 2), Q(11, 13)):
+            walk(r)
+        assert spectra._ratio_template.cache_info().currsize == size
 
 
 class TestMult1QuotientMatrix:
