@@ -327,7 +327,7 @@ def cmd_verify(args) -> int:
         if isinstance(cal, EmptyWindowError):
             print(f"calibration xi={xi:+d}   skipped ({cal})")
             continue
-        status = "consistent" if cal.consistent else "INCONSISTENT"
+        status = "consistent" if cal.consistent else "UNPINNED"   # the only issue
         print(f"calibration xi={xi:+d}   {status} "
               f"({cal.difference_edges} constraints, {len(cal.table)} classes)")
     if reading["resolved"] is None:

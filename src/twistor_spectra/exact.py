@@ -20,9 +20,9 @@ Arguments at non-positive integers are tracked as formal pole/zero flags,
 and a reduction reports a net uncancelled pole or zero as its kind instead of
 raising.  The values here are immutable, but the library is not safe for
 unrestricted concurrent use: the fault offsets armed by ``faults.inject`` and
-the memo tables of ``ktypes``, ``operators`` and ``spectra`` are
-process-global.  Threads may share the tables only while no fault is armed;
-a fault armed in one thread perturbs every other thread's results.
+the memo tables in ``faults._TABLES`` are process-global.  Threads may share
+the tables only while no fault is armed; a fault armed in one thread perturbs
+every other thread's results and empties the tables under all of them.
 """
 from __future__ import annotations
 

@@ -1,9 +1,11 @@
-"""Deliberate perturbation hooks.
+"""Deliberate perturbation hooks, and the library's one kind of memo table.
 
 The verification suites are only trustworthy if a wrong coefficient anywhere
 actually flips a verdict.  Formula sites route their constants through
 :func:`bump`, which is the identity unless a test has armed an offset with
-:func:`inject`.  Production code never arms anything.
+:func:`inject`.  Production code never arms anything.  Every table is a
+:func:`memo`, and arming or disarming a site empties them all, so armed runs
+use the production tables and no perturbed value outlives its fault.
 
 Sites: ``C1``-``C6`` (block coefficient factors), ``D11``-``D22`` and ``D33``
 (operator block entries), ``Q1``/``Q2`` (quotient-matrix numerators) and
@@ -14,10 +16,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache, wraps
-from typing import Callable, Dict, Iterator
+from functools import lru_cache
+from typing import Callable, Dict, Iterator, List
 
 _ACTIVE: Dict[str, Fraction] = {}
+_TABLES: List[Callable] = []        # every memo table, in declaration order
 
 # Every site that calls bump() registers its name here so tests can sweep
 # the whole catalogue.
@@ -37,25 +40,18 @@ def bump(name: str, value: Fraction) -> Fraction:
 
 
 def memo(fn: Callable) -> Callable:
-    """Unbounded memo for the library's tables.
+    """Unbounded ``lru_cache`` of ``fn``, returned as is and listed in ``_TABLES``.
 
-    A function whose value passes a :func:`bump` site, directly or through
-    another table, is memoized with this rather than ``lru_cache``: while
-    any site is armed the call bypasses the cache, so perturbed values
-    never populate it and every armed site is seen on every call; disarming
-    restores the cached values.  The label tables in ``ktypes`` and
-    ``operators`` are keyed on n and label values, never on r, so a
-    long-lived process holds at most one entry per label (pair);
-    ``spectra._block_coeffs`` is keyed per block, r included.
-    ``cache_info`` is the underlying lru_cache's.
+    A table may hold values that passed a :func:`bump` site, so
+    :func:`inject` empties every table on arming and on disarming.  The
+    label tables in ``ktypes`` and ``operators`` are keyed on n and label
+    values, never on r, so a long-lived process holds at most one entry per
+    label (pair); those in ``spectra`` are keyed on r, but
+    ``_ratio_template`` on a pattern.
     """
-    cached = lru_cache(maxsize=None)(fn)
-
-    @wraps(fn)
-    def call(*args):
-        return fn(*args) if _ACTIVE else cached(*args)
-    call.cache_info = cached.cache_info
-    return call
+    table = lru_cache(maxsize=None)(fn)
+    _TABLES.append(table)
+    return table
 
 
 @contextmanager
@@ -64,7 +60,11 @@ def inject(name: str, delta: Fraction = Fraction(1)) -> Iterator[None]:
     if name not in SITES:
         raise KeyError(f"unknown perturbation site {name!r}")
     _ACTIVE[name] = Fraction(delta)
+    for table in _TABLES:
+        table.cache_clear()
     try:
         yield
     finally:
         _ACTIVE.pop(name, None)
+        for table in _TABLES:
+            table.cache_clear()

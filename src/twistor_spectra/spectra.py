@@ -6,13 +6,14 @@ prefactor s/2 (s = xi*eps).  At r = 1/2 it collapses to the exact rational
 -(f - s J)/4, a quarter of the order-one eigenvalue i(f - s J) divided by i.
 
 On multiplicity-two summands the normalization determinant is carried by the
-eight-gamma product ``mult2_gamma_product``, w(r; f, J, s) =
-z(r; f, J-1, s) * z(r; f, J+1, s); its exact ratios across diagram edges
-reproduce the determinant-quotient matrix entry by entry.
-
-The suites reduce such ratios with ``z_product``, from the quotients' gamma
-arguments (``_z_gammas``) and never from the closed forms' ``_corner_pairs``:
-each pattern is telescoped once over (f, J, r) and evaluated on integers.
+eight-gamma product w(r; f, J, s) = z(r; f, J-1, s) * z(r; f, J+1, s); its
+exact ratios across diagram edges reproduce the determinant-quotient matrix
+entry by entry.  The suites take such ratios with ``z_product`` (the
+multiplicity-two suite on ``w_terms``), from the quotients' gamma arguments
+(``_z_gammas``) and never from the closed forms' ``_corner_pairs``: each
+pattern is telescoped once over (f, J, r) and evaluated on integers.  The
+CLI's ``spectrum`` keeps ``exact.ratio_tagged``: each row's offset from its
+base is a new pattern, so templates would be built and kept once per row.
 
 ``block2x2`` reconstructs the whole 2x2 block on a multiplicity-two summand
 as a rational coefficient matrix sharing the factor z(r; f+1, J, s).
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -95,7 +95,7 @@ def _z_gammas(s: int):
                             (2, 2, -2, 2 + s, -1), (-2, 2, -2, 2 - s, -1))
 
 
-@lru_cache(maxsize=None)
+@faults.memo
 def _z_cached(r: Fraction, f: Fraction, J: Fraction, s: int) -> GammaQuotient:
     d = lcm(f.denominator, J.denominator, r.denominator)
     x, y, z = (v.numerator * (d // v.denominator) for v in (f, J, r))
@@ -122,7 +122,7 @@ def z_for(params: Params, ktype: KType) -> GammaQuotient:
     return _z_cached(params.r, ktype.f, J, s)
 
 
-@lru_cache(maxsize=None)
+@faults.memo
 def _w_cached(r: Fraction, f: Fraction, J: Fraction, s: int) -> GammaQuotient:
     return _z_cached(r, f, J - 1, s) * _z_cached(r, f, J + 1, s)
 
@@ -151,7 +151,7 @@ def w_terms(params: Params, ktype: KType, e: int) -> tuple:
     return ((ktype.f, J - 1, s, e), (ktype.f, J + 1, s, e))
 
 
-@lru_cache(maxsize=None)
+@faults.memo
 def _ratio_template(lcd: int, pattern: tuple) -> tuple:
     """prod z(r; f0 + dF/lcd, J0 + dJ/lcd, s)**e over a pattern's (dF, dJ, s, e), in (f0, J0, r).
 
@@ -268,7 +268,7 @@ class QuotientMatrix:
         return [(dj, [self.entry(-1, dj), self.entry(1, dj)]) for dj in (1, 0, -1)]
 
 
-@lru_cache(maxsize=None)
+@faults.memo
 def _corner_pairs(r: Fraction, f: Fraction, J: Fraction, s: int):
     """Linear (numerator, denominator) pairs for all six directions.
 

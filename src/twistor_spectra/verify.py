@@ -134,7 +134,7 @@ def _compare_entry(entry, tagged: ReducedValue) -> Tuple[str, Dict[str, str]]:
     kind = entry.kind
     if kind == "indeterminate":
         return INDETERMINATE, {}
-    if kind == tagged.kind and (kind != "finite" or entry.value == tagged.value):
+    if kind == tagged.kind and (kind != "finite" or entry.num == tagged.value * entry.den):
         return _SAME_KIND[kind], {}
     residuals = ({"residual": format_rational(tagged.value - entry.value)}
                  if kind == tagged.kind else {})     # both finite

@@ -256,6 +256,22 @@ class TestVerify:
         else:
             assert f"block shared factor resolved at weight: {resolved}" in out
 
+    def test_unpinned_calibration_is_not_inconsistent(self, capsys, tmp_path):
+        # C3 = (n - 1) + 2r = 0 on every block, so no probe pins the constant
+        out_path = tmp_path / "report.json"
+        code, out = run(capsys, "verify", "--n", "4", "--r=-3/2", *REGION,
+                        "--out", str(out_path))
+        assert code == 1
+        assert out.count(" OK ") == 4      # every suite passes
+        assert "INCONSISTENT" not in out and "first failing edge" not in out
+        for xi in ("-1", "+1"):
+            assert f"calibration xi={xi}   UNPINNED (56 constraints, 4 classes)\n" in out
+        payload = json.loads(out_path.read_text())
+        assert payload["ok"] is False
+        for cal in payload["calibration"].values():
+            assert cal["consistent"] is False and cal["probe"] is None
+            assert cal["issues"] == [{"kind": "unpinned-constant"}]
+
 
 class TestNeighbors:
     def test_mult1_layout(self, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 from conftest import dirac_l_table
 
-from twistor_spectra import faults, ktypes, operators
+from twistor_spectra import faults, operators
 from twistor_spectra.ktypes import (DEFAULT_EIGENVALUES, KType, LTable, Params,
                                     label_twistor_tt, make_ktype, neighbors)
 from twistor_spectra.operators import (Case2Data, DegenerateTargetError,
@@ -270,21 +270,26 @@ class TestCase2Tables:
         assert checked == 3 * 5 * 4 * 2 * 2 * (6 * 6 - 2) - degenerate
         assert degenerate == 3 * 5 * 4 * 2 * 2 * 4
 
-    def test_armed_faults_bypass_the_tables(self):
+    def test_no_perturbed_value_outlives_a_fault(self):
         params = Params(4, Q(1))
         alpha = make_ktype(params, 1, Q(1, 2), Q(3, 2), 0, 1)
         beta = make_ktype(params, 1, Q(3, 2), Q(5, 2), 0, 1)
-        tables = (ktypes.label_dirac, ktypes.label_twistor_tt,
-                  operators._label_pair, operators._d_entries)
         clean = case2_data(params, alpha, beta)
         clean_c, clean_d = c_ba(params, alpha, beta), d_block(params, alpha)
-        sizes = [t.cache_info().currsize for t in tables]
         for site in ("DIRAC", "D11", "D12", "D21", "D22"):
             with faults.inject(site):
                 got = case2_data(params, alpha, beta)
                 assert got == reference_case2(params, alpha, beta), site
+                # armed runs use the tables: the repeat is served from them
+                info = operators._label_pair.cache_info()
+                assert case2_data(params, alpha, beta) == got, site
+                after = operators._label_pair.cache_info()
+                assert (after.hits, after.misses) == (info.hits + 1, info.misses), site
                 assert c_ba(params, alpha, beta) == got.c_ba
                 bumped_d = d_block(params, alpha)
+            # disarming empties every table
+            assert [t.cache_info().currsize for t in faults._TABLES] == \
+                [0] * len(faults._TABLES), site
             if site == "D22":
                 # a constant shift of d22 cancels in the label difference
                 assert got == clean and bumped_d.d22 != clean_d.d22
@@ -292,7 +297,6 @@ class TestCase2Tables:
                 assert got != clean, site
             # c_ba reads only the Dirac eigenvalues
             assert (got.c_ba != clean_c) == (site == "DIRAC")
-            assert [t.cache_info().currsize for t in tables] == sizes, site
             assert case2_data(params, alpha, beta) == clean
             assert c_ba(params, alpha, beta) == clean_c
 

@@ -1,7 +1,9 @@
 import contextlib
+import itertools
 from fractions import Fraction as Q
 
 import pytest
+from conftest import dirac_l_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +11,8 @@ from twistor_spectra import faults, spectra
 from twistor_spectra.exact import (GammaQuotient, NonCommensurableError,
                                    ratio_tagged, reduce_exact)
 from twistor_spectra.ktypes import (Direction, KType, Params, case1_partners,
-                                    enumerate_ktypes, make_ktype, neighbors)
+                                    enumerate_ktypes, label_dirac, make_ktype,
+                                    neighbors)
 from twistor_spectra.spectra import (InconsistentSystemError,
                                      SingularCoefficientError, block2x2,
                                      block_coefficients, calibrate_L, exchanged_rs_eigenvalue,
@@ -439,6 +442,26 @@ class TestCalibration:
         assert result.probe is None
         assert {"kind": "unpinned-constant"} in result.issues
         assert not result.consistent
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_the_solved_table_is_the_signed_dirac_eigenvalue(self, n):
+        # L(j, eps) = label_dirac(n, j, eps) whatever r, xi and the lattice;
+        # off the grid r runs on the half lattice only, but for the unpinned
+        # n = 4, r = -3/2, where the table is off by one constant
+        grid = [Q(1, 2), Q(1), Q(3, 2), Q(5, 2), Q(7, 3)]
+        for r in grid + [Q(0), Q(1, 3), Q(3, 4), Q(-1, 2), Q(-3, 2)]:
+            lattices = ("half", "int") if r in grid or r == Q(-3, 2) else ("half",)
+            for lattice, xi in itertools.product(lattices, (1, -1)):
+                params = Params(n, r, lattice)
+                result = calibrate_L(params, xi, Q(-3, 2), Q(3, 2), Q(7, 2))
+                offsets = {L - label_dirac(n, j, eps)
+                           for (j, eps), L in result.table.items()}
+                unpinned = (n, r) == (4, Q(-3, 2))
+                assert result.consistent != unpinned, (r, lattice, xi)
+                assert offsets == {Q(-5, 2) if unpinned else 0}, (r, lattice, xi)
+                if not unpinned:
+                    assert result.table.items() == \
+                        dirac_l_table(params, Q(7, 2)).items(), (r, lattice, xi)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_the_variant_does_not_reach_the_solve(self, n):
