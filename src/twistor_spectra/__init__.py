@@ -10,9 +10,9 @@ from .exact import (GammaPoleError, GammaQuotient, NonCommensurableError,
                     ReducedValue, evaluate_numeric, format_rational,
                     ratio_tagged, rational, reduce_exact)
 from .ktypes import (BadDimensionError, DIRECTIONS, Direction,
-                     InterfaceSquare, InvalidWeightError, KType, LTable,
-                     Params, SphereEigenvalues, case1_partners,
-                     enumerate_ktypes, interface_square, make_ktype, neighbors)
+                     InterfaceSquare, InvalidWeightError, KType, Params,
+                     SphereEigenvalues, case1_partners, enumerate_ktypes,
+                     interface_square, make_ktype, neighbors)
 from .operators import (Case1Data, Case2Data, Case3Data, DBlock,
                         DegenerateTargetError, MissingLError,
                         NotNeighborsError, c_ba, case1_data, case2_data,

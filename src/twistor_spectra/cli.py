@@ -7,9 +7,10 @@ p/q, numerics with 15 significant digits, poles printed as POLE.  JSON output
 byte-identical to ``json.dumps(obj, indent=2, sort_keys=True)``.  Exit codes:
 0 success, 1 verification failure, 2 usage error.  Bad input (a malformed
 label or a zero denominator, named with its flag, an empty or unwritable
-``--out`` path, a spectrum or calibrate window with nothing to tabulate or
-solve) raises :class:`UsageError` where it is found, and :func:`main` alone
-prints it and returns 2; only argparse's own errors raise ``SystemExit(2)``.
+``--out`` path, a spectrum or verify window with no K-type, a calibrate
+window with nothing to solve) raises :class:`UsageError` where it is found,
+and :func:`main` alone prints it and returns 2; only argparse's own errors
+raise ``SystemExit(2)``.
 """
 from __future__ import annotations
 
@@ -207,6 +208,11 @@ def _rows_text(rows: List[Dict[str, str]], columns: List[str], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _empty_window(f_min: Fraction, f_max: Fraction, j_max: Fraction) -> UsageError:
+    return UsageError(f"empty window: no K-type with {format_rational(f_min)} <= f <= "
+                      f"{format_rational(f_max)} and j <= {format_rational(j_max)}")
+
+
 SPECTRUM_COLUMNS = ["xi", "f", "j", "q", "eps", "mult", "z_rel", "z_base",
                     "z_numeric", "b11", "b12", "b21", "b22", "note"]
 
@@ -239,8 +245,7 @@ def cmd_spectrum(args) -> int:
                 row["note"] = f"SINGULAR({exc.which})"
         rows.append(row)
     if not rows:
-        raise UsageError(f"empty window: no K-type with {format_rational(f_min)} <= f <= "
-                         f"{format_rational(f_max)} and j <= {format_rational(j_max)}")
+        raise _empty_window(f_min, f_max, j_max)
     _emit(_rows_text(rows, SPECTRUM_COLUMNS, args.format), args.out)
     return 0
 
@@ -311,6 +316,8 @@ def cmd_verify(args) -> int:
     f_min, f_max, j_max, xis, epss = _region_args(args)
     centers_m1 = list(enumerate_ktypes(params, f_min, f_max, j_max, (1,), xis, epss))
     centers_m2 = list(enumerate_ktypes(params, f_min, f_max, j_max, (0,), xis, epss))
+    if not centers_m2:      # a q = 1 label has a q = 0 one at j = 1/2 below it
+        raise _empty_window(f_min, f_max, j_max)
     try:
         reports, calibrations = run_all_suites(
             params, centers_m1, centers_m2, xis, f_min, f_max, j_max)
@@ -331,8 +338,7 @@ def cmd_verify(args) -> int:
         print(f"calibration xi={xi:+d}   {status} "
               f"({cal.difference_edges} constraints, {len(cal.table)} classes)")
     if reading["resolved"] is None:
-        why = "every r = 1/2 block singular" if centers_m2 else "no multiplicity-two center"
-        print(f"block shared factor: not resolved ({why})")
+        print("block shared factor: not resolved (every r = 1/2 block singular)")
     else:
         print(f"block shared factor resolved at weight: {reading['resolved']}")
     if not all_ok:

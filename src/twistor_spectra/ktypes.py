@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import faults
 from .exact import RationalLike, format_rational, rational
@@ -37,7 +37,6 @@ __all__ = [
     "spectral_args",
     "label_dirac",
     "label_twistor_tt",
-    "LTable",
     "make_ktype",
     "neighbors",
     "interface_square",
@@ -163,22 +162,6 @@ def spectral_args(params: Params, ktype: KType) -> Tuple[Fraction, int]:
     """(J, s) of a label for the spectral functions: J = eps * J_signed, s = xi * eps."""
     return (ktype.eps * DEFAULT_EIGENVALUES.dirac(params, ktype.j, ktype.eps),
             ktype.xi * ktype.eps)
-
-
-class LTable:
-    """Calibrated divergence-part eigenvalues keyed by (j, eps)."""
-
-    def __init__(self, values: Dict[Tuple[Fraction, int], Fraction]):
-        self._values = dict(values)
-
-    def lvalue(self, ktype: KType) -> Optional[Fraction]:
-        return self._values.get((ktype.j, ktype.eps))
-
-    def items(self):
-        return sorted(self._values.items())
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 class Direction(NamedTuple):

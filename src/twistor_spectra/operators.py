@@ -9,7 +9,7 @@ decomposition:
     [ 0                     0                             L/2 ]
 
 with J the signed Dirac eigenvalue and L the divergence-part eigenvalue,
-supplied by a calibration table (d33 stays unknown without one).
+read from a calibration table {(j, eps): L}.
 
 Compressing the conformal factor between neighboring labels multiplies the
 twistor-range part by the rational coefficient c_ba; compressing the Bochner
@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import faults
-from .ktypes import (DEFAULT_EIGENVALUES, KType, LTable, Params, label_dirac,
+from .ktypes import (DEFAULT_EIGENVALUES, KType, Params, label_dirac,
                      label_twistor_tt)
 
 __all__ = [
@@ -63,13 +63,13 @@ class MissingLError(LookupError):
 
 @dataclass(frozen=True)
 class DBlock:
-    """3x3 operator block at one (j, eps) label; off-diagonal corners vanish."""
+    """Upper-left 2x2 of the operator block at one (j, eps) label; d33 = L/2
+    needs the calibrated L and is read by :func:`_d33`."""
 
     d11: Fraction
     d12: Fraction
     d21: Fraction
     d22: Fraction
-    d33: Optional[Fraction]
 
 
 @faults.memo
@@ -84,20 +84,19 @@ def _d_entries(n: int, J_signed: Fraction) -> Tuple[Fraction, Fraction, Fraction
     return d11, d12, d21, d22
 
 
-def d_block(params: Params, ktype: KType, l_provider: Optional[LTable] = None) -> DBlock:
-    """Operator block at the label of ``ktype``.
-
-    The upper-left entries depend on the label only through the signed Dirac
-    eigenvalue; d33 = L/2 when the provider has L, else it stays unknown.
-    """
+def d_block(params: Params, ktype: KType) -> DBlock:
+    """Operator block at the label of ``ktype``; it depends on the label only
+    through the signed Dirac eigenvalue."""
     J = DEFAULT_EIGENVALUES.dirac(params, ktype.j, ktype.eps)
-    d11, d12, d21, d22 = _d_entries(params.n, J)
-    d33 = None
-    if l_provider is not None:
-        L = l_provider.lvalue(ktype)
-        if L is not None:
-            d33 = faults.bump("D33", L / 2)
-    return DBlock(d11, d12, d21, d22, d33)
+    return DBlock(*_d_entries(params.n, J))
+
+
+def _d33(table: Dict[Tuple[Fraction, int], Fraction], ktype: KType) -> Fraction:
+    """d33 = L/2 at the label of ``ktype``; MissingL when the table has no L there."""
+    L = table.get((ktype.j, ktype.eps))
+    if L is None:
+        raise MissingLError(f"no divergence eigenvalue for {ktype.label()}")
+    return faults.bump("D33", L / 2)
 
 
 def c_ba(params: Params, a: KType, b: KType) -> Fraction:
@@ -192,7 +191,8 @@ def case1_mid(params: Params, alpha: KType, beta: KType) -> Fraction:
     return (alpha.f ** 2 - beta.f ** 2) / 2 - Fraction(params.n - 2, 2)
 
 
-def case1_data(params: Params, alpha: KType, beta: KType, l_provider: LTable) -> Case1Data:
+def case1_data(params: Params, alpha: KType, beta: KType,
+               table: Dict[Tuple[Fraction, int], Fraction]) -> Case1Data:
     """Quantities for a multiplicity-2 label alpha paired with a q=1 label beta.
 
     Needs the calibrated divergence eigenvalue at beta; raises MissingL
@@ -203,15 +203,13 @@ def case1_data(params: Params, alpha: KType, beta: KType, l_provider: LTable) ->
     if classify_pair(alpha, beta) != "mixed":
         raise NotNeighborsError(f"{alpha.label()} and {beta.label()} are not a mixed pair")
     d_a = d_block(params, alpha)
-    d_b = d_block(params, beta, l_provider)
-    if d_b.d33 is None:
-        raise MissingLError(f"no divergence eigenvalue for {beta.label()}")
+    d33 = _d33(table, beta)
     df = alpha.f - beta.f
     r = params.r
     a1 = alpha.xi * df * d_a.d12
     a2 = -alpha.xi * df * d_a.d21
     mid = case1_mid(params, alpha, beta)
-    dd = alpha.xi * df * (d_a.d22 - d_b.d33)
+    dd = alpha.xi * df * (d_a.d22 - d33)
     return Case1Data(a1, a2, mid - r + dd, mid + r - dd)
 
 
@@ -280,17 +278,12 @@ def case3_mid(params: Params, alpha: KType, beta: KType) -> Fraction:
     return (alpha.f ** 2 - beta.f ** 2) / 2 + (Ja * Ja - Jb * Jb) / 2
 
 
-def case3_data(params: Params, alpha: KType, beta: KType, l_provider: LTable) -> Case3Data:
+def case3_data(params: Params, alpha: KType, beta: KType,
+               table: Dict[Tuple[Fraction, int], Fraction]) -> Case3Data:
     """Quantities for a multiplicity-1 edge with alpha as center, beta as neighbor."""
     if classify_pair(alpha, beta) != "same-mult" or alpha.multiplicity != 1:
         raise NotNeighborsError(f"{alpha.label()} -> {beta.label()} is not a multiplicity-1 edge")
-    d_a = d_block(params, alpha, l_provider)
-    d_b = d_block(params, beta, l_provider)
-    if d_a.d33 is None:
-        raise MissingLError(f"no divergence eigenvalue for {alpha.label()}")
-    if d_b.d33 is None:
-        raise MissingLError(f"no divergence eigenvalue for {beta.label()}")
     r = params.r
     mid = case3_mid(params, alpha, beta)
-    dd = alpha.xi * (alpha.f - beta.f) * (d_a.d33 - d_b.d33)
+    dd = alpha.xi * (alpha.f - beta.f) * (_d33(table, alpha) - _d33(table, beta))
     return Case3Data(mid - r + dd, mid + r - dd)

@@ -40,8 +40,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import faults
 from .exact import (GammaQuotient, NonCommensurableError, RationalLike,
                     ReducedValue, format_rational, rational)
-from .ktypes import (DEFAULT_EIGENVALUES, HALF, Direction, KType, LTable,
-                     Params, f_points, neighbors, spectral_args)
+from .ktypes import (DEFAULT_EIGENVALUES, HALF, Direction, KType, Params,
+                     f_points, neighbors, spectral_args)
 from .operators import case1_mid, case3_mid, d_block
 
 __all__ = [
@@ -433,7 +433,7 @@ class CalibrationResult:
     to that constant, which ``issues`` reports as ``unpinned-constant``.
     """
 
-    table: LTable
+    table: Dict[Tuple[Fraction, int], Fraction]
     difference_edges: int
     unconstraining_edges: int
     probe: Optional[dict]
@@ -460,7 +460,19 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     multiplicity-one relation on every edge of the window.  Raises
     :class:`InconsistentSystemError` with the violating edge if the
     overdetermined system has no solution, and :class:`EmptyWindowError` when
-    the window holds nothing to solve.
+    the window holds nothing to solve.  The table is built in sorted (j, eps)
+    order.
+
+    The solved L is the signed sphere Dirac eigenvalue ``label_dirac(n, j,
+    eps)`` = J_signed.  With d33 = J_signed/2 each direction's P-/P+ is that
+    direction's :func:`_corner_pairs` entry: along (1, 1), mid = -(f + J + 1),
+    xd = -xi and the d33 difference is -eps/2, so P-/P+ = (f + J + 1 + r -
+    s/2)/(f + J + 1 - r + s/2).  The multiplicity-one suite certifies those
+    entries against z, so J_signed/2 meets every difference constraint, and
+    it meets the probe's row relation too, so the pinned constant adds no
+    offset to it.  At n = 4, r = -3/2, C3 = n - 1 + 2r = 0 makes every block
+    singular and no probe exists; the table stays anchored at
+    L(3/2, +1) = 0, which is label_dirac - 5/2.
     """
     params = replace(params, strict_paper=False)   # always the corrected closed forms
     f_lo, f_hi, j_hi = rational(f_min), rational(f_max), rational(j_max)
@@ -552,7 +564,7 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
             f"calibration window leaves {len(missing)} classes unconstrained")
 
     shift, probe = _pin_constant(params, xi, fs, potential)
-    table = LTable({nd: 2 * (pot + shift) for nd, pot in potential.items()})
+    table = {nd: 2 * (pot + shift) for nd, pot in sorted(potential.items())}
     return CalibrationResult(table, n_edges, n_unconstraining, probe)
 
 

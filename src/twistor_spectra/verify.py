@@ -18,7 +18,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
 from .exact import ReducedValue, format_rational
-from .ktypes import (Direction, KType, LTable, Params, case1_partners,
+from .ktypes import (Direction, KType, Params, case1_partners,
                      interface_square, neighbors, spectral_args)
 from .operators import DegenerateTargetError, case1_data, case2_data
 from .spectra import (CalibrationResult, EmptyWindowError, QuotientMatrix,
@@ -254,7 +254,7 @@ def verify_case2_relation(params: Params, centers: Iterable[KType]) -> SuiteRepo
 
 
 def _check_case1_edge(params: Params, alpha: KType, beta: KType,
-                      l_table: LTable) -> EdgeCheck:
+                      table: Dict[Tuple[Fraction, int], Fraction]) -> EdgeCheck:
     """Verdict of the four mixed-multiplicity equations on one edge.
 
     Each equation is scaled by rho, the ratio of beta's z to alpha's block
@@ -267,7 +267,7 @@ def _check_case1_edge(params: Params, alpha: KType, beta: KType,
         b11, b12, b21, b22 = block_coefficients(params, alpha)
     except _SKIPPED as exc:
         return edge(*_skip(exc, "block"))
-    data = case1_data(params, alpha, beta, l_table)
+    data = case1_data(params, alpha, beta, table)
     rho = z_product(params.r, z_terms(params, beta, 1) + z_terms(params, alpha, -1, block=True))
     if rho.kind != "finite":
         return edge(SKIP_POLE, f"scalar-to-block factor ratio is {rho.kind}")
@@ -292,7 +292,7 @@ def _check_case1_edge(params: Params, alpha: KType, beta: KType,
 
 
 def verify_interface(params: Params, centers: Iterable[KType],
-                     l_table: LTable) -> SuiteReport:
+                     table: Dict[Tuple[Fraction, int], Fraction]) -> SuiteReport:
     """Interface coherence between the multiplicity 1 and 2 parts.
 
     Per center: both mixed-multiplicity edges (f +- 1, under the -4i z
@@ -304,9 +304,8 @@ def verify_interface(params: Params, centers: Iterable[KType],
         if center.multiplicity != 2 or center.j < Fraction(3, 2):
             continue
         for _, beta in case1_partners(center):
-            if l_table.lvalue(beta) is None:
-                continue
-            report.add(_check_case1_edge(params, center, beta, l_table))
+            if (beta.j, beta.eps) in table:
+                report.add(_check_case1_edge(params, center, beta, table))
         report.add(_check_square(params, interface_square(center)))
     return report
 

@@ -1,7 +1,5 @@
 from fractions import Fraction as Q
 
-from twistor_spectra.ktypes import LTable
-
 ACCEPTANCE_LINES = []
 
 
@@ -25,4 +23,4 @@ def dirac_l_table(params, j_max=Q(13, 2)):
         for eps in (1, -1):
             values[(j, eps)] = eps * (j + Q(params.n - 2, 2))
         j += 1
-    return LTable(values)
+    return values

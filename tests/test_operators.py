@@ -4,7 +4,7 @@ import pytest
 from conftest import dirac_l_table
 
 from twistor_spectra import faults, operators
-from twistor_spectra.ktypes import (DEFAULT_EIGENVALUES, KType, LTable, Params,
+from twistor_spectra.ktypes import (DEFAULT_EIGENVALUES, KType, Params,
                                     label_twistor_tt, make_ktype, neighbors)
 from twistor_spectra.operators import (Case2Data, DegenerateTargetError,
                                        MissingLError, NotNeighborsError, c_ba,
@@ -21,7 +21,6 @@ class TestDBlock:
         kt = make_ktype(P4, 1, Q(1, 2), Q(1, 2), 0, 1)
         d = d_block(P4, kt)
         assert (d.d11, d.d12, d.d21, d.d22) == (Q(5, 4), 0, -4, Q(1, 4))
-        assert d.d33 is None
 
     def test_d21_is_minus_n(self):
         kt = make_ktype(P6, 1, Q(1, 2), Q(1, 2), 0, -1)
@@ -41,8 +40,7 @@ class TestDBlock:
     def test_d33_from_table(self):
         table = dirac_l_table(P4)
         kt = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 1, -1)
-        d = d_block(P4, kt, table)
-        assert d.d33 == Q(-5, 4)
+        assert operators._d33(table, kt) == Q(-5, 4)
 
 
 class TestCBa:
@@ -168,7 +166,7 @@ class TestCase1:
         alpha = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
         beta = make_ktype(P4, 1, Q(3, 2), Q(3, 2), 1, 1)
         with pytest.raises(MissingLError):
-            case1_data(P4, alpha, beta, LTable({}))
+            case1_data(P4, alpha, beta, {})
 
 
 class TestCase2:
@@ -323,7 +321,7 @@ class TestCase3:
         a = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 1, 1)
         b = make_ktype(P4, 1, Q(3, 2), Q(3, 2), 1, -1)
         with pytest.raises(MissingLError):
-            case3_data(P4, a, b, LTable({}))
+            case3_data(P4, a, b, {})
 
     def test_quotient_matches_matrix_entry_with_calibrated_table(self):
         from twistor_spectra.spectra import mult1_quotient_matrix

@@ -192,9 +192,8 @@ class TestInterfaceSuite:
         # shift every divergence eigenvalue by 2: quotient differences
         # still close, but the mixed-multiplicity equations pin the constant
         params = Params(4, Q(1))
-        from twistor_spectra.ktypes import LTable
         table = dirac_l_table(params)
-        shifted = LTable({k: v + 2 for k, v in table.items()})
+        shifted = {k: v + 2 for k, v in table.items()}
         centers = [c for c in region(params, 0) if c.xi == 1]
         report = verify_interface(params, centers, shifted)
         fails = [c for c in report.checks if c.verdict == FAIL]
