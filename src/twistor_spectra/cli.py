@@ -10,7 +10,7 @@ label or a zero denominator, named with its flag, an empty or unwritable
 ``--out`` path, a spectrum or verify window with no K-type, a calibrate
 window with nothing to solve) raises :class:`UsageError` where it is found,
 and :func:`main` alone prints it and returns 2; only argparse's own errors
-raise ``SystemExit(2)``.
+raise ``SystemExit(2)``.  One parser serves every :func:`main` call.
 """
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Sequence
 from ._jsontext import IndentedEncoder
 from .exact import (GammaPoleError, NonCommensurableError, evaluate_numeric,
                     format_rational, ratio_tagged, rational)
-from .ktypes import (BadDimensionError, KType, Params, enumerate_ktypes,
-                     interface_square, make_ktype)
+from .ktypes import (BadDimensionError, InvalidWeightError, KType, Params,
+                     enumerate_ktypes, interface_square, make_ktype)
 from .spectra import (EmptyWindowError, InconsistentSystemError,
                       SingularCoefficientError, block_coefficients, block2x2,
                       calibrate_L, mult1_quotient_matrix,
@@ -39,10 +39,6 @@ SCHEMA_VERSION = 1
 
 class UsageError(Exception):
     """Bad input, raised where it is found; ``main`` prints it and returns 2."""
-
-
-def _num(x: float) -> str:
-    return f"{x:.15g}"
 
 
 def _add_params(p: argparse.ArgumentParser) -> None:
@@ -75,11 +71,24 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
+def _add_label(p: argparse.ArgumentParser, with_q: bool) -> None:
+    """A one-label query: the configuration, --f/--j[/--q]/--eps/--xi, the output."""
+    _add_common(p)
+    for flag in ("--f", "--j"):
+        p.add_argument(flag, required=True)
+    if with_q:
+        p.add_argument("--q", type=int, choices=(0, 1), required=True)
+    p.add_argument("--eps", type=int, choices=(1, -1), required=True)
+    p.add_argument("--xi", type=int, choices=(1, -1), default=1)
+    _add_output(p)
+
+
 def _pm(values: str) -> List[int]:
     return [1, -1] if values == "both" else [int(values)]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser; each subcommand's ``handler`` runs the parsed args."""
     parser = argparse.ArgumentParser(
         prog="twistor-spectra",
         description="Exact spectra of conformal intertwining operators on twistors "
@@ -89,64 +98,65 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="tabulate spectral data over a region")
     for add in (_add_common, _add_region, _add_output):
         add(p_spec)
+    p_spec.set_defaults(handler=cmd_spectrum)
 
     p_block = sub.add_parser("block", help="one 2x2 block, with its r = 1/2 degeneration")
-    _add_common(p_block)
-    for flag in ("--f", "--j"):
-        p_block.add_argument(flag, required=True)
-    p_block.add_argument("--eps", type=int, choices=(1, -1), required=True)
-    p_block.add_argument("--xi", type=int, choices=(1, -1), default=1)
-    _add_output(p_block)
+    _add_label(p_block, with_q=False)
+    p_block.set_defaults(handler=cmd_block)
 
     p_nb = sub.add_parser("neighbors", help="diagram around one K-type with quotient entries")
-    _add_common(p_nb)
-    for flag in ("--f", "--j"):
-        p_nb.add_argument(flag, required=True)
-    p_nb.add_argument("--q", type=int, choices=(0, 1), required=True)
-    p_nb.add_argument("--eps", type=int, choices=(1, -1), required=True)
-    p_nb.add_argument("--xi", type=int, choices=(1, -1), default=1)
-    _add_output(p_nb)
+    _add_label(p_nb, with_q=True)
+    p_nb.set_defaults(handler=cmd_neighbors)
 
     p_ver = sub.add_parser("verify", help="run all verification suites over a region")
     for add in (_add_common, _add_region):
         add(p_ver)
     p_ver.add_argument("--out", default=None, help="write the JSON report here")
+    p_ver.set_defaults(handler=cmd_verify)
 
     p_cal = sub.add_parser("calibrate", help="solve for the divergence-part eigenvalues")
     for add in (_add_params, _add_window, _add_output):
         add(p_cal)
     p_cal.add_argument("--xi-solve", type=int, choices=(1, -1), default=1,
                        help="chirality used for the solve")
-    p_cal.set_defaults(strict_paper=False)   # the solve uses the corrected forms
+    p_cal.set_defaults(handler=cmd_calibrate, strict_paper=False)  # solve with corrected forms
     return parser
 
 
-def _flag_rational(flag: str, text: str) -> Fraction:
-    """``rational(text)``; a ValueError for a bad value names the flag."""
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """This process's parser, built by ``build_parser`` on first use."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
+def _flag_rational(group: str, flag: str, text: str) -> Fraction:
+    """``rational(text)``; a bad value is a UsageError naming its flag."""
     try:
         return rational(text)
     except ZeroDivisionError:
-        raise ValueError(f"{flag} {text}: zero denominator") from None
+        reason = "zero denominator"
     except ValueError:
-        raise ValueError(f"{flag} {text}: not a rational number") from None
+        reason = "not a rational number"
+    raise UsageError(f"bad {group}: {flag} {text}: {reason}")
 
 
 def _params(args) -> Params:
+    r = _flag_rational("configuration", "--r", args.r)
     try:
-        return Params(args.n, _flag_rational("--r", args.r), args.lattice,
-                      args.strict_paper)
-    except BadDimensionError:
-        raise UsageError("n must be even and >= 4") from None
-    except ValueError as exc:
-        raise UsageError(f"bad configuration: {exc}") from None
+        return Params(args.n, r, args.lattice, args.strict_paper)
+    except BadDimensionError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _window_args(args):
-    try:
-        return (_flag_rational("--f-min", args.f_min), _flag_rational("--f-max", args.f_max),
-                _flag_rational("--j-max", args.j_max))
-    except ValueError as exc:
-        raise UsageError(f"bad region: {exc}") from None
+    return (_flag_rational("region", "--f-min", args.f_min),
+            _flag_rational("region", "--f-max", args.f_max),
+            _flag_rational("region", "--j-max", args.j_max))
 
 
 def _region_args(args):
@@ -155,10 +165,11 @@ def _region_args(args):
 
 def _label_arg(params: Params, args, q: int) -> KType:
     """The --f/--j label."""
+    f = _flag_rational("label", "--f", args.f)
+    j = _flag_rational("label", "--j", args.j)
     try:
-        return make_ktype(params, args.xi, _flag_rational("--f", args.f),
-                          _flag_rational("--j", args.j), q, args.eps)
-    except ValueError as exc:
+        return make_ktype(params, args.xi, f, j, q, args.eps)
+    except InvalidWeightError as exc:
         raise UsageError(f"bad label: {exc}") from None
 
 
@@ -229,11 +240,10 @@ def cmd_spectrum(args) -> int:
                     "eps": str(kt.eps), "mult": str(kt.multiplicity)})
         if kt.multiplicity == 1:
             zq = z_for(params, kt)
-            base, rel = _relative_to_base(params, kt, zq, bases)
-            row["z_rel"] = rel
-            row["z_base"] = base.label() if base is not None else ""
+            base, row["z_rel"] = _relative_to_base(params, kt, zq, bases)
+            row["z_base"] = base.label()
             try:
-                row["z_numeric"] = _num(evaluate_numeric(zq))
+                row["z_numeric"] = f"{evaluate_numeric(zq):.15g}"
             except GammaPoleError:
                 row["z_numeric"] = "POLE"
         else:
@@ -276,10 +286,8 @@ def cmd_block(args) -> int:
         rows.append({"quantity": "block", "value": f"SINGULAR({exc.which})"})
     if params.r == Fraction(1, 2):
         fo = first_order_block(params, kt)
-        for (i, k), val in zip(((1, 1), (1, 2), (2, 1), (2, 2)),
-                               (fo[0][0], fo[0][1], fo[1][0], fo[1][1])):
-            rows.append({"quantity": f"order_one_block({i},{k})/i",
-                         "value": format_rational(val)})
+        rows += [{"quantity": f"order_one_block({i + 1},{k + 1})/i",
+                  "value": format_rational(fo[i][k])} for i in (0, 1) for k in (0, 1)]
     _emit(_rows_text(rows, ["quantity", "value"], args.format), args.out)
     return 0
 
@@ -287,19 +295,13 @@ def cmd_block(args) -> int:
 def cmd_neighbors(args) -> int:
     params = _params(args)
     kt = _label_arg(params, args, args.q)
-    if kt.multiplicity == 1:
-        matrix = mult1_quotient_matrix(params, kt)
-    else:
-        matrix = mult2_det_quotient_matrix(params, kt)
+    quotients = mult1_quotient_matrix if kt.multiplicity == 1 else mult2_det_quotient_matrix
     rows = []
-    for dj, entries in matrix.rows():
+    for dj, entries in quotients(params, kt).rows():
         row = {"dj": f"{dj:+d}"}
         for df, entry in zip((-1, 1), entries):
-            key = f"df={df:+d}"
-            if entry is None:
-                row[key] = "absent"
-            else:
-                row[key] = f"{entry.render()}  -> {entry.neighbor.label()}"
+            row[f"df={df:+d}"] = ("absent" if entry is None else
+                                  f"{entry.render()}  -> {entry.neighbor.label()}")
         rows.append(row)
     text = _rows_text(rows, ["dj", "df=-1", "df=+1"], args.format)
     if kt.multiplicity == 2 and kt.j >= Fraction(3, 2) and args.format == "table":
@@ -406,13 +408,10 @@ def cmd_calibrate(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; its exit code, 2 for any :class:`UsageError`."""
-    args = build_parser().parse_args(argv)
-    handlers = {"spectrum": cmd_spectrum, "block": cmd_block,
-                "neighbors": cmd_neighbors, "verify": cmd_verify,
-                "calibrate": cmd_calibrate}
+    args = _parser().parse_args(argv)
     try:
         _check_out(args.out)
-        return handlers[args.command](args)
+        return args.handler(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from twistor_spectra import faults
+from twistor_spectra import cli, faults
 from twistor_spectra.cli import main
 
 REGION = ["--f-min=-3/2", "--f-max", "3/2", "--j-max", "5/2"]
@@ -106,6 +106,15 @@ class TestSpectrum:
         assert rows[0]["note"] == "SINGULAR(C4)"
 
 
+# stderr of a block or neighbors (q = 0) query, per malformed label
+LABEL_ERRORS = {
+    ("--f", "abc", "--j", "1/2"): "bad label: --f abc: not a rational number",
+    ("--f", "1/0", "--j", "1/2"): "bad label: --f 1/0: zero denominator",
+    ("--lattice", "int", "--f", "1/2", "--j", "1/2"):
+        "bad label: f=1/2 is not on the configured 'int' lattice",
+}
+
+
 class TestUsageErrors:
     def test_odd_dimension_exits_2(self, capsys):
         assert main(["verify", "--n", "5"]) == 2
@@ -114,30 +123,60 @@ class TestUsageErrors:
         assert captured.err == "n must be even and >= 4\n"
 
     def test_bad_rational_exits_2(self, capsys):
-        assert main(["spectrum", "--n", "4", "--r", "x/y"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "bad configuration: --r x/y: not a rational number\n"
+        for argv, err in (
+                (["spectrum", "--n", "4", "--r", "x/y"],
+                 "bad configuration: --r x/y: not a rational number"),
+                # --r is read before --n is checked
+                (["spectrum", "--n", "5", "--r", "x"],
+                 "bad configuration: --r x: not a rational number"),
+                (["spectrum", "--f-max", "zz"], "bad region: --f-max zz: not a rational number"),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == err + "\n"
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
 
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # wraps build_parser the way the benchmark's tracer does, re-wrapping
+        # parse_args on every call, which a cached build_parser would nest
+        built = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            parser = build_parser()
+            parse_args = parser.parse_args
+            parser.parse_args = lambda args=None: parse_args(args)
+            built.append(parser)
+            return parser
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        argv = ["neighbors", "--n", "6", "--r", "3/2", "--f", "1/2", "--j", "3/2",
+                "--q", "0", "--eps", "1"]
+        outputs = []
+        for i in range(3):
+            if i:
+                with pytest.raises(SystemExit):
+                    main(["calibrate", "--n", "4", "--strict-paper"])
+                capsys.readouterr()
+            outputs.append((main(argv), capsys.readouterr()))
+        assert len(built) <= 1
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("command", [
         ("block",),
         ("neighbors", "--q", "0"),
     ])
-    @pytest.mark.parametrize("label", [
-        ("--f", "abc", "--j", "1/2"),
-        ("--f", "1/0", "--j", "1/2"),
-    ])
+    @pytest.mark.parametrize("label", list(LABEL_ERRORS))
     def test_malformed_label_exits_2(self, capsys, command, label):
         code = main([*command, "--n", "4", *label, "--eps", "1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("bad label: ")
+        assert captured.err == LABEL_ERRORS[label] + "\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["block", "--f", "1/0", "--j", "1/2", "--eps", "1"], "bad label: --f 1/0: "),
@@ -146,6 +185,7 @@ class TestUsageErrors:
         (["spectrum", "--f-min", "1/0"], "bad region: --f-min 1/0: "),
         (["verify", "--j-max", "1/0"], "bad region: --j-max 1/0: "),
         (["spectrum", "--r", "1/0"], "bad configuration: --r 1/0: "),
+        (["calibrate", "--f-min", "1/0"], "bad region: --f-min 1/0: "),
     ])
     def test_zero_denominator_names_the_flag(self, capsys, argv, message):
         code = main(argv)
@@ -157,6 +197,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", [
         ("verify", "--n", "4", "--r", "1", "--f-min=-1/2", "--f-max=1/2", "--j-max=3/2"),
         ("spectrum", "--n", "4"),
+        ("spectrum", "--r", "x"),       # before any flag value is read, too
     ])
     def test_unwritable_out_exits_2_before_any_work(self, capsys, tmp_path, command):
         # an empty path would otherwise drop the verify report or go to stdout
@@ -318,7 +359,10 @@ class TestNeighbors:
     def test_invalid_weight_exits_2(self, capsys):
         code = main(["neighbors", "--n", "4", "--f", "1/2", "--j", "1/2",
                      "--q", "1", "--eps", "1"])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err == "bad label: j=1/2 must lie in 1/2 + q + N (q=1)\n"
 
 
 class TestBlockAndCalibrate:
