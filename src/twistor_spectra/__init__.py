@@ -15,10 +15,10 @@ from .ktypes import (BadDimensionError, DIRECTIONS, Direction,
                      interface_square, make_ktype, neighbors)
 from .operators import (Case1Data, Case2Data, Case3Data, DBlock,
                         DegenerateTargetError, MissingLError,
-                        NotNeighborsError, c_ba, case1_data, case2_data,
-                        case3_data, d_block)
+                        NotNeighborsError, case1_data, case2_data, case3_data,
+                        d_block)
 from .spectra import (Block, CalibrationResult, InconsistentSystemError,
-                      QuotientEntry, QuotientMatrix, SingularCoefficientError,
+                      QuotientEntry, SingularCoefficientError,
                       block2x2, block_coefficients, calibrate_L,
                       exchanged_rs_eigenvalue, first_order_block,
                       mult1_quotient_matrix, mult2_det_quotient_matrix,

@@ -296,10 +296,12 @@ def cmd_neighbors(args) -> int:
     params = _params(args)
     kt = _label_arg(params, args, args.q)
     quotients = mult1_quotient_matrix if kt.multiplicity == 1 else mult2_det_quotient_matrix
+    entries = quotients(params, kt)
     rows = []
-    for dj, entries in quotients(params, kt).rows():
+    for dj in (1, 0, -1):       # the diagram's 3x2 layout
         row = {"dj": f"{dj:+d}"}
-        for df, entry in zip((-1, 1), entries):
+        for df in (-1, 1):
+            entry = entries.get((df, dj))
             row[f"df={df:+d}"] = ("absent" if entry is None else
                                   f"{entry.render()}  -> {entry.neighbor.label()}")
         rows.append(row)

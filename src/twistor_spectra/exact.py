@@ -242,7 +242,8 @@ def evaluate_numeric(g: GammaQuotient) -> float:
     """Floating evaluation via log-gamma.
 
     Target relative accuracy is about 1e-12 away from poles.  A formal zero
-    evaluates to exactly 0.0; a pole raises :class:`GammaPoleError`.
+    evaluates to exactly 0.0; a pole raises :class:`GammaPoleError`; a gamma
+    product beyond the float range evaluates to +-inf.
     """
     poles = g.pole_arguments()
     if poles:
@@ -256,4 +257,7 @@ def evaluate_numeric(g: GammaQuotient) -> float:
         logmag += exp * lg
         if exp % 2 == 1 and s < 0:
             sign = -sign
-    return sign * abs(float(g.prefactor)) * math.exp(logmag)
+    try:
+        return sign * abs(float(g.prefactor)) * math.exp(logmag)
+    except OverflowError:
+        return math.copysign(math.inf, sign)

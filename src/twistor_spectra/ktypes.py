@@ -9,16 +9,16 @@ multiplicity one (the divergence summand).
 Sphere eigenvalue data hangs off the label: the Dirac eigenvalue
 ``J_signed = eps * (j + (n-2)/2)`` and the twistor Laplacian eigenvalue
 ``lambda(T*T) = ((n-2)/(n-1)) * (J^2 - ((n-1)/2)^2)``, which vanishes exactly
-at the bottom label ``j = 1/2``.  Both are memoized per label, and the Dirac
-eigenvalue passes the ``DIRAC`` fault site so tests can check that the suites
-reject a shifted convention; the divergence-part eigenvalue ``L`` is never
-hard-coded and comes from a calibration table.
+at the bottom label ``j = 1/2``.  The Dirac eigenvalue is memoized per label
+and passes the ``DIRAC`` fault site so tests can check that the suites reject
+a shifted convention; lambda(T*T) is read by the memoized label-pair table of
+``operators`` alone.  The divergence-part eigenvalue ``L`` is calibrated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import faults
 from .exact import RationalLike, format_rational, rational
@@ -134,9 +134,8 @@ def label_dirac(n: int, j: Fraction, eps: int) -> Fraction:
     return faults.bump("DIRAC", eps * (j + Fraction(n - 2, 2)))
 
 
-@faults.memo
 def label_twistor_tt(n: int, j: Fraction) -> Fraction:
-    """lambda(T*T) of the label j on S^(n-1), memoized."""
+    """lambda(T*T) of the label j on S^(n-1)."""
     J = j + Fraction(n - 2, 2)
     return Fraction(n - 2, n - 1) * (J * J - Fraction(n - 1, 2) ** 2)
 
@@ -179,26 +178,19 @@ DIRECTIONS: Tuple[Direction, ...] = (
 )
 
 
-def neighbor_of(ktype: KType, direction: Direction) -> Optional[KType]:
-    """The diagram neighbor in one direction, or None off the lattice.
+def neighbors(ktype: KType) -> List[Tuple[Direction, KType]]:
+    """Up to six diagram neighbors; bottom-row entries are omitted at j = 1/2 + q.
 
     The middle row (dj = 0) flips eps; the j +- 1 rows keep it.  q and xi
     never change along diagram arrows.
     """
-    j2 = ktype.j + direction.dj
-    if j2 < HALF + ktype.q:
-        return None
-    eps2 = -ktype.eps if direction.dj == 0 else ktype.eps
-    return KType(ktype.xi, ktype.f + direction.df, j2, ktype.q, eps2)
-
-
-def neighbors(ktype: KType) -> List[Tuple[Direction, KType]]:
-    """Up to six diagram neighbors; bottom-row entries are omitted at j = 1/2 + q."""
     out = []
     for direction in DIRECTIONS:
-        nb = neighbor_of(ktype, direction)
-        if nb is not None:
-            out.append((direction, nb))
+        j2 = ktype.j + direction.dj
+        if j2 >= HALF + ktype.q:
+            eps2 = -ktype.eps if direction.dj == 0 else ktype.eps
+            out.append((direction, KType(ktype.xi, ktype.f + direction.df, j2,
+                                         ktype.q, eps2)))
     return out
 
 

@@ -12,7 +12,8 @@ with J the signed Dirac eigenvalue and L the divergence-part eigenvalue,
 read from a calibration table {(j, eps): L}.
 
 Compressing the conformal factor between neighboring labels multiplies the
-twistor-range part by the rational coefficient c_ba; compressing the Bochner
+twistor-range part by the rational coefficient c_ba, read as
+``case2_data(...).c_ba`` from the label-pair table; compressing the Bochner
 Laplacian commutator gives a quadratic coefficient, which is -2 times the
 bracket ``case3_mid`` on a same-multiplicity pair and -+2 times ``case1_mid``
 on a mixed pair.  Together they produce the three families of transition
@@ -36,7 +37,6 @@ __all__ = [
     "Case2Data",
     "Case3Data",
     "d_block",
-    "c_ba",
     "case1_data",
     "case1_mid",
     "case2_data",
@@ -74,13 +74,14 @@ class DBlock:
 
 @faults.memo
 def _d_entries(n: int, J_signed: Fraction) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-    # D11 is perturbed in its Dirac-eigenvalue coefficient: the identities
-    # consume only differences of this entry across labels, so a constant
-    # shift of it is a gauge freedom no suite could (or should) detect
+    # D11 and D22 are perturbed in their Dirac-eigenvalue coefficients: the
+    # identities consume only label differences of both (and d22 - d33, whose
+    # constant part the calibrated L absorbs), so a constant shift of either
+    # is a gauge freedom no suite could (or should) detect
     d11 = faults.bump("D11", Fraction(n + 1, 2 * (n - 1))) * J_signed
     d12 = faults.bump("D12", Fraction(n - 2, 4) - Fraction(n - 2, (n - 1) ** 2) * J_signed ** 2)
     d21 = faults.bump("D21", Fraction(-n))
-    d22 = faults.bump("D22", Fraction(n - 3, 2 * (n - 1)) * J_signed)
+    d22 = faults.bump("D22", Fraction(n - 3, 2 * (n - 1))) * J_signed
     return d11, d12, d21, d22
 
 
@@ -97,24 +98,6 @@ def _d33(table: Dict[Tuple[Fraction, int], Fraction], ktype: KType) -> Fraction:
     if L is None:
         raise MissingLError(f"no divergence eigenvalue for {ktype.label()}")
     return faults.bump("D33", L / 2)
-
-
-def c_ba(params: Params, a: KType, b: KType) -> Fraction:
-    """Twistor-range compression coefficient for the transition a -> b.
-
-    Exact rational; requires multiplicity-2 neighbor labels and a
-    non-degenerate target (lambda_b(T*T) != 0, i.e. b.j != 1/2).  Read from
-    the same label-pair row as :func:`case2_data`.
-    """
-    if a.multiplicity != 2 or b.multiplicity != 2:
-        raise NotNeighborsError("c_ba needs two multiplicity-2 labels")
-    if classify_pair(a, b) != "same-mult":
-        raise NotNeighborsError(f"{a.label()} and {b.label()} are not a transition pair")
-    return _pair_row(params, a, b).c_ba
-
-
-def _c_bracket(n: int, Ja: Fraction, Jb: Fraction) -> Fraction:
-    return Jb * Jb / 2 + Ja * Ja / 2 - Ja * Jb / Fraction(n - 1) - Fraction(n * (n - 1), 4)
 
 
 class _PairRow(NamedTuple):
@@ -138,19 +121,12 @@ def _label_pair(n: int, ja: Fraction, ea: int, jb: Fraction, eb: int
     if lam_b == 0:
         return None
     Ja, Jb = label_dirac(n, ja, ea), label_dirac(n, jb, eb)
-    cba = _c_bracket(n, Ja, Jb) / lam_b
+    cba = (Jb * Jb / 2 + Ja * Ja / 2 - Ja * Jb / Fraction(n - 1)
+           - Fraction(n * (n - 1), 4)) / lam_b
     a11, a12, a21, a22 = _d_entries(n, Ja)
     b11, b12, b21, b22 = _d_entries(n, Jb)
     return _PairRow(cba, (Jb * Jb - Ja * Ja + 1) / 2, b11 - a11, b22 - a22,
                     b21 - cba * a21, cba * b12 - a12)
-
-
-def _pair_row(params: Params, a: KType, b: KType) -> _PairRow:
-    row = _label_pair(params.n, a.j, a.eps, b.j, b.eps)
-    if row is None:
-        raise DegenerateTargetError(
-            f"lambda(T*T) = 0 at target {b.label()}; compression undefined")
-    return row
 
 
 def classify_pair(frm: KType, to: KType) -> Optional[str]:
@@ -245,7 +221,7 @@ def case2_data(params: Params, alpha: KType, beta: KType) -> Case2Data:
     F1-+ = mid -+ r +- s (d11' - d11), F2-+ likewise with d22,
     g1 = s (d21' - c_ba d21) and g2 = s (c_ba d12' - d12).  All but the
     f and r terms depend only on the two labels and come from the row keyed
-    on (n, j, eps, j', eps') that :func:`c_ba` reads; since f' - f = +-1,
+    on (n, j, eps, j', eps'), c_ba among them; since f' - f = +-1,
     each edge computes only mid = (f' - f) f + 1/2 + (J'^2 - J^2)/2, the
     sign s and the r terms.  Raises DegenerateTarget when beta sits at the
     lattice bottom.  Note g1 = s (-n) (1 - c_ba) since the (2,1) operator
@@ -253,7 +229,10 @@ def case2_data(params: Params, alpha: KType, beta: KType) -> Case2Data:
     """
     if classify_pair(alpha, beta) != "same-mult" or alpha.multiplicity != 2:
         raise NotNeighborsError(f"{alpha.label()} -> {beta.label()} is not a multiplicity-2 edge")
-    row = _pair_row(params, alpha, beta)
+    row = _label_pair(params.n, alpha.j, alpha.eps, beta.j, beta.eps)
+    if row is None:
+        raise DegenerateTargetError(
+            f"lambda(T*T) = 0 at target {beta.label()}; compression undefined")
     up = beta.f > alpha.f
     mid = (alpha.f if up else -alpha.f) + row.mid0
     lo, hi = mid - params.r, mid + params.r

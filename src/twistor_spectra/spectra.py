@@ -47,7 +47,6 @@ from .operators import case1_mid, case3_mid, d_block
 __all__ = [
     "Block",
     "QuotientEntry",
-    "QuotientMatrix",
     "CalibrationResult",
     "z_value",
     "z_for",
@@ -218,8 +217,8 @@ class QuotientEntry:
 
     kind: 'finite' (value = num/den), 'pole' (den = 0), 'zero' (num = 0), or
     'indeterminate' (both vanish: the displayed closed form cannot decide the
-    edge and only the gamma-quotient route can).  ``neighbor`` is the label
-    the entry divides by the center's.
+    edge and only the gamma-quotient route can).  It divides the quantity at
+    ``neighbor``, one ``direction`` from the center, by the center's.
     """
 
     direction: Direction
@@ -248,26 +247,6 @@ class QuotientEntry:
         return {"pole": "POLE", "zero": "0", "indeterminate": "INDET"}[k]
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """Entries of the 3x2 neighbor-quotient layout, keyed by (df, dj).
-
-    Rows are dj = +1, 0, -1 and columns df = -1, +1, matching the diagram;
-    the bottom row is omitted at the lattice boundary.  Every entry is the
-    spectral quantity at the neighbor divided by the one at the center; the
-    middle row's neighbors flip eps.
-    """
-
-    center: KType
-    entries: Dict[Direction, QuotientEntry]
-
-    def entry(self, df: int, dj: int) -> Optional[QuotientEntry]:
-        return self.entries.get(Direction(df, dj))
-
-    def rows(self) -> List[Tuple[int, List[Optional[QuotientEntry]]]]:
-        return [(dj, [self.entry(-1, dj), self.entry(1, dj)]) for dj in (1, 0, -1)]
-
-
 @faults.memo
 def _corner_pairs(r: Fraction, f: Fraction, J: Fraction, s: int):
     """Linear (numerator, denominator) pairs for all six directions.
@@ -287,8 +266,13 @@ def _corner_pairs(r: Fraction, f: Fraction, J: Fraction, s: int):
     }
 
 
-def mult1_quotient_matrix(params: Params, center: KType) -> QuotientMatrix:
-    """Eigenvalue quotients around a multiplicity-one center."""
+def mult1_quotient_matrix(params: Params, center: KType) -> Dict[Direction, QuotientEntry]:
+    """Eigenvalue quotients around a multiplicity-one center, as {direction: entry}.
+
+    Keys run in ``DIRECTIONS`` order, the diagram's 3x2 layout: rows dj = +1,
+    0, -1 by columns df = -1, +1, the middle row flipping eps; the bottom row
+    is absent at the lattice boundary.
+    """
     if center.multiplicity != 1:
         raise ValueError("mult1_quotient_matrix needs a multiplicity-1 center")
     J, s = spectral_args(params, center)
@@ -297,13 +281,13 @@ def mult1_quotient_matrix(params: Params, center: KType) -> QuotientMatrix:
     for direction, nb in neighbors(center):
         num, den = raw[direction]
         entries[direction] = QuotientEntry(direction, nb, faults.bump("Q1", num), den)
-    return QuotientMatrix(center, entries)
+    return entries
 
 
-def mult2_det_quotient_matrix(params: Params, center: KType) -> QuotientMatrix:
-    """Determinant quotients around a multiplicity-two center.
+def mult2_det_quotient_matrix(params: Params, center: KType) -> Dict[Direction, QuotientEntry]:
+    """Determinant quotients around a multiplicity-two center, as {direction: entry}.
 
-    Each entry is a product of two factors over a product of two factors;
+    Keys as in :func:`mult1_quotient_matrix`.  Each entry is a product of two factors over a product of two factors;
     the lone chirality factors pair off as (Y - xi)(Y + xi) = Y^2 - 1, so
     every entry is (Y_num^2 - 1)/(Y_den^2 - 1) on the linear pairs of
     :func:`_corner_pairs`.  The strict middle-right denominator carries
@@ -324,7 +308,7 @@ def mult2_det_quotient_matrix(params: Params, center: KType) -> QuotientMatrix:
         else:
             den = y_den * y_den - 1
         entries[direction] = QuotientEntry(direction, nb, faults.bump("Q2", num), den)
-    return QuotientMatrix(center, entries)
+    return entries
 
 
 @faults.memo

@@ -21,7 +21,7 @@ from .exact import ReducedValue, format_rational
 from .ktypes import (Direction, KType, Params, case1_partners,
                      interface_square, neighbors, spectral_args)
 from .operators import DegenerateTargetError, case1_data, case2_data
-from .spectra import (CalibrationResult, EmptyWindowError, QuotientMatrix,
+from .spectra import (CalibrationResult, EmptyWindowError, QuotientEntry,
                       SingularCoefficientError, block_coefficients,
                       calibrate_L, exchanged_rs_eigenvalue,
                       first_order_block, mult1_quotient_matrix,
@@ -149,14 +149,13 @@ def _skip(exc: ArithmeticError, role: str) -> Tuple[str, str]:
 
 
 def _walk_quotients(suite: str, case: int, params: Params, centers: Iterable[KType],
-                    matrix_of: Callable[[Params, KType], QuotientMatrix],
+                    matrix_of: Callable[[Params, KType], Dict[Direction, QuotientEntry]],
                     terms_of: Callable[[Params, KType, int], tuple], key: str) -> SuiteReport:
     """Each matrix entry vs the oracle's exact neighbor/center ratio, kept under ``key``."""
     report = SuiteReport(suite)
     for center in centers:
-        matrix = matrix_of(params, center)
         at_center = terms_of(params, center, -1)
-        for entry in matrix.entries.values():
+        for entry in matrix_of(params, center).values():
             tagged = z_product(params.r, terms_of(params, entry.neighbor, 1) + at_center)
             verdict, residuals = _compare_entry(entry, tagged)
             quantities = None

@@ -28,7 +28,7 @@ VERIFY_STDOUT_SHA256 = {
 }
 
 # sha256 over test_fault_sweep_is_pinned's runs
-FAULT_SWEEP_SHA256 = "2784bc3ee3fbf468aec55e4162d8cd4ac342e2409c1804d4e7a4738a17fb7f69"
+FAULT_SWEEP_SHA256 = "e8753972f58c75057007b17dac94740761faf8e26f279559b292b0d97494f1d5"
 
 
 def run(capsys, *argv):
@@ -97,6 +97,13 @@ class TestSpectrum:
         payload = json.loads(json_out)
         assert payload["schema_version"] == 1
         assert payload["rows"] == csv_rows
+
+    def test_numerics_beyond_the_float_range_print_inf(self, capsys):
+        # at r = 200 every multiplicity-one |z| on the default window
+        # overflows a float; the run still succeeds
+        rows = csv_rows(capsys, "spectrum", "--n", "4", "--r", "200", "--format", "csv")
+        cells = {(r["xi"], r["f"], r["j"], r["q"], r["eps"]): r["z_numeric"] for r in rows}
+        assert cells[("1", "3/2", "3/2", "1", "1")] == "inf"
 
     def test_singular_blocks_are_annotated(self, capsys):
         _, out = run(capsys, "spectrum", "--n", "4", "--r", "1/2",
@@ -294,6 +301,14 @@ class TestVerify:
                     digest.update(part.encode() + b"\0")
                 digest.update(report + b"\0")
         assert digest.hexdigest() == FAULT_SWEEP_SHA256
+
+    def test_every_fault_site_fails_verify(self, capsys):
+        # the calibration runs under the fault too, as in any armed run
+        for site in faults.SITES:
+            with faults.inject(site):
+                code = main(["verify", "--n", "4", "--r", "1", *REGION])
+            capsys.readouterr()
+            assert code == 1, site
 
     def test_singular_half_order_blocks_leave_the_reading_unresolved(self, capsys):
         # the one multiplicity-two center has C4 = 0 at r = 1/2

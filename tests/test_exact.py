@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -171,6 +172,13 @@ class TestNumeric:
 
     def test_formal_zero_evaluates_to_zero(self):
         assert evaluate_numeric(G(0, exp=-1)) == 0.0
+
+    def test_beyond_the_float_range_is_signed_inf(self):
+        # Gamma(200) ~ 3.9e372; 1/Gamma(-401/2) is as large, and negative
+        assert evaluate_numeric(GammaQuotient(Q(-1), G(200).factors)) == -math.inf
+        assert evaluate_numeric(G("-401/2", exp=-1)) == -math.inf
+        assert evaluate_numeric(G("-399/2", exp=-1)) == math.inf
+        assert evaluate_numeric(G(200, exp=-1)) == 0.0
 
     @settings(max_examples=60)
     @given(x=st.fractions(min_value=Q(1, 4), max_value=8, max_denominator=8),

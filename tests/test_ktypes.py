@@ -8,8 +8,7 @@ from twistor_spectra.ktypes import (BadDimensionError, Direction,
                                     InvalidWeightError, KType, Params,
                                     case1_partners, enumerate_ktypes,
                                     interface_square, label_dirac,
-                                    label_twistor_tt, make_ktype, neighbor_of,
-                                    neighbors)
+                                    label_twistor_tt, make_ktype, neighbors)
 
 P4 = Params(4, Q(1, 2))
 P6 = Params(6, Q(1, 2))
@@ -121,7 +120,7 @@ class TestNeighbors:
         kt = KType(xi, Q(2 * f2 + 1, 2), Q(1, 2) + q + jstep, q, eps)
         for d, nb in neighbors(kt):
             back = Direction(-d.df, -d.dj)
-            assert neighbor_of(nb, back) == kt
+            assert dict(neighbors(nb))[back] == kt
 
 
 class TestInterfaceSquare:

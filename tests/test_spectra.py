@@ -116,7 +116,7 @@ class TestMult2GammaProduct:
         got = ratio_tagged(target, center)
         assert got.kind == "finite" and got.value == Q(15, 7)
         kt = make_ktype(params, 1, Q(1, 2), Q(1, 2), 0, 1)
-        entry = mult2_det_quotient_matrix(params, kt).entry(1, 1)
+        entry = mult2_det_quotient_matrix(params, kt).get((1, 1))
         assert entry.value == Q(15, 7)
 
 
@@ -227,7 +227,7 @@ class TestZProduct:
 class TestMult1QuotientMatrix:
     def test_pole_entry_flagged_not_thrown(self):
         kt = make_ktype(P4H, 1, Q(5, 2), Q(3, 2), 1, 1)   # J = 5/2
-        entry = mult1_quotient_matrix(P4H, kt).entry(1, 0)
+        entry = mult1_quotient_matrix(P4H, kt).get((1, 0))
         assert entry.kind == "pole" and entry.num == 6 and entry.den == 0
         # the spectral-function route flags the same edge
         nb = make_ktype(P4H, 1, Q(7, 2), Q(3, 2), 1, -1)
@@ -235,7 +235,7 @@ class TestMult1QuotientMatrix:
 
     def test_middle_right_consistency_frozen(self):
         kt = make_ktype(P4H, 1, Q(1, 2), Q(3, 2), 1, 1)   # J = 5/2
-        entry = mult1_quotient_matrix(P4H, kt).entry(1, 0)
+        entry = mult1_quotient_matrix(P4H, kt).get((1, 0))
         assert entry.value == -2
         nb = make_ktype(P4H, 1, Q(3, 2), Q(3, 2), 1, -1)
         got = ratio_tagged(z_for(P4H, nb), z_for(P4H, kt))
@@ -249,26 +249,25 @@ class TestMult1QuotientMatrix:
             params = Params(4, r)
             kt = make_ktype(params, -1, Q(3, 2), Q(5, 2), 1, 1)
             matrix = mult1_quotient_matrix(params, kt)
-            assert len(matrix.entries) == 6
+            assert len(matrix) == 6
             for direction, nb in neighbors(kt):
-                fwd = matrix.entry(direction.df, direction.dj)
-                back = mult1_quotient_matrix(params, nb).entry(-direction.df,
-                                                               -direction.dj)
+                fwd = matrix.get((direction.df, direction.dj))
+                back = mult1_quotient_matrix(params, nb).get((-direction.df,
+                                                              -direction.dj))
                 assert fwd.num * back.num == fwd.den * back.den
 
     def test_boundary_row_omitted(self):
         kt = make_ktype(P4H, 1, Q(1, 2), Q(3, 2), 1, 1)
         matrix = mult1_quotient_matrix(P4H, kt)
-        assert matrix.entry(1, -1) is None and matrix.entry(-1, -1) is None
-        rows = matrix.rows()
-        assert rows[2] == (-1, [None, None])
+        assert matrix.get((1, -1)) is None and matrix.get((-1, -1)) is None
+        assert list(matrix) == [(-1, 1), (1, 1), (-1, 0), (1, 0)]
 
 
 class TestMult2DetQuotientMatrix:
     def test_frozen_top_right(self):
         params = Params(4, Q(1))
         kt = make_ktype(params, 1, Q(1, 2), Q(1, 2), 0, 1)
-        assert mult2_det_quotient_matrix(params, kt).entry(1, 1).value == Q(15, 7)
+        assert mult2_det_quotient_matrix(params, kt).get((1, 1)).value == Q(15, 7)
 
     def test_entries_do_not_depend_on_chirality(self):
         params = Params(6, Q(3, 2))
@@ -278,9 +277,9 @@ class TestMult2DetQuotientMatrix:
             ma = mult2_det_quotient_matrix(params, a)
             mb = mult2_det_quotient_matrix(params, b)
             # xi*eps is equal pairwise, so every entry agrees
-            for d, entry in ma.entries.items():
-                assert mb.entries[d].num == entry.num
-                assert mb.entries[d].den == entry.den
+            for d, entry in ma.items():
+                assert mb[d].num == entry.num
+                assert mb[d].den == entry.den
 
     def test_strict_flag_touches_only_middle_right_eps_minus(self):
         params = Params(4, Q(1))
@@ -288,9 +287,9 @@ class TestMult2DetQuotientMatrix:
             kt = make_ktype(params, 1, Q(3, 2), Q(3, 2), 0, eps)
             default = mult2_det_quotient_matrix(params, kt)
             strict = mult2_det_quotient_matrix(Params(4, Q(1), strict_paper=True), kt)
-            for d in default.entries:
-                same = (strict.entries[d].num == default.entries[d].num
-                        and strict.entries[d].den == default.entries[d].den)
+            for d in default:
+                same = (strict[d].num == default[d].num
+                        and strict[d].den == default[d].den)
                 if d == Direction(1, 0) and eps == -1:
                     assert not same
                 else:
@@ -380,7 +379,7 @@ class TestBlock2x2:
             return b11 * b22 - b12 * b21
 
         got = det(bt) * rho.value ** 2 / det(bc)
-        entry = mult2_det_quotient_matrix(params, center).entry(1, 1)
+        entry = mult2_det_quotient_matrix(params, center).get((1, 1))
         assert got == entry.value == Q(15, 7)
 
 

@@ -93,18 +93,13 @@ class TestCase2Suite:
         assert all(c.neighbor.j == Q(1, 2) for c in skipped)
 
     def test_operator_entry_fault_flips_a_verdict(self):
-        # D11 and D21/D12 feed the multiplicity-2 relation; D22 only enters
-        # it through label differences and is caught by the interface suite
+        # every upper-left entry feeds the multiplicity-2 relation; D11 and
+        # D22 enter it through label differences of their J coefficients
         params = Params(4, Q(1))
-        for site in ("D11", "D12", "D21"):
+        for site in ("D11", "D12", "D21", "D22"):
             with faults.inject(site):
                 report = verify_case2_relation(params, region(params, 0))
             assert not report.ok, site
-        table = dirac_l_table(params)
-        centers = [c for c in region(params, 0) if c.xi == 1]
-        with faults.inject("D22"):
-            report = verify_interface(params, centers, table)
-        assert not report.ok
 
     def test_block_coefficient_fault_flips_a_verdict(self):
         params = Params(4, Q(1))
