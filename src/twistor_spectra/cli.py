@@ -318,17 +318,16 @@ def cmd_neighbors(args) -> int:
 def cmd_verify(args) -> int:
     params = _params(args)
     f_min, f_max, j_max, xis, epss = _region_args(args)
-    centers_m1 = list(enumerate_ktypes(params, f_min, f_max, j_max, (1,), xis, epss))
-    centers_m2 = list(enumerate_ktypes(params, f_min, f_max, j_max, (0,), xis, epss))
-    if not centers_m2:      # a q = 1 label has a q = 0 one at j = 1/2 below it
+    centers = list(enumerate_ktypes(params, f_min, f_max, j_max, (0, 1), xis, epss))
+    if not centers:
         raise _empty_window(f_min, f_max, j_max)
     try:
-        reports, calibrations = run_all_suites(
-            params, centers_m1, centers_m2, xis, f_min, f_max, j_max)
+        reports, calibrations = run_all_suites(params, centers, f_min, f_max, j_max)
     except InconsistentSystemError as exc:
         print(f"calibration inconsistent: {exc}", file=sys.stderr)
         return 1
-    reading = resolve_block_factor_reading(params, centers_m2[:40])
+    reading = resolve_block_factor_reading(
+        params, [c for c in centers if c.multiplicity == 2][:40])
     all_ok = all(rep.ok for rep in reports.values()) and \
         all(isinstance(cal, EmptyWindowError) or cal.consistent
             for cal in calibrations.values())

@@ -61,10 +61,9 @@ class MissingLError(LookupError):
     """No calibrated divergence-part eigenvalue available for the label."""
 
 
-@dataclass(frozen=True)
-class DBlock:
-    """Upper-left 2x2 of the operator block at one (j, eps) label; d33 = L/2
-    needs the calibrated L and is read by :func:`_d33`."""
+class DBlock(NamedTuple):
+    """Upper-left 2x2 of the operator block at one (j, eps) label, as memoized
+    by ``_d_entries``; d33 = L/2 needs the calibrated L (:func:`_d33`)."""
 
     d11: Fraction
     d12: Fraction
@@ -73,7 +72,7 @@ class DBlock:
 
 
 @faults.memo
-def _d_entries(n: int, J_signed: Fraction) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+def _d_entries(n: int, J_signed: Fraction) -> DBlock:
     # D11 and D22 are perturbed in their Dirac-eigenvalue coefficients: the
     # identities consume only label differences of both (and d22 - d33, whose
     # constant part the calibrated L absorbs), so a constant shift of either
@@ -82,14 +81,14 @@ def _d_entries(n: int, J_signed: Fraction) -> Tuple[Fraction, Fraction, Fraction
     d12 = faults.bump("D12", Fraction(n - 2, 4) - Fraction(n - 2, (n - 1) ** 2) * J_signed ** 2)
     d21 = faults.bump("D21", Fraction(-n))
     d22 = faults.bump("D22", Fraction(n - 3, 2 * (n - 1))) * J_signed
-    return d11, d12, d21, d22
+    return DBlock(d11, d12, d21, d22)
 
 
 def d_block(params: Params, ktype: KType) -> DBlock:
-    """Operator block at the label of ``ktype``; it depends on the label only
-    through the signed Dirac eigenvalue."""
+    """The memoized ``_d_entries`` row at the label of ``ktype``; it depends
+    on the label only through the signed Dirac eigenvalue."""
     J = DEFAULT_EIGENVALUES.dirac(params, ktype.j, ktype.eps)
-    return DBlock(*_d_entries(params.n, J))
+    return _d_entries(params.n, J)
 
 
 def _d33(table: Dict[Tuple[Fraction, int], Fraction], ktype: KType) -> Fraction:

@@ -372,12 +372,11 @@ def block2x2(params: Params, center: KType) -> Block:
     return Block(center, _z_cached(params.r, f, J, s), coeffs)
 
 
-def exchanged_rs_eigenvalue(params: Params, f: RationalLike, J: RationalLike,
-                            xi_eps: int) -> Fraction:
+def exchanged_rs_eigenvalue(f: RationalLike, J: RationalLike, xi_eps: int) -> Fraction:
     """First-order eigenvalue i (f - s J) on a multiplicity-one summand, divided by i.
 
-    Equals -4 times z_value at r = 1/2; vanishes exactly on the kernel line
-    f = s J.
+    Free of n and r.  Equals -4 times z_value at r = 1/2; vanishes exactly
+    on the kernel line f = s J.
     """
     return rational(f) - xi_eps * rational(J)
 

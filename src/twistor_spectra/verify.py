@@ -1,10 +1,11 @@
 """Exact-identity verification suites over finite lattice regions.
 
-Every suite walks a set of centers, checks one family of identities edge by
-edge in exact arithmetic, and returns verdicts rather than raising: ``pass``
-and ``fail`` for decidable comparisons, ``pole`` / ``zero`` when both routes
-flag the same degeneration symmetrically, ``indeterminate`` when a closed
-form degenerates to 0/0, and ``skipped-*`` when an edge cannot be decided
+Every suite takes K-types of any multiplicity, walks the centers its
+identities apply to, checks them edge by edge in exact arithmetic, and
+returns verdicts rather than raising: ``pass`` and ``fail`` for decidable
+comparisons, ``pole`` / ``zero`` when both routes flag the same
+degeneration symmetrically, ``indeterminate`` when a closed form
+degenerates to 0/0, and ``skipped-*`` when an edge cannot be decided
 (degenerate compression target, vanishing block denominator coefficient, or
 a non-finite shared-factor ratio).  A failing verdict carries the exact
 residual as a rational string.
@@ -97,9 +98,6 @@ class SuiteReport:
     suite: str
     checks: List[EdgeCheck] = field(default_factory=list)
 
-    def add(self, check: EdgeCheck) -> None:
-        self.checks.append(check)
-
     @property
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -161,8 +159,8 @@ def _walk_quotients(suite: str, case: int, params: Params, centers: Iterable[KTy
             quantities = None
             if verdict not in (PASS, POLE, ZERO):
                 quantities = {"entry": entry.render(), key: tagged.render()}
-            report.add(EdgeCheck(case, center, entry.neighbor, entry.direction, verdict,
-                                 quantities=quantities, residuals=residuals or None))
+            report.checks.append(EdgeCheck(case, center, entry.neighbor, entry.direction, verdict,
+                                           quantities=quantities, residuals=residuals or None))
     return report
 
 
@@ -222,7 +220,7 @@ def verify_case2_relation(params: Params, centers: Iterable[KType]) -> SuiteRepo
         except _SKIPPED as exc:
             skip = _skip(exc, "center block")
             for direction, nb in neighbors(center):
-                report.add(EdgeCheck(2, center, nb, direction, *skip))
+                report.checks.append(EdgeCheck(2, center, nb, direction, *skip))
             continue
         z_a = z_terms(params, center, -1, block=True)
         for direction, nb in neighbors(center):
@@ -230,12 +228,13 @@ def verify_case2_relation(params: Params, centers: Iterable[KType]) -> SuiteRepo
                 data = case2_data(params, center, nb)
                 coeffs_b = block_coefficients(params, nb)
             except _SKIPPED as exc:
-                report.add(EdgeCheck(2, center, nb, direction, *_skip(exc, "neighbor block")))
+                skip = _skip(exc, "neighbor block")
+                report.checks.append(EdgeCheck(2, center, nb, direction, *skip))
                 continue
             rho = z_product(params.r, z_terms(params, nb, 1, block=True) + z_a)
             if rho.kind != "finite":
-                report.add(EdgeCheck(2, center, nb, direction, SKIP_POLE,
-                                     detail=f"shared-factor ratio is {rho.kind}"))
+                report.checks.append(EdgeCheck(2, center, nb, direction, SKIP_POLE,
+                                               detail=f"shared-factor ratio is {rho.kind}"))
                 continue
             residuals = _case2_residuals(coeffs_b, data.m1(), data.m2(),
                                          coeffs_a, rho.value)
@@ -246,9 +245,9 @@ def verify_case2_relation(params: Params, centers: Iterable[KType]) -> SuiteRepo
                 "g1": format_rational(data.g1),
                 "g2": format_rational(data.g2),
             }
-            report.add(EdgeCheck(2, center, nb, direction,
-                                 FAIL if residuals else PASS,
-                                 quantities=quantities, residuals=residuals))
+            report.checks.append(EdgeCheck(2, center, nb, direction,
+                                           FAIL if residuals else PASS,
+                                           quantities=quantities, residuals=residuals))
     return report
 
 
@@ -304,8 +303,8 @@ def verify_interface(params: Params, centers: Iterable[KType],
             continue
         for _, beta in case1_partners(center):
             if (beta.j, beta.eps) in table:
-                report.add(_check_case1_edge(params, center, beta, table))
-        report.add(_check_square(params, interface_square(center)))
+                report.checks.append(_check_case1_edge(params, center, beta, table))
+        report.checks.append(_check_square(params, interface_square(center)))
     return report
 
 
@@ -357,7 +356,7 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> di
         J, s = spectral_args(half_params, center)
         outcome["checked"] += 1
         for reading, f_fac in (("f+1", center.f + 1), ("f", center.f)):
-            eigenvalue = exchanged_rs_eigenvalue(half_params, f_fac, J, s)
+            eigenvalue = exchanged_rs_eigenvalue(f_fac, J, s)
             got = tuple(c * eigenvalue for c in coeffs)
             if got == (want[0][0], want[0][1], want[1][0], want[1][1]):
                 outcome[reading] += 1
@@ -366,31 +365,29 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> di
     return outcome
 
 
-def run_all_suites(params: Params, centers_mult1: Sequence[KType],
-                   centers_mult2: Sequence[KType], xi_values: Sequence[int],
-                   f_min, f_max, j_max):
-    """Drive all four suites plus calibration; returns (reports, calibrations).
-
-    A calibration whose window holds nothing to solve maps its xi to the
+def run_all_suites(params: Params, centers: Sequence[KType], f_min, f_max, j_max):
+    """Drive all four suites on one K-type list plus calibration; returns
+    (reports, calibrations).  The xi set follows ``centers``: each xi in it
+    is calibrated and its interface suite gets that xi's centers.  A
+    calibration with nothing to solve maps its xi to the
     :class:`EmptyWindowError` naming why, and that xi gets no interface
-    checks (an interface center in the same window needs j >= 3/2 and an
-    f point, so none exists).
+    checks (an interface center would need j >= 3/2 and an f point in the
+    same window, so none exists).
     """
     reports: Dict[str, SuiteReport] = {}
-    reports["mult1-quotients"] = verify_mult1_quotients(params, centers_mult1)
-    reports["mult2-quotients"] = verify_mult2_quotients(params, centers_mult2)
-    reports["case2-relation"] = verify_case2_relation(params, centers_mult2)
+    reports["mult1-quotients"] = verify_mult1_quotients(params, centers)
+    reports["mult2-quotients"] = verify_mult2_quotients(params, centers)
+    reports["case2-relation"] = verify_case2_relation(params, centers)
     calibrations: Dict[int, Union[CalibrationResult, EmptyWindowError]] = {}
     interface = SuiteReport("interface")
-    for xi in sorted(set(xi_values)):
+    for xi in sorted({c.xi for c in centers}):
         try:
             result = calibrate_L(params, xi, f_min, f_max, j_max)
         except EmptyWindowError as exc:
             calibrations[xi] = exc
             continue
         calibrations[xi] = result
-        sub = verify_interface(params, [c for c in centers_mult2 if c.xi == xi],
-                               result.table)
+        sub = verify_interface(params, [c for c in centers if c.xi == xi], result.table)
         interface.checks.extend(sub.checks)
     reports["interface"] = interface
     return reports, calibrations

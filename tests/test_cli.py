@@ -209,7 +209,7 @@ class TestUsageErrors:
     def test_unwritable_out_exits_2_before_any_work(self, capsys, tmp_path, command):
         # an empty path would otherwise drop the verify report or go to stdout
         for target, reason in ((tmp_path / "missing" / "x.out", "no such directory"),
-                               ("", "empty path")):
+                               ("", "empty path"), (tmp_path, "is a directory")):
             code = main([*command, "--out", str(target)])
             captured = capsys.readouterr()
             assert code == 2
@@ -246,6 +246,18 @@ class TestVerify:
         assert payload["convention"]["block_factor_at"] == "f+1"
         for cal in payload["calibration"].values():
             assert cal["consistent"] is True
+
+    def test_the_window_is_enumerated_once(self, capsys, monkeypatch):
+        calls = []
+        enumerate_ktypes = cli.enumerate_ktypes
+
+        def counting_enumerate(*args):
+            calls.append(args)
+            return enumerate_ktypes(*args)
+        monkeypatch.setattr(cli, "enumerate_ktypes", counting_enumerate)
+        code, _ = run(capsys, "verify", "--n", "4", "--r", "1", *REGION)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_strict_paper_fails_with_first_edge(self, capsys):
         code, out = run(capsys, "verify", "--n", "4", "--r", "1",
@@ -433,10 +445,41 @@ class TestBlockAndCalibrate:
                                        "constraints for (j=3/2, eps=+1)")
         assert "Fraction(" not in captured.err
 
+    def test_singular_block_query_exits_0(self, capsys):
+        # C3 = n - 1 + 2r vanishes at n = 4, r = -3/2
+        code, out = run(capsys, "block", "--n", "4", "--r=-3/2", "--f", "1/2",
+                        "--j", "3/2", "--eps", "1")
+        assert code == 0
+        assert [line.split() for line in out.splitlines()[2:]] == [["block", "SINGULAR(C3)"]]
+
+    def test_calibrate_table_ends_with_its_counts(self, capsys):
+        code, out = run(capsys, "calibrate", "--n", "4", "--r", "1")
+        assert code == 0
+        assert out.endswith("\nconstraints: 364, unconstraining: 36, consistent: True\n")
+
     def test_calibrate_rejects_unread_flags(self):
         with pytest.raises(SystemExit) as err:
             main(["calibrate", "--n", "4", "--strict-paper"])
         assert err.value.code == 2
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--n", "4", "--r", "1", *REGION, "--format", "json"),
+        ("block", "--n", "4", "--r", "1/2", "--f", "3/2", "--j", "1/2", "--eps", "1",
+         "--format", "csv"),
+        ("neighbors", "--n", "6", "--r", "3/2", "--f", "1/2", "--j", "3/2", "--q", "0",
+         "--eps", "1"),
+        ("calibrate", "--n", "4", "--r", "1", *REGION),
+    ])
+    def test_out_writes_the_bytes_the_command_prints(self, capsys, tmp_path, argv):
+        assert main(list(argv)) == 0
+        printed = capsys.readouterr()
+        target = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(target)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == captured.err == printed.err == ""
+        assert target.read_bytes() == printed.out.encode()
 
 
 class TestStrictPaperFlag:

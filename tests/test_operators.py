@@ -37,6 +37,11 @@ class TestDBlock:
         da, db = d_block(P4, a), d_block(P4, b)
         assert (da.d11, da.d12, da.d21, da.d22) == (db.d11, db.d12, db.d21, db.d22)
 
+    def test_a_label_has_one_block(self):
+        # the memoized row itself, not a copy per call
+        kt = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
+        assert d_block(P4, kt) is d_block(P4, kt)
+
     def test_d33_from_table(self):
         table = dirac_l_table(P4)
         kt = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 1, -1)

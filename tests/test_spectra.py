@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from twistor_spectra import faults, spectra
 from twistor_spectra.exact import (GammaQuotient, NonCommensurableError,
-                                   ratio_tagged, reduce_exact)
+                                   ReducedValue, ratio_tagged, reduce_exact)
 from twistor_spectra.ktypes import (Direction, KType, Params, case1_partners,
                                     enumerate_ktypes, label_dirac, make_ktype,
                                     neighbors)
@@ -386,16 +386,16 @@ class TestBlock2x2:
 class TestExchangedRS:
     # the eigenvalue is i (f - s J); the function returns it divided by i
     def test_frozen_value(self):
-        assert exchanged_rs_eigenvalue(P4H, Q(5, 2), Q(3, 2), 1) == 1
+        assert exchanged_rs_eigenvalue(Q(5, 2), Q(3, 2), 1) == 1
 
     def test_kernel(self):
-        assert exchanged_rs_eigenvalue(P4H, Q(7, 2), Q(7, 2), 1) == 0
+        assert exchanged_rs_eigenvalue(Q(7, 2), Q(7, 2), 1) == 0
 
     def test_equals_minus_four_i_z(self):
         for f, J, s in ((Q(5, 2), Q(3, 2), 1), (Q(-1, 2), Q(7, 2), -1)):
             z = reduce_exact(z_value(P4H, f, J, s))
             z_val = z.value if z.kind == "finite" else Q(0)
-            assert exchanged_rs_eigenvalue(P4H, f, J, s) == -4 * z_val
+            assert exchanged_rs_eigenvalue(f, J, s) == -4 * z_val
 
 
 class TestCalibration:
@@ -521,3 +521,26 @@ class TestCalibration:
         assert (centers[0], nbs[0]) != (centers[1], nbs[1])
         residual = Q(edge["delta"]) - Q(prev["delta"])
         assert residual != 0 and witness["residual"] == str(residual)
+
+    def test_a_cycle_that_does_not_close_names_its_class(self, monkeypatch):
+        # every ratio a pole with bracket xi (f - f') - r makes each edge's
+        # delta (mid + r)/xd = 1, so x_b - x_a is -1 one way round a class
+        # pair and +1 back, and the spanning solve meets a gap of 2
+        monkeypatch.setattr(spectra, "z_product", lambda r, terms: ReducedValue("pole"))
+        monkeypatch.setattr(spectra, "case3_mid",
+                            lambda p, center, nb: center.xi * (center.f - nb.f) - p.r)
+        with pytest.raises(InconsistentSystemError) as err:
+            calibrate_L(Params(4, Q(1)), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
+        assert str(err.value) == "difference cycle through (j=3/2, eps=-1) does not close"
+        assert err.value.witness == {"node": ["3/2", -1], "residual": "2"}
+
+    def test_only_unconstraining_edges_leave_classes_free(self, monkeypatch):
+        # every ratio a finite -1 with a zero bracket constrains nothing, so
+        # only the first of the six classes gets a value
+        monkeypatch.setattr(spectra, "z_product",
+                            lambda r, terms: ReducedValue("finite", Q(-1)))
+        monkeypatch.setattr(spectra, "case3_mid", lambda p, center, nb: Q(0))
+        with pytest.raises(InconsistentSystemError) as err:
+            calibrate_L(Params(4, Q(1)), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
+        assert str(err.value) == "calibration window leaves 5 classes unconstrained"
+        assert err.value.witness == {}

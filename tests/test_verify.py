@@ -209,11 +209,28 @@ class TestDrivers:
         m1 = region(params, 1, Q(-3, 2), Q(3, 2), Q(5, 2))
         m2 = region(params, 0, Q(-3, 2), Q(3, 2), Q(5, 2))
         reports, calibrations = run_all_suites(
-            params, m1, m2, (1, -1), Q(-3, 2), Q(3, 2), Q(5, 2))
+            params, m1 + m2, Q(-3, 2), Q(3, 2), Q(5, 2))
         assert set(reports) == {"mult1-quotients", "mult2-quotients",
                                 "case2-relation", "interface"}
         assert all(rep.ok for rep in reports.values())
         assert all(cal.consistent for cal in calibrations.values())
+
+    def test_one_mixed_list_splits_as_the_suites_do(self):
+        # each suite keeps its own multiplicity; the xi set follows the list
+        params = Params(4, Q(1))
+        window = (Q(-3, 2), Q(3, 2), Q(5, 2))
+        centers = list(enumerate_ktypes(params, *window))
+        m1, m2 = region(params, 1, *window), region(params, 0, *window)
+        reports, calibrations = run_all_suites(params, centers, *window)
+        assert reports["mult1-quotients"].checks == verify_mult1_quotients(params, m1).checks
+        assert reports["mult2-quotients"].checks == verify_mult2_quotients(params, m2).checks
+        assert reports["case2-relation"].checks == verify_case2_relation(params, m2).checks
+        assert sorted(calibrations) == [-1, 1]
+        interface = [check for xi in (-1, 1) for check in verify_interface(
+            params, [c for c in m2 if c.xi == xi], calibrations[xi].table).checks]
+        assert interface and reports["interface"].checks == interface
+        _, one_xi = run_all_suites(params, [c for c in centers if c.xi == -1], *window)
+        assert list(one_xi) == [-1]
 
     def test_factor_reading_resolution(self):
         params = Params(4, Q(1))
