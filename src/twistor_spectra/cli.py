@@ -328,7 +328,7 @@ def cmd_verify(args) -> int:
         return 1
     reading = resolve_block_factor_reading(
         params, [c for c in centers if c.multiplicity == 2][:40])
-    all_ok = all(rep.ok for rep in reports.values()) and \
+    all_ok = all(rep.ok for rep in reports.values()) and reading["resolved"] != "neither" and \
         all(isinstance(cal, EmptyWindowError) or cal.consistent
             for cal in calibrations.values())
     for rep in reports.values():
@@ -342,6 +342,9 @@ def cmd_verify(args) -> int:
               f"({cal.difference_edges} constraints, {len(cal.table)} classes)")
     if reading["resolved"] is None:
         print("block shared factor: not resolved (every r = 1/2 block singular)")
+    elif reading["resolved"] == "neither":
+        print("block shared factor: NO reading matches every checked center "
+              f"(f+1: {reading['f+1']}, f: {reading['f']}, checked: {reading['checked']})")
     else:
         print(f"block shared factor resolved at weight: {reading['resolved']}")
     if not all_ok:

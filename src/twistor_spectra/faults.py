@@ -3,9 +3,11 @@
 The verification suites are only trustworthy if a wrong coefficient anywhere
 actually flips a verdict.  Formula sites route their constants through
 :func:`bump`, which is the identity unless a test has armed an offset with
-:func:`inject`.  Production code never arms anything.  Every table is a
-:func:`memo`, and arming or disarming a site empties them all, so armed runs
-use the production tables and no perturbed value outlives its fault.
+:func:`inject`; a site passing a numerator over ``scale`` gets ``offset *
+scale`` added, so the offset moves the value itself.  Production code never
+arms anything.  Every table is a :func:`memo`, and arming or disarming a site
+empties them all, so armed runs use the production tables and no perturbed
+value outlives its fault.
 
 Sites: ``C1``-``C6`` (block coefficient factors), ``D11``-``D22`` and ``D33``
 (operator block entries), ``Q1``/``Q2`` (quotient-matrix numerators) and
@@ -17,7 +19,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List, Union
 
 _ACTIVE: Dict[str, Fraction] = {}
 _TABLES: List[Callable] = []        # every memo table, in declaration order
@@ -32,11 +34,11 @@ SITES = (
 )
 
 
-def bump(name: str, value: Fraction) -> Fraction:
+def bump(name: str, value: Union[int, Fraction], scale: int = 1) -> Union[int, Fraction]:
     if not _ACTIVE:
         return value
     off = _ACTIVE.get(name)
-    return value if off is None else value + off
+    return value if off is None else value + off * scale
 
 
 def memo(fn: Callable) -> Callable:

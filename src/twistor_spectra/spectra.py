@@ -4,6 +4,9 @@ On multiplicity-one summands the operator eigenvalue is carried by the
 spectral function ``z_value(r; f, J, s)``, a four-gamma quotient with
 prefactor s/2 (s = xi*eps).  At r = 1/2 it collapses to the exact rational
 -(f - s J)/4, a quarter of the order-one eigenvalue i(f - s J) divided by i.
+At half-integer r, z = (s/2) (a)_{r-s/2} (b)_{r+s/2} in Pochhammer symbols,
+a = (2f+2J-2r+2+s)/4, b = (-2f+2J-2r+2-s)/4: a polynomial for r = k + 1/2,
+the reciprocal of one (a pole where a factor vanishes) for r = 1/2 - k.
 
 On multiplicity-two summands the normalization determinant is carried by the
 eight-gamma product w(r; f, J, s) = z(r; f, J-1, s) * z(r; f, J+1, s); its
@@ -16,7 +19,8 @@ CLI's ``spectrum`` keeps ``exact.ratio_tagged``: each row's offset from its
 base is a new pattern, so templates would be built and kept once per row.
 
 ``block2x2`` reconstructs the whole 2x2 block on a multiplicity-two summand
-as a rational coefficient matrix sharing the factor z(r; f+1, J, s).
+as a rational coefficient matrix, evaluated on one integer scaling of
+(f, J, r), sharing the factor z(r; f+1, J, s).
 ``Params.strict_paper`` selects, for a whole run, the strict variants of it
 and two other closed forms, which reproduce misprints: its (2,2)
 coefficient drops a factor n(n-2).  The operator normalization pins the
@@ -312,26 +316,31 @@ def mult2_det_quotient_matrix(params: Params, center: KType) -> Dict[Direction, 
 
 
 @faults.memo
-def _block_coeffs(n: int, r: Fraction, f: Fraction, Ja: Fraction, xi: int,
-                  strict_paper: bool
+def _block_coeffs(n: int, r: Fraction, f: Fraction, Ja: Fraction, xi: int, strict_paper: bool
                   ) -> Union[str, Tuple[Fraction, Fraction, Fraction, Fraction]]:
+    # on the integer scaling f = X/d, Ja = Y/d, r = Z/d each ck is an integer over
+    # d (C1, C3, C6) or d^2 (C2, C4, C5), and each coefficient is one Fraction;
     # a singular block is cached too, as the name of the vanished coefficient
-    c1 = faults.bump("C1", 2*f*n - 2*f - 2*n + 1 + n*n + 2*r*n - 2*r - 2*xi*Ja)
-    c2 = faults.bump("C2", 2*f*r + xi*Ja)
-    c3 = faults.bump("C3", Fraction(n - 1) + 2*r)
-    c4 = faults.bump("C4", (2*f + 2*r - xi + 2*Ja) * (2*f + 2*r + xi - 2*Ja))
-    c5 = faults.bump("C5", Fraction(n - 1 + 2*Ja) * (n - 1 - 2*Ja))
-    c6 = faults.bump("C6", 2*f*n - 2*f - 2*n + 1 + n*n - 2*r*n + 2*r + 2*xi*Ja)
+    d = lcm(f.denominator, Ja.denominator, r.denominator)
+    X, Y, Z = (v.numerator * (d // v.denominator) for v in (f, Ja, r))
+    m = n - 1
+    c1 = faults.bump("C1", 2*m*(X + Z) + m*m*d - 2*xi*Y, d)
+    c2 = faults.bump("C2", 2*X*Z + xi*Y*d, d ** 2)
+    c3 = faults.bump("C3", m*d + 2*Z, d)
+    c4 = faults.bump("C4", (2*(X + Z + Y) - xi*d) * (2*(X + Z - Y) + xi*d), d ** 2)
+    c5 = faults.bump("C5", (m*d + 2*Y) * (m*d - 2*Y), d ** 2)
+    c6 = faults.bump("C6", 2*m*(X - Z) + m*m*d + 2*xi*Y, d)
     for name, c in (("C3", c3), ("C4", c4), ("C1", c1)):
         if c == 0:
             return name
-    b11 = 4*c1*c2 / ((n - 1) * c3 * c4) - 1
-    b12 = -2 * (n - 2) * xi * c5 * c2 / ((n - 1) ** 2 * c3 * c4)
-    b21 = 8 * n * xi * c2 / (c3 * c4)
+    T = c3 * c4
+    b11 = Fraction(4*c1*c2 - m*T, m*T)
+    b12 = Fraction(-2 * (n - 2) * xi * c5 * c2, m * m * T * d)
+    b21 = Fraction(8 * n * xi * c2 * d, T)
     # the strict first term of the (2,2) coefficient drops a factor n(n-2);
     # the corrected value is forced exactly by the mixed-multiplicity relations
     scale = 1 if strict_paper else n * (n - 2)
-    b22 = -4 * scale * c5 * c2 / ((n - 1) * c1 * c3 * c4) + c6 / c1
+    b22 = Fraction(m * c6 * T - 4 * scale * c5 * c2, m * c1 * T)
     return b11, b12, b21, b22
 
 

@@ -337,11 +337,11 @@ def _check_square(params: Params, square) -> EdgeCheck:
 def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> dict:
     """Adjudicate where the block's shared factor sits: weight f+1 or f.
 
-    Tries both readings of the degeneration at r = 1/2 against the
-    first-order block and reports which one survives; 'f+1' is the library
-    default and wins a tie.  ``resolved`` is None when no center was checked
-    (none has multiplicity two, or each one's r = 1/2 block is singular).  At
-    r = 1/2 the factor -4 z is the first-order eigenvalue f - sJ.
+    Tries both readings of the degeneration at r = 1/2, where -4 z is the
+    first-order eigenvalue f - sJ, against the first-order block.  One is
+    ``resolved`` only if it matched every checked center ('f+1' if both did),
+    else 'neither', a verification failure; None when no center was checked
+    (none has multiplicity two, or each one's r = 1/2 block is singular).
     """
     half_params = Params(params.n, Fraction(1, 2), params.f_lattice)
     outcome = {"f+1": 0, "f": 0, "checked": 0}
@@ -360,8 +360,8 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> di
             got = tuple(c * eigenvalue for c in coeffs)
             if got == (want[0][0], want[0][1], want[1][0], want[1][1]):
                 outcome[reading] += 1
-    resolved = "f+1" if outcome["f+1"] >= outcome["f"] else "f"
-    outcome["resolved"] = resolved if outcome["checked"] else None
+    matched = [reading for reading in ("f+1", "f") if outcome[reading] == outcome["checked"]]
+    outcome["resolved"] = (matched[0] if matched else "neither") if outcome["checked"] else None
     return outcome
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from twistor_spectra import cli, faults
+from twistor_spectra import cli, faults, verify
 from twistor_spectra.cli import main
 
 REGION = ["--f-min=-3/2", "--f-max", "3/2", "--j-max", "5/2"]
@@ -28,7 +28,7 @@ VERIFY_STDOUT_SHA256 = {
 }
 
 # sha256 over test_fault_sweep_is_pinned's runs
-FAULT_SWEEP_SHA256 = "e8753972f58c75057007b17dac94740761faf8e26f279559b292b0d97494f1d5"
+FAULT_SWEEP_SHA256 = "37f047cbdd0e910f1265515ac3f8b3e6275f8feb60fbd86d598e19437443758e"
 
 
 def run(capsys, *argv):
@@ -321,6 +321,26 @@ class TestVerify:
                 code = main(["verify", "--n", "4", "--r", "1", *REGION])
             capsys.readouterr()
             assert code == 1, site
+
+    def test_a_broken_first_order_block_fails_verify(self, capsys, tmp_path, monkeypatch):
+        # neither reading of the shared factor survives the shifted (1,1) entry
+        true_block = verify.first_order_block
+
+        def shifted(params, center):
+            (e11, e12), row2 = true_block(params, center)
+            return (e11 + 1, e12), row2
+
+        monkeypatch.setattr(verify, "first_order_block", shifted)
+        out_path = tmp_path / "report.json"
+        code, out = run(capsys, "verify", "--n", "4", "--r", "1", *REGION,
+                        "--out", str(out_path))
+        assert code == 1
+        assert ("block shared factor: NO reading matches every checked center "
+                "(f+1: 0, f: 0, checked: 34)") in out
+        payload = json.loads(out_path.read_text())
+        assert payload["ok"] is False
+        assert payload["convention"]["block_factor_resolution"] == {
+            "checked": 34, "f": 0, "f+1": 0, "resolved": "neither"}
 
     def test_singular_half_order_blocks_leave_the_reading_unresolved(self, capsys):
         # the one multiplicity-two center has C4 = 0 at r = 1/2

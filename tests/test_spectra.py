@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -11,8 +12,8 @@ from twistor_spectra import faults, spectra
 from twistor_spectra.exact import (GammaQuotient, NonCommensurableError,
                                    ReducedValue, ratio_tagged, reduce_exact)
 from twistor_spectra.ktypes import (Direction, KType, Params, case1_partners,
-                                    enumerate_ktypes, label_dirac, make_ktype,
-                                    neighbors)
+                                    enumerate_ktypes, f_points, label_dirac,
+                                    make_ktype, neighbors)
 from twistor_spectra.spectra import (InconsistentSystemError,
                                      SingularCoefficientError, block2x2,
                                      block_coefficients, calibrate_L, exchanged_rs_eigenvalue,
@@ -29,7 +30,39 @@ def closed_form_half(f, J, s):
     return -Q(1, 4) * (f - s * J)
 
 
+def pochhammer(x, k):
+    """(x)_k for an integer k; None where a reciprocal factor (k < 0) vanishes."""
+    if k >= 0:
+        return math.prod((x + i for i in range(k)), start=Q(1))
+    den = math.prod((x + i for i in range(k, 0)), start=Q(1))
+    return None if den == 0 else 1 / den
+
+
 class TestZValue:
+    def test_half_integer_orders_are_finite_products(self):
+        # z(r; f, J, s) = (s/2) (a)_{r-s/2} (b)_{r+s/2}; at r = 1/2 - k the
+        # indices are negative and z is the reciprocal of a product
+        kinds = set()
+        for r, n, lattice in itertools.product(
+                (Q(1, 2), Q(3, 2), Q(5, 2), Q(7, 2), Q(-1, 2), Q(-3, 2)), (4, 6, 8),
+                ("half", "int")):
+            params = Params(n, r, lattice)
+            for f, j, s in itertools.product(f_points(params, Q(-9, 2), Q(9, 2)),
+                                             (Q(1, 2) + i for i in range(5)), (1, -1)):
+                J = j + Q(n - 2, 2)
+                a = (2*f + 2*J - 2*r + 2 + s) / 4
+                b = (-2*f + 2*J - 2*r + 2 - s) / 4
+                pa, pb = pochhammer(a, int(r - Q(s, 2))), pochhammer(b, int(r + Q(s, 2)))
+                out = reduce_exact(z_value(params, f, J, s))
+                kinds.add(out.kind)
+                if pa is None or pb is None:
+                    assert out.kind == "pole", (params, f, J, s)
+                else:
+                    want = Q(s, 2) * pa * pb
+                    assert out.kind == ("zero" if want == 0 else "finite")
+                    assert out.value == want, (params, f, J, s)
+        assert kinds == {"finite", "zero", "pole"}
+
     def test_order_one_closed_form_samples(self):
         for n in (4, 6, 8):
             params = Params(n, Q(1, 2))
@@ -381,6 +414,96 @@ class TestBlock2x2:
         got = det(bt) * rho.value ** 2 / det(bc)
         entry = mult2_det_quotient_matrix(params, center).get((1, 1))
         assert got == entry.value == Q(15, 7)
+
+
+def block_reference(n, r, f, Ja, xi, strict_paper, offsets=None):
+    """b11..b22 as a direct Fraction transcription of C1..C6, or the name of
+    the vanished denominator factor; ``offsets`` adds to named factors."""
+    c = {"C1": 2*f*n - 2*f - 2*n + 1 + n*n + 2*r*n - 2*r - 2*xi*Ja,
+         "C2": 2*f*r + xi*Ja,
+         "C3": Q(n - 1) + 2*r,
+         "C4": (2*f + 2*r - xi + 2*Ja) * (2*f + 2*r + xi - 2*Ja),
+         "C5": Q(n - 1 + 2*Ja) * (n - 1 - 2*Ja),
+         "C6": 2*f*n - 2*f - 2*n + 1 + n*n - 2*r*n + 2*r + 2*xi*Ja}
+    offsets = offsets or {}
+    c1, c2, c3, c4, c5, c6 = (c[k] + offsets.get(k, 0) for k in sorted(c))
+    for name, value in (("C3", c3), ("C4", c4), ("C1", c1)):
+        if value == 0:
+            return name
+    b11 = 4*c1*c2 / ((n - 1) * c3 * c4) - 1
+    b12 = -2 * (n - 2) * xi * c5 * c2 / ((n - 1) ** 2 * c3 * c4)
+    b21 = 8 * n * xi * c2 / (c3 * c4)
+    scale = 1 if strict_paper else n * (n - 2)
+    b22 = -4 * scale * c5 * c2 / ((n - 1) * c1 * c3 * c4) + c6 / c1
+    return b11, b12, b21, b22
+
+
+def block_outcomes(params, kt, offsets=None):
+    """(kernel, reference) at one label: four coefficients or a singular name."""
+    try:
+        got = block_coefficients(params, kt)
+    except SingularCoefficientError as exc:
+        got = exc.which
+    Ja = label_dirac(params.n, kt.j, kt.eps)
+    return got, block_reference(params.n, params.r, kt.f, Ja, kt.xi,
+                                params.strict_paper, offsets)
+
+
+class TestBlockKernel:
+    """The integer-scaled block coefficients against the Fraction transcription."""
+
+    def test_grid_matches_the_reference(self):
+        singular = set()
+        for n, r, lattice, strict in itertools.product(
+                (4, 6, 8, 10), (Q(1, 2), Q(7, 3), Q(-3, 2), Q(-1, 3)), ("half", "int"),
+                (False, True)):
+            params = Params(n, r, lattice, strict)
+            for kt in enumerate_ktypes(params, Q(-5, 2), Q(5, 2), Q(7, 2), (0,)):
+                got, want = block_outcomes(params, kt)
+                assert got == want, (params, kt)
+                if isinstance(got, str):
+                    singular.add(got)
+                else:
+                    assert all(type(c) is Q for c in got)
+        assert singular == {"C1", "C3", "C4"}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(n=st.sampled_from([4, 6, 8, 10, 12]),
+           r=st.fractions(min_value=-6, max_value=6, max_denominator=9),
+           lattice=st.sampled_from(["half", "int"]), k=st.integers(-12, 12),
+           steps=st.integers(0, 6), xi=st.sampled_from([1, -1]),
+           eps=st.sampled_from([1, -1]), strict=st.booleans())
+    @example(n=4, r=Q(-3, 2), lattice="half", k=2, steps=1, xi=1, eps=1, strict=False)
+    @example(n=4, r=Q(1, 2), lattice="half", k=0, steps=0, xi=1, eps=1, strict=False)
+    @example(n=4, r=Q(7, 3), lattice="int", k=-3, steps=1, xi=1, eps=1, strict=True)
+    def test_property_matches_the_reference(self, n, r, lattice, k, steps, xi, eps, strict):
+        params = Params(n, r, lattice, strict)
+        f = Q(k) + (Q(1, 2) if lattice == "half" else 0)
+        got, want = block_outcomes(params, KType(xi, f, Q(1, 2) + steps, 0, eps))
+        assert got == want
+
+
+class TestScaledFault:
+    def test_bump_adds_the_offset_times_the_scale(self):
+        assert faults.bump("C2", 5, 36) == 5
+        with faults.inject("C2", Q(1, 3)):
+            assert faults.bump("C2", 5, 36) == 17
+            assert faults.bump("C2", Q(5)) == Q(16, 3)
+            assert faults.bump("C1", 5, 6) == 5
+
+    def test_an_armed_site_moves_its_factor_by_the_offset(self):
+        # f, Ja half-integers and r = 7/3: the kernel's common scale d is 6
+        params = Params(6, Q(7, 3))
+        centers = list(enumerate_ktypes(params, Q(-5, 2), Q(5, 2), Q(5, 2), (0,)))
+        for kt in centers:
+            Ja = label_dirac(params.n, kt.j, kt.eps)
+            assert math.lcm(kt.f.denominator, Ja.denominator, params.r.denominator) == 6
+        for site in ("C1", "C2", "C3", "C4", "C5", "C6"):
+            for delta in (Q(1), Q(1, 3)):
+                with faults.inject(site, delta):
+                    pairs = [block_outcomes(params, kt, {site: delta}) for kt in centers]
+                for kt, (got, want) in zip(centers, pairs):
+                    assert got == want, (site, delta, kt)
 
 
 class TestExchangedRS:
