@@ -10,7 +10,10 @@ container's depth; only containers that hold containers are walked in Python.
 The text comes out in chunks of about ``CHUNK`` characters, never as one
 string (a single container of scalars is one piece, whatever its size).  An
 object with a ``to_json`` method is converted when the walk reaches it, so
-the JSON forms of such objects need not all exist at once.
+the JSON forms of such objects need not all exist at once.  With sorted keys
+and the default separators, an object with a ``json_chunks(indent, depth)``
+method writes itself instead: it yields, in pieces, the text that
+``to_json`` would give at that depth, and each piece counts towards a chunk.
 
 Differences from the stdlib: the keys of a dict that holds containers must
 be ``str``, and reference cycles are not detected.
@@ -47,6 +50,9 @@ class IndentedEncoder(json.JSONEncoder):
         indent = self.indent if isinstance(self.indent, str) else " " * self.indent
         string = encode_basestring_ascii if self.ensure_ascii else encode_basestring
         key_sep, item_sep = self.key_separator, self.item_separator
+        # json_chunks writes sorted keys with the default separators, in ASCII
+        own_text = (self.sort_keys and self.ensure_ascii
+                    and (item_sep, key_sep) == (",", ": "))
         levels = []     # levels[d]: (inner newline, outer newline, C encoder) at depth d
         parts = []
         size = 0
@@ -101,7 +107,17 @@ class IndentedEncoder(json.JSONEncoder):
                 entries = (("", value) for value in o)
                 brackets = "[]"
             else:
-                yield from node(self.default(o), depth)
+                own = getattr(o, "json_chunks", None) if own_text else None
+                if own is None:
+                    yield from node(self.default(o), depth)
+                    return
+                for text in own(indent, depth):
+                    parts.append(text)
+                    size += len(text)
+                    if size >= CHUNK:
+                        yield "".join(parts)
+                        parts.clear()
+                        size = 0
                 return
             inner, outer, _ = level(depth)
             level(depth + 1)

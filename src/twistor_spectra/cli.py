@@ -321,16 +321,45 @@ def cmd_verify(args) -> int:
     centers = list(enumerate_ktypes(params, f_min, f_max, j_max, (0, 1), xis, epss))
     if not centers:
         raise _empty_window(f_min, f_max, j_max)
-    try:
-        reports, calibrations = run_all_suites(params, centers, f_min, f_max, j_max)
-    except InconsistentSystemError as exc:
-        print(f"calibration inconsistent: {exc}", file=sys.stderr)
-        return 1
+    reports, calibrations = run_all_suites(params, centers, f_min, f_max, j_max)
     reading = resolve_block_factor_reading(
         params, [c for c in centers if c.multiplicity == 2][:40])
-    all_ok = all(rep.ok for rep in reports.values()) and reading["resolved"] != "neither" and \
-        all(isinstance(cal, EmptyWindowError) or cal.consistent
-            for cal in calibrations.values())
+    unsolved = [cal for _, cal in sorted(calibrations.items()) if _unsolved(cal)]
+    all_ok = not unsolved and all(rep.ok for rep in reports.values()) and \
+        reading["resolved"] != "neither" and \
+        all(isinstance(cal, EmptyWindowError) or cal.consistent for cal in calibrations.values())
+    if unsolved:
+        # one stderr line and no summary; the report records the error under its xi
+        print(f"calibration inconsistent: {unsolved[0]}", file=sys.stderr)
+    else:
+        _print_verify_summary(reports, calibrations, reading, all_ok)
+    if args.out:
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "params": {"n": params.n, "r": format_rational(params.r),
+                       "lattice": params.f_lattice,
+                       "strict_paper": params.strict_paper},
+            "region": {"f_min": format_rational(f_min), "f_max": format_rational(f_max),
+                       "j_max": format_rational(j_max),
+                       "xi": sorted(xis), "eps": sorted(epss)},
+            "convention": dict(CONVENTION, block_factor_resolution=reading),
+            "calibration": {str(xi): _calibration_json(cal)
+                            for xi, cal in calibrations.items()},
+            "suites": reports,      # each SuiteReport writes its own text, edge by edge
+            "ok": all_ok,
+        }
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, cls=IndentedEncoder)
+            fh.write("\n")
+    return 0 if all_ok else 1
+
+
+def _unsolved(cal) -> bool:
+    """A calibration that raised for want of a solution, not for an empty window."""
+    return isinstance(cal, InconsistentSystemError) and not isinstance(cal, EmptyWindowError)
+
+
+def _print_verify_summary(reports, calibrations, reading, all_ok) -> None:
     for rep in reports.values():
         print(rep.summary_line())
     for xi, cal in sorted(calibrations.items()):
@@ -356,30 +385,13 @@ def cmd_verify(args) -> int:
                       f"{fail.neighbor.label() if fail.neighbor else '-'} "
                       f"residuals={fail.residuals}")
                 break
-    if args.out:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "params": {"n": params.n, "r": format_rational(params.r),
-                       "lattice": params.f_lattice,
-                       "strict_paper": params.strict_paper},
-            "region": {"f_min": format_rational(f_min), "f_max": format_rational(f_max),
-                       "j_max": format_rational(j_max),
-                       "xi": sorted(xis), "eps": sorted(epss)},
-            "convention": dict(CONVENTION, block_factor_resolution=reading),
-            "calibration": {str(xi): _calibration_json(cal)
-                            for xi, cal in calibrations.items()},
-            "suites": reports,      # SuiteReport.to_json runs as each suite is written
-            "ok": all_ok,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, cls=IndentedEncoder)
-            fh.write("\n")
-    return 0 if all_ok else 1
 
 
 def _calibration_json(cal) -> dict:
     if isinstance(cal, EmptyWindowError):
         return {"skipped": str(cal)}
+    if _unsolved(cal):
+        return {"error": str(cal), "witness": cal.witness}
     return {"consistent": cal.consistent,
             "difference_edges": cal.difference_edges,
             "unconstraining_edges": cal.unconstraining_edges,

@@ -37,6 +37,7 @@ RationalLike = Union[Fraction, int, str]
 __all__ = [
     "rational",
     "format_rational",
+    "format_ratio",
     "GammaQuotient",
     "ReducedValue",
     "ratio_tagged",
@@ -71,6 +72,21 @@ def rational(value: RationalLike) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Canonical 'p/q' string (plain 'p' when the denominator is 1)."""
     return str(x) if isinstance(x, Fraction) else str(Fraction(x))
+
+
+def format_ratio(num: int, den: int) -> str:
+    """:func:`format_rational` of num/den (den != 0), reduced on the ints without a Fraction.
+
+    A fault's offset may leave a non-integer numerator; that one goes
+    through ``Fraction``."""
+    if type(num) is not int or type(den) is not int:
+        return format_rational(Fraction(num, den))
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    num //= g
+    den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _is_nonpositive_integer(x: Fraction) -> bool:

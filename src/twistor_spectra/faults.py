@@ -10,9 +10,10 @@ empties them all, so armed runs use the production tables and no perturbed
 value outlives its fault.
 
 Sites: ``C1``-``C6`` (block coefficient factors), ``D11``-``D22`` and ``D33``
-(operator block entries), ``Q1``/``Q2`` (quotient-matrix numerators) and
+(operator block entries), ``Q1``/``Q2`` (quotient-matrix numerators),
 ``DIRAC`` (the signed sphere Dirac eigenvalue, so an alternate eigenvalue
-convention can be tried against the suites).
+convention can be tried against the suites) and ``E11`` (the (1,1) entry of
+the first-order block that the block factor's reading is checked against).
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ SITES = (
     "D11", "D12", "D21", "D22", "D33",
     "Q1", "Q2",
     "DIRAC",
+    "E11",
 )
 
 

@@ -13,12 +13,18 @@ at the bottom label ``j = 1/2``.  The Dirac eigenvalue is memoized per label
 and passes the ``DIRAC`` fault site so tests can check that the suites reject
 a shifted convention; lambda(T*T) is read by the memoized label-pair table of
 ``operators`` alone.  The divergence-part eigenvalue ``L`` is calibrated.
+
+A verify run reads each label through one :class:`Label` record of a
+:class:`Labels` table, keyed by the small ints (xi, 2f, 2j, q, eps): its
+``KType``, its (J, s) on the run's integer scale and, once asked for, its
+diagram neighbors as records.  :func:`neighbors` walks the same integer keys.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from math import lcm
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import faults
 from .exact import RationalLike, format_rational, rational
@@ -35,6 +41,10 @@ __all__ = [
     "SphereEigenvalues",
     "DEFAULT_EIGENVALUES",
     "spectral_args",
+    "Label",
+    "Labels",
+    "label_key",
+    "partner_keys",
     "label_dirac",
     "label_twistor_tt",
     "make_ktype",
@@ -178,20 +188,98 @@ DIRECTIONS: Tuple[Direction, ...] = (
 )
 
 
+Key = Tuple[int, int, int, int, int]     # (xi, 2f, 2j, q, eps)
+
+
+def label_key(ktype: KType) -> Key:
+    """The label's small-int key (xi, 2f, 2j, q, eps); f and j must be halves of integers."""
+    f2, f_rem = divmod(2 * ktype.f.numerator, ktype.f.denominator)
+    j2, j_rem = divmod(2 * ktype.j.numerator, ktype.j.denominator)
+    if f_rem or j_rem:
+        raise InvalidWeightError(f"{ktype.label()} has f or j off the half-integers")
+    return ktype.xi, f2, j2, ktype.q, ktype.eps
+
+
+def _key_ktype(key: Key) -> KType:
+    xi, f2, j2, q, eps = key
+    return KType(xi, Fraction(f2, 2), Fraction(j2, 2), q, eps)
+
+
+def _neighbor_keys(key: Key) -> List[Tuple[Direction, Key]]:
+    """The diagram's arrows on integer keys; bottom-row entries are omitted at j = 1/2 + q."""
+    xi, f2, j2, q, eps = key
+    out = []
+    for direction in DIRECTIONS:
+        df, dj = direction
+        if j2 + 2 * dj >= 1 + 2 * q:
+            out.append((direction, (xi, f2 + 2 * df, j2 + 2 * dj, q, -eps if dj == 0 else eps)))
+    return out
+
+
 def neighbors(ktype: KType) -> List[Tuple[Direction, KType]]:
     """Up to six diagram neighbors; bottom-row entries are omitted at j = 1/2 + q.
 
     The middle row (dj = 0) flips eps; the j +- 1 rows keep it.  q and xi
     never change along diagram arrows.
     """
-    out = []
-    for direction in DIRECTIONS:
-        j2 = ktype.j + direction.dj
-        if j2 >= HALF + ktype.q:
-            eps2 = -ktype.eps if direction.dj == 0 else ktype.eps
-            out.append((direction, KType(ktype.xi, ktype.f + direction.df, j2,
-                                         ktype.q, eps2)))
-    return out
+    return [(direction, _key_ktype(key)) for direction, key in _neighbor_keys(label_key(ktype))]
+
+
+class Label:
+    """One label's record in a :class:`Labels` table.
+
+    ``F`` and ``J`` are f and the spectral J on the table's ``scale``
+    (f = F/scale, J = J/scale) and ``s`` = xi*eps; ``key`` is the label's
+    (xi, 2f, 2j, q, eps).  A record is compared by identity.
+    """
+
+    __slots__ = ("ktype", "key", "F", "J", "s", "scale", "_neighbors")
+
+    def __init__(self, ktype: KType, key: Key, F: int, J: int, s: int, scale: int):
+        self.ktype, self.key, self.F, self.J, self.s, self.scale = ktype, key, F, J, s, scale
+        self._neighbors: Optional[List[Tuple[Direction, "Label"]]] = None
+
+
+class Labels:
+    """The label records of one run, keyed by (xi, 2f, 2j, q, eps) and made on first use.
+
+    ``spectral_args`` runs once per label, and :meth:`neighbors` once per
+    center.  ``scale`` is the one integer scale of every record's f and J: 2,
+    times the denominator a shifted Dirac convention gives J (every J is a
+    half-integer moved by plus or minus one offset, so one label shows it).  A
+    table belongs to one :class:`Params` and lives as long as its caller
+    keeps it, so nothing of a run outlives the run.
+    """
+
+    def __init__(self, params: Params):
+        self.params = params
+        self.scale = lcm(2, DEFAULT_EIGENVALUES.dirac(params, HALF, 1).denominator)
+        self._records: Dict[Key, Label] = {}
+        self.pairs: Dict[tuple, object] = {}    # data of label pairs, for other modules
+
+    def of(self, ktype: KType) -> Label:
+        """The record of ``ktype``, made if it is new."""
+        return self.at(label_key(ktype))
+
+    def at(self, key: Key) -> Label:
+        """The record of the label with this key, made if it is new."""
+        rec = self._records.get(key)
+        if rec is None:
+            ktype = _key_ktype(key)
+            J, s = spectral_args(self.params, ktype)
+            d = self.scale
+            if d % J.denominator:
+                raise ValueError(f"J = {J} of {ktype.label()} is off the run's scale 1/{d}")
+            rec = self._records[key] = Label(ktype, key, key[1] * (d // 2),
+                                             J.numerator * (d // J.denominator), s, d)
+        return rec
+
+    def neighbors(self, rec: Label) -> List[Tuple[Direction, Label]]:
+        """The diagram neighbors of ``rec`` as records, in :data:`DIRECTIONS` order."""
+        if rec._neighbors is None:
+            rec._neighbors = [(direction, self.at(key))
+                              for direction, key in _neighbor_keys(rec.key)]
+        return rec._neighbors
 
 
 @dataclass(frozen=True)
@@ -222,16 +310,20 @@ def interface_square(center: KType) -> InterfaceSquare:
     return InterfaceSquare(center, alpha2, beta1, beta2)
 
 
-def case1_partners(ktype: KType) -> List[Tuple[int, KType]]:
-    """Cross-multiplicity partners (same j, same eps, f +- 1, q flipped).
+def partner_keys(key: Key) -> List[Tuple[int, Key]]:
+    """(df, key) of the cross-multiplicity partners: same j, same eps, f +- 1, q flipped.
 
     Empty at j = 1/2, where no q=1 label with the same j exists.
     """
-    if ktype.j < Fraction(3, 2):
+    xi, f2, j2, q, eps = key
+    if j2 < 3:
         return []
-    q2 = 1 - ktype.q
-    return [(df, KType(ktype.xi, ktype.f + df, ktype.j, q2, ktype.eps))
-            for df in (1, -1)]
+    return [(df, (xi, f2 + 2 * df, j2, 1 - q, eps)) for df in (1, -1)]
+
+
+def case1_partners(ktype: KType) -> List[Tuple[int, KType]]:
+    """Cross-multiplicity partners (same j, same eps, f +- 1, q flipped): :func:`partner_keys`."""
+    return [(df, _key_ktype(key)) for df, key in partner_keys(label_key(ktype))]
 
 
 def f_points(params: Params, f_min: RationalLike, f_max: RationalLike) -> List[Fraction]:

@@ -23,13 +23,14 @@ to one (P-, P+).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Tuple
+from math import lcm
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from . import faults
-from .ktypes import (DEFAULT_EIGENVALUES, KType, Params, label_dirac,
-                     label_twistor_tt)
+from .ktypes import (DEFAULT_EIGENVALUES, KType, Label, Labels, Params,
+                     label_dirac, label_twistor_tt)
 
 __all__ = [
     "DBlock",
@@ -39,9 +40,15 @@ __all__ = [
     "d_block",
     "case1_data",
     "case1_mid",
+    "case1_bracket",
+    "case1_ints",
     "case2_data",
+    "case2_ints",
+    "relation_matrices",
+    "det2",
     "case3_data",
     "case3_mid",
+    "case3_bracket",
     "classify_pair",
     "DegenerateTargetError",
     "NotNeighborsError",
@@ -161,9 +168,46 @@ class Case1Data:
     e_plus: Fraction
 
 
+def _over(unit: int, *values) -> Tuple[int, ...]:
+    """(P, numerators): the values over one denominator P, a multiple of ``unit``."""
+    P = lcm(unit, *(v.denominator for v in values))
+    return (P, *(v.numerator * (P // v.denominator) for v in values))
+
+
+def case1_bracket(labels: Labels, alpha: Label, beta: Label) -> Tuple[int, int]:
+    """(num, den) of the r-free, L-free bracket (f^2 - f'^2)/2 - (n-2)/2 that E-
+    and E+ share on the mixed pair alpha -> beta; den = 2 scale^2."""
+    d = labels.scale
+    return alpha.F * alpha.F - beta.F * beta.F - (labels.params.n - 2) * d * d, 2 * d * d
+
+
 def case1_mid(params: Params, alpha: KType, beta: KType) -> Fraction:
     """The r-free, L-free bracket shared by E- and E+ on the mixed pair alpha -> beta."""
-    return (alpha.f ** 2 - beta.f ** 2) / 2 - Fraction(params.n - 2, 2)
+    labels = Labels(params)
+    return Fraction(*case1_bracket(labels, labels.of(alpha), labels.of(beta)))
+
+
+def case1_ints(labels: Labels, alpha: Label, beta: Label, d33: Fraction) -> Tuple[int, ...]:
+    """(P, A1, A2, E-, E+): the mixed pair's quantities as numerators over P.
+
+    ``d33`` is beta's L/2.  A1, A2 and the d22 - d33 term depend on the
+    labels only and are kept in ``labels.pairs``; each edge adds the
+    bracket and the r terms.
+    """
+    kt = alpha.ktype
+    xd = kt.xi if alpha.F > beta.F else -kt.xi          # xi (f - f')
+    key = ("case1", alpha.key[2], kt.eps, xd, d33.numerator, d33.denominator)
+    row = labels.pairs.get(key)
+    if row is None:
+        params, d = labels.params, labels.scale
+        rd = params.r.denominator
+        d_a = _d_entries(params.n, label_dirac(params.n, kt.j, kt.eps))
+        row = labels.pairs[key] = _over(2 * d * d * rd, xd * d_a.d12, -xd * d_a.d21,
+                                        xd * (d_a.d22 - d33), params.r)
+    P, a1, a2, dd, r = row
+    num, den = case1_bracket(labels, alpha, beta)
+    mid = num * (P // den)
+    return P, a1, a2, mid - r + dd, mid + r - dd
 
 
 def case1_data(params: Params, alpha: KType, beta: KType,
@@ -171,21 +215,15 @@ def case1_data(params: Params, alpha: KType, beta: KType,
     """Quantities for a multiplicity-2 label alpha paired with a q=1 label beta.
 
     Needs the calibrated divergence eigenvalue at beta; raises MissingL
-    without one.
+    without one.  The values are :func:`case1_ints`.
     """
     if alpha.multiplicity != 2 or beta.multiplicity != 1:
         raise NotNeighborsError("case1_data wants (multiplicity-2, multiplicity-1)")
     if classify_pair(alpha, beta) != "mixed":
         raise NotNeighborsError(f"{alpha.label()} and {beta.label()} are not a mixed pair")
-    d_a = d_block(params, alpha)
-    d33 = _d33(table, beta)
-    df = alpha.f - beta.f
-    r = params.r
-    a1 = alpha.xi * df * d_a.d12
-    a2 = -alpha.xi * df * d_a.d21
-    mid = case1_mid(params, alpha, beta)
-    dd = alpha.xi * df * (d_a.d22 - d33)
-    return Case1Data(a1, a2, mid - r + dd, mid + r - dd)
+    labels = Labels(params)
+    P, *nums = case1_ints(labels, labels.of(alpha), labels.of(beta), _d33(table, beta))
+    return Case1Data(*(Fraction(x, P) for x in nums))
 
 
 @dataclass(frozen=True)
@@ -201,44 +239,82 @@ class Case2Data:
     c_ba: Fraction
 
     def m1(self) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-        return ((self.f1_minus, self.g2), (self.g1, self.c_ba * self.f2_minus))
+        return relation_matrices(*astuple(self))[0]
 
     def m2(self) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-        return ((self.f1_plus, -self.g2), (-self.g1, self.c_ba * self.f2_plus))
+        return relation_matrices(*astuple(self))[1]
 
     def det_m1(self) -> Fraction:
-        return self.c_ba * self.f1_minus * self.f2_minus - self.g1 * self.g2
+        return det2(self.m1())
 
     def det_m2(self) -> Fraction:
-        return self.c_ba * self.f1_plus * self.f2_plus - self.g1 * self.g2
+        return det2(self.m2())
 
 
-def case2_data(params: Params, alpha: KType, beta: KType) -> Case2Data:
-    """Quantities for a multiplicity-2 edge alpha -> beta.
+def relation_matrices(f1_minus, f1_plus, f2_minus, f2_plus, g1, g2, c_ba):
+    """(M1, M2) = (((F1-, g2), (g1, c_ba F2-)), ((F1+, -g2), (-g1, c_ba F2+))).
+
+    On :func:`case2_ints` numerators over P, pass F1 and g times P and F2
+    and c_ba as they are: every entry then comes out over P^2.
+    """
+    return (((f1_minus, g2), (g1, c_ba * f2_minus)),
+            ((f1_plus, -g2), (-g1, c_ba * f2_plus)))
+
+
+def det2(m) -> Union[int, Fraction]:
+    """The determinant of a 2x2 matrix ((a, b), (c, d))."""
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def case2_ints(labels: Labels, alpha: Label, beta: Label) -> Optional[Tuple[int, ...]]:
+    """(P, F1-, F1+, F2-, F2+, g1, g2, c_ba) of the multiplicity-2 edge alpha ->
+    beta as numerators over P; None when beta sits at the lattice bottom.
 
     With s = xi (f' - f) and mid = (f'^2 - f^2)/2 + (J'^2 - J^2)/2:
     F1-+ = mid -+ r +- s (d11' - d11), F2-+ likewise with d22,
     g1 = s (d21' - c_ba d21) and g2 = s (c_ba d12' - d12).  All but the
-    f and r terms depend only on the two labels and come from the row keyed
-    on (n, j, eps, j', eps'), c_ba among them; since f' - f = +-1,
-    each edge computes only mid = (f' - f) f + 1/2 + (J'^2 - J^2)/2, the
-    sign s and the r terms.  Raises DegenerateTarget when beta sits at the
-    lattice bottom.  Note g1 = s (-n) (1 - c_ba) since the (2,1) operator
-    entry is label-independent.
+    f and r terms depend only on the two labels: the row of
+    ``_label_pair`` keyed on (n, j, eps, j', eps'), c_ba among them, put
+    over one denominator once per run in ``labels.pairs``.  Since
+    f' - f = +-1, each edge computes only mid = (f' - f) f + 1/2 +
+    (J'^2 - J^2)/2, the sign s and the r terms.  Note g1 = s (-n) (1 - c_ba)
+    since the (2,1) operator entry is label-independent.
+    """
+    key = ("case2", alpha.key[2], alpha.key[4], beta.key[2], beta.key[4])
+    row = labels.pairs.get(key, False)
+    if row is False:
+        ka, kb = alpha.ktype, beta.ktype
+        row = _label_pair(labels.params.n, ka.j, ka.eps, kb.j, kb.eps)
+        if row is not None:
+            r, d = labels.params.r, labels.scale
+            P, *nums = _over(d * r.denominator, *row, r)
+            row = (P, P // d, *nums)
+        labels.pairs[key] = row
+    if row is None:
+        return None
+    P, unit, c_ba, mid0, dd1, dd2, g1, g2, r = row
+    up = beta.F > alpha.F
+    mid = (alpha.F if up else -alpha.F) * unit + mid0
+    lo, hi = mid - r, mid + r
+    if (alpha.ktype.xi > 0) != up:
+        dd1, dd2, g1, g2 = -dd1, -dd2, -g1, -g2
+    return P, lo + dd1, hi - dd1, lo + dd2, hi - dd2, g1, g2, c_ba
+
+
+def case2_data(params: Params, alpha: KType, beta: KType) -> Case2Data:
+    """Quantities for a multiplicity-2 edge alpha -> beta: :func:`case2_ints`.
+
+    Raises DegenerateTarget when beta sits at the lattice bottom.
     """
     if classify_pair(alpha, beta) != "same-mult" or alpha.multiplicity != 2:
         raise NotNeighborsError(f"{alpha.label()} -> {beta.label()} is not a multiplicity-2 edge")
-    row = _label_pair(params.n, alpha.j, alpha.eps, beta.j, beta.eps)
-    if row is None:
+    labels = Labels(params)
+    ints = case2_ints(labels, labels.of(alpha), labels.of(beta))
+    if ints is None:
         raise DegenerateTargetError(
             f"lambda(T*T) = 0 at target {beta.label()}; compression undefined")
-    up = beta.f > alpha.f
-    mid = (alpha.f if up else -alpha.f) + row.mid0
-    lo, hi = mid - params.r, mid + params.r
-    dd1, dd2, g1, g2 = row.dd11, row.dd22, row.g1, row.g2
-    if (alpha.xi > 0) != up:
-        dd1, dd2, g1, g2 = -dd1, -dd2, -g1, -g2
-    return Case2Data(lo + dd1, hi - dd1, lo + dd2, hi - dd2, g1, g2, row.c_ba)
+    P, *nums = ints
+    return Case2Data(*(Fraction(x, P) for x in nums))
 
 
 @dataclass(frozen=True)
@@ -249,11 +325,17 @@ class Case3Data:
     p_plus: Fraction
 
 
+def case3_bracket(alpha: Label, beta: Label) -> Tuple[int, int]:
+    """(num, den) of the r-free, L-free bracket (f^2 - f'^2)/2 + (J^2 - J'^2)/2
+    that P- and P+ share on the edge alpha -> beta; den = 2 scale^2."""
+    return (alpha.F * alpha.F - beta.F * beta.F + alpha.J * alpha.J - beta.J * beta.J,
+            2 * alpha.scale * alpha.scale)
+
+
 def case3_mid(params: Params, alpha: KType, beta: KType) -> Fraction:
     """The r-free, L-free bracket shared by P- and P+ on the edge alpha -> beta."""
-    Ja = DEFAULT_EIGENVALUES.dirac(params, alpha.j, alpha.eps)
-    Jb = DEFAULT_EIGENVALUES.dirac(params, beta.j, beta.eps)
-    return (alpha.f ** 2 - beta.f ** 2) / 2 + (Ja * Ja - Jb * Jb) / 2
+    labels = Labels(params)
+    return Fraction(*case3_bracket(labels.of(alpha), labels.of(beta)))
 
 
 def case3_data(params: Params, alpha: KType, beta: KType,

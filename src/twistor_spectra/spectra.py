@@ -14,9 +14,15 @@ exact ratios across diagram edges reproduce the determinant-quotient matrix
 entry by entry.  The suites take such ratios with ``z_product`` (the
 multiplicity-two suite on ``w_terms``), from the quotients' gamma arguments
 (``_z_gammas``) and never from the closed forms' ``_corner_pairs``: each
-pattern is telescoped once over (f, J, r) and evaluated on integers.  The
-CLI's ``spectrum`` keeps ``exact.ratio_tagged``: each row's offset from its
-base is a new pattern, so templates would be built and kept once per row.
+pattern is telescoped once over (f, J, r) and evaluated on the integer
+terms of a run's label records, as an unreduced int ratio (``Tagged``).
+The closed forms are ints too: ``quotient_entries`` gives each entry as an
+int (num, den) pair, and the block coefficients are four numerators over
+one denominator (``block_ints``).  The library functions that return
+``Fraction`` values (``block_coefficients``, the quotient matrices) read the
+same kernels.  The CLI's ``spectrum`` keeps ``exact.ratio_tagged``: each
+row's offset from its base is a new pattern, so templates would be built
+and kept once per row.
 
 ``block2x2`` reconstructs the whole 2x2 block on a multiplicity-two summand
 as a rational coefficient matrix, evaluated on one integer scaling of
@@ -39,14 +45,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import faults
 from .exact import (GammaQuotient, NonCommensurableError, RationalLike,
-                    ReducedValue, format_rational, rational)
-from .ktypes import (DEFAULT_EIGENVALUES, HALF, Direction, KType, Params,
-                     f_points, neighbors, spectral_args)
-from .operators import case1_mid, case3_mid, d_block
+                    ReducedValue, format_ratio, format_rational, rational)
+from .ktypes import (DEFAULT_EIGENVALUES, Direction, KType, Label, Labels,
+                     Params, f_points, spectral_args)
+from .operators import case1_mid, case3_bracket, d_block
 
 __all__ = [
     "Block",
@@ -55,12 +61,16 @@ __all__ = [
     "z_value",
     "z_for",
     "mult2_gamma_product",
+    "Tagged",
     "z_terms",
     "w_terms",
     "z_product",
+    "quotient_entries",
+    "render_entry",
     "mult1_quotient_matrix",
     "mult2_det_quotient_matrix",
     "block2x2",
+    "block_ints",
     "block_coefficients",
     "first_order_block",
     "exchanged_rs_eigenvalue",
@@ -142,36 +152,36 @@ def mult2_gamma_product(params: Params, f: RationalLike, J: RationalLike,
     return _w_cached(params.r, rational(f), rational(J), xi_eps)
 
 
-def z_terms(params: Params, ktype: KType, e: int, block: bool = False) -> tuple:
-    """z at a label as (f, J, s, e) terms; ``block``: the block's shared factor z(r; f+1, J, s)."""
-    J, s = spectral_args(params, ktype)
-    return ((ktype.f + 1 if block else ktype.f, J, s, e),)
+def z_terms(label: Label, e: int, block: bool = False) -> tuple:
+    """z at a label as (F, J, s, e) terms on its table's scale; ``block``: the
+    block's shared factor z(r; f+1, J, s)."""
+    return ((label.F + label.scale if block else label.F, label.J, label.s, e),)
 
 
-def w_terms(params: Params, ktype: KType, e: int) -> tuple:
+def w_terms(label: Label, e: int) -> tuple:
     """The eight-gamma product z(r; f, J-1, s) z(r; f, J+1, s) as :func:`z_product` terms."""
-    J, s = spectral_args(params, ktype)
-    return ((ktype.f, J - 1, s, e), (ktype.f, J + 1, s, e))
+    F, J, s, d = label.F, label.J, label.s, label.scale
+    return ((F, J - d, s, e), (F, J + d, s, e))
 
 
 @faults.memo
-def _ratio_template(lcd: int, pattern: tuple) -> tuple:
-    """prod z(r; f0 + dF/lcd, J0 + dJ/lcd, s)**e over a pattern's (dF, dJ, s, e), in (f0, J0, r).
+def _ratio_template(scale: int, pattern: tuple) -> tuple:
+    """prod z(r; f0 + dF/scale, J0 + dJ/scale, s)**e over a pattern's (dF, dJ, s, e), in (f0, J0, r).
 
-    (A, B, C, K) stands for the argument (A f0 + B J0 + C r)/4 + K/(4 lcd).
+    (A, B, C, K) stands for the argument (A f0 + B J0 + C r)/4 + K/(4 scale).
     Those with equal (A, B, C) and constants an integer apart form a class,
     telescoped to its least constant as ``exact._reduce_classes`` does with
     numbers.  The value is num/den times prod (A x + B y + C z + K w)**e over
-    the factors, with (x, y, z, w) = (f0 lcd, J0 lcd, r lcd, 1) * r.denominator.
+    the factors, with (x, y, z, w) = (f0 scale, J0 scale, r scale, 1) * r.denominator.
     """
     prefactor = Fraction(1)
-    step = 4 * lcd                  # 1 in units of K
+    step = 4 * scale                # 1 in units of K
     classes: Dict[tuple, list] = {}
     for dF, dJ, s, e in pattern:
         pre, args = _z_gammas(s)
         prefactor *= pre ** e
         for A, B, C, K, sign in args:
-            K = K * lcd + A * dF + B * dJ
+            K = K * scale + A * dF + B * dJ
             classes.setdefault((A, B, C, K % step), []).append((K, sign * e))
     chain: Dict[tuple, int] = {}
     for (A, B, C, _), items in classes.items():
@@ -187,20 +197,46 @@ def _ratio_template(lcd: int, pattern: tuple) -> tuple:
     return tuple(factors), prefactor.numerator, prefactor.denominator
 
 
-def z_product(r: Fraction, terms: Sequence[tuple]) -> ReducedValue:
-    """prod z(r; f, J, s)**e over ``terms`` of (f, J, s, e), tagged as by ``exact.ratio_tagged``.
+class Tagged(NamedTuple):
+    """An exact value as :func:`z_product` gives it, on ints.
+
+    ``order`` > 0 is a zero and < 0 a pole of that order; otherwise the
+    value is num/den, unreduced, den nonzero of either sign.
+    """
+
+    order: int
+    num: int = 0
+    den: int = 1
+
+    @property
+    def kind(self) -> str:
+        return "finite" if not self.order else "zero" if self.order > 0 else "pole"
+
+    def reduced(self) -> ReducedValue:
+        """The same value as ``exact.ratio_tagged`` tags it."""
+        if self.order:
+            return ReducedValue(self.kind, Fraction(0), abs(self.order))
+        return ReducedValue("finite", Fraction(self.num, self.den))
+
+    def render(self) -> str:
+        if self.order:
+            return "POLE" if self.order < 0 else "0"
+        return format_ratio(self.num, self.den)
+
+
+def z_product(r: Fraction, scale: int, terms: Sequence[tuple]) -> Tagged:
+    """prod z(r; F/scale, J/scale, s)**e over integer ``terms`` (F, J, s, e), tagged
+    as by ``exact.ratio_tagged``.
 
     The terms' pattern (offsets from the first, each s and e) is telescoped
     once, and its forms are taken on integers; a factor that is 0 adds its
     exponent to the vanishing order, as in ``_reduce_classes``.
     """
-    lcd = lcm(*[x.denominator for f, J, _, _ in terms for x in (f, J)])
-    ints = [(f.numerator * (lcd // f.denominator), J.numerator * (lcd // J.denominator), s, e)
-            for f, J, s, e in terms]
-    F0, J0 = ints[0][0], ints[0][1]
-    factors, num, den = _ratio_template(lcd, tuple([(F - F0, J - J0, s, e) for F, J, s, e in ints]))
+    F0, J0 = terms[0][0], terms[0][1]
+    factors, num, den = _ratio_template(scale, tuple([(F - F0, J - J0, s, e)
+                                                      for F, J, s, e in terms]))
     w = r.denominator
-    x, y, z = F0 * w, J0 * w, r.numerator * lcd
+    x, y, z = F0 * w, J0 * w, r.numerator * scale
     order = 0
     for A, B, C, K, e in factors:
         v = A * x + B * y + C * z + K * w
@@ -210,15 +246,28 @@ def z_product(r: Fraction, terms: Sequence[tuple]) -> ReducedValue:
             num *= v ** e
         else:
             den *= v ** -e
-    if order:
-        return ReducedValue("zero" if order > 0 else "pole", Fraction(0), abs(order))
-    return ReducedValue("finite", Fraction(num, den))
+    return Tagged(order, num, den)
+
+
+def _entry_kind(num, den) -> str:
+    if den == 0:
+        return "indeterminate" if num == 0 else "pole"
+    return "zero" if num == 0 else "finite"
+
+
+def render_entry(num, den) -> str:
+    """A quotient entry num/den as the report writes it: p/q, POLE, 0 or INDET."""
+    kind = _entry_kind(num, den)
+    if kind == "finite":
+        return format_ratio(num, den)
+    return {"pole": "POLE", "zero": "0", "indeterminate": "INDET"}[kind]
 
 
 @dataclass(frozen=True)
 class QuotientEntry:
     """One quotient-matrix entry as a formal fraction of exact products.
 
+    ``num`` and ``den`` are ints on the scale of :func:`quotient_entries`.
     kind: 'finite' (value = num/den), 'pole' (den = 0), 'zero' (num = 0), or
     'indeterminate' (both vanish: the displayed closed form cannot decide the
     edge and only the gamma-quotient route can).  It divides the quantity at
@@ -227,47 +276,80 @@ class QuotientEntry:
 
     direction: Direction
     neighbor: KType
-    num: Fraction
-    den: Fraction
+    num: int
+    den: int
 
     @property
     def kind(self) -> str:
-        if self.num == 0 and self.den == 0:
-            return "indeterminate"
-        if self.den == 0:
-            return "pole"
-        if self.num == 0:
-            return "zero"
-        return "finite"
+        return _entry_kind(self.num, self.den)
 
     @property
     def value(self) -> Optional[Fraction]:
-        return self.num / self.den if self.kind == "finite" else None
+        return Fraction(self.num, self.den) if self.kind == "finite" else None
 
     def render(self) -> str:
-        k = self.kind
-        if k == "finite":
-            return format_rational(self.value)
-        return {"pole": "POLE", "zero": "0", "indeterminate": "INDET"}[k]
+        return render_entry(self.num, self.den)
 
 
 @faults.memo
-def _corner_pairs(r: Fraction, f: Fraction, J: Fraction, s: int):
-    """Linear (numerator, denominator) pairs for all six directions.
+def _corner_pairs(rn: int, rd: int, d: int, F: int, J: int, s: int):
+    """Linear (numerator, denominator) pairs for all six directions, as ints.
 
-    These are the multiplicity-one quotient entries; the determinant
-    quotients are the same pairs squared minus one.
+    These are the multiplicity-one quotient entries at f = F/d, J = J/d,
+    r = rn/rd, each form times 2 d rd; the determinant quotients are the
+    same pairs squared minus one.
     """
-    sh = Fraction(s, 2)
-    sJ = s * J
+    f, J, h, r = 2 * rd * F, 2 * rd * J, d * rd, 2 * d * rn      # h: 1/2
+    sh, sJ = s * h, s * J
     return {
-        (1, 1): (f + J + 1 + r - sh, f + J + 1 - r + sh),
-        (-1, 1): (-f + J + 1 + r + sh, -f + J + 1 - r - sh),
-        (1, 0): (f + HALF + r + sJ, f + HALF - r - sJ),
-        (-1, 0): (-f + HALF + r - sJ, -f + HALF - r + sJ),
-        (1, -1): (f - J + 1 + r + sh, f - J + 1 - r - sh),
-        (-1, -1): (-f - J + 1 + r - sh, -f - J + 1 - r + sh),
+        (1, 1): (f + J + 2 * h + r - sh, f + J + 2 * h - r + sh),
+        (-1, 1): (-f + J + 2 * h + r + sh, -f + J + 2 * h - r - sh),
+        (1, 0): (f + h + r + sJ, f + h - r - sJ),
+        (-1, 0): (-f + h + r - sJ, -f + h - r + sJ),
+        (1, -1): (f - J + 2 * h + r + sh, f - J + 2 * h - r - sh),
+        (-1, -1): (-f - J + 2 * h + r - sh, -f - J + 2 * h - r + sh),
     }
+
+
+def quotient_entries(labels: Labels, center: Label) -> List[Tuple[Direction, Label, int, int]]:
+    """(direction, neighbor, num, den) of the center's quotient matrix, in ``DIRECTIONS`` order.
+
+    A multiplicity-one center gives the eigenvalue quotients, a
+    multiplicity-two center the determinant quotients; num and den are ints
+    over (2 d r.denominator) and its square.  Each determinant entry is a
+    product of two factors over a product of two factors; the lone
+    chirality factors pair off as (Y - xi)(Y + xi) = Y^2 - 1, so it is
+    (Y_num^2 - 1)/(Y_den^2 - 1) on the linear pairs of
+    :func:`_corner_pairs`.  The strict middle-right denominator carries
+    xi*J where the gamma-product oracle demands eps*xi*J; the corrected
+    factor is the default and ``params.strict_paper`` restores the strict one.
+    """
+    params, d = labels.params, labels.scale
+    rn, rd = params.r.numerator, params.r.denominator
+    raw = _corner_pairs(rn, rd, d, center.F, center.J, center.s)
+    unit = 2 * d * rd
+    out = []
+    if center.ktype.q == 1:
+        for direction, nb in labels.neighbors(center):
+            num, den = raw[direction]
+            out.append((direction, nb, faults.bump("Q1", num, unit), den))
+        return out
+    sq = unit * unit
+    xi = center.ktype.xi
+    for direction, nb in labels.neighbors(center):
+        y_num, y_den = raw[direction]
+        if params.strict_paper and direction == (1, 0):
+            den = (y_den - xi * unit) * (y_den + xi * unit + (center.s - xi) * 2 * rd * center.J)
+        else:
+            den = y_den * y_den - sq
+        out.append((direction, nb, faults.bump("Q2", y_num * y_num - sq, sq), den))
+    return out
+
+
+def _quotient_matrix(params: Params, center: KType) -> Dict[Direction, QuotientEntry]:
+    labels = Labels(params)
+    return {direction: QuotientEntry(direction, nb.ktype, num, den)
+            for direction, nb, num, den in quotient_entries(labels, labels.of(center))}
 
 
 def mult1_quotient_matrix(params: Params, center: KType) -> Dict[Direction, QuotientEntry]:
@@ -275,54 +357,30 @@ def mult1_quotient_matrix(params: Params, center: KType) -> Dict[Direction, Quot
 
     Keys run in ``DIRECTIONS`` order, the diagram's 3x2 layout: rows dj = +1,
     0, -1 by columns df = -1, +1, the middle row flipping eps; the bottom row
-    is absent at the lattice boundary.
+    is absent at the lattice boundary.  Entries are :func:`quotient_entries`.
     """
     if center.multiplicity != 1:
         raise ValueError("mult1_quotient_matrix needs a multiplicity-1 center")
-    J, s = spectral_args(params, center)
-    raw = _corner_pairs(params.r, center.f, J, s)
-    entries = {}
-    for direction, nb in neighbors(center):
-        num, den = raw[direction]
-        entries[direction] = QuotientEntry(direction, nb, faults.bump("Q1", num), den)
-    return entries
+    return _quotient_matrix(params, center)
 
 
 def mult2_det_quotient_matrix(params: Params, center: KType) -> Dict[Direction, QuotientEntry]:
     """Determinant quotients around a multiplicity-two center, as {direction: entry}.
 
-    Keys as in :func:`mult1_quotient_matrix`.  Each entry is a product of two factors over a product of two factors;
-    the lone chirality factors pair off as (Y - xi)(Y + xi) = Y^2 - 1, so
-    every entry is (Y_num^2 - 1)/(Y_den^2 - 1) on the linear pairs of
-    :func:`_corner_pairs`.  The strict middle-right denominator carries
-    xi*J where the gamma-product oracle demands eps*xi*J; the corrected
-    factor is the default and ``params.strict_paper`` restores the strict one.
+    Keys as in :func:`mult1_quotient_matrix`; entries are :func:`quotient_entries`.
     """
     if center.multiplicity != 2:
         raise ValueError("mult2_det_quotient_matrix needs a multiplicity-2 center")
-    f, r, xi = center.f, params.r, center.xi
-    J, s = spectral_args(params, center)
-    raw = _corner_pairs(r, f, J, s)
-    entries = {}
-    for direction, nb in neighbors(center):
-        y_num, y_den = raw[direction]
-        num = y_num * y_num - 1
-        if params.strict_paper and direction == (1, 0):
-            den = (f + HALF - xi - r - s * J) * (f + HALF + xi - r - xi * J)
-        else:
-            den = y_den * y_den - 1
-        entries[direction] = QuotientEntry(direction, nb, faults.bump("Q2", num), den)
-    return entries
+    return _quotient_matrix(params, center)
 
 
 @faults.memo
-def _block_coeffs(n: int, r: Fraction, f: Fraction, Ja: Fraction, xi: int, strict_paper: bool
-                  ) -> Union[str, Tuple[Fraction, Fraction, Fraction, Fraction]]:
+def _block_coeffs(n: int, X: int, Y: int, Z: int, d: int, xi: int, strict_paper: bool
+                  ) -> Union[str, Tuple[int, int, int, int, int]]:
     # on the integer scaling f = X/d, Ja = Y/d, r = Z/d each ck is an integer over
-    # d (C1, C3, C6) or d^2 (C2, C4, C5), and each coefficient is one Fraction;
-    # a singular block is cached too, as the name of the vanished coefficient
-    d = lcm(f.denominator, Ja.denominator, r.denominator)
-    X, Y, Z = (v.numerator * (d // v.denominator) for v in (f, Ja, r))
+    # d (C1, C3, C6) or d^2 (C2, C4, C5), and b11..b22 are four numerators over
+    # one denominator; a singular block is cached too, as the name of the
+    # vanished coefficient
     m = n - 1
     c1 = faults.bump("C1", 2*m*(X + Z) + m*m*d - 2*xi*Y, d)
     c2 = faults.bump("C2", 2*X*Z + xi*Y*d, d ** 2)
@@ -334,24 +392,41 @@ def _block_coeffs(n: int, r: Fraction, f: Fraction, Ja: Fraction, xi: int, stric
         if c == 0:
             return name
     T = c3 * c4
-    b11 = Fraction(4*c1*c2 - m*T, m*T)
-    b12 = Fraction(-2 * (n - 2) * xi * c5 * c2, m * m * T * d)
-    b21 = Fraction(8 * n * xi * c2 * d, T)
     # the strict first term of the (2,2) coefficient drops a factor n(n-2);
     # the corrected value is forced exactly by the mixed-multiplicity relations
     scale = 1 if strict_paper else n * (n - 2)
-    b22 = Fraction(m * c6 * T - 4 * scale * c5 * c2, m * c1 * T)
-    return b11, b12, b21, b22
+    # b11 = (4 c1 c2 - m T)/(m T), b12 = -2 (n-2) xi c5 c2/(m^2 T d),
+    # b21 = 8 n xi c2 d/T, b22 = (m c6 T - 4 scale c5 c2)/(m c1 T)
+    return ((4*c1*c2 - m*T) * m * d * c1, -2 * (n - 2) * xi * c5 * c2 * c1,
+            8 * n * xi * c2 * m * m * d * d * c1, (m*c6*T - 4*scale*c5*c2) * m * d,
+            m * m * T * d * c1)
+
+
+def block_ints(labels: Labels, label: Label) -> Union[str, Tuple[int, int, int, int, int]]:
+    """(b11, b12, b21, b22, den) of a multiplicity-two label on its table's
+    scale, or the name of the vanished coefficient."""
+    r = labels.params.r
+    rd = r.denominator
+    kt = label.ktype
+    return _block_coeffs(labels.params.n, label.F * rd, kt.eps * label.J * rd,
+                         r.numerator * labels.scale, labels.scale * rd, kt.xi,
+                         labels.params.strict_paper)
 
 
 def block_coefficients(params: Params, center: KType
                        ) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """The four rational coefficients (b11, b12, b21, b22) of the 2x2 block."""
     Ja = DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
-    coeffs = _block_coeffs(params.n, params.r, center.f, Ja, center.xi, params.strict_paper)
+    f, r = center.f, params.r
+    d = lcm(f.denominator, Ja.denominator, r.denominator)
+    coeffs = _block_coeffs(params.n, f.numerator * (d // f.denominator),
+                           Ja.numerator * (d // Ja.denominator),
+                           r.numerator * (d // r.denominator), d, center.xi,
+                           params.strict_paper)
     if isinstance(coeffs, str):
         raise SingularCoefficientError(coeffs, center)
-    return coeffs
+    *nums, den = coeffs
+    return tuple(Fraction(num, den) for num in nums)
 
 
 @dataclass(frozen=True)
@@ -377,8 +452,8 @@ def block2x2(params: Params, center: KType) -> Block:
     if center.multiplicity != 2:
         raise ValueError("block2x2 needs a multiplicity-2 center")
     coeffs = block_coefficients(params, center)
-    f, J, s, _ = z_terms(params, center, 1, block=True)[0]
-    return Block(center, _z_cached(params.r, f, J, s), coeffs)
+    J, s = spectral_args(params, center)
+    return Block(center, _z_cached(params.r, center.f + 1, J, s), coeffs)
 
 
 def exchanged_rs_eigenvalue(f: RationalLike, J: RationalLike, xi_eps: int) -> Fraction:
@@ -402,7 +477,7 @@ def first_order_block(params: Params, center: KType
     n, f, xi = params.n, center.f, center.xi
     J, s = spectral_args(params, center)
     sign = 1 if params.strict_paper else -1
-    e11 = -Fraction(n - 2, n) * (f + sign * Fraction(n + 1, n - 1) * s * J)
+    e11 = faults.bump("E11", -Fraction(n - 2, n) * (f + sign * Fraction(n + 1, n - 1) * s * J))
     e12 = -Fraction(2 * xi, n * (n - 1)) * (Fraction((n - 1) * (n - 2), 4)
                                             - Fraction(n - 2, n - 1) * J * J)
     e21 = Fraction(2 * xi)
@@ -440,7 +515,7 @@ class CalibrationResult:
 
 
 def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLike,
-                j_max: RationalLike) -> CalibrationResult:
+                j_max: RationalLike, labels: Optional[Labels] = None) -> CalibrationResult:
     """Solve the quotient identities for the divergence-part eigenvalues.
 
     Every multiplicity-one edge in the window forces a difference of d33
@@ -453,7 +528,11 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     :class:`InconsistentSystemError` with the violating edge if the
     overdetermined system has no solution, and :class:`EmptyWindowError` when
     the window holds nothing to solve.  The table is built in sorted (j, eps)
-    order.
+    order.  ``labels`` is the run's record table; without one the solve
+    makes its own.  Each edge is decided on integers: the z-ratio by
+    :func:`z_product`, the bracket by ``operators.case3_bracket``, and the
+    class pair's difference as an int (num, den) compared by cross
+    multiplication; a Fraction is made once per constrained class pair.
 
     The solved L is the signed sphere Dirac eigenvalue ``label_dirac(n, j,
     eps)`` = J_signed.  With d33 = J_signed/2 each direction's P-/P+ is that
@@ -469,12 +548,14 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     params = replace(params, strict_paper=False)   # always the corrected closed forms
     f_lo, f_hi, j_hi = rational(f_min), rational(f_max), rational(j_max)
     r = params.r
+    if labels is None:
+        labels = Labels(params)
 
-    # nodes are (j, eps) classes: d33 cannot depend on f
-    nodes: List[Tuple[Fraction, int]] = []
+    # nodes are (2j, eps) classes: d33 cannot depend on f
+    nodes: List[Tuple[int, int]] = []
     j = Fraction(3, 2)
     while j <= j_hi:
-        nodes += [(j, 1), (j, -1)]
+        nodes += [(j.numerator, 1), (j.numerator, -1)]
         j += 1
     fs = f_points(params, f_lo, f_hi)
     if not nodes:
@@ -485,56 +566,62 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
                                f"[{format_rational(f_lo)}, {format_rational(f_hi)}]")
     node_set = set(nodes)
 
-    # each constrained class pair keeps its delta and the edge that set it;
-    # the edge is only formatted into a witness when a conflict raises
-    deltas: Dict[Tuple[Tuple[Fraction, int], Tuple[Fraction, int]],
-                 Tuple[Fraction, KType, KType]] = {}
+    # each constrained class pair keeps its delta as (num, den) and the edge
+    # that set it; the edge is only formatted into a witness when a conflict raises
+    deltas: Dict[Tuple[Tuple[int, int], Tuple[int, int]], Tuple[int, int, Label, Label]] = {}
     n_edges = 0
     n_unconstraining = 0
+    d, rn, rd = labels.scale, r.numerator, r.denominator
 
-    for (j, eps) in nodes:
+    for node in nodes:
         for f in fs:
-            center = KType(xi, f, j, 1, eps)
-            at_center = z_terms(params, center, -1)
-            for _, nb in neighbors(center):
-                if (nb.j, nb.eps) not in node_set:
+            center = labels.at((xi, f.numerator * (2 // f.denominator), node[0], 1, node[1]))
+            at_center = z_terms(center, -1)
+            for _, nb in labels.neighbors(center):
+                nb_node = (nb.key[2], nb.key[4])
+                if nb_node not in node_set:
                     continue
-                zr = z_product(r, z_terms(params, nb, 1) + at_center)
-                mid = case3_mid(params, center, nb)
-                xd = xi * (center.f - nb.f)
-                if zr.kind == "finite":
-                    if zr.value == -1:
+                zr = z_product(r, d, z_terms(nb, 1) + at_center)
+                mid, mid_den = case3_bracket(center, nb)
+                # with S = mid_den rd: mid + r = plus/S and mid - r = minus/S
+                plus, minus, S = mid * rd + rn * mid_den, mid * rd - rn * mid_den, mid_den * rd
+                xd = xi if center.F > nb.F else -xi
+                if zr.order == 0:
+                    p, q = zr.num, zr.den
+                    if p == -q:
                         # P- = -P+ whatever the table: P- + P+ = 2 mid
                         if mid != 0:
                             raise InconsistentSystemError(
                                 "unconstraining edge with a nonzero bracket",
-                                witness={"edge": {"center": center.to_json(),
-                                                  "neighbor": nb.to_json()},
-                                         "residual": format_rational(2 * mid)})
+                                witness={"edge": {"center": center.ktype.to_json(),
+                                                  "neighbor": nb.ktype.to_json()},
+                                         "residual": format_ratio(2 * mid, mid_den)})
                         n_unconstraining += 1
                         continue
-                    delta = (zr.value * (mid + r) - (mid - r)) / (xd * (1 + zr.value))
-                elif zr.kind == "pole":
-                    delta = (mid + r) / xd        # p_plus must vanish
+                    delta = (p * plus - q * minus, S * xd * (q + p))
+                elif zr.order < 0:
+                    delta = (plus, S * xd)        # p_plus must vanish
                 else:
-                    delta = (r - mid) / xd        # p_minus must vanish
+                    delta = (-minus, S * xd)      # p_minus must vanish
                 n_edges += 1
-                key = ((j, eps), (nb.j, nb.eps))
+                key = (node, nb_node)
                 prev = deltas.get(key)
-                if prev is not None and prev[0] != delta:
+                if prev is not None and prev[0] * delta[1] != delta[0] * prev[1]:
+                    was, now = Fraction(prev[0], prev[1]), Fraction(*delta)
                     raise InconsistentSystemError(
                         "conflicting difference constraints for "
-                        f"{_class_name(key[0])} - {_class_name(key[1])}: {prev[0]} vs {delta}",
-                        witness={"edge": _edge_witness(delta, center, nb),
-                                 "previous": _edge_witness(*prev),
-                                 "residual": format_rational(delta - prev[0])})
-                deltas[key] = (delta, center, nb)
+                        f"{_class_name(key[0])} - {_class_name(key[1])}: {was} vs {now}",
+                        witness={"edge": _edge_witness(now, center, nb),
+                                 "previous": _edge_witness(was, prev[2], prev[3]),
+                                 "residual": format_rational(now - was)})
+                deltas[key] = (*delta, center, nb)
 
     # spanning solve over the (j, eps) graph; non-tree edges must close
-    potential: Dict[Tuple[Fraction, int], Fraction] = {nodes[0]: Fraction(0)}
+    potential: Dict[Tuple[int, int], Fraction] = {nodes[0]: Fraction(0)}
     frontier = [nodes[0]]
-    adj: Dict[Tuple[Fraction, int], List[Tuple[Tuple[Fraction, int], Fraction]]] = {}
-    for (a, b), (delta, _, _) in deltas.items():
+    adj: Dict[Tuple[int, int], List[Tuple[Tuple[int, int], Fraction]]] = {}
+    for (a, b), (num, den, _, _) in deltas.items():
+        delta = Fraction(num, den)
         adj.setdefault(a, []).append((b, -delta))   # x_b = x_a - delta
         adj.setdefault(b, []).append((a, delta))
     while frontier:
@@ -548,24 +635,25 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
             elif have != want:
                 raise InconsistentSystemError(
                     f"difference cycle through {_class_name(b)} does not close",
-                    witness={"node": [format_rational(b[0]), b[1]],
+                    witness={"node": [format_ratio(b[0], 2), b[1]],
                              "residual": format_rational(want - have)})
     missing = [nd for nd in nodes if nd not in potential]
     if missing:
         raise InconsistentSystemError(
             f"calibration window leaves {len(missing)} classes unconstrained")
 
+    potential = {(Fraction(j2, 2), eps): pot for (j2, eps), pot in potential.items()}
     shift, probe = _pin_constant(params, xi, fs, potential)
     table = {nd: 2 * (pot + shift) for nd, pot in sorted(potential.items())}
     return CalibrationResult(table, n_edges, n_unconstraining, probe)
 
 
-def _class_name(node: Tuple[Fraction, int]) -> str:
-    return f"(j={format_rational(node[0])}, eps={node[1]:+d})"
+def _class_name(node: Tuple[int, int]) -> str:
+    return f"(j={format_ratio(node[0], 2)}, eps={node[1]:+d})"
 
 
-def _edge_witness(delta: Fraction, center: KType, nb: KType) -> dict:
-    return {"center": center.to_json(), "neighbor": nb.to_json(),
+def _edge_witness(delta: Fraction, center: Label, nb: Label) -> dict:
+    return {"center": center.ktype.to_json(), "neighbor": nb.ktype.to_json(),
             "delta": format_rational(delta)}
 
 

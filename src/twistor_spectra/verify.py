@@ -9,24 +9,35 @@ degenerates to 0/0, and ``skipped-*`` when an edge cannot be decided
 (degenerate compression target, vanishing block denominator coefficient, or
 a non-finite shared-factor ratio).  A failing verdict carries the exact
 residual as a rational string.
+
+Every per-edge step runs on integers through the records of one
+:class:`~twistor_spectra.ktypes.Labels` table, which :func:`run_all_suites`
+shares between the suites and the calibration: the quotient entries and the
+oracle's ratios are int (num, den) pairs compared by cross multiplication,
+the block coefficients four numerators over one denominator, and the
+transition quantities numerators over one denominator per label pair.  A
+value is reduced and rendered only where the report shows it.  The report
+writes a suite straight from its checks (:meth:`SuiteReport.json_chunks`),
+one fixed-shape text per edge with each label's text rendered once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from json.encoder import encode_basestring_ascii as _string
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
-from .exact import ReducedValue, format_rational
-from .ktypes import (Direction, KType, Params, case1_partners,
-                     interface_square, neighbors, spectral_args)
-from .operators import DegenerateTargetError, case1_data, case2_data
-from .spectra import (CalibrationResult, EmptyWindowError, QuotientEntry,
-                      SingularCoefficientError, block_coefficients,
-                      calibrate_L, exchanged_rs_eigenvalue,
-                      first_order_block, mult1_quotient_matrix,
-                      mult2_det_quotient_matrix, w_terms, z_product, z_terms)
+from .exact import format_ratio, format_rational
+from .ktypes import (Direction, KType, Label, Labels, Params, partner_keys,
+                     spectral_args)
+from .operators import _d33, case1_ints, case2_ints, det2, relation_matrices
+from .spectra import (CalibrationResult, EmptyWindowError,
+                      InconsistentSystemError, SingularCoefficientError, Tagged, block_coefficients,
+                      block_ints, calibrate_L, exchanged_rs_eigenvalue,
+                      _entry_kind, first_order_block, quotient_entries, render_entry,
+                      w_terms, z_product, z_terms)
 
 __all__ = [
     "PASS", "FAIL", "POLE", "ZERO", "INDETERMINATE",
@@ -34,7 +45,7 @@ __all__ = [
     "EdgeCheck", "SuiteReport",
     "verify_mult1_quotients", "verify_mult2_quotients",
     "verify_case2_relation", "verify_interface",
-    "resolve_block_factor_reading", "run_all_suites",
+    "resolve_block_factor_reading", "run_all_suites", "edges_text",
     "CONVENTION",
 ]
 
@@ -47,7 +58,7 @@ SKIP_DEGENERATE = "skipped-degenerate"
 SKIP_SINGULAR = "skipped-singular"
 SKIP_POLE = "skipped-pole"
 _SAME_KIND = {"finite": PASS, "pole": POLE, "zero": ZERO}
-_SKIPPED = (SingularCoefficientError, DegenerateTargetError)   # _skip maps each to a verdict
+_DEGENERATE_TARGET = "lambda(T*T) = 0 at target"
 
 # conventions the verdicts certify; recorded in every report header
 CONVENTION = {
@@ -120,6 +131,16 @@ class SuiteReport:
         return {"suite": self.suite, "counts": self.counts, "ok": self.ok,
                 "edges": [c.to_json() for c in self.checks]}
 
+    def json_chunks(self, indent: str, depth: int) -> Iterator[str]:
+        """The text of :meth:`to_json` at ``depth`` as ``json.dumps(...,
+        indent=indent, sort_keys=True)`` nests it, one piece per edge; the
+        report writer (``_jsontext``) streams it in bounded chunks."""
+        nl = "\n" + indent * (depth + 1)
+        yield f'{{{nl}"counts": {_dict_text(self.counts, nl, indent)},{nl}"edges": '
+        yield from edges_text(self.checks, indent, depth + 1)
+        yield (f',{nl}"ok": {"true" if self.ok else "false"},{nl}"suite": '
+               f'{_string(self.suite)}\n{indent * depth}}}')
+
     def summary_line(self) -> str:
         counts = self.counts
         body = ", ".join(f"{k}={counts[k]}" for k in sorted(counts))
@@ -127,83 +148,138 @@ class SuiteReport:
         return f"{self.suite:<18} {status:<4} {body or 'no edges'}"
 
 
-def _compare_entry(entry, tagged: ReducedValue) -> Tuple[str, Dict[str, str]]:
-    """Verdict for closed-form entry vs gamma-quotient ratio: equal kinds and values agree."""
-    kind = entry.kind
-    if kind == "indeterminate":
-        return INDETERMINATE, {}
-    if kind == tagged.kind and (kind != "finite" or entry.num == tagged.value * entry.den):
-        return _SAME_KIND[kind], {}
-    residuals = ({"residual": format_rational(tagged.value - entry.value)}
-                 if kind == tagged.kind else {})     # both finite
-    return FAIL, dict(residuals, expected=entry.render(), got=tagged.render())
+def _dict_text(d: Dict[str, Union[str, int]], nl: str, indent: str) -> str:
+    """A dict of str or int values at the depth whose newline is ``nl``, keys sorted."""
+    if not d:
+        return "{}"
+    inner = nl + indent
+    return ("{" + inner + ("," + inner).join(
+        f"{_string(k)}: {_string(v) if isinstance(v, str) else v}" for k, v in sorted(d.items()))
+        + nl + "}")
 
 
-def _skip(exc: ArithmeticError, role: str) -> Tuple[str, str]:
-    """(verdict, detail) for an edge whose data raised; ``role`` names the singular block."""
-    if isinstance(exc, DegenerateTargetError):
-        return SKIP_DEGENERATE, "lambda(T*T) = 0 at target"
-    return SKIP_SINGULAR, f"{role}: {exc.which} = 0"
+def edges_text(checks: Sequence[EdgeCheck], indent: str = "  ", depth: int = 0
+               ) -> Iterator[str]:
+    """``json.dumps([c.to_json() for c in checks], indent=indent, sort_keys=True)``
+    nested at ``depth``, one piece per edge.
+
+    Every edge has the same shape, so its text is put together from its
+    fields in sorted key order; the text of each label (by object, since a
+    run shares one KType per label) and of each direction is made once.
+    """
+    if not checks:
+        yield "[]"
+        return
+    nl, nl1, nl2 = ("\n" + indent * (depth + k) for k in range(3))
+    nl3 = nl2 + indent
+    texts: Dict[int, str] = {}     # label text by KType object
+    directions = {None: "null"}
+
+    def label(kt: Optional[KType]) -> str:
+        if kt is None:
+            return "null"
+        text = texts.get(id(kt))
+        if text is None:
+            text = texts[id(kt)] = (
+                f'{{{nl3}"eps": {kt.eps},{nl3}"f": "{format_rational(kt.f)}",{nl3}"j": '
+                f'"{format_rational(kt.j)}",{nl3}"q": {kt.q},{nl3}"xi": {kt.xi}{nl2}}}')
+        return text
+
+    sep = "[" + nl1
+    for c in checks:
+        direction = directions.get(c.direction)
+        if direction is None:
+            df, dj = c.direction
+            direction = directions[c.direction] = f"[{nl3}{df},{nl3}{dj}{nl2}]"
+        parts = [f'{sep}{{{nl2}"case": {c.case},']
+        if c.detail:
+            parts.append(f'{nl2}"detail": {_string(c.detail)},')
+        parts.append(f'{nl2}"direction": {direction},{nl2}"from": {label(c.center)},')
+        if c.quantities:
+            parts.append(f'{nl2}"quantities": {_dict_text(c.quantities, nl2, indent)},')
+        if c.residuals:
+            parts.append(f'{nl2}"residuals": {_dict_text(c.residuals, nl2, indent)},')
+        parts.append(f'{nl2}"to": {label(c.neighbor)},{nl2}"verdict": {_string(c.verdict)}{nl1}}}')
+        yield "".join(parts)
+        sep = "," + nl1
+    yield nl + "]"
 
 
-def _walk_quotients(suite: str, case: int, params: Params, centers: Iterable[KType],
-                    matrix_of: Callable[[Params, KType], Dict[Direction, QuotientEntry]],
-                    terms_of: Callable[[Params, KType, int], tuple], key: str) -> SuiteReport:
-    """Each matrix entry vs the oracle's exact neighbor/center ratio, kept under ``key``."""
+def _compare_entry(num, den, tagged: Tagged, key: str):
+    """(verdict, quantities, residuals) of the closed-form entry num/den vs the
+    oracle's ratio, kept under ``key``: equal kinds and values agree."""
+    entry_kind = _entry_kind(num, den)
+    if entry_kind == tagged.kind and (tagged.order or num * tagged.den == tagged.num * den):
+        return _SAME_KIND[entry_kind], None, None
+    entry, got = render_entry(num, den), tagged.render()
+    quantities = {"entry": entry, key: got}
+    if entry_kind == "indeterminate":
+        return INDETERMINATE, quantities, None
+    residuals = ({"residual": format_ratio(tagged.num * den - num * tagged.den, tagged.den * den)}
+                 if entry_kind == tagged.kind else {})     # both finite
+    return FAIL, quantities, dict(residuals, expected=entry, got=got)
+
+
+def _walk_quotients(suite: str, case: int, labels: Labels, centers: Iterable[Label],
+                    terms_of: Callable[[Label, int], tuple], key: str) -> SuiteReport:
+    """Each quotient entry vs the oracle's exact neighbor/center ratio, kept under ``key``."""
     report = SuiteReport(suite)
+    checks = report.checks
+    r, d = labels.params.r, labels.scale
     for center in centers:
-        at_center = terms_of(params, center, -1)
-        for entry in matrix_of(params, center).values():
-            tagged = z_product(params.r, terms_of(params, entry.neighbor, 1) + at_center)
-            verdict, residuals = _compare_entry(entry, tagged)
-            quantities = None
-            if verdict not in (PASS, POLE, ZERO):
-                quantities = {"entry": entry.render(), key: tagged.render()}
-            report.checks.append(EdgeCheck(case, center, entry.neighbor, entry.direction, verdict,
-                                           quantities=quantities, residuals=residuals or None))
+        at_center = terms_of(center, -1)
+        kt = center.ktype
+        for direction, nb, num, den in quotient_entries(labels, center):
+            tagged = z_product(r, d, terms_of(nb, 1) + at_center)
+            verdict, quantities, residuals = _compare_entry(num, den, tagged, key)
+            checks.append(EdgeCheck(case, kt, nb.ktype, direction, verdict, "",
+                                    quantities, residuals))
     return report
 
 
-def verify_mult1_quotients(params: Params, centers: Iterable[KType]) -> SuiteReport:
+def _records(params: Params, centers: Iterable[KType], labels: Optional[Labels], q: int):
+    """(table, the records of the centers with this q); a new table unless one is given."""
+    labels = labels or Labels(params)
+    return labels, [labels.of(c) for c in centers if c.q == q]
+
+
+def verify_mult1_quotients(params: Params, centers: Iterable[KType],
+                           labels: Optional[Labels] = None) -> SuiteReport:
     """Eigenvalue-quotient matrix vs exact spectral-function ratios."""
-    return _walk_quotients(
-        "mult1-quotients", 3, params, (c for c in centers if c.multiplicity == 1),
-        mult1_quotient_matrix, z_terms, "z_ratio")
+    labels, recs = _records(params, centers, labels, 1)
+    return _walk_quotients("mult1-quotients", 3, labels, recs, z_terms, "z_ratio")
 
 
-def verify_mult2_quotients(params: Params, centers: Iterable[KType]) -> SuiteReport:
+def verify_mult2_quotients(params: Params, centers: Iterable[KType],
+                           labels: Optional[Labels] = None) -> SuiteReport:
     """Determinant-quotient matrix vs exact eight-gamma product ratios."""
-    return _walk_quotients(
-        "mult2-quotients", 2, params, (c for c in centers if c.multiplicity == 2),
-        mult2_det_quotient_matrix, w_terms, "product_ratio")
+    labels, recs = _records(params, centers, labels, 0)
+    return _walk_quotients("mult2-quotients", 2, labels, recs, w_terms, "product_ratio")
 
 
-def _case2_residuals(coeffs_b, m1, m2, coeffs_a, rho: Fraction) -> Dict[str, str]:
+def _case2_residuals(block_b, m1, m2, block_a, p: int, q: int, mden: int) -> Dict[str, str]:
     """Nonzero entries of  B(nb) M1 rho - M2 B(center), formatted.
 
-    Entry (i, k) is a sum of four products of Fractions.  It is summed as an
-    unnormalized (num, den) of ints and vanishes iff num == 0; only a
-    nonzero entry is reduced to lowest terms, as ``Fraction(num, den)``.
+    The blocks are (b11, b12, b21, b22, den) as :func:`block_ints` gives
+    them, M1 and M2 int matrices over ``mden`` and rho = p/q.  Entry (i, k)
+    is one integer numerator over den_a den_b mden q; it vanishes iff that
+    numerator does, and only a nonzero entry is reduced to lowest terms.
     """
+    *b, db = block_b
+    *a, da = block_a
+    lhs, rhs = da * p, db * q
     residuals = {}
     for i in (0, 1):
         for k in (0, 1):
-            num, den = 0, 1
-            for sign, factors in ((1, (coeffs_b[2 * i], m1[0][k], rho)),
-                                  (1, (coeffs_b[2 * i + 1], m1[1][k], rho)),
-                                  (-1, (m2[i][0], coeffs_a[k])),
-                                  (-1, (m2[i][1], coeffs_a[2 + k]))):
-                p, q = sign, 1
-                for x in factors:
-                    p *= x.numerator
-                    q *= x.denominator
-                num, den = num * q + p * den, den * q
+            num = (lhs * (b[2 * i] * m1[0][k] + b[2 * i + 1] * m1[1][k])
+                   - rhs * (m2[i][0] * a[k] + m2[i][1] * a[2 + k]))
             if num:
-                residuals[f"({i + 1},{k + 1})"] = format_rational(Fraction(num, den))
+                residuals[f"({i + 1},{k + 1})"] = format_ratio(num, da * db * mden * q)
     return residuals
 
 
-def verify_case2_relation(params: Params, centers: Iterable[KType]) -> SuiteReport:
+def verify_case2_relation(params: Params, centers: Iterable[KType],
+                          labels: Optional[Labels] = None) -> SuiteReport:
     """Full 2x2 relation  B(neighbor) M1 = M2 B(center)  on every edge.
 
     Both blocks share their own gamma-quotient factor; dividing by the
@@ -211,127 +287,144 @@ def verify_case2_relation(params: Params, centers: Iterable[KType]) -> SuiteRepo
     scaled by the (tagged) factor ratio, each tested on cleared
     denominators by :func:`_case2_residuals`.
     """
+    labels, recs = _records(params, centers, labels, 0)
     report = SuiteReport("case2-relation")
-    for center in centers:
-        if center.multiplicity != 2:
+    checks = report.checks
+    r, d = labels.params.r, labels.scale
+    for center in recs:
+        kt = center.ktype
+        block_a = block_ints(labels, center)
+        if isinstance(block_a, str):
+            for direction, nb in labels.neighbors(center):
+                checks.append(EdgeCheck(2, kt, nb.ktype, direction, SKIP_SINGULAR,
+                                        f"center block: {block_a} = 0"))
             continue
-        try:
-            coeffs_a = block_coefficients(params, center)
-        except _SKIPPED as exc:
-            skip = _skip(exc, "center block")
-            for direction, nb in neighbors(center):
-                report.checks.append(EdgeCheck(2, center, nb, direction, *skip))
-            continue
-        z_a = z_terms(params, center, -1, block=True)
-        for direction, nb in neighbors(center):
-            try:    # a degenerate target wins over a singular neighbor
-                data = case2_data(params, center, nb)
-                coeffs_b = block_coefficients(params, nb)
-            except _SKIPPED as exc:
-                skip = _skip(exc, "neighbor block")
-                report.checks.append(EdgeCheck(2, center, nb, direction, *skip))
+        z_a = z_terms(center, -1, block=True)
+        for direction, nb in labels.neighbors(center):
+            edge = partial(EdgeCheck, 2, kt, nb.ktype, direction)
+            # a degenerate target wins over a singular neighbor
+            data = case2_ints(labels, center, nb)
+            if data is None:
+                checks.append(edge(SKIP_DEGENERATE, _DEGENERATE_TARGET))
                 continue
-            rho = z_product(params.r, z_terms(params, nb, 1, block=True) + z_a)
-            if rho.kind != "finite":
-                report.checks.append(EdgeCheck(2, center, nb, direction, SKIP_POLE,
-                                               detail=f"shared-factor ratio is {rho.kind}"))
+            block_b = block_ints(labels, nb)
+            if isinstance(block_b, str):
+                checks.append(edge(SKIP_SINGULAR, f"neighbor block: {block_b} = 0"))
                 continue
-            residuals = _case2_residuals(coeffs_b, data.m1(), data.m2(),
-                                         coeffs_a, rho.value)
+            rho = z_product(r, d, z_terms(nb, 1, block=True) + z_a)
+            if rho.order:
+                checks.append(edge(SKIP_POLE, f"shared-factor ratio is {rho.kind}"))
+                continue
+            P, f1m, f1p, f2m, f2p, g1, g2, c_ba = data
+            m1, m2 = _matrices(data)
+            residuals = _case2_residuals(block_b, m1, m2, block_a, rho.num, rho.den, P * P)
             quantities = {
-                "c_ba": format_rational(data.c_ba),
-                "f1": f"{format_rational(data.f1_minus)},{format_rational(data.f1_plus)}",
-                "f2": f"{format_rational(data.f2_minus)},{format_rational(data.f2_plus)}",
-                "g1": format_rational(data.g1),
-                "g2": format_rational(data.g2),
+                "c_ba": format_ratio(c_ba, P),
+                "f1": f"{format_ratio(f1m, P)},{format_ratio(f1p, P)}",
+                "f2": f"{format_ratio(f2m, P)},{format_ratio(f2p, P)}",
+                "g1": format_ratio(g1, P),
+                "g2": format_ratio(g2, P),
             }
-            report.checks.append(EdgeCheck(2, center, nb, direction,
-                                           FAIL if residuals else PASS,
-                                           quantities=quantities, residuals=residuals))
+            checks.append(edge(FAIL if residuals else PASS, quantities=quantities,
+                               residuals=residuals))
     return report
 
 
-def _check_case1_edge(params: Params, alpha: KType, beta: KType,
-                      table: Dict[Tuple[Fraction, int], Fraction]) -> EdgeCheck:
+def _matrices(data: Tuple[int, ...]):
+    """(M1, M2) of an edge's :func:`case2_ints`, over P^2."""
+    P, f1m, f1p, f2m, f2p, g1, g2, c_ba = data
+    return relation_matrices(f1m * P, f1p * P, f2m, f2p, g1 * P, g2 * P, c_ba)
+
+
+def _check_case1_edge(labels: Labels, alpha: Label, beta: Label, d33: Fraction) -> EdgeCheck:
     """Verdict of the four mixed-multiplicity equations on one edge.
 
     Each equation is scaled by rho, the ratio of beta's z to alpha's block
     factor; the edge is skipped when rho is not finite.  The column and row
     forms are tracked separately so a candidate table satisfying only one of
-    the two relation forms is reported as such.
+    the two relation forms is reported as such.  ``d33`` is beta's L/2.
     """
-    edge = partial(EdgeCheck, 1, alpha, beta, None)
-    try:
-        b11, b12, b21, b22 = block_coefficients(params, alpha)
-    except _SKIPPED as exc:
-        return edge(*_skip(exc, "block"))
-    data = case1_data(params, alpha, beta, table)
-    rho = z_product(params.r, z_terms(params, beta, 1) + z_terms(params, alpha, -1, block=True))
-    if rho.kind != "finite":
+    edge = partial(EdgeCheck, 1, alpha.ktype, beta.ktype, None)
+    block = block_ints(labels, alpha)
+    if isinstance(block, str):
+        return edge(SKIP_SINGULAR, f"block: {block} = 0")
+    P, a1, a2, e_minus, e_plus = case1_ints(labels, alpha, beta, d33)
+    rho = z_product(labels.params.r, labels.scale,
+                    z_terms(beta, 1) + z_terms(alpha, -1, block=True))
+    if rho.order:
         return edge(SKIP_POLE, f"scalar-to-block factor ratio is {rho.kind}")
-    p = rho.value
+    b11, b12, b21, b22, den = block
+    q = rho.den
+    p = rho.num * den
+    # each equation times den P q
     eqs = {
-        "column.1": b11 * data.a1 + b12 * data.e_minus + data.a1 * p,
-        "column.2": b21 * data.a1 + b22 * data.e_minus - data.e_plus * p,
-        "row.1": data.a2 * b11 - data.e_minus * b21 + data.a2 * p,
-        "row.2": data.a2 * b12 - data.e_minus * b22 + data.e_plus * p,
+        "column.1": (b11 * a1 + b12 * e_minus) * q + a1 * p,
+        "column.2": (b21 * a1 + b22 * e_minus) * q - e_plus * p,
+        "row.1": (a2 * b11 - e_minus * b21) * q + a2 * p,
+        "row.2": (a2 * b12 - e_minus * b22) * q + e_plus * p,
     }
-    residuals = {k: format_rational(v) for k, v in eqs.items() if v != 0}
+    residuals = {k: format_ratio(v, den * P * q) for k, v in eqs.items() if v}
     detail = ""
     if residuals:
         col_ok = "column.1" not in residuals and "column.2" not in residuals
         row_ok = "row.1" not in residuals and "row.2" not in residuals
         if col_ok != row_ok:
             detail = "only the %s relation holds" % ("column" if col_ok else "row")
-    quantities = {"a1": format_rational(data.a1), "a2": format_rational(data.a2),
-                  "e_minus": format_rational(data.e_minus),
-                  "e_plus": format_rational(data.e_plus)}
+    quantities = {"a1": format_ratio(a1, P), "a2": format_ratio(a2, P),
+                  "e_minus": format_ratio(e_minus, P), "e_plus": format_ratio(e_plus, P)}
     return edge(FAIL if residuals else PASS, detail, quantities, residuals)
 
 
 def verify_interface(params: Params, centers: Iterable[KType],
-                     table: Dict[Tuple[Fraction, int], Fraction]) -> SuiteReport:
+                     table: Dict[Tuple[Fraction, int], Fraction],
+                     labels: Optional[Labels] = None) -> SuiteReport:
     """Interface coherence between the multiplicity 1 and 2 parts.
 
     Per center: both mixed-multiplicity edges (f +- 1, under the -4i z
     normalization of the scalar part), and the four-corner square relation
     det B(alpha2) = (det M2 / det M1) det B(alpha1).
     """
+    labels, recs = _records(params, centers, labels, 0)
     report = SuiteReport("interface")
-    for center in centers:
-        if center.multiplicity != 2 or center.j < Fraction(3, 2):
+    for center in recs:
+        kt = center.ktype
+        if center.key[2] < 3:
             continue
-        for _, beta in case1_partners(center):
-            if (beta.j, beta.eps) in table:
-                report.checks.append(_check_case1_edge(params, center, beta, table))
-        report.checks.append(_check_square(params, interface_square(center)))
+        if (kt.j, kt.eps) in table:         # the partners share the center's (j, eps)
+            d33 = _d33(table, kt)
+            for _, key in partner_keys(center.key):
+                report.checks.append(_check_case1_edge(labels, center, labels.at(key), d33))
+        report.checks.append(_check_square(labels, center))
     return report
 
 
-def _check_square(params: Params, square) -> EdgeCheck:
-    a1, a2 = square.alpha1, square.alpha2
-    edge = partial(EdgeCheck, 2, a1, a2, Direction(1, 1))
-    try:
-        ca = block_coefficients(params, a1)
-        cb = block_coefficients(params, a2)
-        data = case2_data(params, a1, a2)
-    except _SKIPPED as exc:
-        return edge(*_skip(exc, "block"))
-    det_m1, det_m2 = data.det_m1(), data.det_m2()
+def _check_square(labels: Labels, alpha1: Label) -> EdgeCheck:
+    """det B(alpha2) rho^2 = (det M2 / det M1) det B(alpha1) on the square at alpha1."""
+    alpha2 = labels.neighbors(alpha1)[1][1]     # the (1, 1) arrow: f+1, j+1, same eps
+    edge = partial(EdgeCheck, 2, alpha1.ktype, alpha2.ktype, Direction(1, 1))
+    ca, cb = block_ints(labels, alpha1), block_ints(labels, alpha2)
+    for block in (ca, cb):
+        if isinstance(block, str):
+            return edge(SKIP_SINGULAR, f"block: {block} = 0")
+    data = case2_ints(labels, alpha1, alpha2)
+    if data is None:
+        return edge(SKIP_DEGENERATE, _DEGENERATE_TARGET)
+    det_m1, det_m2 = map(det2, _matrices(data))        # both over P^4
     if det_m1 == 0:
         return edge(SKIP_DEGENERATE, "det M1 = 0: propagation is vacuous")
-    rho = z_product(params.r, z_terms(params, a2, 1, block=True)
-                    + z_terms(params, a1, -1, block=True))
-    if rho.kind != "finite":
+    rho = z_product(labels.params.r, labels.scale,
+                    z_terms(alpha2, 1, block=True) + z_terms(alpha1, -1, block=True))
+    if rho.order:
         return edge(SKIP_POLE, f"shared-factor ratio is {rho.kind}")
-    det_a = ca[0] * ca[3] - ca[1] * ca[2]
-    det_b = cb[0] * cb[3] - cb[1] * cb[2]
-    lhs = det_b * rho.value ** 2
-    rhs = det_m2 / det_m1 * det_a
-    quantities = {"det_m_ratio": format_rational(det_m2 / det_m1)}
-    if lhs == rhs:
+    # det B rho^2 = det_b p^2 / (den_b^2 q^2) against det_m2/det_m1 det_a/den_a^2
+    det_a, det_b = (det2((c[:2], c[2:4])) for c in (ca, cb))
+    p, q = rho.num, rho.den
+    lhs, rhs = det_b * p * p * ca[4] ** 2, det_m2 * det_a * cb[4] ** 2 * q * q
+    quantities = {"det_m_ratio": format_ratio(det_m2, det_m1)}
+    if lhs * det_m1 == rhs:
         return edge(PASS, quantities=quantities)
-    return edge(FAIL, quantities=quantities, residuals={"det": format_rational(lhs - rhs)})
+    return edge(FAIL, quantities=quantities, residuals={
+        "det": format_ratio(lhs * det_m1 - rhs, cb[4] ** 2 * q * q * ca[4] ** 2 * det_m1)})
 
 
 def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> dict:
@@ -367,27 +460,31 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> di
 
 def run_all_suites(params: Params, centers: Sequence[KType], f_min, f_max, j_max):
     """Drive all four suites on one K-type list plus calibration; returns
-    (reports, calibrations).  The xi set follows ``centers``: each xi in it
-    is calibrated and its interface suite gets that xi's centers.  A
+    (reports, calibrations).  One :class:`Labels` table serves the run.  The
+    xi set follows ``centers``: each xi in it is calibrated and its
+    interface suite gets that xi's centers.  A
     calibration with nothing to solve maps its xi to the
-    :class:`EmptyWindowError` naming why, and that xi gets no interface
-    checks (an interface center would need j >= 3/2 and an f point in the
-    same window, so none exists).
+    :class:`EmptyWindowError` naming why (an interface center would need
+    j >= 3/2 and an f point in the same window, so none exists), and one
+    with no solution to its :class:`InconsistentSystemError`; either way
+    that xi gets no interface checks.
     """
+    labels = Labels(params)
     reports: Dict[str, SuiteReport] = {}
-    reports["mult1-quotients"] = verify_mult1_quotients(params, centers)
-    reports["mult2-quotients"] = verify_mult2_quotients(params, centers)
-    reports["case2-relation"] = verify_case2_relation(params, centers)
+    reports["mult1-quotients"] = verify_mult1_quotients(params, centers, labels)
+    reports["mult2-quotients"] = verify_mult2_quotients(params, centers, labels)
+    reports["case2-relation"] = verify_case2_relation(params, centers, labels)
     calibrations: Dict[int, Union[CalibrationResult, EmptyWindowError]] = {}
     interface = SuiteReport("interface")
     for xi in sorted({c.xi for c in centers}):
         try:
-            result = calibrate_L(params, xi, f_min, f_max, j_max)
-        except EmptyWindowError as exc:
+            result = calibrate_L(params, xi, f_min, f_max, j_max, labels)
+        except InconsistentSystemError as exc:     # an EmptyWindowError among them
             calibrations[xi] = exc
             continue
         calibrations[xi] = result
-        sub = verify_interface(params, [c for c in centers if c.xi == xi], result.table)
+        sub = verify_interface(params, [c for c in centers if c.xi == xi], result.table,
+                               labels)
         interface.checks.extend(sub.checks)
     reports["interface"] = interface
     return reports, calibrations

@@ -22,6 +22,7 @@ from twistor_spectra.spectra import (SingularCoefficientError,
                                      first_order_block, z_for, z_value)
 from twistor_spectra.verify import (FAIL, INDETERMINATE, PASS, POLE,
                                     SKIP_DEGENERATE, ZERO,
+                                    resolve_block_factor_reading,
                                     verify_case2_relation, verify_interface,
                                     verify_mult1_quotients,
                                     verify_mult2_quotients)
@@ -232,7 +233,10 @@ def test_mutation_sanity():
             return True
         if not verify_case2_relation(params, mult2).ok:
             return True
-        return not verify_interface(params, mult2_pos, baseline_table).ok
+        if not verify_interface(params, mult2_pos, baseline_table).ok:
+            return True
+        # the first-order block is read only by the block factor's reading
+        return resolve_block_factor_reading(params, mult2)["resolved"] != "f+1"
 
     assert not any_suite_fails()
     for site in faults.SITES:

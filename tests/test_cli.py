@@ -28,7 +28,7 @@ VERIFY_STDOUT_SHA256 = {
 }
 
 # sha256 over test_fault_sweep_is_pinned's runs
-FAULT_SWEEP_SHA256 = "37f047cbdd0e910f1265515ac3f8b3e6275f8feb60fbd86d598e19437443758e"
+FAULT_SWEEP_SHA256 = "2eb2d9a1c42cf29bc2cfbee0007ef4f9fd1a990181c4abb2adcea00b5ce42546"
 
 
 def run(capsys, *argv):
@@ -313,6 +313,32 @@ class TestVerify:
                     digest.update(part.encode() + b"\0")
                 digest.update(report + b"\0")
         assert digest.hexdigest() == FAULT_SWEEP_SHA256
+
+    def test_an_unsolvable_calibration_replaces_a_passing_report(self, capsys, tmp_path):
+        # the failing run writes its own report over the earlier passing one;
+        # its exit code and its one stderr line are as before
+        out_path = tmp_path / "report.json"
+        argv = ["verify", "--n", "4", "--r", "1", *REGION, "--out", str(out_path)]
+        assert main(argv) == 0
+        assert json.loads(out_path.read_text())["ok"] is True
+        capsys.readouterr()
+        with faults.inject("DIRAC"):
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "calibration inconsistent: conflicting difference constraints for "
+            "(j=3/2, eps=+1) - (j=3/2, eps=-1): -3/2 vs -31/2\n")
+        payload = json.loads(out_path.read_text())
+        assert payload["ok"] is False
+        assert set(payload["suites"]) == {"mult1-quotients", "mult2-quotients",
+                                          "case2-relation", "interface"}
+        assert payload["suites"]["interface"]["edges"] == []
+        for xi, cal in payload["calibration"].items():
+            assert set(cal) == {"error", "witness"}
+            assert cal["error"].startswith("conflicting difference constraints"), xi
+            assert set(cal["witness"]) == {"edge", "previous", "residual"}
+        assert captured.err.endswith(payload["calibration"]["-1"]["error"] + "\n")
 
     def test_every_fault_site_fails_verify(self, capsys):
         # the calibration runs under the fault too, as in any armed run

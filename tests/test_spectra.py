@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from twistor_spectra import faults, spectra
 from twistor_spectra.exact import (GammaQuotient, NonCommensurableError,
-                                   ReducedValue, ratio_tagged, reduce_exact)
-from twistor_spectra.ktypes import (Direction, KType, Params, case1_partners,
-                                    enumerate_ktypes, f_points, label_dirac,
-                                    make_ktype, neighbors)
+                                   ratio_tagged, reduce_exact)
+from twistor_spectra.ktypes import (DIRECTIONS, Direction, KType, Labels, Params,
+                                    case1_partners, enumerate_ktypes, f_points,
+                                    label_dirac, make_ktype, neighbors)
 from twistor_spectra.spectra import (InconsistentSystemError,
-                                     SingularCoefficientError, block2x2,
+                                     SingularCoefficientError, Tagged, block2x2,
                                      block_coefficients, calibrate_L, exchanged_rs_eigenvalue,
                                      mult1_quotient_matrix,
                                      mult2_det_quotient_matrix,
@@ -153,10 +153,11 @@ class TestMult2GammaProduct:
         assert entry.value == Q(15, 7)
 
 
-def gamma_reference(params, terms):
-    """ratio_tagged on the gamma quotients of prod z(r; f, J, s)**e."""
+def gamma_reference(params, terms, scale=1):
+    """ratio_tagged on the gamma quotients of prod z(r; F/scale, J/scale, s)**e."""
     num = den = GammaQuotient()
-    for f, J, s, e in terms:
+    for F, J, s, e in terms:
+        f, J = Q(F, scale), Q(J, scale)
         for _ in range(abs(e)):
             if e > 0:
                 num = num * z_value(params, f, J, s)
@@ -171,20 +172,23 @@ R_DRAWS = [Q(1, 2), Q(1), Q(3, 2), Q(5, 2), Q(7, 3),
            Q(0), Q(-3, 2), Q(3, 4), Q(1, 3), Q(-1, 2), Q(7, 2)]
 
 
-def shape_calls(params, shape, center):
+def shape_calls(labels, shape, center):
     """The (terms) the suites hand to z_product around one center, for one call shape."""
+    center = labels.of(center)
+    nbs = [nb for _, nb in labels.neighbors(center)]
     if shape == "z/z":
-        at_center = z_terms(params, center, -1)
-        return [z_terms(params, nb, 1) + at_center for _, nb in neighbors(center)]
+        at_center = z_terms(center, -1)
+        return [z_terms(nb, 1) + at_center for nb in nbs]
     if shape == "w/w":
-        at_center = w_terms(params, center, -1)
-        return [w_terms(params, nb, 1) + at_center for _, nb in neighbors(center)]
+        at_center = w_terms(center, -1)
+        return [w_terms(nb, 1) + at_center for nb in nbs]
     if shape == "block/block":
-        at_center = z_terms(params, center, -1, block=True)
-        return [z_terms(params, nb, 1, block=True) + at_center for _, nb in neighbors(center)]
+        at_center = z_terms(center, -1, block=True)
+        return [z_terms(nb, 1, block=True) + at_center for nb in nbs]
     assert shape == "z/block"
-    at_center = z_terms(params, center, -1, block=True)
-    return [z_terms(params, beta, 1) + at_center for _, beta in case1_partners(center)]
+    at_center = z_terms(center, -1, block=True)
+    return [z_terms(labels.of(beta), 1) + at_center
+            for _, beta in case1_partners(center.ktype)]
 
 
 class TestZProduct:
@@ -212,19 +216,20 @@ class TestZProduct:
             if shape == "calibration":
                 calls = self.calibration_calls(params, center)
             else:
-                calls = [(terms, z_product(r, terms))
-                         for terms in shape_calls(params, shape, center)]
-            for terms, got in calls:
-                assert got == gamma_reference(params, terms), terms
+                labels = Labels(params)
+                calls = [(labels.scale, terms, z_product(r, labels.scale, terms))
+                         for terms in shape_calls(labels, shape, center)]
+            for scale, terms, got in calls:
+                assert got.reduced() == gamma_reference(params, terms, scale), terms
 
     @staticmethod
     def calibration_calls(params, center):
         """Every z_product call calibrate_L makes on a window around the center."""
         calls = []
 
-        def spy(r, terms):
-            calls.append((terms, z_product(r, terms)))
-            return calls[-1][1]
+        def spy(r, scale, terms):
+            calls.append((scale, terms, z_product(r, scale, terms)))
+            return calls[-1][2]
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectra, "z_product", spy)
@@ -237,18 +242,18 @@ class TestZProduct:
 
     def test_unbalanced_pattern_raises_like_ratio_tagged(self):
         params = Params(4, Q(1))
-        terms = ((Q(1, 2), Q(5, 2), 1, 1),)
+        terms = ((1, 5, 1, 1),)
         with pytest.raises(NonCommensurableError):
-            gamma_reference(params, terms)
+            gamma_reference(params, terms, 2)
         with pytest.raises(NonCommensurableError):
-            z_product(params.r, terms)
+            z_product(params.r, 2, terms)
 
     def test_templates_are_keyed_on_the_pattern_not_on_r(self):
         def walk(r):
-            params = Params(6, r)
-            for c in enumerate_ktypes(params, Q(-3, 2), Q(3, 2), Q(7, 2), (0,)):
-                for terms in shape_calls(params, "w/w", c):
-                    z_product(r, terms)
+            labels = Labels(Params(6, r))
+            for c in enumerate_ktypes(labels.params, Q(-3, 2), Q(3, 2), Q(7, 2), (0,)):
+                for terms in shape_calls(labels, "w/w", c):
+                    z_product(r, labels.scale, terms)
 
         walk(Q(1))
         size = spectra._ratio_template.cache_info().currsize
@@ -257,11 +262,123 @@ class TestZProduct:
         assert spectra._ratio_template.cache_info().currsize == size
 
 
+def neighbors_reference(kt):
+    """The diagram as a Fraction transcription: six arrows, the bottom row cut at j = 1/2 + q."""
+    out = []
+    for direction in DIRECTIONS:
+        j2 = kt.j + direction.dj
+        if j2 >= Q(1, 2) + kt.q:
+            eps2 = -kt.eps if direction.dj == 0 else kt.eps
+            out.append((direction, KType(kt.xi, kt.f + direction.df, j2, kt.q, eps2)))
+    return out
+
+
+def corner_pairs_reference(r, f, J, s):
+    """The six linear (numerator, denominator) pairs as a Fraction transcription."""
+    sh, half = Q(s, 2), Q(1, 2)
+    return {
+        (1, 1): (f + J + 1 + r - sh, f + J + 1 - r + sh),
+        (-1, 1): (-f + J + 1 + r + sh, -f + J + 1 - r - sh),
+        (1, 0): (f + half + r + s * J, f + half - r - s * J),
+        (-1, 0): (-f + half + r - s * J, -f + half - r + s * J),
+        (1, -1): (f - J + 1 + r + sh, f - J + 1 - r - sh),
+        (-1, -1): (-f - J + 1 + r - sh, -f - J + 1 - r + sh),
+    }
+
+
+def quotient_reference(params, kt, offsets):
+    """{direction: (neighbor, num, den)} in Fractions; an armed site moves its value by its offset.
+
+    J is eps * (eps (j + (n-2)/2) + DIRAC offset); mult-1 entries are the
+    linear pairs, mult-2 entries the determinant squares Y^2 - 1 (strict:
+    the misprinted middle-right denominator).
+    """
+    r, f, xi = params.r, kt.f, kt.xi
+    s = kt.xi * kt.eps
+    J = kt.eps * (kt.eps * (kt.j + Q(params.n - 2, 2)) + offsets.get("DIRAC", 0))
+    pairs = corner_pairs_reference(r, f, J, s)
+    out = {}
+    for direction, nb in neighbors_reference(kt):
+        y_num, y_den = pairs[direction]
+        if kt.q == 1:
+            out[direction] = (nb, y_num + offsets.get("Q1", 0), y_den)
+            continue
+        den = y_den * y_den - 1
+        if params.strict_paper and direction == (1, 0):
+            den = (f + Q(1, 2) - xi - r - s * J) * (f + Q(1, 2) + xi - r - xi * J)
+        out[direction] = (nb, y_num * y_num - 1 + offsets.get("Q2", 0), den)
+    return out
+
+
+def quotient_outcomes(params, kt, offsets=None):
+    """(kernel, reference) entries at one label, the kernel's taken off its integer scale."""
+    unit = 2 * Labels(params).scale * params.r.denominator
+    unit = unit if kt.q == 1 else unit * unit
+    matrix = mult1_quotient_matrix if kt.q == 1 else mult2_det_quotient_matrix
+    got = {d: (e.neighbor, Q(e.num, unit), Q(e.den, unit))
+           for d, e in matrix(params, kt).items()}
+    return got, quotient_reference(params, kt, offsets or {})
+
+
+class TestQuotientKernel:
+    """The integer quotient entries against the Fraction transcription, as formal fractions."""
+
+    def test_grid_matches_the_reference(self):
+        kinds = set()
+        for n, r, lattice, strict in itertools.product(
+                (4, 8, 12), (Q(5, 2), Q(7, 3), Q(-3, 2), Q(-2, 9)), ("half", "int"),
+                (False, True)):
+            params = Params(n, r, lattice, strict)
+            for kt in enumerate_ktypes(params, Q(-3, 2), Q(3, 2), Q(7, 2)):
+                got, want = quotient_outcomes(params, kt)
+                assert list(got) == list(want) and got == want, (params, kt)
+                kinds |= {e.kind for e in mult1_quotient_matrix(params, kt).values()} \
+                    if kt.q == 1 else set()
+        assert kinds == {"finite", "pole", "zero", "indeterminate"}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(n=st.sampled_from([4, 6, 8, 10, 12]),
+           r=st.fractions(min_value=-6, max_value=6, max_denominator=9),
+           lattice=st.sampled_from(["half", "int"]), k=st.integers(-12, 12),
+           steps=st.integers(0, 6), q=st.sampled_from([0, 1]), xi=st.sampled_from([1, -1]),
+           eps=st.sampled_from([1, -1]), strict=st.booleans())
+    @example(n=4, r=Q(5, 2), lattice="half", k=0, steps=0, q=1, xi=1, eps=1, strict=False)
+    @example(n=4, r=Q(1), lattice="half", k=1, steps=0, q=0, xi=1, eps=-1, strict=True)
+    def test_property_matches_the_reference(self, n, r, lattice, k, steps, q, xi, eps, strict):
+        params = Params(n, r, lattice, strict)
+        f = Q(k) + (Q(1, 2) if lattice == "half" else 0)
+        got, want = quotient_outcomes(params, KType(xi, f, Q(1, 2) + q + steps, q, eps))
+        assert got == want
+
+    def test_an_armed_site_moves_each_entry_by_the_offset(self):
+        for site, delta, n, r, lattice in itertools.product(
+                ("Q1", "Q2", "DIRAC"), (Q(1), Q(1, 3)), (4, 8), (Q(1), Q(-7, 3)),
+                ("half", "int")):
+            params = Params(n, r, lattice)
+            centers = list(enumerate_ktypes(params, Q(-3, 2), Q(3, 2), Q(7, 2)))
+            with faults.inject(site, delta):
+                pairs = [quotient_outcomes(params, kt, {site: delta}) for kt in centers]
+            for kt, (got, want) in zip(centers, pairs):
+                assert got == want, (site, delta, params, kt)
+
+    def test_records_walk_the_reference_diagram(self):
+        params = Params(6, Q(7, 3), "int")
+        labels = Labels(params)
+        for kt in enumerate_ktypes(params, Q(-2), Q(2), Q(9, 2)):
+            rec = labels.of(kt)
+            J, s = kt.j + 2, kt.xi * kt.eps
+            assert (Q(rec.F, rec.scale), Q(rec.J, rec.scale), rec.s) == (kt.f, J, s)
+            got = [(d, nb.ktype) for d, nb in labels.neighbors(rec)]
+            assert got == neighbors_reference(kt) == neighbors(kt)
+            assert labels.neighbors(rec) is labels.neighbors(rec)
+
+
 class TestMult1QuotientMatrix:
     def test_pole_entry_flagged_not_thrown(self):
         kt = make_ktype(P4H, 1, Q(5, 2), Q(3, 2), 1, 1)   # J = 5/2
         entry = mult1_quotient_matrix(P4H, kt).get((1, 0))
-        assert entry.kind == "pole" and entry.num == 6 and entry.den == 0
+        # the numerator 6 on the entries' scale 2 d r.denominator = 8
+        assert entry.kind == "pole" and entry.num == 48 and entry.den == 0
         # the spectral-function route flags the same edge
         nb = make_ktype(P4H, 1, Q(7, 2), Q(3, 2), 1, -1)
         assert ratio_tagged(z_for(P4H, nb), z_for(P4H, kt)).kind == "pole"
@@ -597,18 +714,20 @@ class TestCalibration:
 
     def test_unconstraining_edge_needs_a_vanishing_bracket(self, monkeypatch):
         # a z-ratio of -1 leaves P- = -P+, which holds iff the bracket is 0
+        # (the bracket is an int (num, den) over two records)
         params = Params(4, Q(1))
-        true_mid = spectra.case3_mid
+        true_bracket = spectra.case3_bracket
 
         def z_ratio(center, nb):
             return ratio_tagged(z_for(params, nb), z_for(params, center))
 
-        def shifted_mid(p, center, nb):
-            zr = z_ratio(center, nb)
+        def shifted_bracket(center, nb):
+            zr = z_ratio(center.ktype, nb.ktype)
             bump = 1 if zr.kind == "finite" and zr.value == -1 else 0
-            return true_mid(p, center, nb) + bump
+            num, den = true_bracket(center, nb)
+            return num + bump * den, den
 
-        monkeypatch.setattr(spectra, "case3_mid", shifted_mid)
+        monkeypatch.setattr(spectra, "case3_bracket", shifted_bracket)
         with pytest.raises(InconsistentSystemError) as err:
             calibrate_L(params, 1, Q(-5, 2), Q(5, 2), Q(7, 2))
         edge = err.value.witness["edge"]
@@ -622,14 +741,15 @@ class TestCalibration:
         # depend on the edge; unconstraining edges keep their bracket, so
         # only a conflict can raise
         params = Params(4, Q(1))
-        true_mid = spectra.case3_mid
+        true_bracket = spectra.case3_bracket
 
-        def f_dependent_mid(p, center, nb):
-            zr = ratio_tagged(z_for(p, nb), z_for(p, center))
+        def f_dependent_bracket(center, nb):
+            zr = ratio_tagged(z_for(params, nb.ktype), z_for(params, center.ktype))
             unconstraining = zr.kind == "finite" and zr.value == -1
-            return true_mid(p, center, nb) + (0 if unconstraining else center.f)
+            mid = Q(*true_bracket(center, nb)) + (0 if unconstraining else center.ktype.f)
+            return mid.numerator, mid.denominator
 
-        monkeypatch.setattr(spectra, "case3_mid", f_dependent_mid)
+        monkeypatch.setattr(spectra, "case3_bracket", f_dependent_bracket)
         with pytest.raises(InconsistentSystemError) as err:
             calibrate_L(params, 1, Q(-5, 2), Q(5, 2), Q(7, 2))
         witness = err.value.witness
@@ -649,9 +769,13 @@ class TestCalibration:
         # every ratio a pole with bracket xi (f - f') - r makes each edge's
         # delta (mid + r)/xd = 1, so x_b - x_a is -1 one way round a class
         # pair and +1 back, and the spanning solve meets a gap of 2
-        monkeypatch.setattr(spectra, "z_product", lambda r, terms: ReducedValue("pole"))
-        monkeypatch.setattr(spectra, "case3_mid",
-                            lambda p, center, nb: center.xi * (center.f - nb.f) - p.r)
+        monkeypatch.setattr(spectra, "z_product", lambda r, scale, terms: Tagged(-1))
+
+        def bracket(center, nb):
+            mid = center.ktype.xi * (center.ktype.f - nb.ktype.f) - Q(1)     # r = 1
+            return mid.numerator, mid.denominator
+
+        monkeypatch.setattr(spectra, "case3_bracket", bracket)
         with pytest.raises(InconsistentSystemError) as err:
             calibrate_L(Params(4, Q(1)), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
         assert str(err.value) == "difference cycle through (j=3/2, eps=-1) does not close"
@@ -660,9 +784,8 @@ class TestCalibration:
     def test_only_unconstraining_edges_leave_classes_free(self, monkeypatch):
         # every ratio a finite -1 with a zero bracket constrains nothing, so
         # only the first of the six classes gets a value
-        monkeypatch.setattr(spectra, "z_product",
-                            lambda r, terms: ReducedValue("finite", Q(-1)))
-        monkeypatch.setattr(spectra, "case3_mid", lambda p, center, nb: Q(0))
+        monkeypatch.setattr(spectra, "z_product", lambda r, scale, terms: Tagged(0, -1, 1))
+        monkeypatch.setattr(spectra, "case3_bracket", lambda center, nb: (0, 1))
         with pytest.raises(InconsistentSystemError) as err:
             calibrate_L(Params(4, Q(1)), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
         assert str(err.value) == "calibration window leaves 5 classes unconstrained"

@@ -1,3 +1,5 @@
+import json
+import math
 import re
 from fractions import Fraction as Q
 from pathlib import Path
@@ -7,13 +9,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twistor_spectra import faults, spectra
+from twistor_spectra._jsontext import CHUNK, IndentedEncoder
 from twistor_spectra.exact import format_rational
-from twistor_spectra.ktypes import Params, enumerate_ktypes, make_ktype
+from twistor_spectra.ktypes import (Direction, KType, Params, enumerate_ktypes,
+                                    make_ktype)
 from twistor_spectra.spectra import (SingularCoefficientError,
                                      block_coefficients, calibrate_L)
 from twistor_spectra.verify import (FAIL, INDETERMINATE, PASS, POLE,
                                     SKIP_DEGENERATE, SKIP_SINGULAR, ZERO,
-                                    _case2_residuals,
+                                    EdgeCheck, SuiteReport, _case2_residuals,
+                                    edges_text,
                                     resolve_block_factor_reading,
                                     run_all_suites, verify_case2_relation,
                                     verify_interface, verify_mult1_quotients,
@@ -135,6 +140,21 @@ rationals = st.builds(Q, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 60))
 quad = st.tuples(rationals, rationals, rationals, rationals)
 
 
+def over_one_denominator(values):
+    """(numerators, den) of Fractions over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def integer_case2_residuals(b, m1, m2, a, rho):
+    """_case2_residuals on the integer forms of Fraction blocks, matrices and rho."""
+    (b_nums, b_den), (a_nums, a_den) = over_one_denominator(b), over_one_denominator(a)
+    m_nums, m_den = over_one_denominator([*m1[0], *m1[1], *m2[0], *m2[1]])
+    rows = [m_nums[0:2], m_nums[2:4], m_nums[4:6], m_nums[6:8]]
+    return _case2_residuals((*b_nums, b_den), rows[:2], rows[2:], (*a_nums, a_den),
+                            rho.numerator, rho.denominator, m_den)
+
+
 class TestCase2Residuals:
     @given(quad, quad, quad, quad, rationals)
     @example((Q(1), Q(0), Q(0), Q(1)), (Q(1, 2), Q(3), Q(-2, 7), Q(5)),
@@ -142,14 +162,14 @@ class TestCase2Residuals:
     def test_cleared_denominators_match_fraction_products(self, b, m1, m2, a, rho):
         m1 = ((m1[0], m1[1]), (m1[2], m1[3]))
         m2 = ((m2[0], m2[1]), (m2[2], m2[3]))
-        assert _case2_residuals(b, m1, m2, a, rho) == \
+        assert integer_case2_residuals(b, m1, m2, a, rho) == \
             reference_case2_residuals(b, m1, m2, a, rho)
 
     def test_nonzero_residual_is_in_lowest_terms(self):
         one = (Q(1), Q(0), Q(0), Q(1))
         m1 = ((Q(1, 6), Q(0)), (Q(0), Q(1)))
         m2 = ((Q(1, 3), Q(0)), (Q(0), Q(1)))
-        got = _case2_residuals(one, m1, m2, one, Q(3, 2))
+        got = integer_case2_residuals(one, m1, m2, one, Q(3, 2))
         assert got == {"(1,1)": "-1/12", "(2,2)": "1/2"}
 
 
@@ -267,3 +287,50 @@ class TestFaultCatalogue:
         for path in src.glob("*.py"):
             used |= set(re.findall(r'faults\.bump\(\s*"(\w+)"', path.read_text()))
         assert used == set(faults.SITES)
+
+
+def slice_reports(n, r, strict=False, window=(Q(-19, 2), Q(19, 2), Q(11, 2))):
+    params = Params(n, r, strict_paper=strict)
+    reports, _ = run_all_suites(params, list(enumerate_ktypes(params, *window)), *window)
+    return reports
+
+
+class TestReportWriter:
+    """The fixed-shape edge text against the stdlib's rendering of ``to_json``."""
+
+    SHAPES = [
+        EdgeCheck(1, KType(1, Q(-1, 2), Q(3, 2), 0, -1), None, None, SKIP_SINGULAR,
+                  "block: C4 = 0"),
+        EdgeCheck(2, KType(-1, Q(3), Q(1, 2), 0, 1), None, Direction(1, 1), FAIL,
+                  quantities={"entry": "0", "z_ratio": "POLE"},
+                  residuals={"expected": "0", "got": "POLE"}),
+        EdgeCheck(3, KType(1, Q(0), Q(5, 2), 1, 1), KType(1, Q(1), Q(3, 2), 1, 1),
+                  Direction(1, -1), PASS, residuals={}),
+    ]
+
+    def test_edge_text_is_the_stdlib_text(self):
+        # detail, quantities, residuals, a null direction and a null target,
+        # and the verdicts and skips of real windows
+        edges = list(self.SHAPES)
+        for n, r, strict in ((4, Q(5, 2), False), (6, Q(3, 2), True), (8, Q(-3, 2), False)):
+            for rep in slice_reports(n, r, strict, (Q(-3, 2), Q(3, 2), Q(5, 2))).values():
+                edges += rep.checks
+        assert {bool(e.detail) for e in edges} == {True, False}
+        assert {bool(e.residuals) for e in edges} == {True, False}
+        assert {e.verdict for e in edges} >= {PASS, FAIL, POLE, ZERO, INDETERMINATE,
+                                              SKIP_DEGENERATE, SKIP_SINGULAR}
+        want = json.dumps([e.to_json() for e in edges], indent=2, sort_keys=True)
+        assert "".join(edges_text(edges)) == want
+        assert "".join(edges_text([])) == json.dumps([]) == "[]"
+        nested = {"a": {"b": [SuiteReport("s", edges[:40]), SuiteReport("empty")]}}
+        assert json.dumps(nested, indent=2, sort_keys=True, cls=IndentedEncoder) == \
+            json.dumps(nested, indent=2, sort_keys=True, default=lambda o: o.to_json())
+
+    def test_an_n8_slice_streams_in_bounded_chunks(self):
+        # every chunk of the largest grid slice's suites stays near CHUNK, so
+        # the report is never held as one string
+        payload = {"suites": slice_reports(8, Q(5, 2))}
+        sizes = [len(chunk) for chunk in IndentedEncoder(indent=2, sort_keys=True)
+                 .iterencode(payload)]
+        assert sum(sizes) > 40 * CHUNK
+        assert max(sizes) <= CHUNK + 4096
