@@ -48,10 +48,10 @@ def memo(fn: Callable) -> Callable:
 
     A table may hold values that passed a :func:`bump` site, so
     :func:`inject` empties every table on arming and on disarming.  The
-    label tables (``label_dirac``, ``_d_entries``, ``_label_pair``) are keyed
-    on n and label values, never on r, so a long-lived process holds at most
-    one entry per label (pair); those in ``spectra`` are keyed on r, but
-    ``_ratio_template`` on a pattern.
+    label tables (``label_dirac``, ``_d_entries``) are keyed on n and label
+    values, never on r, so a long-lived process holds at most one entry per
+    label; those in ``spectra`` are keyed on r, but ``_ratio_template`` on a
+    pattern.
     """
     table = lru_cache(maxsize=None)(fn)
     _TABLES.append(table)

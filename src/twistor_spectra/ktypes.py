@@ -11,8 +11,8 @@ Sphere eigenvalue data hangs off the label: the Dirac eigenvalue
 ``lambda(T*T) = ((n-2)/(n-1)) * (J^2 - ((n-1)/2)^2)``, which vanishes exactly
 at the bottom label ``j = 1/2``.  The Dirac eigenvalue is memoized per label
 and passes the ``DIRAC`` fault site so tests can check that the suites reject
-a shifted convention; lambda(T*T) is read by the memoized label-pair table of
-``operators`` alone.  The divergence-part eigenvalue ``L`` is calibrated.
+a shifted convention; lambda(T*T) is read by ``operators.case2_ints`` alone,
+once per label pair of a run.  The divergence-part eigenvalue ``L`` is calibrated.
 
 A verify run reads each label through one :class:`Label` record of a
 :class:`Labels` table, keyed by the small ints (xi, 2f, 2j, q, eps): its

@@ -13,13 +13,13 @@ read from a calibration table {(j, eps): L}.
 
 Compressing the conformal factor between neighboring labels multiplies the
 twistor-range part by the rational coefficient c_ba, read as
-``case2_data(...).c_ba`` from the label-pair table; compressing the Bochner
+``case2_data(...).c_ba`` from the label-pair row; compressing the Bochner
 Laplacian commutator gives a quadratic coefficient, which is -2 times the
-bracket ``case3_mid`` on a same-multiplicity pair and -+2 times ``case1_mid``
-on a mixed pair.  Together they produce the three families of transition
-quantities that drive every spectral recursion: mixed multiplicity (A1, A2,
-E-, E+), multiplicity two to two (F1-+, F2-+, G1, G2), and multiplicity one
-to one (P-, P+).
+bracket ``case3_bracket`` on a same-multiplicity pair and -+2 times
+``case1_bracket`` on a mixed pair.  Together they produce the three families
+of transition quantities that drive every spectral recursion: mixed
+multiplicity (A1, A2, E-, E+), multiplicity two to two (F1-+, F2-+, G1, G2),
+and multiplicity one to one (P-, P+).
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ __all__ = [
     "Case3Data",
     "d_block",
     "case1_data",
-    "case1_mid",
     "case1_bracket",
     "case1_ints",
     "case2_data",
@@ -47,7 +46,6 @@ __all__ = [
     "relation_matrices",
     "det2",
     "case3_data",
-    "case3_mid",
     "case3_bracket",
     "classify_pair",
     "DegenerateTargetError",
@@ -106,35 +104,6 @@ def _d33(table: Dict[Tuple[Fraction, int], Fraction], ktype: KType) -> Fraction:
     return faults.bump("D33", L / 2)
 
 
-class _PairRow(NamedTuple):
-    """Label-only data of a multiplicity-2 transition a -> b."""
-
-    c_ba: Fraction
-    mid0: Fraction       # (J_b^2 - J_a^2 + 1)/2, the f-free part of mid
-    dd11: Fraction       # d11(b) - d11(a)
-    dd22: Fraction       # d22(b) - d22(a)
-    g1: Fraction         # d21(b) - c_ba d21(a)
-    g2: Fraction         # c_ba d12(b) - d12(a)
-
-
-@faults.memo
-def _label_pair(n: int, ja: Fraction, ea: int, jb: Fraction, eb: int
-                ) -> Optional[_PairRow]:
-    # keyed on n and the two labels only, so a long-lived process holds one
-    # row per label pair whatever r it is asked about; None for a
-    # degenerate target
-    lam_b = label_twistor_tt(n, jb)
-    if lam_b == 0:
-        return None
-    Ja, Jb = label_dirac(n, ja, ea), label_dirac(n, jb, eb)
-    cba = (Jb * Jb / 2 + Ja * Ja / 2 - Ja * Jb / Fraction(n - 1)
-           - Fraction(n * (n - 1), 4)) / lam_b
-    a11, a12, a21, a22 = _d_entries(n, Ja)
-    b11, b12, b21, b22 = _d_entries(n, Jb)
-    return _PairRow(cba, (Jb * Jb - Ja * Ja + 1) / 2, b11 - a11, b22 - a22,
-                    b21 - cba * a21, cba * b12 - a12)
-
-
 def classify_pair(frm: KType, to: KType) -> Optional[str]:
     """'same-mult' for one-step pairs with equal q, 'mixed' for q-flipped partners.
 
@@ -179,12 +148,6 @@ def case1_bracket(labels: Labels, alpha: Label, beta: Label) -> Tuple[int, int]:
     and E+ share on the mixed pair alpha -> beta; den = 2 scale^2."""
     d = labels.scale
     return alpha.F * alpha.F - beta.F * beta.F - (labels.params.n - 2) * d * d, 2 * d * d
-
-
-def case1_mid(params: Params, alpha: KType, beta: KType) -> Fraction:
-    """The r-free, L-free bracket shared by E- and E+ on the mixed pair alpha -> beta."""
-    labels = Labels(params)
-    return Fraction(*case1_bracket(labels, labels.of(alpha), labels.of(beta)))
 
 
 def case1_ints(labels: Labels, alpha: Label, beta: Label, d33: Fraction) -> Tuple[int, ...]:
@@ -273,9 +236,9 @@ def case2_ints(labels: Labels, alpha: Label, beta: Label) -> Optional[Tuple[int,
     With s = xi (f' - f) and mid = (f'^2 - f^2)/2 + (J'^2 - J^2)/2:
     F1-+ = mid -+ r +- s (d11' - d11), F2-+ likewise with d22,
     g1 = s (d21' - c_ba d21) and g2 = s (c_ba d12' - d12).  All but the
-    f and r terms depend only on the two labels: the row of
-    ``_label_pair`` keyed on (n, j, eps, j', eps'), c_ba among them, put
-    over one denominator once per run in ``labels.pairs``.  Since
+    f and r terms depend only on the two labels (j, eps) and (j', eps'):
+    with c_ba they are one row over one denominator, made once per run in
+    ``labels.pairs`` from ``_d_entries`` and the Dirac eigenvalues.  Since
     f' - f = +-1, each edge computes only mid = (f' - f) f + 1/2 +
     (J'^2 - J^2)/2, the sign s and the r terms.  Note g1 = s (-n) (1 - c_ba)
     since the (2,1) operator entry is label-independent.
@@ -284,11 +247,19 @@ def case2_ints(labels: Labels, alpha: Label, beta: Label) -> Optional[Tuple[int,
     row = labels.pairs.get(key, False)
     if row is False:
         ka, kb = alpha.ktype, beta.ktype
-        row = _label_pair(labels.params.n, ka.j, ka.eps, kb.j, kb.eps)
-        if row is not None:
-            r, d = labels.params.r, labels.scale
-            P, *nums = _over(d * r.denominator, *row, r)
+        n, r, d = labels.params.n, labels.params.r, labels.scale
+        lam_b = label_twistor_tt(n, kb.j)
+        if lam_b:
+            Ja, Jb = label_dirac(n, ka.j, ka.eps), label_dirac(n, kb.j, kb.eps)
+            c_ba = (Jb * Jb / 2 + Ja * Ja / 2 - Ja * Jb / Fraction(n - 1)
+                    - Fraction(n * (n - 1), 4)) / lam_b
+            a11, a12, a21, a22 = _d_entries(n, Ja)
+            b11, b12, b21, b22 = _d_entries(n, Jb)
+            P, *nums = _over(d * r.denominator, c_ba, (Jb * Jb - Ja * Ja + 1) / 2,
+                             b11 - a11, b22 - a22, b21 - c_ba * a21, c_ba * b12 - a12, r)
             row = (P, P // d, *nums)
+        else:
+            row = None
         labels.pairs[key] = row
     if row is None:
         return None
@@ -332,18 +303,13 @@ def case3_bracket(alpha: Label, beta: Label) -> Tuple[int, int]:
             2 * alpha.scale * alpha.scale)
 
 
-def case3_mid(params: Params, alpha: KType, beta: KType) -> Fraction:
-    """The r-free, L-free bracket shared by P- and P+ on the edge alpha -> beta."""
-    labels = Labels(params)
-    return Fraction(*case3_bracket(labels.of(alpha), labels.of(beta)))
-
-
 def case3_data(params: Params, alpha: KType, beta: KType,
                table: Dict[Tuple[Fraction, int], Fraction]) -> Case3Data:
     """Quantities for a multiplicity-1 edge with alpha as center, beta as neighbor."""
     if classify_pair(alpha, beta) != "same-mult" or alpha.multiplicity != 1:
         raise NotNeighborsError(f"{alpha.label()} -> {beta.label()} is not a multiplicity-1 edge")
     r = params.r
-    mid = case3_mid(params, alpha, beta)
+    labels = Labels(params)
+    mid = Fraction(*case3_bracket(labels.of(alpha), labels.of(beta)))
     dd = alpha.xi * (alpha.f - beta.f) * (_d33(table, alpha) - _d33(table, beta))
     return Case3Data(mid - r + dd, mid + r - dd)

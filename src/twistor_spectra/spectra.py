@@ -42,7 +42,7 @@ feeds are checked by the interface suite in ``verify``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -52,7 +52,7 @@ from .exact import (GammaQuotient, NonCommensurableError, RationalLike,
                     ReducedValue, format_ratio, format_rational, rational)
 from .ktypes import (DEFAULT_EIGENVALUES, Direction, KType, Label, Labels,
                      Params, f_points, spectral_args)
-from .operators import case1_mid, case3_bracket, d_block
+from .operators import case1_ints, case3_bracket
 
 __all__ = [
     "Block",
@@ -528,8 +528,9 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     :class:`InconsistentSystemError` with the violating edge if the
     overdetermined system has no solution, and :class:`EmptyWindowError` when
     the window holds nothing to solve.  The table is built in sorted (j, eps)
-    order.  ``labels`` is the run's record table; without one the solve
-    makes its own.  Each edge is decided on integers: the z-ratio by
+    order.  ``labels`` is the run's record table, of the same n and r (the
+    variant, ``strict_paper``, does not reach the solve); without one the
+    solve makes its own.  Each edge is decided on integers: the z-ratio by
     :func:`z_product`, the bracket by ``operators.case3_bracket``, and the
     class pair's difference as an int (num, den) compared by cross
     multiplication; a Fraction is made once per constrained class pair.
@@ -545,11 +546,12 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     singular and no probe exists; the table stays anchored at
     L(3/2, +1) = 0, which is label_dirac - 5/2.
     """
-    params = replace(params, strict_paper=False)   # always the corrected closed forms
     f_lo, f_hi, j_hi = rational(f_min), rational(f_max), rational(j_max)
     r = params.r
     if labels is None:
         labels = Labels(params)
+    elif (labels.params.n, labels.params.r) != (params.n, params.r):
+        raise ValueError(f"a label table made for {labels.params} cannot serve {params}")
 
     # nodes are (2j, eps) classes: d33 cannot depend on f
     nodes: List[Tuple[int, int]] = []
@@ -642,9 +644,9 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
         raise InconsistentSystemError(
             f"calibration window leaves {len(missing)} classes unconstrained")
 
-    potential = {(Fraction(j2, 2), eps): pot for (j2, eps), pot in potential.items()}
-    shift, probe = _pin_constant(params, xi, fs, potential)
-    table = {nd: 2 * (pot + shift) for nd, pot in sorted(potential.items())}
+    shift, probe = _pin_constant(labels, xi, fs, potential)
+    table = {(Fraction(j2, 2), eps): 2 * (pot + shift)
+             for (j2, eps), pot in sorted(potential.items())}
     return CalibrationResult(table, n_edges, n_unconstraining, probe)
 
 
@@ -657,34 +659,33 @@ def _edge_witness(delta: Fraction, center: Label, nb: Label) -> dict:
             "delta": format_rational(delta)}
 
 
-def _pin_constant(params, xi, fs, potential):
+def _pin_constant(labels, xi, fs, potential):
     """Fix the additive constant via one mixed-multiplicity relation.
 
     Uses the f+1 partner, whose z factor coincides with the block's shared
-    factor, so the relation A2 b11 - E- b21 = -A2 reduces to rationals.
+    factor, so the relation A2 b11 - E- b21 = -A2 (``row.1`` of
+    ``verify._check_case1_edge`` at rho = 1) reduces to rationals.  A2 and
+    E- at d33 = 0 are :func:`case1_ints`, b11 and b21 :func:`block_ints`
+    (b22, the one coefficient ``strict_paper`` changes, is not read); E-
+    grows by xi d33 toward the f+1 partner, so the relation fixes the
+    partner's d33, and the constant is d33 less the class's potential.
     """
+    zero = Fraction(0)
     for f in fs:
-        for (j, eps), pot in sorted(potential.items()):
-            alpha = KType(xi, f, j, 0, eps)
-            beta = KType(xi, f + 1, j, 1, eps)
-            try:
-                b11, _, b21, _ = block_coefficients(params, alpha)
-            except SingularCoefficientError:
+        f2 = f.numerator * (2 // f.denominator)
+        for (j2, eps), pot in sorted(potential.items()):
+            alpha = labels.at((xi, f2, j2, 0, eps))
+            block = block_ints(labels, alpha)
+            if isinstance(block, str) or block[2] == 0:
                 continue
-            if b21 == 0:
-                continue
-            d_a = d_block(params, alpha)
-            a2 = -xi * (alpha.f - beta.f) * d_a.d21
+            b11, _, b21, _, den = block
+            beta = labels.at((xi, f2 + 2, j2, 1, eps))
+            P, _, a2, e_minus, _ = case1_ints(labels, alpha, beta, zero)
             if a2 == 0:
                 continue
-            # E- required by the relation, then solve for the constant in
-            # E- = mid - r + xi (f - f') (d22 - (pot + t))
-            e_minus = a2 * (b11 + 1) / b21
-            mid = case1_mid(params, alpha, beta)
-            xd = xi * (alpha.f - beta.f)
-            # e_minus = mid - r + xd*d22 - xd*pot - xd*t
-            t = (mid - params.r + xd * d_a.d22 - xd * pot - e_minus) / xd
-            probe = {"alpha": alpha.to_json(), "beta": beta.to_json(),
+            # E- = (e_minus + xi P d33)/P must be a2 (b11 + den)/(P b21); d33 = pot + t
+            t = Fraction(xi * (a2 * (b11 + den) - e_minus * b21), P * b21) - pot
+            probe = {"alpha": alpha.ktype.to_json(), "beta": beta.ktype.to_json(),
                      "shift": format_rational(t)}
             return t, probe
-    return Fraction(0), None
+    return zero, None

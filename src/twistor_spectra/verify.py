@@ -238,8 +238,12 @@ def _walk_quotients(suite: str, case: int, labels: Labels, centers: Iterable[Lab
 
 
 def _records(params: Params, centers: Iterable[KType], labels: Optional[Labels], q: int):
-    """(table, the records of the centers with this q); a new table unless one is given."""
-    labels = labels or Labels(params)
+    """(table, the records of the centers with this q); a new table unless one
+    is given, and a given one must be made for ``params``."""
+    if labels is None:
+        labels = Labels(params)
+    elif labels.params != params:
+        raise ValueError(f"a label table made for {labels.params} cannot serve {params}")
     return labels, [labels.of(c) for c in centers if c.q == q]
 
 

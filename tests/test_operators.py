@@ -4,12 +4,12 @@ import pytest
 from conftest import dirac_l_table
 
 from twistor_spectra import faults, operators
-from twistor_spectra.ktypes import (DEFAULT_EIGENVALUES, KType, Params,
+from twistor_spectra.ktypes import (DEFAULT_EIGENVALUES, KType, Labels, Params,
                                     label_twistor_tt, make_ktype, neighbors)
 from twistor_spectra.operators import (Case2Data, DegenerateTargetError,
                                        MissingLError, NotNeighborsError,
-                                       case1_data, case1_mid, case2_data,
-                                       case3_data, case3_mid, classify_pair,
+                                       case1_bracket, case1_data, case2_data,
+                                       case3_bracket, case3_data, classify_pair,
                                        d_block)
 
 P4 = Params(4, Q(1, 2))
@@ -80,26 +80,30 @@ class TestCBa:
 
 
 class TestBochner:
-    """The compressed Bochner commutator: -2 case3_mid, or -+2 case1_mid on a mixed pair."""
+    """The compressed Bochner commutator: -2 case3_bracket, or -+2 case1_bracket
+    on a mixed pair, both read on one label table."""
 
     def test_mixed_pair_frozen_value(self):
-        alpha = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
-        beta = make_ktype(P4, 1, Q(3, 2), Q(3, 2), 1, 1)
+        labels = Labels(P4)
+        alpha = labels.of(make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1))
+        beta = labels.of(make_ktype(P4, 1, Q(3, 2), Q(3, 2), 1, 1))
         # landing on the multiplicity-2 side: f^2 - f'^2 - (n-2)
-        assert 2 * case1_mid(P4, alpha, beta) == Q(1, 4) - Q(9, 4) - 2
+        assert 2 * Q(*case1_bracket(labels, alpha, beta)) == Q(1, 4) - Q(9, 4) - 2
 
     def test_same_multiplicity_formula(self):
-        a = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)    # J = 5/2
-        b = make_ktype(P4, 1, Q(3, 2), Q(5, 2), 0, 1)    # J = 7/2
-        got = -2 * case3_mid(P4, a, b)
+        labels = Labels(P4)
+        a = labels.of(make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1))    # J = 5/2
+        b = labels.of(make_ktype(P4, 1, Q(3, 2), Q(5, 2), 0, 1))    # J = 7/2
+        got = -2 * Q(*case3_bracket(a, b))
         assert got == Q(9, 4) - Q(1, 4) + Q(49, 4) - Q(25, 4)
-        assert -2 * case3_mid(P4, b, a) == -got
+        assert -2 * Q(*case3_bracket(b, a)) == -got
 
     def test_eps_flip_middle_move_cancels_dirac_part(self):
-        a = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 1, 1)
-        b = make_ktype(P4, 1, Q(3, 2), Q(3, 2), 1, -1)
+        labels = Labels(P4)
+        a = labels.of(make_ktype(P4, 1, Q(1, 2), Q(3, 2), 1, 1))
+        b = labels.of(make_ktype(P4, 1, Q(3, 2), Q(3, 2), 1, -1))
         # same j: the squared Dirac eigenvalues cancel
-        assert -2 * case3_mid(P4, a, b) == b.f ** 2 - a.f ** 2
+        assert -2 * Q(*case3_bracket(a, b)) == b.ktype.f ** 2 - a.ktype.f ** 2
 
     def test_classify_pair(self):
         a = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
@@ -279,11 +283,12 @@ class TestCase2Tables:
             with faults.inject(site):
                 got = case2_data(params, alpha, beta)
                 assert got == reference_case2(params, alpha, beta), site
-                # armed runs use the tables: the repeat is served from them
-                info = operators._label_pair.cache_info()
+                # armed runs use the tables: the repeat's operator rows of
+                # both labels are served from them
+                info = operators._d_entries.cache_info()
                 assert case2_data(params, alpha, beta) == got, site
-                after = operators._label_pair.cache_info()
-                assert (after.hits, after.misses) == (info.hits + 1, info.misses), site
+                after = operators._d_entries.cache_info()
+                assert (after.hits, after.misses) == (info.hits + 2, info.misses), site
             # disarming empties every table
             assert [t.cache_info().currsize for t in faults._TABLES] == \
                 [0] * len(faults._TABLES), site

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistor_spectra import faults, spectra
+from twistor_spectra.operators import d_block
 from twistor_spectra.exact import (GammaQuotient, NonCommensurableError,
                                    ratio_tagged, reduce_exact)
 from twistor_spectra.ktypes import (DIRECTIONS, Direction, KType, Labels, Params,
@@ -638,6 +640,68 @@ class TestExchangedRS:
             assert exchanged_rs_eigenvalue(f, J, s) == -4 * z_val
 
 
+def reference_pin_constant(params, xi, fs, potential):
+    """The calibration probe as a Fraction transcription: b11 and b21 from
+    ``block_coefficients`` on the corrected forms, A2 and d22 from
+    ``d_block`` and the mixed bracket (f^2 - f'^2)/2 - (n-2)/2 written out;
+    ``potential`` maps (j, eps) to d33 less the constant.  (shift, probe)."""
+    params = replace(params, strict_paper=False)
+    for f in fs:
+        for (j, eps), pot in sorted(potential.items()):
+            alpha, beta = KType(xi, f, j, 0, eps), KType(xi, f + 1, j, 1, eps)
+            try:
+                b11, _, b21, _ = block_coefficients(params, alpha)
+            except SingularCoefficientError:
+                continue
+            d_a = d_block(params, alpha)
+            xd = xi * (alpha.f - beta.f)
+            a2 = -xd * d_a.d21
+            if b21 == 0 or a2 == 0:
+                continue
+            # the relation A2 b11 - E- b21 = -A2 fixes E-, and so the constant in
+            # E- = mid - r + xd (d22 - (pot + t))
+            e_minus = a2 * (b11 + 1) / b21
+            mid = (alpha.f ** 2 - beta.f ** 2) / 2 - Q(params.n - 2, 2)
+            t = (mid - params.r + xd * d_a.d22 - xd * pot - e_minus) / xd
+            return t, {"alpha": alpha.to_json(), "beta": beta.to_json(), "shift": str(t)}
+    return Q(0), None
+
+
+PROBE_GRID = [Params(n, r, lattice)
+              for n in (4, 6, 8)
+              for r in (Q(1, 2), Q(1), Q(3, 2), Q(5, 2), Q(7, 3), Q(-1, 2), Q(-3, 2))
+              for lattice in ("half", "int")]
+
+
+class TestCalibrationProbe:
+    """The probe on the integer kernels against its Fraction transcription."""
+
+    @staticmethod
+    def check(params, xi):
+        """Compare one solve with the reference: True when it solved."""
+        try:
+            result = calibrate_L(params, xi, Q(-3, 2), Q(3, 2), Q(7, 2))
+        except InconsistentSystemError:
+            return False
+        # the solve anchors the potential at 0 on its first class, (3/2, +1)
+        anchor = result.table[(Q(3, 2), 1)] / 2
+        potential = {node: L / 2 - anchor for node, L in result.table.items()}
+        shift, probe = reference_pin_constant(params, xi, f_points(params, Q(-3, 2), Q(3, 2)),
+                                              potential)
+        assert result.probe == probe, (params, xi)
+        assert result.table == {node: 2 * (pot + shift) for node, pot in potential.items()}
+        return True
+
+    @pytest.mark.parametrize("site", [None, "C1", "C2", "C3", "C4", "C5", "C6",
+                                      "D11", "D12", "D21", "D22", "DIRAC"])
+    def test_matches_the_fraction_transcription(self, site):
+        arm = faults.inject(site) if site else contextlib.nullcontext()
+        with arm:
+            solved = [self.check(params, xi) for params in PROBE_GRID for xi in (1, -1)]
+        # a shifted Dirac convention breaks the difference constraints themselves
+        assert solved == [site != "DIRAC"] * len(PROBE_GRID) * 2
+
+
 class TestCalibration:
     def test_solution_and_consistency(self):
         result = calibrate_L(P4H, 1, Q(-5, 2), Q(5, 2), Q(7, 2))
@@ -703,14 +767,22 @@ class TestCalibration:
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_the_variant_does_not_reach_the_solve(self, n):
-        # calibration always solves with the corrected closed forms
+        # calibration always solves with the corrected closed forms, also on
+        # the label table of a strict run
+        strict = Params(n, Q(3, 2), strict_paper=True)
         for xi in (1, -1):
-            results = [calibrate_L(Params(n, Q(3, 2), strict_paper=strict), xi,
-                                   Q(-3, 2), Q(3, 2), Q(7, 2))
-                       for strict in (False, True)]
+            results = [calibrate_L(params, xi, Q(-3, 2), Q(3, 2), Q(7, 2), labels)
+                       for params, labels in ((Params(n, Q(3, 2)), None), (strict, None),
+                                              (strict, Labels(strict)))]
             got = [(r.table, r.difference_edges, r.unconstraining_edges,
                     r.probe) for r in results]
-            assert results[0].consistent and got[0] == got[1]
+            assert results[0].consistent and got[0] == got[1] == got[2]
+
+    def test_a_label_table_made_for_other_params_is_refused(self):
+        params = Params(4, Q(3, 2))
+        for other in (Params(4, Q(1)), Params(6, Q(3, 2))):
+            with pytest.raises(ValueError, match="label table made for"):
+                calibrate_L(params, 1, Q(-3, 2), Q(3, 2), Q(7, 2), Labels(other))
 
     def test_unconstraining_edge_needs_a_vanishing_bracket(self, monkeypatch):
         # a z-ratio of -1 leaves P- = -P+, which holds iff the bracket is 0

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction as Q
 from pathlib import Path
 
+import pytest
 from conftest import dirac_l_table
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from twistor_spectra import faults, spectra
 from twistor_spectra._jsontext import CHUNK, IndentedEncoder
 from twistor_spectra.exact import format_rational
-from twistor_spectra.ktypes import (Direction, KType, Params, enumerate_ktypes,
-                                    make_ktype)
+from twistor_spectra.ktypes import (Direction, KType, Labels, Params,
+                                    enumerate_ktypes, make_ktype)
 from twistor_spectra.spectra import (SingularCoefficientError,
                                      block_coefficients, calibrate_L)
 from twistor_spectra.verify import (FAIL, INDETERMINATE, PASS, POLE,
@@ -251,6 +252,26 @@ class TestDrivers:
         assert interface and reports["interface"].checks == interface
         _, one_xi = run_all_suites(params, [c for c in centers if c.xi == -1], *window)
         assert list(one_xi) == [-1]
+
+    def test_a_label_table_made_for_other_params_is_refused(self):
+        # the suites read n, r and the variant off the table, so another
+        # run's table would answer for that run: on this window r = 1's table
+        # passes all 160 mult1 edges, where r = 3/2 has 8 poles and 16 zeros
+        params = Params(4, Q(3, 2))
+        window = (Q(-3, 2), Q(3, 2), Q(5, 2))
+        m1, m2 = region(params, 1, *window), region(params, 0, *window)
+        table = dirac_l_table(params)
+        suites = [lambda labels: verify_mult1_quotients(params, m1, labels),
+                  lambda labels: verify_mult2_quotients(params, m2, labels),
+                  lambda labels: verify_case2_relation(params, m2, labels),
+                  lambda labels: verify_interface(params, m2, table, labels)]
+        for other in (Params(4, Q(1)), Params(6, Q(3, 2)), Params(4, Q(3, 2), strict_paper=True)):
+            for suite in suites:
+                with pytest.raises(ValueError, match="label table made for"):
+                    suite(Labels(other))
+        labels = Labels(params)
+        for suite in suites:
+            assert suite(labels).checks == suite(None).checks
 
     def test_factor_reading_resolution(self):
         params = Params(4, Q(1))
