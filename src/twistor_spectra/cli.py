@@ -21,17 +21,18 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ._jsontext import IndentedEncoder
-from .exact import (GammaPoleError, NonCommensurableError, evaluate_numeric,
-                    format_rational, ratio_tagged, rational)
+from .exact import (GammaPoleError, evaluate_numeric, format_ratio,
+                    format_rational, rational)
 from .ktypes import (BadDimensionError, InvalidWeightError, KType, Params,
-                     enumerate_ktypes, interface_square, make_ktype)
+                     enumerate_ktypes, interface_square, label_dirac,
+                     label_scale, make_ktype, window_keys)
 from .spectra import (EmptyWindowError, InconsistentSystemError,
-                      SingularCoefficientError, block_coefficients, block2x2,
+                      SingularCoefficientError, ZChains, _block_coeffs, block2x2,
                       calibrate_L, mult1_quotient_matrix,
-                      mult2_det_quotient_matrix, first_order_block, z_for)
+                      mult2_det_quotient_matrix, first_order_block, z_value)
 from .verify import CONVENTION, run_all_suites, resolve_block_factor_reading
 
 SCHEMA_VERSION = 1
@@ -199,23 +200,22 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _rows_text(rows: List[Dict[str, str]], columns: List[str], fmt: str) -> str:
+def _rows_text(rows: Sequence[tuple], columns: Sequence[str], fmt: str) -> str:
+    """Rows of cells in ``columns`` order as a table, CSV or JSON (one object per row)."""
     if fmt == "json":
         return json.dumps({"schema_version": SCHEMA_VERSION, "columns": columns,
-                           "rows": rows}, indent=2, sort_keys=True,
-                          cls=IndentedEncoder) + "\n"
+                           "rows": [dict(zip(columns, row)) for row in rows]},
+                          indent=2, sort_keys=True, cls=IndentedEncoder) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
         writer.writerows(rows)
         return buf.getvalue()
-    widths = {c: max(len(c), *(len(r[c]) for r in rows)) if rows else len(c)
-              for c in columns}
-    lines = ["  ".join(c.ljust(widths[c]) for c in columns)]
-    lines.append("  ".join("-" * widths[c] for c in columns))
-    for r in rows:
-        lines.append("  ".join(r[c].ljust(widths[c]) for c in columns))
+    widths = [max([len(c), *(len(row[i]) for row in rows)]) for i, c in enumerate(columns)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)),
+             "  ".join("-" * w for w in widths)]
+    lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -224,52 +224,62 @@ def _empty_window(f_min: Fraction, f_max: Fraction, j_max: Fraction) -> UsageErr
                       f"{format_rational(f_max)} and j <= {format_rational(j_max)}")
 
 
-SPECTRUM_COLUMNS = ["xi", "f", "j", "q", "eps", "mult", "z_rel", "z_base",
-                    "z_numeric", "b11", "b12", "b21", "b22", "note"]
+SPECTRUM_COLUMNS = ("xi", "f", "j", "q", "eps", "mult", "z_rel", "z_base",
+                    "z_numeric", "b11", "b12", "b21", "b22", "note")
 
 
 def cmd_spectrum(args) -> int:
     params = _params(args)
     f_min, f_max, j_max, xis, epss = _region_args(args)
-    rows: List[Dict[str, str]] = []
-    bases: List[KType] = []
-    for kt in enumerate_ktypes(params, f_min, f_max, j_max, (0, 1), xis, epss):
-        row = {c: "" for c in SPECTRUM_COLUMNS}
-        row.update({"xi": str(kt.xi), "f": format_rational(kt.f),
-                    "j": format_rational(kt.j), "q": str(kt.q),
-                    "eps": str(kt.eps), "mult": str(kt.multiplicity)})
-        if kt.multiplicity == 1:
-            zq = z_for(params, kt)
-            base, row["z_rel"] = _relative_to_base(params, kt, zq, bases)
-            row["z_base"] = base.label()
-            try:
-                row["z_numeric"] = f"{evaluate_numeric(zq):.15g}"
-            except GammaPoleError:
-                row["z_numeric"] = "POLE"
-        else:
-            try:
-                coeffs = block_coefficients(params, kt)
-                for name, c in zip(("b11", "b12", "b21", "b22"), coeffs):
-                    row[name] = format_rational(c)
-            except SingularCoefficientError as exc:
-                row["note"] = f"SINGULAR({exc.which})"
-        rows.append(row)
-    if not rows:
+    keys = window_keys(params, f_min, f_max, j_max, (0, 1), xis, epss)
+    if not keys:
         raise _empty_window(f_min, f_max, j_max)
-    _emit(_rows_text(rows, SPECTRUM_COLUMNS, args.format), args.out)
+    _emit(_rows_text(list(_spectrum_rows(params, keys)), SPECTRUM_COLUMNS, args.format),
+          args.out)
     return 0
 
 
-def _relative_to_base(params, kt, zq, bases):
-    """Exact value relative to the first commensurable base row."""
-    for base in bases:
-        try:
-            tagged = ratio_tagged(zq, z_for(params, base))
-        except NonCommensurableError:
+def _spectrum_rows(params: Params, keys) -> Iterator[tuple]:
+    """One row of cells per label key, on integers: f and J on one scale, one z
+    per (f, J, s), each z_rel chained by :class:`ZChains`, and each block read
+    from the kernel past its table, which a tabulation would fill and never hit."""
+    n, r, scale = params.n, params.r, label_scale(params.n)
+    chains = ZChains(r, scale)
+    block = _block_coeffs.__wrapped__
+    halves: Dict[int, Tuple[Fraction, str]] = {}      # 2f or 2j: (value, text)
+    spectral: Dict[Tuple[int, int], Tuple[Fraction, int]] = {}  # (2j, eps): J, J * scale
+    z_cells: Dict[Tuple[int, int, int], Tuple[str, str, str]] = {}
+    for xi, f2, j2, q, eps in keys:
+        for k in (f2, j2):
+            if k not in halves:
+                halves[k] = (Fraction(k, 2), format_ratio(k, 2))
+        (f, f_text), (j, j_text) = halves[f2], halves[j2]
+        if (j2, eps) not in spectral:
+            Jq = eps * label_dirac(n, j, eps)
+            spectral[j2, eps] = (Jq, Jq.numerator * (scale // Jq.denominator))
+        Jq, J = spectral[j2, eps]
+        F = f2 * (scale // 2)
+        head = (str(xi), f_text, j_text, str(q), str(eps))
+        if q:
+            s = xi * eps
+            cells = z_cells.get((F, J, s))
+            if cells is None:       # the xi = +-1 rows of one (f, J, s) share z
+                zq = z_value(params, f, Jq, s)
+                try:
+                    numeric = f"{evaluate_numeric(zq):.15g}"
+                except GammaPoleError:
+                    numeric = "POLE"
+                cells = z_cells[F, J, s] = (*chains.relative(
+                    F, J, s, zq, lambda: KType(xi, f, j, q, eps).label()), numeric)
+            yield (*head, "1", *cells, "", "", "", "", "")
             continue
-        return base, tagged.render()
-    bases.append(kt)
-    return kt, "1"
+        coeffs = block(n, F * r.denominator, eps * J * r.denominator,
+                       r.numerator * scale, scale * r.denominator, xi, params.strict_paper)
+        if isinstance(coeffs, str):
+            yield (*head, "2", "", "", "", "", "", "", "", f"SINGULAR({coeffs})")
+        else:
+            *nums, den = coeffs
+            yield (*head, "2", "", "", "", *(format_ratio(c, den) for c in nums), "")
 
 
 def cmd_block(args) -> int:
@@ -278,17 +288,16 @@ def cmd_block(args) -> int:
     rows = []
     try:
         block = block2x2(params, kt)
-        for name, c in zip(("b11", "b12", "b21", "b22"), block.coefficients):
-            rows.append({"quantity": name, "value": format_rational(c)})
-        rows.append({"quantity": "shared_factor",
-                     "value": json.dumps(block.factor.to_json(), sort_keys=True)})
+        rows += [(name, format_rational(c))
+                 for name, c in zip(("b11", "b12", "b21", "b22"), block.coefficients)]
+        rows.append(("shared_factor", json.dumps(block.factor.to_json(), sort_keys=True)))
     except SingularCoefficientError as exc:
-        rows.append({"quantity": "block", "value": f"SINGULAR({exc.which})"})
+        rows.append(("block", f"SINGULAR({exc.which})"))
     if params.r == Fraction(1, 2):
         fo = first_order_block(params, kt)
-        rows += [{"quantity": f"order_one_block({i + 1},{k + 1})/i",
-                  "value": format_rational(fo[i][k])} for i in (0, 1) for k in (0, 1)]
-    _emit(_rows_text(rows, ["quantity", "value"], args.format), args.out)
+        rows += [(f"order_one_block({i + 1},{k + 1})/i", format_rational(fo[i][k]))
+                 for i in (0, 1) for k in (0, 1)]
+    _emit(_rows_text(rows, ("quantity", "value"), args.format), args.out)
     return 0
 
 
@@ -299,13 +308,13 @@ def cmd_neighbors(args) -> int:
     entries = quotients(params, kt)
     rows = []
     for dj in (1, 0, -1):       # the diagram's 3x2 layout
-        row = {"dj": f"{dj:+d}"}
+        cells = [f"{dj:+d}"]
         for df in (-1, 1):
             entry = entries.get((df, dj))
-            row[f"df={df:+d}"] = ("absent" if entry is None else
-                                  f"{entry.render()}  -> {entry.neighbor.label()}")
-        rows.append(row)
-    text = _rows_text(rows, ["dj", "df=-1", "df=+1"], args.format)
+            cells.append("absent" if entry is None else
+                         f"{entry.render()}  -> {entry.neighbor.label()}")
+        rows.append(cells)
+    text = _rows_text(rows, ("dj", "df=-1", "df=+1"), args.format)
     if kt.multiplicity == 2 and kt.j >= Fraction(3, 2) and args.format == "table":
         sq = interface_square(kt)
         text += ("interface square:\n"
@@ -411,9 +420,9 @@ def cmd_calibrate(args) -> int:
     except InconsistentSystemError as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return 1
-    rows = [{"j": format_rational(j), "eps": f"{eps:+d}", "L": format_rational(val)}
+    rows = [(format_rational(j), f"{eps:+d}", format_rational(val))
             for (j, eps), val in result.table.items()]
-    text = _rows_text(rows, ["j", "eps", "L"], args.format)
+    text = _rows_text(rows, ("j", "eps", "L"), args.format)
     if args.format == "table":
         text += (f"constraints: {result.difference_edges}, "
                  f"unconstraining: {result.unconstraining_edges}, "

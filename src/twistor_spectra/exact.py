@@ -12,7 +12,8 @@ real gamma quotients times a fixed power of i, and the library records that
 power as a convention, not as a value.
 
 :func:`ratio_tagged` is the reference for ``spectra.z_product``, which the
-suites use.  Both tag alike however arguments group into classes: the order is
+suites and ``spectrum``'s chains use; :func:`gamma_classes` keys the
+commensurability classes.  Both tag alike however arguments group into classes: the order is
 minus the total exponent at non-positive integers, and a finite value is the
 limit with every argument shifted by one small amount.
 
@@ -41,6 +42,7 @@ __all__ = [
     "GammaQuotient",
     "ReducedValue",
     "ratio_tagged",
+    "gamma_classes",
     "reduce_exact",
     "evaluate_numeric",
     "NonCommensurableError",
@@ -232,6 +234,20 @@ def ratio_tagged(a: GammaQuotient, b: GammaQuotient) -> ReducedValue:
     if order < 0:
         return ReducedValue("pole", Fraction(0), -order)
     return ReducedValue("finite", a.prefactor / b.prefactor * value)
+
+
+def gamma_classes(g: GammaQuotient) -> frozenset:
+    """The net exponent of each class mod 1 of ``g``'s arguments, zeros left out.
+
+    ``ratio_tagged(a, b)`` reduces exactly when every class balances, that
+    is iff ``gamma_classes(a) == gamma_classes(b)``: commensurability is an
+    equivalence, and this is its key.
+    """
+    net: dict = {}
+    for p, q, exp in g._pq:
+        key = (p % q, q)
+        net[key] = net.get(key, 0) + exp
+    return frozenset(item for item in net.items() if item[1])
 
 
 _UNIT = GammaQuotient()

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
+from operator import itemgetter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import faults
@@ -46,12 +47,14 @@ __all__ = [
     "label_key",
     "partner_keys",
     "label_dirac",
+    "label_scale",
     "label_twistor_tt",
     "make_ktype",
     "neighbors",
     "interface_square",
     "case1_partners",
     "f_points",
+    "window_keys",
     "enumerate_ktypes",
     "BadDimensionError",
     "InvalidWeightError",
@@ -142,6 +145,13 @@ def make_ktype(params: Params, xi: int, f: RationalLike, j: RationalLike,
 def label_dirac(n: int, j: Fraction, eps: int) -> Fraction:
     """Signed Dirac eigenvalue of the label (j, eps) on S^(n-1), memoized."""
     return faults.bump("DIRAC", eps * (j + Fraction(n - 2, 2)))
+
+
+def label_scale(n: int) -> int:
+    """The one integer scale of a run's f and J: 2, times the denominator a
+    shifted Dirac convention gives J (every J is a half-integer moved by plus
+    or minus one offset, so one label shows it)."""
+    return lcm(2, label_dirac(n, HALF, 1).denominator)
 
 
 def label_twistor_tt(n: int, j: Fraction) -> Fraction:
@@ -244,16 +254,14 @@ class Labels:
     """The label records of one run, keyed by (xi, 2f, 2j, q, eps) and made on first use.
 
     ``spectral_args`` runs once per label, and :meth:`neighbors` once per
-    center.  ``scale`` is the one integer scale of every record's f and J: 2,
-    times the denominator a shifted Dirac convention gives J (every J is a
-    half-integer moved by plus or minus one offset, so one label shows it).  A
-    table belongs to one :class:`Params` and lives as long as its caller
-    keeps it, so nothing of a run outlives the run.
+    center.  ``scale`` is :func:`label_scale`, the one integer scale of every
+    record's f and J.  A table belongs to one :class:`Params` and lives as
+    long as its caller keeps it, so nothing of a run outlives the run.
     """
 
     def __init__(self, params: Params):
         self.params = params
-        self.scale = lcm(2, DEFAULT_EIGENVALUES.dirac(params, HALF, 1).denominator)
+        self.scale = label_scale(params.n)
         self._records: Dict[Key, Label] = {}
         self.pairs: Dict[tuple, object] = {}    # data of label pairs, for other modules
 
@@ -342,21 +350,29 @@ def f_points(params: Params, f_min: RationalLike, f_max: RationalLike) -> List[F
     return out
 
 
+_SORT_ORDER = itemgetter(0, 1, 2, 4, 3)     # a key's fields in KType.sort_key order
+
+
+def window_keys(params: Params, f_min: RationalLike, f_max: RationalLike,
+                j_max: RationalLike, qs: Sequence[int] = (0, 1),
+                xi_values: Sequence[int] = (-1, 1),
+                eps_values: Sequence[int] = (-1, 1)) -> List[Key]:
+    """The keys (xi, 2f, 2j, q, eps) of all K-types in a finite window, in
+    :meth:`KType.sort_key`'s (xi, f, j, eps, q) order."""
+    j2_hi = floor(2 * rational(j_max))
+    f2s = [f.numerator * (2 // f.denominator) for f in f_points(params, f_min, f_max)]
+    keys = [(xi, f2, j2, q, eps) for xi in xi_values for f2 in f2s for q in qs
+            for j2 in range(1 + 2 * q, j2_hi + 1, 2) for eps in eps_values]
+    keys.sort(key=_SORT_ORDER)
+    return keys
+
+
 def enumerate_ktypes(params: Params, f_min: RationalLike, f_max: RationalLike,
                      j_max: RationalLike, qs: Sequence[int] = (0, 1),
                      xi_values: Sequence[int] = (-1, 1),
                      eps_values: Sequence[int] = (-1, 1)) -> Iterator[KType]:
-    """All K-types in a finite window, in deterministic (xi, f, j, eps, q) order."""
-    j_hi = rational(j_max)
-    fs = f_points(params, f_min, f_max)
-    types = []
-    for xi in sorted(xi_values):
-        for f in fs:
-            for q in sorted(qs):
-                j = HALF + q
-                while j <= j_hi:
-                    for eps in sorted(eps_values):
-                        types.append(KType(xi, f, j, q, eps))
-                    j += 1
-    types.sort(key=KType.sort_key)
-    return iter(types)
+    """All K-types in a finite window, in deterministic (xi, f, j, eps, q) order:
+    the labels of :func:`window_keys`."""
+    keys = window_keys(params, f_min, f_max, j_max, qs, xi_values, eps_values)
+    halves = {k: Fraction(k, 2) for key in keys for k in key[1:3]}
+    return iter([KType(xi, halves[f2], halves[j2], q, eps) for xi, f2, j2, q, eps in keys])

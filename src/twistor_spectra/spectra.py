@@ -20,9 +20,10 @@ The closed forms are ints too: ``quotient_entries`` gives each entry as an
 int (num, den) pair, and the block coefficients are four numerators over
 one denominator (``block_ints``).  The library functions that return
 ``Fraction`` values (``block_coefficients``, the quotient matrices) read the
-same kernels.  The CLI's ``spectrum`` keeps ``exact.ratio_tagged``: each
-row's offset from its base is a new pattern, so templates would be built
-and kept once per row.
+same kernels.  The CLI's ``spectrum`` gives each z relative to the first z
+of its commensurability class, chained (:class:`ZChains`): one
+``z_product`` from the previous finite z whose gamma arguments match as
+forms, and ``exact.ratio_tagged`` only where a chain starts.
 
 ``block2x2`` reconstructs the whole 2x2 block on a multiplicity-two summand
 as a rational coefficient matrix, evaluated on one integer scaling of
@@ -44,12 +45,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import faults
 from .exact import (GammaQuotient, NonCommensurableError, RationalLike,
-                    ReducedValue, format_ratio, format_rational, rational)
+                    ReducedValue, format_ratio, format_rational, gamma_classes,
+                    ratio_tagged, rational)
 from .ktypes import (DEFAULT_EIGENVALUES, Direction, KType, Label, Labels,
                      Params, f_points, spectral_args)
 from .operators import case1_ints, case3_bracket
@@ -65,6 +67,7 @@ __all__ = [
     "z_terms",
     "w_terms",
     "z_product",
+    "ZChains",
     "quotient_entries",
     "render_entry",
     "mult1_quotient_matrix",
@@ -247,6 +250,54 @@ def z_product(r: Fraction, scale: int, terms: Sequence[tuple]) -> Tagged:
         else:
             den *= v ** -e
     return Tagged(order, num, den)
+
+
+class ZChains:
+    """Each z(r; F/scale, J/scale, s) exactly relative to its base: the first z
+    of its commensurability class (:func:`exact.gamma_classes`) given to it.
+
+    A z is chained from the last z of its template class that is finite
+    relative to the base.  Two z's share a template class when their gamma
+    arguments match as forms in (f, J, r), constants congruent mod 4 scale,
+    so one :func:`z_product` of the two reads the step off a two-term
+    template: orders add and values multiply.  A template class's first z
+    takes one ``exact.ratio_tagged`` against the base, and so does each z
+    while the class has no finite one yet.  The two keys differ where gammas
+    cancel numerically but not as forms (r = 1/2).
+    """
+
+    def __init__(self, r: Fraction, scale: int):
+        self.r, self.scale = r, scale
+        self._bases: Dict[frozenset, Tuple[str, GammaQuotient]] = {}
+        self._last: Dict[tuple, Tuple[int, int, int, int, int]] = {}
+
+    def relative(self, F: int, J: int, s: int, zq: GammaQuotient,
+                 label: Callable[[], str]) -> Tuple[str, str]:
+        """(z_rel, z_base) of ``zq`` = z(r; F/scale, J/scale, s) as ``spectrum``
+        prints them; ``label()`` names ``zq``'s row if that row becomes a base."""
+        classes = gamma_classes(zq)
+        base = self._bases.get(classes)
+        step = 4 * self.scale
+        template = tuple((K * self.scale + A * F + B * J) % step
+                         for A, B, _, K, _ in _z_gammas(s)[1])
+        prev = self._last.get(template)
+        if base is None:
+            base = self._bases[classes] = (label(), zq)
+            rel = Tagged(0, 1)
+        elif prev is None:
+            value = ratio_tagged(zq, base[1])
+            rel = (Tagged(0, value.value.numerator, value.value.denominator)
+                   if value.kind == "finite" else
+                   Tagged(value.order if value.kind == "zero" else -value.order))
+        else:
+            pF, pJ, ps, num, den = prev
+            t = z_product(self.r, self.scale, ((F, J, s, 1), (pF, pJ, ps, -1)))
+            num, den = t.num * num, t.den * den
+            g = gcd(num, den)
+            rel = Tagged(t.order, num // g, den // g)
+        if not rel.order:
+            self._last[template] = (F, J, s, rel.num, rel.den)
+        return rel.render(), base[0]
 
 
 def _entry_kind(num, den) -> str:
@@ -583,7 +634,14 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
                 nb_node = (nb.key[2], nb.key[4])
                 if nb_node not in node_set:
                     continue
-                zr = z_product(r, d, z_terms(nb, 1) + at_center)
+                try:
+                    zr = z_product(r, d, z_terms(nb, 1) + at_center)
+                except NonCommensurableError:       # a shifted Dirac convention, say
+                    raise InconsistentSystemError(
+                        "the z-ratio's gamma classes do not balance on the edge "
+                        f"{center.ktype.label()} -> {nb.ktype.label()}",
+                        witness={"edge": {"center": center.ktype.to_json(),
+                                          "neighbor": nb.ktype.to_json()}}) from None
                 mid, mid_den = case3_bracket(center, nb)
                 # with S = mid_den rd: mid + r = plus/S and mid - r = minus/S
                 plus, minus, S = mid * rd + rn * mid_den, mid * rd - rn * mid_den, mid_den * rd

@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
-from .exact import format_ratio, format_rational
+from .exact import NonCommensurableError, format_ratio, format_rational
 from .ktypes import (Direction, KType, Label, Labels, Params, partner_keys,
                      spectral_args)
 from .operators import _d33, case1_ints, case2_ints, det2, relation_matrices
@@ -59,6 +59,7 @@ SKIP_SINGULAR = "skipped-singular"
 SKIP_POLE = "skipped-pole"
 _SAME_KIND = {"finite": PASS, "pole": POLE, "zero": ZERO}
 _DEGENERATE_TARGET = "lambda(T*T) = 0 at target"
+_UNBALANCED = "the gamma classes of the {} do not balance"
 
 # conventions the verdicts certify; recorded in every report header
 CONVENTION = {
@@ -230,7 +231,13 @@ def _walk_quotients(suite: str, case: int, labels: Labels, centers: Iterable[Lab
         at_center = terms_of(center, -1)
         kt = center.ktype
         for direction, nb, num, den in quotient_entries(labels, center):
-            tagged = z_product(r, d, terms_of(nb, 1) + at_center)
+            try:
+                tagged = z_product(r, d, terms_of(nb, 1) + at_center)
+            except NonCommensurableError:       # a shifted Dirac convention, say
+                checks.append(EdgeCheck(case, kt, nb.ktype, direction, FAIL,
+                                        _UNBALANCED.format("oracle's ratio"),
+                                        {"entry": render_entry(num, den)}))
+                continue
             verdict, quantities, residuals = _compare_entry(num, den, tagged, key)
             checks.append(EdgeCheck(case, kt, nb.ktype, direction, verdict, "",
                                     quantities, residuals))
@@ -315,7 +322,11 @@ def verify_case2_relation(params: Params, centers: Iterable[KType],
             if isinstance(block_b, str):
                 checks.append(edge(SKIP_SINGULAR, f"neighbor block: {block_b} = 0"))
                 continue
-            rho = z_product(r, d, z_terms(nb, 1, block=True) + z_a)
+            try:
+                rho = z_product(r, d, z_terms(nb, 1, block=True) + z_a)
+            except NonCommensurableError:
+                checks.append(edge(FAIL, _UNBALANCED.format("shared-factor ratio")))
+                continue
             if rho.order:
                 checks.append(edge(SKIP_POLE, f"shared-factor ratio is {rho.kind}"))
                 continue

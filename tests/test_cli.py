@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from twistor_spectra import cli, faults, verify
+from twistor_spectra import cli, faults, spectra, verify
 from twistor_spectra.cli import main
+from twistor_spectra.exact import NonCommensurableError, ratio_tagged
+from twistor_spectra.ktypes import Params, enumerate_ktypes
+from twistor_spectra.spectra import z_for
 
 REGION = ["--f-min=-3/2", "--f-max", "3/2", "--j-max", "5/2"]
 
@@ -29,6 +33,46 @@ VERIFY_STDOUT_SHA256 = {
 
 # sha256 over test_fault_sweep_is_pinned's runs
 FAULT_SWEEP_SHA256 = "2eb2d9a1c42cf29bc2cfbee0007ef4f9fd1a990181c4abb2adcea00b5ce42546"
+
+
+# sha256 of a command's stdout per format, recorded while spectrum still
+# reduced each row against its base with ratio_tagged and rows were dicts
+OUTPUT_SHA256 = {
+    ("block", "--n", "6", "--r", "3/2", "--f", "1/2", "--j", "3/2", "--eps", "1", "--xi", "-1"): (
+        "140faad1d59cecf03197742ebe66ad08f4f9d620cc5a0b19178464971df1f13b",
+        "7623aa63f86d494eae03e7ad2acf134a83e7caf8ecf3848839ceada0aa965c07",
+        "49a2a8bf0f80f2c5a911dc4a167cba49872abc210ce6c3c4279163d65eb5c7a4"),
+    # the order-one rows and a singular block
+    ("block", "--n", "4", "--r", "1/2", "--f", "1/2", "--j", "1/2", "--eps", "1"): (
+        "d0a97e4bb142ff7f2c5940b23de7b08821efa99c79ef36933849210689bbf844",
+        "680ff258e5b6ec68fee23103e95aff51197855b8d1286bcf4e991ed4ee2737ae",
+        "db0fe8e62177927260756ad52244e58b1f9611eec429d0d45efb45f3b856a12e"),
+    # the table carries the interface square
+    ("neighbors", "--n", "6", "--r", "3/2", "--f", "1/2", "--j", "3/2", "--q", "0",
+     "--eps", "1"): (
+        "abbad99e4a5d49d11a29f708a3d98e4250de28004bfc08f828965d7096a1e542",
+        "7c942d7de2a56c738607361b992b946a2b152fc035577e4e1520bbbef47d8efc",
+        "a75e69f0dae14fc1d0c7c998758723aecea7e8f87f937ec4976b87e2fa14935d"),
+    ("neighbors", "--n", "4", "--r", "7/3", "--f=-1/2", "--j", "3/2", "--q", "1",
+     "--eps", "-1"): (
+        "b5c3fd167b15477d20f4d5791999dc9869186f39b46f6af5f6f64e3893ac7a9a",
+        "66f0188510eb0799ce42e379b4d9b496b872b0ae5427ff2e75ab2f440d9d2666",
+        "3fed62fe7b321934ff3c1841c1c00a756a3b8d118b2e0c2b0da2871c3728ccdc"),
+    ("calibrate", "--n", "6", "--r", "3/2", *REGION): (
+        "a57629f453327ed9c87ae9a565f88559a282e106f25c1b704e2e4a482557d4a4",
+        "5ef6db0be73906141a318fcb8cfbf9c42cf8263a1afad93204dcfb4f8ca77a6e",
+        "7ab1bf65a413e2b77f6c885853f2c174d36c2cd23d5c8cdae775ec89478af8ad"),
+    # poles on the chains
+    ("spectrum", "--n", "4", "--r=-3/2", "--lattice", "int", *REGION): (
+        "e48f2dff6e43505126c6ee93628d0f441e489aef6c198f03acbf7d5ec134fde5",
+        "8f53155ef0c9435be5af2d34b9e863182207abc276263ba0d721fe581d66f3d5",
+        "bc61908acfe07403d547ef0cce02053b0a1731de538b19b5fc4924579d76ddab"),
+    # one base, two template classes
+    ("spectrum", "--n", "6", "--r", "1/2", *REGION): (
+        "23f93a306d3aea0920ebf9e99a9df315de59dd3b33ddee5d31507807c7d95b96",
+        "90dab802b7dbf3eb158fefc5b7e82c3edacba98ac65b332cbe468c468275f5ab",
+        "feda8349007c55af95da5ddfd2fd45fc42a5921dcaaba5764bf84a101299a1b0"),
+}
 
 
 def run(capsys, *argv):
@@ -111,6 +155,73 @@ class TestSpectrum:
                      "--xi", "1", "--eps", "1", "--format", "csv")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["note"] == "SINGULAR(C4)"
+
+    @pytest.mark.parametrize("dirac", [None, Q(1, 3)], ids=["unarmed", "dirac-1/3"])
+    @pytest.mark.parametrize("n", [4, 10])
+    @pytest.mark.parametrize("lattice", ["half", "int"])
+    @pytest.mark.parametrize("r", ["-3/2", "-1/2", "0", "1/2", "5/2", "7/3", "200"])
+    def test_chained_z_rel_matches_the_first_commensurable_base(self, capsys, r, lattice,
+                                                                 n, dirac):
+        # the reference is the route the chains replaced: every row reduced
+        # by ratio_tagged against the first earlier base it is commensurable
+        # with, or made a base itself
+        params = Params(n, Q(r), lattice)
+        armed = faults.inject("DIRAC", dirac) if dirac else contextlib.nullcontext()
+        with armed:
+            rows = csv_rows(capsys, "spectrum", f"--n={n}", f"--r={r}",
+                            f"--lattice={lattice}", "--format", "csv")
+            bases, want = [], {}
+            for kt in enumerate_ktypes(params, Q(-9, 2), Q(9, 2), Q(9, 2), (1,)):
+                base, rel = _relative_to_base(params, kt, bases)
+                want[str(kt.xi), str(kt.f), str(kt.j), str(kt.eps)] = (rel, base.label())
+        got = {(row["xi"], row["f"], row["j"], row["eps"]): (row["z_rel"], row["z_base"])
+               for row in rows if row["mult"] == "1"}
+        assert got == want
+        if (n, lattice, dirac) == (4, "half", None):     # chains through poles and zeros
+            assert {"-3/2": "POLE", "5/2": "0"}.get(r, "1") in {rel for rel, _ in got.values()}
+
+    def test_a_slice_reduces_at_most_one_ratio_directly(self, capsys, monkeypatch):
+        # one base and one template class per chain start: the rest is chained
+        calls = []
+        monkeypatch.setattr(spectra, "ratio_tagged",
+                            lambda a, b: calls.append(1) or ratio_tagged(a, b))
+        for r in ("1/2", "1", "5/2", "7/3"):
+            calls.clear()
+            run(capsys, "spectrum", "--n", "6", f"--r={r}", "--f-min=-19/2",
+                "--f-max=19/2", "--j-max=11/2", "--format", "csv")
+            assert len(calls) <= 1, r
+
+    def test_a_tabulation_leaves_the_block_table_alone(self, capsys):
+        table = spectra._block_coeffs
+        before = table.cache_info().currsize
+        run(capsys, "spectrum", "--n", "6", "--r", "13/11", *REGION)
+        assert table.cache_info().currsize == before
+        run(capsys, "block", "--n", "6", "--r", "13/11", "--f", "1/2", "--j", "3/2",
+            "--eps", "1")
+        assert table.cache_info().currsize == before + 1
+
+
+def _relative_to_base(params, kt, bases):
+    """(base, z_rel) of a multiplicity-one row against the first commensurable base."""
+    zq = z_for(params, kt)
+    for base in bases:
+        try:
+            tagged = ratio_tagged(zq, z_for(params, base))
+        except NonCommensurableError:
+            continue
+        return base, tagged.render()
+    bases.append(kt)
+    return kt, "1"
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv", list(OUTPUT_SHA256),
+                             ids=[" ".join(argv[:5]) for argv in OUTPUT_SHA256])
+    def test_every_format_is_byte_for_byte(self, capsys, argv):
+        for fmt, digest in zip(("table", "json", "csv"), OUTPUT_SHA256[argv]):
+            code, out = run(capsys, *argv, "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 # stderr of a block or neighbors (q = 0) query, per malformed label
@@ -339,6 +450,31 @@ class TestVerify:
             assert cal["error"].startswith("conflicting difference constraints"), xi
             assert set(cal["witness"]) == {"edge", "previous", "residual"}
         assert captured.err.endswith(payload["calibration"]["-1"]["error"] + "\n")
+
+    @pytest.mark.parametrize("delta", [Q(1, 3), Q(1, 2)])
+    def test_a_fractional_dirac_offset_fails_verify(self, capsys, tmp_path, delta):
+        # across an eps flip the shifted J moves by 2 delta, so the oracle's
+        # gamma classes do not balance: the suites fail those edges and the
+        # calibration names one, instead of the run dying
+        out_path = tmp_path / "report.json"
+        with faults.inject("DIRAC", delta):
+            code = main(["verify", "--n", "4", "--r", "1", *REGION, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("calibration inconsistent: the z-ratio's gamma "
+                                       "classes do not balance on the edge V(xi=-1; ")
+        payload = json.loads(out_path.read_text())
+        assert payload["ok"] is False
+        for cal in payload["calibration"].values():
+            assert set(cal["witness"]["edge"]) == {"center", "neighbor"}
+        for suite, ratio in (("mult1-quotients", "oracle's ratio"),
+                             ("mult2-quotients", "oracle's ratio"),
+                             ("case2-relation", "shared-factor ratio")):
+            unbalanced = [e for e in payload["suites"][suite]["edges"]
+                          if e.get("detail") == f"the gamma classes of the {ratio} do not balance"]
+            assert unbalanced, suite
+            for e in unbalanced:        # only an eps flip moves J by 2 delta
+                assert (e["verdict"], e["direction"][1]) == ("fail", 0), suite
 
     def test_every_fault_site_fails_verify(self, capsys):
         # the calibration runs under the fault too, as in any armed run

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from twistor_spectra.ktypes import (BadDimensionError, Direction,
                                     InvalidWeightError, KType, Params,
                                     case1_partners, enumerate_ktypes,
-                                    interface_square, label_dirac,
+                                    f_points, interface_square, label_dirac,
                                     label_twistor_tt, make_ktype, neighbors)
 
 P4 = Params(4, Q(1, 2))
@@ -151,6 +151,21 @@ class TestEnumeration:
         kinds = list(enumerate_ktypes(P4, Q(-3, 2), Q(3, 2), Q(5, 2)))
         assert kinds == sorted(kinds, key=KType.sort_key)
         assert kinds == list(enumerate_ktypes(P4, Q(-3, 2), Q(3, 2), Q(5, 2)))
+
+    @given(st.integers(-30, 30), st.integers(-2, 24), st.integers(-4, 30),
+           st.sampled_from(["half", "int"]),
+           *(st.lists(st.sampled_from(v), min_size=1, max_size=3)
+             for v in ((0, 1), (1, -1), (1, -1))))
+    def test_walk_is_the_sort_key_order(self, f_lo, width, j_hi, lattice, qs, xis, epss):
+        # the integer key walk against the K-types built one by one and
+        # sorted on their Fraction keys; unsorted and repeated choices included
+        params = Params(6, Q(3, 2), lattice)
+        f_min, f_max, j_max = Q(f_lo, 3), Q(f_lo, 3) + Q(width, 4), Q(j_hi, 5)
+        want = [KType(xi, f, Q(2 * k + 1, 2) + q, q, eps)
+                for xi in xis for f in f_points(params, f_min, f_max) for q in qs
+                for k in range(50) if Q(2 * k + 1, 2) + q <= j_max for eps in epss]
+        got = list(enumerate_ktypes(params, f_min, f_max, j_max, qs, xis, epss))
+        assert got == sorted(want, key=KType.sort_key)
 
     def test_counts(self):
         # f in {-1/2, 1/2}: q=0 has j in {1/2,3/2}, q=1 has j = 3/2; xi,eps = 4

@@ -703,6 +703,16 @@ class TestCalibrationProbe:
 
 
 class TestCalibration:
+    @pytest.mark.parametrize("delta", [Q(1, 3), Q(1, 2)])
+    def test_an_unbalanced_z_ratio_names_its_edge(self, delta):
+        # a fractional Dirac offset moves J by 2 delta across an eps flip
+        with faults.inject("DIRAC", delta):
+            with pytest.raises(InconsistentSystemError, match="do not balance on the edge") as err:
+                calibrate_L(P4H, 1, Q(-3, 2), Q(3, 2), Q(5, 2))
+        edge = err.value.witness["edge"]
+        assert edge["center"]["eps"] == -edge["neighbor"]["eps"]
+        assert edge["center"]["j"] == edge["neighbor"]["j"]
+
     def test_solution_and_consistency(self):
         result = calibrate_L(P4H, 1, Q(-5, 2), Q(5, 2), Q(7, 2))
         assert result.consistent
