@@ -24,15 +24,15 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ._jsontext import IndentedEncoder
-from .exact import (GammaPoleError, evaluate_numeric, format_ratio,
-                    format_rational, rational)
+from .exact import (GammaPoleError, format_ratio, format_rational, pq_numeric,
+                    rational)
 from .ktypes import (BadDimensionError, InvalidWeightError, KType, Params,
                      enumerate_ktypes, interface_square, label_dirac,
                      label_scale, make_ktype, window_keys)
 from .spectra import (EmptyWindowError, InconsistentSystemError,
                       SingularCoefficientError, ZChains, _block_coeffs, block2x2,
                       calibrate_L, mult1_quotient_matrix,
-                      mult2_det_quotient_matrix, first_order_block, z_value)
+                      mult2_det_quotient_matrix, first_order_block, z_forms)
 from .verify import CONVENTION, run_all_suites, resolve_block_factor_reading
 
 SCHEMA_VERSION = 1
@@ -231,6 +231,12 @@ SPECTRUM_COLUMNS = ("xi", "f", "j", "q", "eps", "mult", "z_rel", "z_base",
 def cmd_spectrum(args) -> int:
     params = _params(args)
     f_min, f_max, j_max, xis, epss = _region_args(args)
+    for group, flag, text, value in (("configuration", "--r", args.r, params.r),
+                                     ("region", "--f-min", args.f_min, f_min),
+                                     ("region", "--f-max", args.f_max, f_max)):
+        if abs(value) > sys.float_info.max:
+            raise UsageError(f"bad {group}: {flag} {text}: beyond the float range, "
+                             "z_numeric cannot be formed")
     keys = window_keys(params, f_min, f_max, j_max, (0, 1), xis, epss)
     if not keys:
         raise _empty_window(f_min, f_max, j_max)
@@ -241,36 +247,37 @@ def cmd_spectrum(args) -> int:
 
 def _spectrum_rows(params: Params, keys) -> Iterator[tuple]:
     """One row of cells per label key, on integers: f and J on one scale, one z
-    per (f, J, s), each z_rel chained by :class:`ZChains`, and each block read
-    from the kernel past its table, which a tabulation would fill and never hit."""
+    per (f, J, s) read from its integer gamma forms (:func:`z_forms`), each
+    z_rel chained by :class:`ZChains`, and each block read from the kernel
+    past its table, which a tabulation would fill and never hit."""
     n, r, scale = params.n, params.r, label_scale(params.n)
     chains = ZChains(r, scale)
     block = _block_coeffs.__wrapped__
     halves: Dict[int, Tuple[Fraction, str]] = {}      # 2f or 2j: (value, text)
-    spectral: Dict[Tuple[int, int], Tuple[Fraction, int]] = {}  # (2j, eps): J, J * scale
+    spectral: Dict[Tuple[int, int], int] = {}           # (2j, eps): J * scale
     z_cells: Dict[Tuple[int, int, int], Tuple[str, str, str]] = {}
     for xi, f2, j2, q, eps in keys:
         for k in (f2, j2):
             if k not in halves:
                 halves[k] = (Fraction(k, 2), format_ratio(k, 2))
         (f, f_text), (j, j_text) = halves[f2], halves[j2]
-        if (j2, eps) not in spectral:
+        J = spectral.get((j2, eps))
+        if J is None:
             Jq = eps * label_dirac(n, j, eps)
-            spectral[j2, eps] = (Jq, Jq.numerator * (scale // Jq.denominator))
-        Jq, J = spectral[j2, eps]
+            J = spectral[j2, eps] = Jq.numerator * (scale // Jq.denominator)
         F = f2 * (scale // 2)
         head = (str(xi), f_text, j_text, str(q), str(eps))
         if q:
             s = xi * eps
             cells = z_cells.get((F, J, s))
             if cells is None:       # the xi = +-1 rows of one (f, J, s) share z
-                zq = z_value(params, f, Jq, s)
+                prefactor, pq = z_forms(r, scale, F, J, s)
                 try:
-                    numeric = f"{evaluate_numeric(zq):.15g}"
+                    numeric = f"{pq_numeric(prefactor, pq):.15g}"
                 except GammaPoleError:
                     numeric = "POLE"
                 cells = z_cells[F, J, s] = (*chains.relative(
-                    F, J, s, zq, lambda: KType(xi, f, j, q, eps).label()), numeric)
+                    F, J, s, pq, lambda: KType(xi, f, j, q, eps).label()), numeric)
             yield (*head, "1", *cells, "", "", "", "", "")
             continue
         coeffs = block(n, F * r.denominator, eps * J * r.denominator,

@@ -17,6 +17,13 @@ commensurability classes.  Both tag alike however arguments group into classes: 
 minus the total exponent at non-positive integers, and a finite value is the
 limit with every argument shifted by one small amount.
 
+A quotient's canonical factors are also kept as integer (p, q, exp) triples,
+``GammaQuotient._pq``, and the class key and the one numeric evaluation are
+kernels on such triples (:func:`pq_classes`, :func:`pq_numeric`):
+:func:`gamma_classes` and :func:`evaluate_numeric` call them on a quotient,
+and ``spectrum`` calls them on the triples ``spectra.z_forms`` builds from
+integers, with no quotient in between.
+
 Arguments at non-positive integers are tracked as formal pole/zero flags,
 and a reduction reports a net uncancelled pole or zero as its kind instead of
 raising.  The values here are immutable, but the library is not safe for
@@ -43,8 +50,10 @@ __all__ = [
     "ReducedValue",
     "ratio_tagged",
     "gamma_classes",
+    "pq_classes",
     "reduce_exact",
     "evaluate_numeric",
+    "pq_numeric",
     "NonCommensurableError",
     "GammaPoleError",
 ]
@@ -236,6 +245,16 @@ def ratio_tagged(a: GammaQuotient, b: GammaQuotient) -> ReducedValue:
     return ReducedValue("finite", a.prefactor / b.prefactor * value)
 
 
+def pq_classes(pq: Iterable[Tuple[int, int, int]]) -> frozenset:
+    """The net exponent of each class mod 1 of the arguments p/q of (p, q, exp)
+    triples, zeros left out: the kernel of :func:`gamma_classes`."""
+    net: dict = {}
+    for p, q, exp in pq:
+        key = (p % q, q)
+        net[key] = net.get(key, 0) + exp
+    return frozenset(item for item in net.items() if item[1])
+
+
 def gamma_classes(g: GammaQuotient) -> frozenset:
     """The net exponent of each class mod 1 of ``g``'s arguments, zeros left out.
 
@@ -243,11 +262,7 @@ def gamma_classes(g: GammaQuotient) -> frozenset:
     is iff ``gamma_classes(a) == gamma_classes(b)``: commensurability is an
     equivalence, and this is its key.
     """
-    net: dict = {}
-    for p, q, exp in g._pq:
-        key = (p % q, q)
-        net[key] = net.get(key, 0) + exp
-    return frozenset(item for item in net.items() if item[1])
+    return pq_classes(g._pq)
 
 
 _UNIT = GammaQuotient()
@@ -258,38 +273,78 @@ def reduce_exact(g: GammaQuotient) -> ReducedValue:
     return ratio_tagged(g, _UNIT)
 
 
-def _log_abs_gamma(x: Fraction) -> Tuple[float, int]:
-    """(log|Gamma(x)|, sign) for non-pole rational x via lgamma."""
-    xf = float(x)
-    if x > 0:
-        return math.lgamma(xf), 1
-    # negative non-integer: lgamma gives log|Gamma|; the sign alternates
-    # with the integer cell, Gamma < 0 on (-1,0), > 0 on (-2,-1), ...
-    k = -math.floor(xf)
-    sign = -1 if k % 2 == 1 else 1
-    return math.lgamma(xf), sign
+_LOG_PI = math.log(math.pi)
 
 
-def evaluate_numeric(g: GammaQuotient) -> float:
-    """Floating evaluation via log-gamma.
+def _lgamma(x: float) -> float:
+    """``math.lgamma(x)``, inf where it leaves the float range (x > 2.5e305)."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
-    Target relative accuracy is about 1e-12 away from poles.  A formal zero
-    evaluates to exactly 0.0; a pole raises :class:`GammaPoleError`; a gamma
-    product beyond the float range evaluates to +-inf.
+
+def _log_abs_gamma(p: int, q: int) -> Tuple[float, int]:
+    """(log|Gamma(x)|, sign) for the non-pole argument x = p/q, q > 0, via lgamma.
+
+    The sign alternates with the integer cell left of 0, Gamma < 0 on
+    (-1, 0), > 0 on (-2, -1), ..., and is read off the exact ``p // q``.
+    Where the float of x is 0 or a negative integer though x is not (x within
+    half an ulp of one, or |x| >= 2**53), lgamma would meet its pole, so
+    log|Gamma(x)| comes from the reflection formula, log pi - log|sin(pi x)|
+    - lgamma(1 - x), with x's distance t to the nearest integer taken exactly.
     """
-    poles = g.pole_arguments()
-    if poles:
-        raise GammaPoleError(poles[0])
-    if g.is_zero:
+    x = p / q       # correctly rounded, as float(Fraction(p, q))
+    sign = -1 if p < 0 and (p // q) % 2 else 1
+    if x > 0 or not x.is_integer():
+        return _lgamma(x), sign
+    a = min(p % q, q - p % q)       # t = a/q
+    # below 2**-30, sin(pi t) is pi t to double precision, and t may underflow
+    log_sin = (math.log(math.sin(math.pi * (a / q))) if a << 30 > q
+               else _LOG_PI + math.log(a) - math.log(q))
+    return _LOG_PI - log_sin - _lgamma((q - p) / q), sign
+
+
+def pq_numeric(prefactor: Fraction, pq: Iterable[Tuple[int, int, int]]) -> float:
+    """``prefactor * prod Gamma(p/q)**exp`` over (p, q, exp) triples as a float:
+    the kernel of :func:`evaluate_numeric`.
+
+    The triples are a quotient's canonical factors (``GammaQuotient._pq``):
+    arguments in lowest terms with q > 0, merged, no zero exponent, sorted
+    by value, which is the order the log-gammas are summed in.
+    """
+    zero = False
+    for p, q, exp in pq:
+        if q == 1 and p <= 0:
+            if exp > 0:
+                raise GammaPoleError(Fraction(p))
+            zero = True
+    if zero:
         return 0.0
     logmag = 0.0
-    sign = 1 if g.prefactor > 0 else -1
-    for arg, exp in g.factors:
-        lg, s = _log_abs_gamma(arg)
+    sign = 1 if prefactor > 0 else -1
+    for p, q, exp in pq:
+        lg, s = _log_abs_gamma(p, q)
         logmag += exp * lg
         if exp % 2 == 1 and s < 0:
             sign = -sign
+    if logmag != logmag:        # log-gammas past lgamma's range cancel: no float to give
+        raise OverflowError("gamma arguments beyond lgamma's range cancel")
     try:
-        return sign * abs(float(g.prefactor)) * math.exp(logmag)
+        return sign * abs(float(prefactor)) * math.exp(logmag)
     except OverflowError:
         return math.copysign(math.inf, sign)
+
+
+def evaluate_numeric(g: GammaQuotient) -> float:
+    """Floating evaluation via log-gamma, by :func:`pq_numeric`.
+
+    Target relative accuracy is about 1e-12 away from poles.  An argument
+    whose float lands on 0 or a negative integer although it is no pole takes
+    the reflection route (see ``_log_abs_gamma``), so its accuracy is that of
+    lgamma at 1 - x.  A formal zero evaluates to exactly 0.0; a pole raises
+    :class:`GammaPoleError`; a gamma product beyond the float range
+    evaluates to +-inf, and one whose log-gammas both leave lgamma's range
+    (arguments past 2.5e305) and cancel raises ``OverflowError``.
+    """
+    return pq_numeric(g.prefactor, g._pq)

@@ -20,10 +20,14 @@ The closed forms are ints too: ``quotient_entries`` gives each entry as an
 int (num, den) pair, and the block coefficients are four numerators over
 one denominator (``block_ints``).  The library functions that return
 ``Fraction`` values (``block_coefficients``, the quotient matrices) read the
-same kernels.  The CLI's ``spectrum`` gives each z relative to the first z
-of its commensurability class, chained (:class:`ZChains`): one
+same kernels.  The CLI's ``spectrum`` reads each z from its integer gamma
+forms (:func:`z_forms`, the triples of the quotient ``z_value`` would
+build, with no quotient and no ``_z_cached`` entry): its float from
+``exact.pq_numeric``, the one numeric kernel, and its value relative to the
+first z of its commensurability class, chained (:class:`ZChains`): one
 ``z_product`` from the previous finite z whose gamma arguments match as
-forms, and ``exact.ratio_tagged`` only where a chain starts.
+forms, and ``exact.ratio_tagged`` on quotients built from the triples only
+where a chain starts.
 
 ``block2x2`` reconstructs the whole 2x2 block on a multiplicity-two summand
 as a rational coefficient matrix, evaluated on one integer scaling of
@@ -50,7 +54,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 from . import faults
 from .exact import (GammaQuotient, NonCommensurableError, RationalLike,
-                    ReducedValue, format_ratio, format_rational, gamma_classes,
+                    ReducedValue, format_ratio, format_rational, pq_classes,
                     ratio_tagged, rational)
 from .ktypes import (DEFAULT_EIGENVALUES, Direction, KType, Label, Labels,
                      Params, f_points, spectral_args)
@@ -62,6 +66,7 @@ __all__ = [
     "CalibrationResult",
     "z_value",
     "z_for",
+    "z_forms",
     "mult2_gamma_product",
     "Tagged",
     "z_terms",
@@ -107,8 +112,12 @@ class EmptyWindowError(InconsistentSystemError):
 
 def _z_gammas(s: int):
     """(s/2, args): z(r; f, J, s) = s/2 prod Gamma((A f + B J + C r + K)/4)**e over args."""
-    return Fraction(s, 2), ((2, 2, 2, 2 - s, 1), (-2, 2, 2, 2 + s, 1),
-                            (2, 2, -2, 2 + s, -1), (-2, 2, -2, 2 - s, -1))
+    return _Z_GAMMAS[s]
+
+
+_Z_GAMMAS = {s: (Fraction(s, 2), ((2, 2, 2, 2 - s, 1), (-2, 2, 2, 2 + s, 1),
+                                  (2, 2, -2, 2 + s, -1), (-2, 2, -2, 2 - s, -1)))
+             for s in (1, -1)}
 
 
 @faults.memo
@@ -118,6 +127,30 @@ def _z_cached(r: Fraction, f: Fraction, J: Fraction, s: int) -> GammaQuotient:
     prefactor, args = _z_gammas(s)
     return GammaQuotient(prefactor, [(Fraction(A * x + B * y + C * z + K * d, 4 * d), e)
                                      for A, B, C, K, e in args])
+
+
+def z_forms(r: Fraction, scale: int, F: int, J: int, s: int) -> Tuple[Fraction, tuple]:
+    """(s/2, triples): z(r; F/scale, J/scale, s)'s prefactor and its gamma
+    arguments as the (p, q, exp) triples ``_z_cached(r, f, J, s)._pq`` holds,
+    built on integers: each argument is (A F rd + B J rd + C rn scale + K
+    scale rd) / (4 scale rd), equal arguments merged, zero exponents dropped,
+    sorted by value and each reduced by its gcd.
+    """
+    prefactor, args = _z_gammas(s)
+    rn, rd = r.numerator, r.denominator
+    x, y, z, k = F * rd, J * rd, rn * scale, scale * rd
+    w = 4 * k                       # one positive denominator: sort on the numerators
+    merged: list = []
+    for v, e in sorted([(A * x + B * y + C * z + K * k, e) for A, B, C, K, e in args]):
+        if merged and merged[-1][0] == v:
+            e += merged.pop()[1]
+        merged.append((v, e))
+    pq = []
+    for v, e in merged:
+        if e:
+            g = gcd(v, w)
+            pq.append((v // g, w // g, e))
+    return prefactor, tuple(pq)
 
 
 def z_value(params: Params, f: RationalLike, J: RationalLike, xi_eps: int) -> GammaQuotient:
@@ -254,7 +287,8 @@ def z_product(r: Fraction, scale: int, terms: Sequence[tuple]) -> Tagged:
 
 class ZChains:
     """Each z(r; F/scale, J/scale, s) exactly relative to its base: the first z
-    of its commensurability class (:func:`exact.gamma_classes`) given to it.
+    of its commensurability class (:func:`exact.pq_classes` of its
+    :func:`z_forms` triples) given to it.
 
     A z is chained from the last z of its template class that is finite
     relative to the base.  Two z's share a template class when their gamma
@@ -262,30 +296,36 @@ class ZChains:
     so one :func:`z_product` of the two reads the step off a two-term
     template: orders add and values multiply.  A template class's first z
     takes one ``exact.ratio_tagged`` against the base, and so does each z
-    while the class has no finite one yet.  The two keys differ where gammas
-    cancel numerically but not as forms (r = 1/2).
+    while the class has no finite one yet; only there are the z and its
+    base made ``GammaQuotient``s, from their triples.  The two keys differ
+    where gammas cancel numerically but not as forms (r = 1/2).
     """
 
     def __init__(self, r: Fraction, scale: int):
         self.r, self.scale = r, scale
-        self._bases: Dict[frozenset, Tuple[str, GammaQuotient]] = {}
+        self._bases: Dict[frozenset, Tuple[str, int, tuple]] = {}   # (label, s, triples)
+        self._base_quotients: Dict[frozenset, GammaQuotient] = {}
         self._last: Dict[tuple, Tuple[int, int, int, int, int]] = {}
 
-    def relative(self, F: int, J: int, s: int, zq: GammaQuotient,
+    def relative(self, F: int, J: int, s: int, pq: tuple,
                  label: Callable[[], str]) -> Tuple[str, str]:
-        """(z_rel, z_base) of ``zq`` = z(r; F/scale, J/scale, s) as ``spectrum``
-        prints them; ``label()`` names ``zq``'s row if that row becomes a base."""
-        classes = gamma_classes(zq)
+        """(z_rel, z_base) of z(r; F/scale, J/scale, s), whose :func:`z_forms`
+        triples are ``pq``, as ``spectrum`` prints them; ``label()`` names z's
+        row if that row becomes a base."""
+        classes = pq_classes(pq)
         base = self._bases.get(classes)
         step = 4 * self.scale
         template = tuple((K * self.scale + A * F + B * J) % step
                          for A, B, _, K, _ in _z_gammas(s)[1])
         prev = self._last.get(template)
         if base is None:
-            base = self._bases[classes] = (label(), zq)
+            base = self._bases[classes] = (label(), s, pq)
             rel = Tagged(0, 1)
         elif prev is None:
-            value = ratio_tagged(zq, base[1])
+            zb = self._base_quotients.get(classes)
+            if zb is None:
+                zb = self._base_quotients[classes] = _quotient(*base[1:])
+            value = ratio_tagged(_quotient(s, pq), zb)
             rel = (Tagged(0, value.value.numerator, value.value.denominator)
                    if value.kind == "finite" else
                    Tagged(value.order if value.kind == "zero" else -value.order))
@@ -298,6 +338,11 @@ class ZChains:
         if not rel.order:
             self._last[template] = (F, J, s, rel.num, rel.den)
         return rel.render(), base[0]
+
+
+def _quotient(s: int, pq: tuple) -> GammaQuotient:
+    """z as a quotient from its :func:`z_forms` triples."""
+    return GammaQuotient(_z_gammas(s)[0], [(Fraction(p, q), e) for p, q, e in pq])
 
 
 def _entry_kind(num, den) -> str:

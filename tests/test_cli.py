@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 from twistor_spectra import cli, faults, spectra, verify
 from twistor_spectra.cli import main
-from twistor_spectra.exact import NonCommensurableError, ratio_tagged
+from twistor_spectra.exact import GammaQuotient, NonCommensurableError, ratio_tagged
 from twistor_spectra.ktypes import Params, enumerate_ktypes
 from twistor_spectra.spectra import z_for
 
@@ -149,6 +150,39 @@ class TestSpectrum:
         cells = {(r["xi"], r["f"], r["j"], r["q"], r["eps"]): r["z_numeric"] for r in rows}
         assert cells[("1", "3/2", "3/2", "1", "1")] == "inf"
 
+    @pytest.mark.parametrize("argv", [
+        # r a hair above 1/2, and |r| past 2**53: floats of gamma arguments
+        # land on lgamma's poles although no argument is one
+        ("--r", "50000000000000000001/100000000000000000000"),
+        ("--r", "1e16"),
+        ("--r=-1e20", "--f-min=1/2", "--f-max=3/2", "--j-max=3/2"),
+        # an argument's distance to the pole underflows a float
+        ("--r", "1e-400", "--lattice", "int"),
+        # past lgamma's own range
+        ("--r", "1e307"),
+    ])
+    def test_numerics_near_float_poles_never_crash(self, capsys, argv):
+        rows = csv_rows(capsys, "spectrum", "--n", "4", *argv, "--format", "csv")
+        cells = [row["z_numeric"] for row in rows if row["mult"] == "1"]
+        assert cells
+        assert all(cell == "POLE" or not math.isnan(float(cell)) for cell in cells)
+
+    def test_numerics_a_hair_above_order_one_match_the_exact_ratios(self, capsys):
+        # z_numeric of a row is z_rel times z_numeric of its base, the
+        # arguments within 1e-20 of lgamma's poles taking the reflection route
+        rows = csv_rows(capsys, "spectrum", "--n", "4", "--format", "csv",
+                        "--r", "50000000000000000001/100000000000000000000")
+        rows = [row for row in rows if row["mult"] == "1"]
+        numeric = {f"V(xi={int(row['xi']):+d}; f={row['f']}, j={row['j']}, q=1, "
+                   f"eps={int(row['eps']):+d})": float(row["z_numeric"]) for row in rows}
+        checked = 0
+        for row in rows:
+            if row["z_rel"] not in ("0", "POLE") and numeric[row["z_base"]] != 0:
+                want = float(Q(row["z_rel"])) * numeric[row["z_base"]]
+                assert float(row["z_numeric"]) == pytest.approx(want, rel=1e-9), row
+                checked += 1
+        assert checked > 100
+
     def test_singular_blocks_are_annotated(self, capsys):
         _, out = run(capsys, "spectrum", "--n", "4", "--r", "1/2",
                      "--f-min", "1/2", "--f-max", "1/2", "--j-max", "1/2",
@@ -190,6 +224,37 @@ class TestSpectrum:
             run(capsys, "spectrum", "--n", "6", f"--r={r}", "--f-min=-19/2",
                 "--f-max=19/2", "--j-max=11/2", "--format", "csv")
             assert len(calls) <= 1, r
+
+    def test_a_slice_builds_no_more_quotients_than_its_chain_starts(self, capsys,
+                                                                     monkeypatch):
+        # a chain starts at a base, which is read off the integer forms, or
+        # at one ratio_tagged against the base: only that reduction needs
+        # quotients, the row's and (once) its base's
+        built, calls = [], []
+        monkeypatch.setattr(spectra, "GammaQuotient",
+                            lambda *a: built.append(1) or GammaQuotient(*a))
+        monkeypatch.setattr(spectra, "ratio_tagged",
+                            lambda a, b: calls.append(1) or ratio_tagged(a, b))
+        seen = 0
+        for n, r, lattice in ((6, "1/2", "half"), (4, "-3/2", "int"), (6, "7/3", "half"),
+                              (4, "5/2", "half"), (10, "200", "int")):
+            built.clear()
+            calls.clear()
+            rows = csv_rows(capsys, "spectrum", f"--n={n}", f"--r={r}", f"--lattice={lattice}",
+                            "--format", "csv")
+            bases = {row["z_base"] for row in rows if row["mult"] == "1"}
+            assert len(built) <= min(len(calls) + len(bases), 2 * len(calls)), (n, r)
+            seen += len(calls)
+        assert seen       # some slice did start a chain by a reduction
+
+    def test_a_tabulation_leaves_the_z_table_alone(self, capsys):
+        table = spectra._z_cached
+        before = table.cache_info().currsize
+        run(capsys, "spectrum", "--n", "6", "--r", "17/13", *REGION)
+        assert table.cache_info().currsize == before
+        run(capsys, "block", "--n", "6", "--r", "17/13", "--f", "1/2", "--j", "3/2",
+            "--eps", "1")
+        assert table.cache_info().currsize == before + 1
 
     def test_a_tabulation_leaves_the_block_table_alone(self, capsys):
         table = spectra._block_coeffs
@@ -311,6 +376,32 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err == message + "zero denominator\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--r", "1e400"], "bad configuration: --r 1e400: "),
+        (["--r=-1e400"], "bad configuration: --r -1e400: "),
+        (["--f-max", "1e400"], "bad region: --f-max 1e400: "),
+        (["--f-min=-1e400"], "bad region: --f-min -1e400: "),
+    ])
+    def test_spectrum_beyond_the_float_range_names_the_flag(self, capsys, tmp_path, argv,
+                                                            message):
+        out_path = tmp_path / "out"
+        code = main(["spectrum", "--n", "4", *argv, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message + "beyond the float range, z_numeric cannot be formed\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("block", "--f", "1/2", "--j", "3/2", "--eps", "1"),
+        ("neighbors", "--f", "1/2", "--j", "3/2", "--q", "1", "--eps", "1"),
+        ("calibrate", "--f-min=-1/2", "--f-max=1/2", "--j-max=5/2"),
+    ])
+    def test_the_exact_commands_take_any_rational(self, capsys, argv):
+        code, out = run(capsys, *argv, "--n", "4", "--r", "1e400")
+        assert code == 0
+        assert out
 
     @pytest.mark.parametrize("command", [
         ("verify", "--n", "4", "--r", "1", "--f-min=-1/2", "--f-max=1/2", "--j-max=3/2"),

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from twistor_spectra.exact import (GammaPoleError, GammaQuotient,
                                    NonCommensurableError, evaluate_numeric,
-                                   format_rational, ratio_tagged, rational,
+                                   format_rational, gamma_classes, pq_classes,
+                                   pq_numeric, ratio_tagged, rational,
                                    reduce_exact)
 
 
@@ -187,3 +188,43 @@ class TestNumeric:
         a, b = G(x + k), G(x + m)
         approx = evaluate_numeric(a * G(x + m, exp=-1))
         assert approx == pytest.approx(float(exact_ratio(a, b)), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_an_argument_whose_float_is_a_pole_reflects(self, n, side):
+        # float(x) is -n exactly, x is not: Gamma(-n + d) = (-1)^n/(n! d) (1 + O(d))
+        d = Q(side, 10 ** 20)
+        x = -n + d
+        assert float(x) == -n
+        want = (-1) ** n / (math.factorial(n) * float(d))
+        assert evaluate_numeric(G(x)) == pytest.approx(want, rel=1e-12)
+        assert evaluate_numeric(G(x, exp=-1)) == pytest.approx(1 / want, rel=1e-12)
+
+    def test_an_argument_past_two_to_the_53_takes_its_exact_sign(self):
+        # every float there is an integer; |1/Gamma(x)| is beyond the float
+        # range, and its sign is that of the integer cell holding x
+        x = Q(-10 ** 20) + Q(1, 3)
+        assert float(x) == float(x - 1) == -1e20
+        assert evaluate_numeric(G(x, exp=-1)) == math.inf
+        assert evaluate_numeric(G(x - 1, exp=-1)) == -math.inf
+        assert evaluate_numeric(G(x)) == 0.0
+
+    def test_an_argument_whose_float_underflows_reflects(self):
+        # Gamma(d)/Gamma(2 d) -> 2 as d -> 0; float(d) is 0.0
+        d = Q(1, 10 ** 400)
+        assert evaluate_numeric(G(d) * G(2 * d, exp=-1)) == pytest.approx(2.0, rel=1e-12)
+
+    def test_beyond_the_lgamma_range_is_inf(self):
+        # lgamma overflows past about 2.5e305; |Gamma| is then beyond any float
+        assert evaluate_numeric(G(10 ** 306)) == math.inf
+        assert evaluate_numeric(G(10 ** 306, exp=-1)) == 0.0
+        assert evaluate_numeric(G(Q(-10 ** 306) + Q(1, 2), exp=-1)) == math.inf
+        with pytest.raises(OverflowError):      # inf - inf has no float to give
+            evaluate_numeric(G(10 ** 306) * G(10 ** 306 + 1, exp=-1))
+
+    def test_kernels_read_the_canonical_triples(self):
+        g = GammaQuotient.from_args(["-7/2", "9/4", "2"], ["1/2", "-3/2"], Q(-2, 3))
+        assert g._pq == ((-7, 2, 1), (-3, 2, -1), (1, 2, -1), (2, 1, 1), (9, 4, 1))
+        assert pq_numeric(g.prefactor, g._pq) == evaluate_numeric(g)
+        assert pq_classes(g._pq) == gamma_classes(g) == frozenset({((1, 2), -1), ((0, 1), 1),
+                                                                  ((1, 4), 1)})

@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 
 from twistor_spectra import faults, spectra
 from twistor_spectra.operators import d_block
-from twistor_spectra.exact import (GammaQuotient, NonCommensurableError,
-                                   ratio_tagged, reduce_exact)
+from twistor_spectra.exact import (GammaPoleError, GammaQuotient,
+                                   NonCommensurableError, evaluate_numeric,
+                                   pq_numeric, ratio_tagged, reduce_exact)
 from twistor_spectra.ktypes import (DIRECTIONS, Direction, KType, Labels, Params,
                                     case1_partners, enumerate_ktypes, f_points,
-                                    label_dirac, make_ktype, neighbors)
+                                    label_dirac, label_scale, make_ktype, neighbors)
 from twistor_spectra.spectra import (InconsistentSystemError,
                                      SingularCoefficientError, Tagged, block2x2,
                                      block_coefficients, calibrate_L, exchanged_rs_eigenvalue,
                                      mult1_quotient_matrix,
                                      mult2_det_quotient_matrix,
                                      mult2_gamma_product, first_order_block,
-                                     w_terms, z_for, z_product, z_terms,
+                                     w_terms, z_for, z_forms, z_product, z_terms,
                                      z_value)
 
 P4H = Params(4, Q(1, 2))
@@ -262,6 +263,52 @@ class TestZProduct:
         for r in (Q(7, 3), Q(3, 4), Q(-5, 2), Q(11, 13)):
             walk(r)
         assert spectra._ratio_template.cache_info().currsize == size
+
+
+def numeric_outcome(value):
+    """A numeric evaluation's float, bit for bit (so its z_numeric cell too), or POLE."""
+    try:
+        return repr(value())
+    except GammaPoleError:
+        return "POLE"
+
+
+class TestZForms:
+    """z's integer gamma forms against the quotient ``_z_cached`` builds: the
+    triples one for one, and every numeric cell bit for bit."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(n=st.sampled_from([4, 6, 8, 10]),
+           r=st.sampled_from([Q(-5, 2), Q(-3, 2), Q(-1, 2), Q(0), Q(1, 2), Q(3, 2),
+                              Q(7, 3), Q(200)]),
+           lattice=st.sampled_from(["half", "int"]), k=st.integers(-10, 10),
+           steps=st.integers(0, 5), eps=st.sampled_from([1, -1]), s=st.sampled_from([1, -1]),
+           dirac=st.sampled_from([0, 0, 0, Q(1, 3)]))
+    # a zero and a pole on each side of r = 0
+    @example(n=4, r=Q(5, 2), lattice="half", k=-5, steps=0, eps=1, s=-1, dirac=0)
+    @example(n=4, r=Q(5, 2), lattice="half", k=5, steps=0, eps=1, s=-1, dirac=0)
+    @example(n=6, r=Q(-1, 2), lattice="half", k=-5, steps=1, eps=1, s=1, dirac=0)
+    @example(n=10, r=Q(1, 2), lattice="half", k=5, steps=0, eps=1, s=1, dirac=0)
+    def test_triples_and_cells_match_the_quotient(self, n, r, lattice, k, steps, eps, s,
+                                                  dirac):
+        f = Q(k) + (Q(1, 2) if lattice == "half" else 0)
+        j = Q(3, 2) + steps
+        with faults.inject("DIRAC", dirac) if dirac else contextlib.nullcontext():
+            scale = label_scale(n)
+            J = eps * label_dirac(n, j, eps)
+            prefactor, pq = z_forms(r, scale, int(f * scale), int(J * scale), s)
+            zq = spectra._z_cached(r, f, J, s)
+            assert (prefactor, pq) == (zq.prefactor, zq._pq)
+            assert z_value(Params(n, r, lattice), f, J, s) is zq
+            assert (numeric_outcome(lambda: pq_numeric(prefactor, pq))
+                    == numeric_outcome(lambda: evaluate_numeric(zq)))
+
+    def test_the_examples_hold_a_zero_and_a_pole(self):
+        zero = z_forms(Q(5, 2), 2, -9, 5, -1)      # n = 4: J = j + 1 = 5/2
+        pole = z_forms(Q(5, 2), 2, 11, 5, -1)
+        assert pq_numeric(*zero) == 0.0
+        with pytest.raises(GammaPoleError):
+            pq_numeric(*pole)
 
 
 def neighbors_reference(kt):
