@@ -7,8 +7,9 @@ p/q, numerics with 15 significant digits, poles printed as POLE.  JSON output
 byte-identical to ``json.dumps(obj, indent=2, sort_keys=True)``.  Exit codes:
 0 success, 1 verification failure, 2 usage error.  Bad input (a malformed
 label or a zero denominator, named with its flag, an empty or unwritable
-``--out`` path, a spectrum or verify window with no K-type, a calibrate
-window with nothing to solve) raises :class:`UsageError` where it is found,
+``--out`` path, a spectrum or verify window with no K-type, a window with
+more than :data:`MAX_WINDOW_LABELS` K-types, a calibrate window with nothing
+to solve) raises :class:`UsageError` where it is found,
 and :func:`main` alone prints it and returns 2; only argparse's own errors
 raise ``SystemExit(2)``.  One parser serves every :func:`main` call.
 """
@@ -21,21 +22,24 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ._jsontext import IndentedEncoder
-from .exact import (GammaPoleError, format_ratio, format_rational, pq_numeric,
-                    rational)
+from .exact import format_rational, rational
 from .ktypes import (BadDimensionError, InvalidWeightError, KType, Params,
-                     enumerate_ktypes, interface_square, label_dirac,
-                     label_scale, make_ktype, window_keys)
-from .spectra import (EmptyWindowError, InconsistentSystemError,
-                      SingularCoefficientError, ZChains, _block_coeffs, block2x2,
-                      calibrate_L, mult1_quotient_matrix,
-                      mult2_det_quotient_matrix, first_order_block, z_forms)
+                     enumerate_ktypes, f2_range, interface_square, j2_range,
+                     make_ktype, window_keys)
+from .spectra import (SPECTRUM_COLUMNS, EmptyWindowError, InconsistentSystemError,
+                      SingularCoefficientError, block2x2, calibrate_L,
+                      mult1_quotient_matrix, mult2_det_quotient_matrix,
+                      first_order_block, spectrum_rows)
 from .verify import CONVENTION, run_all_suites, resolve_block_factor_reading
 
 SCHEMA_VERSION = 1
+
+# the most K-types a spectrum, verify or calibrate window may hold (the
+# benchmark's widest holds 8400)
+MAX_WINDOW_LABELS = 2 ** 16
 
 
 class UsageError(Exception):
@@ -219,13 +223,22 @@ def _rows_text(rows: Sequence[tuple], columns: Sequence[str], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_size(params: Params, f_min: Fraction, f_max: Fraction, j_max: Fraction,
+                xis: Sequence[int], epss: Sequence[int]) -> None:
+    """A UsageError if the window holds more than :data:`MAX_WINDOW_LABELS`
+    K-types, counted on its ranges cut one past that (their len() stops at
+    sys.maxsize)."""
+    cut = slice(MAX_WINDOW_LABELS + 1)
+    count = len(xis) * len(epss) * len(f2_range(params, f_min, f_max)[cut]) * \
+        (len(j2_range(j_max, 0)[cut]) + len(j2_range(j_max, 1)[cut]))
+    if count > MAX_WINDOW_LABELS:
+        raise UsageError(f"bad region: the window holds more than {MAX_WINDOW_LABELS} "
+                         "K-types; narrow --f-min/--f-max or --j-max")
+
+
 def _empty_window(f_min: Fraction, f_max: Fraction, j_max: Fraction) -> UsageError:
     return UsageError(f"empty window: no K-type with {format_rational(f_min)} <= f <= "
                       f"{format_rational(f_max)} and j <= {format_rational(j_max)}")
-
-
-SPECTRUM_COLUMNS = ("xi", "f", "j", "q", "eps", "mult", "z_rel", "z_base",
-                    "z_numeric", "b11", "b12", "b21", "b22", "note")
 
 
 def cmd_spectrum(args) -> int:
@@ -237,56 +250,13 @@ def cmd_spectrum(args) -> int:
         if abs(value) > sys.float_info.max:
             raise UsageError(f"bad {group}: {flag} {text}: beyond the float range, "
                              "z_numeric cannot be formed")
+    _check_size(params, f_min, f_max, j_max, xis, epss)
     keys = window_keys(params, f_min, f_max, j_max, (0, 1), xis, epss)
     if not keys:
         raise _empty_window(f_min, f_max, j_max)
-    _emit(_rows_text(list(_spectrum_rows(params, keys)), SPECTRUM_COLUMNS, args.format),
+    _emit(_rows_text(list(spectrum_rows(params, keys)), SPECTRUM_COLUMNS, args.format),
           args.out)
     return 0
-
-
-def _spectrum_rows(params: Params, keys) -> Iterator[tuple]:
-    """One row of cells per label key, on integers: f and J on one scale, one z
-    per (f, J, s) read from its integer gamma forms (:func:`z_forms`), each
-    z_rel chained by :class:`ZChains`, and each block read from the kernel
-    past its table, which a tabulation would fill and never hit."""
-    n, r, scale = params.n, params.r, label_scale(params.n)
-    chains = ZChains(r, scale)
-    block = _block_coeffs.__wrapped__
-    halves: Dict[int, Tuple[Fraction, str]] = {}      # 2f or 2j: (value, text)
-    spectral: Dict[Tuple[int, int], int] = {}           # (2j, eps): J * scale
-    z_cells: Dict[Tuple[int, int, int], Tuple[str, str, str]] = {}
-    for xi, f2, j2, q, eps in keys:
-        for k in (f2, j2):
-            if k not in halves:
-                halves[k] = (Fraction(k, 2), format_ratio(k, 2))
-        (f, f_text), (j, j_text) = halves[f2], halves[j2]
-        J = spectral.get((j2, eps))
-        if J is None:
-            Jq = eps * label_dirac(n, j, eps)
-            J = spectral[j2, eps] = Jq.numerator * (scale // Jq.denominator)
-        F = f2 * (scale // 2)
-        head = (str(xi), f_text, j_text, str(q), str(eps))
-        if q:
-            s = xi * eps
-            cells = z_cells.get((F, J, s))
-            if cells is None:       # the xi = +-1 rows of one (f, J, s) share z
-                prefactor, pq = z_forms(r, scale, F, J, s)
-                try:
-                    numeric = f"{pq_numeric(prefactor, pq):.15g}"
-                except GammaPoleError:
-                    numeric = "POLE"
-                cells = z_cells[F, J, s] = (*chains.relative(
-                    F, J, s, pq, lambda: KType(xi, f, j, q, eps).label()), numeric)
-            yield (*head, "1", *cells, "", "", "", "", "")
-            continue
-        coeffs = block(n, F * r.denominator, eps * J * r.denominator,
-                       r.numerator * scale, scale * r.denominator, xi, params.strict_paper)
-        if isinstance(coeffs, str):
-            yield (*head, "2", "", "", "", "", "", "", "", f"SINGULAR({coeffs})")
-        else:
-            *nums, den = coeffs
-            yield (*head, "2", "", "", "", *(format_ratio(c, den) for c in nums), "")
 
 
 def cmd_block(args) -> int:
@@ -334,6 +304,7 @@ def cmd_neighbors(args) -> int:
 def cmd_verify(args) -> int:
     params = _params(args)
     f_min, f_max, j_max, xis, epss = _region_args(args)
+    _check_size(params, f_min, f_max, j_max, xis, epss)
     centers = list(enumerate_ktypes(params, f_min, f_max, j_max, (0, 1), xis, epss))
     if not centers:
         raise _empty_window(f_min, f_max, j_max)
@@ -420,6 +391,7 @@ def _calibration_json(cal) -> dict:
 def cmd_calibrate(args) -> int:
     params = _params(args)
     f_min, f_max, j_max = _window_args(args)
+    _check_size(params, f_min, f_max, j_max, [args.xi_solve], [1, -1])
     try:
         result = calibrate_L(params, args.xi_solve, f_min, f_max, j_max)
     except EmptyWindowError as exc:

@@ -18,11 +18,11 @@ minus the total exponent at non-positive integers, and a finite value is the
 limit with every argument shifted by one small amount.
 
 A quotient's canonical factors are also kept as integer (p, q, exp) triples,
-``GammaQuotient._pq``, and the class key and the one numeric evaluation are
-kernels on such triples (:func:`pq_classes`, :func:`pq_numeric`):
-:func:`gamma_classes` and :func:`evaluate_numeric` call them on a quotient,
-and ``spectrum`` calls them on the triples ``spectra.z_forms`` builds from
-integers, with no quotient in between.
+``GammaQuotient._pq``, and the class key, the exact ratio and the one numeric
+evaluation are kernels on such triples (:func:`pq_classes`, :func:`pq_ratio`,
+:func:`pq_numeric`): :func:`gamma_classes`, :func:`ratio_tagged` and
+:func:`evaluate_numeric` call them on quotients, and ``spectrum`` calls them
+on the triples ``spectra.z_forms`` builds from integers, with no quotient.
 
 Arguments at non-positive integers are tracked as formal pole/zero flags,
 and a reduction reports a net uncancelled pole or zero as its kind instead of
@@ -49,6 +49,7 @@ __all__ = [
     "GammaQuotient",
     "ReducedValue",
     "ratio_tagged",
+    "pq_ratio",
     "gamma_classes",
     "pq_classes",
     "reduce_exact",
@@ -230,14 +231,21 @@ def _reduce_classes(classes: dict) -> Tuple[int, Fraction]:
     return order, Fraction(num, den)
 
 
-def ratio_tagged(a: GammaQuotient, b: GammaQuotient) -> ReducedValue:
-    """Exact a/b with pole/zero tagging instead of errors."""
+def pq_ratio(pq_a: Iterable[tuple], pq_b: Iterable[tuple]) -> Tuple[int, Fraction]:
+    """(order, value) of prod Gamma(p/q)**exp over the (p, q, exp) triples ``pq_a``
+    over the same of ``pq_b``, the kernel of :func:`ratio_tagged`: ``order`` > 0
+    is a zero and < 0 a pole, else ``value`` is the exact ratio."""
     classes: dict = {}
-    for p, q, exp in a._pq:
+    for p, q, exp in pq_a:
         classes.setdefault((p % q, q), []).append((p, exp))
-    for p, q, exp in b._pq:
+    for p, q, exp in pq_b:
         classes.setdefault((p % q, q), []).append((p, -exp))
-    order, value = _reduce_classes(classes)
+    return _reduce_classes(classes)
+
+
+def ratio_tagged(a: GammaQuotient, b: GammaQuotient) -> ReducedValue:
+    """Exact a/b with pole/zero tagging instead of errors, by :func:`pq_ratio`."""
+    order, value = pq_ratio(a._pq, b._pq)
     if order > 0:
         return ReducedValue("zero", Fraction(0), order)
     if order < 0:

@@ -18,12 +18,15 @@ A verify run reads each label through one :class:`Label` record of a
 :class:`Labels` table, keyed by the small ints (xi, 2f, 2j, q, eps): its
 ``KType``, its (J, s) on the run's integer scale and, once asked for, its
 diagram neighbors as records.  :func:`neighbors` walks the same integer keys.
+A table states J on its scale once per (2j, eps) (:meth:`Labels.spectral_J`).  A
+window is two integer ranges, its 2f (:func:`f2_range`) and its 2j
+(:func:`j2_range`), so its size is known without walking it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import ceil, floor, lcm
 from operator import itemgetter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -53,6 +56,8 @@ __all__ = [
     "neighbors",
     "interface_square",
     "case1_partners",
+    "f2_range",
+    "j2_range",
     "f_points",
     "window_keys",
     "enumerate_ktypes",
@@ -253,7 +258,7 @@ class Label:
 class Labels:
     """The label records of one run, keyed by (xi, 2f, 2j, q, eps) and made on first use.
 
-    ``spectral_args`` runs once per label, and :meth:`neighbors` once per
+    :meth:`spectral_J` runs once per (2j, eps) and :meth:`neighbors` once per
     center.  ``scale`` is :func:`label_scale`, the one integer scale of every
     record's f and J.  A table belongs to one :class:`Params` and lives as
     long as its caller keeps it, so nothing of a run outlives the run.
@@ -263,7 +268,20 @@ class Labels:
         self.params = params
         self.scale = label_scale(params.n)
         self._records: Dict[Key, Label] = {}
+        self._J: Dict[Tuple[int, int], int] = {}
         self.pairs: Dict[tuple, object] = {}    # data of label pairs, for other modules
+
+    def spectral_J(self, j2: int, eps: int) -> int:
+        """The spectral J = eps * J_signed of the labels (2j, eps), times ``scale``;
+        a ``ValueError`` if that is no integer (a ``DIRAC`` offset armed later)."""
+        J = self._J.get((j2, eps))
+        if J is None:
+            Jq = eps * DEFAULT_EIGENVALUES.dirac(self.params, Fraction(j2, 2), eps)
+            d = self.scale
+            if d % Jq.denominator:
+                raise ValueError(f"J = {Jq} of 2j = {j2}, eps = {eps} is off the scale 1/{d}")
+            J = self._J[j2, eps] = Jq.numerator * (d // Jq.denominator)
+        return J
 
     def of(self, ktype: KType) -> Label:
         """The record of ``ktype``, made if it is new."""
@@ -273,13 +291,10 @@ class Labels:
         """The record of the label with this key, made if it is new."""
         rec = self._records.get(key)
         if rec is None:
-            ktype = _key_ktype(key)
-            J, s = spectral_args(self.params, ktype)
+            xi, f2, j2, _, eps = key
             d = self.scale
-            if d % J.denominator:
-                raise ValueError(f"J = {J} of {ktype.label()} is off the run's scale 1/{d}")
-            rec = self._records[key] = Label(ktype, key, key[1] * (d // 2),
-                                             J.numerator * (d // J.denominator), s, d)
+            rec = self._records[key] = Label(_key_ktype(key), key, f2 * (d // 2),
+                                             self.spectral_J(j2, eps), xi * eps, d)
         return rec
 
     def neighbors(self, rec: Label) -> List[Tuple[Direction, Label]]:
@@ -334,20 +349,22 @@ def case1_partners(ktype: KType) -> List[Tuple[int, KType]]:
     return [(df, _key_ktype(key)) for df, key in partner_keys(label_key(ktype))]
 
 
+def f2_range(params: Params, f_min: RationalLike, f_max: RationalLike) -> range:
+    """The 2f of the circle weights on the configured lattice in [f_min, f_max],
+    ascending: odd on the half lattice, even on the integer one."""
+    lo = ceil(2 * rational(f_min))
+    lo += (lo - (params.f_lattice == "half")) % 2     # up to the lattice's parity
+    return range(lo, floor(2 * rational(f_max)) + 1, 2)
+
+
+def j2_range(j_max: RationalLike, q: int) -> range:
+    """The 2j of the sphere labels j in 1/2 + q + N with j <= j_max, ascending."""
+    return range(1 + 2 * q, floor(2 * rational(j_max)) + 1, 2)
+
+
 def f_points(params: Params, f_min: RationalLike, f_max: RationalLike) -> List[Fraction]:
     """Circle weights on the configured lattice in [f_min, f_max], ascending."""
-    f_lo, f_hi = rational(f_min), rational(f_max)
-    # snap up to the first lattice point
-    offset = HALF if params.f_lattice == "half" else Fraction(0)
-    k = f_lo - offset
-    f = offset + k.numerator // k.denominator
-    if f < f_lo:
-        f += 1
-    out = []
-    while f <= f_hi:
-        out.append(f)
-        f += 1
-    return out
+    return [Fraction(k, 2) for k in f2_range(params, f_min, f_max)]
 
 
 _SORT_ORDER = itemgetter(0, 1, 2, 4, 3)     # a key's fields in KType.sort_key order
@@ -359,10 +376,10 @@ def window_keys(params: Params, f_min: RationalLike, f_max: RationalLike,
                 eps_values: Sequence[int] = (-1, 1)) -> List[Key]:
     """The keys (xi, 2f, 2j, q, eps) of all K-types in a finite window, in
     :meth:`KType.sort_key`'s (xi, f, j, eps, q) order."""
-    j2_hi = floor(2 * rational(j_max))
-    f2s = [f.numerator * (2 // f.denominator) for f in f_points(params, f_min, f_max)]
+    f2s = f2_range(params, f_min, f_max)
+    j2s = {q: j2_range(j_max, q) for q in qs}
     keys = [(xi, f2, j2, q, eps) for xi in xi_values for f2 in f2s for q in qs
-            for j2 in range(1 + 2 * q, j2_hi + 1, 2) for eps in eps_values]
+            for j2 in j2s[q] for eps in eps_values]
     keys.sort(key=_SORT_ORDER)
     return keys
 

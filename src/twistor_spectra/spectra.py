@@ -18,16 +18,16 @@ pattern is telescoped once over (f, J, r) and evaluated on the integer
 terms of a run's label records, as an unreduced int ratio (``Tagged``).
 The closed forms are ints too: ``quotient_entries`` gives each entry as an
 int (num, den) pair, and the block coefficients are four numerators over
-one denominator (``block_ints``).  The library functions that return
-``Fraction`` values (``block_coefficients``, the quotient matrices) read the
-same kernels.  The CLI's ``spectrum`` reads each z from its integer gamma
-forms (:func:`z_forms`, the triples of the quotient ``z_value`` would
+one denominator (``block_ints``, at the integer point ``_block_point``
+builds).  The library functions that return ``Fraction`` values
+(``block_coefficients``, the quotient matrices) read the same kernels.  The
+CLI's ``spectrum`` rows (:func:`spectrum_rows`) read each z from its integer
+gamma forms (:func:`z_forms`, the triples of the quotient ``z_value`` would
 build, with no quotient and no ``_z_cached`` entry): its float from
 ``exact.pq_numeric``, the one numeric kernel, and its value relative to the
 first z of its commensurability class, chained (:class:`ZChains`): one
 ``z_product`` from the previous finite z whose gamma arguments match as
-forms, and ``exact.ratio_tagged`` on quotients built from the triples only
-where a chain starts.
+forms, and ``exact.pq_ratio`` on the triples only where a chain starts.
 
 ``block2x2`` reconstructs the whole 2x2 block on a multiplicity-two summand
 as a rational coefficient matrix, evaluated on one integer scaling of
@@ -50,14 +50,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from . import faults
-from .exact import (GammaQuotient, NonCommensurableError, RationalLike,
-                    ReducedValue, format_ratio, format_rational, pq_classes,
-                    ratio_tagged, rational)
-from .ktypes import (DEFAULT_EIGENVALUES, Direction, KType, Label, Labels,
-                     Params, f_points, spectral_args)
+from .exact import (GammaPoleError, GammaQuotient, NonCommensurableError,
+                    RationalLike, ReducedValue, format_ratio, format_rational,
+                    pq_classes, pq_numeric, pq_ratio, rational)
+from .ktypes import (Direction, Key, KType, Label, Labels, Params, f2_range,
+                     j2_range, spectral_args)
 from .operators import case1_ints, case3_bracket
 
 __all__ = [
@@ -73,6 +74,8 @@ __all__ = [
     "w_terms",
     "z_product",
     "ZChains",
+    "SPECTRUM_COLUMNS",
+    "spectrum_rows",
     "quotient_entries",
     "render_entry",
     "mult1_quotient_matrix",
@@ -295,16 +298,15 @@ class ZChains:
     arguments match as forms in (f, J, r), constants congruent mod 4 scale,
     so one :func:`z_product` of the two reads the step off a two-term
     template: orders add and values multiply.  A template class's first z
-    takes one ``exact.ratio_tagged`` against the base, and so does each z
-    while the class has no finite one yet; only there are the z and its
-    base made ``GammaQuotient``s, from their triples.  The two keys differ
+    takes one ``exact.pq_ratio`` against the base on their triples, times the
+    prefactor ratio s * s_base, and so does each z while the class has no
+    finite one yet; no ``GammaQuotient`` is built.  The two keys differ
     where gammas cancel numerically but not as forms (r = 1/2).
     """
 
     def __init__(self, r: Fraction, scale: int):
         self.r, self.scale = r, scale
         self._bases: Dict[frozenset, Tuple[str, int, tuple]] = {}   # (label, s, triples)
-        self._base_quotients: Dict[frozenset, GammaQuotient] = {}
         self._last: Dict[tuple, Tuple[int, int, int, int, int]] = {}
 
     def relative(self, F: int, J: int, s: int, pq: tuple,
@@ -322,13 +324,9 @@ class ZChains:
             base = self._bases[classes] = (label(), s, pq)
             rel = Tagged(0, 1)
         elif prev is None:
-            zb = self._base_quotients.get(classes)
-            if zb is None:
-                zb = self._base_quotients[classes] = _quotient(*base[1:])
-            value = ratio_tagged(_quotient(s, pq), zb)
-            rel = (Tagged(0, value.value.numerator, value.value.denominator)
-                   if value.kind == "finite" else
-                   Tagged(value.order if value.kind == "zero" else -value.order))
+            order, value = pq_ratio(pq, base[2])
+            rel = Tagged(order) if order else Tagged(0, s * base[1] * value.numerator,
+                                                     value.denominator)
         else:
             pF, pJ, ps, num, den = prev
             t = z_product(self.r, self.scale, ((F, J, s, 1), (pF, pJ, ps, -1)))
@@ -338,11 +336,6 @@ class ZChains:
         if not rel.order:
             self._last[template] = (F, J, s, rel.num, rel.den)
         return rel.render(), base[0]
-
-
-def _quotient(s: int, pq: tuple) -> GammaQuotient:
-    """z as a quotient from its :func:`z_forms` triples."""
-    return GammaQuotient(_z_gammas(s)[0], [(Fraction(p, q), e) for p, q, e in pq])
 
 
 def _entry_kind(num, den) -> str:
@@ -498,31 +491,70 @@ def _block_coeffs(n: int, X: int, Y: int, Z: int, d: int, xi: int, strict_paper:
             m * m * T * d * c1)
 
 
+def _block_point(params: Params, scale: int, F: int, J: int, xi: int, eps: int) -> tuple:
+    """The block kernel's arguments at f = F/scale, spectral J = J/scale:
+    (n, F rd, eps J rd, rn scale, scale rd, xi, strict_paper) for r = rn/rd."""
+    rn, rd = params.r.numerator, params.r.denominator
+    return (params.n, F * rd, eps * J * rd, rn * scale, scale * rd, xi, params.strict_paper)
+
+
 def block_ints(labels: Labels, label: Label) -> Union[str, Tuple[int, int, int, int, int]]:
     """(b11, b12, b21, b22, den) of a multiplicity-two label on its table's
     scale, or the name of the vanished coefficient."""
-    r = labels.params.r
-    rd = r.denominator
-    kt = label.ktype
-    return _block_coeffs(labels.params.n, label.F * rd, kt.eps * label.J * rd,
-                         r.numerator * labels.scale, labels.scale * rd, kt.xi,
-                         labels.params.strict_paper)
+    xi, _, _, _, eps = label.key
+    return _block_coeffs(*_block_point(labels.params, labels.scale, label.F, label.J, xi, eps))
 
 
 def block_coefficients(params: Params, center: KType
                        ) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-    """The four rational coefficients (b11, b12, b21, b22) of the 2x2 block."""
-    Ja = DEFAULT_EIGENVALUES.dirac(params, center.j, center.eps)
-    f, r = center.f, params.r
-    d = lcm(f.denominator, Ja.denominator, r.denominator)
-    coeffs = _block_coeffs(params.n, f.numerator * (d // f.denominator),
-                           Ja.numerator * (d // Ja.denominator),
-                           r.numerator * (d // r.denominator), d, center.xi,
-                           params.strict_paper)
+    """The four rational coefficients (b11, b12, b21, b22) of the 2x2 block:
+    :func:`block_ints` on the center's record in a table of its own."""
+    labels = Labels(params)
+    coeffs = block_ints(labels, labels.of(center))
     if isinstance(coeffs, str):
         raise SingularCoefficientError(coeffs, center)
     *nums, den = coeffs
     return tuple(Fraction(num, den) for num in nums)
+
+
+SPECTRUM_COLUMNS = ("xi", "f", "j", "q", "eps", "mult", "z_rel", "z_base",
+                    "z_numeric", "b11", "b12", "b21", "b22", "note")
+
+
+def spectrum_rows(params: Params, keys: Sequence[Key]) -> Iterator[tuple]:
+    """One row of :data:`SPECTRUM_COLUMNS` cells per label key, on integers: f
+    and J (:meth:`Labels.spectral_J`) on one scale, one z per (f, J, s) from its
+    :func:`z_forms`, each z_rel chained by :class:`ZChains`, and each block
+    read from the kernel past its table, which a tabulation would fill and
+    never hit."""
+    labels = Labels(params)
+    r, scale = params.r, labels.scale
+    chains = ZChains(r, scale)
+    block = _block_coeffs.__wrapped__
+    texts = {k: format_ratio(k, 2) for k in {h for key in keys for h in key[1:3]}}
+    z_cells: Dict[Tuple[int, int, int], Tuple[str, str, str]] = {}
+    for xi, f2, j2, q, eps in keys:
+        F, J = f2 * (scale // 2), labels.spectral_J(j2, eps)
+        head = (str(xi), texts[f2], texts[j2], str(q), str(eps))
+        if q:
+            s = xi * eps
+            cells = z_cells.get((F, J, s))
+            if cells is None:       # the xi = +-1 rows of one (f, J, s) share z
+                prefactor, pq = z_forms(r, scale, F, J, s)
+                try:
+                    numeric = f"{pq_numeric(prefactor, pq):.15g}"
+                except GammaPoleError:
+                    numeric = "POLE"
+                cells = z_cells[F, J, s] = (*chains.relative(F, J, s, pq, lambda: KType(
+                    xi, Fraction(f2, 2), Fraction(j2, 2), q, eps).label()), numeric)
+            yield (*head, "1", *cells, "", "", "", "", "")
+            continue
+        coeffs = block(*_block_point(params, scale, F, J, xi, eps))
+        if isinstance(coeffs, str):
+            yield (*head, "2", "", "", "", "", "", "", "", f"SINGULAR({coeffs})")
+        else:
+            *nums, den = coeffs
+            yield (*head, "2", "", "", "", *(format_ratio(c, den) for c in nums), "")
 
 
 @dataclass(frozen=True)
@@ -650,16 +682,12 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
         raise ValueError(f"a label table made for {labels.params} cannot serve {params}")
 
     # nodes are (2j, eps) classes: d33 cannot depend on f
-    nodes: List[Tuple[int, int]] = []
-    j = Fraction(3, 2)
-    while j <= j_hi:
-        nodes += [(j.numerator, 1), (j.numerator, -1)]
-        j += 1
-    fs = f_points(params, f_lo, f_hi)
+    nodes = [(j2, eps) for j2 in j2_range(j_hi, 1) for eps in (1, -1)]
+    f2s = f2_range(params, f_lo, f_hi)
     if not nodes:
         raise EmptyWindowError("empty calibration window: no (j, eps) class "
                                f"with 3/2 <= j <= {format_rational(j_hi)}")
-    if not fs:
+    if not f2s:
         raise EmptyWindowError("empty calibration window: no circle weight in "
                                f"[{format_rational(f_lo)}, {format_rational(f_hi)}]")
     node_set = set(nodes)
@@ -672,8 +700,8 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     d, rn, rd = labels.scale, r.numerator, r.denominator
 
     for node in nodes:
-        for f in fs:
-            center = labels.at((xi, f.numerator * (2 // f.denominator), node[0], 1, node[1]))
+        for f2 in f2s:
+            center = labels.at((xi, f2, node[0], 1, node[1]))
             at_center = z_terms(center, -1)
             for _, nb in labels.neighbors(center):
                 nb_node = (nb.key[2], nb.key[4])
@@ -747,7 +775,7 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
         raise InconsistentSystemError(
             f"calibration window leaves {len(missing)} classes unconstrained")
 
-    shift, probe = _pin_constant(labels, xi, fs, potential)
+    shift, probe = _pin_constant(labels, xi, f2s, potential)
     table = {(Fraction(j2, 2), eps): 2 * (pot + shift)
              for (j2, eps), pot in sorted(potential.items())}
     return CalibrationResult(table, n_edges, n_unconstraining, probe)
@@ -762,7 +790,7 @@ def _edge_witness(delta: Fraction, center: Label, nb: Label) -> dict:
             "delta": format_rational(delta)}
 
 
-def _pin_constant(labels, xi, fs, potential):
+def _pin_constant(labels, xi, f2s, potential):
     """Fix the additive constant via one mixed-multiplicity relation.
 
     Uses the f+1 partner, whose z factor coincides with the block's shared
@@ -774,8 +802,7 @@ def _pin_constant(labels, xi, fs, potential):
     partner's d33, and the constant is d33 less the class's potential.
     """
     zero = Fraction(0)
-    for f in fs:
-        f2 = f.numerator * (2 // f.denominator)
+    for f2 in f2s:
         for (j2, eps), pot in sorted(potential.items()):
             alpha = labels.at((xi, f2, j2, 0, eps))
             block = block_ints(labels, alpha)

@@ -1,12 +1,13 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistor_spectra import faults
 from twistor_spectra.ktypes import (BadDimensionError, Direction,
-                                    InvalidWeightError, KType, Params,
-                                    case1_partners, enumerate_ktypes,
+                                    InvalidWeightError, KType, Labels, Params,
+                                    case1_partners, enumerate_ktypes, f2_range,
                                     f_points, interface_square, label_dirac,
                                     label_twistor_tt, make_ktype, neighbors)
 
@@ -89,6 +90,24 @@ class TestEigenvalues:
         assert label_twistor_tt(4, Q(3, 2)) == Q(8, 3)
 
 
+class TestLabelsSpectralJ:
+    def test_J_is_the_spectral_dirac_eigenvalue_on_the_scale(self):
+        labels = Labels(P6)
+        for j2 in (1, 3, 9):
+            for eps in (1, -1):
+                J = Q(labels.spectral_J(j2, eps), labels.scale)
+                assert J == eps * label_dirac(6, Q(j2, 2), eps) == Q(j2, 2) + 2
+
+    def test_a_table_made_before_a_fractional_dirac_offset_refuses_J(self):
+        labels = Labels(P4)
+        with faults.inject("DIRAC", Q(1, 3)):
+            with pytest.raises(ValueError, match=r"J = 17/6 of 2j = 3, eps = 1 is off "
+                                                 r"the scale 1/2"):
+                labels.spectral_J(3, 1)
+            armed = Labels(P4)          # a table made while armed has the scale 1/6
+            assert (armed.scale, armed.spectral_J(3, 1)) == (6, 17)
+
+
 class TestNeighbors:
     def test_interior_center_has_six(self):
         kt = make_ktype(P4, 1, Q(3, 2), Q(5, 2), 0, 1)
@@ -166,6 +185,31 @@ class TestEnumeration:
                 for k in range(50) if Q(2 * k + 1, 2) + q <= j_max for eps in epss]
         got = list(enumerate_ktypes(params, f_min, f_max, j_max, qs, xis, epss))
         assert got == sorted(want, key=KType.sort_key)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.fractions(-40, 40, max_denominator=12), st.fractions(-40, 40, max_denominator=12),
+           st.sampled_from(["half", "int"]))
+    def test_f2_range_is_the_fraction_walk(self, f_min, f_max, lattice):
+        # the Fraction loop f_points ran before windows were integer ranges
+        params = Params(4, Q(1), lattice)
+        offset = Q(1, 2) if lattice == "half" else Q(0)
+        k = f_min - offset
+        f = offset + k.numerator // k.denominator
+        if f < f_min:
+            f += 1
+        want = []
+        while f <= f_max:
+            want.append(f)
+            f += 1
+        assert f_points(params, f_min, f_max) == want
+        assert list(f2_range(params, f_min, f_max)) == [int(2 * f) for f in want]
+        assert list(f2_range(params, str(f_min), str(f_max))) == [int(2 * f) for f in want]
+
+    def test_a_huge_window_is_a_range_at_once(self):
+        f2s = f2_range(P4, -10 ** 300, 10 ** 300)
+        assert (f2s[0], f2s[-1], f2s.step) == (1 - 2 * 10 ** 300, 2 * 10 ** 300 - 1, 2)
+        with pytest.raises(OverflowError):
+            len(f2s)        # past sys.maxsize, so the CLI's size guard counts on the ends
 
     def test_counts(self):
         # f in {-1/2, 1/2}: q=0 has j in {1/2,3/2}, q=1 has j = 3/2; xi,eps = 4

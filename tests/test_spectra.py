@@ -649,6 +649,43 @@ class TestBlockKernel:
         assert got == want
 
 
+def lcm_route_block_coefficients(params, center):
+    """block_coefficients as it read the kernel before it read block_ints: at
+    the scaling by the lcm d of the denominators of f, Ja and r; or the name
+    of the vanished coefficient."""
+    Ja = label_dirac(params.n, center.j, center.eps)
+    f, r = center.f, params.r
+    d = math.lcm(f.denominator, Ja.denominator, r.denominator)
+    coeffs = spectra._block_coeffs(params.n, f.numerator * (d // f.denominator),
+                                   Ja.numerator * (d // Ja.denominator),
+                                   r.numerator * (d // r.denominator), d, center.xi,
+                                   params.strict_paper)
+    if isinstance(coeffs, str):
+        return coeffs
+    *nums, den = coeffs
+    return tuple(Q(num, den) for num in nums)
+
+
+class TestBlockCoefficientsRoute:
+    def test_block_ints_on_a_record_is_the_lcm_route(self):
+        singular = set()
+        for dirac, n, r, lattice, strict in itertools.product(
+                (None, Q(1, 3)), (4, 6, 8), (Q(1, 2), Q(7, 3), Q(-3, 2), Q(0)),
+                ("half", "int"), (False, True)):
+            params = Params(n, r, lattice, strict)
+            armed = faults.inject("DIRAC", dirac) if dirac else contextlib.nullcontext()
+            with armed:
+                for kt in enumerate_ktypes(params, Q(-5, 2), Q(5, 2), Q(7, 2), (0,)):
+                    try:
+                        got = block_coefficients(params, kt)
+                    except SingularCoefficientError as exc:
+                        got = exc.which
+                    assert got == lcm_route_block_coefficients(params, kt), (params, kt)
+                    if isinstance(got, str):
+                        singular.add(got)
+        assert singular == {"C1", "C3", "C4"}
+
+
 class TestScaledFault:
     def test_bump_adds_the_offset_times_the_scale(self):
         assert faults.bump("C2", 5, 36) == 5
