@@ -254,8 +254,11 @@ def cmd_spectrum(args) -> int:
     keys = window_keys(params, f_min, f_max, j_max, (0, 1), xis, epss)
     if not keys:
         raise _empty_window(f_min, f_max, j_max)
-    _emit(_rows_text(list(spectrum_rows(params, keys)), SPECTRUM_COLUMNS, args.format),
-          args.out)
+    try:
+        rows = list(spectrum_rows(params, keys))
+    except OverflowError as exc:        # log-gammas past lgamma's range cancel
+        raise UsageError(f"bad region: {exc}, z_numeric cannot be formed") from None
+    _emit(_rows_text(rows, SPECTRUM_COLUMNS, args.format), args.out)
     return 0
 
 

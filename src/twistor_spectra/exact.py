@@ -5,17 +5,21 @@ lowest terms with a positive denominator, and a hard error on division by
 zero.  :class:`GammaQuotient` is a finite product ``prefactor * prod
 Gamma(arg)**exp`` with rational arguments.  Two quotients whose arguments are
 congruent mod 1 class by class have an exactly computable rational ratio
-through the functional equation ``Gamma(x+1) = x*Gamma(x)``;
-:func:`ratio_tagged` performs that reduction without ever evaluating a gamma
-function numerically.  No complex number appears: the spectral values are
-real gamma quotients times a fixed power of i, and the library records that
-power as a convention, not as a value.
+through the functional equation ``Gamma(x+1) = x*Gamma(x)``, without ever
+evaluating a gamma function numerically.  No complex number appears: the
+spectral values are real gamma quotients times a fixed power of i, and the
+library records that power as a convention, not as a value.
 
-:func:`ratio_tagged` is the reference for ``spectra.z_product``, which the
-suites and ``spectrum``'s chains use; :func:`gamma_classes` keys the
-commensurability classes.  Both tag alike however arguments group into classes: the order is
-minus the total exponent at non-positive integers, and a finite value is the
-limit with every argument shifted by one small amount.
+The rule is :func:`telescope`, the one place a gamma class becomes linear
+factors: one sweep of the running sum of exponents over the class's sorted
+arguments, where spans whose sum is 0 cost nothing.  :func:`pq_ratio`
+(behind :func:`ratio_tagged`) applies it to numbers, and
+``spectra._ratio_template`` (behind ``spectra.z_product``, which the suites
+and ``spectrum``'s chains use) to linear forms in (f, J, r).  Both give a
+:class:`Tagged` on ints, where a factor that is 0 adds its exponent to the
+vanishing order: the order is minus the total exponent at non-positive
+integers, and a finite value is the limit with every argument shifted by one
+small amount.  :func:`gamma_classes` keys the commensurability classes.
 
 A quotient's canonical factors are also kept as integer (p, q, exp) triples,
 ``GammaQuotient._pq``, and the class key, the exact ratio and the one numeric
@@ -38,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Tuple, Union
+from typing import Iterable, NamedTuple, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -48,6 +52,8 @@ __all__ = [
     "format_ratio",
     "GammaQuotient",
     "ReducedValue",
+    "Tagged",
+    "telescope",
     "ratio_tagged",
     "pq_ratio",
     "gamma_classes",
@@ -185,72 +191,90 @@ class ReducedValue:
         return "POLE" if self.kind == "pole" else format_rational(self.value)
 
 
-def _reduce_classes(classes: dict) -> Tuple[int, Fraction]:
-    """Collapse per-class gamma factor lists to (vanishing order, value).
+def telescope(items: Iterable[Tuple[int, int]], step: int) -> list:
+    """prod Gamma(position/step)**exp over one class's (position, exp) items,
+    positions congruent mod step, as (position, exp) linear factors
+    (position/step)**exp of the same product.
 
-    ``classes`` maps (p mod q, q) to lists of (p, exp) for arguments p/q.
-    Each congruence class mod 1 must have total exponent zero.  Within a
-    class every Gamma(p/q) telescopes to the minimal argument via
-    Gamma(x+1) = x*Gamma(x); chain factors that hit zero are counted into
-    the net vanishing order instead of the product.  Works over plain
-    integers per class for speed.
+    One sweep over the items sorted by position.  Summation by parts makes
+    the product prod (Gamma(lo/step) / Gamma(hi/step))**S over neighbouring
+    positions lo < hi, S the running sum of the exponents up to lo, and
+    Gamma(x+1) = x*Gamma(x) expands each such span into the factor (t/step)**-S
+    at t = lo, lo + step, ..., hi - step.  Spans where S is 0 give nothing,
+    so the cost is the length of the spans that do not cancel, not the
+    distance between the items.  A class whose exponents do not sum to 0
+    raises :class:`NonCommensurableError`.
     """
-    order = 0
-    num = 1
-    den = 1
-    for (_, q), items in classes.items():
-        total = 0
-        for _, e in items:
-            total += e
-        if total != 0:
-            raise NonCommensurableError(
-                "gamma arguments are not integer-spaced with balanced exponents")
-        items.sort()
-        p0 = items[0][0]
-        for p, e in items:
-            steps = (p - p0) // q
-            if steps == 0:
-                continue
-            prod = 1
-            zeros = 0
-            base = p0
-            for _ in range(steps):
-                if base == 0:
-                    zeros += 1
-                else:
-                    prod *= base
-                base += q
-            order += zeros * e
-            qk = q ** steps
-            if e > 0:
-                num *= prod ** e
-                den *= qk ** e
-            else:
-                num *= qk ** (-e)
-                den *= prod ** (-e)
-    return order, Fraction(num, den)
+    out: list = []
+    run = lo = 0
+    for position, exp in sorted(items):
+        if run:
+            out += [(t, -run) for t in range(lo, position, step)]
+        run += exp
+        lo = position
+    if run:
+        raise NonCommensurableError(
+            "gamma arguments are not integer-spaced with balanced exponents")
+    return out
 
 
-def pq_ratio(pq_a: Iterable[tuple], pq_b: Iterable[tuple]) -> Tuple[int, Fraction]:
-    """(order, value) of prod Gamma(p/q)**exp over the (p, q, exp) triples ``pq_a``
-    over the same of ``pq_b``, the kernel of :func:`ratio_tagged`: ``order`` > 0
-    is a zero and < 0 a pole, else ``value`` is the exact ratio."""
+class Tagged(NamedTuple):
+    """An exact value on ints, as :func:`pq_ratio` and ``spectra.z_product`` give it.
+
+    ``order`` > 0 is a zero and < 0 a pole of that order; otherwise the
+    value is num/den, unreduced, den nonzero of either sign.
+    """
+
+    order: int
+    num: int = 0
+    den: int = 1
+
+    @property
+    def kind(self) -> str:
+        return "finite" if not self.order else "zero" if self.order > 0 else "pole"
+
+    def reduced(self) -> ReducedValue:
+        """The same value as a :class:`ReducedValue`, in lowest terms."""
+        if self.order:
+            return ReducedValue(self.kind, Fraction(0), abs(self.order))
+        return ReducedValue("finite", Fraction(self.num, self.den))
+
+    def render(self) -> str:
+        if self.order:
+            return "POLE" if self.order < 0 else "0"
+        return format_ratio(self.num, self.den)
+
+
+def pq_ratio(pq_a: Iterable[tuple], pq_b: Iterable[tuple]) -> Tagged:
+    """prod Gamma(p/q)**exp over the (p, q, exp) triples ``pq_a`` over the same
+    of ``pq_b``, unreduced, the kernel of :func:`ratio_tagged`: each class mod 1
+    expanded by :func:`telescope`, and a factor that is 0 adds its exponent to
+    the vanishing order."""
     classes: dict = {}
     for p, q, exp in pq_a:
         classes.setdefault((p % q, q), []).append((p, exp))
     for p, q, exp in pq_b:
         classes.setdefault((p % q, q), []).append((p, -exp))
-    return _reduce_classes(classes)
+    order, num, den = 0, 1, 1
+    for (_, q), items in classes.items():
+        for p, e in telescope(items, q):
+            if p == 0:
+                order += e
+            elif e > 0:
+                num *= p ** e
+                den *= q ** e
+            else:
+                num *= q ** -e
+                den *= p ** -e
+    return Tagged(order, num, den)
 
 
 def ratio_tagged(a: GammaQuotient, b: GammaQuotient) -> ReducedValue:
     """Exact a/b with pole/zero tagging instead of errors, by :func:`pq_ratio`."""
-    order, value = pq_ratio(a._pq, b._pq)
-    if order > 0:
-        return ReducedValue("zero", Fraction(0), order)
-    if order < 0:
-        return ReducedValue("pole", Fraction(0), -order)
-    return ReducedValue("finite", a.prefactor / b.prefactor * value)
+    t = pq_ratio(a._pq, b._pq)
+    pa, pb = a.prefactor, b.prefactor
+    return Tagged(t.order, t.num * pa.numerator * pb.denominator,
+                  t.den * pa.denominator * pb.numerator).reduced()
 
 
 def pq_classes(pq: Iterable[Tuple[int, int, int]]) -> frozenset:

@@ -14,8 +14,9 @@ exact ratios across diagram edges reproduce the determinant-quotient matrix
 entry by entry.  The suites take such ratios with ``z_product`` (the
 multiplicity-two suite on ``w_terms``), from the quotients' gamma arguments
 (``_z_gammas``) and never from the closed forms' ``_corner_pairs``: each
-pattern is telescoped once over (f, J, r) and evaluated on the integer
-terms of a run's label records, as an unreduced int ratio (``Tagged``).
+pattern is telescoped once over (f, J, r), by the rule ``exact.telescope``
+states, and evaluated on the integer terms of a run's label records, as an
+unreduced int ratio (``exact.Tagged``).
 The closed forms are ints too: ``quotient_entries`` gives each entry as an
 int (num, den) pair, and the block coefficients are four numerators over
 one denominator (``block_ints``, at the integer point ``_block_point``
@@ -50,13 +51,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from . import faults
 from .exact import (GammaPoleError, GammaQuotient, NonCommensurableError,
-                    RationalLike, ReducedValue, format_ratio, format_rational,
-                    pq_classes, pq_numeric, pq_ratio, rational)
+                    RationalLike, Tagged, format_ratio, format_rational,
+                    pq_classes, pq_numeric, pq_ratio, rational, telescope)
 from .ktypes import (Direction, Key, KType, Label, Labels, Params, f2_range,
                      j2_range, spectral_args)
 from .operators import case1_ints, case3_bracket
@@ -209,9 +210,9 @@ def _ratio_template(scale: int, pattern: tuple) -> tuple:
 
     (A, B, C, K) stands for the argument (A f0 + B J0 + C r)/4 + K/(4 scale).
     Those with equal (A, B, C) and constants an integer apart form a class,
-    telescoped to its least constant as ``exact._reduce_classes`` does with
-    numbers.  The value is num/den times prod (A x + B y + C z + K w)**e over
-    the factors, with (x, y, z, w) = (f0 scale, J0 scale, r scale, 1) * r.denominator.
+    expanded into linear factors by ``exact.telescope`` on the constants.
+    The value is num/den times prod (A x + B y + C z + K w)**e over the
+    factors, with (x, y, z, w) = (f0 scale, J0 scale, r scale, 1) * r.denominator.
     """
     prefactor = Fraction(1)
     step = 4 * scale                # 1 in units of K
@@ -222,45 +223,11 @@ def _ratio_template(scale: int, pattern: tuple) -> tuple:
         for A, B, C, K, sign in args:
             K = K * scale + A * dF + B * dJ
             classes.setdefault((A, B, C, K % step), []).append((K, sign * e))
-    chain: Dict[tuple, int] = {}
-    for (A, B, C, _), items in classes.items():
-        if sum(e for _, e in items):
-            raise NonCommensurableError("a gamma class of the pattern does not balance")
-        k0 = min(K for K, _ in items)
-        for K, e in items:
-            for k in range(k0, K, step):
-                chain[A, B, C, k] = chain.get((A, B, C, k), 0) + e
+    factors = [(A, B, C, k, e) for (A, B, C, _), items in classes.items()
+               for k, e in telescope(items, step)]
     # each form is over step * w; a finite value's zero factors have exponents summing to 0
-    factors = [(*form, e) for form, e in chain.items() if e]
-    factors.append((0, 0, 0, step, -sum(chain.values())))
+    factors.append((0, 0, 0, step, -sum(f[4] for f in factors)))
     return tuple(factors), prefactor.numerator, prefactor.denominator
-
-
-class Tagged(NamedTuple):
-    """An exact value as :func:`z_product` gives it, on ints.
-
-    ``order`` > 0 is a zero and < 0 a pole of that order; otherwise the
-    value is num/den, unreduced, den nonzero of either sign.
-    """
-
-    order: int
-    num: int = 0
-    den: int = 1
-
-    @property
-    def kind(self) -> str:
-        return "finite" if not self.order else "zero" if self.order > 0 else "pole"
-
-    def reduced(self) -> ReducedValue:
-        """The same value as ``exact.ratio_tagged`` tags it."""
-        if self.order:
-            return ReducedValue(self.kind, Fraction(0), abs(self.order))
-        return ReducedValue("finite", Fraction(self.num, self.den))
-
-    def render(self) -> str:
-        if self.order:
-            return "POLE" if self.order < 0 else "0"
-        return format_ratio(self.num, self.den)
 
 
 def z_product(r: Fraction, scale: int, terms: Sequence[tuple]) -> Tagged:
@@ -268,8 +235,8 @@ def z_product(r: Fraction, scale: int, terms: Sequence[tuple]) -> Tagged:
     as by ``exact.ratio_tagged``.
 
     The terms' pattern (offsets from the first, each s and e) is telescoped
-    once, and its forms are taken on integers; a factor that is 0 adds its
-    exponent to the vanishing order, as in ``_reduce_classes``.
+    once (``_ratio_template``), and its forms are taken on integers; a factor
+    that is 0 adds its exponent to the vanishing order, as in ``exact.pq_ratio``.
     """
     F0, J0 = terms[0][0], terms[0][1]
     factors, num, den = _ratio_template(scale, tuple([(F - F0, J - J0, s, e)
@@ -323,13 +290,12 @@ class ZChains:
         if base is None:
             base = self._bases[classes] = (label(), s, pq)
             rel = Tagged(0, 1)
-        elif prev is None:
-            order, value = pq_ratio(pq, base[2])
-            rel = Tagged(order) if order else Tagged(0, s * base[1] * value.numerator,
-                                                     value.denominator)
         else:
-            pF, pJ, ps, num, den = prev
-            t = z_product(self.r, self.scale, ((F, J, s, 1), (pF, pJ, ps, -1)))
+            if prev is None:
+                t, num, den = pq_ratio(pq, base[2]), s * base[1], 1
+            else:
+                pF, pJ, ps, num, den = prev
+                t = z_product(self.r, self.scale, ((F, J, s, 1), (pF, pJ, ps, -1)))
             num, den = t.num * num, t.den * den
             g = gcd(num, den)
             rel = Tagged(t.order, num // g, den // g)
@@ -526,7 +492,8 @@ def spectrum_rows(params: Params, keys: Sequence[Key]) -> Iterator[tuple]:
     and J (:meth:`Labels.spectral_J`) on one scale, one z per (f, J, s) from its
     :func:`z_forms`, each z_rel chained by :class:`ZChains`, and each block
     read from the kernel past its table, which a tabulation would fill and
-    never hit."""
+    never hit.  A z whose log-gammas cancel past lgamma's range raises
+    ``OverflowError`` naming its row."""
     labels = Labels(params)
     r, scale = params.r, labels.scale
     chains = ZChains(r, scale)
@@ -541,12 +508,14 @@ def spectrum_rows(params: Params, keys: Sequence[Key]) -> Iterator[tuple]:
             cells = z_cells.get((F, J, s))
             if cells is None:       # the xi = +-1 rows of one (f, J, s) share z
                 prefactor, pq = z_forms(r, scale, F, J, s)
+                label = lambda: KType(xi, Fraction(f2, 2), Fraction(j2, 2), q, eps).label()
                 try:
                     numeric = f"{pq_numeric(prefactor, pq):.15g}"
                 except GammaPoleError:
                     numeric = "POLE"
-                cells = z_cells[F, J, s] = (*chains.relative(F, J, s, pq, lambda: KType(
-                    xi, Fraction(f2, 2), Fraction(j2, 2), q, eps).label()), numeric)
+                except OverflowError as exc:
+                    raise OverflowError(f"{label()}: {exc}") from None
+                cells = z_cells[F, J, s] = (*chains.relative(F, J, s, pq, label), numeric)
             yield (*head, "1", *cells, "", "", "", "", "")
             continue
         coeffs = block(*_block_point(params, scale, F, J, xi, eps))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -167,6 +168,40 @@ class TestSpectrum:
         cells = [row["z_numeric"] for row in rows if row["mult"] == "1"]
         assert cells
         assert all(cell == "POLE" or not math.isnan(float(cell)) for cell in cells)
+
+    def test_a_small_window_far_out_is_fast_and_exact(self):
+        # the gamma arguments of one z lie in one class mod 1 about 10**6
+        # apart; only the spans whose exponents do not cancel are expanded
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "twistor_spectra.cli", "spectrum", "--n", "6",
+             "--r", "5/2", "--f-min=-2000009/2", "--f-max=-2000001/2", "--j-max=7/2",
+             "--format", "csv"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=20)
+        assert done.returncode == 0, done.stderr
+        n, r = 6, Q(5, 2)
+
+        def z(xi, f, j, eps):
+            # (s/2) (a)_{r-s/2} (b)_{r+s/2}, both indices positive at r = 5/2
+            s, J = xi * eps, j + Q(n - 2, 2)
+            a = (2*f + 2*J - 2*r + 2 + s) / 4
+            b = (-2*f + 2*J - 2*r + 2 - s) / 4
+            return (Q(s, 2) * math.prod((a + i for i in range(int(r - Q(s, 2)))), start=Q(1))
+                    * math.prod((b + i for i in range(int(r + Q(s, 2)))), start=Q(1)))
+
+        label = re.compile(r"V\(xi=([+-]1); f=(\S+), j=(\S+), q=1, eps=([+-]1)\)")
+        checked = 0
+        for row in csv.DictReader(io.StringIO(done.stdout)):
+            if row["mult"] != "1":
+                continue
+            xi, f, j, eps = label.fullmatch(row["z_base"]).groups()
+            base = z(int(xi), Q(f), Q(j), int(eps))
+            here = z(int(row["xi"]), Q(row["f"]), Q(row["j"]), int(row["eps"]))
+            assert base != 0 and here != 0
+            assert Q(row["z_rel"]) == here / base, row
+            checked += 1
+        assert checked == 5 * 3 * 4        # five weights, 3/2 <= j <= 7/2, both xi and eps
 
     def test_numerics_a_hair_above_order_one_match_the_exact_ratios(self, capsys):
         # z_numeric of a row is z_rel times z_numeric of its base, the
@@ -401,6 +436,21 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err == message + "beyond the float range, z_numeric cannot be formed\n"
+        assert not out_path.exists()
+
+    def test_spectrum_whose_log_gammas_cancel_past_lgamma_names_the_row(self, capsys,
+                                                                         tmp_path):
+        # every argument of z lies past lgamma's range and they cancel: no
+        # float to give, so no table rather than a traceback or exit 1
+        out_path = tmp_path / "out"
+        code = main(["spectrum", "--n", "4", "--r", "1/2", "--lattice", "int",
+                     "--f-min=1e306", "--f-max=1e306", "--j-max=3/2", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"bad region: V(xi=-1; f={10 ** 306}, j=3/2, q=1, eps=-1): "
+                                "gamma arguments beyond lgamma's range cancel, "
+                                "z_numeric cannot be formed\n")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("argv", [

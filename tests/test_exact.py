@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from twistor_spectra.exact import (GammaPoleError, GammaQuotient,
                                    NonCommensurableError, evaluate_numeric,
                                    format_rational, gamma_classes, pq_classes,
-                                   pq_numeric, ratio_tagged, rational,
-                                   reduce_exact)
+                                   pq_numeric, pq_ratio, ratio_tagged, rational,
+                                   reduce_exact, telescope)
 
 
 def G(arg, exp=1):
@@ -109,6 +109,93 @@ class TestRatio:
         def signed(t):
             return {"finite": 0, "zero": t.order, "pole": -t.order}[t.kind]
         assert signed(t_ab) + signed(t_bc) == signed(t_ac)
+
+
+def per_argument_ratio(pq_a, pq_b):
+    """(order, value) of the ratio of (p, q, exp) triples by the independent
+    rule: every argument of a class walked down to the class's least one,
+    one Gamma(x+1) = x Gamma(x) step at a time (the telescoping the running-
+    exponent sweep replaced)."""
+    classes = {}
+    for p, q, exp in pq_a:
+        classes.setdefault((p % q, q), []).append((p, exp))
+    for p, q, exp in pq_b:
+        classes.setdefault((p % q, q), []).append((p, -exp))
+    order, num, den = 0, 1, 1
+    for (_, q), items in classes.items():
+        if sum(e for _, e in items):
+            raise NonCommensurableError("unbalanced class")
+        p0 = min(p for p, _ in items)
+        for p, e in items:
+            steps = (p - p0) // q
+            prod, zeros = 1, 0
+            for base in range(p0, p, q):
+                if base == 0:
+                    zeros += 1
+                else:
+                    prod *= base
+            order += zeros * e
+            if e > 0:
+                num *= prod ** e
+                den *= q ** (steps * e)
+            else:
+                num *= q ** (-steps * e)
+                den *= prod ** -e
+    return order, Q(num, den)
+
+
+@st.composite
+def balanced_classes(draw):
+    """Two (p, q, exp) triple lists whose ratio balances class by class: some
+    classes of one cluster, some of two clusters far apart, each cluster
+    balanced on its own, near 0 (through poles and zeros) or not."""
+    pq_a, pq_b = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.integers(1, 6))
+        residue = draw(st.integers(0, q - 1))
+        clusters = [draw(st.integers(-8, 8))]
+        if draw(st.booleans()):
+            clusters.append(clusters[0] + draw(st.integers(200, 2000)))
+        for corner in clusters:
+            items = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(-3, 3)),
+                                  min_size=1, max_size=5))
+            last = draw(st.integers(0, 8))
+            items.append((last, -sum(e for _, e in items)))
+            for k, e in items:
+                p = residue + q * (corner + k)
+                if draw(st.booleans()):
+                    pq_a.append((p, q, e))
+                else:
+                    pq_b.append((p, q, -e))     # divided by, so negated
+    return pq_a, pq_b
+
+
+class TestTelescope:
+    """pq_ratio's running-exponent sweep against the per-argument reference."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(balanced_classes())
+    def test_matches_the_per_argument_reference(self, classes):
+        pq_a, pq_b = classes
+        order, value = per_argument_ratio(pq_a, pq_b)
+        got = pq_ratio(pq_a, pq_b)
+        assert got.order == order
+        if not order:
+            assert Q(got.num, got.den) == value
+
+    def test_only_spans_that_do_not_cancel_give_factors(self):
+        # Gamma(x+1)/Gamma(x) at x = 10**6 and at -10**6 + 1/2, one class with
+        # q = 2: the running sum is 0 on the span between the clusters
+        far = 10 ** 6
+        items = [(2 * far + 2, 1), (-2 * far + 3, 1), (2 * far, -1), (-2 * far + 1, -1)]
+        assert telescope(items, 2) == [(-2 * far + 1, 1), (2 * far, 1)]
+        got = pq_ratio([(2 * far + 2, 2, 1), (-2 * far + 3, 2, 1)],
+                       [(2 * far, 2, 1), (-2 * far + 1, 2, 1)])
+        assert Q(got.num, got.den) == far * Q(-2 * far + 1, 2)
+
+    def test_an_unbalanced_class_raises(self):
+        with pytest.raises(NonCommensurableError):
+            pq_ratio([(1, 2, 1), (5, 2, 1)], [(3, 2, 1)])
 
 
 class TestGammaQuotient:

@@ -194,6 +194,33 @@ def shape_calls(labels, shape, center):
             for _, beta in case1_partners(center.ktype)]
 
 
+def per_argument_template(scale, pattern):
+    """(set of (A, B, C, K, e) factors, num, den) of a ratio pattern by the
+    independent rule: every gamma form of a class walked down to the class's
+    least constant, one Gamma(x+1) = x Gamma(x) step at a time (the
+    telescoping ``exact.telescope``'s sweep replaced)."""
+    prefactor = Q(1)
+    step = 4 * scale
+    classes = {}
+    for dF, dJ, s, e in pattern:
+        pre, args = spectra._z_gammas(s)
+        prefactor *= pre ** e
+        for A, B, C, K, sign in args:
+            K = K * scale + A * dF + B * dJ
+            classes.setdefault((A, B, C, K % step), []).append((K, sign * e))
+    chain = {}
+    for (A, B, C, _), items in classes.items():
+        if sum(e for _, e in items):
+            raise NonCommensurableError("unbalanced class")
+        k0 = min(K for K, _ in items)
+        for K, e in items:
+            for k in range(k0, K, step):
+                chain[A, B, C, k] = chain.get((A, B, C, k), 0) + e
+    factors = {(*form, e) for form, e in chain.items() if e}
+    factors.add((0, 0, 0, step, -sum(chain.values())))
+    return factors, prefactor.numerator, prefactor.denominator
+
+
 class TestZProduct:
     """The ratio kernel against ratio_tagged on the gamma quotients: kind, value and order."""
 
@@ -224,6 +251,34 @@ class TestZProduct:
                          for terms in shape_calls(labels, shape, center)]
             for scale, terms, got in calls:
                 assert got.reduced() == gamma_reference(params, terms, scale), terms
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(n=st.sampled_from([4, 6, 8]), lattice=st.sampled_from(["half", "int"]),
+           shape=st.sampled_from(["z/z", "w/w", "block/block", "z/block", "calibration"]),
+           xi=st.sampled_from([1, -1]), eps=st.sampled_from([1, -1]),
+           k=st.integers(-6, 6), steps=st.integers(0, 4),
+           dirac=st.sampled_from([0, 0, 1, 4]))
+    def test_templates_match_the_per_argument_reference(self, n, lattice, shape, xi, eps,
+                                                        k, steps, dirac):
+        # a template does not depend on r
+        params = Params(n, Q(1), lattice)
+        f = Q(k) + (Q(1, 2) if lattice == "half" else 0)
+        q = 1 if shape in ("z/z", "calibration") else 0
+        center = KType(xi, f, Q(1, 2) + q + steps, q, eps)
+        with faults.inject("DIRAC", Q(dirac)) if dirac else contextlib.nullcontext():
+            if shape == "calibration":
+                calls = [(scale, terms) for scale, terms, _ in
+                         self.calibration_calls(params, center)]
+            else:
+                labels = Labels(params)
+                calls = [(labels.scale, terms)
+                         for terms in shape_calls(labels, shape, center)]
+            for scale, terms in calls:
+                F0, J0 = terms[0][0], terms[0][1]
+                pattern = tuple((F - F0, J - J0, s, e) for F, J, s, e in terms)
+                factors, num, den = spectra._ratio_template(scale, pattern)
+                assert len(set(factors)) == len(factors)
+                assert (set(factors), num, den) == per_argument_template(scale, pattern)
 
     @staticmethod
     def calibration_calls(params, center):
