@@ -39,7 +39,6 @@ every other thread's results and empties the tables under all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Tuple, Union
@@ -122,22 +121,47 @@ def _canonical_factors(factors: Iterable[Tuple[Fraction, int]]) -> Tuple[Tuple[F
     return tuple(f for f in out if f[1])
 
 
-@dataclass(frozen=True)
 class GammaQuotient:
-    """``prefactor * prod Gamma(arg)**exp`` with exact bookkeeping."""
+    """``prefactor * prod Gamma(arg)**exp`` with exact bookkeeping, immutable.
 
-    prefactor: Fraction = Fraction(1)
-    factors: Tuple[Tuple[Fraction, int], ...] = ()
+    The factors are kept canonical: arguments as ``Fraction``, equal ones
+    merged, zero exponents dropped, sorted by value; ``_pq`` holds them as
+    integer (p, q, exp) triples.
+    """
 
-    def __post_init__(self) -> None:
-        pre = Fraction(self.prefactor)
+    __slots__ = ("prefactor", "factors", "_pq")
+
+    def __init__(self, prefactor: RationalLike = Fraction(1),
+                 factors: Iterable[Tuple[RationalLike, int]] = ()):
+        pre = Fraction(prefactor)
         if pre == 0:
             raise ValueError("GammaQuotient prefactor must be nonzero")
+        facs = _canonical_factors(factors)
         object.__setattr__(self, "prefactor", pre)
-        facs = _canonical_factors(self.factors)
         object.__setattr__(self, "factors", facs)
-        object.__setattr__(self, "_pq", tuple(
-            (a.numerator, a.denominator, e) for a, e in facs))
+        object.__setattr__(self, "_pq", tuple((a.numerator, a.denominator, e) for a, e in facs))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _astuple(self) -> tuple:
+        return self.prefactor, self.factors
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return "GammaQuotient(prefactor=%r, factors=%r)" % self._astuple()
+
+    def __reduce__(self):
+        return GammaQuotient, self._astuple()
 
     @classmethod
     def from_args(cls, numerator_args: Iterable[RationalLike],
@@ -173,8 +197,7 @@ class GammaQuotient:
         }
 
 
-@dataclass(frozen=True)
-class ReducedValue:
+class ReducedValue(NamedTuple):
     """Tagged result of an exact reduction.
 
     kind is one of ``finite``, ``zero``, ``pole``.  ``value`` is the exact

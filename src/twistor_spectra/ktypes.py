@@ -24,7 +24,6 @@ window is two integer ranges, its 2f (:func:`f2_range`) and its 2j
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 from operator import itemgetter
@@ -74,22 +73,46 @@ class InvalidWeightError(ValueError):
     """Label violates the weight lattice constraints."""
 
 
-@dataclass(frozen=True)
 class Params:
-    """Global configuration: dimension n, half-order r, circle weight lattice,
-    and the variant of the closed forms (``strict_paper``: the misprinted ones)."""
+    """Global configuration: dimension n, half-order r, circle weight lattice
+    (``"half"``: f in Z + 1/2, ``"int"``: f in Z), and the variant of the
+    closed forms (``strict_paper``: the misprinted ones).  Immutable."""
 
-    n: int
-    r: Fraction
-    f_lattice: str = "half"  # "half": f in Z + 1/2, "int": f in Z
-    strict_paper: bool = False
+    __slots__ = ("n", "r", "f_lattice", "strict_paper")
 
-    def __post_init__(self) -> None:
-        if self.n % 2 != 0 or self.n < 4:
+    def __init__(self, n: int, r: RationalLike, f_lattice: str = "half",
+                 strict_paper: bool = False):
+        if n % 2 != 0 or n < 4:
             raise BadDimensionError("n must be even and >= 4")
-        object.__setattr__(self, "r", rational(self.r))
-        if self.f_lattice not in ("half", "int"):
+        r = rational(r)
+        if f_lattice not in ("half", "int"):
             raise ValueError("f_lattice must be 'half' or 'int'")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "f_lattice", f_lattice)
+        object.__setattr__(self, "strict_paper", strict_paper)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _astuple(self) -> tuple:
+        return self.n, self.r, self.f_lattice, self.strict_paper
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return "Params(n=%r, r=%r, f_lattice=%r, strict_paper=%r)" % self._astuple()
+
+    def __reduce__(self):
+        return Params, self._astuple()
 
     def on_f_lattice(self, f: Fraction) -> bool:
         if self.f_lattice == "half":
@@ -97,15 +120,39 @@ class Params:
         return f.denominator == 1
 
 
-@dataclass(frozen=True)
 class KType:
-    """Isotypic summand label (xi; f; j, q, eps)."""
+    """Isotypic summand label (xi; f; j, q, eps), immutable."""
 
-    xi: int
-    f: Fraction
-    j: Fraction
-    q: int
-    eps: int
+    __slots__ = ("xi", "f", "j", "q", "eps")
+
+    def __init__(self, xi: int, f: Fraction, j: Fraction, q: int, eps: int):
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "eps", eps)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _astuple(self) -> tuple:
+        return self.xi, self.f, self.j, self.q, self.eps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return "KType(xi=%r, f=%r, j=%r, q=%r, eps=%r)" % self._astuple()
+
+    def __reduce__(self):
+        return KType, self._astuple()
 
     @property
     def multiplicity(self) -> int:
@@ -269,7 +316,7 @@ class Labels:
         self.scale = label_scale(params.n)
         self._records: Dict[Key, Label] = {}
         self._J: Dict[Tuple[int, int], int] = {}
-        self.pairs: Dict[tuple, object] = {}    # data of label pairs, for other modules
+        self.pairs: Dict[tuple, object] = {}    # label pair data and z ratios, for other modules
 
     def spectral_J(self, j2: int, eps: int) -> int:
         """The spectral J = eps * J_signed of the labels (2j, eps), times ``scale``;
@@ -305,8 +352,7 @@ class Labels:
         return rec._neighbors
 
 
-@dataclass(frozen=True)
-class InterfaceSquare:
+class InterfaceSquare(NamedTuple):
     """Corners of the multiplicity 2/1 interface diagram."""
 
     alpha1: KType

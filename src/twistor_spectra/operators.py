@@ -23,7 +23,6 @@ and multiplicity one to one (P-, P+).
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, NamedTuple, Optional, Tuple, Union
@@ -127,8 +126,7 @@ def classify_pair(frm: KType, to: KType) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class Case1Data:
+class Case1Data(NamedTuple):
     """Mixed-multiplicity transition quantities; E+ + E- is r-free."""
 
     a1: Fraction
@@ -189,8 +187,7 @@ def case1_data(params: Params, alpha: KType, beta: KType,
     return Case1Data(*(Fraction(x, P) for x in nums))
 
 
-@dataclass(frozen=True)
-class Case2Data:
+class Case2Data(NamedTuple):
     """Multiplicity 2 -> 2 transition quantities and their relation matrices."""
 
     f1_minus: Fraction
@@ -202,10 +199,10 @@ class Case2Data:
     c_ba: Fraction
 
     def m1(self) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-        return relation_matrices(*astuple(self))[0]
+        return relation_matrices(*self)[0]
 
     def m2(self) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-        return relation_matrices(*astuple(self))[1]
+        return relation_matrices(*self)[1]
 
     def det_m1(self) -> Fraction:
         return det2(self.m1())
@@ -288,8 +285,7 @@ def case2_data(params: Params, alpha: KType, beta: KType) -> Case2Data:
     return Case2Data(*(Fraction(x, P) for x in nums))
 
 
-@dataclass(frozen=True)
-class Case3Data:
+class Case3Data(NamedTuple):
     """Multiplicity 1 -> 1 transition quantities; P+ + P- is r-free."""
 
     p_minus: Fraction

@@ -16,7 +16,8 @@ multiplicity-two suite on ``w_terms``), from the quotients' gamma arguments
 (``_z_gammas``) and never from the closed forms' ``_corner_pairs``: each
 pattern is telescoped once over (f, J, r), by the rule ``exact.telescope``
 states, and evaluated on the integer terms of a run's label records, as an
-unreduced int ratio (``exact.Tagged``).
+unreduced int ratio (``exact.Tagged``), once per distinct ratio in a run
+(``z_ratio``).
 The closed forms are ints too: ``quotient_entries`` gives each entry as an
 int (num, den) pair, and the block coefficients are four numerators over
 one denominator (``block_ints``, at the integer point ``_block_point``
@@ -48,11 +49,10 @@ feeds are checked by the interface suite in ``verify``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from . import faults
 from .exact import (GammaPoleError, GammaQuotient, NonCommensurableError,
@@ -74,6 +74,7 @@ __all__ = [
     "z_terms",
     "w_terms",
     "z_product",
+    "z_ratio",
     "ZChains",
     "SPECTRUM_COLUMNS",
     "spectrum_rows",
@@ -255,6 +256,18 @@ def z_product(r: Fraction, scale: int, terms: Sequence[tuple]) -> Tagged:
     return Tagged(order, num, den)
 
 
+def z_ratio(labels: Labels, terms: tuple) -> Tagged:
+    """:func:`z_product` of ``terms`` on the run's table: computed once per
+    distinct terms and kept in ``labels.pairs`` under them, since the suites
+    and the calibration meet most ratios more than once (a mult2 block ratio
+    is a mult1 edge's ratio one step up in f).  A ratio whose classes do not
+    balance raises each time it is asked for."""
+    t = labels.pairs.get(terms)
+    if t is None:
+        t = labels.pairs[terms] = z_product(labels.params.r, labels.scale, terms)
+    return t
+
+
 class ZChains:
     """Each z(r; F/scale, J/scale, s) exactly relative to its base: the first z
     of its commensurability class (:func:`exact.pq_classes` of its
@@ -318,8 +331,7 @@ def render_entry(num, den) -> str:
     return {"pole": "POLE", "zero": "0", "indeterminate": "INDET"}[kind]
 
 
-@dataclass(frozen=True)
-class QuotientEntry:
+class QuotientEntry(NamedTuple):
     """One quotient-matrix entry as a formal fraction of exact products.
 
     ``num`` and ``den`` are ints on the scale of :func:`quotient_entries`.
@@ -526,8 +538,7 @@ def spectrum_rows(params: Params, keys: Sequence[Key]) -> Iterator[tuple]:
             yield (*head, "2", "", "", "", *(format_ratio(c, den) for c in nums), "")
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """The 2x2 block of the operator on a multiplicity-two K-type.
 
     ``coefficients`` (b11, b12, b21, b22) is the rational matrix that
@@ -586,7 +597,6 @@ def first_order_block(params: Params, center: KType
 # calibration of the divergence-part eigenvalue
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CalibrationResult:
     """Solved divergence eigenvalues plus the evidence for their constraints.
 
@@ -597,10 +607,25 @@ class CalibrationResult:
     to that constant, which ``issues`` reports as ``unpinned-constant``.
     """
 
-    table: Dict[Tuple[Fraction, int], Fraction]
-    difference_edges: int
-    unconstraining_edges: int
-    probe: Optional[dict]
+    __slots__ = ("table", "difference_edges", "unconstraining_edges", "probe")
+    __hash__ = None     # mutable
+
+    def __init__(self, table: Dict[Tuple[Fraction, int], Fraction], difference_edges: int,
+                 unconstraining_edges: int, probe: Optional[dict]):
+        self.table, self.difference_edges = table, difference_edges
+        self.unconstraining_edges, self.probe = unconstraining_edges, probe
+
+    def _astuple(self) -> tuple:
+        return self.table, self.difference_edges, self.unconstraining_edges, self.probe
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        return ("CalibrationResult(table=%r, difference_edges=%r, unconstraining_edges=%r, "
+                "probe=%r)" % self._astuple())
 
     @property
     def consistent(self) -> bool:
@@ -628,8 +653,8 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     order.  ``labels`` is the run's record table, of the same n and r (the
     variant, ``strict_paper``, does not reach the solve); without one the
     solve makes its own.  Each edge is decided on integers: the z-ratio by
-    :func:`z_product`, the bracket by ``operators.case3_bracket``, and the
-    class pair's difference as an int (num, den) compared by cross
+    :func:`z_ratio` on the table, the bracket by ``operators.case3_bracket``,
+    and the class pair's difference as an int (num, den) compared by cross
     multiplication; a Fraction is made once per constrained class pair.
 
     The solved L is the signed sphere Dirac eigenvalue ``label_dirac(n, j,
@@ -666,7 +691,7 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     deltas: Dict[Tuple[Tuple[int, int], Tuple[int, int]], Tuple[int, int, Label, Label]] = {}
     n_edges = 0
     n_unconstraining = 0
-    d, rn, rd = labels.scale, r.numerator, r.denominator
+    rn, rd = r.numerator, r.denominator
 
     for node in nodes:
         for f2 in f2s:
@@ -677,7 +702,7 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
                 if nb_node not in node_set:
                     continue
                 try:
-                    zr = z_product(r, d, z_terms(nb, 1) + at_center)
+                    zr = z_ratio(labels, z_terms(nb, 1) + at_center)
                 except NonCommensurableError:       # a shifted Dirac convention, say
                     raise InconsistentSystemError(
                         "the z-ratio's gamma classes do not balance on the edge "

@@ -22,7 +22,6 @@ one fixed-shape text per edge with each label's text rendered once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii as _string
@@ -37,7 +36,7 @@ from .spectra import (CalibrationResult, EmptyWindowError,
                       InconsistentSystemError, SingularCoefficientError, Tagged, block_coefficients,
                       block_ints, calibrate_L, exchanged_rs_eigenvalue,
                       _entry_kind, first_order_block, quotient_entries, render_entry,
-                      w_terms, z_product, z_terms)
+                      w_terms, z_ratio, z_terms)
 
 __all__ = [
     "PASS", "FAIL", "POLE", "ZERO", "INDETERMINATE",
@@ -70,23 +69,53 @@ CONVENTION = {
 }
 
 
-@dataclass(frozen=True)
 class EdgeCheck:
-    """One verified edge (or square) with its verdict.
+    """One verified edge (or square) with its verdict, immutable.
 
     Quantities are recorded for the transition-matrix suites on every edge
     and for the quotient suites on non-passing edges (a passing quotient
     edge carries no information beyond its matrix entry).
     """
 
-    case: int
-    center: KType
-    neighbor: Optional[KType]
-    direction: Optional[Direction]
-    verdict: str
-    detail: str = ""
-    quantities: Optional[Dict[str, str]] = None
-    residuals: Optional[Dict[str, str]] = None
+    __slots__ = ("case", "center", "neighbor", "direction", "verdict", "detail",
+                 "quantities", "residuals")
+
+    def __init__(self, case: int, center: KType, neighbor: Optional[KType],
+                 direction: Optional[Direction], verdict: str, detail: str = "",
+                 quantities: Optional[Dict[str, str]] = None,
+                 residuals: Optional[Dict[str, str]] = None):
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "neighbor", neighbor)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "quantities", quantities)
+        object.__setattr__(self, "residuals", residuals)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _astuple(self) -> tuple:
+        return (self.case, self.center, self.neighbor, self.direction, self.verdict,
+                self.detail, self.quantities, self.residuals)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return ("EdgeCheck(case=%r, center=%r, neighbor=%r, direction=%r, verdict=%r, "
+                "detail=%r, quantities=%r, residuals=%r)" % self._astuple())
+
+    def __reduce__(self):
+        return EdgeCheck, self._astuple()
 
     def to_json(self) -> dict:
         out = {
@@ -105,10 +134,24 @@ class EdgeCheck:
         return out
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    checks: List[EdgeCheck] = field(default_factory=list)
+    """One suite's checks, in the order it walked them; ``checks`` is a new
+    list unless one is given."""
+
+    __slots__ = ("suite", "checks")
+    __hash__ = None     # mutable
+
+    def __init__(self, suite: str, checks: Optional[List[EdgeCheck]] = None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.checks) == (other.suite, other.checks)
+
+    def __repr__(self):
+        return f"SuiteReport(suite={self.suite!r}, checks={self.checks!r})"
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -226,13 +269,12 @@ def _walk_quotients(suite: str, case: int, labels: Labels, centers: Iterable[Lab
     """Each quotient entry vs the oracle's exact neighbor/center ratio, kept under ``key``."""
     report = SuiteReport(suite)
     checks = report.checks
-    r, d = labels.params.r, labels.scale
     for center in centers:
         at_center = terms_of(center, -1)
         kt = center.ktype
         for direction, nb, num, den in quotient_entries(labels, center):
             try:
-                tagged = z_product(r, d, terms_of(nb, 1) + at_center)
+                tagged = z_ratio(labels, terms_of(nb, 1) + at_center)
             except NonCommensurableError:       # a shifted Dirac convention, say
                 checks.append(EdgeCheck(case, kt, nb.ktype, direction, FAIL,
                                         _UNBALANCED.format("oracle's ratio"),
@@ -301,7 +343,6 @@ def verify_case2_relation(params: Params, centers: Iterable[KType],
     labels, recs = _records(params, centers, labels, 0)
     report = SuiteReport("case2-relation")
     checks = report.checks
-    r, d = labels.params.r, labels.scale
     for center in recs:
         kt = center.ktype
         block_a = block_ints(labels, center)
@@ -323,7 +364,7 @@ def verify_case2_relation(params: Params, centers: Iterable[KType],
                 checks.append(edge(SKIP_SINGULAR, f"neighbor block: {block_b} = 0"))
                 continue
             try:
-                rho = z_product(r, d, z_terms(nb, 1, block=True) + z_a)
+                rho = z_ratio(labels, z_terms(nb, 1, block=True) + z_a)
             except NonCommensurableError:
                 checks.append(edge(FAIL, _UNBALANCED.format("shared-factor ratio")))
                 continue
@@ -364,8 +405,7 @@ def _check_case1_edge(labels: Labels, alpha: Label, beta: Label, d33: Fraction) 
     if isinstance(block, str):
         return edge(SKIP_SINGULAR, f"block: {block} = 0")
     P, a1, a2, e_minus, e_plus = case1_ints(labels, alpha, beta, d33)
-    rho = z_product(labels.params.r, labels.scale,
-                    z_terms(beta, 1) + z_terms(alpha, -1, block=True))
+    rho = z_ratio(labels, z_terms(beta, 1) + z_terms(alpha, -1, block=True))
     if rho.order:
         return edge(SKIP_POLE, f"scalar-to-block factor ratio is {rho.kind}")
     b11, b12, b21, b22, den = block
@@ -427,8 +467,7 @@ def _check_square(labels: Labels, alpha1: Label) -> EdgeCheck:
     det_m1, det_m2 = map(det2, _matrices(data))        # both over P^4
     if det_m1 == 0:
         return edge(SKIP_DEGENERATE, "det M1 = 0: propagation is vacuous")
-    rho = z_product(labels.params.r, labels.scale,
-                    z_terms(alpha2, 1, block=True) + z_terms(alpha1, -1, block=True))
+    rho = z_ratio(labels, z_terms(alpha2, 1, block=True) + z_terms(alpha1, -1, block=True))
     if rho.order:
         return edge(SKIP_POLE, f"shared-factor ratio is {rho.kind}")
     # det B rho^2 = det_b p^2 / (den_b^2 q^2) against det_m2/det_m1 det_a/den_a^2

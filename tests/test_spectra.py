@@ -1,7 +1,6 @@
 import contextlib
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -9,7 +8,7 @@ from conftest import dirac_l_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twistor_spectra import faults, spectra
+from twistor_spectra import faults, spectra, verify
 from twistor_spectra.operators import d_block
 from twistor_spectra.exact import (GammaPoleError, GammaQuotient,
                                    NonCommensurableError, evaluate_numeric,
@@ -23,8 +22,8 @@ from twistor_spectra.spectra import (InconsistentSystemError,
                                      mult1_quotient_matrix,
                                      mult2_det_quotient_matrix,
                                      mult2_gamma_product, first_order_block,
-                                     w_terms, z_for, z_forms, z_product, z_terms,
-                                     z_value)
+                                     w_terms, z_for, z_forms, z_product, z_ratio,
+                                     z_terms, z_value)
 
 P4H = Params(4, Q(1, 2))
 
@@ -318,6 +317,44 @@ class TestZProduct:
         for r in (Q(7, 3), Q(3, 4), Q(-5, 2), Q(11, 13)):
             walk(r)
         assert spectra._ratio_template.cache_info().currsize == size
+
+
+class TestZRatio:
+    """A run reduces each distinct z ratio once, on its label table."""
+
+    def test_a_run_computes_each_ratio_once(self, monkeypatch):
+        seen = {}
+
+        def spy(r, scale, terms):
+            seen[terms] = seen.get(terms, 0) + 1
+            return z_product(r, scale, terms)
+
+        monkeypatch.setattr(spectra, "z_product", spy)
+        params = Params(6, Q(5, 2))
+        window = (Q(-7, 2), Q(7, 2), Q(9, 2))
+        centers = list(enumerate_ktypes(params, *window))
+        reports, _ = verify.run_all_suites(params, centers, *window)
+        assert seen and set(seen.values()) == {1}
+        edges = sum(len(rep.checks) for rep in reports.values())
+        assert len(seen) < edges        # the suites meet most ratios more than once
+
+    def test_the_ratio_is_z_product_on_the_table(self):
+        labels = Labels(Params(8, Q(7, 3)))
+        for c in enumerate_ktypes(labels.params, Q(-3, 2), Q(3, 2), Q(7, 2)):
+            shapes = ("z/z",) if c.q else ("w/w", "block/block", "z/block")
+            for shape in shapes:
+                for terms in shape_calls(labels, shape, c):
+                    want = z_product(labels.params.r, labels.scale, terms)
+                    assert z_ratio(labels, terms) == want
+                    assert z_ratio(labels, terms) is labels.pairs[terms]
+
+    def test_an_unbalanced_ratio_raises_each_time(self):
+        labels = Labels(Params(4, Q(1)))
+        terms = ((1, 5, 1, 1),)
+        for _ in range(2):
+            with pytest.raises(NonCommensurableError):
+                z_ratio(labels, terms)
+        assert terms not in labels.pairs
 
 
 def numeric_outcome(value):
@@ -784,7 +821,7 @@ def reference_pin_constant(params, xi, fs, potential):
     ``block_coefficients`` on the corrected forms, A2 and d22 from
     ``d_block`` and the mixed bracket (f^2 - f'^2)/2 - (n-2)/2 written out;
     ``potential`` maps (j, eps) to d33 less the constant.  (shift, probe)."""
-    params = replace(params, strict_paper=False)
+    params = Params(params.n, params.r, params.f_lattice)
     for f in fs:
         for (j, eps), pot in sorted(potential.items()):
             alpha, beta = KType(xi, f, j, 0, eps), KType(xi, f + 1, j, 1, eps)
