@@ -3,13 +3,15 @@
 Subcommands: spectrum, block, neighbors, verify, calibrate.  Output is a
 pure function of the flags: deterministic row order, exact values printed as
 p/q, numerics with 15 significant digits, poles printed as POLE.  JSON output
-(the verify report and ``--format json``) is streamed in bounded chunks and is
-byte-identical to ``json.dumps(obj, indent=2, sort_keys=True)``.  Exit codes:
-0 success, 1 verification failure, 2 usage error.  Bad input (a malformed
-label or a zero denominator, named with its flag, an empty or unwritable
-``--out`` path, a spectrum or verify window with no K-type, a window with
-more than :data:`MAX_WINDOW_LABELS` K-types, a calibrate window with nothing
-to solve) raises :class:`UsageError` where it is found,
+is byte-identical to ``json.dumps(obj, indent=2, sort_keys=True)``, written as
+its fixed shape: a ``--format json`` table is one string; only the verify
+report is streamed, its suites' texts spliced into the stdlib's text of its
+head.  Every output goes through :func:`_emit`.  Exit codes: 0 success, 1
+verification failure, 2 usage error.  Bad input (a malformed label or a zero
+denominator, named with its flag, an empty or unwritable ``--out`` path, a
+spectrum or verify window with no K-type, a window with more than
+:data:`MAX_WINDOW_LABELS` K-types, a calibrate window with nothing to solve)
+and a failed write raise :class:`UsageError` where they are found,
 and :func:`main` alone prints it and returns 2; only argparse's own errors
 raise ``SystemExit(2)``.  One parser serves every :func:`main` call.
 """
@@ -21,10 +23,11 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from json.encoder import encode_basestring_ascii as _string
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
-from ._jsontext import IndentedEncoder
 from .exact import format_rational, rational
 from .ktypes import (BadDimensionError, InvalidWeightError, KType, Params,
                      enumerate_ktypes, f2_range, interface_square, j2_range,
@@ -33,9 +36,12 @@ from .spectra import (SPECTRUM_COLUMNS, EmptyWindowError, InconsistentSystemErro
                       SingularCoefficientError, block2x2, calibrate_L,
                       mult1_quotient_matrix, mult2_det_quotient_matrix,
                       first_order_block, spectrum_rows)
-from .verify import CONVENTION, run_all_suites, resolve_block_factor_reading
+from .verify import CONVENTION, SuiteReport, run_all_suites, resolve_block_factor_reading
 
 SCHEMA_VERSION = 1
+
+# a text given in pieces is written in batches of at least this many characters
+CHUNK = 1 << 16
 
 # the most K-types a spectrum, verify or calibrate window may hold (the
 # benchmark's widest holds 8400)
@@ -196,20 +202,33 @@ def _check_out(out: Optional[str]) -> None:
     raise UsageError(f"bad output: --out {out}: {reason}")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
+    """Write ``text`` to the file ``out``, or to stdout; a failed write is a UsageError.
+
+    A text given as pieces is joined in batches of at least :data:`CHUNK`
+    characters (the last may be shorter), one write each, and is never held
+    as one string.
+    """
+    try:
+        with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+            batch, size = [], 0
+            for piece in (text,) if isinstance(text, str) else text:
+                batch.append(piece)
+                size += len(piece)
+                if size >= CHUNK:
+                    fh.write("".join(batch))
+                    batch, size = [], 0
+            fh.write("".join(batch))
+            fh.flush()
+    except OSError as exc:
+        where = f"--out {out}" if out else "stdout"
+        raise UsageError(f"bad output: {where}: {exc.strerror or exc}") from None
 
 
 def _rows_text(rows: Sequence[tuple], columns: Sequence[str], fmt: str) -> str:
-    """Rows of cells in ``columns`` order as a table, CSV or JSON (one object per row)."""
+    """Rows of str cells in ``columns`` order as a table, CSV or JSON (one object per row)."""
     if fmt == "json":
-        return json.dumps({"schema_version": SCHEMA_VERSION, "columns": columns,
-                           "rows": [dict(zip(columns, row)) for row in rows]},
-                          indent=2, sort_keys=True, cls=IndentedEncoder) + "\n"
+        return _rows_json(rows, columns)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -221,6 +240,24 @@ def _rows_text(rows: Sequence[tuple], columns: Sequence[str], fmt: str) -> str:
              "  ".join("-" * w for w in widths)]
     lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _array(items: Sequence[str], nl: str) -> str:
+    """A JSON array of the texts ``items``, each on the newline ``nl``."""
+    return f"[{nl}{(',' + nl).join(items)}{nl[:-2]}]" if items else "[]"
+
+
+def _rows_json(rows: Sequence[tuple], columns: Sequence[str]) -> str:
+    """``json.dumps({"schema_version": 1, "columns": columns, "rows": [dict(zip(columns,
+    row)) for row in rows]}, indent=2, sort_keys=True)`` and a newline, for str cells."""
+    nl = "\n    "
+    # a row object holds each name once, at its last column, keys sorted
+    keys = sorted(dict(zip(columns, range(len(columns)))).items())
+    fields = [(f"{nl}  {_string(name)}: ", i) for name, i in keys]
+    objects = ["{" + ",".join(key + _string(row[i]) for key, i in fields) + nl + "}"
+               if fields else "{}" for row in rows]
+    return (f'{{\n  "columns": {_array([_string(c) for c in columns], nl)},\n  "rows": '
+            f'{_array(objects, nl)},\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
 
 
 def _check_size(params: Params, f_min: Fraction, f_max: Fraction, j_max: Fraction,
@@ -322,9 +359,9 @@ def cmd_verify(args) -> int:
         # one stderr line and no summary; the report records the error under its xi
         print(f"calibration inconsistent: {unsolved[0]}", file=sys.stderr)
     else:
-        _print_verify_summary(reports, calibrations, reading, all_ok)
+        _emit(_verify_summary(reports, calibrations, reading, all_ok), None)
     if args.out:
-        payload = {
+        head = {
             "schema_version": SCHEMA_VERSION,
             "params": {"n": params.n, "r": format_rational(params.r),
                        "lattice": params.f_lattice,
@@ -335,13 +372,22 @@ def cmd_verify(args) -> int:
             "convention": dict(CONVENTION, block_factor_resolution=reading),
             "calibration": {str(xi): _calibration_json(cal)
                             for xi, cal in calibrations.items()},
-            "suites": reports,      # each SuiteReport writes its own text, edge by edge
             "ok": all_ok,
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, cls=IndentedEncoder)
-            fh.write("\n")
+        _emit(_report_pieces(head, reports), args.out)
     return 0 if all_ok else 1
+
+
+def _report_pieces(head: dict, reports: Dict[str, SuiteReport]) -> Iterator[str]:
+    """``json.dumps(dict(head, suites=reports), indent=2, sort_keys=True)`` with
+    each suite as its ``to_json``, and a newline, one piece per edge.  The head
+    is plain data and its keys sort before ``"suites"``."""
+    sep = json.dumps(head, indent=2, sort_keys=True)[:-2] + ',\n  "suites": {'
+    for name, report in sorted(reports.items()):
+        yield f"{sep}\n    {_string(name)}: "
+        yield from report.json_chunks("  ", 2)
+        sep = ","
+    yield "\n  }\n}\n"
 
 
 def _unsolved(cal) -> bool:
@@ -349,32 +395,33 @@ def _unsolved(cal) -> bool:
     return isinstance(cal, InconsistentSystemError) and not isinstance(cal, EmptyWindowError)
 
 
-def _print_verify_summary(reports, calibrations, reading, all_ok) -> None:
-    for rep in reports.values():
-        print(rep.summary_line())
+def _verify_summary(reports, calibrations, reading, all_ok) -> str:
+    """verify's stdout: suites, calibrations, the block-factor reading, a failing edge."""
+    lines = [rep.summary_line() for rep in reports.values()]
     for xi, cal in sorted(calibrations.items()):
         if isinstance(cal, EmptyWindowError):
-            print(f"calibration xi={xi:+d}   skipped ({cal})")
+            lines.append(f"calibration xi={xi:+d}   skipped ({cal})")
             continue
         status = "consistent" if cal.consistent else "UNPINNED"   # the only issue
-        print(f"calibration xi={xi:+d}   {status} "
-              f"({cal.difference_edges} constraints, {len(cal.table)} classes)")
+        lines.append(f"calibration xi={xi:+d}   {status} "
+                     f"({cal.difference_edges} constraints, {len(cal.table)} classes)")
     if reading["resolved"] is None:
-        print("block shared factor: not resolved (every r = 1/2 block singular)")
+        lines.append("block shared factor: not resolved (every r = 1/2 block singular)")
     elif reading["resolved"] == "neither":
-        print("block shared factor: NO reading matches every checked center "
-              f"(f+1: {reading['f+1']}, f: {reading['f']}, checked: {reading['checked']})")
+        lines.append("block shared factor: NO reading matches every checked center "
+                     f"(f+1: {reading['f+1']}, f: {reading['f']}, checked: {reading['checked']})")
     else:
-        print(f"block shared factor resolved at weight: {reading['resolved']}")
+        lines.append(f"block shared factor resolved at weight: {reading['resolved']}")
     if not all_ok:
         for rep in reports.values():
             fail = rep.first_failure
             if fail is not None:
-                print(f"first failing edge [{rep.suite}]: "
-                      f"{fail.center.label()} -> "
-                      f"{fail.neighbor.label() if fail.neighbor else '-'} "
-                      f"residuals={fail.residuals}")
+                lines.append(f"first failing edge [{rep.suite}]: "
+                             f"{fail.center.label()} -> "
+                             f"{fail.neighbor.label() if fail.neighbor else '-'} "
+                             f"residuals={fail.residuals}")
                 break
+    return "".join(line + "\n" for line in lines)
 
 
 def _calibration_json(cal) -> dict:

@@ -177,8 +177,8 @@ class SuiteReport:
 
     def json_chunks(self, indent: str, depth: int) -> Iterator[str]:
         """The text of :meth:`to_json` at ``depth`` as ``json.dumps(...,
-        indent=indent, sort_keys=True)`` nests it, one piece per edge; the
-        report writer (``_jsontext``) streams it in bounded chunks."""
+        indent=indent, sort_keys=True)`` nests it, one piece per edge; the CLI
+        splices it into the verify report's text and writes it in batches."""
         nl = "\n" + indent * (depth + 1)
         yield f'{{{nl}"counts": {_dict_text(self.counts, nl, indent)},{nl}"edges": '
         yield from edges_text(self.checks, indent, depth + 1)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -12,6 +13,8 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from twistor_spectra import cli, faults, spectra, verify
 from twistor_spectra.cli import main
@@ -862,6 +865,57 @@ class TestOutFile:
         captured = capsys.readouterr()
         assert captured.out == captured.err == printed.err == ""
         assert target.read_bytes() == printed.out.encode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--n", "4", "--r", "1", *REGION),
+        ("spectrum", "--n", "4"),
+        ("calibrate", "--n", "4"),
+    ], ids=["verify", "spectrum", "calibrate"])
+    def test_a_full_device_is_bad_output(self, capsys, argv):
+        # a write that fails is a usage error, not a verification failure
+        assert main([*argv, "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err == \
+            "bad output: --out /dev/full: No space left on device\n"
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--n", "4", "--format", "json"),
+        ("verify", "--n", "4", "--r", "1", *REGION),
+    ], ids=["spectrum", "verify"])
+    def test_a_failed_stdout_write_is_bad_output(self, capsys, monkeypatch, argv, failing):
+        # a buffered stream may fail only when it is flushed
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class FullStream:
+            write = flush = lambda self, *args: None
+        setattr(FullStream, failing, full)
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        assert main(list(argv)) == 2
+        assert capsys.readouterr().err == \
+            f"bad output: stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+# str cells and column names: quotes, backslashes, control characters, non-ASCII
+CELLS = st.text(st.one_of(st.sampled_from(',:{}[]"\\ '), st.characters(max_codepoint=0x1f),
+                          st.characters()), max_size=6)
+
+
+class TestRowsText:
+    @given(st.lists(CELLS, max_size=5).flatmap(lambda columns: st.tuples(
+        st.just(columns),
+        st.lists(st.lists(CELLS, min_size=len(columns), max_size=len(columns)),
+                 max_size=4))))
+    @example(([], []))
+    @example((["a", "b"], []))
+    @example((["b", "a", "b"], [["x", "y", "z"], ["\u00e9\n", '"\\', "\x00\U0001f600"]]))
+    def test_json_is_the_stdlib_text(self, table):
+        columns, rows = table
+        want = json.dumps({"schema_version": 1, "columns": columns,
+                           "rows": [dict(zip(columns, row)) for row in rows]},
+                          indent=2, sort_keys=True) + "\n"
+        assert cli._rows_text(rows, columns, "json") == want
 
 
 class TestStrictPaperFlag:

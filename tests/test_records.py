@@ -17,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from twistor_spectra._jsontext import IndentedEncoder
 from twistor_spectra.exact import GammaQuotient, ReducedValue
 from twistor_spectra.ktypes import (BadDimensionError, Direction, InterfaceSquare,
                                     KType, Params)
@@ -188,10 +187,11 @@ class TestTupleHazards:
                                      SuiteReport("x", [EdgeCheck(1, KT, None, None, "pass")])],
                              ids=["KType", "GammaQuotient", "EdgeCheck", "SuiteReport"])
     def test_json_writes_to_json(self, obj):
-        want = {"k": obj.to_json()}
-        assert json.loads(json.dumps({"k": obj}, cls=IndentedEncoder)) == want
-        assert json.dumps({"k": obj}, indent=2, sort_keys=True, cls=IndentedEncoder) == \
-            json.dumps(want, indent=2, sort_keys=True)
+        # the stdlib hands a record to ``default`` (a tuple it would write as
+        # an array), as the tests' reference for the report text relies on
+        want = json.dumps({"k": obj.to_json()}, indent=2, sort_keys=True)
+        assert json.dumps({"k": obj}, indent=2, sort_keys=True,
+                          default=lambda o: o.to_json()) == want
 
     def test_case2_matrices_read_the_fields_in_order(self):
         data = Case2Data(*map(Q, range(1, 8)))

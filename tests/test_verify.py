@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 import re
+import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -9,8 +11,7 @@ from conftest import dirac_l_table
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from twistor_spectra import faults, spectra
-from twistor_spectra._jsontext import CHUNK, IndentedEncoder
+from twistor_spectra import cli, faults, spectra
 from twistor_spectra.exact import format_rational
 from twistor_spectra.ktypes import (Direction, KType, Labels, Params,
                                     enumerate_ktypes, make_ktype)
@@ -18,7 +19,7 @@ from twistor_spectra.spectra import (SingularCoefficientError,
                                      block_coefficients, calibrate_L)
 from twistor_spectra.verify import (FAIL, INDETERMINATE, PASS, POLE,
                                     SKIP_DEGENERATE, SKIP_SINGULAR, ZERO,
-                                    EdgeCheck, SuiteReport, _case2_residuals,
+                                    EdgeCheck, _case2_residuals,
                                     edges_text,
                                     resolve_block_factor_reading,
                                     run_all_suites, verify_case2_relation,
@@ -329,7 +330,7 @@ class TestReportWriter:
                   Direction(1, -1), PASS, residuals={}),
     ]
 
-    def test_edge_text_is_the_stdlib_text(self):
+    def test_edge_text_is_the_stdlib_text(self, tmp_path):
         # detail, quantities, residuals, a null direction and a null target,
         # and the verdicts and skips of real windows
         edges = list(self.SHAPES)
@@ -343,15 +344,44 @@ class TestReportWriter:
         want = json.dumps([e.to_json() for e in edges], indent=2, sort_keys=True)
         assert "".join(edges_text(edges)) == want
         assert "".join(edges_text([])) == json.dumps([]) == "[]"
-        nested = {"a": {"b": [SuiteReport("s", edges[:40]), SuiteReport("empty")]}}
-        assert json.dumps(nested, indent=2, sort_keys=True, cls=IndentedEncoder) == \
-            json.dumps(nested, indent=2, sort_keys=True, default=lambda o: o.to_json())
+        # the whole verify report against the stdlib's text of its head and
+        # of each suite's to_json: with solved calibrations, with both skipped
+        # (and an empty interface suite), and with both unsolved under an
+        # armed DIRAC, each with its witness
+        params = Params(4, Q(1))
+        path = tmp_path / "report.json"
+        for window, site, kind in (((Q(-3, 2), Q(3, 2), Q(5, 2)), None, "consistent"),
+                                   ((Q(-9, 2), Q(9, 2), Q(1, 2)), None, "skipped"),
+                                   ((Q(-3, 2), Q(3, 2), Q(5, 2)), "DIRAC", "witness")):
+            argv = ["verify", "--n", "4", "--r", "1", "--out", str(path),
+                    *(f"--{flag}={format_rational(v)}"
+                      for flag, v in zip(("f-min", "f-max", "j-max"), window))]
+            with faults.inject(site) if site else contextlib.nullcontext():
+                cli.main(argv)
+                reports, _ = run_all_suites(params, list(enumerate_ktypes(params, *window)),
+                                            *window)
+            text = path.read_text(encoding="utf-8")
+            payload = dict(json.loads(text), suites=reports)
+            assert text == json.dumps(payload, indent=2, sort_keys=True,
+                                      default=lambda o: o.to_json()) + "\n"
+            assert len(payload["calibration"]) == 2
+            assert all(cal.get(kind) for cal in payload["calibration"].values())
 
-    def test_an_n8_slice_streams_in_bounded_chunks(self):
-        # every chunk of the largest grid slice's suites stays near CHUNK, so
-        # the report is never held as one string
-        payload = {"suites": slice_reports(8, Q(5, 2))}
-        sizes = [len(chunk) for chunk in IndentedEncoder(indent=2, sort_keys=True)
-                 .iterencode(payload)]
-        assert sum(sizes) > 40 * CHUNK
-        assert max(sizes) <= CHUNK + 4096
+    def test_an_n8_slice_streams_in_bounded_chunks(self, monkeypatch):
+        # every write of the largest grid slice's report stays near
+        # cli.CHUNK, so the report is never held as one string
+        writes = []
+        monkeypatch.setattr(sys, "stdout", RecordingFile(writes))
+        cli._emit(cli._report_pieces({"ok": True}, slice_reports(8, Q(5, 2))), None)
+        sizes = [len(text) for text in writes]
+        assert cli.CHUNK == 1 << 16 and sum(sizes) > 40 * cli.CHUNK
+        # batched: every write but the last holds at least CHUNK characters
+        assert min(sizes[:-1]) >= cli.CHUNK and max(sizes) <= cli.CHUNK + 4096
+        assert json.loads("".join(writes))["ok"] is True
+
+
+class RecordingFile:
+    """A text stream that keeps what each write was given."""
+
+    def __init__(self, writes):
+        self.write, self.flush = writes.append, lambda: None
