@@ -4,8 +4,9 @@ Subcommands: spectrum, block, neighbors, verify, calibrate.  Output is a
 pure function of the flags: deterministic row order, exact values printed as
 p/q, numerics with 15 significant digits, poles printed as POLE.  JSON output
 is byte-identical to ``json.dumps(obj, indent=2, sort_keys=True)``, written as
-its fixed shape: a ``--format json`` table is one string; only the verify
-report is streamed, its suites' texts spliced into the stdlib's text of its
+its fixed shape.  CSV and JSON tables are streamed, one piece per row as the
+rows are made; a table holds its rows, for its column widths.  The verify
+report is streamed too, its suites' texts spliced into the stdlib's text of its
 head.  Every output goes through :func:`_emit`.  Exit codes: 0 success, 1
 verification failure, 2 usage error.  Bad input (a malformed label or a zero
 denominator, named with its flag, an empty or unwritable ``--out`` path, a
@@ -19,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
+from types import SimpleNamespace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .exact import format_rational, rational
@@ -225,21 +227,23 @@ def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
         raise UsageError(f"bad output: {where}: {exc.strerror or exc}") from None
 
 
-def _rows_text(rows: Sequence[tuple], columns: Sequence[str], fmt: str) -> str:
-    """Rows of str cells in ``columns`` order as a table, CSV or JSON (one object per row)."""
+def _rows_text(rows: Iterable[tuple], columns: Sequence[str], fmt: str) -> Iterable[str]:
+    """Rows of str cells in ``columns`` order as a table, CSV or JSON (one object
+    per row), in pieces for :func:`_emit`: CSV and JSON give one piece per row
+    as each is drawn; a table holds its rows, since its widths need them all."""
     if fmt == "json":
         return _rows_json(rows, columns)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        return buf.getvalue()
+        # the stdlib's quoting, one row's text per piece: ``writerow`` returns
+        # what its file's ``write`` returns, here the row's text itself
+        writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+        return map(writerow, chain((columns,), rows))
+    rows = list(rows)
     widths = [max([len(c), *(len(row[i]) for row in rows)]) for i, c in enumerate(columns)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)),
              "  ".join("-" * w for w in widths)]
     lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows]
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 def _array(items: Sequence[str], nl: str) -> str:
@@ -247,17 +251,21 @@ def _array(items: Sequence[str], nl: str) -> str:
     return f"[{nl}{(',' + nl).join(items)}{nl[:-2]}]" if items else "[]"
 
 
-def _rows_json(rows: Sequence[tuple], columns: Sequence[str]) -> str:
+def _rows_json(rows: Iterable[tuple], columns: Sequence[str]) -> Iterator[str]:
     """``json.dumps({"schema_version": 1, "columns": columns, "rows": [dict(zip(columns,
-    row)) for row in rows]}, indent=2, sort_keys=True)`` and a newline, for str cells."""
+    row)) for row in rows]}, indent=2, sort_keys=True)`` and a newline, for str cells:
+    the head, one piece per row, the tail."""
     nl = "\n    "
     # a row object holds each name once, at its last column, keys sorted
     keys = sorted(dict(zip(columns, range(len(columns)))).items())
     fields = [(f"{nl}  {_string(name)}: ", i) for name, i in keys]
-    objects = ["{" + ",".join(key + _string(row[i]) for key, i in fields) + nl + "}"
-               if fields else "{}" for row in rows]
-    return (f'{{\n  "columns": {_array([_string(c) for c in columns], nl)},\n  "rows": '
-            f'{_array(objects, nl)},\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
+    yield f'{{\n  "columns": {_array([_string(c) for c in columns], nl)},\n  "rows": ['
+    sep = nl
+    for row in rows:
+        yield sep + ("{" + ",".join(key + _string(row[i]) for key, i in fields) + nl + "}"
+                     if fields else "{}")
+        sep = "," + nl
+    yield f'{"]" if sep == nl else nl[:-2] + "]"},\n  "schema_version": {SCHEMA_VERSION}\n}}\n'
 
 
 def _check_size(params: Params, f_min: Fraction, f_max: Fraction, j_max: Fraction,
@@ -292,7 +300,7 @@ def cmd_spectrum(args) -> int:
     if not keys:
         raise _empty_window(f_min, f_max, j_max)
     try:
-        rows = list(spectrum_rows(params, keys))
+        rows = spectrum_rows(params, keys)
     except OverflowError as exc:        # log-gammas past lgamma's range cancel
         raise UsageError(f"bad region: {exc}, z_numeric cannot be formed") from None
     _emit(_rows_text(rows, SPECTRUM_COLUMNS, args.format), args.out)
@@ -334,9 +342,9 @@ def cmd_neighbors(args) -> int:
     text = _rows_text(rows, ("dj", "df=-1", "df=+1"), args.format)
     if kt.multiplicity == 2 and kt.j >= Fraction(3, 2) and args.format == "table":
         sq = interface_square(kt)
-        text += ("interface square:\n"
-                 f"  alpha1 = {sq.alpha1.label()}\n  alpha2 = {sq.alpha2.label()}\n"
-                 f"  beta1  = {sq.beta1.label()}\n  beta2  = {sq.beta2.label()}\n")
+        text = chain(text, ["interface square:\n"
+                            f"  alpha1 = {sq.alpha1.label()}\n  alpha2 = {sq.alpha2.label()}\n"
+                            f"  beta1  = {sq.beta1.label()}\n  beta2  = {sq.beta2.label()}\n"])
     _emit(text, args.out)
     return 0
 
@@ -453,9 +461,9 @@ def cmd_calibrate(args) -> int:
             for (j, eps), val in result.table.items()]
     text = _rows_text(rows, ("j", "eps", "L"), args.format)
     if args.format == "table":
-        text += (f"constraints: {result.difference_edges}, "
-                 f"unconstraining: {result.unconstraining_edges}, "
-                 f"consistent: {result.consistent}\n")
+        text = chain(text, [f"constraints: {result.difference_edges}, "
+                            f"unconstraining: {result.unconstraining_edges}, "
+                            f"consistent: {result.consistent}\n"])
     _emit(text, args.out)
     return 0 if result.consistent else 1
 

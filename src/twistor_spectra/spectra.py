@@ -500,42 +500,50 @@ SPECTRUM_COLUMNS = ("xi", "f", "j", "q", "eps", "mult", "z_rel", "z_base",
 
 
 def spectrum_rows(params: Params, keys: Sequence[Key]) -> Iterator[tuple]:
-    """One row of :data:`SPECTRUM_COLUMNS` cells per label key, on integers: f
-    and J (:meth:`Labels.spectral_J`) on one scale, one z per (f, J, s) from its
-    :func:`z_forms`, each z_rel chained by :class:`ZChains`, and each block
-    read from the kernel past its table, which a tabulation would fill and
-    never hit.  A z whose log-gammas cancel past lgamma's range raises
-    ``OverflowError`` naming its row."""
+    """An iterator of :data:`SPECTRUM_COLUMNS` rows of str cells, one per
+    label key, on integers: f and J (:meth:`Labels.spectral_J`) on one scale,
+    one z per (f, J, s) from its :func:`z_forms`, each z_rel chained by
+    :class:`ZChains`, and each block read from the kernel past its table,
+    which a tabulation would fill and never hit.
+
+    What can raise is done at the call, in key order: every J, and every
+    distinct z (a z whose log-gammas cancel past lgamma's range raises
+    ``OverflowError`` naming its row).  The rows are lazy; each block is
+    read as its row is drawn, and nothing keeps a row once it is given."""
     labels = Labels(params)
     r, scale = params.r, labels.scale
     chains = ZChains(r, scale)
-    block = _block_coeffs.__wrapped__
-    texts = {k: format_ratio(k, 2) for k in {h for key in keys for h in key[1:3]}}
     z_cells: Dict[Tuple[int, int, int], Tuple[str, str, str]] = {}
     for xi, f2, j2, q, eps in keys:
-        F, J = f2 * (scale // 2), labels.spectral_J(j2, eps)
-        head = (str(xi), texts[f2], texts[j2], str(q), str(eps))
-        if q:
-            s = xi * eps
-            cells = z_cells.get((F, J, s))
-            if cells is None:       # the xi = +-1 rows of one (f, J, s) share z
-                prefactor, pq = z_forms(r, scale, F, J, s)
-                label = lambda: KType(xi, Fraction(f2, 2), Fraction(j2, 2), q, eps).label()
-                try:
-                    numeric = f"{pq_numeric(prefactor, pq):.15g}"
-                except GammaPoleError:
-                    numeric = "POLE"
-                except OverflowError as exc:
-                    raise OverflowError(f"{label()}: {exc}") from None
-                cells = z_cells[F, J, s] = (*chains.relative(F, J, s, pq, label), numeric)
-            yield (*head, "1", *cells, "", "", "", "", "")
-            continue
-        coeffs = block(*_block_point(params, scale, F, J, xi, eps))
-        if isinstance(coeffs, str):
-            yield (*head, "2", "", "", "", "", "", "", "", f"SINGULAR({coeffs})")
-        else:
-            *nums, den = coeffs
-            yield (*head, "2", "", "", "", *(format_ratio(c, den) for c in nums), "")
+        F, J, s = f2 * (scale // 2), labels.spectral_J(j2, eps), xi * eps
+        if q and (F, J, s) not in z_cells:     # the xi = +-1 rows of one (f, J, s) share z
+            prefactor, pq = z_forms(r, scale, F, J, s)
+            label = lambda: KType(xi, Fraction(f2, 2), Fraction(j2, 2), q, eps).label()
+            try:
+                numeric = f"{pq_numeric(prefactor, pq):.15g}"
+            except GammaPoleError:
+                numeric = "POLE"
+            except OverflowError as exc:
+                raise OverflowError(f"{label()}: {exc}") from None
+            z_cells[F, J, s] = (*chains.relative(F, J, s, pq, label), numeric)
+    block = _block_coeffs.__wrapped__
+    texts = {k: format_ratio(k, 2) for k in {h for key in keys for h in key[1:3]}}
+
+    def rows() -> Iterator[tuple]:
+        for xi, f2, j2, q, eps in keys:
+            F, J = f2 * (scale // 2), labels.spectral_J(j2, eps)
+            head = (str(xi), texts[f2], texts[j2], str(q), str(eps))
+            if q:
+                yield (*head, "1", *z_cells[F, J, xi * eps], "", "", "", "", "")
+                continue
+            coeffs = block(*_block_point(params, scale, F, J, xi, eps))
+            if isinstance(coeffs, str):
+                yield (*head, "2", "", "", "", "", "", "", "", f"SINGULAR({coeffs})")
+            else:
+                *nums, den = coeffs
+                yield (*head, "2", "", "", "", *(format_ratio(c, den) for c in nums), "")
+
+    return rows()
 
 
 class Block(NamedTuple):

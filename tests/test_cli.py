@@ -9,8 +9,10 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as Q
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -20,8 +22,8 @@ from twistor_spectra import cli, faults, spectra, verify
 from twistor_spectra.cli import main
 from twistor_spectra.exact import (GammaQuotient, NonCommensurableError, pq_ratio,
                                    ratio_tagged)
-from twistor_spectra.ktypes import Params, enumerate_ktypes
-from twistor_spectra.spectra import z_for
+from twistor_spectra.ktypes import KType, Labels, Params, enumerate_ktypes, window_keys
+from twistor_spectra.spectra import SPECTRUM_COLUMNS, spectrum_rows, z_for
 
 REGION = ["--f-min=-3/2", "--f-max", "3/2", "--j-max", "5/2"]
 
@@ -915,7 +917,97 @@ class TestRowsText:
         want = json.dumps({"schema_version": 1, "columns": columns,
                            "rows": [dict(zip(columns, row)) for row in rows]},
                           indent=2, sort_keys=True) + "\n"
-        assert cli._rows_text(rows, columns, "json") == want
+        assert "".join(cli._rows_text(rows, columns, "json")) == want
+
+
+# the benchmark's wide tabulation window: 8400 K-types
+TABULATE = ("--f-min=-99/2", "--f-max=99/2", "--j-max=21/2")
+
+
+def tabulate_keys(n, r):
+    params = Params(n, r)
+    return params, window_keys(params, Q(-99, 2), Q(99, 2), Q(21, 2), (0, 1), (1, -1), (1, -1))
+
+
+class TestStreamedTables:
+    """csv and json spectrum tables are written as their rows are made."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n, r", [(8, Q(7, 3)), (4, Q(1, 2))])
+    def test_a_wide_table_streams_in_bounded_chunks(self, monkeypatch, n, r, fmt):
+        params, keys = tabulate_keys(n, r)
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append,
+                                                            flush=lambda: None))
+        cli._emit(cli._rows_text(spectrum_rows(params, keys), SPECTRUM_COLUMNS, fmt), None)
+        sizes = [len(text) for text in writes]
+        assert sum(sizes) > 5 * cli.CHUNK
+        # batched: every write but the last holds at least CHUNK characters
+        assert min(sizes[:-1]) >= cli.CHUNK and max(sizes) <= cli.CHUNK + 4096
+        rows = list(spectrum_rows(params, keys))
+        assert len(rows) == len(keys) == 8400
+        if fmt == "csv":
+            want = io.StringIO()
+            writer = csv.writer(want, lineterminator="\n")
+            writer.writerow(SPECTRUM_COLUMNS)
+            writer.writerows(rows)
+            want = want.getvalue()
+        else:
+            want = json.dumps({"schema_version": 1, "columns": list(SPECTRUM_COLUMNS),
+                               "rows": [dict(zip(SPECTRUM_COLUMNS, row)) for row in rows]},
+                              indent=2, sort_keys=True) + "\n"
+        assert "".join(writes) == want
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_an_overflow_on_the_last_z_writes_nothing(self, capsys, monkeypatch, tmp_path,
+                                                       to_file):
+        # the window's last distinct z fails, after more than CHUNK characters
+        # of rows: the error is raised before the first write
+        params, keys = tabulate_keys(4, Q(1, 2))
+        labels, cells = Labels(params), {}
+        for i, (xi, f2, j2, q, eps) in enumerate(keys):
+            if q and cells.setdefault((f2, labels.spectral_J(j2, eps), xi * eps), i) == i:
+                last = i
+        earlier = cli._rows_text(list(spectrum_rows(params, keys))[:last], SPECTRUM_COLUMNS,
+                                 "csv")
+        assert len("".join(earlier)) > cli.CHUNK
+        numeric, calls = spectra.pq_numeric, []
+
+        def overflowing(prefactor, pq):
+            calls.append(pq)
+            if len(calls) == len(cells):
+                raise OverflowError("past lgamma")
+            return numeric(prefactor, pq)
+
+        monkeypatch.setattr(spectra, "pq_numeric", overflowing)
+        out_path = tmp_path / "out"
+        code = main(["spectrum", "--n=4", "--r=1/2", *TABULATE, "--format", "csv",
+                     *(["--out", str(out_path)] if to_file else [])])
+        captured = capsys.readouterr()
+        assert code == 2 and len(calls) == len(cells)
+        assert captured.out == ""
+        xi, f2, j2, q, eps = keys[last]
+        assert captured.err == (f"bad region: {KType(xi, Q(f2, 2), Q(j2, 2), q, eps).label()}: "
+                                "past lgamma, z_numeric cannot be formed\n")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_tabulation_holds_less_than_its_rows(self, tmp_path, fmt):
+        # a tabulation's traced peak stays below what its rows alone take
+        params, keys = tabulate_keys(8, Q(7, 3))
+        argv = ["spectrum", "--n=8", "--r=7/3", *TABULATE, "--format", fmt,
+                "--out", str(tmp_path / "table")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+            before = tracemalloc.get_traced_memory()[0]
+            rows = list(spectrum_rows(params, keys))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 8400
+        assert peak < held
 
 
 class TestStrictPaperFlag:
