@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import faults
-from .exact import RationalLike, format_rational, rational
+from .exact import Frozen, RationalLike, format_rational, rational
 
 HALF = Fraction(1, 2)
 
@@ -73,7 +73,7 @@ class InvalidWeightError(ValueError):
     """Label violates the weight lattice constraints."""
 
 
-class Params:
+class Params(Frozen):
     """Global configuration: dimension n, half-order r, circle weight lattice
     (``"half"``: f in Z + 1/2, ``"int"``: f in Z), and the variant of the
     closed forms (``strict_paper``: the misprinted ones).  Immutable."""
@@ -92,35 +92,13 @@ class Params:
         object.__setattr__(self, "f_lattice", f_lattice)
         object.__setattr__(self, "strict_paper", strict_paper)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _astuple(self) -> tuple:
-        return self.n, self.r, self.f_lattice, self.strict_paper
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __repr__(self):
-        return "Params(n=%r, r=%r, f_lattice=%r, strict_paper=%r)" % self._astuple()
-
-    def __reduce__(self):
-        return Params, self._astuple()
-
     def on_f_lattice(self, f: Fraction) -> bool:
         if self.f_lattice == "half":
             return (f - HALF).denominator == 1
         return f.denominator == 1
 
 
-class KType:
+class KType(Frozen):
     """Isotypic summand label (xi; f; j, q, eps), immutable."""
 
     __slots__ = ("xi", "f", "j", "q", "eps")
@@ -131,28 +109,6 @@ class KType:
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "eps", eps)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _astuple(self) -> tuple:
-        return self.xi, self.f, self.j, self.q, self.eps
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __repr__(self):
-        return "KType(xi=%r, f=%r, j=%r, q=%r, eps=%r)" % self._astuple()
-
-    def __reduce__(self):
-        return KType, self._astuple()
 
     @property
     def multiplicity(self) -> int:

@@ -13,7 +13,7 @@ eight-gamma product w(r; f, J, s) = z(r; f, J-1, s) * z(r; f, J+1, s); its
 exact ratios across diagram edges reproduce the determinant-quotient matrix
 entry by entry.  The suites take such ratios with ``z_product`` (the
 multiplicity-two suite on ``w_terms``), from the quotients' gamma arguments
-(``_z_gammas``) and never from the closed forms' ``_corner_pairs``: each
+(``_Z_GAMMAS``) and never from the closed forms' ``_corner_pairs``: each
 pattern is telescoped once over (f, J, r), by the rule ``exact.telescope``
 states, and evaluated on the integer terms of a run's label records, as an
 unreduced int ratio (``exact.Tagged``), once per distinct ratio in a run
@@ -56,7 +56,7 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 
 from . import faults
 from .exact import (GammaPoleError, GammaQuotient, NonCommensurableError,
-                    RationalLike, Tagged, format_ratio, format_rational,
+                    RationalLike, Record, Tagged, format_ratio, format_rational,
                     pq_classes, pq_numeric, pq_ratio, rational, telescope)
 from .ktypes import (Direction, Key, KType, Label, Labels, Params, f2_range,
                      j2_range, spectral_args)
@@ -115,11 +115,7 @@ class EmptyWindowError(InconsistentSystemError):
     """The calibration window holds no (j, eps) class or no circle weight."""
 
 
-def _z_gammas(s: int):
-    """(s/2, args): z(r; f, J, s) = s/2 prod Gamma((A f + B J + C r + K)/4)**e over args."""
-    return _Z_GAMMAS[s]
-
-
+# s -> (s/2, args): z(r; f, J, s) = s/2 prod Gamma((A f + B J + C r + K)/4)**e over args
 _Z_GAMMAS = {s: (Fraction(s, 2), ((2, 2, 2, 2 - s, 1), (-2, 2, 2, 2 + s, 1),
                                   (2, 2, -2, 2 + s, -1), (-2, 2, -2, 2 - s, -1)))
              for s in (1, -1)}
@@ -129,7 +125,7 @@ _Z_GAMMAS = {s: (Fraction(s, 2), ((2, 2, 2, 2 - s, 1), (-2, 2, 2, 2 + s, 1),
 def _z_cached(r: Fraction, f: Fraction, J: Fraction, s: int) -> GammaQuotient:
     d = lcm(f.denominator, J.denominator, r.denominator)
     x, y, z = (v.numerator * (d // v.denominator) for v in (f, J, r))
-    prefactor, args = _z_gammas(s)
+    prefactor, args = _Z_GAMMAS[s]
     return GammaQuotient(prefactor, [(Fraction(A * x + B * y + C * z + K * d, 4 * d), e)
                                      for A, B, C, K, e in args])
 
@@ -141,7 +137,7 @@ def z_forms(r: Fraction, scale: int, F: int, J: int, s: int) -> Tuple[Fraction, 
     scale rd) / (4 scale rd), equal arguments merged, zero exponents dropped,
     sorted by value and each reduced by its gcd.
     """
-    prefactor, args = _z_gammas(s)
+    prefactor, args = _Z_GAMMAS[s]
     rn, rd = r.numerator, r.denominator
     x, y, z, k = F * rd, J * rd, rn * scale, scale * rd
     w = 4 * k                       # one positive denominator: sort on the numerators
@@ -219,7 +215,7 @@ def _ratio_template(scale: int, pattern: tuple) -> tuple:
     step = 4 * scale                # 1 in units of K
     classes: Dict[tuple, list] = {}
     for dF, dJ, s, e in pattern:
-        pre, args = _z_gammas(s)
+        pre, args = _Z_GAMMAS[s]
         prefactor *= pre ** e
         for A, B, C, K, sign in args:
             K = K * scale + A * dF + B * dJ
@@ -298,7 +294,7 @@ class ZChains:
         base = self._bases.get(classes)
         step = 4 * self.scale
         template = tuple((K * self.scale + A * F + B * J) % step
-                         for A, B, _, K, _ in _z_gammas(s)[1])
+                         for A, B, _, K, _ in _Z_GAMMAS[s][1])
         prev = self._last.get(template)
         if base is None:
             base = self._bases[classes] = (label(), s, pq)
@@ -605,7 +601,7 @@ def first_order_block(params: Params, center: KType
 # calibration of the divergence-part eigenvalue
 # ---------------------------------------------------------------------------
 
-class CalibrationResult:
+class CalibrationResult(Record):
     """Solved divergence eigenvalues plus the evidence for their constraints.
 
     ``table`` maps (j, eps) to L.  ``difference_edges`` counts the quotient
@@ -616,24 +612,11 @@ class CalibrationResult:
     """
 
     __slots__ = ("table", "difference_edges", "unconstraining_edges", "probe")
-    __hash__ = None     # mutable
 
     def __init__(self, table: Dict[Tuple[Fraction, int], Fraction], difference_edges: int,
                  unconstraining_edges: int, probe: Optional[dict]):
         self.table, self.difference_edges = table, difference_edges
         self.unconstraining_edges, self.probe = unconstraining_edges, probe
-
-    def _astuple(self) -> tuple:
-        return self.table, self.difference_edges, self.unconstraining_edges, self.probe
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self):
-        return ("CalibrationResult(table=%r, difference_edges=%r, unconstraining_edges=%r, "
-                "probe=%r)" % self._astuple())
 
     @property
     def consistent(self) -> bool:

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
-from .exact import NonCommensurableError, format_ratio, format_rational
+from .exact import Frozen, NonCommensurableError, Record, format_ratio, format_rational
 from .ktypes import (Direction, KType, Label, Labels, Params, partner_keys,
                      spectral_args)
 from .operators import _d33, case1_ints, case2_ints, det2, relation_matrices
@@ -69,7 +69,7 @@ CONVENTION = {
 }
 
 
-class EdgeCheck:
+class EdgeCheck(Frozen):
     """One verified edge (or square) with its verdict, immutable.
 
     Quantities are recorded for the transition-matrix suites on every edge
@@ -93,30 +93,6 @@ class EdgeCheck:
         object.__setattr__(self, "quantities", quantities)
         object.__setattr__(self, "residuals", residuals)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _astuple(self) -> tuple:
-        return (self.case, self.center, self.neighbor, self.direction, self.verdict,
-                self.detail, self.quantities, self.residuals)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __repr__(self):
-        return ("EdgeCheck(case=%r, center=%r, neighbor=%r, direction=%r, verdict=%r, "
-                "detail=%r, quantities=%r, residuals=%r)" % self._astuple())
-
-    def __reduce__(self):
-        return EdgeCheck, self._astuple()
-
     def to_json(self) -> dict:
         out = {
             "case": self.case,
@@ -134,24 +110,15 @@ class EdgeCheck:
         return out
 
 
-class SuiteReport:
+class SuiteReport(Record):
     """One suite's checks, in the order it walked them; ``checks`` is a new
     list unless one is given."""
 
     __slots__ = ("suite", "checks")
-    __hash__ = None     # mutable
 
     def __init__(self, suite: str, checks: Optional[List[EdgeCheck]] = None):
         self.suite = suite
         self.checks = [] if checks is None else checks
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.suite, self.checks) == (other.suite, other.checks)
-
-    def __repr__(self):
-        return f"SuiteReport(suite={self.suite!r}, checks={self.checks!r})"
 
     @property
     def counts(self) -> Dict[str, int]:

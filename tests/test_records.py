@@ -1,10 +1,12 @@
 """The library's record types: what each one promises to callers.
 
 Plain field bags are ``NamedTuple``s; types that validate, normalise, write
-themselves to JSON or are mutable are ``__slots__`` classes.  Either way a
-record keeps its field order, keyword construction, defaults, equality,
-hashing (for the immutable ones), immutability and repr text, and the
-package imports without ``dataclasses``.
+themselves to JSON or are mutable are ``__slots__`` classes, which take their
+equality, repr, hashing, pickling and immutability from one base
+(``exact.Record``, ``exact.Frozen``).  Either way a record keeps its field
+order, keyword construction, defaults, equality, hashing (for the immutable
+ones), immutability and repr text, and the package imports without
+``dataclasses``.
 """
 import copy
 import json
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from twistor_spectra.exact import GammaQuotient, ReducedValue
+from twistor_spectra.exact import Frozen, GammaQuotient, Record, ReducedValue
 from twistor_spectra.ktypes import (BadDimensionError, Direction, InterfaceSquare,
                                     KType, Params)
 from twistor_spectra.operators import Case1Data, Case2Data, Case3Data, relation_matrices
@@ -110,6 +112,22 @@ class TestEveryRecord:
             assert type(twin) is cls and twin == obj
 
 
+SLOTS_RECORDS = [(cls, names, frozen) for cls, names, _, frozen in RECORDS
+                 if not issubclass(cls, tuple)]
+
+
+@pytest.mark.parametrize("cls, names, frozen", SLOTS_RECORDS,
+                         ids=[cls.__name__ for cls, *_ in SLOTS_RECORDS])
+def test_slots_records_take_their_methods_from_the_base(cls, names, frozen):
+    # one code path: the base reads the public slots, and no record spells
+    # out its own copy of what the base gives
+    assert issubclass(cls, Frozen) is frozen and issubclass(cls, Record)
+    assert cls._fields == names
+    own = {"_astuple", "__eq__", "__hash__", "__repr__", "__reduce__",
+           "__setattr__", "__delattr__"} & set(vars(cls))
+    assert own == set()
+
+
 class TestDefaults:
 
     def test_defaults(self):
@@ -172,6 +190,10 @@ class TestGammaQuotient:
         with pytest.raises(AttributeError):
             GQ._pq = ()
         assert "_pq" not in repr(GQ)
+
+    def test_pq_survives_pickle_and_copy(self):
+        for twin in (pickle.loads(pickle.dumps(GQ)), copy.copy(GQ), copy.deepcopy(GQ)):
+            assert twin._pq == GQ._pq == ((1, 2, -1), (3, 2, 1))
 
 
 class TestTupleHazards:

@@ -202,7 +202,7 @@ def per_argument_template(scale, pattern):
     step = 4 * scale
     classes = {}
     for dF, dJ, s, e in pattern:
-        pre, args = spectra._z_gammas(s)
+        pre, args = spectra._Z_GAMMAS[s]
         prefactor *= pre ** e
         for A, B, C, K, sign in args:
             K = K * scale + A * dF + B * dJ
