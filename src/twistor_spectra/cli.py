@@ -30,14 +30,15 @@ from json.encoder import encode_basestring_ascii as _string
 from types import SimpleNamespace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
-from .exact import format_rational, rational
-from .ktypes import (BadDimensionError, InvalidWeightError, KType, Params,
+from . import faults
+from .exact import format_ratio, format_rational, pq_json, rational
+from .ktypes import (BadDimensionError, InvalidWeightError, KType, Labels, Params,
                      enumerate_ktypes, f2_range, interface_square, j2_range,
                      make_ktype, window_keys)
 from .spectra import (SPECTRUM_COLUMNS, EmptyWindowError, InconsistentSystemError,
-                      SingularCoefficientError, block2x2, calibrate_L,
-                      mult1_quotient_matrix, mult2_det_quotient_matrix,
-                      first_order_block, spectrum_rows)
+                      block_ints, calibrate_L, mult1_quotient_matrix,
+                      mult2_det_quotient_matrix, first_order_block, spectrum_rows,
+                      z_forms)
 from .verify import CONVENTION, SuiteReport, run_all_suites, resolve_block_factor_reading
 
 SCHEMA_VERSION = 1
@@ -308,16 +309,21 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_block(args) -> int:
+    """``block2x2`` on ints: ``block_ints``, and the factor z(r; f+1, J, s) as
+    ``pq_json`` of its ``z_forms`` triples."""
     params = _params(args)
     kt = _label_arg(params, args, 0)
-    rows = []
-    try:
-        block = block2x2(params, kt)
-        rows += [(name, format_rational(c))
-                 for name, c in zip(("b11", "b12", "b21", "b22"), block.coefficients)]
-        rows.append(("shared_factor", json.dumps(block.factor.to_json(), sort_keys=True)))
-    except SingularCoefficientError as exc:
-        rows.append(("block", f"SINGULAR({exc.which})"))
+    labels = Labels(params)
+    label, d = labels.of(kt), labels.scale
+    coeffs = block_ints(labels, label)
+    if isinstance(coeffs, str):
+        rows = [("block", f"SINGULAR({coeffs})")]
+    else:
+        *nums, den = coeffs
+        rows = [(name, format_ratio(num, den))
+                for name, num in zip(("b11", "b12", "b21", "b22"), nums)]
+        factor = pq_json(*z_forms(params.r, d, label.F + d, label.J, label.s))
+        rows.append(("shared_factor", json.dumps(factor, sort_keys=True)))
     if params.r == Fraction(1, 2):
         fo = first_order_block(params, kt)
         rows += [(f"order_one_block({i + 1},{k + 1})/i", format_rational(fo[i][k]))
@@ -469,7 +475,9 @@ def cmd_calibrate(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; its exit code, 2 for any :class:`UsageError`."""
+    """Run one subcommand; its exit code, 2 for any :class:`UsageError`.  It
+    first empties the r-keyed tables (``faults.start_run``)."""
+    faults.start_run()
     args = _parser().parse_args(argv)
     try:
         _check_out(args.out)

@@ -22,11 +22,12 @@ integers, and a finite value is the limit with every argument shifted by one
 small amount.  :func:`gamma_classes` keys the commensurability classes.
 
 A quotient's canonical factors are also kept as integer (p, q, exp) triples,
-``GammaQuotient._pq``, and the class key, the exact ratio and the one numeric
-evaluation are kernels on such triples (:func:`pq_classes`, :func:`pq_ratio`,
-:func:`pq_numeric`): :func:`gamma_classes`, :func:`ratio_tagged` and
-:func:`evaluate_numeric` call them on quotients, and ``spectrum`` calls them
-on the triples ``spectra.z_forms`` builds from integers, with no quotient.
+``GammaQuotient._pq``, and the class key, the exact ratio, the one numeric
+evaluation and the JSON form are kernels on such triples (:func:`pq_classes`,
+:func:`pq_ratio`, :func:`pq_numeric`, :func:`pq_json`): :func:`gamma_classes`,
+:func:`ratio_tagged`, :func:`evaluate_numeric` and ``GammaQuotient.to_json``
+call them on quotients, and ``spectrum`` and ``block`` call them on the
+triples ``spectra.z_forms`` builds from integers, with no quotient.
 
 The library's ``__slots__`` records share one base: a :class:`Record`'s fields
 are its public slots, in order, and :class:`Frozen` adds hashing, pickling
@@ -38,7 +39,10 @@ raising.  The values here are immutable, but the library is not safe for
 unrestricted concurrent use: the fault offsets armed by ``faults.inject`` and
 the memo tables in ``faults._TABLES`` are process-global.  Threads may share
 the tables only while no fault is armed; a fault armed in one thread perturbs
-every other thread's results and empties the tables under all of them.
+every other thread's results and empties the tables under all of them.  A
+command's start (``faults.start_run``) empties the r-keyed tables under other
+threads too; their values stay correct, since every memo is pure and a
+table emptied mid-run only makes its next lookups recompute.
 """
 from __future__ import annotations
 
@@ -61,6 +65,7 @@ __all__ = [
     "pq_ratio",
     "gamma_classes",
     "pq_classes",
+    "pq_json",
     "reduce_exact",
     "evaluate_numeric",
     "pq_numeric",
@@ -212,11 +217,7 @@ class GammaQuotient(Frozen):
         return bool(self.zero_arguments())
 
     def to_json(self) -> dict:
-        return {
-            "prefactor": format_rational(self.prefactor),
-            "phase": 0,     # i enters by convention only; the field keeps the schema
-            "factors": [{"arg": format_rational(a), "exp": e} for a, e in self.factors],
-        }
+        return pq_json(self.prefactor, self._pq)
 
 
 class ReducedValue(NamedTuple):
@@ -380,6 +381,16 @@ def _log_abs_gamma(p: int, q: int) -> Tuple[float, int]:
     log_sin = (math.log(math.sin(math.pi * (a / q))) if a << 30 > q
                else _LOG_PI + math.log(a) - math.log(q))
     return _LOG_PI - log_sin - _lgamma((q - p) / q), sign
+
+
+def pq_json(prefactor: Fraction, pq: Iterable[Tuple[int, int, int]]) -> dict:
+    """``prefactor * prod Gamma(p/q)**exp`` over canonical (p, q, exp) triples as
+    JSON data: the kernel of ``GammaQuotient.to_json``."""
+    return {
+        "prefactor": format_rational(prefactor),
+        "phase": 0,     # i enters by convention only; the field keeps the schema
+        "factors": [{"arg": format_ratio(p, q), "exp": e} for p, q, e in pq],
+    }
 
 
 def pq_numeric(prefactor: Fraction, pq: Iterable[Tuple[int, int, int]]) -> float:

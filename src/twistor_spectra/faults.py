@@ -1,4 +1,4 @@
-"""Deliberate perturbation hooks, and the library's one kind of memo table.
+"""Deliberate perturbation hooks, and the library's memo tables.
 
 The verification suites are only trustworthy if a wrong coefficient anywhere
 actually flips a verdict.  Formula sites route their constants through
@@ -8,6 +8,10 @@ scale`` added, so the offset moves the value itself.  Production code never
 arms anything.  Every table is a :func:`memo`, and arming or disarming a site
 empties them all, so armed runs use the production tables and no perturbed
 value outlives its fault.
+
+The tables keyed on r are :func:`run_memo` tables and live for one command:
+``cli.main`` empties them as a command starts (:func:`start_run`).  The
+label tables and ``spectra._ratio_template`` live as long as the process.
 
 Sites: ``C1``-``C6`` (block coefficient factors), ``D11``-``D22`` and ``D33``
 (operator block entries), ``Q1``/``Q2`` (quotient-matrix numerators),
@@ -24,6 +28,7 @@ from typing import Callable, Dict, Iterator, List, Union
 
 _ACTIVE: Dict[str, Fraction] = {}
 _TABLES: List[Callable] = []        # every memo table, in declaration order
+_RUN_TABLES: List[Callable] = []    # the run_memo ones, emptied by start_run
 
 # Every site that calls bump() registers its name here so tests can sweep
 # the whole catalogue.
@@ -47,15 +52,31 @@ def memo(fn: Callable) -> Callable:
     """Unbounded ``lru_cache`` of ``fn``, returned as is and listed in ``_TABLES``.
 
     A table may hold values that passed a :func:`bump` site, so
-    :func:`inject` empties every table on arming and on disarming.  The
-    label tables (``label_dirac``, ``_d_entries``) are keyed on n and label
-    values, never on r, so a long-lived process holds at most one entry per
-    label; those in ``spectra`` are keyed on r, but ``_ratio_template`` on a
-    pattern.
+    :func:`inject` empties every table on arming and on disarming.  A plain
+    memo lives as long as the process: the label tables (``label_dirac``,
+    ``_d_entries``) are keyed on n and label values, never on r, so a
+    long-lived process holds at most one entry per label, and
+    ``_ratio_template`` is keyed on a pattern.
     """
     table = lru_cache(maxsize=None)(fn)
     _TABLES.append(table)
     return table
+
+
+def run_memo(fn: Callable) -> Callable:
+    """A :func:`memo` keyed on r (``spectra``'s ``_z_cached``, ``_w_cached``,
+    ``_corner_pairs``, ``_block_coeffs``), which :func:`start_run` empties too."""
+    table = memo(fn)
+    _RUN_TABLES.append(table)
+    return table
+
+
+def start_run() -> None:
+    """Empty the :func:`run_memo` tables, and no other, as a command starts, so
+    a long-lived process holds only the last command's r-keyed entries (and
+    can still read its ``cache_info()``).  An armed fault stays armed."""
+    for table in _RUN_TABLES:
+        table.cache_clear()
 
 
 @contextmanager

@@ -121,7 +121,7 @@ _Z_GAMMAS = {s: (Fraction(s, 2), ((2, 2, 2, 2 - s, 1), (-2, 2, 2, 2 + s, 1),
              for s in (1, -1)}
 
 
-@faults.memo
+@faults.run_memo
 def _z_cached(r: Fraction, f: Fraction, J: Fraction, s: int) -> GammaQuotient:
     d = lcm(f.denominator, J.denominator, r.denominator)
     x, y, z = (v.numerator * (d // v.denominator) for v in (f, J, r))
@@ -172,7 +172,7 @@ def z_for(params: Params, ktype: KType) -> GammaQuotient:
     return _z_cached(params.r, ktype.f, J, s)
 
 
-@faults.memo
+@faults.run_memo
 def _w_cached(r: Fraction, f: Fraction, J: Fraction, s: int) -> GammaQuotient:
     return _z_cached(r, f, J - 1, s) * _z_cached(r, f, J + 1, s)
 
@@ -354,7 +354,7 @@ class QuotientEntry(NamedTuple):
         return render_entry(self.num, self.den)
 
 
-@faults.memo
+@faults.run_memo
 def _corner_pairs(rn: int, rd: int, d: int, F: int, J: int, s: int):
     """Linear (numerator, denominator) pairs for all six directions, as ints.
 
@@ -437,7 +437,7 @@ def mult2_det_quotient_matrix(params: Params, center: KType) -> Dict[Direction, 
     return _quotient_matrix(params, center)
 
 
-@faults.memo
+@faults.run_memo
 def _block_coeffs(n: int, X: int, Y: int, Z: int, d: int, xi: int, strict_paper: bool
                   ) -> Union[str, Tuple[int, int, int, int, int]]:
     # on the integer scaling f = X/d, Ja = Y/d, r = Z/d each ck is an integer over

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from twistor_spectra import cli, faults, spectra, verify
+from twistor_spectra import cli, faults, ktypes, operators, spectra, verify
 from twistor_spectra.cli import main
 from twistor_spectra.exact import (GammaQuotient, NonCommensurableError, pq_ratio,
                                    ratio_tagged)
@@ -298,22 +298,36 @@ class TestSpectrum:
         assert built == [1]
 
     def test_a_tabulation_leaves_the_z_table_alone(self, capsys):
+        # a tabulation reads each z on ints, with no quotient; a block command
+        # reads its factor the same way, after emptying the earlier entries
+        params = Params(6, Q(17, 13))
         table = spectra._z_cached
+        z_for(params, KType(1, Q(1, 2), Q(3, 2), 1, 1))      # outside any command
         before = table.cache_info().currsize
-        run(capsys, "spectrum", "--n", "6", "--r", "17/13", *REGION)
+        assert before > 0
+        keys = window_keys(params, Q(-3, 2), Q(3, 2), Q(5, 2))
+        assert sum(1 for _ in spectrum_rows(params, keys)) == len(keys)
         assert table.cache_info().currsize == before
         run(capsys, "block", "--n", "6", "--r", "17/13", "--f", "1/2", "--j", "3/2",
             "--eps", "1")
-        assert table.cache_info().currsize == before + 1
+        assert table.cache_info().currsize == 0
 
     def test_a_tabulation_leaves_the_block_table_alone(self, capsys):
+        # a tabulation reads each block past the table; a block command
+        # leaves its own entry and nothing from an earlier command
+        params = Params(6, Q(13, 11))
         table = spectra._block_coeffs
+        run(capsys, "block", "--n", "6", "--r", "7/3", "--f", "1/2", "--j", "3/2",
+            "--eps", "1")
         before = table.cache_info().currsize
-        run(capsys, "spectrum", "--n", "6", "--r", "13/11", *REGION)
+        assert before == 1
+        keys = window_keys(params, Q(-3, 2), Q(3, 2), Q(5, 2))
+        assert sum(1 for _ in spectrum_rows(params, keys)) == len(keys)
         assert table.cache_info().currsize == before
         run(capsys, "block", "--n", "6", "--r", "13/11", "--f", "1/2", "--j", "3/2",
             "--eps", "1")
-        assert table.cache_info().currsize == before + 1
+        info = table.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
 
 
 def _relative_to_base(params, kt, bases):
@@ -1033,3 +1047,107 @@ class TestStrictPaperFlag:
         changed = [(r["dj"], k, r[k].split()[0], s[k].split()[0])
                    for r, s in zip(rows, strict) for k in r if r[k] != s[k]]
         assert changed == [("+0", "df=+1", "-1/15", "3/5")]
+
+
+# the r-keyed tables, emptied as each command starts, and the label tables
+RUN_TABLES = (spectra._z_cached, spectra._w_cached, spectra._corner_pairs,
+              spectra._block_coeffs)
+LABEL_TABLES = (ktypes.label_dirac, operators._d_entries,
+                spectra._ratio_template)
+
+
+def _sizes(tables):
+    return [table.cache_info().currsize for table in tables]
+
+
+class TestRunTables:
+    """A long-lived process holds the last command's r-keyed entries, no more."""
+
+    # on-grid and off-grid r, each command kind, block labels singular or not
+    MIX = [
+        ("neighbors", "--n=6", "--r=3/2", "--f=1/2", "--j=3/2", "--q=0", "--eps=1"),
+        ("block", "--n=4", "--r=17/13", "--f=-3/2", "--j=5/2", "--eps=-1", "--xi=-1"),
+        ("spectrum", "--n=8", "--r=7/3", "--f-min=1/2", "--f-max=1/2", "--j-max=7/2"),
+        ("calibrate", "--n=4", "--r=13/11", "--f-min=-3/2", "--f-max=3/2", "--j-max=5/2"),
+        ("neighbors", "--n=4", "--r=29/7", "--f=-1/2", "--j=3/2", "--q=1", "--eps=-1"),
+        ("block", "--n=4", "--r=-3/2", "--f=1/2", "--j=3/2", "--eps=1"),
+        ("calibrate", "--n=6", "--r=1", "--f-min=-5/2", "--f-max=5/2", "--j-max=7/2",
+         "--xi-solve=-1"),
+        ("block", "--n=6", "--r=1/2", "--f=1/2", "--j=3/2", "--eps=1", "--format=json"),
+        ("spectrum", "--n=4", "--r=5/3", "--f-min=-1/2", "--f-max=-1/2", "--j-max=9/2",
+         "--format=csv"),
+    ]
+
+    def test_the_tables_are_the_r_keyed_ones(self):
+        assert set(faults._RUN_TABLES) == set(RUN_TABLES)
+        assert set(RUN_TABLES) | set(LABEL_TABLES) == set(faults._TABLES)
+
+    def test_each_command_leaves_only_its_own_entries(self, capsys):
+        alone = {}
+        for argv in self.MIX:
+            faults.start_run()
+            assert main(list(argv)) == 0
+            alone[argv] = sum(_sizes(RUN_TABLES))
+        assert min(alone.values()) == 0 and max(alone.values()) > 0
+        labels = _sizes(LABEL_TABLES)
+        for argv in self.MIX * 2 + self.MIX[::-1]:
+            assert main(list(argv)) == 0
+            assert sum(_sizes(RUN_TABLES)) == alone[argv], argv
+            now = _sizes(LABEL_TABLES)
+            assert all(a >= b for a, b in zip(now, labels)), argv
+            labels = now
+        capsys.readouterr()
+
+    def test_an_armed_fault_keeps_the_label_tables(self, capsys):
+        with faults.inject("DIRAC"):
+            main(["verify", "--n=4", "--r=1", "--f-min=-1/2", "--f-max=1/2", "--j-max=3/2"])
+            main(list(self.MIX[0]))
+            labels = _sizes(LABEL_TABLES)
+            assert sum(_sizes(RUN_TABLES)) > 0 and min(labels) > 0
+            faults.start_run()
+            assert _sizes(RUN_TABLES) == [0] * len(RUN_TABLES)
+            assert _sizes(LABEL_TABLES) == labels
+        capsys.readouterr()
+
+
+def _library_block_text(params, kt, fmt):
+    """``block``'s text built from ``block2x2``'s ``Fraction`` coefficients and
+    quotient and from ``first_order_block``."""
+    rows = []
+    try:
+        block = spectra.block2x2(params, kt)
+        rows += [(name, str(c))
+                 for name, c in zip(("b11", "b12", "b21", "b22"), block.coefficients)]
+        factor = block.factor
+        rows.append(("shared_factor", json.dumps(
+            {"prefactor": str(factor.prefactor), "phase": 0,
+             "factors": [{"arg": str(a), "exp": e} for a, e in factor.factors]},
+            sort_keys=True)))
+    except spectra.SingularCoefficientError as exc:
+        rows.append(("block", f"SINGULAR({exc.which})"))
+    if params.r == Q(1, 2):
+        fo = spectra.first_order_block(params, kt)
+        rows += [(f"order_one_block({i + 1},{k + 1})/i", str(fo[i][k]))
+                 for i in (0, 1) for k in (0, 1)]
+    return "".join(cli._rows_text(rows, ("quantity", "value"), fmt))
+
+
+class TestBlockText:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("r", ["1/2", "3/2", "7/3", "17/13"])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_block_reads_as_the_library_block(self, capsys, n, r, strict):
+        # block's integer route prints what block2x2's quotient prints
+        params = Params(n, Q(r), "half", strict)
+        flags = ["--strict-paper"] if strict else []
+        singular = 0
+        for kt in enumerate_ktypes(params, Q(-5, 2), Q(5, 2), Q(7, 2), (0,)):
+            for fmt in ("json", "csv", "table"):
+                want = _library_block_text(params, kt, fmt)
+                code, out = run(capsys, "block", f"--n={n}", f"--r={r}", f"--f={kt.f}",
+                                f"--j={kt.j}", f"--eps={kt.eps}", f"--xi={kt.xi}",
+                                f"--format={fmt}", *flags)
+                assert (code, out) == (0, want), (kt.label(), fmt)
+            singular += "SINGULAR(" in want
+        # the window meets a vanished coefficient at half-integer r only
+        assert (singular > 0) == (r in ("1/2", "3/2"))
