@@ -10,7 +10,7 @@ from .exact import (GammaPoleError, GammaQuotient, NonCommensurableError,
                     ReducedValue, evaluate_numeric, format_rational,
                     ratio_tagged, rational, reduce_exact)
 from .ktypes import (BadDimensionError, DIRECTIONS, Direction,
-                     InterfaceSquare, InvalidWeightError, KType, Params,
+                     InterfaceSquare, InvalidWeightError, KType, Labels, Params,
                      SphereEigenvalues, case1_partners, enumerate_ktypes,
                      interface_square, make_ktype, neighbors)
 from .operators import (Case1Data, Case2Data, Case3Data, DBlock,

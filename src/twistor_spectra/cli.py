@@ -457,7 +457,7 @@ def cmd_calibrate(args) -> int:
     f_min, f_max, j_max = _window_args(args)
     _check_size(params, f_min, f_max, j_max, [args.xi_solve], [1, -1])
     try:
-        result = calibrate_L(params, args.xi_solve, f_min, f_max, j_max)
+        result = calibrate_L(Labels(params), args.xi_solve, f_min, f_max, j_max)
     except EmptyWindowError as exc:
         raise UsageError(str(exc)) from None
     except InconsistentSystemError as exc:

@@ -263,14 +263,17 @@ class Labels:
 
     :meth:`spectral_J` runs once per (2j, eps) and :meth:`neighbors` once per
     center.  ``scale`` is :func:`label_scale`, the one integer scale of every
-    record's f and J.  A table belongs to one :class:`Params` and lives as
-    long as its caller keeps it, so nothing of a run outlives the run.
+    record's f and J.  A table belongs to one :class:`Params`, the one source
+    of n, r and the variant for every function that walks the run, and lives
+    as long as its caller keeps it, so nothing of a run outlives the run.  It
+    keeps the values made under the fault that was armed when they were made,
+    so a test builds it inside the ``faults.inject`` block.
     """
 
     def __init__(self, params: Params):
         self.params = params
         self.scale = label_scale(params.n)
-        self._records: Dict[Key, Label] = {}
+        self._by_key: Dict[Key, Label] = {}
         self._J: Dict[Tuple[int, int], int] = {}
         self.pairs: Dict[tuple, object] = {}    # label pair data and z ratios, for other modules
 
@@ -292,11 +295,11 @@ class Labels:
 
     def at(self, key: Key) -> Label:
         """The record of the label with this key, made if it is new."""
-        rec = self._records.get(key)
+        rec = self._by_key.get(key)
         if rec is None:
             xi, f2, j2, _, eps = key
             d = self.scale
-            rec = self._records[key] = Label(_key_ktype(key), key, f2 * (d // 2),
+            rec = self._by_key[key] = Label(_key_ktype(key), key, f2 * (d // 2),
                                              self.spectral_J(j2, eps), xi * eps, d)
         return rec
 

@@ -188,7 +188,8 @@ def case1_data(params: Params, alpha: KType, beta: KType,
 
 
 class Case2Data(NamedTuple):
-    """Multiplicity 2 -> 2 transition quantities and their relation matrices."""
+    """Multiplicity 2 -> 2 transition quantities; ``relation_matrices(*data)``
+    gives their relation matrices (M1, M2)."""
 
     f1_minus: Fraction
     f1_plus: Fraction
@@ -197,18 +198,6 @@ class Case2Data(NamedTuple):
     g1: Fraction
     g2: Fraction
     c_ba: Fraction
-
-    def m1(self) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-        return relation_matrices(*self)[0]
-
-    def m2(self) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-        return relation_matrices(*self)[1]
-
-    def det_m1(self) -> Fraction:
-        return det2(self.m1())
-
-    def det_m2(self) -> Fraction:
-        return det2(self.m2())
 
 
 def relation_matrices(f1_minus, f1_plus, f2_minus, f2_plus, g1, g2, c_ba):

@@ -627,8 +627,8 @@ class CalibrationResult(Record):
         return [] if self.consistent else [{"kind": "unpinned-constant"}]
 
 
-def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLike,
-                j_max: RationalLike, labels: Optional[Labels] = None) -> CalibrationResult:
+def calibrate_L(labels: Labels, xi: int, f_min: RationalLike, f_max: RationalLike,
+                j_max: RationalLike) -> CalibrationResult:
     """Solve the quotient identities for the divergence-part eigenvalues.
 
     Every multiplicity-one edge in the window forces a difference of d33
@@ -641,12 +641,12 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     :class:`InconsistentSystemError` with the violating edge if the
     overdetermined system has no solution, and :class:`EmptyWindowError` when
     the window holds nothing to solve.  The table is built in sorted (j, eps)
-    order.  ``labels`` is the run's record table, of the same n and r (the
-    variant, ``strict_paper``, does not reach the solve); without one the
-    solve makes its own.  Each edge is decided on integers: the z-ratio by
-    :func:`z_ratio` on the table, the bracket by ``operators.case3_bracket``,
-    and the class pair's difference as an int (num, den) compared by cross
-    multiplication; a Fraction is made once per constrained class pair.
+    order.  ``labels`` is the run's record table and its one source of n
+    and r (the variant, ``strict_paper``, does not reach the solve).  Each
+    edge is decided on integers: the z-ratio by :func:`z_ratio` on the
+    table, the bracket by ``operators.case3_bracket``, and the class pair's
+    difference as an int (num, den) compared by cross multiplication; a
+    Fraction is made once per constrained class pair.
 
     The solved L is the signed sphere Dirac eigenvalue ``label_dirac(n, j,
     eps)`` = J_signed.  With d33 = J_signed/2 each direction's P-/P+ is that
@@ -660,11 +660,8 @@ def calibrate_L(params: Params, xi: int, f_min: RationalLike, f_max: RationalLik
     L(3/2, +1) = 0, which is label_dirac - 5/2.
     """
     f_lo, f_hi, j_hi = rational(f_min), rational(f_max), rational(j_max)
+    params = labels.params
     r = params.r
-    if labels is None:
-        labels = Labels(params)
-    elif (labels.params.n, labels.params.r) != (params.n, params.r):
-        raise ValueError(f"a label table made for {labels.params} cannot serve {params}")
 
     # nodes are (2j, eps) classes: d33 cannot depend on f
     nodes = [(j2, eps) for j2 in j2_range(j_hi, 1) for eps in (1, -1)]

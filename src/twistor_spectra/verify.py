@@ -1,24 +1,24 @@
 """Exact-identity verification suites over finite lattice regions.
 
-Every suite takes K-types of any multiplicity, walks the centers its
-identities apply to, checks them edge by edge in exact arithmetic, and
-returns verdicts rather than raising: ``pass`` and ``fail`` for decidable
-comparisons, ``pole`` / ``zero`` when both routes flag the same
-degeneration symmetrically, ``indeterminate`` when a closed form
-degenerates to 0/0, and ``skipped-*`` when an edge cannot be decided
-(degenerate compression target, vanishing block denominator coefficient, or
-a non-finite shared-factor ratio).  A failing verdict carries the exact
-residual as a rational string.
+Every suite takes the run's :class:`~twistor_spectra.ktypes.Labels` table, its
+one source of n, r and the variant, and K-types of any multiplicity, walks the
+centers its identities apply to, checks them edge by edge in exact arithmetic,
+and returns verdicts rather than raising: ``pass`` and ``fail`` for decidable
+comparisons, ``pole`` / ``zero`` when both routes flag the same degeneration
+symmetrically, ``indeterminate`` when a closed form degenerates to 0/0, and
+``skipped-*`` when an edge cannot be decided (degenerate compression target,
+vanishing block denominator coefficient, or a non-finite shared-factor ratio).
+A failing verdict carries the exact residual as a rational string.
 
-Every per-edge step runs on integers through the records of one
-:class:`~twistor_spectra.ktypes.Labels` table, which :func:`run_all_suites`
-shares between the suites and the calibration: the quotient entries and the
-oracle's ratios are int (num, den) pairs compared by cross multiplication,
-the block coefficients four numerators over one denominator, and the
-transition quantities numerators over one denominator per label pair.  A
-value is reduced and rendered only where the report shows it.  The report
-writes a suite straight from its checks (:meth:`SuiteReport.json_chunks`),
-one fixed-shape text per edge with each label's text rendered once.
+Every per-edge step runs on integers through the records of that table, which
+:func:`run_all_suites` shares between the suites and the calibration; what one
+leaves in it changes no other's checks.  The quotient entries and the oracle's
+ratios are int (num, den) pairs compared by cross multiplication, the block
+coefficients four numerators over one denominator, and the transition
+quantities numerators over one denominator per label pair.  A value is reduced
+and rendered only where the report shows it.  The report writes a suite
+straight from its checks (:meth:`SuiteReport.json_chunks`), one fixed-shape
+text per edge with each label's text rendered once.
 """
 from __future__ import annotations
 
@@ -231,12 +231,13 @@ def _compare_entry(num, den, tagged: Tagged, key: str):
     return FAIL, quantities, dict(residuals, expected=entry, got=got)
 
 
-def _walk_quotients(suite: str, case: int, labels: Labels, centers: Iterable[Label],
+def _walk_quotients(suite: str, case: int, labels: Labels, centers: Iterable[KType], q: int,
                     terms_of: Callable[[Label, int], tuple], key: str) -> SuiteReport:
-    """Each quotient entry vs the oracle's exact neighbor/center ratio, kept under ``key``."""
+    """Each quotient entry of the centers with this q vs the oracle's exact
+    neighbor/center ratio, kept under ``key``."""
     report = SuiteReport(suite)
     checks = report.checks
-    for center in centers:
+    for center in [labels.of(c) for c in centers if c.q == q]:
         at_center = terms_of(center, -1)
         kt = center.ktype
         for direction, nb, num, den in quotient_entries(labels, center):
@@ -253,28 +254,14 @@ def _walk_quotients(suite: str, case: int, labels: Labels, centers: Iterable[Lab
     return report
 
 
-def _records(params: Params, centers: Iterable[KType], labels: Optional[Labels], q: int):
-    """(table, the records of the centers with this q); a new table unless one
-    is given, and a given one must be made for ``params``."""
-    if labels is None:
-        labels = Labels(params)
-    elif labels.params != params:
-        raise ValueError(f"a label table made for {labels.params} cannot serve {params}")
-    return labels, [labels.of(c) for c in centers if c.q == q]
-
-
-def verify_mult1_quotients(params: Params, centers: Iterable[KType],
-                           labels: Optional[Labels] = None) -> SuiteReport:
+def verify_mult1_quotients(labels: Labels, centers: Iterable[KType]) -> SuiteReport:
     """Eigenvalue-quotient matrix vs exact spectral-function ratios."""
-    labels, recs = _records(params, centers, labels, 1)
-    return _walk_quotients("mult1-quotients", 3, labels, recs, z_terms, "z_ratio")
+    return _walk_quotients("mult1-quotients", 3, labels, centers, 1, z_terms, "z_ratio")
 
 
-def verify_mult2_quotients(params: Params, centers: Iterable[KType],
-                           labels: Optional[Labels] = None) -> SuiteReport:
+def verify_mult2_quotients(labels: Labels, centers: Iterable[KType]) -> SuiteReport:
     """Determinant-quotient matrix vs exact eight-gamma product ratios."""
-    labels, recs = _records(params, centers, labels, 0)
-    return _walk_quotients("mult2-quotients", 2, labels, recs, w_terms, "product_ratio")
+    return _walk_quotients("mult2-quotients", 2, labels, centers, 0, w_terms, "product_ratio")
 
 
 def _case2_residuals(block_b, m1, m2, block_a, p: int, q: int, mden: int) -> Dict[str, str]:
@@ -298,8 +285,7 @@ def _case2_residuals(block_b, m1, m2, block_a, p: int, q: int, mden: int) -> Dic
     return residuals
 
 
-def verify_case2_relation(params: Params, centers: Iterable[KType],
-                          labels: Optional[Labels] = None) -> SuiteReport:
+def verify_case2_relation(labels: Labels, centers: Iterable[KType]) -> SuiteReport:
     """Full 2x2 relation  B(neighbor) M1 = M2 B(center)  on every edge.
 
     Both blocks share their own gamma-quotient factor; dividing by the
@@ -307,10 +293,9 @@ def verify_case2_relation(params: Params, centers: Iterable[KType],
     scaled by the (tagged) factor ratio, each tested on cleared
     denominators by :func:`_case2_residuals`.
     """
-    labels, recs = _records(params, centers, labels, 0)
     report = SuiteReport("case2-relation")
     checks = report.checks
-    for center in recs:
+    for center in [labels.of(c) for c in centers if c.q == 0]:
         kt = center.ktype
         block_a = block_ints(labels, center)
         if isinstance(block_a, str):
@@ -397,18 +382,16 @@ def _check_case1_edge(labels: Labels, alpha: Label, beta: Label, d33: Fraction) 
     return edge(FAIL if residuals else PASS, detail, quantities, residuals)
 
 
-def verify_interface(params: Params, centers: Iterable[KType],
-                     table: Dict[Tuple[Fraction, int], Fraction],
-                     labels: Optional[Labels] = None) -> SuiteReport:
+def verify_interface(labels: Labels, centers: Iterable[KType],
+                     table: Dict[Tuple[Fraction, int], Fraction]) -> SuiteReport:
     """Interface coherence between the multiplicity 1 and 2 parts.
 
     Per center: both mixed-multiplicity edges (f +- 1, under the -4i z
     normalization of the scalar part), and the four-corner square relation
     det B(alpha2) = (det M2 / det M1) det B(alpha1).
     """
-    labels, recs = _records(params, centers, labels, 0)
     report = SuiteReport("interface")
-    for center in recs:
+    for center in [labels.of(c) for c in centers if c.q == 0]:
         kt = center.ktype
         if center.key[2] < 3:
             continue
@@ -492,20 +475,19 @@ def run_all_suites(params: Params, centers: Sequence[KType], f_min, f_max, j_max
     """
     labels = Labels(params)
     reports: Dict[str, SuiteReport] = {}
-    reports["mult1-quotients"] = verify_mult1_quotients(params, centers, labels)
-    reports["mult2-quotients"] = verify_mult2_quotients(params, centers, labels)
-    reports["case2-relation"] = verify_case2_relation(params, centers, labels)
+    reports["mult1-quotients"] = verify_mult1_quotients(labels, centers)
+    reports["mult2-quotients"] = verify_mult2_quotients(labels, centers)
+    reports["case2-relation"] = verify_case2_relation(labels, centers)
     calibrations: Dict[int, Union[CalibrationResult, EmptyWindowError]] = {}
     interface = SuiteReport("interface")
     for xi in sorted({c.xi for c in centers}):
         try:
-            result = calibrate_L(params, xi, f_min, f_max, j_max, labels)
+            result = calibrate_L(labels, xi, f_min, f_max, j_max)
         except InconsistentSystemError as exc:     # an EmptyWindowError among them
             calibrations[xi] = exc
             continue
         calibrations[xi] = result
-        sub = verify_interface(params, [c for c in centers if c.xi == xi], result.table,
-                               labels)
+        sub = verify_interface(labels, [c for c in centers if c.xi == xi], result.table)
         interface.checks.extend(sub.checks)
     reports["interface"] = interface
     return reports, calibrations

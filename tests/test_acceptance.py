@@ -16,7 +16,7 @@ from conftest import record_acceptance
 
 from twistor_spectra import faults
 from twistor_spectra.exact import evaluate_numeric, ratio_tagged, reduce_exact
-from twistor_spectra.ktypes import KType, Params, enumerate_ktypes, neighbors
+from twistor_spectra.ktypes import KType, Labels, Params, enumerate_ktypes, neighbors
 from twistor_spectra.spectra import (SingularCoefficientError,
                                      block_coefficients, calibrate_L,
                                      first_order_block, z_for, z_value)
@@ -88,7 +88,7 @@ def test_mult1_quotient_coherence():
     for n in NS:
         for r in RS:
             params = Params(n, r)
-            report = verify_mult1_quotients(params, centers(params, 1))
+            report = verify_mult1_quotients(Labels(params), centers(params, 1))
             counts = report.counts
             assert counts.get(FAIL, 0) == 0, report.first_failure
             assert set(counts) <= {PASS, POLE, ZERO, INDETERMINATE}
@@ -105,7 +105,7 @@ def test_mult2_determinant_coherence():
     for n in NS:
         for r in RS:
             params = Params(n, r)
-            report = verify_mult2_quotients(params, centers(params, 0))
+            report = verify_mult2_quotients(Labels(params), centers(params, 0))
             assert report.counts.get(FAIL, 0) == 0, report.first_failure
             total += len(report.checks)
     elapsed = time.monotonic() - t0
@@ -117,7 +117,7 @@ def test_mult2_determinant_coherence():
     for n in NS:
         for r in RS:
             params = Params(n, r, strict_paper=True)
-            report = verify_mult2_quotients(params, centers(params, 0))
+            report = verify_mult2_quotients(Labels(params), centers(params, 0))
             for check in report.checks:
                 if check.verdict == FAIL:
                     strict_fails += 1
@@ -152,7 +152,7 @@ def test_case2_matrix_relation():
     for n in NS:
         for r in RS:
             params = Params(n, r)
-            report = verify_case2_relation(params, centers(params, 0))
+            report = verify_case2_relation(Labels(params), centers(params, 0))
             counts = report.counts
             assert counts.get(FAIL, 0) == 0, report.first_failure
             assert counts.get(PASS, 0) > 0
@@ -168,11 +168,11 @@ def test_interface_and_calibration():
             params = Params(n, r)
             mult2 = centers(params, 0)
             for xi in SIGNS:
-                result = calibrate_L(params, xi, F_LO, F_HI, J_MAX)
+                result = calibrate_L(Labels(params), xi, F_LO, F_HI, J_MAX)
                 assert result.consistent, (n, r, xi, result.issues[:1])
                 _assert_cycles_close(result.table, n)
                 report = verify_interface(
-                    params, [c for c in mult2 if c.xi == xi], result.table)
+                    Labels(params), [c for c in mult2 if c.xi == xi], result.table)
                 assert report.counts.get(FAIL, 0) == 0, report.first_failure
                 case1 = [c for c in report.checks if c.case == 1]
                 assert any(c.verdict == PASS for c in case1)
@@ -223,17 +223,17 @@ def test_mutation_sanity():
     f_lo, f_hi, j_max = Q(-3, 2), Q(3, 2), Q(7, 2)
     mult1 = list(enumerate_ktypes(params, f_lo, f_hi, j_max, (1,)))
     mult2 = list(enumerate_ktypes(params, f_lo, f_hi, j_max, (0,)))
-    baseline_table = calibrate_L(params, 1, f_lo, f_hi, j_max).table
+    baseline_table = calibrate_L(Labels(params), 1, f_lo, f_hi, j_max).table
     mult2_pos = [c for c in mult2 if c.xi == 1]
 
     def any_suite_fails():
-        if not verify_mult1_quotients(params, mult1).ok:
+        if not verify_mult1_quotients(Labels(params), mult1).ok:
             return True
-        if not verify_mult2_quotients(params, mult2).ok:
+        if not verify_mult2_quotients(Labels(params), mult2).ok:
             return True
-        if not verify_case2_relation(params, mult2).ok:
+        if not verify_case2_relation(Labels(params), mult2).ok:
             return True
-        if not verify_interface(params, mult2_pos, baseline_table).ok:
+        if not verify_interface(Labels(params), mult2_pos, baseline_table).ok:
             return True
         # the first-order block is read only by the block factor's reading
         return resolve_block_factor_reading(params, mult2)["resolved"] != "f+1"

@@ -10,7 +10,7 @@ from twistor_spectra.operators import (Case2Data, DegenerateTargetError,
                                        MissingLError, NotNeighborsError,
                                        case1_bracket, case1_data, case2_data,
                                        case3_bracket, case3_data, classify_pair,
-                                       d_block)
+                                       d_block, det2, relation_matrices)
 
 P4 = Params(4, Q(1, 2))
 P6 = Params(6, Q(1, 2))
@@ -215,11 +215,11 @@ class TestCase2:
             case2_data(P4, a, b)
 
     def test_relation_matrices(self):
-        data = Case2Data(Q(1), Q(2), Q(3), Q(4), Q(5), Q(6), Q(7))
-        assert data.m1() == ((Q(1), Q(6)), (Q(5), Q(21)))
-        assert data.m2() == ((Q(2), Q(-6)), (Q(-5), Q(28)))
-        assert data.det_m1() == 7 * 1 * 3 - 30
-        assert data.det_m2() == 7 * 2 * 4 - 30
+        m1, m2 = relation_matrices(*Case2Data(Q(1), Q(2), Q(3), Q(4), Q(5), Q(6), Q(7)))
+        assert m1 == ((Q(1), Q(6)), (Q(5), Q(21)))
+        assert m2 == ((Q(2), Q(-6)), (Q(-5), Q(28)))
+        assert det2(m1) == 7 * 1 * 3 - 30
+        assert det2(m2) == 7 * 2 * 4 - 30
 
 
 def reference_case2(params, alpha, beta):

@@ -291,7 +291,7 @@ class TestZProduct:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectra, "z_product", spy)
             try:
-                calibrate_L(params, center.xi, center.f - 1, center.f + 1, center.j + 1)
+                calibrate_L(Labels(params), center.xi, center.f - 1, center.f + 1, center.j + 1)
             except InconsistentSystemError:
                 pass      # a fault may leave the system unsolvable; the edges were still seen
         assert calls
@@ -856,7 +856,7 @@ class TestCalibrationProbe:
     def check(params, xi):
         """Compare one solve with the reference: True when it solved."""
         try:
-            result = calibrate_L(params, xi, Q(-3, 2), Q(3, 2), Q(7, 2))
+            result = calibrate_L(Labels(params), xi, Q(-3, 2), Q(3, 2), Q(7, 2))
         except InconsistentSystemError:
             return False
         # the solve anchors the potential at 0 on its first class, (3/2, +1)
@@ -884,20 +884,20 @@ class TestCalibration:
         # a fractional Dirac offset moves J by 2 delta across an eps flip
         with faults.inject("DIRAC", delta):
             with pytest.raises(InconsistentSystemError, match="do not balance on the edge") as err:
-                calibrate_L(P4H, 1, Q(-3, 2), Q(3, 2), Q(5, 2))
+                calibrate_L(Labels(P4H), 1, Q(-3, 2), Q(3, 2), Q(5, 2))
         edge = err.value.witness["edge"]
         assert edge["center"]["eps"] == -edge["neighbor"]["eps"]
         assert edge["center"]["j"] == edge["neighbor"]["j"]
 
     def test_solution_and_consistency(self):
-        result = calibrate_L(P4H, 1, Q(-5, 2), Q(5, 2), Q(7, 2))
+        result = calibrate_L(Labels(P4H), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
         assert result.consistent
         assert result.difference_edges > 0
         for (j, eps), L in result.table.items():
             assert L == eps * (j + 1)   # eps*(j + (n-2)/2) at n = 4
 
     def test_middle_edges_force_the_eps_difference(self):
-        result = calibrate_L(Params(6, Q(1)), -1, Q(-3, 2), Q(3, 2), Q(9, 2))
+        result = calibrate_L(Labels(Params(6, Q(1))), -1, Q(-3, 2), Q(3, 2), Q(9, 2))
         table = result.table
         j = Q(3, 2)
         while j <= Q(9, 2):
@@ -906,7 +906,7 @@ class TestCalibration:
             j += 1
 
     def test_four_cycle_closes(self):
-        result = calibrate_L(P4H, 1, Q(-3, 2), Q(3, 2), Q(5, 2))
+        result = calibrate_L(Labels(P4H), 1, Q(-3, 2), Q(3, 2), Q(5, 2))
         t = result.table
         cycle = [((Q(3, 2), 1), (Q(3, 2), -1)), ((Q(3, 2), -1), (Q(5, 2), -1)),
                  ((Q(5, 2), -1), (Q(5, 2), 1)), ((Q(5, 2), 1), (Q(3, 2), 1))]
@@ -914,7 +914,7 @@ class TestCalibration:
         assert total == 0
 
     def test_probe_pins_the_constant(self):
-        result = calibrate_L(Params(8, Q(3, 2)), 1, Q(-5, 2), Q(5, 2), Q(9, 2))
+        result = calibrate_L(Labels(Params(8, Q(3, 2))), 1, Q(-5, 2), Q(5, 2), Q(9, 2))
         assert result.probe is not None
         assert result.consistent
 
@@ -922,12 +922,12 @@ class TestCalibration:
         # every Dirac eigenvalue shifted by +1: J = eps (j + (n-2)/2) + 1
         with faults.inject("DIRAC", 1):
             with pytest.raises(InconsistentSystemError):
-                calibrate_L(P4H, 1, Q(-5, 2), Q(5, 2), Q(7, 2))
+                calibrate_L(Labels(P4H), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
 
     def test_unpinned_constant_is_an_issue(self):
         # d21 = -n + 4 vanishes at n = 4, so every probe's a2 does too
         with faults.inject("D21", Q(4)):
-            result = calibrate_L(Params(4, Q(1)), 1, Q(-3, 2), Q(3, 2), Q(5, 2))
+            result = calibrate_L(Labels(Params(4, Q(1))), 1, Q(-3, 2), Q(3, 2), Q(5, 2))
         assert result.probe is None
         assert {"kind": "unpinned-constant"} in result.issues
         assert not result.consistent
@@ -942,7 +942,7 @@ class TestCalibration:
             lattices = ("half", "int") if r in grid or r == Q(-3, 2) else ("half",)
             for lattice, xi in itertools.product(lattices, (1, -1)):
                 params = Params(n, r, lattice)
-                result = calibrate_L(params, xi, Q(-3, 2), Q(3, 2), Q(7, 2))
+                result = calibrate_L(Labels(params), xi, Q(-3, 2), Q(3, 2), Q(7, 2))
                 offsets = {L - label_dirac(n, j, eps)
                            for (j, eps), L in result.table.items()}
                 unpinned = (n, r) == (4, Q(-3, 2))
@@ -957,18 +957,11 @@ class TestCalibration:
         # the label table of a strict run
         strict = Params(n, Q(3, 2), strict_paper=True)
         for xi in (1, -1):
-            results = [calibrate_L(params, xi, Q(-3, 2), Q(3, 2), Q(7, 2), labels)
-                       for params, labels in ((Params(n, Q(3, 2)), None), (strict, None),
-                                              (strict, Labels(strict)))]
+            results = [calibrate_L(Labels(params), xi, Q(-3, 2), Q(3, 2), Q(7, 2))
+                       for params in (Params(n, Q(3, 2)), strict)]
             got = [(r.table, r.difference_edges, r.unconstraining_edges,
                     r.probe) for r in results]
-            assert results[0].consistent and got[0] == got[1] == got[2]
-
-    def test_a_label_table_made_for_other_params_is_refused(self):
-        params = Params(4, Q(3, 2))
-        for other in (Params(4, Q(1)), Params(6, Q(3, 2))):
-            with pytest.raises(ValueError, match="label table made for"):
-                calibrate_L(params, 1, Q(-3, 2), Q(3, 2), Q(7, 2), Labels(other))
+            assert results[0].consistent and got[0] == got[1]
 
     def test_unconstraining_edge_needs_a_vanishing_bracket(self, monkeypatch):
         # a z-ratio of -1 leaves P- = -P+, which holds iff the bracket is 0
@@ -987,7 +980,7 @@ class TestCalibration:
 
         monkeypatch.setattr(spectra, "case3_bracket", shifted_bracket)
         with pytest.raises(InconsistentSystemError) as err:
-            calibrate_L(params, 1, Q(-5, 2), Q(5, 2), Q(7, 2))
+            calibrate_L(Labels(params), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
         edge = err.value.witness["edge"]
         center = KType.from_json(edge["center"])
         nb = KType.from_json(edge["neighbor"])
@@ -1009,7 +1002,7 @@ class TestCalibration:
 
         monkeypatch.setattr(spectra, "case3_bracket", f_dependent_bracket)
         with pytest.raises(InconsistentSystemError) as err:
-            calibrate_L(params, 1, Q(-5, 2), Q(5, 2), Q(7, 2))
+            calibrate_L(Labels(params), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
         witness = err.value.witness
         assert set(witness) == {"edge", "previous", "residual"}
         edge, prev = witness["edge"], witness["previous"]
@@ -1035,7 +1028,7 @@ class TestCalibration:
 
         monkeypatch.setattr(spectra, "case3_bracket", bracket)
         with pytest.raises(InconsistentSystemError) as err:
-            calibrate_L(Params(4, Q(1)), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
+            calibrate_L(Labels(Params(4, Q(1))), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
         assert str(err.value) == "difference cycle through (j=3/2, eps=-1) does not close"
         assert err.value.witness == {"node": ["3/2", -1], "residual": "2"}
 
@@ -1045,6 +1038,6 @@ class TestCalibration:
         monkeypatch.setattr(spectra, "z_product", lambda r, scale, terms: Tagged(0, -1, 1))
         monkeypatch.setattr(spectra, "case3_bracket", lambda center, nb: (0, 1))
         with pytest.raises(InconsistentSystemError) as err:
-            calibrate_L(Params(4, Q(1)), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
+            calibrate_L(Labels(Params(4, Q(1))), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
         assert str(err.value) == "calibration window leaves 5 classes unconstrained"
         assert err.value.witness == {}

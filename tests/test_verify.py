@@ -6,7 +6,6 @@ import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
-import pytest
 from conftest import dirac_l_table
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -35,12 +34,12 @@ class TestMult1Suite:
     def test_all_pass_on_a_region(self):
         for r in (Q(1, 2), Q(1), Q(7, 3)):
             params = Params(4, r)
-            report = verify_mult1_quotients(params, region(params, 1))
+            report = verify_mult1_quotients(Labels(params), region(params, 1))
             assert report.ok and report.counts[PASS] > 100
 
     def test_pole_edges_flag_symmetrically(self):
         params = Params(4, Q(3, 2))
-        report = verify_mult1_quotients(params, region(params, 1))
+        report = verify_mult1_quotients(Labels(params), region(params, 1))
         assert report.ok
         counts = report.counts
         assert counts.get(POLE, 0) > 0 and counts.get(ZERO, 0) > 0
@@ -50,14 +49,14 @@ class TestMult1Suite:
         # at r = sJ with f = 1/2 the printed middle-left form is 0/0
         params = Params(4, Q(5, 2))
         kt = make_ktype(params, 1, Q(1, 2), Q(3, 2), 1, 1)
-        report = verify_mult1_quotients(params, [kt])
+        report = verify_mult1_quotients(Labels(params), [kt])
         verdicts = {(c.direction.df, c.direction.dj): c.verdict for c in report.checks}
         assert verdicts[(-1, 0)] == INDETERMINATE
 
     def test_quotient_fault_flips_a_verdict(self):
         params = Params(4, Q(1))
         with faults.inject("Q1"):
-            report = verify_mult1_quotients(params, region(params, 1))
+            report = verify_mult1_quotients(Labels(params), region(params, 1))
         assert not report.ok
         fail = report.first_failure
         assert fail is not None and fail.residuals
@@ -67,12 +66,12 @@ class TestMult2Suite:
     def test_all_pass_on_a_region(self):
         for n, r in ((4, Q(1, 2)), (6, Q(1)), (8, Q(7, 3))):
             params = Params(n, r)
-            report = verify_mult2_quotients(params, region(params, 0))
+            report = verify_mult2_quotients(Labels(params), region(params, 0))
             assert report.ok and report.counts[PASS] > 100
 
     def test_strict_fails_exactly_middle_right(self):
         params = Params(4, Q(1), strict_paper=True)
-        report = verify_mult2_quotients(params, region(params, 0))
+        report = verify_mult2_quotients(Labels(params), region(params, 0))
         fails = [c for c in report.checks if c.verdict == FAIL]
         assert fails
         assert {(c.direction.df, c.direction.dj) for c in fails} == {(1, 0)}
@@ -81,7 +80,7 @@ class TestMult2Suite:
     def test_quotient_fault_flips_a_verdict(self):
         params = Params(4, Q(1))
         with faults.inject("Q2"):
-            report = verify_mult2_quotients(params, region(params, 0))
+            report = verify_mult2_quotients(Labels(params), region(params, 0))
         assert not report.ok
 
 
@@ -89,12 +88,12 @@ class TestCase2Suite:
     def test_all_pass_on_regions(self):
         for n, r in ((4, Q(1)), (6, Q(3, 2)), (4, Q(7, 3))):
             params = Params(n, r)
-            report = verify_case2_relation(params, region(params, 0))
+            report = verify_case2_relation(Labels(params), region(params, 0))
             assert report.ok and report.counts[PASS] > 50
 
     def test_degenerate_targets_skipped_never_failed(self):
         params = Params(4, Q(1))
-        report = verify_case2_relation(params, region(params, 0))
+        report = verify_case2_relation(Labels(params), region(params, 0))
         skipped = [c for c in report.checks if c.verdict == SKIP_DEGENERATE]
         assert skipped
         assert all(c.neighbor.j == Q(1, 2) for c in skipped)
@@ -105,14 +104,14 @@ class TestCase2Suite:
         params = Params(4, Q(1))
         for site in ("D11", "D12", "D21", "D22"):
             with faults.inject(site):
-                report = verify_case2_relation(params, region(params, 0))
+                report = verify_case2_relation(Labels(params), region(params, 0))
             assert not report.ok, site
 
     def test_block_coefficient_fault_flips_a_verdict(self):
         params = Params(4, Q(1))
         for site in ("C1", "C2", "C5", "C6"):
             with faults.inject(site):
-                report = verify_case2_relation(params, region(params, 0))
+                report = verify_case2_relation(Labels(params), region(params, 0))
             assert not report.ok, site
 
 
@@ -180,7 +179,7 @@ class TestSingularBlocks:
         # at r = 3/2 the window holds centers whose C1 or C4 vanishes
         params = Params(4, Q(3, 2))
         centers = region(params, 0)
-        runs = [verify_case2_relation(params, centers) for _ in range(2)]
+        runs = [verify_case2_relation(Labels(params), centers) for _ in range(2)]
         info = spectra._block_coeffs.cache_info()
         assert info.misses == info.currsize
         details = [[(c.center, c.neighbor, c.detail) for c in rep.checks
@@ -200,9 +199,9 @@ class TestSingularBlocks:
 class TestInterfaceSuite:
     def test_all_pass_with_calibrated_table(self):
         params = Params(4, Q(1))
-        result = calibrate_L(params, 1, Q(-5, 2), Q(5, 2), Q(7, 2))
+        result = calibrate_L(Labels(params), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
         centers = [c for c in region(params, 0) if c.xi == 1]
-        report = verify_interface(params, centers, result.table)
+        report = verify_interface(Labels(params), centers, result.table)
         assert report.ok and report.counts[PASS] > 50
 
     def test_wrong_constant_breaks_only_the_mixed_relations(self):
@@ -212,7 +211,7 @@ class TestInterfaceSuite:
         table = dirac_l_table(params)
         shifted = {k: v + 2 for k, v in table.items()}
         centers = [c for c in region(params, 0) if c.xi == 1]
-        report = verify_interface(params, centers, shifted)
+        report = verify_interface(Labels(params), centers, shifted)
         fails = [c for c in report.checks if c.verdict == FAIL]
         assert fails and all(c.case == 1 for c in fails)
 
@@ -221,7 +220,7 @@ class TestInterfaceSuite:
         table = dirac_l_table(params)
         centers = [c for c in region(params, 0) if c.xi == 1]
         with faults.inject("D33"):
-            report = verify_interface(params, centers, table)
+            report = verify_interface(Labels(params), centers, table)
         assert not report.ok
 
 
@@ -244,35 +243,38 @@ class TestDrivers:
         centers = list(enumerate_ktypes(params, *window))
         m1, m2 = region(params, 1, *window), region(params, 0, *window)
         reports, calibrations = run_all_suites(params, centers, *window)
-        assert reports["mult1-quotients"].checks == verify_mult1_quotients(params, m1).checks
-        assert reports["mult2-quotients"].checks == verify_mult2_quotients(params, m2).checks
-        assert reports["case2-relation"].checks == verify_case2_relation(params, m2).checks
+        for name, suite, own in (("mult1-quotients", verify_mult1_quotients, m1),
+                                 ("mult2-quotients", verify_mult2_quotients, m2),
+                                 ("case2-relation", verify_case2_relation, m2)):
+            assert reports[name].checks == suite(Labels(params), own).checks, name
         assert sorted(calibrations) == [-1, 1]
         interface = [check for xi in (-1, 1) for check in verify_interface(
-            params, [c for c in m2 if c.xi == xi], calibrations[xi].table).checks]
+            Labels(params), [c for c in m2 if c.xi == xi], calibrations[xi].table).checks]
         assert interface and reports["interface"].checks == interface
         _, one_xi = run_all_suites(params, [c for c in centers if c.xi == -1], *window)
         assert list(one_xi) == [-1]
 
-    def test_a_label_table_made_for_other_params_is_refused(self):
-        # the suites read n, r and the variant off the table, so another
-        # run's table would answer for that run: on this window r = 1's table
-        # passes all 160 mult1 edges, where r = 3/2 has 8 poles and 16 zeros
+    def test_a_table_the_other_runs_filled_gives_the_fresh_checks(self):
+        # run_all_suites shares one table between the suites and calibrate_L,
+        # so what they leave in it (records, neighbors, pair rows, z ratios)
+        # must not change a later suite's checks; r = 3/2 has poles and zeros
         params = Params(4, Q(3, 2))
         window = (Q(-3, 2), Q(3, 2), Q(5, 2))
         m1, m2 = region(params, 1, *window), region(params, 0, *window)
         table = dirac_l_table(params)
-        suites = [lambda labels: verify_mult1_quotients(params, m1, labels),
-                  lambda labels: verify_mult2_quotients(params, m2, labels),
-                  lambda labels: verify_case2_relation(params, m2, labels),
-                  lambda labels: verify_interface(params, m2, table, labels)]
-        for other in (Params(4, Q(1)), Params(6, Q(3, 2)), Params(4, Q(3, 2), strict_paper=True)):
-            for suite in suites:
-                with pytest.raises(ValueError, match="label table made for"):
-                    suite(Labels(other))
-        labels = Labels(params)
-        for suite in suites:
-            assert suite(labels).checks == suite(None).checks
+        suites = [lambda labels: verify_mult1_quotients(labels, m1),
+                  lambda labels: verify_mult2_quotients(labels, m2),
+                  lambda labels: verify_case2_relation(labels, m2),
+                  lambda labels: verify_interface(labels, m2, table)]
+        for k, suite in enumerate(suites):
+            shared = Labels(params)
+            for xi in (1, -1):
+                calibrate_L(shared, xi, *window)
+            for other in suites[:k] + suites[k + 1:]:
+                other(shared)
+            assert shared.pairs
+            checks = suite(shared).checks
+            assert checks and checks == suite(Labels(params)).checks
 
     def test_factor_reading_resolution(self):
         params = Params(4, Q(1))
@@ -292,7 +294,7 @@ class TestDrivers:
 
     def test_report_json_shape(self):
         params = Params(4, Q(1, 2))
-        report = verify_mult1_quotients(params, region(params, 1, Q(1, 2), Q(1, 2)))
+        report = verify_mult1_quotients(Labels(params), region(params, 1, Q(1, 2), Q(1, 2)))
         payload = report.to_json()
         assert payload["suite"] == "mult1-quotients"
         assert payload["ok"] is True
