@@ -14,11 +14,15 @@ spectrum or verify window with no K-type, a window with more than
 :data:`MAX_WINDOW_LABELS` K-types, a calibrate window with nothing to solve)
 and a failed write raise :class:`UsageError` where they are found,
 and :func:`main` alone prints it and returns 2; only argparse's own errors
-raise ``SystemExit(2)``.  One parser serves every :func:`main` call.
+raise ``SystemExit(2)``.  :data:`COMMANDS` is the one definition of each
+subcommand's flags.  :func:`main` reads a subcommand followed by its exact
+long flags (``--flag=value``, ``--flag value`` with a value not starting with
+``-``, a bare store_true flag; every value non-empty and valid, every
+required flag given) against it directly; argparse is imported and its parser
+built, once per process, only for help, errors and every other argv.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import os
@@ -28,7 +32,8 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from types import SimpleNamespace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Union)
 
 from . import faults
 from .exact import format_ratio, format_rational, pq_json, rational
@@ -40,6 +45,9 @@ from .spectra import (SPECTRUM_COLUMNS, EmptyWindowError, InconsistentSystemErro
                       mult2_det_quotient_matrix, first_order_block, spectrum_rows,
                       z_forms)
 from .verify import CONVENTION, SuiteReport, run_all_suites, resolve_block_factor_reading
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA_VERSION = 1
 
@@ -55,97 +63,45 @@ class UsageError(Exception):
     """Bad input, raised where it is found; ``main`` prints it and returns 2."""
 
 
-def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=4, help="sphere dimension + 1 (even, >= 4)")
-    p.add_argument("--r", default="1/2", help="half the operator order, as p/q")
-    p.add_argument("--lattice", choices=("half", "int"), default="half",
-                   help="circle weight lattice")
+class Flag:
+    """One flag of a subcommand: how ``build_parser`` declares it to argparse
+    and how ``_table_args`` reads it; a plain class, since making a
+    ``NamedTuple`` class costs each import a few tenths of a millisecond."""
+    __slots__ = ("option", "type", "choices", "default", "required", "store_true", "help")
+
+    def __init__(self, option: str, type: Callable = str, choices: Optional[tuple] = None,
+                 default: object = None, required: bool = False, store_true: bool = False,
+                 help: Optional[str] = None) -> None:
+        self.option, self.type, self.choices, self.default = option, type, choices, default
+        self.required, self.store_true, self.help = required, store_true, help
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    _add_params(p)
-    p.add_argument("--strict-paper", action="store_true",
-                   help="use the strict formula variants, including their known misprints")
+_PARAMS = (
+    Flag("--n", int, default=4, help="sphere dimension + 1 (even, >= 4)"),
+    Flag("--r", default="1/2", help="half the operator order, as p/q"),
+    Flag("--lattice", choices=("half", "int"), default="half", help="circle weight lattice"),
+)
+_COMMON = _PARAMS + (
+    Flag("--strict-paper", default=False, store_true=True,
+         help="use the strict formula variants, including their known misprints"),
+)
+_WINDOW = (Flag("--f-min", default="-9/2"), Flag("--f-max", default="9/2"),
+           Flag("--j-max", default="9/2"))
+_REGION = _WINDOW + (Flag("--xi", choices=("1", "-1", "both"), default="both"),
+                     Flag("--eps", choices=("1", "-1", "both"), default="both"))
+_OUTPUT = (Flag("--format", choices=("table", "json", "csv"), default="table"),
+           Flag("--out", help="write output to a file instead of stdout"))
 
 
-def _add_window(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--f-min", default="-9/2")
-    p.add_argument("--f-max", default="9/2")
-    p.add_argument("--j-max", default="9/2")
-
-
-def _add_region(p: argparse.ArgumentParser) -> None:
-    _add_window(p)
-    p.add_argument("--xi", choices=("1", "-1", "both"), default="both")
-    p.add_argument("--eps", choices=("1", "-1", "both"), default="both")
-
-
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-
-
-def _add_label(p: argparse.ArgumentParser, with_q: bool) -> None:
+def _label(*q: Flag) -> tuple:
     """A one-label query: the configuration, --f/--j[/--q]/--eps/--xi, the output."""
-    _add_common(p)
-    for flag in ("--f", "--j"):
-        p.add_argument(flag, required=True)
-    if with_q:
-        p.add_argument("--q", type=int, choices=(0, 1), required=True)
-    p.add_argument("--eps", type=int, choices=(1, -1), required=True)
-    p.add_argument("--xi", type=int, choices=(1, -1), default=1)
-    _add_output(p)
+    return _COMMON + (Flag("--f", required=True), Flag("--j", required=True), *q,
+                      Flag("--eps", int, (1, -1), required=True),
+                      Flag("--xi", int, (1, -1), default=1)) + _OUTPUT
 
 
 def _pm(values: str) -> List[int]:
     return [1, -1] if values == "both" else [int(values)]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser; each subcommand's ``handler`` runs the parsed args."""
-    parser = argparse.ArgumentParser(
-        prog="twistor-spectra",
-        description="Exact spectra of conformal intertwining operators on twistors "
-                    "over a circle times an even sphere.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_spec = sub.add_parser("spectrum", help="tabulate spectral data over a region")
-    for add in (_add_common, _add_region, _add_output):
-        add(p_spec)
-    p_spec.set_defaults(handler=cmd_spectrum)
-
-    p_block = sub.add_parser("block", help="one 2x2 block, with its r = 1/2 degeneration")
-    _add_label(p_block, with_q=False)
-    p_block.set_defaults(handler=cmd_block)
-
-    p_nb = sub.add_parser("neighbors", help="diagram around one K-type with quotient entries")
-    _add_label(p_nb, with_q=True)
-    p_nb.set_defaults(handler=cmd_neighbors)
-
-    p_ver = sub.add_parser("verify", help="run all verification suites over a region")
-    for add in (_add_common, _add_region):
-        add(p_ver)
-    p_ver.add_argument("--out", default=None, help="write the JSON report here")
-    p_ver.set_defaults(handler=cmd_verify)
-
-    p_cal = sub.add_parser("calibrate", help="solve for the divergence-part eigenvalues")
-    for add in (_add_params, _add_window, _add_output):
-        add(p_cal)
-    p_cal.add_argument("--xi-solve", type=int, choices=(1, -1), default=1,
-                       help="chirality used for the solve")
-    p_cal.set_defaults(handler=cmd_calibrate, strict_paper=False)  # solve with corrected forms
-    return parser
-
-
-_PARSER: Optional[argparse.ArgumentParser] = None
-
-
-def _parser() -> argparse.ArgumentParser:
-    """This process's parser, built by ``build_parser`` on first use."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    return _PARSER
 
 
 def _flag_rational(group: str, flag: str, text: str) -> Fraction:
@@ -474,11 +430,109 @@ def cmd_calibrate(args) -> int:
     return 0 if result.consistent else 1
 
 
+# each subcommand's help, its flags in the order of its help text, and the
+# attributes set by no flag: the one definition, read by build_parser and _table_args
+COMMANDS = {
+    "spectrum": ("tabulate spectral data over a region", _COMMON + _REGION + _OUTPUT,
+                 {"handler": cmd_spectrum}),
+    "block": ("one 2x2 block, with its r = 1/2 degeneration", _label(),
+              {"handler": cmd_block}),
+    "neighbors": ("diagram around one K-type with quotient entries",
+                  _label(Flag("--q", int, (0, 1), required=True)),
+                  {"handler": cmd_neighbors}),
+    "verify": ("run all verification suites over a region",
+               _COMMON + _REGION + (Flag("--out", help="write the JSON report here"),),
+               {"handler": cmd_verify}),
+    "calibrate": ("solve for the divergence-part eigenvalues",
+                  _PARAMS + _WINDOW + _OUTPUT +
+                  (Flag("--xi-solve", int, (1, -1), 1, help="chirality used for the solve"),),
+                  # solve with corrected forms
+                  {"handler": cmd_calibrate, "strict_paper": False}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh argparse parser of :data:`COMMANDS`; each subcommand's ``handler``
+    runs the parsed args."""
+    import argparse
+    parser = argparse.ArgumentParser(
+        prog="twistor-spectra",
+        description="Exact spectra of conformal intertwining operators on twistors "
+                    "over a circle times an even sphere.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, flags, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag in flags:
+            if flag.store_true:
+                p.add_argument(flag.option, action="store_true", default=flag.default,
+                               help=flag.help)
+            else:
+                p.add_argument(flag.option, type=flag.type, choices=flag.choices,
+                               default=flag.default, required=flag.required, help=flag.help)
+        p.set_defaults(**defaults)
+    return parser
+
+
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """This process's parser, built by ``build_parser`` on first use."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
+def _table_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse would give for ``argv``, read against its
+    subcommand's flags in :data:`COMMANDS`; None for an argv outside the form
+    the module docstring gives (an empty value too), which argparse parses."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, table, defaults = COMMANDS[argv[0]]
+    flags = {flag.option: flag for flag in table}
+    values = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        option, eq, value = arg.partition("=")
+        flag = flags.get(option)
+        if flag is None:
+            return None
+        if flag.store_true:
+            if eq:
+                return None
+            values[option] = True
+            continue
+        if not eq:
+            value = next(rest, "")
+            if value.startswith("-"):
+                return None
+        if not value:
+            return None
+        try:
+            value = flag.type(value)
+        except ValueError:
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[option] = value
+    if any(flag.required and flag.option not in values for flag in table):
+        return None
+    return SimpleNamespace(command=argv[0], **defaults,
+                           **{flag.option[2:].replace("-", "_"):
+                              values.get(flag.option, flag.default) for flag in table})
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; its exit code, 2 for any :class:`UsageError`.  It
     first empties the r-keyed tables (``faults.start_run``)."""
     faults.start_run()
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _table_args(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         _check_out(args.out)
         return args.handler(args)

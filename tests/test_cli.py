@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as Q
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -410,6 +411,8 @@ class TestUsageErrors:
                     main(["calibrate", "--n", "4", "--strict-paper"])
                 capsys.readouterr()
             outputs.append((main(argv), capsys.readouterr()))
+            if not i:
+                assert built == []      # a well-formed query reads the flag table
         assert len(built) <= 1
         assert outputs[0][0] == 0 and outputs[0] == outputs[1] == outputs[2]
 
@@ -559,6 +562,131 @@ class TestUsageErrors:
                               env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == code
         assert done.stderr == err
+
+
+# argvs that must take the flag table's path: the tests' ``--flag value``
+# forms and the ``--flag=value`` shapes of the benchmark's queries
+TABLE_ARGVS = [
+    ["block", "--n", "4", "--r", "1/2", "--f", "1/2", "--j", "1/2", "--eps", "1"],
+    ["neighbors", "--n", "6", "--r", "3/2", "--f", "1/2", "--j", "3/2", "--q", "0",
+     "--eps", "1"],
+    ["calibrate", "--n", "6", "--r", "3/2", *REGION],
+    ["spectrum", "--n", "4", "--r=-3/2", "--lattice", "int", *REGION, "--format", "json"],
+    ["verify", "--n", "6", "--r", "3/2", "--strict-paper", *REGION, "--out", "report.json"],
+    ["verify", "--n", "8", "--r=-3/2", *REGION],
+    ["verify", "--n=8", "--r=5/2", "--f-min=-19/2", "--f-max=19/2", "--j-max=11/2",
+     "--out=report.json"],
+    ["spectrum", "--n=8", "--r=7/3", "--f-min=-99/2", "--f-max=99/2", "--j-max=21/2",
+     "--format=csv", "--out=tabulate.csv"],
+    ["neighbors", "--n=6", "--r=3/2", "--f=-7/2", "--j=5/2", "--eps=-1", "--xi=1", "--q=1",
+     "--format=json"],
+    ["block", "--n=8", "--r=11/5", "--f=19/2", "--j=1/2", "--eps=1", "--xi=-1",
+     "--format=csv"],
+    ["spectrum", "--n=4", "--r=1", "--f-min=-5/2", "--f-max=-5/2", "--j-max=11/2",
+     "--format=table"],
+    ["calibrate", "--n=6", "--r=7/3", "--f-min=-5/2", "--f-max=5/2", "--j-max=7/2",
+     "--xi-solve=-1"],
+]
+
+# values outside each flag's valid ones: a leading "-", bad ints and choices, empty
+ODD_VALUES = ["-1", "-1/2", "--n", "x", "2", "both", "", " 1", "+1", "1_0"]
+# arguments that are no exact flag of any subcommand
+ODD_ARGS = ["-h", "--help", "--bogus", "--", "x", "--n=4=4", "-n"]
+
+
+def _argparse_vars(argv):
+    """``vars(build_parser().parse_args(argv))``, None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@st.composite
+def _flag_args(draw, flag):
+    """One flag's arguments: exact or abbreviated, either value form, a value
+    valid for the flag or odd."""
+    option = flag.option
+    if len(option) > 3 and not draw(st.integers(0, 5)):
+        option = option[:draw(st.integers(3, len(option) - 1))]
+    if flag.store_true:
+        return [draw(st.sampled_from([option, option, option + "=", option + "=1"]))]
+    if draw(st.integers(0, 4)):
+        valid = [str(c) for c in flag.choices] if flag.choices else \
+            ["4", "6"] if flag.type is int else ["1/2", "3/2", "-5/2", "x/y"]
+        value = draw(st.sampled_from(valid))
+    else:
+        value = draw(st.sampled_from(ODD_VALUES))
+    return [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand and arguments drawn from its flag table, shuffled: usually
+    every required flag, some flags repeated, sometimes an odd argument."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, flags, _ = cli.COMMANDS[name]
+    chosen = draw(st.lists(st.sampled_from(flags), max_size=5))
+    if draw(st.integers(0, 3)):
+        chosen += [flag for flag in flags if flag.required]
+    pieces = [draw(_flag_args(flag)) for flag in chosen]
+    if not draw(st.integers(0, 4)):
+        pieces.append([draw(st.sampled_from(ODD_ARGS))])
+    return [name, *chain.from_iterable(draw(st.permutations(pieces)))]
+
+
+class TestFlagTable:
+    @given(_argvs())
+    @example([])
+    @example(["frobnicate"])
+    @example(["-h", "block"])
+    @example(["block", "--f", "1/2", "--j", "1/2", "--eps", "-1"])
+    @example(["block", "--f", "-1/2", "--j", "1/2", "--eps", "1"])
+    @example(["block", "--f=", "--j", "1/2", "--eps", "1"])
+    @example(["calibrate", "--strict-paper"])
+    def test_the_table_reads_as_argparse(self, argv):
+        # the table's reading is argparse's or none; none where argparse exits
+        table = cli._table_args(argv)
+        expected = _argparse_vars(argv)
+        if expected is None or table is None:
+            assert table is None
+        else:
+            assert vars(table) == expected
+
+    @pytest.mark.parametrize("argv", TABLE_ARGVS, ids=" ".join)
+    def test_well_formed_queries_take_the_table(self, argv):
+        table = cli._table_args(argv)
+        assert table is not None
+        assert vars(table) == _argparse_vars(argv)
+
+    @staticmethod
+    def _run_bare(code):
+        # -S: no site hooks, so only the library's own imports count
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run([sys.executable, "-S", "-c",
+                               "import sys, twistor_spectra.cli as cli; " + code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+
+    def test_a_well_formed_command_imports_no_argparse(self):
+        done = self._run_bare(
+            "code = cli.main(['block', '--n', '4', '--r', '1/2', '--f', '3/2', '--j', '1/2', "
+            "'--eps', '1']); print(code, 'argparse' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["block", "--help"], 0, ""),
+        (["calibrate", "--n", "4", "--strict-paper"], 2,
+         "twistor-spectra: error: unrecognized arguments: --strict-paper\n"),
+    ])
+    def test_help_and_errors_build_argparse_on_demand(self, argv, code, err):
+        done = self._run_bare(f"cli.main({argv!r})")
+        assert done.returncode == code
+        assert done.stderr.endswith(err)
+        if code == 0:
+            assert done.stdout.startswith("usage: twistor-spectra block [-h]")
 
 
 class TestVerify:
