@@ -154,7 +154,8 @@ class Record:
 
 class Frozen(Record):
     """An immutable :class:`Record`, hashed and pickled by its fields; each
-    ``__init__`` sets its slots with ``object.__setattr__``."""
+    ``__init__`` sets its slots with ``object.__setattr__``, or through the
+    slots' own descriptors where a run makes thousands (``verify.EdgeCheck``)."""
 
     __slots__ = ()
 

@@ -16,8 +16,9 @@ once per label pair of a run.  The divergence-part eigenvalue ``L`` is calibrate
 
 A verify run reads each label through one :class:`Label` record of a
 :class:`Labels` table, keyed by the small ints (xi, 2f, 2j, q, eps): its
-``KType``, its (J, s) on the run's integer scale and, once asked for, its
-diagram neighbors as records.  :func:`neighbors` walks the same integer keys.
+``KType`` and its (J, s) on the run's integer scale; the table keeps, once
+asked for, each record's diagram neighbors as records, so no record refers to
+another.  :func:`neighbors` walks the same integer keys.
 A table states J on its scale once per (2j, eps) (:meth:`Labels.spectral_J`).  A
 window is two integer ranges, its 2f (:func:`f2_range`) and its 2j
 (:func:`j2_range`), so its size is known without walking it.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, lcm
 from operator import itemgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import faults
 from .exact import Frozen, RationalLike, format_rational, rational
@@ -248,14 +249,14 @@ class Label:
 
     ``F`` and ``J`` are f and the spectral J on the table's ``scale``
     (f = F/scale, J = J/scale) and ``s`` = xi*eps; ``key`` is the label's
-    (xi, 2f, 2j, q, eps).  A record is compared by identity.
+    (xi, 2f, 2j, q, eps).  A record is compared by identity and refers to
+    no other record, so a run's records need no cycle collector.
     """
 
-    __slots__ = ("ktype", "key", "F", "J", "s", "scale", "_neighbors")
+    __slots__ = ("ktype", "key", "F", "J", "s", "scale")
 
     def __init__(self, ktype: KType, key: Key, F: int, J: int, s: int, scale: int):
         self.ktype, self.key, self.F, self.J, self.s, self.scale = ktype, key, F, J, s, scale
-        self._neighbors: Optional[List[Tuple[Direction, "Label"]]] = None
 
 
 class Labels:
@@ -268,13 +269,21 @@ class Labels:
     as long as its caller keeps it, so nothing of a run outlives the run.  It
     keeps the values made under the fault that was armed when they were made,
     so a test builds it inside the ``faults.inject`` block.
+
+    A record made by :meth:`of` keeps the caller's ``KType``, and :meth:`of`
+    finds it again by that object's identity; a record made by :meth:`at`
+    gets a new one, on the table's shared halves.  The neighbor lists are
+    kept here, by record, not on the records.
     """
 
     def __init__(self, params: Params):
         self.params = params
         self.scale = label_scale(params.n)
         self._by_key: Dict[Key, Label] = {}
+        self._by_ktype: Dict[int, Label] = {}     # by id of the record's own KType
+        self._halves: Dict[int, Fraction] = {}
         self._J: Dict[Tuple[int, int], int] = {}
+        self._neighbors: Dict[Label, List[Tuple[Direction, Label]]] = {}
         self.pairs: Dict[tuple, object] = {}    # label pair data and z ratios, for other modules
 
     def spectral_J(self, j2: int, eps: int) -> int:
@@ -282,33 +291,51 @@ class Labels:
         a ``ValueError`` if that is no integer (a ``DIRAC`` offset armed later)."""
         J = self._J.get((j2, eps))
         if J is None:
-            Jq = eps * DEFAULT_EIGENVALUES.dirac(self.params, Fraction(j2, 2), eps)
+            Jq = eps * DEFAULT_EIGENVALUES.dirac(self.params, self._half(j2), eps)
             d = self.scale
             if d % Jq.denominator:
                 raise ValueError(f"J = {Jq} of 2j = {j2}, eps = {eps} is off the scale 1/{d}")
             J = self._J[j2, eps] = Jq.numerator * (d // Jq.denominator)
         return J
 
+    def _half(self, k: int) -> Fraction:
+        half = self._halves.get(k)
+        if half is None:
+            half = self._halves[k] = Fraction(k, 2)
+        return half
+
     def of(self, ktype: KType) -> Label:
-        """The record of ``ktype``, made if it is new."""
-        return self.at(label_key(ktype))
+        """The record of ``ktype``, made with it if it is new."""
+        # the record keeps its KType alive, so the id is not reused while it is a key
+        rec = self._by_ktype.get(id(ktype))
+        if rec is None:
+            key = label_key(ktype)
+            rec = self._by_key.get(key) or self._make(key, ktype)
+        return rec
 
     def at(self, key: Key) -> Label:
         """The record of the label with this key, made if it is new."""
         rec = self._by_key.get(key)
         if rec is None:
-            xi, f2, j2, _, eps = key
-            d = self.scale
-            rec = self._by_key[key] = Label(_key_ktype(key), key, f2 * (d // 2),
-                                             self.spectral_J(j2, eps), xi * eps, d)
+            xi, f2, j2, q, eps = key
+            rec = self._make(key, KType(xi, self._half(f2), self._half(j2), q, eps))
+        return rec
+
+    def _make(self, key: Key, ktype: KType) -> Label:
+        xi, f2, j2, _, eps = key
+        d = self.scale
+        rec = self._by_key[key] = Label(ktype, key, f2 * (d // 2), self.spectral_J(j2, eps),
+                                        xi * eps, d)
+        self._by_ktype[id(ktype)] = rec
         return rec
 
     def neighbors(self, rec: Label) -> List[Tuple[Direction, Label]]:
         """The diagram neighbors of ``rec`` as records, in :data:`DIRECTIONS` order."""
-        if rec._neighbors is None:
-            rec._neighbors = [(direction, self.at(key))
-                              for direction, key in _neighbor_keys(rec.key)]
-        return rec._neighbors
+        out = self._neighbors.get(rec)
+        if out is None:
+            out = self._neighbors[rec] = [(direction, self.at(key))
+                                          for direction, key in _neighbor_keys(rec.key)]
+        return out
 
 
 class InterfaceSquare(NamedTuple):
@@ -396,5 +423,5 @@ def enumerate_ktypes(params: Params, f_min: RationalLike, f_max: RationalLike,
     """All K-types in a finite window, in deterministic (xi, f, j, eps, q) order:
     the labels of :func:`window_keys`."""
     keys = window_keys(params, f_min, f_max, j_max, qs, xi_values, eps_values)
-    halves = {k: Fraction(k, 2) for key in keys for k in key[1:3]}
+    halves = {k: Fraction(k, 2) for k in {k for key in keys for k in key[1:3]}}
     return iter([KType(xi, halves[f2], halves[j2], q, eps) for xi, f2, j2, q, eps in keys])

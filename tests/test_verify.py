@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import math
 import re
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 
 from twistor_spectra import cli, faults, spectra
 from twistor_spectra.exact import format_rational
-from twistor_spectra.ktypes import (Direction, KType, Labels, Params,
+from twistor_spectra.ktypes import (Direction, KType, Label, Labels, Params,
                                     enumerate_ktypes, make_ktype)
 from twistor_spectra.spectra import (SingularCoefficientError,
                                      block_coefficients, calibrate_L)
 from twistor_spectra.verify import (FAIL, INDETERMINATE, PASS, POLE,
                                     SKIP_DEGENERATE, SKIP_SINGULAR, ZERO,
-                                    EdgeCheck, _case2_residuals,
+                                    EdgeCheck, SuiteReport, _case2_residuals,
                                     edges_text,
                                     resolve_block_factor_reading,
                                     run_all_suites, verify_case2_relation,
@@ -380,6 +381,80 @@ class TestReportWriter:
         # batched: every write but the last holds at least CHUNK characters
         assert min(sizes[:-1]) >= cli.CHUNK and max(sizes) <= cli.CHUNK + 4096
         assert json.loads("".join(writes))["ok"] is True
+
+
+class TestEdgesText:
+    """The writer against the stdlib on a synthetic set built to miss its
+    shortcuts: dict keys out of sorted order, one key order with str and
+    with int values, a key needing a ``%`` escape, a detail with quotes and
+    non-ASCII, and null targets and directions."""
+
+    KT, KT2 = KType(1, Q(-1, 2), Q(3, 2), 0, -1), KType(-1, Q(7), Q(5, 2), 1, 1)
+    CHECKS = [
+        EdgeCheck(2, KT, KT2, Direction(-1, 0), FAIL, 'the "\u03c1" ratio \u2260 1',
+                  {"g2": "1/3", "c_ba": "-2", "f1": "1,2"}, {"(2,1)": "5", "(1,2)": "-1/7"}),
+        EdgeCheck(2, KT, KT2, Direction(-1, 0), PASS,
+                  quantities={"g2": 4, "c_ba": -3, "f1": 0}, residuals={}),
+        EdgeCheck(1, KT2, None, None, SKIP_SINGULAR, "block: C4 = 0"),
+        EdgeCheck(3, KT2, KT, Direction(1, 1), FAIL, "",
+                  {"z": "%s", "50%": 7}, {"got": "POLE", "expected": "0"}),
+        EdgeCheck(1, KT, KT2, None, PASS, quantities={"a1": "1/2"}),
+    ]
+
+    @staticmethod
+    def nested(value, depth):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+    def test_the_text_is_the_stdlib_text_at_each_depth(self):
+        for depth in (0, 1, 3):
+            for checks in (self.CHECKS, self.CHECKS[::-1], self.CHECKS[2:3], []):
+                want = self.nested([c.to_json() for c in checks], depth)
+                assert "".join(edges_text(checks, "  ", depth)) == want
+
+    def test_a_suite_is_the_stdlib_text_of_its_to_json(self):
+        for depth in (0, 2):
+            report = SuiteReport("case2-relation", list(self.CHECKS))
+            assert "".join(report.json_chunks("  ", depth)) == self.nested(report.to_json(), depth)
+            empty = SuiteReport("interface")
+            assert "".join(empty.json_chunks("  ", depth)) == self.nested(empty.to_json(), depth)
+
+    @given(st.lists(st.dictionaries(st.text(max_size=4), st.one_of(st.text(max_size=6),
+                                                                     st.integers()),
+                                    max_size=5), max_size=6))
+    def test_any_dicts_of_str_or_int(self, dicts):
+        checks = [EdgeCheck(2, self.KT, self.KT2, Direction(1, 0), FAIL, quantities=d,
+                            residuals=dicts[k - 1]) for k, d in enumerate(dicts)]
+        assert "".join(edges_text(checks, "  ", 1)) == self.nested(
+            [c.to_json() for c in checks], 1)
+
+
+class TestRunsLeaveNoCycles:
+    """No label record refers to another, so a run's records are freed as
+    soon as its results are dropped, with the cycle collector off."""
+
+    @staticmethod
+    def records_alive():
+        return sum(isinstance(o, Label) for o in gc.get_objects())
+
+    def test_suites_and_calibrate_free_their_records(self, capsys):
+        params = Params(4, Q(5, 2))
+        window = (Q(-3, 2), Q(3, 2), Q(7, 2))
+        centers = list(enumerate_ktypes(params, *window))
+        gc.collect()
+        before = self.records_alive()
+        gc.disable()
+        try:
+            labels = Labels(params)
+            verify_case2_relation(labels, centers)
+            assert self.records_alive() > before     # the count sees a live table
+            del labels
+            reports, calibrations = run_all_suites(params, centers, *window)
+            assert reports["interface"].checks and len(calibrations) == 2
+            del reports, calibrations
+            assert cli.main(["calibrate", "--n", "6", "--r", "3/2"]) == 0
+            assert self.records_alive() == before
+        finally:
+            gc.enable()
 
 
 class RecordingFile:
