@@ -7,8 +7,8 @@ The verification suites certify each closed form against an independent exact
 route and return verdicts with exact residuals.
 """
 from .exact import (GammaPoleError, GammaQuotient, NonCommensurableError,
-                    ReducedValue, evaluate_numeric, format_rational,
-                    ratio_tagged, rational, reduce_exact)
+                    Tagged, evaluate_numeric, format_rational, ratio_tagged,
+                    rational, reduce_exact)
 from .ktypes import (BadDimensionError, DIRECTIONS, Direction,
                      InterfaceSquare, InvalidWeightError, KType, Labels, Params,
                      SphereEigenvalues, case1_partners, enumerate_ktypes,

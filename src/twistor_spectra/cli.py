@@ -58,6 +58,10 @@ CHUNK = 1 << 16
 # benchmark's widest holds 8400)
 MAX_WINDOW_LABELS = 2 ** 16
 
+# the most multiplicity-two centers, the window's first, on which verify
+# resolves the block factor's reading
+MAX_READING_CENTERS = 40
+
 
 class UsageError(Exception):
     """Bad input, raised where it is found; ``main`` prints it and returns 2."""
@@ -320,7 +324,7 @@ def cmd_verify(args) -> int:
         raise _empty_window(f_min, f_max, j_max)
     reports, calibrations = run_all_suites(params, centers, f_min, f_max, j_max)
     reading = resolve_block_factor_reading(
-        params, [c for c in centers if c.multiplicity == 2][:40])
+        params, [c for c in centers if c.multiplicity == 2][:MAX_READING_CENTERS])
     unsolved = [cal for _, cal in sorted(calibrations.items()) if _unsolved(cal)]
     all_ok = not unsolved and all(rep.ok for rep in reports.values()) and \
         reading["resolved"] != "neither" and \

@@ -16,17 +16,18 @@ arguments, where spans whose sum is 0 cost nothing.  :func:`pq_ratio`
 (behind :func:`ratio_tagged`) applies it to numbers, and
 ``spectra._ratio_template`` (behind ``spectra.z_product``, which the suites
 and ``spectrum``'s chains use) to linear forms in (f, J, r).  Both give a
-:class:`Tagged` on ints, where a factor that is 0 adds its exponent to the
-vanishing order: the order is minus the total exponent at non-positive
-integers, and a finite value is the limit with every argument shifted by one
-small amount.  :func:`gamma_classes` keys the commensurability classes.
+:class:`Tagged` on ints, the library's one exact value, where a factor that
+is 0 adds its exponent to the vanishing order: the order is minus the total
+exponent at non-positive integers, so a pole's order is negative, and a
+finite value is the limit with every argument shifted by one small amount.
+:func:`pq_classes` keys the commensurability classes.
 
 A quotient's canonical factors are also kept as integer (p, q, exp) triples,
 ``GammaQuotient._pq``, and the class key, the exact ratio, the one numeric
 evaluation and the JSON form are kernels on such triples (:func:`pq_classes`,
-:func:`pq_ratio`, :func:`pq_numeric`, :func:`pq_json`): :func:`gamma_classes`,
-:func:`ratio_tagged`, :func:`evaluate_numeric` and ``GammaQuotient.to_json``
-call them on quotients, and ``spectrum`` and ``block`` call them on the
+:func:`pq_ratio`, :func:`pq_numeric`, :func:`pq_json`): :func:`ratio_tagged`,
+:func:`evaluate_numeric` and ``GammaQuotient.to_json`` call them on
+quotients, and ``spectrum`` and ``block`` call them on the
 triples ``spectra.z_forms`` builds from integers, with no quotient.
 
 The library's ``__slots__`` records share one base: a :class:`Record`'s fields
@@ -58,12 +59,10 @@ __all__ = [
     "format_rational",
     "format_ratio",
     "GammaQuotient",
-    "ReducedValue",
     "Tagged",
     "telescope",
     "ratio_tagged",
     "pq_ratio",
-    "gamma_classes",
     "pq_classes",
     "pq_json",
     "reduce_exact",
@@ -113,10 +112,6 @@ def format_ratio(num: int, den: int) -> str:
     num //= g
     den //= g
     return str(num) if den == 1 else f"{num}/{den}"
-
-
-def _is_nonpositive_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x <= 0
 
 
 def _canonical_factors(factors: Iterable[Tuple[Fraction, int]]) -> Tuple[Tuple[Fraction, int], ...]:
@@ -203,39 +198,16 @@ class GammaQuotient(Frozen):
         return GammaQuotient(self.prefactor * other.prefactor,
                              self.factors + other.factors)
 
-    def pole_arguments(self) -> Tuple[Fraction, ...]:
-        return tuple(a for a, e in self.factors if e > 0 and _is_nonpositive_integer(a))
-
-    def zero_arguments(self) -> Tuple[Fraction, ...]:
-        return tuple(a for a, e in self.factors if e < 0 and _is_nonpositive_integer(a))
-
     @property
     def is_pole(self) -> bool:
-        return bool(self.pole_arguments())
+        return any(q == 1 and p <= 0 and e > 0 for p, q, e in self._pq)
 
     @property
     def is_zero(self) -> bool:
-        return bool(self.zero_arguments())
+        return any(q == 1 and p <= 0 and e < 0 for p, q, e in self._pq)
 
     def to_json(self) -> dict:
         return pq_json(self.prefactor, self._pq)
-
-
-class ReducedValue(NamedTuple):
-    """Tagged result of an exact reduction.
-
-    kind is one of ``finite``, ``zero``, ``pole``.  ``value`` is the exact
-    rational for ``finite`` (and 0 for ``zero``); ``order`` is the net
-    vanishing order (positive for zeros, positive pole order for poles).
-    """
-
-    kind: str
-    value: Fraction = Fraction(0)
-    order: int = 0
-
-    def render(self) -> str:
-        """``p/q`` for a finite value, else ``0`` or ``POLE``."""
-        return "POLE" if self.kind == "pole" else format_rational(self.value)
 
 
 def telescope(items: Iterable[Tuple[int, int]], step: int) -> list:
@@ -266,10 +238,11 @@ def telescope(items: Iterable[Tuple[int, int]], step: int) -> list:
 
 
 class Tagged(NamedTuple):
-    """An exact value on ints, as :func:`pq_ratio` and ``spectra.z_product`` give it.
+    """An exact value on ints, the one result of every exact reduction.
 
-    ``order`` > 0 is a zero and < 0 a pole of that order; otherwise the
-    value is num/den, unreduced, den nonzero of either sign.
+    ``order`` > 0 is a zero and < 0 a pole of that order; otherwise the value
+    is num/den: unreduced, den nonzero of either sign, from :func:`pq_ratio`
+    and ``spectra.z_product``; in lowest terms, den > 0, from :meth:`reduced`.
     """
 
     order: int
@@ -280,11 +253,14 @@ class Tagged(NamedTuple):
     def kind(self) -> str:
         return "finite" if not self.order else "zero" if self.order > 0 else "pole"
 
-    def reduced(self) -> ReducedValue:
-        """The same value as a :class:`ReducedValue`, in lowest terms."""
-        if self.order:
-            return ReducedValue(self.kind, Fraction(0), abs(self.order))
-        return ReducedValue("finite", Fraction(self.num, self.den))
+    @property
+    def value(self) -> Fraction:
+        """num/den when finite, else 0."""
+        return Fraction(0) if self.order else Fraction(self.num, self.den)
+
+    def reduced(self) -> "Tagged":
+        """The same value in lowest terms, den > 0; a bare ``Tagged(order)`` when not finite."""
+        return Tagged(self.order) if self.order else Tagged(0, *self.value.as_integer_ratio())
 
     def render(self) -> str:
         if self.order:
@@ -316,8 +292,8 @@ def pq_ratio(pq_a: Iterable[tuple], pq_b: Iterable[tuple]) -> Tagged:
     return Tagged(order, num, den)
 
 
-def ratio_tagged(a: GammaQuotient, b: GammaQuotient) -> ReducedValue:
-    """Exact a/b with pole/zero tagging instead of errors, by :func:`pq_ratio`."""
+def ratio_tagged(a: GammaQuotient, b: GammaQuotient) -> Tagged:
+    """Exact a/b in lowest terms, with pole/zero tagging instead of errors, by :func:`pq_ratio`."""
     t = pq_ratio(a._pq, b._pq)
     pa, pb = a.prefactor, b.prefactor
     return Tagged(t.order, t.num * pa.numerator * pb.denominator,
@@ -326,7 +302,8 @@ def ratio_tagged(a: GammaQuotient, b: GammaQuotient) -> ReducedValue:
 
 def pq_classes(pq: Iterable[Tuple[int, int, int]]) -> frozenset:
     """The net exponent of each class mod 1 of the arguments p/q of (p, q, exp)
-    triples, zeros left out: the kernel of :func:`gamma_classes`."""
+    triples, zeros left out: the key of commensurability, an equivalence, as
+    ``ratio_tagged(a, b)`` reduces iff ``pq_classes(a._pq) == pq_classes(b._pq)``."""
     net: dict = {}
     for p, q, exp in pq:
         key = (p % q, q)
@@ -334,21 +311,11 @@ def pq_classes(pq: Iterable[Tuple[int, int, int]]) -> frozenset:
     return frozenset(item for item in net.items() if item[1])
 
 
-def gamma_classes(g: GammaQuotient) -> frozenset:
-    """The net exponent of each class mod 1 of ``g``'s arguments, zeros left out.
-
-    ``ratio_tagged(a, b)`` reduces exactly when every class balances, that
-    is iff ``gamma_classes(a) == gamma_classes(b)``: commensurability is an
-    equivalence, and this is its key.
-    """
-    return pq_classes(g._pq)
-
-
 _UNIT = GammaQuotient()
 
 
-def reduce_exact(g: GammaQuotient) -> ReducedValue:
-    """Reduce a self-commensurable quotient to a tagged rational."""
+def reduce_exact(g: GammaQuotient) -> Tagged:
+    """Reduce a self-commensurable quotient to a :class:`Tagged` in lowest terms."""
     return ratio_tagged(g, _UNIT)
 
 

@@ -549,6 +549,8 @@ def run_all_suites(params: Params, centers: Sequence[KType], f_min, f_max, j_max
             result = calibrate_L(labels, xi, f_min, f_max, j_max)
         except InconsistentSystemError as exc:     # an EmptyWindowError among them
             calibrations[xi] = exc
+            while exc is not None:      # kept with no traceback: its frames hold the table
+                exc.__traceback__, exc = None, exc.__context__
             continue
         calibrations[xi] = result
         sub = verify_interface(labels, [c for c in centers if c.xi == xi], result.table)

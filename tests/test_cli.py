@@ -680,6 +680,10 @@ class TestFlagTable:
         (["block", "--help"], 0, ""),
         (["calibrate", "--n", "4", "--strict-paper"], 2,
          "twistor-spectra: error: unrecognized arguments: --strict-paper\n"),
+        # a value given to a switch: the table declines it, argparse refuses it
+        (["verify", "--n", "4", "--strict-paper=1"], 2,
+         "twistor-spectra verify: error: argument --strict-paper: "
+         "ignored explicit argument '1'\n"),
     ])
     def test_help_and_errors_build_argparse_on_demand(self, argv, code, err):
         done = self._run_bare(f"cli.main({argv!r})")

@@ -54,6 +54,18 @@ class TestMakeKType:
         with pytest.raises(InvalidWeightError):
             make_ktype(P4, 1, Q(1), Q(1, 2), 0, 1)
 
+    @pytest.mark.parametrize("xi, q, eps, message", [
+        (0, 0, 1, "xi and eps"), (1, 0, -2, "xi and eps"), (1, 2, 1, "q must")])
+    def test_signs_and_q_checked(self, xi, q, eps, message):
+        with pytest.raises(InvalidWeightError, match=message):
+            make_ktype(P4, xi, Q(1, 2), Q(3, 2), q, eps)
+
+    def test_a_record_needs_half_integers(self):
+        # an unvalidated KType: the table's key is (xi, 2f, 2j, q, eps)
+        for f, j in ((Q(1, 3), Q(3, 2)), (Q(1, 2), Q(4, 3))):
+            with pytest.raises(InvalidWeightError, match="off the half-integers"):
+                Labels(P4).of(KType(1, f, j, 0, 1))
+
     def test_json_round_trip(self):
         kt = make_ktype(P4, -1, Q(-3, 2), Q(5, 2), 1, -1)
         assert KType.from_json(kt.to_json()) == kt
@@ -147,6 +159,8 @@ class TestInterfaceSquare:
         kt = make_ktype(P4, 1, Q(1, 2), Q(1, 2), 0, 1)
         with pytest.raises(InvalidWeightError):
             interface_square(kt)
+        with pytest.raises(InvalidWeightError, match="multiplicity-2"):
+            interface_square(make_ktype(P4, 1, Q(1, 2), Q(3, 2), 1, 1))
 
     def test_corners(self):
         kt = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)

@@ -177,6 +177,16 @@ class TestCase1:
         with pytest.raises(MissingLError):
             case1_data(P4, alpha, beta, {})
 
+    def test_rejects_non_pair(self):
+        table = dirac_l_table(P4)
+        alpha = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
+        beta = make_ktype(P4, 1, Q(3, 2), Q(3, 2), 1, 1)
+        far = make_ktype(P4, 1, Q(7, 2), Q(3, 2), 1, 1)    # three f-steps away
+        with pytest.raises(NotNeighborsError, match="multiplicity-2, multiplicity-1"):
+            case1_data(P4, beta, alpha, table)
+        with pytest.raises(NotNeighborsError, match="not a mixed pair"):
+            case1_data(P4, alpha, far, table)
+
 
 class TestCase2:
     def test_g1_frozen_value(self):
@@ -321,6 +331,13 @@ class TestCase3:
         b = make_ktype(P4, 1, Q(3, 2), Q(3, 2), 1, -1)
         with pytest.raises(MissingLError):
             case3_data(P4, a, b, {})
+
+    def test_rejects_non_edge(self):
+        table = dirac_l_table(P4)
+        a = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
+        b = make_ktype(P4, 1, Q(3, 2), Q(3, 2), 0, -1)
+        with pytest.raises(NotNeighborsError, match="not a multiplicity-1 edge"):
+            case3_data(P4, a, b, table)
 
     def test_quotient_matches_matrix_entry_with_calibrated_table(self):
         from twistor_spectra.spectra import mult1_quotient_matrix

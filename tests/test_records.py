@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from twistor_spectra.exact import Frozen, GammaQuotient, Record, ReducedValue
+from twistor_spectra.exact import Frozen, GammaQuotient, Record, Tagged
 from twistor_spectra.ktypes import (BadDimensionError, Direction, InterfaceSquare,
                                     KType, Params)
 from twistor_spectra.operators import Case1Data, Case2Data, Case3Data, det2, relation_matrices
@@ -39,8 +39,7 @@ RECORDS = [
      ((1, Q(1, 2), Q(3, 2), 0, 1), (1, Q(1, 2), Q(3, 2), 0, -1)), True),
     (GammaQuotient, ("prefactor", "factors"),
      ((Q(1, 2), ((Q(1, 2), -1), (Q(3, 2), 1))), (Q(1, 2), ((Q(-1, 3), 2),))), True),
-    (ReducedValue, ("kind", "value", "order"),
-     (("finite", Q(1, 3), 0), ("finite", Q(1, 3), 1)), True),
+    (Tagged, ("order", "num", "den"), ((0, 1, 3), (0, 1, 4)), True),
     (InterfaceSquare, ("alpha1", "alpha2", "beta1", "beta2"),
      ((KT, KT2, KT, KT2), (KT, KT2, KT, KT)), True),
     (Case1Data, ("a1", "a2", "e_minus", "e_plus"),
@@ -133,7 +132,7 @@ class TestDefaults:
     def test_defaults(self):
         assert Params(4, 1) == Params(4, 1, "half", False)
         assert GammaQuotient() == GammaQuotient(Q(1), ())
-        assert ReducedValue("zero") == ReducedValue("zero", Q(0), 0)
+        assert Tagged(1) == Tagged(1, 0, 1)
         assert EdgeCheck(1, KT, None, None, "pass") == \
             EdgeCheck(1, KT, None, None, "pass", "", None, None)
 

@@ -83,6 +83,11 @@ class TestZValue:
         out = reduce_exact(z_value(P4H, Q(5, 2), Q(3, 2), 1))
         assert out.kind == "finite" and out.value == Q(-1, 4)
 
+    @pytest.mark.parametrize("fn", [z_value, mult2_gamma_product])
+    def test_xi_eps_must_be_a_sign(self, fn):
+        with pytest.raises(ValueError, match="xi_eps must be"):
+            fn(P4H, Q(5, 2), Q(3, 2), 0)
+
     def test_kernel_line_is_a_formal_zero(self):
         out = reduce_exact(z_value(P4H, Q(5, 2), Q(5, 2), 1))
         assert out.kind == "zero"
@@ -649,6 +654,13 @@ class TestBlock2x2:
             block2x2(params, kt)
         assert err.value.which == "C1"
 
+    @pytest.mark.parametrize("fn, q", [(mult1_quotient_matrix, 0),
+                                       (mult2_det_quotient_matrix, 1), (block2x2, 1)])
+    def test_a_center_of_the_other_multiplicity_rejected(self, fn, q):
+        kt = make_ktype(P4H, 1, Q(1, 2), Q(3, 2), q, 1)
+        with pytest.raises(ValueError, match=f"needs a multiplicity-{1 + q} center"):
+            fn(P4H, kt)
+
     def test_block_object(self):
         params = Params(4, Q(1))
         kt = make_ktype(params, 1, Q(1, 2), Q(3, 2), 0, -1)
@@ -785,6 +797,12 @@ class TestScaledFault:
             assert faults.bump("C2", 5, 36) == 17
             assert faults.bump("C2", Q(5)) == Q(16, 3)
             assert faults.bump("C1", 5, 6) == 5
+
+    def test_an_unknown_site_is_refused(self):
+        with pytest.raises(KeyError, match="unknown perturbation site 'C7'"):
+            with faults.inject("C7"):
+                pass
+        assert faults.bump("C7", 5) == 5
 
     def test_an_armed_site_moves_its_factor_by_the_offset(self):
         # f, Ja half-integers and r = 7/3: the kernel's common scale d is 6

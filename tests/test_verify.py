@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
+import pytest
 from conftest import dirac_l_table
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -283,6 +284,9 @@ class TestDrivers:
         assert outcome["resolved"] == "f+1"
         assert outcome["checked"] > 0 and outcome["f"] == 0
         assert outcome["f+1"] == outcome["checked"]
+        # multiplicity-one centers have no block to check
+        assert resolve_block_factor_reading(params, region(params, 1) + region(params, 0)) \
+            == outcome
 
     def test_factor_reading_ignores_the_variant(self):
         # the reading is adjudicated against the corrected order-one block
@@ -452,6 +456,27 @@ class TestRunsLeaveNoCycles:
             assert reports["interface"].checks and len(calibrations) == 2
             del reports, calibrations
             assert cli.main(["calibrate", "--n", "6", "--r", "3/2"]) == 0
+            assert self.records_alive() == before
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("delta", [Q(1), Q(1, 3)], ids=["conflict", "unbalanced"])
+    def test_an_unsolved_calibration_frees_its_records(self, delta):
+        # the run keeps its calibration's error, whose traceback would hold the
+        # run's table in a frame; an unbalanced z-ratio's error is raised
+        # while handling a NonCommensurableError, whose traceback would too
+        params = Params(4, Q(1))
+        window = (Q(-3, 2), Q(3, 2), Q(5, 2))
+        gc.collect()
+        before = self.records_alive()
+        gc.disable()
+        try:
+            with faults.inject("DIRAC", delta):
+                reports, calibrations = run_all_suites(
+                    params, list(enumerate_ktypes(params, *window)), *window)
+            assert all(isinstance(cal, spectra.InconsistentSystemError)
+                       for cal in calibrations.values())
+            del reports, calibrations
             assert self.records_alive() == before
         finally:
             gc.enable()
