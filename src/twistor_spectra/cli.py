@@ -357,9 +357,10 @@ def _report_pieces(head: dict, reports: Dict[str, SuiteReport]) -> Iterator[str]
     each suite as its ``to_json``, and a newline, one piece per edge.  The head
     is plain data and its keys sort before ``"suites"``."""
     sep = json.dumps(head, indent=2, sort_keys=True)[:-2] + ',\n  "suites": {'
+    label_texts: Dict[int, str] = {}     # each label's text, once for the four suites
     for name, report in sorted(reports.items()):
         yield f"{sep}\n    {_string(name)}: "
-        yield from report.json_chunks("  ", 2)
+        yield from report.json_chunks("  ", 2, label_texts)
         sep = ","
     yield "\n  }\n}\n"
 
@@ -390,10 +391,11 @@ def _verify_summary(reports, calibrations, reading, all_ok) -> str:
         for rep in reports.values():
             fail = rep.first_failure
             if fail is not None:
+                why = (f" residuals={fail.residuals}" if fail.residuals else
+                       f": {fail.detail}" if fail.detail else "")
                 lines.append(f"first failing edge [{rep.suite}]: "
                              f"{fail.center.label()} -> "
-                             f"{fail.neighbor.label() if fail.neighbor else '-'} "
-                             f"residuals={fail.residuals}")
+                             f"{fail.neighbor.label() if fail.neighbor else '-'}{why}")
                 break
     return "".join(line + "\n" for line in lines)
 

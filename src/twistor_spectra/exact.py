@@ -127,13 +127,15 @@ def _canonical_factors(factors: Iterable[Tuple[Fraction, int]]) -> Tuple[Tuple[F
 
 class Record:
     """A ``__slots__`` record: its fields are its public slots, in order (two or
-    more), and it equals a record of its own class with equal fields, and its
-    repr names each.  Mutable and unhashable; a slot ``_...`` is not a field."""
+    more), or the attributes its class names in ``_fields``, and it equals a
+    record of its own class with equal fields, and its repr names each.
+    Mutable and unhashable; a slot ``_...`` is not a field."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        if "_fields" not in vars(cls):
+            cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         if cls._fields:
             cls._get = attrgetter(*cls._fields)
 
@@ -150,7 +152,7 @@ class Record:
 class Frozen(Record):
     """An immutable :class:`Record`, hashed and pickled by its fields; each
     ``__init__`` sets its slots with ``object.__setattr__``, or through the
-    slots' own descriptors where a run makes thousands (``verify.EdgeCheck``)."""
+    slots' own descriptors where thousands are made (``verify.EdgeCheck``)."""
 
     __slots__ = ()
 

@@ -17,8 +17,9 @@ once per label pair of a run.  The divergence-part eigenvalue ``L`` is calibrate
 A verify run reads each label through one :class:`Label` record of a
 :class:`Labels` table, keyed by the small ints (xi, 2f, 2j, q, eps): its
 ``KType`` and its (J, s) on the run's integer scale; the table keeps, once
-asked for, each record's diagram neighbors as records, so no record refers to
-another.  :func:`neighbors` walks the same integer keys.
+asked for, each record's diagram neighbors as one flat list of directions and
+records, so no record refers to another and no arrow costs a tuple.
+:func:`neighbors` walks the same integer keys.
 A table states J on its scale once per (2j, eps) (:meth:`Labels.spectral_J`).  A
 window is two integer ranges, its 2f (:func:`f2_range`) and its 2j
 (:func:`j2_range`), so its size is known without walking it.
@@ -283,7 +284,7 @@ class Labels:
         self._by_ktype: Dict[int, Label] = {}     # by id of the record's own KType
         self._halves: Dict[int, Fraction] = {}
         self._J: Dict[Tuple[int, int], int] = {}
-        self._neighbors: Dict[Label, List[Tuple[Direction, Label]]] = {}
+        self._neighbors: Dict[Label, list] = {}
         self.pairs: Dict[tuple, object] = {}    # label pair data and z ratios, for other modules
 
     def spectral_J(self, j2: int, eps: int) -> int:
@@ -329,12 +330,14 @@ class Labels:
         self._by_ktype[id(ktype)] = rec
         return rec
 
-    def neighbors(self, rec: Label) -> List[Tuple[Direction, Label]]:
-        """The diagram neighbors of ``rec`` as records, in :data:`DIRECTIONS` order."""
+    def neighbors(self, rec: Label) -> list:
+        """The diagram neighbors of ``rec`` as records, in :data:`DIRECTIONS`
+        order: one flat list direction, record, direction, record, ..., which
+        a caller walks as ``zip(arrows, arrows)`` on one iterator ``arrows``."""
         out = self._neighbors.get(rec)
         if out is None:
-            out = self._neighbors[rec] = [(direction, self.at(key))
-                                          for direction, key in _neighbor_keys(rec.key)]
+            out = self._neighbors[rec] = [x for direction, key in _neighbor_keys(rec.key)
+                                          for x in (direction, self.at(key))]
         return out
 
 

@@ -392,14 +392,15 @@ def quotient_entries(labels: Labels, center: Label) -> List[Tuple[Direction, Lab
     raw = _corner_pairs(rn, rd, d, center.F, center.J, center.s)
     unit = 2 * d * rd
     out = []
+    arrows = iter(labels.neighbors(center))
     if center.ktype.q == 1:
-        for direction, nb in labels.neighbors(center):
+        for direction, nb in zip(arrows, arrows):
             num, den = raw[direction]
             out.append((direction, nb, faults.bump("Q1", num, unit), den))
         return out
     sq = unit * unit
     xi = center.ktype.xi
-    for direction, nb in labels.neighbors(center):
+    for direction, nb in zip(arrows, arrows):
         y_num, y_den = raw[direction]
         if params.strict_paper and direction == (1, 0):
             den = (y_den - xi * unit) * (y_den + xi * unit + (center.s - xi) * 2 * rd * center.J)
@@ -685,7 +686,7 @@ def calibrate_L(labels: Labels, xi: int, f_min: RationalLike, f_max: RationalLik
         for f2 in f2s:
             center = labels.at((xi, f2, node[0], 1, node[1]))
             at_center = z_terms(center, -1)
-            for _, nb in labels.neighbors(center):
+            for nb in labels.neighbors(center)[1::2]:
                 nb_node = (nb.key[2], nb.key[4])
                 if nb_node not in node_set:
                     continue

@@ -16,32 +16,36 @@ leaves in it changes no other's checks.  The quotient entries and the oracle's
 ratios are int (num, den) pairs compared by cross multiplication, the block
 coefficients four numerators over one denominator, and the transition
 quantities numerators over one denominator per label pair.  A value is reduced
-and rendered only where the report shows it.  The report writes a suite
-straight from its checks (:meth:`SuiteReport.json_chunks`), one fixed-shape
-text per edge with each label's text rendered once.
+and rendered only where the report shows it.  A suite appends each edge to
+its :class:`SuiteReport` as one flat row of the fields it already has (the
+run's shared ``KType``s and ``Direction``s, strings, small ints, dicts of
+strings), so an edge leaves the cycle collector nothing to track; an
+:class:`EdgeCheck` is a view of a row, made on demand.  The report writes a
+suite straight from its rows (:meth:`SuiteReport.json_chunks`), one
+fixed-shape text per edge with each label's text rendered once per report.
 
-What is not integer work is paid once per run where it can be: an edge
-record is filled through its slots' descriptors, the texts of the constants
-a label-pair row fixes (c_ba, g1 and g2 up to sign, A1 and A2) are made once
-per row, each center's record is made with the caller's ``KType`` and found
-by it, and the writer makes each dict layout once.  On the n = 8, r = 5/2
-acceptance slice (2-core Xeon, Python 3.11) the suites take about 52 ms
-(case-2 21, mult2 12, interface 10, mult1 9), of which about 11 ms are the
-2970 distinct ``z_product`` ratios; the calibration takes 4 ms, the report
-writer 13, the block-factor reading 1.3 and the window 1.2.
+What is not integer work is paid once per run where it can be: the texts of
+the constants a label-pair row fixes (c_ba, g1 and g2 up to sign, A1 and A2)
+are made once per row, each center's record is made with the caller's
+``KType`` and found by it, each center's neighbors are one flat list, and
+the writer makes each dict layout once.  On the n = 8, r = 5/2 acceptance
+slice (2-core Xeon, Python 3.11, the fewest milliseconds of 15 runs in one
+process) the suites take about 50 ms (case-2 20, mult2 12, interface 10,
+mult1 8), of which about 11 ms are the 2970 distinct ``z_product`` ratios;
+the calibration takes 4 ms, the report writer 11, the block-factor reading
+1.4, and the collector's young generations run 23 times.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from json.encoder import encode_basestring_ascii as _string
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
 from .exact import Frozen, NonCommensurableError, Record, format_ratio, format_rational
-from .ktypes import Direction, KType, Label, Labels, Params, partner_keys
+from .ktypes import DIRECTIONS, Direction, KType, Label, Labels, Params, partner_keys
 from .operators import _d33, case1_ints, case2_ints, det2, relation_matrices
 from .spectra import (CalibrationResult, EmptyWindowError, InconsistentSystemError, Tagged,
                       _entry_kind, block_ints, calibrate_L, first_order_block,
@@ -65,9 +69,11 @@ INDETERMINATE = "indeterminate"
 SKIP_DEGENERATE = "skipped-degenerate"
 SKIP_SINGULAR = "skipped-singular"
 SKIP_POLE = "skipped-pole"
-_SAME_KIND = {"finite": PASS, "pole": POLE, "zero": ZERO}
+_SAME_KIND = {kind: (verdict, "", None, None)        # an agreeing quotient edge's outcome
+              for kind, verdict in (("finite", PASS), ("pole", POLE), ("zero", ZERO))}
 _DEGENERATE_TARGET = "lambda(T*T) = 0 at target"
 _UNBALANCED = "the gamma classes of the {} do not balance"
+_UP = DIRECTIONS[1]         # Direction(1, 1): f+1, j+1, same eps
 
 # conventions the verdicts certify; recorded in every report header
 CONVENTION = {
@@ -79,11 +85,13 @@ CONVENTION = {
 
 
 class EdgeCheck(Frozen):
-    """One verified edge (or square) with its verdict, immutable.
+    """One verified edge (or square) with its verdict, immutable: a view of
+    one row of a :class:`SuiteReport`, made on demand.
 
-    Quantities are recorded for the transition-matrix suites on every edge
-    and for the quotient suites on non-passing edges (a passing quotient
-    edge carries no information beyond its matrix entry).
+    Quantities are recorded for the transition-matrix suites on every
+    decided edge and for the quotient suites on non-passing edges (a passing
+    quotient edge carries no information beyond its matrix entry); an edge
+    with nothing left over carries no residuals.
     """
 
     __slots__ = ("case", "center", "neighbor", "direction", "verdict", "detail",
@@ -93,7 +101,7 @@ class EdgeCheck(Frozen):
                  direction: Optional[Direction], verdict: str, detail: str = "",
                  quantities: Optional[Dict[str, str]] = None,
                  residuals: Optional[Dict[str, str]] = None):
-        # through the slots' own descriptors: a run makes thousands of these
+        # through the slots' own descriptors: a view of a run is thousands of these
         _set_case(self, case)
         _set_center(self, center)
         _set_neighbor(self, neighbor)
@@ -125,45 +133,71 @@ class EdgeCheck(Frozen):
                                      for name in EdgeCheck.__slots__)
 
 
-_VERDICT = attrgetter("verdict")
+# An edge's row is its EdgeCheck fields in slot order, appended flat to its
+# report's list: strings, small ints, the run's shared KTypes and Directions
+# and dicts of strings, none of which the cycle collector tracks.
+_WIDTH = len(EdgeCheck.__slots__)
+_VERDICTS = slice(EdgeCheck.__slots__.index("verdict"), None, _WIDTH)
+_FIELDS = EdgeCheck._get
 
 
 class SuiteReport(Record):
-    """One suite's checks, in the order it walked them; ``checks`` is a new
-    list unless one is given."""
+    """One suite's edges, in the order it walked them, kept as flat rows.
 
-    __slots__ = ("suite", "checks")
+    A suite appends each edge's row to ``_rows``; ``counts``, ``ok``,
+    ``first_failure`` and the writer read the rows.  ``checks`` is the edges
+    as a new list of :class:`EdgeCheck` views each time it is read, and
+    setting it (or passing it) sets the rows.
+    """
 
-    def __init__(self, suite: str, checks: Optional[List[EdgeCheck]] = None):
+    __slots__ = ("suite", "_rows")
+    _fields = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: Iterable[EdgeCheck] = ()):
         self.suite = suite
-        self.checks = [] if checks is None else checks
+        self.checks = checks
+
+    @property
+    def checks(self) -> List[EdgeCheck]:
+        rows = self._rows
+        return list(map(EdgeCheck, *(rows[k::_WIDTH] for k in range(_WIDTH))))
+
+    @checks.setter
+    def checks(self, checks: Iterable[EdgeCheck]) -> None:
+        self._rows = [field for c in checks for field in _FIELDS(c)]
 
     @property
     def counts(self) -> Dict[str, int]:
-        return dict(Counter(map(_VERDICT, self.checks)))
+        return dict(Counter(self._rows[_VERDICTS]))
 
     @property
     def ok(self) -> bool:
-        return FAIL not in map(_VERDICT, self.checks)
+        return FAIL not in self._rows[_VERDICTS]
 
     @property
     def first_failure(self) -> Optional[EdgeCheck]:
-        for c in self.checks:
-            if c.verdict == FAIL:
-                return c
-        return None
+        verdicts = self._rows[_VERDICTS]
+        if FAIL not in verdicts:
+            return None
+        at = verdicts.index(FAIL) * _WIDTH
+        return EdgeCheck(*self._rows[at:at + _WIDTH])
 
     def to_json(self) -> dict:
         return {"suite": self.suite, "counts": self.counts, "ok": self.ok,
                 "edges": [c.to_json() for c in self.checks]}
 
-    def json_chunks(self, indent: str, depth: int) -> Iterator[str]:
+    def json_chunks(self, indent: str, depth: int,
+                    label_texts: Optional[Dict[int, str]] = None) -> Iterator[str]:
         """The text of :meth:`to_json` at ``depth`` as ``json.dumps(...,
         indent=indent, sort_keys=True)`` nests it, one piece per edge; the CLI
-        splices it into the verify report's text and writes it in batches."""
+        splices it into the verify report's text and writes it in batches.
+        ``label_texts`` keeps the label texts by KType id for the suites
+        written at the same indent and depth, so each label is rendered once
+        per report."""
         nl = "\n" + indent * (depth + 1)
         yield f'{{{nl}"counts": {_dict_texts(nl, indent)(self.counts)},{nl}"edges": '
-        yield from edges_text(self.checks, indent, depth + 1)
+        yield from _rows_text(self._rows, indent, depth + 1,
+                              {} if label_texts is None else label_texts)
         yield (f',{nl}"ok": {"true" if self.ok else "false"},{nl}"suite": '
                f'{_string(self.suite)}\n{indent * depth}}}')
 
@@ -200,26 +234,33 @@ def _dict_texts(nl: str, indent: str) -> Callable[[Dict[str, Union[str, int]]], 
     return text
 
 
-def edges_text(checks: Sequence[EdgeCheck], indent: str = "  ", depth: int = 0
+def edges_text(checks: Iterable[EdgeCheck], indent: str = "  ", depth: int = 0
                ) -> Iterator[str]:
     """``json.dumps([c.to_json() for c in checks], indent=indent, sort_keys=True)``
-    nested at ``depth``, one piece per edge.
+    nested at ``depth``, one piece per edge."""
+    return _rows_text(SuiteReport("", checks)._rows, indent, depth, {})
+
+
+def _rows_text(rows: list, indent: str, depth: int, label_texts: Dict[int, str]
+               ) -> Iterator[str]:
+    """:func:`edges_text` of a report's rows.
 
     Every edge has the same shape, so its text is put together from its
-    fields in sorted key order; the text of each label (by object, since a
-    run shares one KType per label), of each case, direction and verdict,
-    and each dict layout (:func:`_dict_texts`) is made once.
+    fields in sorted key order; the text of each label (in ``label_texts``,
+    by object, since a run shares one KType per label), of each case,
+    direction and verdict, and each dict layout (:func:`_dict_texts`) is
+    made once.
     """
-    if not checks:
+    if not rows:
         yield "[]"
         return
     nl, nl1, nl2 = ("\n" + indent * (depth + k) for k in range(3))
     nl3 = nl2 + indent
     dict_text = _dict_texts(nl2, indent)
-    texts = {id(None): "null"}      # label text by KType object
+    label_texts[id(None)] = "null"
 
     def label(kt: KType) -> str:
-        text = texts[id(kt)] = (
+        text = label_texts[id(kt)] = (
             f'{{{nl3}"eps": {kt.eps},{nl3}"f": "{format_rational(kt.f)}",{nl3}"j": '
             f'"{format_rational(kt.j)}",{nl3}"q": {kt.q},{nl3}"xi": {kt.xi}{nl2}}}')
         return text
@@ -230,41 +271,42 @@ def edges_text(checks: Sequence[EdgeCheck], indent: str = "  ", depth: int = 0
     detail_key, quantities_key, residuals_key, to_key = (
         f'{nl2}"{key}": ' for key in ("detail", "quantities", "residuals", "to"))
     sep = "[" + nl1
-    for c in checks:
-        head = heads.get(c.case)
+    fields = iter(rows)
+    for case, center, nb, direction, verdict, detail, quantities, residuals in zip(
+            *[fields] * _WIDTH):
+        head = heads.get(case)
         if head is None:
-            head = heads[c.case] = f'{{{nl2}"case": {c.case},'
-        direction = directions.get(c.direction)
-        if direction is None:
-            df, dj = c.direction
-            direction = directions[c.direction] = (
+            head = heads[case] = f'{{{nl2}"case": {case},'
+        arrow = directions.get(direction)
+        if arrow is None:
+            df, dj = direction
+            arrow = directions[direction] = (
                 f'{nl2}"direction": [{nl3}{df},{nl3}{dj}{nl2}],{nl2}"from": ')
-        tail = tails.get(c.verdict)
+        tail = tails.get(verdict)
         if tail is None:
-            tail = tails[c.verdict] = f',{nl2}"verdict": {_string(c.verdict)}{nl1}}}'
-        center, nb, quantities, residuals = c.center, c.neighbor, c.quantities, c.residuals
-        yield (sep + head + (detail_key + _string(c.detail) + "," if c.detail else "")
-               + direction + (texts.get(id(center)) or label(center)) + ","
-               + (quantities_key + dict_text(quantities) + "," if quantities else "")
-               + (residuals_key + dict_text(residuals) + "," if residuals else "")
-               + to_key + (texts.get(id(nb)) or label(nb)) + tail)
+            tail = tails[verdict] = f',{nl2}"verdict": {_string(verdict)}{nl1}}}'
+        yield (f'{sep}{head}{detail_key + _string(detail) + "," if detail else ""}{arrow}'
+               f'{label_texts.get(id(center)) or label(center)},'
+               f'{quantities_key + dict_text(quantities) + "," if quantities else ""}'
+               f'{residuals_key + dict_text(residuals) + "," if residuals else ""}'
+               f'{to_key}{label_texts.get(id(nb)) or label(nb)}{tail}')
         sep = "," + nl1
     yield nl + "]"
 
 
-def _compare_entry(num, den, tagged: Tagged, key: str):
-    """(verdict, quantities, residuals) of the closed-form entry num/den vs the
-    oracle's ratio, kept under ``key``: equal kinds and values agree."""
+def _compare_entry(num, den, tagged: Tagged, key: str) -> tuple:
+    """(verdict, detail, quantities, residuals) of the closed-form entry num/den
+    vs the oracle's ratio, kept under ``key``: equal kinds and values agree."""
     entry_kind = _entry_kind(num, den)
     if entry_kind == tagged.kind and (tagged.order or num * tagged.den == tagged.num * den):
-        return _SAME_KIND[entry_kind], None, None
+        return _SAME_KIND[entry_kind]
     entry, got = render_entry(num, den), tagged.render()
     quantities = {"entry": entry, key: got}
     if entry_kind == "indeterminate":
-        return INDETERMINATE, quantities, None
+        return INDETERMINATE, "", quantities, None
     residuals = ({"residual": format_ratio(tagged.num * den - num * tagged.den, tagged.den * den)}
                  if entry_kind == tagged.kind else {})     # both finite
-    return FAIL, quantities, dict(residuals, expected=entry, got=got)
+    return FAIL, "", quantities, dict(residuals, expected=entry, got=got)
 
 
 def _walk_quotients(suite: str, case: int, labels: Labels, centers: Iterable[KType], q: int,
@@ -272,21 +314,19 @@ def _walk_quotients(suite: str, case: int, labels: Labels, centers: Iterable[KTy
     """Each quotient entry of the centers with this q vs the oracle's exact
     neighbor/center ratio, kept under ``key``."""
     report = SuiteReport(suite)
-    checks = report.checks
+    rows = report._rows
     for center in [labels.of(c) for c in centers if c.q == q]:
         at_center = terms_of(center, -1)
         kt = center.ktype
         for direction, nb, num, den in quotient_entries(labels, center):
+            rows += (case, kt, nb.ktype, direction)
             try:
                 tagged = z_ratio(labels, terms_of(nb, 1) + at_center)
             except NonCommensurableError:       # a shifted Dirac convention, say
-                checks.append(EdgeCheck(case, kt, nb.ktype, direction, FAIL,
-                                        _UNBALANCED.format("oracle's ratio"),
-                                        {"entry": render_entry(num, den)}))
+                rows += (FAIL, _UNBALANCED.format("oracle's ratio"),
+                         {"entry": render_entry(num, den)}, None)
                 continue
-            verdict, quantities, residuals = _compare_entry(num, den, tagged, key)
-            checks.append(EdgeCheck(case, kt, nb.ktype, direction, verdict, "",
-                                    quantities, residuals))
+            rows += _compare_entry(num, den, tagged, key)
     return report
 
 
@@ -330,38 +370,36 @@ def verify_case2_relation(labels: Labels, centers: Iterable[KType]) -> SuiteRepo
     denominators by :func:`_case2_residuals`.
     """
     report = SuiteReport("case2-relation")
-    checks = report.checks
+    rows = report._rows
     texts: Dict[tuple, List[str]] = {}     # the texts of c_ba, g1 and g2 by row and sign
     for center in [labels.of(c) for c in centers if c.q == 0]:
         kt = center.ktype
+        arrows = iter(labels.neighbors(center))
         block_a = block_ints(labels, center)
         if isinstance(block_a, str):
-            for direction, nb in labels.neighbors(center):
-                checks.append(EdgeCheck(2, kt, nb.ktype, direction, SKIP_SINGULAR,
-                                        f"center block: {block_a} = 0"))
+            for direction, nb in zip(arrows, arrows):
+                rows += (2, kt, nb.ktype, direction, SKIP_SINGULAR,
+                         f"center block: {block_a} = 0", None, None)
             continue
         z_a = z_terms(center, -1, block=True)
-        for direction, nb in labels.neighbors(center):
+        for direction, nb in zip(arrows, arrows):
+            rows += (2, kt, nb.ktype, direction)
             # a degenerate target wins over a singular neighbor
             data = case2_ints(labels, center, nb)
             if data is None:
-                checks.append(EdgeCheck(2, kt, nb.ktype, direction,
-                                        SKIP_DEGENERATE, _DEGENERATE_TARGET))
+                rows += (SKIP_DEGENERATE, _DEGENERATE_TARGET, None, None)
                 continue
             block_b = block_ints(labels, nb)
             if isinstance(block_b, str):
-                checks.append(EdgeCheck(2, kt, nb.ktype, direction,
-                                        SKIP_SINGULAR, f"neighbor block: {block_b} = 0"))
+                rows += (SKIP_SINGULAR, f"neighbor block: {block_b} = 0", None, None)
                 continue
             try:
                 rho = z_ratio(labels, z_terms(nb, 1, block=True) + z_a)
             except NonCommensurableError:
-                checks.append(EdgeCheck(2, kt, nb.ktype, direction,
-                                        FAIL, _UNBALANCED.format("shared-factor ratio")))
+                rows += (FAIL, _UNBALANCED.format("shared-factor ratio"), None, None)
                 continue
             if rho.order:
-                checks.append(EdgeCheck(2, kt, nb.ktype, direction,
-                                        SKIP_POLE, f"shared-factor ratio is {rho.kind}"))
+                rows += (SKIP_POLE, f"shared-factor ratio is {rho.kind}", None, None)
                 continue
             P, f1m, f1p, f2m, f2p, g1, g2, c_ba = data
             m1, m2 = _matrices(data)
@@ -378,8 +416,7 @@ def verify_case2_relation(labels: Labels, centers: Iterable[KType]) -> SuiteRepo
                 "g1": row_texts[1],
                 "g2": row_texts[2],
             }
-            checks.append(EdgeCheck(2, kt, nb.ktype, direction, FAIL if residuals else PASS, "",
-                                    quantities, residuals))
+            rows += (FAIL, "", quantities, residuals) if residuals else (PASS, "", quantities, None)
     return report
 
 
@@ -390,8 +427,9 @@ def _matrices(data: Tuple[int, ...]):
 
 
 def _check_case1_edge(labels: Labels, alpha: Label, beta: Label, d33: Fraction,
-                      texts: Dict[tuple, List[str]]) -> EdgeCheck:
-    """Verdict of the four mixed-multiplicity equations on one edge.
+                      texts: Dict[tuple, List[str]]) -> tuple:
+    """(verdict, detail, quantities, residuals) of the four mixed-multiplicity
+    equations on one edge.
 
     Each equation is scaled by rho, the ratio of beta's z to alpha's block
     factor; the edge is skipped when rho is not finite.  The column and row
@@ -399,14 +437,13 @@ def _check_case1_edge(labels: Labels, alpha: Label, beta: Label, d33: Fraction,
     the two relation forms is reported as such.  ``d33`` is beta's L/2;
     ``texts`` keeps the texts of A1 and A2, which the label pair's row fixes.
     """
-    edge = partial(EdgeCheck, 1, alpha.ktype, beta.ktype, None)
     block = block_ints(labels, alpha)
     if isinstance(block, str):
-        return edge(SKIP_SINGULAR, f"block: {block} = 0")
+        return SKIP_SINGULAR, f"block: {block} = 0", None, None
     P, a1, a2, e_minus, e_plus = case1_ints(labels, alpha, beta, d33)
     rho = z_ratio(labels, z_terms(beta, 1) + z_terms(alpha, -1, block=True))
     if rho.order:
-        return edge(SKIP_POLE, f"scalar-to-block factor ratio is {rho.kind}")
+        return SKIP_POLE, f"scalar-to-block factor ratio is {rho.kind}", None, None
     b11, b12, b21, b22, den = block
     q = rho.den
     p = rho.num * den
@@ -430,7 +467,7 @@ def _check_case1_edge(labels: Labels, alpha: Label, beta: Label, d33: Fraction,
         row_texts = texts[row] = [format_ratio(a1, P), format_ratio(a2, P)]
     quantities = {"a1": row_texts[0], "a2": row_texts[1],
                   "e_minus": format_ratio(e_minus, P), "e_plus": format_ratio(e_plus, P)}
-    return edge(FAIL if residuals else PASS, detail, quantities, residuals)
+    return FAIL if residuals else PASS, detail, quantities, residuals or None
 
 
 def verify_interface(labels: Labels, centers: Iterable[KType],
@@ -442,6 +479,7 @@ def verify_interface(labels: Labels, centers: Iterable[KType],
     det B(alpha2) = (det M2 / det M1) det B(alpha1).
     """
     report = SuiteReport("interface")
+    rows = report._rows
     texts: Dict[tuple, List[str]] = {}
     d33s: Dict[Tuple[int, int], Optional[Fraction]] = {}    # by (2j, eps); None: no L there
     for center in [labels.of(c) for c in centers if c.q == 0]:
@@ -454,38 +492,40 @@ def verify_interface(labels: Labels, centers: Iterable[KType],
         d33 = d33s[node]
         if d33 is not None:
             for _, key in partner_keys(center.key):
-                report.checks.append(
-                    _check_case1_edge(labels, center, labels.at(key), d33, texts))
-        report.checks.append(_check_square(labels, center))
+                beta = labels.at(key)
+                rows += (1, kt, beta.ktype, None)
+                rows += _check_case1_edge(labels, center, beta, d33, texts)
+        alpha2 = labels.neighbors(center)[3]     # the (1, 1) arrow: f+1, j+1, same eps
+        rows += (2, kt, alpha2.ktype, _UP)
+        rows += _check_square(labels, center, alpha2)
     return report
 
 
-def _check_square(labels: Labels, alpha1: Label) -> EdgeCheck:
-    """det B(alpha2) rho^2 = (det M2 / det M1) det B(alpha1) on the square at alpha1."""
-    alpha2 = labels.neighbors(alpha1)[1][1]     # the (1, 1) arrow: f+1, j+1, same eps
-    edge = partial(EdgeCheck, 2, alpha1.ktype, alpha2.ktype, Direction(1, 1))
+def _check_square(labels: Labels, alpha1: Label, alpha2: Label) -> tuple:
+    """(verdict, detail, quantities, residuals) of det B(alpha2) rho^2 =
+    (det M2 / det M1) det B(alpha1) on the square at alpha1."""
     ca, cb = block_ints(labels, alpha1), block_ints(labels, alpha2)
     for block in (ca, cb):
         if isinstance(block, str):
-            return edge(SKIP_SINGULAR, f"block: {block} = 0")
+            return SKIP_SINGULAR, f"block: {block} = 0", None, None
     data = case2_ints(labels, alpha1, alpha2)
     if data is None:
-        return edge(SKIP_DEGENERATE, _DEGENERATE_TARGET)
+        return SKIP_DEGENERATE, _DEGENERATE_TARGET, None, None
     det_m1, det_m2 = map(det2, _matrices(data))        # both over P^4
     if det_m1 == 0:
-        return edge(SKIP_DEGENERATE, "det M1 = 0: propagation is vacuous")
+        return SKIP_DEGENERATE, "det M1 = 0: propagation is vacuous", None, None
     rho = z_ratio(labels, z_terms(alpha2, 1, block=True) + z_terms(alpha1, -1, block=True))
     if rho.order:
-        return edge(SKIP_POLE, f"shared-factor ratio is {rho.kind}")
+        return SKIP_POLE, f"shared-factor ratio is {rho.kind}", None, None
     # det B rho^2 = det_b p^2 / (den_b^2 q^2) against det_m2/det_m1 det_a/den_a^2
     det_a, det_b = (det2((c[:2], c[2:4])) for c in (ca, cb))
     p, q = rho.num, rho.den
     lhs, rhs = det_b * p * p * ca[4] ** 2, det_m2 * det_a * cb[4] ** 2 * q * q
     quantities = {"det_m_ratio": format_ratio(det_m2, det_m1)}
     if lhs * det_m1 == rhs:
-        return edge(PASS, quantities=quantities)
-    return edge(FAIL, quantities=quantities, residuals={
-        "det": format_ratio(lhs * det_m1 - rhs, cb[4] ** 2 * q * q * ca[4] ** 2 * det_m1)})
+        return PASS, "", quantities, None
+    return FAIL, "", quantities, {
+        "det": format_ratio(lhs * det_m1 - rhs, cb[4] ** 2 * q * q * ca[4] ** 2 * det_m1)}
 
 
 def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> dict:
@@ -554,6 +594,6 @@ def run_all_suites(params: Params, centers: Sequence[KType], f_min, f_max, j_max
             continue
         calibrations[xi] = result
         sub = verify_interface(labels, [c for c in centers if c.xi == xi], result.table)
-        interface.checks.extend(sub.checks)
+        interface._rows += sub._rows
     reports["interface"] = interface
     return reports, calibrations

@@ -727,6 +727,22 @@ class TestVerify:
         assert code == 1
         assert "first failing edge" in out
 
+    def test_the_first_failing_edge_says_why_it_failed(self, capsys):
+        # an edge with no residuals prints its detail; one with residuals
+        # prints them, as the strict variant's mult2 edge does
+        with faults.inject("DIRAC", Q(1, 3)):
+            code, out = run(capsys, "verify", "--n", "4", "--r", "1", "--j-max=1/2")
+        assert code == 1
+        line = out.splitlines()[-1]
+        assert line == ("first failing edge [mult2-quotients]: "
+                        "V(xi=-1; f=-9/2, j=1/2, q=0, eps=-1) -> "
+                        "V(xi=-1; f=-11/2, j=1/2, q=0, eps=+1): "
+                        "the gamma classes of the oracle's ratio do not balance")
+        code, out = run(capsys, "verify", "--n", "4", "--r", "1", "--strict-paper", *REGION)
+        line = out.splitlines()[-1]
+        assert code == 1 and line.startswith("first failing edge [")
+        assert " residuals={'" in line and "None" not in line
+
     def test_report_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "verify", "--n", "4", "--r", "1", *REGION, "--out", str(a))

@@ -182,7 +182,7 @@ R_DRAWS = [Q(1, 2), Q(1), Q(3, 2), Q(5, 2), Q(7, 3),
 def shape_calls(labels, shape, center):
     """The (terms) the suites hand to z_product around one center, for one call shape."""
     center = labels.of(center)
-    nbs = [nb for _, nb in labels.neighbors(center)]
+    nbs = labels.neighbors(center)[1::2]
     if shape == "z/z":
         at_center = z_terms(center, -1)
         return [z_terms(nb, 1) + at_center for nb in nbs]
@@ -514,7 +514,8 @@ class TestQuotientKernel:
             rec = labels.of(kt)
             J, s = kt.j + 2, kt.xi * kt.eps
             assert (Q(rec.F, rec.scale), Q(rec.J, rec.scale), rec.s) == (kt.f, J, s)
-            got = [(d, nb.ktype) for d, nb in labels.neighbors(rec)]
+            arrows = iter(labels.neighbors(rec))
+            got = [(d, nb.ktype) for d, nb in zip(arrows, arrows)]
             assert got == neighbors_reference(kt) == neighbors(kt)
             assert labels.neighbors(rec) is labels.neighbors(rec)
 
