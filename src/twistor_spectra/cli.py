@@ -360,7 +360,7 @@ def _report_pieces(head: dict, reports: Dict[str, SuiteReport]) -> Iterator[str]
     label_texts: Dict[int, str] = {}     # each label's text, once for the four suites
     for name, report in sorted(reports.items()):
         yield f"{sep}\n    {_string(name)}: "
-        yield from report.json_chunks("  ", 2, label_texts)
+        yield from report.json_chunks(2, label_texts)
         sep = ","
     yield "\n  }\n}\n"
 
@@ -532,19 +532,27 @@ def _table_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; its exit code, 2 for any :class:`UsageError`.  It
-    first empties the r-keyed tables (``faults.start_run``)."""
+    first empties the r-keyed tables (``faults.start_run``).  An exact value
+    has as many digits as the flags give it, so Python's limit on converting
+    an int to str is lifted while it runs, and restored however it ends."""
     faults.start_run()
     if argv is None:
         argv = sys.argv[1:]
-    args = _table_args(argv)
-    if args is None:
-        args = _parser().parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()    # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = _table_args(argv)
+        if args is None:
+            args = _parser().parse_args(argv)
         _check_out(args.out)
         return args.handler(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -151,8 +151,7 @@ class Record:
 
 class Frozen(Record):
     """An immutable :class:`Record`, hashed and pickled by its fields; each
-    ``__init__`` sets its slots with ``object.__setattr__``, or through the
-    slots' own descriptors where thousands are made (``verify.EdgeCheck``)."""
+    ``__init__`` sets its slots with ``object.__setattr__``."""
 
     __slots__ = ()
 

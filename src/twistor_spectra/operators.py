@@ -109,19 +109,14 @@ def classify_pair(frm: KType, to: KType) -> Optional[str]:
     Same-q transitions allow any eps combination with |df| = 1 and |dj| <= 1
     (the transition quantities are defined for general neighbor labels; the
     six-arrow diagram is the subset the verification suites walk).  Mixed
-    pairs keep j and eps and flip q.
+    pairs keep j (at least 3/2) and eps and flip q.  Only the ``case*_data``
+    records ask, so it compares the labels' Fractions.
     """
-    # f' - f and j' - j as unreduced (num, den) int pairs, den > 0
-    f, f2, j, j2 = frm.f, to.f, frm.j, to.j
-    fd = f.denominator * f2.denominator
-    fn = f2.numerator * f.denominator - f.numerator * f2.denominator
-    if frm.xi != to.xi or (fn != fd and fn != -fd):
+    if frm.xi != to.xi or abs(to.f - frm.f) != 1:
         return None
-    jd = j.denominator * j2.denominator
-    jn = j2.numerator * j.denominator - j.numerator * j2.denominator
     if frm.q == to.q:
-        return "same-mult" if jn % jd == 0 and -jd <= jn <= jd else None
-    if jn == 0 and frm.eps == to.eps and 2 * j.numerator >= 3 * j.denominator:
+        return "same-mult" if to.j - frm.j in (-1, 0, 1) else None
+    if frm.j == to.j and frm.eps == to.eps and frm.j >= Fraction(3, 2):
         return "mixed"
     return None
 

@@ -74,6 +74,7 @@ _SAME_KIND = {kind: (verdict, "", None, None)        # an agreeing quotient edge
 _DEGENERATE_TARGET = "lambda(T*T) = 0 at target"
 _UNBALANCED = "the gamma classes of the {} do not balance"
 _UP = DIRECTIONS[1]         # Direction(1, 1): f+1, j+1, same eps
+_INDENT = "  "              # the report's text is json.dumps(..., indent=2)
 
 # conventions the verdicts certify; recorded in every report header
 CONVENTION = {
@@ -101,15 +102,14 @@ class EdgeCheck(Frozen):
                  direction: Optional[Direction], verdict: str, detail: str = "",
                  quantities: Optional[Dict[str, str]] = None,
                  residuals: Optional[Dict[str, str]] = None):
-        # through the slots' own descriptors: a view of a run is thousands of these
-        _set_case(self, case)
-        _set_center(self, center)
-        _set_neighbor(self, neighbor)
-        _set_direction(self, direction)
-        _set_verdict(self, verdict)
-        _set_detail(self, detail)
-        _set_quantities(self, quantities)
-        _set_residuals(self, residuals)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "neighbor", neighbor)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "quantities", quantities)
+        object.__setattr__(self, "residuals", residuals)
 
     def to_json(self) -> dict:
         out = {
@@ -126,11 +126,6 @@ class EdgeCheck(Frozen):
         if self.residuals:
             out["residuals"] = self.residuals
         return out
-
-
-(_set_case, _set_center, _set_neighbor, _set_direction, _set_verdict, _set_detail,
- _set_quantities, _set_residuals) = (EdgeCheck.__dict__[name].__set__
-                                     for name in EdgeCheck.__slots__)
 
 
 # An edge's row is its EdgeCheck fields in slot order, appended flat to its
@@ -186,20 +181,19 @@ class SuiteReport(Record):
         return {"suite": self.suite, "counts": self.counts, "ok": self.ok,
                 "edges": [c.to_json() for c in self.checks]}
 
-    def json_chunks(self, indent: str, depth: int,
+    def json_chunks(self, depth: int,
                     label_texts: Optional[Dict[int, str]] = None) -> Iterator[str]:
         """The text of :meth:`to_json` at ``depth`` as ``json.dumps(...,
-        indent=indent, sort_keys=True)`` nests it, one piece per edge; the CLI
+        indent=2, sort_keys=True)`` nests it, one piece per edge; the CLI
         splices it into the verify report's text and writes it in batches.
         ``label_texts`` keeps the label texts by KType id for the suites
-        written at the same indent and depth, so each label is rendered once
-        per report."""
-        nl = "\n" + indent * (depth + 1)
-        yield f'{{{nl}"counts": {_dict_texts(nl, indent)(self.counts)},{nl}"edges": '
-        yield from _rows_text(self._rows, indent, depth + 1,
-                              {} if label_texts is None else label_texts)
+        written at the same depth, so each label is rendered once per
+        report."""
+        nl = "\n" + _INDENT * (depth + 1)
+        yield f'{{{nl}"counts": {_dict_texts(nl)(self.counts)},{nl}"edges": '
+        yield from _rows_text(self._rows, depth + 1, {} if label_texts is None else label_texts)
         yield (f',{nl}"ok": {"true" if self.ok else "false"},{nl}"suite": '
-               f'{_string(self.suite)}\n{indent * depth}}}')
+               f'{_string(self.suite)}\n{_INDENT * depth}}}')
 
     def summary_line(self) -> str:
         counts = self.counts
@@ -208,11 +202,11 @@ class SuiteReport(Record):
         return f"{self.suite:<18} {status:<4} {body or 'no edges'}"
 
 
-def _dict_texts(nl: str, indent: str) -> Callable[[Dict[str, Union[str, int]]], str]:
+def _dict_texts(nl: str) -> Callable[[Dict[str, Union[str, int]]], str]:
     """The writer of dicts of str or int values at the depth whose newline is
     ``nl``, keys sorted: each key order's format and value getter are made
     once, so a dict costs one tuple of its values' texts."""
-    inner = nl + indent
+    inner = nl + _INDENT
     layouts: Dict[tuple, tuple] = {}
 
     def text(d: Dict[str, Union[str, int]]) -> str:
@@ -234,15 +228,13 @@ def _dict_texts(nl: str, indent: str) -> Callable[[Dict[str, Union[str, int]]], 
     return text
 
 
-def edges_text(checks: Iterable[EdgeCheck], indent: str = "  ", depth: int = 0
-               ) -> Iterator[str]:
-    """``json.dumps([c.to_json() for c in checks], indent=indent, sort_keys=True)``
+def edges_text(checks: Iterable[EdgeCheck], depth: int = 0) -> Iterator[str]:
+    """``json.dumps([c.to_json() for c in checks], indent=2, sort_keys=True)``
     nested at ``depth``, one piece per edge."""
-    return _rows_text(SuiteReport("", checks)._rows, indent, depth, {})
+    return _rows_text(SuiteReport("", checks)._rows, depth, {})
 
 
-def _rows_text(rows: list, indent: str, depth: int, label_texts: Dict[int, str]
-               ) -> Iterator[str]:
+def _rows_text(rows: list, depth: int, label_texts: Dict[int, str]) -> Iterator[str]:
     """:func:`edges_text` of a report's rows.
 
     Every edge has the same shape, so its text is put together from its
@@ -254,9 +246,9 @@ def _rows_text(rows: list, indent: str, depth: int, label_texts: Dict[int, str]
     if not rows:
         yield "[]"
         return
-    nl, nl1, nl2 = ("\n" + indent * (depth + k) for k in range(3))
-    nl3 = nl2 + indent
-    dict_text = _dict_texts(nl2, indent)
+    nl, nl1, nl2 = ("\n" + _INDENT * (depth + k) for k in range(3))
+    nl3 = nl2 + _INDENT
+    dict_text = _dict_texts(nl2)
     label_texts[id(None)] = "null"
 
     def label(kt: KType) -> str:
@@ -503,15 +495,20 @@ def verify_interface(labels: Labels, centers: Iterable[KType],
 
 def _check_square(labels: Labels, alpha1: Label, alpha2: Label) -> tuple:
     """(verdict, detail, quantities, residuals) of det B(alpha2) rho^2 =
-    (det M2 / det M1) det B(alpha1) on the square at alpha1."""
+    (det M2 / det M1) det B(alpha1) on the square at alpha1.
+
+    alpha2 is (f+1; j+1) of a center with j >= 3/2, where lambda(T*T) never
+    vanishes, so :func:`case2_ints` gives its row.  The shared-factor ratio is
+    a1/a3, a1 = (2f + 2J + 2r + 4 - s)/4 and a3 = (2f + 2J - 2r + 4 + s)/4 at
+    alpha1 with (J, s) its spectral pair.  Only a perturbed D11, D12, D21 or
+    D22 entry reaches its skip: a1 = 0 is a factor of C4 at alpha2, so that
+    block is skipped as singular first, and a3 = 0 makes det M1 vanish.
+    """
     ca, cb = block_ints(labels, alpha1), block_ints(labels, alpha2)
     for block in (ca, cb):
         if isinstance(block, str):
             return SKIP_SINGULAR, f"block: {block} = 0", None, None
-    data = case2_ints(labels, alpha1, alpha2)
-    if data is None:
-        return SKIP_DEGENERATE, _DEGENERATE_TARGET, None, None
-    det_m1, det_m2 = map(det2, _matrices(data))        # both over P^4
+    det_m1, det_m2 = map(det2, _matrices(case2_ints(labels, alpha1, alpha2)))  # over P^4
     if det_m1 == 0:
         return SKIP_DEGENERATE, "det M1 = 0: propagation is vacuous", None, None
     rho = z_ratio(labels, z_terms(alpha2, 1, block=True) + z_terms(alpha1, -1, block=True))

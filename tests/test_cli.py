@@ -534,6 +534,49 @@ class TestUsageErrors:
         assert code == 0
         assert out
 
+    @pytest.mark.parametrize("argv, code", [
+        (("verify", "--n", "4", "--r", "1e5000", "--f-min=1/2", "--f-max=1/2",
+          "--j-max=3/2"), 0),
+        (("block", "--n", "4", "--r", "1", "--lattice", "int", "--f", "1e5000", "--j", "1/2",
+          "--eps", "1"), 0),
+        (("neighbors", "--n", "4", "--r", "1", "--lattice", "int", "--f", "1e5000",
+          "--j", "1/2", "--q", "0", "--eps", "1"), 0),
+        # a failing edge whose residual runs past the limit
+        (("verify", "--n", "8", "--r", "1e500", "--strict-paper", "--f-min=-3/2",
+          "--f-max=3/2", "--j-max=7/2"), 1),
+    ])
+    def test_values_past_the_int_str_digit_limit_print(self, capsys, tmp_path, argv, code):
+        # Python refuses to turn an int of more than 4300 digits into str by
+        # default; an exact value the flags make that long is still printed,
+        # never a traceback that reads as a verification failure
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        out_path = tmp_path / "out"
+        assert main([*argv, "--out", str(out_path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        text = out_path.read_text(encoding="utf-8")
+        assert max(map(len, re.findall(r"\d+", captured.out + text))) > 4300
+        if argv[0] == "verify":
+            assert json.loads(text)["ok"] is (code == 0)
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int-to-str digit limit")
+    def test_main_restores_the_int_str_digit_limit(self, capsys):
+        before = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(5000)
+            assert main(["block", "--n", "4", "--f", "1/2", "--j", "1/2", "--eps", "1"]) == 0
+            assert sys.get_int_max_str_digits() == 5000
+            assert main(["verify", "--n", "5"]) == 2
+            assert sys.get_int_max_str_digits() == 5000
+            with pytest.raises(SystemExit):         # argparse's own error
+                main(["frobnicate"])
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
+        capsys.readouterr()
+
     @pytest.mark.parametrize("command", [
         ("verify", "--n", "4", "--r", "1", "--f-min=-1/2", "--f-max=1/2", "--j-max=3/2"),
         ("spectrum", "--n", "4"),

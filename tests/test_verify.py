@@ -19,7 +19,7 @@ from twistor_spectra.ktypes import (Direction, KType, Label, Labels, Params,
 from twistor_spectra.spectra import (SingularCoefficientError,
                                      block_coefficients, calibrate_L)
 from twistor_spectra.verify import (FAIL, INDETERMINATE, PASS, POLE,
-                                    SKIP_DEGENERATE, SKIP_SINGULAR, ZERO,
+                                    SKIP_DEGENERATE, SKIP_POLE, SKIP_SINGULAR, ZERO,
                                     EdgeCheck, SuiteReport, _case2_residuals,
                                     edges_text,
                                     resolve_block_factor_reading,
@@ -225,6 +225,20 @@ class TestInterfaceSuite:
             report = verify_interface(Labels(params), centers, table)
         assert not report.ok
 
+    @pytest.mark.parametrize("site", ["D11", "D12", "D21", "D22"])
+    def test_an_entry_fault_reaches_the_shared_factor_skip(self, site):
+        # a3 = 0 at this center, so the square's shared-factor ratio is a
+        # pole: the true entries make det M1 vanish first, a perturbed one
+        # leaves it nonzero and the square is skipped on the ratio
+        params = Params(4, Q(3, 2))
+        center = KType(1, Q(-5, 2), Q(3, 2), 0, -1)
+        [square] = verify_interface(Labels(params), [center], {}).checks
+        assert (square.verdict, square.detail) == (
+            SKIP_DEGENERATE, "det M1 = 0: propagation is vacuous")
+        with faults.inject(site):
+            [square] = verify_interface(Labels(params), [center], {}).checks
+        assert (square.verdict, square.detail) == (SKIP_POLE, "shared-factor ratio is pole")
+
 
 class TestDrivers:
     def test_run_all_suites_green(self):
@@ -413,14 +427,14 @@ class TestEdgesText:
         for depth in (0, 1, 3):
             for checks in (self.CHECKS, self.CHECKS[::-1], self.CHECKS[2:3], []):
                 want = self.nested([c.to_json() for c in checks], depth)
-                assert "".join(edges_text(checks, "  ", depth)) == want
+                assert "".join(edges_text(checks, depth)) == want
 
     def test_a_suite_is_the_stdlib_text_of_its_to_json(self):
         for depth in (0, 2):
             report = SuiteReport("case2-relation", list(self.CHECKS))
-            assert "".join(report.json_chunks("  ", depth)) == self.nested(report.to_json(), depth)
+            assert "".join(report.json_chunks(depth)) == self.nested(report.to_json(), depth)
             empty = SuiteReport("interface")
-            assert "".join(empty.json_chunks("  ", depth)) == self.nested(empty.to_json(), depth)
+            assert "".join(empty.json_chunks(depth)) == self.nested(empty.to_json(), depth)
 
     def test_a_report_gives_back_the_checks_it_was_made_from(self):
         # its rows keep every field, a None and a {} residuals among them
@@ -436,7 +450,7 @@ class TestEdgesText:
     def test_any_dicts_of_str_or_int(self, dicts):
         checks = [EdgeCheck(2, self.KT, self.KT2, Direction(1, 0), FAIL, quantities=d,
                             residuals=dicts[k - 1]) for k, d in enumerate(dicts)]
-        assert "".join(edges_text(checks, "  ", 1)) == self.nested(
+        assert "".join(edges_text(checks, 1)) == self.nested(
             [c.to_json() for c in checks], 1)
 
 
