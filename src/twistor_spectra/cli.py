@@ -58,6 +58,10 @@ CHUNK = 1 << 16
 # benchmark's widest holds 8400)
 MAX_WINDOW_LABELS = 2 ** 16
 
+# the largest float as the exact int it is: a Fraction compares with an int
+# on its numerator and denominator, and with a float through Fraction.from_float
+_FLOAT_MAX = int(sys.float_info.max)
+
 # the most multiplicity-two centers, the window's first, on which verify
 # resolves the block factor's reading
 MAX_READING_CENTERS = 40
@@ -253,7 +257,7 @@ def cmd_spectrum(args) -> int:
     for group, flag, text, value in (("configuration", "--r", args.r, params.r),
                                      ("region", "--f-min", args.f_min, f_min),
                                      ("region", "--f-max", args.f_max, f_max)):
-        if abs(value) > sys.float_info.max:
+        if abs(value) > _FLOAT_MAX:
             raise UsageError(f"bad {group}: {flag} {text}: beyond the float range, "
                              "z_numeric cannot be formed")
     _check_size(params, f_min, f_max, j_max, xis, epss)

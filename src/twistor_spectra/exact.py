@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Iterable, NamedTuple, Tuple, Union
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -362,13 +362,18 @@ def pq_json(prefactor: Fraction, pq: Iterable[Tuple[int, int, int]]) -> dict:
     }
 
 
-def pq_numeric(prefactor: Fraction, pq: Iterable[Tuple[int, int, int]]) -> float:
+def pq_numeric(prefactor: Fraction, pq: Iterable[Tuple[int, int, int]],
+               lgammas: Optional[Dict[Tuple[int, int], Tuple[float, int]]] = None) -> float:
     """``prefactor * prod Gamma(p/q)**exp`` over (p, q, exp) triples as a float:
     the kernel of :func:`evaluate_numeric`.
 
     The triples are a quotient's canonical factors (``GammaQuotient._pq``):
     arguments in lowest terms with q > 0, merged, no zero exponent, sorted
-    by value, which is the order the log-gammas are summed in.
+    by value, which is the order the log-gammas are summed in.  ``lgammas``
+    is the caller's table of each argument's (log|Gamma|, sign) by (p, q),
+    filled here, so a run that passes one table to every call computes each
+    distinct argument's log-gamma once (``spectra.spectrum_rows`` does); the
+    sum, and so the float, is the same with a table or without.
     """
     zero = False
     for p, q, exp in pq:
@@ -378,17 +383,23 @@ def pq_numeric(prefactor: Fraction, pq: Iterable[Tuple[int, int, int]]) -> float
             zero = True
     if zero:
         return 0.0
+    if lgammas is None:
+        lgammas = {}
     logmag = 0.0
-    sign = 1 if prefactor > 0 else -1
+    num, den = prefactor.numerator, prefactor.denominator     # float(prefactor) is num/den
+    sign = 1 if num > 0 else -1
     for p, q, exp in pq:
-        lg, s = _log_abs_gamma(p, q)
+        lg_s = lgammas.get((p, q))
+        if lg_s is None:
+            lg_s = lgammas[p, q] = _log_abs_gamma(p, q)
+        lg, s = lg_s
         logmag += exp * lg
         if exp % 2 == 1 and s < 0:
             sign = -sign
     if logmag != logmag:        # log-gammas past lgamma's range cancel: no float to give
         raise OverflowError("gamma arguments beyond lgamma's range cancel")
     try:
-        return sign * abs(float(prefactor)) * math.exp(logmag)
+        return sign * (abs(num) / den) * math.exp(logmag)
     except OverflowError:
         return math.copysign(math.inf, sign)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, floor, lcm
-from operator import itemgetter
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import faults
@@ -289,14 +288,18 @@ class Labels:
 
     def spectral_J(self, j2: int, eps: int) -> int:
         """The spectral J = eps * J_signed of the labels (2j, eps), times ``scale``;
-        a ``ValueError`` if that is no integer (a ``DIRAC`` offset armed later)."""
+        a ``ValueError`` if that is no integer (a ``DIRAC`` offset armed later).
+
+        Computed once per (2j, eps) and kept: J_signed is read once, and the
+        sign and the scale are applied to its numerator, an int."""
         J = self._J.get((j2, eps))
         if J is None:
-            Jq = eps * DEFAULT_EIGENVALUES.dirac(self.params, self._half(j2), eps)
+            signed = DEFAULT_EIGENVALUES.dirac(self.params, self._half(j2), eps)
             d = self.scale
-            if d % Jq.denominator:
-                raise ValueError(f"J = {Jq} of 2j = {j2}, eps = {eps} is off the scale 1/{d}")
-            J = self._J[j2, eps] = Jq.numerator * (d // Jq.denominator)
+            if d % signed.denominator:
+                raise ValueError(f"J = {eps * signed} of 2j = {j2}, eps = {eps} "
+                                 f"is off the scale 1/{d}")
+            J = self._J[j2, eps] = eps * signed.numerator * (d // signed.denominator)
         return J
 
     def _half(self, k: int) -> Fraction:
@@ -402,20 +405,24 @@ def f_points(params: Params, f_min: RationalLike, f_max: RationalLike) -> List[F
     return [Fraction(k, 2) for k in f2_range(params, f_min, f_max)]
 
 
-_SORT_ORDER = itemgetter(0, 1, 2, 4, 3)     # a key's fields in KType.sort_key order
-
-
 def window_keys(params: Params, f_min: RationalLike, f_max: RationalLike,
                 j_max: RationalLike, qs: Sequence[int] = (0, 1),
                 xi_values: Sequence[int] = (-1, 1),
                 eps_values: Sequence[int] = (-1, 1)) -> List[Key]:
     """The keys (xi, 2f, 2j, q, eps) of all K-types in a finite window, in
-    :meth:`KType.sort_key`'s (xi, f, j, eps, q) order."""
+    :meth:`KType.sort_key`'s (xi, f, j, eps, q) order.
+
+    The keys are made in that order, not sorted: xi, 2f and 2j ascend, and
+    each 2j's (eps, q) pairs are sorted once per xi.  A value chosen k times
+    gives each of its keys k times in a row, as a stable sort would."""
     f2s = f2_range(params, f_min, f_max)
-    j2s = {q: j2_range(j_max, q) for q in qs}
-    keys = [(xi, f2, j2, q, eps) for xi in xi_values for f2 in f2s for q in qs
-            for j2 in j2s[q] for eps in eps_values]
-    keys.sort(key=_SORT_ORDER)
+    j2s = j2_range(j_max, min(qs, default=0))
+    keys: List[Key] = []
+    for xi in sorted(set(xi_values)):
+        pairs = sorted((eps, q) for eps in eps_values for q in qs
+                       for _ in range(xi_values.count(xi)))
+        tails = [[(j2, q, eps) for eps, q in pairs if j2 > 2 * q] for j2 in j2s]
+        keys += [(xi, f2, j2, q, eps) for f2 in f2s for tail in tails for j2, q, eps in tail]
     return keys
 
 

@@ -20,16 +20,17 @@ unreduced int ratio (``exact.Tagged``), once per distinct ratio in a run
 (``z_ratio``).
 The closed forms are ints too: ``quotient_entries`` gives each entry as an
 int (num, den) pair, and the block coefficients are four numerators over
-one denominator (``block_ints``, at the integer point ``_block_point``
-builds).  The library functions that return ``Fraction`` values
-(``block_coefficients``, the quotient matrices) read the same kernels.  The
-CLI's ``spectrum`` rows (:func:`spectrum_rows`) read each z from its integer
-gamma forms (:func:`z_forms`, the triples of the quotient ``z_value`` would
-build, with no quotient and no ``_z_cached`` entry): its float from
-``exact.pq_numeric``, the one numeric kernel, and its value relative to the
-first z of its commensurability class, chained (:class:`ZChains`): one
-``z_product`` from the previous finite z whose gamma arguments match as
-forms, and ``exact.pq_ratio`` on the triples only where a chain starts.
+one denominator (``block_ints``, at an integer point whose r terms
+``_block_point`` gives).  The library functions that return ``Fraction``
+values (``block_coefficients``, the quotient matrices) read the same
+kernels.  The CLI's ``spectrum`` rows (:func:`spectrum_rows`) read each z
+from its integer gamma forms (:func:`z_forms`, the triples of the quotient
+``z_value`` would build, with no quotient and no ``_z_cached`` entry): its
+float from ``exact.pq_numeric``, the one numeric kernel, on one log-gamma
+table per run, and its value relative to the first z of its
+commensurability class, chained (:class:`ZChains`): one ``z_product`` from
+the previous finite z whose gamma arguments match as forms, and
+``exact.pq_ratio`` on the triples only where a chain starts.
 
 ``block2x2`` reconstructs the whole 2x2 block on a multiplicity-two summand
 as a rational coefficient matrix, evaluated on one integer scaling of
@@ -273,43 +274,50 @@ class ZChains:
     relative to the base.  Two z's share a template class when their gamma
     arguments match as forms in (f, J, r), constants congruent mod 4 scale,
     so one :func:`z_product` of the two reads the step off a two-term
-    template: orders add and values multiply.  A template class's first z
-    takes one ``exact.pq_ratio`` against the base on their triples, times the
-    prefactor ratio s * s_base, and so does each z while the class has no
-    finite one yet; no ``GammaQuotient`` is built.  The two keys differ
-    where gammas cancel numerically but not as forms (r = 1/2).
+    template: orders add and values multiply.  Their arguments then differ
+    by integers, exponent by exponent, so a template class lies in one
+    commensurability class, and a chained z takes its base from the z it is
+    chained from; only a z with nothing to chain from reads its class key.
+    A template class's first z takes one ``exact.pq_ratio`` against the base
+    on their triples, times the prefactor ratio s * s_base, and so does each
+    z while the class has no finite one yet; no ``GammaQuotient`` is built.
+    One commensurability class may hold several template classes, where
+    gammas cancel numerically but not as forms (r = 1/2).
     """
 
     def __init__(self, r: Fraction, scale: int):
         self.r, self.scale = r, scale
         self._bases: Dict[frozenset, Tuple[str, int, tuple]] = {}   # (label, s, triples)
-        self._last: Dict[tuple, Tuple[int, int, int, int, int]] = {}
+        self._last: Dict[tuple, tuple] = {}     # (F, J, s, num, den, base)
+        # per s, each argument's (A, B, K scale): its template constant is
+        # A F + B J + K scale mod 4 scale
+        self._forms = {s: [(A, B, K * scale) for A, B, _, K, _ in args]
+                       for s, (_, args) in _Z_GAMMAS.items()}
 
     def relative(self, F: int, J: int, s: int, pq: tuple,
                  label: Callable[[], str]) -> Tuple[str, str]:
         """(z_rel, z_base) of z(r; F/scale, J/scale, s), whose :func:`z_forms`
         triples are ``pq``, as ``spectrum`` prints them; ``label()`` names z's
         row if that row becomes a base."""
-        classes = pq_classes(pq)
-        base = self._bases.get(classes)
         step = 4 * self.scale
-        template = tuple((K * self.scale + A * F + B * J) % step
-                         for A, B, _, K, _ in _Z_GAMMAS[s][1])
+        template = tuple([(A * F + B * J + K) % step for A, B, K in self._forms[s]])
         prev = self._last.get(template)
-        if base is None:
-            base = self._bases[classes] = (label(), s, pq)
-            rel = Tagged(0, 1)
+        if prev is None:
+            classes = pq_classes(pq)
+            base = self._bases.get(classes)
+            if base is None:
+                base = self._bases[classes] = (label(), s, pq)
+                self._last[template] = (F, J, s, 1, 1, base)
+                return "1", base[0]
+            t, num, den = pq_ratio(pq, base[2]), s * base[1], 1
         else:
-            if prev is None:
-                t, num, den = pq_ratio(pq, base[2]), s * base[1], 1
-            else:
-                pF, pJ, ps, num, den = prev
-                t = z_product(self.r, self.scale, ((F, J, s, 1), (pF, pJ, ps, -1)))
-            num, den = t.num * num, t.den * den
-            g = gcd(num, den)
-            rel = Tagged(t.order, num // g, den // g)
+            pF, pJ, ps, num, den, base = prev
+            t = z_product(self.r, self.scale, ((F, J, s, 1), (pF, pJ, ps, -1)))
+        num, den = t.num * num, t.den * den
+        g = gcd(num, den)
+        rel = Tagged(t.order, num // g, den // g)
         if not rel.order:
-            self._last[template] = (F, J, s, rel.num, rel.den)
+            self._last[template] = (F, J, s, rel.num, rel.den, base)
         return rel.render(), base[0]
 
 
@@ -466,18 +474,20 @@ def _block_coeffs(n: int, X: int, Y: int, Z: int, d: int, xi: int, strict_paper:
             m * m * T * d * c1)
 
 
-def _block_point(params: Params, scale: int, F: int, J: int, xi: int, eps: int) -> tuple:
-    """The block kernel's arguments at f = F/scale, spectral J = J/scale:
-    (n, F rd, eps J rd, rn scale, scale rd, xi, strict_paper) for r = rn/rd."""
+def _block_point(params: Params, scale: int) -> tuple:
+    """What the block kernel's arguments at f = F/scale, spectral J = J/scale
+    take from the run, for r = rn/rd: (n, rd, rn scale, scale rd, strict_paper);
+    the kernel reads (n, F rd, eps J rd, rn scale, scale rd, xi, strict_paper)."""
     rn, rd = params.r.numerator, params.r.denominator
-    return (params.n, F * rd, eps * J * rd, rn * scale, scale * rd, xi, params.strict_paper)
+    return params.n, rd, rn * scale, scale * rd, params.strict_paper
 
 
 def block_ints(labels: Labels, label: Label) -> Union[str, Tuple[int, int, int, int, int]]:
     """(b11, b12, b21, b22, den) of a multiplicity-two label on its table's
     scale, or the name of the vanished coefficient."""
     xi, _, _, _, eps = label.key
-    return _block_coeffs(*_block_point(labels.params, labels.scale, label.F, label.J, xi, eps))
+    n, rd, Z, D, strict = _block_point(labels.params, labels.scale)
+    return _block_coeffs(n, label.F * rd, eps * label.J * rd, Z, D, xi, strict)
 
 
 def block_coefficients(params: Params, center: KType
@@ -503,42 +513,63 @@ def spectrum_rows(params: Params, keys: Sequence[Key]) -> Iterator[tuple]:
     :class:`ZChains`, and each block read from the kernel past its table,
     which a tabulation would fill and never hit.
 
-    What can raise is done at the call, in key order: every J, and every
-    distinct z (a z whose log-gammas cancel past lgamma's range raises
-    ``OverflowError`` naming its row).  The rows are lazy; each block is
-    read as its row is drawn, and nothing keeps a row once it is given."""
+    A run computes each value its window repeats once, in tables that are
+    locals of the call and its rows: J per (2j, eps), looked up once per key;
+    the cells of each distinct z; each gamma argument's (log|Gamma|, sign),
+    one table for every ``exact.pq_numeric`` call; the block kernel's r terms
+    (:func:`_block_point`) and eps J rd per (2j, eps); the text of each 2f,
+    2j and small int.  What can raise is done at the call, in key order:
+    every J, and every distinct z (a z whose log-gammas cancel past
+    lgamma's range raises ``OverflowError`` naming its row).  The rows are
+    lazy; each block is read as its row is drawn, and nothing keeps a row
+    once it is given."""
     labels = Labels(params)
     r, scale = params.r, labels.scale
+    half = scale // 2
+    xis, f2s, j2s, qs, epss = zip(*keys) if keys else ((),) * 5
+    Js = {je: labels.spectral_J(*je) for je in dict.fromkeys(zip(j2s, epss))}
     chains = ZChains(r, scale)
-    z_cells: Dict[Tuple[int, int, int], Tuple[str, str, str]] = {}
+    lgammas: Dict[Tuple[int, int], Tuple[float, int]] = {}
+    z_cells: Dict[Tuple[int, int, int], tuple] = {}
+    z_tails = []        # the row tail of each q = 1 key, in key order
     for xi, f2, j2, q, eps in keys:
-        F, J, s = f2 * (scale // 2), labels.spectral_J(j2, eps), xi * eps
-        if q and (F, J, s) not in z_cells:     # the xi = +-1 rows of one (f, J, s) share z
+        if not q:
+            continue
+        F, J, s = f2 * half, Js[j2, eps], xi * eps
+        tail = z_cells.get((F, J, s))       # the xi = +-1 rows of one (f, J, s) share z
+        if tail is None:
             prefactor, pq = z_forms(r, scale, F, J, s)
             label = lambda: KType(xi, Fraction(f2, 2), Fraction(j2, 2), q, eps).label()
             try:
-                numeric = f"{pq_numeric(prefactor, pq):.15g}"
+                numeric = f"{pq_numeric(prefactor, pq, lgammas):.15g}"
             except GammaPoleError:
                 numeric = "POLE"
             except OverflowError as exc:
                 raise OverflowError(f"{label()}: {exc}") from None
-            z_cells[F, J, s] = (*chains.relative(F, J, s, pq, label), numeric)
+            tail = z_cells[F, J, s] = ("1", *chains.relative(F, J, s, pq, label), numeric,
+                                       "", "", "", "", "")
+        z_tails.append(tail)
+    n, rd, Z, D, strict = _block_point(params, scale)
+    X = half * rd                   # the kernel's F rd is 2f X
+    Ys = {(j2, eps): eps * J * rd for (j2, eps), J in Js.items()}
     block = _block_coeffs.__wrapped__
-    texts = {k: format_ratio(k, 2) for k in {h for key in keys for h in key[1:3]}}
+    texts = {k: format_ratio(k, 2) for k in {*f2s, *j2s}}
+    small = {k: str(k) for k in {*xis, *qs, *epss}}
 
     def rows() -> Iterator[tuple]:
+        z_tail = iter(z_tails).__next__
         for xi, f2, j2, q, eps in keys:
-            F, J = f2 * (scale // 2), labels.spectral_J(j2, eps)
-            head = (str(xi), texts[f2], texts[j2], str(q), str(eps))
+            head = (small[xi], texts[f2], texts[j2], small[q], small[eps])
             if q:
-                yield (*head, "1", *z_cells[F, J, xi * eps], "", "", "", "", "")
+                yield head + z_tail()
                 continue
-            coeffs = block(*_block_point(params, scale, F, J, xi, eps))
+            coeffs = block(n, f2 * X, Ys[j2, eps], Z, D, xi, strict)
             if isinstance(coeffs, str):
-                yield (*head, "2", "", "", "", "", "", "", "", f"SINGULAR({coeffs})")
+                yield head + ("2", "", "", "", "", "", "", "", f"SINGULAR({coeffs})")
             else:
-                *nums, den = coeffs
-                yield (*head, "2", "", "", "", *(format_ratio(c, den) for c in nums), "")
+                b11, b12, b21, b22, den = coeffs
+                yield head + ("2", "", "", "", format_ratio(b11, den), format_ratio(b12, den),
+                              format_ratio(b21, den), format_ratio(b22, den), "")
 
     return rows()
 

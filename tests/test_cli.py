@@ -460,6 +460,27 @@ class TestUsageErrors:
         assert captured.err == message + "beyond the float range, z_numeric cannot be formed\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_spectrum_float_range_bound_is_the_float_max(self, capsys, tmp_path, sign):
+        # the float max is an integer: |r| equal to it passes the guard, and
+        # the next integer and a rational a hair above it are usage errors
+        top = int(sys.float_info.max)
+        window = ["--f-min=1/2", "--f-max=3/2", "--j-max=3/2", "--format", "csv"]
+        out_path = tmp_path / "out"
+        assert main(["spectrum", "--n", "4", f"--r={sign}{top}", *window,
+                     "--out", str(out_path)]) == 0
+        assert len(out_path.read_text(encoding="utf-8").splitlines()) == 1 + 24
+        for past in (f"{sign}{top + 1}", f"{sign}{top}.{'0' * 30}1"):
+            value = Q(past)
+            assert abs(value) > cli._FLOAT_MAX and abs(value) > sys.float_info.max
+            out_path.unlink(missing_ok=True)
+            code = main(["spectrum", "--n", "4", f"--r={past}", *window, "--out", str(out_path)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err == (f"bad configuration: --r {past}: beyond the float "
+                                    "range, z_numeric cannot be formed\n")
+            assert not out_path.exists()
+
     def test_spectrum_whose_log_gammas_cancel_past_lgamma_names_the_row(self, capsys,
                                                                          tmp_path):
         # every argument of z lies past lgamma's range and they cancel: no
@@ -1178,11 +1199,11 @@ class TestStreamedTables:
         assert len("".join(earlier)) > cli.CHUNK
         numeric, calls = spectra.pq_numeric, []
 
-        def overflowing(prefactor, pq):
+        def overflowing(prefactor, pq, *table):
             calls.append(pq)
             if len(calls) == len(cells):
                 raise OverflowError("past lgamma")
-            return numeric(prefactor, pq)
+            return numeric(prefactor, pq, *table)
 
         monkeypatch.setattr(spectra, "pq_numeric", overflowing)
         out_path = tmp_path / "out"

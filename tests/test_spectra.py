@@ -15,14 +15,15 @@ from twistor_spectra.exact import (GammaPoleError, GammaQuotient,
                                    pq_numeric, ratio_tagged, reduce_exact)
 from twistor_spectra.ktypes import (DIRECTIONS, Direction, KType, Labels, Params,
                                     case1_partners, enumerate_ktypes, f_points,
-                                    label_dirac, label_scale, make_ktype, neighbors)
-from twistor_spectra.spectra import (InconsistentSystemError,
+                                    label_dirac, label_scale, make_ktype, neighbors,
+                                    window_keys)
+from twistor_spectra.spectra import (SPECTRUM_COLUMNS, InconsistentSystemError,
                                      SingularCoefficientError, Tagged, block2x2,
                                      block_coefficients, calibrate_L, exchanged_rs_eigenvalue,
                                      mult1_quotient_matrix,
                                      mult2_det_quotient_matrix,
                                      mult2_gamma_product, first_order_block,
-                                     w_terms, z_for, z_forms, z_product, z_ratio,
+                                     spectrum_rows, w_terms, z_for, z_forms, z_product, z_ratio,
                                      z_terms, z_value)
 
 P4H = Params(4, Q(1, 2))
@@ -406,6 +407,50 @@ class TestZForms:
         assert pq_numeric(*zero) == 0.0
         with pytest.raises(GammaPoleError):
             pq_numeric(*pole)
+
+
+class TestSpectrumRows:
+    """``spectrum_rows`` keeps its per-run tables to itself."""
+
+    @pytest.mark.parametrize("n, r, lattice, special", [
+        (8, Q(1, 2), "half", {"POLE", "0"}),     # poles that cancel exactly
+        (4, Q(3, 2), "half", {"POLE", "0"}),
+        (8, Q(7, 3), "half", set()),
+        (4, Q(-3, 2), "half", {"POLE"}),
+        (4, Q(-3, 2), "int", set()),
+    ])
+    def test_z_numeric_is_the_standalone_kernel(self, n, r, lattice, special):
+        # each q = 1 row's z_numeric against pq_numeric on its z_forms with
+        # no log-gamma table: the run's table changes no bit of any float
+        params = Params(n, r, lattice)
+        keys = window_keys(params, Q(-19, 2), Q(19, 2), Q(11, 2))
+        labels = Labels(params)
+        scale, cells = labels.scale, set()
+        for (xi, f2, j2, q, eps), row in zip(keys, spectrum_rows(params, keys), strict=True):
+            if not q:
+                continue
+            forms = z_forms(r, scale, f2 * scale // 2, labels.spectral_J(j2, eps), xi * eps)
+            try:
+                want = f"{pq_numeric(*forms):.15g}"
+            except GammaPoleError:
+                want = "POLE"
+            assert row[SPECTRUM_COLUMNS.index("z_numeric")] == want
+            cells.add(want)
+        assert cells & {"POLE", "0"} == special
+
+    def test_nothing_of_a_run_outlives_it(self):
+        # the same window at five off-grid r, its rows drawn, with no command
+        # start between: every memo table holds what the first run left
+        def sizes():
+            return [table.cache_info().currsize for table in faults._TABLES]
+
+        after = []
+        for r in (Q(2, 7), Q(5, 3), Q(9, 4), Q(13, 5), Q(11, 6)):
+            params = Params(6, r)
+            keys = window_keys(params, Q(-15, 2), Q(15, 2), Q(9, 2))
+            assert len(list(spectrum_rows(params, keys))) == len(keys)
+            after.append(sizes())
+        assert after == [after[0]] * 5
 
 
 def neighbors_reference(kt):
