@@ -9,10 +9,9 @@ route and return verdicts with exact residuals.
 from .exact import (GammaPoleError, GammaQuotient, NonCommensurableError,
                     Tagged, evaluate_numeric, format_rational, ratio_tagged,
                     rational, reduce_exact)
-from .ktypes import (BadDimensionError, DIRECTIONS, Direction,
-                     InterfaceSquare, InvalidWeightError, KType, Labels, Params,
-                     SphereEigenvalues, case1_partners, enumerate_ktypes,
-                     interface_square, make_ktype, neighbors)
+from .ktypes import (BadDimensionError, DIRECTIONS, Direction, InvalidWeightError,
+                     KType, Labels, Params, SphereEigenvalues, enumerate_ktypes,
+                     make_ktype)
 from .operators import (Case1Data, Case2Data, Case3Data, DBlock,
                         DegenerateTargetError, MissingLError,
                         NotNeighborsError, case1_data, case2_data, case3_data,

@@ -8,18 +8,19 @@ its fixed shape.  CSV and JSON tables are streamed, one piece per row as the
 rows are made; a table holds its rows, for its column widths.  The verify
 report is streamed too, its suites' texts spliced into the stdlib's text of its
 head.  Every output goes through :func:`_emit`.  Exit codes: 0 success, 1
-verification failure, 2 usage error.  Bad input (a malformed label or a zero
-denominator, named with its flag, an empty or unwritable ``--out`` path, a
-spectrum or verify window with no K-type, a window with more than
-:data:`MAX_WINDOW_LABELS` K-types, a calibrate window with nothing to solve)
-and a failed write raise :class:`UsageError` where they are found,
-and :func:`main` alone prints it and returns 2; only argparse's own errors
-raise ``SystemExit(2)``.  :data:`COMMANDS` is the one definition of each
-subcommand's flags.  :func:`main` reads a subcommand followed by its exact
-long flags (``--flag=value``, ``--flag value`` with a value not starting with
-``-``, a bare store_true flag; every value non-empty and valid, every
-required flag given) against it directly; argparse is imported and its parser
-built, once per process, only for help, errors and every other argv.
+verification failure, 2 usage error.  Bad input (a malformed label, a zero
+denominator or a value past :data:`MAX_FLAG_DIGITS`, named with its flag, an
+empty or unwritable ``--out`` path, a spectrum or verify window with no
+K-type, a window with more than :data:`MAX_WINDOW_LABELS` K-types, a
+calibrate window with nothing to solve) and a failed write raise
+:class:`UsageError` where they are found, and :func:`main` alone prints it
+and returns 2; only argparse's own errors raise ``SystemExit(2)``.
+:data:`COMMANDS` is the one definition of each subcommand's flags.
+:func:`main` reads a subcommand followed by its exact long flags
+(``--flag=value``, ``--flag value`` with a value not starting with ``-``, a
+bare store_true flag; every value non-empty and valid, every required flag
+given) against it directly; argparse is imported and its parser built, once
+per process, only for help, errors and every other argv.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from . import faults
 from .exact import format_ratio, format_rational, pq_json, rational
 from .ktypes import (BadDimensionError, InvalidWeightError, KType, Labels, Params,
                      enumerate_ktypes, f2_range, interface_square, j2_range,
-                     make_ktype, window_keys)
+                     label_key, make_ktype, window_keys)
 from .spectra import (SPECTRUM_COLUMNS, EmptyWindowError, InconsistentSystemError,
                       block_ints, calibrate_L, mult1_quotient_matrix,
                       mult2_det_quotient_matrix, first_order_block, spectrum_rows,
@@ -61,6 +62,10 @@ MAX_WINDOW_LABELS = 2 ** 16
 # the largest float as the exact int it is: a Fraction compares with an int
 # on its numerator and denominator, and with a float through Fraction.from_float
 _FLOAT_MAX = int(sys.float_info.max)
+
+# the largest decimal order of magnitude of a rational flag, on its text: its
+# digits after the first plus its exponent's magnitude ("1e10000" is read)
+MAX_FLAG_DIGITS = 10_000
 
 # the most multiplicity-two centers, the window's first, on which verify
 # resolves the block factor's reading
@@ -113,7 +118,15 @@ def _pm(values: str) -> List[int]:
 
 
 def _flag_rational(group: str, flag: str, text: str) -> Fraction:
-    """``rational(text)``; a bad value is a UsageError naming its flag."""
+    """``rational(text)``; a bad value is a UsageError naming its flag, and so is
+    one past :data:`MAX_FLAG_DIGITS`, before Fraction writes its exponent out."""
+    if len(text) > MAX_FLAG_DIGITS or "e" in text or "E" in text:     # else too short to pass
+        mantissa, _, exponent = text.lower().partition("e")
+        magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
+        if magnitude.isdecimal() and (len(magnitude) > len(str(MAX_FLAG_DIGITS)) or sum(
+                map(str.isdecimal, mantissa)) - 1 + int(magnitude) > MAX_FLAG_DIGITS):
+            raise UsageError(f"bad {group}: {flag} {text}: more than {MAX_FLAG_DIGITS} "
+                             "digits after the first, the exponent included")
     try:
         return rational(text)
     except ZeroDivisionError:
@@ -310,11 +323,12 @@ def cmd_neighbors(args) -> int:
                          f"{entry.render()}  -> {entry.neighbor.label()}")
         rows.append(cells)
     text = _rows_text(rows, ("dj", "df=-1", "df=+1"), args.format)
-    if kt.multiplicity == 2 and kt.j >= Fraction(3, 2) and args.format == "table":
-        sq = interface_square(kt)
-        text = chain(text, ["interface square:\n"
-                            f"  alpha1 = {sq.alpha1.label()}\n  alpha2 = {sq.alpha2.label()}\n"
-                            f"  beta1  = {sq.beta1.label()}\n  beta2  = {sq.beta2.label()}\n"])
+    square = interface_square(label_key(kt)) if args.format == "table" else ()
+    if square:
+        corners = [kt.label()] + [KType(xi, Fraction(f2, 2), Fraction(j2, 2), q, eps).label()
+                                  for xi, f2, j2, q, eps in square[1:]]
+        text = chain(text, ["interface square:\n  alpha1 = {}\n  alpha2 = {}\n"
+                            "  beta1  = {}\n  beta2  = {}\n".format(*corners)])
     _emit(text, args.out)
     return 0
 

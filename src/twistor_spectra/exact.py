@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, NamedTuple, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -363,7 +363,7 @@ def pq_json(prefactor: Fraction, pq: Iterable[Tuple[int, int, int]]) -> dict:
 
 
 def pq_numeric(prefactor: Fraction, pq: Iterable[Tuple[int, int, int]],
-               lgammas: Optional[Dict[Tuple[int, int], Tuple[float, int]]] = None) -> float:
+               lgammas: Dict[Tuple[int, int], Tuple[float, int]]) -> float:
     """``prefactor * prod Gamma(p/q)**exp`` over (p, q, exp) triples as a float:
     the kernel of :func:`evaluate_numeric`.
 
@@ -371,9 +371,8 @@ def pq_numeric(prefactor: Fraction, pq: Iterable[Tuple[int, int, int]],
     arguments in lowest terms with q > 0, merged, no zero exponent, sorted
     by value, which is the order the log-gammas are summed in.  ``lgammas``
     is the caller's table of each argument's (log|Gamma|, sign) by (p, q),
-    filled here, so a run that passes one table to every call computes each
-    distinct argument's log-gamma once (``spectra.spectrum_rows`` does); the
-    sum, and so the float, is the same with a table or without.
+    filled here: one table shared by a run's calls (``spectra.spectrum_rows``)
+    computes each distinct log-gamma once and gives the floats a new one does.
     """
     zero = False
     for p, q, exp in pq:
@@ -383,8 +382,6 @@ def pq_numeric(prefactor: Fraction, pq: Iterable[Tuple[int, int, int]],
             zero = True
     if zero:
         return 0.0
-    if lgammas is None:
-        lgammas = {}
     logmag = 0.0
     num, den = prefactor.numerator, prefactor.denominator     # float(prefactor) is num/den
     sign = 1 if num > 0 else -1
@@ -419,4 +416,4 @@ def evaluate_numeric(g: GammaQuotient) -> float:
     log-gammas both leave lgamma's range (arguments past 2.5e305) and cancel
     raises ``OverflowError``.
     """
-    return pq_numeric(g.prefactor, g._pq)
+    return pq_numeric(g.prefactor, g._pq, {})

@@ -18,10 +18,10 @@ A verify run reads each label through one :class:`Label` record of a
 :class:`Labels` table, keyed by the small ints (xi, 2f, 2j, q, eps): its
 ``KType`` and its (J, s) on the run's integer scale; the table keeps, once
 asked for, each record's diagram neighbors as one flat list of directions and
-records, so no record refers to another and no arrow costs a tuple.
-:func:`neighbors` walks the same integer keys.
-A table states J on its scale once per (2j, eps) (:meth:`Labels.spectral_J`).  A
-window is two integer ranges, its 2f (:func:`f2_range`) and its 2j
+records, so no record refers to another and no arrow costs a tuple.  A label
+is its key: the diagram's arrows, partners and interface square walk keys, and
+a table states J on its scale once per (2j, eps) (:meth:`Labels.spectral_J`).
+A window is two integer ranges, its 2f (:func:`f2_range`) and its 2j
 (:func:`j2_range`), so its size is known without walking it.
 """
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "KType",
     "Direction",
     "DIRECTIONS",
-    "InterfaceSquare",
     "SphereEigenvalues",
     "DEFAULT_EIGENVALUES",
     "spectral_args",
@@ -53,12 +52,9 @@ __all__ = [
     "label_scale",
     "label_twistor_tt",
     "make_ktype",
-    "neighbors",
     "interface_square",
-    "case1_partners",
     "f2_range",
     "j2_range",
-    "f_points",
     "window_keys",
     "enumerate_ktypes",
     "BadDimensionError",
@@ -119,8 +115,7 @@ class KType(Frozen):
         return (self.xi, self.f, self.j, self.eps, self.q)
 
     def label(self) -> str:
-        return (f"V(xi={self.xi:+d}; f={format_rational(self.f)}, "
-                f"j={format_rational(self.j)}, q={self.q}, eps={self.eps:+d})")
+        return f"V(xi={self.xi:+d}; f={self.f!s}, j={self.j!s}, q={self.q}, eps={self.eps:+d})"
 
     def to_json(self) -> dict:
         return {"xi": self.xi, "f": format_rational(self.f),
@@ -219,29 +214,18 @@ def label_key(ktype: KType) -> Key:
     return ktype.xi, f2, j2, ktype.q, ktype.eps
 
 
-def _key_ktype(key: Key) -> KType:
-    xi, f2, j2, q, eps = key
-    return KType(xi, Fraction(f2, 2), Fraction(j2, 2), q, eps)
-
-
-def _neighbor_keys(key: Key) -> List[Tuple[Direction, Key]]:
-    """The diagram's arrows on integer keys; bottom-row entries are omitted at j = 1/2 + q."""
+def _neighbor_keys(key: Key, directions: Sequence[Direction] = DIRECTIONS
+                   ) -> List[Tuple[Direction, Key]]:
+    """The diagram's arrows from ``key`` along ``directions``: the bottom row
+    is omitted at j = 1/2 + q, the middle row (dj = 0) flips eps, the j +- 1
+    rows keep it, and q and xi never change."""
     xi, f2, j2, q, eps = key
     out = []
-    for direction in DIRECTIONS:
+    for direction in directions:
         df, dj = direction
         if j2 + 2 * dj >= 1 + 2 * q:
             out.append((direction, (xi, f2 + 2 * df, j2 + 2 * dj, q, -eps if dj == 0 else eps)))
     return out
-
-
-def neighbors(ktype: KType) -> List[Tuple[Direction, KType]]:
-    """Up to six diagram neighbors; bottom-row entries are omitted at j = 1/2 + q.
-
-    The middle row (dj = 0) flips eps; the j +- 1 rows keep it.  q and xi
-    never change along diagram arrows.
-    """
-    return [(direction, _key_ktype(key)) for direction, key in _neighbor_keys(label_key(ktype))]
 
 
 class Label:
@@ -270,17 +254,15 @@ class Labels:
     keeps the values made under the fault that was armed when they were made,
     so a test builds it inside the ``faults.inject`` block.
 
-    A record made by :meth:`of` keeps the caller's ``KType``, and :meth:`of`
-    finds it again by that object's identity; a record made by :meth:`at`
-    gets a new one, on the table's shared halves.  The neighbor lists are
-    kept here, by record, not on the records.
+    A record is found by its key alone and keeps the ``KType`` that made it:
+    the caller's (:meth:`of`) or a new one on the table's halves (:meth:`at`).
+    The neighbor lists are kept here, by record, not on the records.
     """
 
     def __init__(self, params: Params):
         self.params = params
         self.scale = label_scale(params.n)
         self._by_key: Dict[Key, Label] = {}
-        self._by_ktype: Dict[int, Label] = {}     # by id of the record's own KType
         self._halves: Dict[int, Fraction] = {}
         self._J: Dict[Tuple[int, int], int] = {}
         self._neighbors: Dict[Label, list] = {}
@@ -309,13 +291,9 @@ class Labels:
         return half
 
     def of(self, ktype: KType) -> Label:
-        """The record of ``ktype``, made with it if it is new."""
-        # the record keeps its KType alive, so the id is not reused while it is a key
-        rec = self._by_ktype.get(id(ktype))
-        if rec is None:
-            key = label_key(ktype)
-            rec = self._by_key.get(key) or self._make(key, ktype)
-        return rec
+        """The record of ``ktype``'s label, made with ``ktype`` if it is new."""
+        key = label_key(ktype)
+        return self._by_key.get(key) or self._make(key, ktype)
 
     def at(self, key: Key) -> Label:
         """The record of the label with this key, made if it is new."""
@@ -330,7 +308,6 @@ class Labels:
         d = self.scale
         rec = self._by_key[key] = Label(ktype, key, f2 * (d // 2), self.spectral_J(j2, eps),
                                         xi * eps, d)
-        self._by_ktype[id(ktype)] = rec
         return rec
 
     def neighbors(self, rec: Label) -> list:
@@ -344,37 +321,10 @@ class Labels:
         return out
 
 
-class InterfaceSquare(NamedTuple):
-    """Corners of the multiplicity 2/1 interface diagram."""
-
-    alpha1: KType
-    alpha2: KType
-    beta1: KType
-    beta2: KType
-
-
-def interface_square(center: KType) -> InterfaceSquare:
-    """The four-corner interface at a multiplicity-2 center.
-
-    alpha1 = center, alpha2 = (f+1; j+1) with q=0; beta1 = (f+1; j) and
-    beta2 = (f; j+1) with q=1.  beta1 requires j >= 3/2.
-    """
-    if center.multiplicity != 2:
-        raise InvalidWeightError("interface square needs a multiplicity-2 center")
-    if center.j < Fraction(3, 2):
-        raise InvalidWeightError(
-            "interface square needs j >= 3/2 (the q=1 corner at the same j "
-            "does not exist at the lattice bottom)")
-    alpha2 = KType(center.xi, center.f + 1, center.j + 1, 0, center.eps)
-    beta1 = KType(center.xi, center.f + 1, center.j, 1, center.eps)
-    beta2 = KType(center.xi, center.f, center.j + 1, 1, center.eps)
-    return InterfaceSquare(center, alpha2, beta1, beta2)
-
-
 def partner_keys(key: Key) -> List[Tuple[int, Key]]:
     """(df, key) of the cross-multiplicity partners: same j, same eps, f +- 1, q flipped.
 
-    Empty at j = 1/2, where no q=1 label with the same j exists.
+    Empty at j = 1/2, where no q=1 label has the same j: the one j >= 3/2 rule.
     """
     xi, f2, j2, q, eps = key
     if j2 < 3:
@@ -382,9 +332,15 @@ def partner_keys(key: Key) -> List[Tuple[int, Key]]:
     return [(df, (xi, f2 + 2 * df, j2, 1 - q, eps)) for df in (1, -1)]
 
 
-def case1_partners(ktype: KType) -> List[Tuple[int, KType]]:
-    """Cross-multiplicity partners (same j, same eps, f +- 1, q flipped): :func:`partner_keys`."""
-    return [(df, _key_ktype(key)) for df, key in partner_keys(label_key(ktype))]
+def interface_square(key: Key) -> Tuple[Key, ...]:
+    """The keys (alpha1, alpha2, beta1, beta2) of the multiplicity 2/1 square at
+    alpha1 = ``key``: its (1, 1) arrow (f+1, j+1, q=0), its f+1 partner (f+1, j,
+    q=1) and alpha2's f-1 partner (f, j+1, q=1); empty for q = 1 or j = 1/2."""
+    partners = [] if key[3] else partner_keys(key)
+    if not partners:
+        return ()
+    (_, alpha2), = _neighbor_keys(key, DIRECTIONS[1:2])
+    return key, alpha2, partners[0][1], partner_keys(alpha2)[1][1]
 
 
 def f2_range(params: Params, f_min: RationalLike, f_max: RationalLike) -> range:
@@ -398,11 +354,6 @@ def f2_range(params: Params, f_min: RationalLike, f_max: RationalLike) -> range:
 def j2_range(j_max: RationalLike, q: int) -> range:
     """The 2j of the sphere labels j in 1/2 + q + N with j <= j_max, ascending."""
     return range(1 + 2 * q, floor(2 * rational(j_max)) + 1, 2)
-
-
-def f_points(params: Params, f_min: RationalLike, f_max: RationalLike) -> List[Fraction]:
-    """Circle weights on the configured lattice in [f_min, f_max], ascending."""
-    return [Fraction(k, 2) for k in f2_range(params, f_min, f_max)]
 
 
 def window_keys(params: Params, f_min: RationalLike, f_max: RationalLike,

@@ -26,10 +26,9 @@ fixed-shape text per edge with each label's text rendered once per report.
 
 What is not integer work is paid once per run where it can be: the texts of
 the constants a label-pair row fixes (c_ba, g1 and g2 up to sign, A1 and A2)
-are made once per row, each center's record is made with the caller's
-``KType`` and found by it, each center's neighbors are one flat list, and
-the writer makes each dict layout once.  On the n = 8, r = 5/2 acceptance
-slice (2-core Xeon, Python 3.11, the fewest milliseconds of 15 runs in one
+are made once per row, each center's neighbors are one flat list, and the
+writer makes each dict layout once.  On the n = 8, r = 5/2 acceptance slice
+(2-core Xeon, Python 3.11, the fewest milliseconds of 15 runs in one
 process) the suites take about 50 ms (case-2 20, mult2 12, interface 10,
 mult1 8), of which about 11 ms are the 2970 distinct ``z_product`` ratios;
 the calibration takes 4 ms, the report writer 11, the block-factor reading
@@ -181,8 +180,7 @@ class SuiteReport(Record):
         return {"suite": self.suite, "counts": self.counts, "ok": self.ok,
                 "edges": [c.to_json() for c in self.checks]}
 
-    def json_chunks(self, depth: int,
-                    label_texts: Optional[Dict[int, str]] = None) -> Iterator[str]:
+    def json_chunks(self, depth: int, label_texts: Dict[int, str]) -> Iterator[str]:
         """The text of :meth:`to_json` at ``depth`` as ``json.dumps(...,
         indent=2, sort_keys=True)`` nests it, one piece per edge; the CLI
         splices it into the verify report's text and writes it in batches.
@@ -191,7 +189,7 @@ class SuiteReport(Record):
         report."""
         nl = "\n" + _INDENT * (depth + 1)
         yield f'{{{nl}"counts": {_dict_texts(nl)(self.counts)},{nl}"edges": '
-        yield from _rows_text(self._rows, depth + 1, {} if label_texts is None else label_texts)
+        yield from _rows_text(self._rows, depth + 1, label_texts)
         yield (f',{nl}"ok": {"true" if self.ok else "false"},{nl}"suite": '
                f'{_string(self.suite)}\n{_INDENT * depth}}}')
 
@@ -475,15 +473,16 @@ def verify_interface(labels: Labels, centers: Iterable[KType],
     texts: Dict[tuple, List[str]] = {}
     d33s: Dict[Tuple[int, int], Optional[Fraction]] = {}    # by (2j, eps); None: no L there
     for center in [labels.of(c) for c in centers if c.q == 0]:
-        kt = center.ktype
-        if center.key[2] < 3:
+        partners = partner_keys(center.key)
+        if not partners:        # j = 1/2: no partner and no square
             continue
+        kt = center.ktype
         node = center.key[2], kt.eps        # the partners share the center's (j, eps)
         if node not in d33s:
             d33s[node] = _d33(table, kt) if (kt.j, kt.eps) in table else None
         d33 = d33s[node]
         if d33 is not None:
-            for _, key in partner_keys(center.key):
+            for _, key in partners:
                 beta = labels.at(key)
                 rows += (1, kt, beta.ktype, None)
                 rows += _check_case1_edge(labels, center, beta, d33, texts)
@@ -573,8 +572,6 @@ def run_all_suites(params: Params, centers: Sequence[KType], f_min, f_max, j_max
     that xi gets no interface checks.
     """
     labels = Labels(params)
-    for center in centers:      # each center's record takes its KType, which the suites look up
-        labels.of(center)
     reports: Dict[str, SuiteReport] = {}
     reports["mult1-quotients"] = verify_mult1_quotients(labels, centers)
     reports["mult2-quotients"] = verify_mult2_quotients(labels, centers)

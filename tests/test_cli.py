@@ -526,6 +526,60 @@ class TestUsageErrors:
                                 "or --j-max\n")
         assert not out_path.exists()
 
+    def test_a_value_past_the_digit_bound_exits_2_before_parsing(self):
+        # Fraction writes a decimal exponent out digit by digit, so a
+        # regression that parses these values would run for minutes: a child
+        # process runs every command under a timeout, so this test fails
+        # rather than hangs
+        commands = (("spectrum", ("--r", "--f-min", "--j-max"), ()),
+                    ("verify", ("--r", "--f-min", "--j-max"), ()),
+                    ("block", ("--r", "--f"), ("--f=1/2", "--j=1/2", "--eps=1")),
+                    ("calibrate", ("--r", "--f-min", "--j-max"), ()))
+        refused = [[command, "--n=4", *rest, f"{flag}={value}"]
+                   for command, flags, rest in commands for flag in flags
+                   for value in ("1e100000000", "1e-100000000")]
+        read = [["block", "--n=4", "--lattice=int", "--f=1e10000", "--j=1/2", "--eps=1"]]
+        script = ("import contextlib, io, json, sys\n"
+                  "from twistor_spectra.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    out, err = io.StringIO(), io.StringIO()\n"
+                  "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+                  "        code = main(argv)\n"
+                  "    print(json.dumps([code, err.getvalue()]))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(refused + read)],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        results = [json.loads(line) for line in done.stdout.splitlines()]
+        groups = {"--r": "configuration", "--f": "label", "--f-min": "region", "--j-max": "region"}
+        for argv, (code, err) in zip(refused, results):
+            flag, value = argv[-1].split("=")
+            assert (code, err) == (2, f"bad {groups[flag]}: {flag} {value}: more than "
+                                      f"{cli.MAX_FLAG_DIGITS} digits after the first, the "
+                                      "exponent included\n"), argv
+        assert results[len(refused):] == [[0, ""]]
+
+    def test_the_digit_bound_counts_digits_after_the_first_and_the_exponent(self):
+        # each text is refused, or not, on its text alone; one within the
+        # bound that is no rational ("1/3e5") is left to Fraction
+        for text, refused in (
+                ("1e10000", False), ("-1E+10000", False), ("1e-10000", False),
+                ("1" * 4000 + "e6001", False), ("9.99e9998", False), ("1e+0010000", False),
+                ("1/3e5", False), ("10e10000", True), ("1e10001", True),
+                ("1" * 4000 + "e6002", True), ("1" * 10002, True), ("1.5e10000", True),
+                ("1e" + "0" * 50 + "10001", True), ("1e" + "9" * 50, True)):
+            try:
+                cli._flag_rational("configuration", "--r", text)
+            except cli.UsageError as exc:
+                reason = str(exc).rpartition(": ")[2]
+            else:
+                reason = None
+            want = (f"more than {cli.MAX_FLAG_DIGITS} digits after the first, the exponent "
+                    "included" if refused else "not a rational number" if text == "1/3e5"
+                    else None)
+            assert reason == want, text[:20]
+
     @pytest.mark.parametrize("lattice", ["half", "int"])
     @pytest.mark.parametrize("window, xis, epss", [
         (("-99/2", "99/2", "21/2"), [1, -1], [1, -1]),      # the widest benchmark window
@@ -989,12 +1043,17 @@ class TestNeighbors:
                         "--f", "1/2", "--j", "1/2", "--q", "0", "--eps", "1")
         assert code == 0
         assert out.count("absent") == 2
+        assert "interface square" not in out        # no partner at j = 1/2
 
     def test_interface_square_shown_for_mult2(self, capsys):
         code, out = run(capsys, "neighbors", "--n", "4", "--r", "1/2",
                         "--f", "1/2", "--j", "3/2", "--q", "0", "--eps", "1")
         assert code == 0
-        assert "interface square" in out
+        assert out.endswith("\ninterface square:\n"
+                            "  alpha1 = V(xi=+1; f=1/2, j=3/2, q=0, eps=+1)\n"
+                            "  alpha2 = V(xi=+1; f=3/2, j=5/2, q=0, eps=+1)\n"
+                            "  beta1  = V(xi=+1; f=3/2, j=3/2, q=1, eps=+1)\n"
+                            "  beta2  = V(xi=+1; f=1/2, j=5/2, q=1, eps=+1)\n")
 
     def test_invalid_weight_exits_2(self, capsys):
         code = main(["neighbors", "--n", "4", "--f", "1/2", "--j", "1/2",

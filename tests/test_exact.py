@@ -315,5 +315,5 @@ class TestNumeric:
     def test_kernels_read_the_canonical_triples(self):
         g = GammaQuotient.from_args(["-7/2", "9/4", "2"], ["1/2", "-3/2"], Q(-2, 3))
         assert g._pq == ((-7, 2, 1), (-3, 2, -1), (1, 2, -1), (2, 1, 1), (9, 4, 1))
-        assert pq_numeric(g.prefactor, g._pq) == evaluate_numeric(g)
+        assert pq_numeric(g.prefactor, g._pq, {}) == evaluate_numeric(g)
         assert pq_classes(g._pq) == frozenset({((1, 2), -1), ((0, 1), 1), ((1, 4), 1)})

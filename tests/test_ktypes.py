@@ -7,12 +7,19 @@ from hypothesis import strategies as st
 from twistor_spectra import faults
 from twistor_spectra.ktypes import (BadDimensionError, Direction,
                                     InvalidWeightError, KType, Labels, Params,
-                                    case1_partners, enumerate_ktypes, f2_range,
-                                    f_points, interface_square, label_dirac,
-                                    label_twistor_tt, make_ktype, neighbors)
+                                    enumerate_ktypes, f2_range, interface_square,
+                                    label_dirac, label_key, label_twistor_tt,
+                                    make_ktype, partner_keys, window_keys)
 
 P4 = Params(4, Q(1, 2))
 P6 = Params(6, Q(1, 2))
+
+
+def neighbors(kt):
+    """(direction, KType) of the diagram's arrows from ``kt``, through a table's records."""
+    labels = Labels(P4)
+    arrows = iter(labels.neighbors(labels.of(kt)))
+    return [(direction, nb.ktype) for direction, nb in zip(arrows, arrows)]
 
 
 class TestParams:
@@ -69,6 +76,18 @@ class TestMakeKType:
     def test_json_round_trip(self):
         kt = make_ktype(P4, -1, Q(-3, 2), Q(5, 2), 1, -1)
         assert KType.from_json(kt.to_json()) == kt
+
+    def test_a_record_is_found_by_its_key(self):
+        # equal KTypes that are distinct objects share one record, which
+        # keeps the KType that made it
+        labels = Labels(P4)
+        first, second = KType(1, Q(1, 2), Q(3, 2), 0, 1), KType(1, Q(2, 4), Q(3, 2), 0, 1)
+        assert first == second and first is not second
+        rec = labels.of(first)
+        assert labels.of(second) is rec is labels.at((1, 1, 3, 0, 1))
+        assert rec.ktype is first
+        made = labels.at((-1, 3, 5, 1, -1))
+        assert labels.of(KType(-1, Q(3, 2), Q(5, 2), 1, -1)) is made
 
 
 class TestEigenvalues:
@@ -156,27 +175,38 @@ class TestNeighbors:
 
 class TestInterfaceSquare:
     def test_boundary_center_rejected(self):
-        kt = make_ktype(P4, 1, Q(1, 2), Q(1, 2), 0, 1)
-        with pytest.raises(InvalidWeightError):
-            interface_square(kt)
-        with pytest.raises(InvalidWeightError, match="multiplicity-2"):
-            interface_square(make_ktype(P4, 1, Q(1, 2), Q(3, 2), 1, 1))
+        # no square at j = 1/2, where alpha1 has no partner, nor at q = 1
+        assert interface_square(label_key(make_ktype(P4, 1, Q(1, 2), Q(1, 2), 0, 1))) == ()
+        assert interface_square(label_key(make_ktype(P4, 1, Q(1, 2), Q(3, 2), 1, 1))) == ()
 
     def test_corners(self):
         kt = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
-        sq = interface_square(kt)
-        assert (sq.alpha2.f, sq.alpha2.j, sq.alpha2.q) == (Q(3, 2), Q(5, 2), 0)
-        assert (sq.beta1.f, sq.beta1.j, sq.beta1.q) == (Q(3, 2), Q(3, 2), 1)
-        assert (sq.beta2.f, sq.beta2.j, sq.beta2.q) == (Q(1, 2), Q(5, 2), 1)
-        assert sq.alpha1.multiplicity == sq.alpha2.multiplicity == 2
-        assert sq.beta1.multiplicity == sq.beta2.multiplicity == 1
+        assert interface_square(label_key(kt)) == (
+            (1, 1, 3, 0, 1), (1, 3, 5, 0, 1), (1, 3, 3, 1, 1), (1, 1, 5, 1, 1))
 
     def test_case1_partners(self):
         kt = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
-        partners = case1_partners(kt)
-        assert {(df, b.f, b.q) for df, b in partners} == \
-            {(1, Q(3, 2), 1), (-1, Q(-1, 2), 1)}
-        assert case1_partners(make_ktype(P4, 1, Q(1, 2), Q(1, 2), 0, 1)) == []
+        assert partner_keys(label_key(kt)) == [(1, (1, 3, 3, 1, 1)), (-1, (1, -1, 3, 1, 1))]
+        assert partner_keys(label_key(make_ktype(P4, 1, Q(1, 2), Q(1, 2), 0, 1))) == []
+
+    @pytest.mark.parametrize("lattice", ["half", "int"])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_square_is_the_fraction_formula_on_every_key(self, n, lattice):
+        # alpha2 = (f+1, j+1, q=0), beta1 = (f+1, j, q=1), beta2 = (f, j+1,
+        # q=1) in Fraction arithmetic; empty at q = 1 and at j = 1/2
+        params = Params(n, Q(7, 3), lattice)
+        empty = 0
+        for key in window_keys(params, Q(-9, 2), Q(9, 2), Q(11, 2)):
+            xi, f2, j2, q, eps = key
+            f, j = Q(f2, 2), Q(j2, 2)
+            if q == 1 or j == Q(1, 2):
+                assert interface_square(key) == ()
+                empty += 1
+                continue
+            want = [KType(xi, f, j, 0, eps), KType(xi, f + 1, j + 1, 0, eps),
+                    KType(xi, f + 1, j, 1, eps), KType(xi, f, j + 1, 1, eps)]
+            assert interface_square(key) == tuple(map(label_key, want))
+        assert empty == len(f2_range(params, Q(-9, 2), Q(9, 2))) * 4 * (5 + 1)
 
 
 class TestEnumeration:
@@ -195,7 +225,8 @@ class TestEnumeration:
         params = Params(6, Q(3, 2), lattice)
         f_min, f_max, j_max = Q(f_lo, 3), Q(f_lo, 3) + Q(width, 4), Q(j_hi, 5)
         want = [KType(xi, f, Q(2 * k + 1, 2) + q, q, eps)
-                for xi in xis for f in f_points(params, f_min, f_max) for q in qs
+                for xi in xis for f in [Q(k, 2) for k in f2_range(params, f_min, f_max)]
+                for q in qs
                 for k in range(50) if Q(2 * k + 1, 2) + q <= j_max for eps in epss]
         got = list(enumerate_ktypes(params, f_min, f_max, j_max, qs, xis, epss))
         assert got == sorted(want, key=KType.sort_key)
@@ -204,7 +235,8 @@ class TestEnumeration:
     @given(st.fractions(-40, 40, max_denominator=12), st.fractions(-40, 40, max_denominator=12),
            st.sampled_from(["half", "int"]))
     def test_f2_range_is_the_fraction_walk(self, f_min, f_max, lattice):
-        # the Fraction loop f_points ran before windows were integer ranges
+        # the Fraction loop the circle weights came from before windows were
+        # integer ranges
         params = Params(4, Q(1), lattice)
         offset = Q(1, 2) if lattice == "half" else Q(0)
         k = f_min - offset
@@ -215,7 +247,6 @@ class TestEnumeration:
         while f <= f_max:
             want.append(f)
             f += 1
-        assert f_points(params, f_min, f_max) == want
         assert list(f2_range(params, f_min, f_max)) == [int(2 * f) for f in want]
         assert list(f2_range(params, str(f_min), str(f_max))) == [int(2 * f) for f in want]
 

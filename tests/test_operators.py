@@ -5,7 +5,7 @@ from conftest import dirac_l_table
 
 from twistor_spectra import faults, operators
 from twistor_spectra.ktypes import (DEFAULT_EIGENVALUES, KType, Labels, Params,
-                                    label_twistor_tt, make_ktype, neighbors)
+                                    label_twistor_tt, make_ktype)
 from twistor_spectra.operators import (Case2Data, DegenerateTargetError,
                                        MissingLError, NotNeighborsError,
                                        case1_bracket, case1_data, case2_data,
@@ -264,13 +264,15 @@ class TestCase2Tables:
         for n in (4, 6, 8):
             for r in (Q(1, 2), Q(1), Q(3, 2), Q(5, 2), Q(7, 3)):
                 params = Params(n, r)
+                labels = Labels(params)
                 for f in (Q(-19, 2), Q(0), Q(1, 2), Q(17, 2)):
                     for xi in (1, -1):
                         for eps in (1, -1):
                             j = Q(1, 2)
                             while j <= Q(11, 2):
                                 alpha = KType(xi, f, j, 0, eps)
-                                for _, beta in neighbors(alpha):
+                                arrows = labels.neighbors(labels.of(alpha))
+                                for beta in [nb.ktype for nb in arrows[1::2]]:
                                     try:
                                         want = reference_case2(params, alpha, beta)
                                     except DegenerateTargetError:

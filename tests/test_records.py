@@ -20,8 +20,7 @@ from pathlib import Path
 import pytest
 
 from twistor_spectra.exact import Frozen, GammaQuotient, Record, Tagged
-from twistor_spectra.ktypes import (BadDimensionError, Direction, InterfaceSquare,
-                                    KType, Params)
+from twistor_spectra.ktypes import BadDimensionError, Direction, KType, Params
 from twistor_spectra.operators import Case1Data, Case2Data, Case3Data, det2, relation_matrices
 from twistor_spectra.spectra import Block, CalibrationResult, QuotientEntry
 from twistor_spectra.verify import EdgeCheck, SuiteReport
@@ -40,8 +39,6 @@ RECORDS = [
     (GammaQuotient, ("prefactor", "factors"),
      ((Q(1, 2), ((Q(1, 2), -1), (Q(3, 2), 1))), (Q(1, 2), ((Q(-1, 3), 2),))), True),
     (Tagged, ("order", "num", "den"), ((0, 1, 3), (0, 1, 4)), True),
-    (InterfaceSquare, ("alpha1", "alpha2", "beta1", "beta2"),
-     ((KT, KT2, KT, KT2), (KT, KT2, KT, KT)), True),
     (Case1Data, ("a1", "a2", "e_minus", "e_plus"),
      ((Q(1), Q(2), Q(3), Q(4)), (Q(1), Q(2), Q(3), Q(5))), True),
     (Case2Data, ("f1_minus", "f1_plus", "f2_minus", "f2_plus", "g1", "g2", "c_ba"),

@@ -432,9 +432,9 @@ class TestEdgesText:
     def test_a_suite_is_the_stdlib_text_of_its_to_json(self):
         for depth in (0, 2):
             report = SuiteReport("case2-relation", list(self.CHECKS))
-            assert "".join(report.json_chunks(depth)) == self.nested(report.to_json(), depth)
+            assert "".join(report.json_chunks(depth, {})) == self.nested(report.to_json(), depth)
             empty = SuiteReport("interface")
-            assert "".join(empty.json_chunks(depth)) == self.nested(empty.to_json(), depth)
+            assert "".join(empty.json_chunks(depth, {})) == self.nested(empty.to_json(), depth)
 
     def test_a_report_gives_back_the_checks_it_was_made_from(self):
         # its rows keep every field, a None and a {} residuals among them
