@@ -4,8 +4,9 @@ Subcommands: spectrum, block, neighbors, verify, calibrate.  Output is a
 pure function of the flags: deterministic row order, exact values printed as
 p/q, numerics with 15 significant digits, poles printed as POLE.  JSON output
 is byte-identical to ``json.dumps(obj, indent=2, sort_keys=True)``, written as
-its fixed shape.  CSV and JSON tables are streamed, one piece per row as the
-rows are made; a table holds its rows, for its column widths.  The verify
+its fixed shape, and CSV to ``csv.writer``'s text.  CSV and JSON tables are
+streamed, one piece per row as the rows are made; a table holds its rows,
+for its column widths.  No table writer takes a Python step per cell.  The verify
 report is streamed too, its suites' texts spliced into the stdlib's text of its
 head.  Every output goes through :func:`_emit`.  Exit codes: 0 success, 1
 verification failure, 2 usage error.  Bad input (a malformed label, a zero
@@ -21,6 +22,8 @@ and returns 2; only argparse's own errors raise ``SystemExit(2)``.
 bare store_true flag; every value non-empty and valid, every required flag
 given) against it directly; argparse is imported and its parser built, once
 per process, only for help, errors and every other argv.
+A query stays on ints from the flag text (:func:`_flag_rational`) to the
+printed cell; a window's ranges are built once, by :func:`_check_size`.
 """
 from __future__ import annotations
 
@@ -32,15 +35,16 @@ from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
+from operator import add, itemgetter
 from types import SimpleNamespace
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Union)
+                    Sequence, Tuple, Union)
 
 from . import faults
 from .exact import format_ratio, format_rational, pq_json, rational
 from .ktypes import (BadDimensionError, InvalidWeightError, KType, Labels, Params,
                      enumerate_ktypes, f2_range, interface_square, j2_range,
-                     label_key, make_ktype, window_keys)
+                     label_key, make_ktype, range_keys, window_keys)
 from .spectra import (SPECTRUM_COLUMNS, EmptyWindowError, InconsistentSystemError,
                       block_ints, calibrate_L, mult1_quotient_matrix,
                       mult2_det_quotient_matrix, first_order_block, spectrum_rows,
@@ -59,8 +63,7 @@ CHUNK = 1 << 16
 # benchmark's widest holds 8400)
 MAX_WINDOW_LABELS = 2 ** 16
 
-# the largest float as the exact int it is: a Fraction compares with an int
-# on its numerator and denominator, and with a float through Fraction.from_float
+# the largest float as the exact int it is: |p/q| is past it when |p| > _FLOAT_MAX q
 _FLOAT_MAX = int(sys.float_info.max)
 
 # the largest decimal order of magnitude of a rational flag, on its text: its
@@ -118,8 +121,12 @@ def _pm(values: str) -> List[int]:
 
 
 def _flag_rational(group: str, flag: str, text: str) -> Fraction:
-    """``rational(text)``; a bad value is a UsageError naming its flag, and so is
-    one past :data:`MAX_FLAG_DIGITS`, before Fraction writes its exponent out."""
+    """``Fraction(text)``; a bad value is a UsageError naming its flag, and so is
+    one past :data:`MAX_FLAG_DIGITS`, before Fraction writes its exponent out.
+
+    A plain ASCII ``k`` or ``p/q``, with an optional leading ``-``, is read
+    by ``int``; any other text (whitespace, ``+``, ``_``, a decimal point,
+    an exponent, a non-ASCII digit) is left to Fraction's own parser."""
     if len(text) > MAX_FLAG_DIGITS or "e" in text or "E" in text:     # else too short to pass
         mantissa, _, exponent = text.lower().partition("e")
         magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
@@ -127,7 +134,11 @@ def _flag_rational(group: str, flag: str, text: str) -> Fraction:
                 map(str.isdecimal, mantissa)) - 1 + int(magnitude) > MAX_FLAG_DIGITS):
             raise UsageError(f"bad {group}: {flag} {text}: more than {MAX_FLAG_DIGITS} "
                              "digits after the first, the exponent included")
+    p, slash, q = text.partition("/")
     try:
+        if text.isascii() and (p[1:] if p[:1] == "-" else p).isdigit() and \
+                (q.isdigit() or not slash):
+            return Fraction(int(p), int(q) if slash else 1)
         return rational(text)
     except ZeroDivisionError:
         reason = "zero denominator"
@@ -208,20 +219,36 @@ def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
 def _rows_text(rows: Iterable[tuple], columns: Sequence[str], fmt: str) -> Iterable[str]:
     """Rows of str cells in ``columns`` order as a table, CSV or JSON (one object
     per row), in pieces for :func:`_emit`: CSV and JSON give one piece per row
-    as each is drawn; a table holds its rows, since its widths need them all."""
+    as each is drawn; a table holds its rows, since its widths need them all.
+    Cells are padded, joined and encoded by ``map`` and ``join``."""
     if fmt == "json":
         return _rows_json(rows, columns)
     if fmt == "csv":
-        # the stdlib's quoting, one row's text per piece: ``writerow`` returns
-        # what its file's ``write`` returns, here the row's text itself
-        writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-        return map(writerow, chain((columns,), rows))
+        return _rows_csv(rows, columns)
     rows = list(rows)
-    widths = [max([len(c), *(len(row[i]) for row in rows)]) for i, c in enumerate(columns)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)),
-             "  ".join("-" * w for w in widths)]
-    lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows]
+    widths = [max(map(len, col)) for col in zip(columns, *rows)]
+    lines = ["  ".join(map(str.ljust, columns, widths)), "  ".join("-" * w for w in widths)]
+    lines += ["  ".join(map(str.ljust, row, widths)) for row in rows]
     return ["\n".join(lines) + "\n"]
+
+
+def _rows_csv(rows: Iterable[tuple], columns: Sequence[str]) -> Iterator[str]:
+    """The head and each row as ``csv.writer(lineterminator="\\n")`` writes them,
+    one piece per row.  A row whose joined text holds exactly one comma
+    fewer than its columns and no quote, CR or LF needs no quoting, and is
+    that text; any other row (a lone empty cell too, which the stdlib
+    quotes, and a CR, which some Python versions quote) is ``writerow``'s
+    own line."""
+    # ``writerow`` returns what its file's ``write`` returns, here the row's text
+    writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    commas = len(columns) - 1
+    for row in chain((columns,), rows):
+        line = ",".join(row)
+        if line.count(",") == commas and line and not (
+                '"' in line or "\r" in line or "\n" in line):
+            yield line + "\n"
+        else:
+            yield writerow(row)
 
 
 def _array(items: Sequence[str], nl: str) -> str:
@@ -236,27 +263,32 @@ def _rows_json(rows: Iterable[tuple], columns: Sequence[str]) -> Iterator[str]:
     nl = "\n    "
     # a row object holds each name once, at its last column, keys sorted
     keys = sorted(dict(zip(columns, range(len(columns)))).items())
-    fields = [(f"{nl}  {_string(name)}: ", i) for name, i in keys]
+    names = [f"{nl}  {_string(name)}: " for name, _ in keys]
+    # the cells in key order, and one more, so that a single column's is a
+    # tuple too; joined through ``map`` over ``names``, the extra one is never read
+    cells = itemgetter(*[i for _, i in keys], 0) if keys else None
     yield f'{{\n  "columns": {_array([_string(c) for c in columns], nl)},\n  "rows": ['
     sep = nl
     for row in rows:
-        yield sep + ("{" + ",".join(key + _string(row[i]) for key, i in fields) + nl + "}"
-                     if fields else "{}")
+        yield sep + ("{" + ",".join(map(add, names, map(_string, cells(row)))) + nl + "}"
+                     if keys else "{}")
         sep = "," + nl
     yield f'{"]" if sep == nl else nl[:-2] + "]"},\n  "schema_version": {SCHEMA_VERSION}\n}}\n'
 
 
 def _check_size(params: Params, f_min: Fraction, f_max: Fraction, j_max: Fraction,
-                xis: Sequence[int], epss: Sequence[int]) -> None:
-    """A UsageError if the window holds more than :data:`MAX_WINDOW_LABELS`
-    K-types, counted on its ranges cut one past that (their len() stops at
-    sys.maxsize)."""
+                xis: Sequence[int], epss: Sequence[int]) -> Tuple[range, range]:
+    """The window's 2f and 2j ranges (:func:`f2_range`, :func:`j2_range` from
+    q = 0); a UsageError if it holds more than :data:`MAX_WINDOW_LABELS`
+    K-types, counted on those ranges cut one past that (their len() stops
+    at sys.maxsize).  The q = 1 labels take the 2j past the first."""
+    f2s, j2s = f2_range(params, f_min, f_max), j2_range(j_max, 0)
     cut = slice(MAX_WINDOW_LABELS + 1)
-    count = len(xis) * len(epss) * len(f2_range(params, f_min, f_max)[cut]) * \
-        (len(j2_range(j_max, 0)[cut]) + len(j2_range(j_max, 1)[cut]))
+    count = len(xis) * len(epss) * len(f2s[cut]) * (len(j2s[cut]) + len(j2s[1:][cut]))
     if count > MAX_WINDOW_LABELS:
         raise UsageError(f"bad region: the window holds more than {MAX_WINDOW_LABELS} "
                          "K-types; narrow --f-min/--f-max or --j-max")
+    return f2s, j2s
 
 
 def _empty_window(f_min: Fraction, f_max: Fraction, j_max: Fraction) -> UsageError:
@@ -270,11 +302,10 @@ def cmd_spectrum(args) -> int:
     for group, flag, text, value in (("configuration", "--r", args.r, params.r),
                                      ("region", "--f-min", args.f_min, f_min),
                                      ("region", "--f-max", args.f_max, f_max)):
-        if abs(value) > _FLOAT_MAX:
+        if abs(value.numerator) > _FLOAT_MAX * value.denominator:
             raise UsageError(f"bad {group}: {flag} {text}: beyond the float range, "
                              "z_numeric cannot be formed")
-    _check_size(params, f_min, f_max, j_max, xis, epss)
-    keys = window_keys(params, f_min, f_max, j_max, (0, 1), xis, epss)
+    keys = range_keys(*_check_size(params, f_min, f_max, j_max, xis, epss), (0, 1), xis, epss)
     if not keys:
         raise _empty_window(f_min, f_max, j_max)
     try:

@@ -5,7 +5,8 @@ actually flips a verdict.  Formula sites route their constants through
 :func:`bump`, which is the identity unless a test has armed an offset with
 :func:`inject`; a site passing a numerator over ``scale`` gets ``offset *
 scale`` added, so the offset moves the value itself.  Production code never
-arms anything.  Every table is a :func:`memo`, and arming or disarming a site
+arms anything, and the block kernel makes no site call while :data:`ARMED`
+is empty.  Every table is a :func:`memo`, and arming or disarming a site
 empties them all, so armed runs use the production tables and no perturbed
 value outlives its fault.
 
@@ -26,7 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Union
 
-_ACTIVE: Dict[str, Fraction] = {}
+# the armed sites' offsets, empty in production; a kernel that runs per row
+# reads it to skip its sites' calls when nothing is armed
+ARMED: Dict[str, Fraction] = {}
 _TABLES: List[Callable] = []        # every memo table, in declaration order
 _RUN_TABLES: List[Callable] = []    # the run_memo ones, emptied by start_run
 
@@ -42,9 +45,9 @@ SITES = (
 
 
 def bump(name: str, value: Union[int, Fraction], scale: int = 1) -> Union[int, Fraction]:
-    if not _ACTIVE:
+    if not ARMED:
         return value
-    off = _ACTIVE.get(name)
+    off = ARMED.get(name)
     return value if off is None else value + off * scale
 
 
@@ -84,12 +87,12 @@ def inject(name: str, delta: Fraction = Fraction(1)) -> Iterator[None]:
     """Temporarily add ``delta`` to every value flowing through site ``name``."""
     if name not in SITES:
         raise KeyError(f"unknown perturbation site {name!r}")
-    _ACTIVE[name] = Fraction(delta)
+    ARMED[name] = Fraction(delta)
     for table in _TABLES:
         table.cache_clear()
     try:
         yield
     finally:
-        _ACTIVE.pop(name, None)
+        ARMED.pop(name, None)
         for table in _TABLES:
             table.cache_clear()

@@ -9,10 +9,11 @@ multiplicity one (the divergence summand).
 Sphere eigenvalue data hangs off the label: the Dirac eigenvalue
 ``J_signed = eps * (j + (n-2)/2)`` and the twistor Laplacian eigenvalue
 ``lambda(T*T) = ((n-2)/(n-1)) * (J^2 - ((n-1)/2)^2)``, which vanishes exactly
-at the bottom label ``j = 1/2``.  The Dirac eigenvalue is memoized per label
-and passes the ``DIRAC`` fault site so tests can check that the suites reject
-a shifted convention; lambda(T*T) is read by ``operators.case2_ints`` alone,
-once per label pair of a run.  The divergence-part eigenvalue ``L`` is calibrated.
+at the bottom label ``j = 1/2``.  The Dirac eigenvalue is memoized on the
+ints (n, 2j, eps) and passes the ``DIRAC`` fault site so tests can check
+that the suites reject a shifted convention; lambda(T*T) is read by
+``operators.case2_ints`` alone, once per label pair of a run.  The
+divergence-part eigenvalue ``L`` is calibrated.
 
 A verify run reads each label through one :class:`Label` record of a
 :class:`Labels` table, keyed by the small ints (xi, 2f, 2j, q, eps): its
@@ -22,21 +23,19 @@ records, so no record refers to another and no arrow costs a tuple.  A label
 is its key: the diagram's arrows, partners and interface square walk keys, and
 a table states J on its scale once per (2j, eps) (:meth:`Labels.spectral_J`).
 A window is two integer ranges, its 2f (:func:`f2_range`) and its 2j
-(:func:`j2_range`), so its size is known without walking it.
+(:func:`j2_range`), read off the bounds' numerators and denominators, so its
+size is known without walking it; :func:`range_keys` walks them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import lcm
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import faults
 from .exact import Frozen, RationalLike, format_rational, rational
 
-HALF = Fraction(1, 2)
-
 __all__ = [
-    "HALF",
     "Params",
     "KType",
     "Direction",
@@ -56,6 +55,7 @@ __all__ = [
     "f2_range",
     "j2_range",
     "window_keys",
+    "range_keys",
     "enumerate_ktypes",
     "BadDimensionError",
     "InvalidWeightError",
@@ -90,9 +90,7 @@ class Params(Frozen):
         object.__setattr__(self, "strict_paper", strict_paper)
 
     def on_f_lattice(self, f: Fraction) -> bool:
-        if self.f_lattice == "half":
-            return (f - HALF).denominator == 1
-        return f.denominator == 1
+        return f.denominator == (2 if self.f_lattice == "half" else 1)
 
 
 class KType(Frozen):
@@ -138,24 +136,24 @@ def make_ktype(params: Params, xi: int, f: RationalLike, j: RationalLike,
     if not params.on_f_lattice(fq):
         raise InvalidWeightError(
             f"f={format_rational(fq)} is not on the configured '{params.f_lattice}' lattice")
-    step = jq - (HALF + q)
-    if step.denominator != 1 or step < 0:
+    if jq.denominator != 2 or jq.numerator < 1 + 2 * q:       # 2j odd, at least 1 + 2q
         raise InvalidWeightError(
             f"j={format_rational(jq)} must lie in 1/2 + q + N (q={q})")
     return KType(xi, fq, jq, q, eps)
 
 
 @faults.memo
-def label_dirac(n: int, j: Fraction, eps: int) -> Fraction:
-    """Signed Dirac eigenvalue of the label (j, eps) on S^(n-1), memoized."""
-    return faults.bump("DIRAC", eps * (j + Fraction(n - 2, 2)))
+def label_dirac(n: int, j2: int, eps: int) -> Fraction:
+    """Signed Dirac eigenvalue eps (j + (n-2)/2) of the label (j, eps) on
+    S^(n-1), given 2j; memoized on the ints (n, 2j, eps)."""
+    return faults.bump("DIRAC", Fraction(eps * (j2 + n - 2), 2))
 
 
 def label_scale(n: int) -> int:
     """The one integer scale of a run's f and J: 2, times the denominator a
     shifted Dirac convention gives J (every J is a half-integer moved by plus
     or minus one offset, so one label shows it)."""
-    return lcm(2, label_dirac(n, HALF, 1).denominator)
+    return lcm(2, label_dirac(n, 1, 1).denominator)
 
 
 def label_twistor_tt(n: int, j: Fraction) -> Fraction:
@@ -170,12 +168,12 @@ class SphereEigenvalues:
     ``dirac`` must be the unique convention under which the spectral quotient
     identities close; it is the one the verification suites certify, and the
     ``DIRAC`` fault site shifts it so tests can check that a shifted
-    convention fails.  It reads :func:`label_dirac`, memoized per
-    (n, j, eps) and never per r.
+    convention fails.  It reads :func:`label_dirac` at 2j, memoized per
+    (n, 2j, eps) and never per r.
     """
 
     def dirac(self, params: Params, j: Fraction, eps: int) -> Fraction:
-        return label_dirac(params.n, j, eps)
+        return label_dirac(params.n, 2 * j, eps)
 
 
 DEFAULT_EIGENVALUES = SphereEigenvalues()
@@ -272,11 +270,12 @@ class Labels:
         """The spectral J = eps * J_signed of the labels (2j, eps), times ``scale``;
         a ``ValueError`` if that is no integer (a ``DIRAC`` offset armed later).
 
-        Computed once per (2j, eps) and kept: J_signed is read once, and the
-        sign and the scale are applied to its numerator, an int."""
+        Computed once per (2j, eps) and kept: J_signed is read once from
+        :func:`label_dirac` on the ints, and the sign and the scale are
+        applied to its numerator, an int."""
         J = self._J.get((j2, eps))
         if J is None:
-            signed = DEFAULT_EIGENVALUES.dirac(self.params, self._half(j2), eps)
+            signed = label_dirac(self.params.n, j2, eps)
             d = self.scale
             if d % signed.denominator:
                 raise ValueError(f"J = {eps * signed} of 2j = {j2}, eps = {eps} "
@@ -321,15 +320,16 @@ class Labels:
         return out
 
 
-def partner_keys(key: Key) -> List[Tuple[int, Key]]:
-    """(df, key) of the cross-multiplicity partners: same j, same eps, f +- 1, q flipped.
+def partner_keys(key: Key) -> List[Key]:
+    """The keys of the cross-multiplicity partners, f+1 then f-1: same j, same
+    eps, q flipped.
 
     Empty at j = 1/2, where no q=1 label has the same j: the one j >= 3/2 rule.
     """
     xi, f2, j2, q, eps = key
     if j2 < 3:
         return []
-    return [(df, (xi, f2 + 2 * df, j2, 1 - q, eps)) for df in (1, -1)]
+    return [(xi, f2 + 2, j2, 1 - q, eps), (xi, f2 - 2, j2, 1 - q, eps)]
 
 
 def interface_square(key: Key) -> Tuple[Key, ...]:
@@ -340,20 +340,23 @@ def interface_square(key: Key) -> Tuple[Key, ...]:
     if not partners:
         return ()
     (_, alpha2), = _neighbor_keys(key, DIRECTIONS[1:2])
-    return key, alpha2, partners[0][1], partner_keys(alpha2)[1][1]
+    return key, alpha2, partners[0], partner_keys(alpha2)[1]
 
 
 def f2_range(params: Params, f_min: RationalLike, f_max: RationalLike) -> range:
     """The 2f of the circle weights on the configured lattice in [f_min, f_max],
-    ascending: odd on the half lattice, even on the integer one."""
-    lo = ceil(2 * rational(f_min))
-    lo += (lo - (params.f_lattice == "half")) % 2     # up to the lattice's parity
-    return range(lo, floor(2 * rational(f_max)) + 1, 2)
+    ascending: odd on the half lattice, even on the integer one.  Read on
+    the bounds' numerators and denominators: ceil(2p/q) = -(-2p // q)."""
+    lo, hi = rational(f_min), rational(f_max)
+    lo2 = -(-2 * lo.numerator // lo.denominator)
+    lo2 += (lo2 - (params.f_lattice == "half")) % 2     # up to the lattice's parity
+    return range(lo2, 2 * hi.numerator // hi.denominator + 1, 2)
 
 
 def j2_range(j_max: RationalLike, q: int) -> range:
     """The 2j of the sphere labels j in 1/2 + q + N with j <= j_max, ascending."""
-    return range(1 + 2 * q, floor(2 * rational(j_max)) + 1, 2)
+    hi = rational(j_max)
+    return range(1 + 2 * q, 2 * hi.numerator // hi.denominator + 1, 2)
 
 
 def window_keys(params: Params, f_min: RationalLike, f_max: RationalLike,
@@ -361,13 +364,20 @@ def window_keys(params: Params, f_min: RationalLike, f_max: RationalLike,
                 xi_values: Sequence[int] = (-1, 1),
                 eps_values: Sequence[int] = (-1, 1)) -> List[Key]:
     """The keys (xi, 2f, 2j, q, eps) of all K-types in a finite window, in
-    :meth:`KType.sort_key`'s (xi, f, j, eps, q) order.
+    :meth:`KType.sort_key`'s (xi, f, j, eps, q) order: :func:`range_keys`
+    of its :func:`f2_range` and its :func:`j2_range` from the least q."""
+    return range_keys(f2_range(params, f_min, f_max), j2_range(j_max, min(qs, default=0)),
+                      qs, xi_values, eps_values)
 
-    The keys are made in that order, not sorted: xi, 2f and 2j ascend, and
+
+def range_keys(f2s: range, j2s: range, qs: Sequence[int] = (0, 1),
+               xi_values: Sequence[int] = (-1, 1),
+               eps_values: Sequence[int] = (-1, 1)) -> List[Key]:
+    """The keys of :func:`window_keys` on the window's ranges of 2f and 2j.
+
+    The keys are made in order, not sorted: xi, 2f and 2j ascend, and
     each 2j's (eps, q) pairs are sorted once per xi.  A value chosen k times
     gives each of its keys k times in a row, as a stable sort would."""
-    f2s = f2_range(params, f_min, f_max)
-    j2s = j2_range(j_max, min(qs, default=0))
     keys: List[Key] = []
     for xi in sorted(set(xi_values)):
         pairs = sorted((eps, q) for eps in eps_values for q in qs

@@ -157,7 +157,7 @@ def case1_ints(labels: Labels, alpha: Label, beta: Label, d33: Fraction) -> Tupl
     if row is None:
         params, d = labels.params, labels.scale
         rd = params.r.denominator
-        d_a = _d_entries(params.n, label_dirac(params.n, kt.j, kt.eps))
+        d_a = _d_entries(params.n, label_dirac(params.n, alpha.key[2], kt.eps))
         row = labels.pairs[key] = _over(2 * d * d * rd, xd * d_a.d12, -xd * d_a.d21,
                                         xd * (d_a.d22 - d33), params.r)
     P, a1, a2, dd, r = row
@@ -227,11 +227,10 @@ def case2_ints(labels: Labels, alpha: Label, beta: Label) -> Optional[Tuple[int,
     key = ("case2", alpha.key[2], alpha.key[4], beta.key[2], beta.key[4])
     row = labels.pairs.get(key, False)
     if row is False:
-        ka, kb = alpha.ktype, beta.ktype
         n, r, d = labels.params.n, labels.params.r, labels.scale
-        lam_b = label_twistor_tt(n, kb.j)
+        lam_b = label_twistor_tt(n, beta.ktype.j)
         if lam_b:
-            Ja, Jb = label_dirac(n, ka.j, ka.eps), label_dirac(n, kb.j, kb.eps)
+            Ja, Jb = label_dirac(n, key[1], key[2]), label_dirac(n, key[3], key[4])
             c_ba = (Jb * Jb / 2 + Ja * Ja / 2 - Ja * Jb / Fraction(n - 1)
                     - Fraction(n * (n - 1), 4)) / lam_b
             a11, a12, a21, a22 = _d_entries(n, Ja)

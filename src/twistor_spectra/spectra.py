@@ -454,12 +454,16 @@ def _block_coeffs(n: int, X: int, Y: int, Z: int, d: int, xi: int, strict_paper:
     # one denominator; a singular block is cached too, as the name of the
     # vanished coefficient
     m = n - 1
-    c1 = faults.bump("C1", 2*m*(X + Z) + m*m*d - 2*xi*Y, d)
-    c2 = faults.bump("C2", 2*X*Z + xi*Y*d, d ** 2)
-    c3 = faults.bump("C3", m*d + 2*Z, d)
-    c4 = faults.bump("C4", (2*(X + Z + Y) - xi*d) * (2*(X + Z - Y) + xi*d), d ** 2)
-    c5 = faults.bump("C5", (m*d + 2*Y) * (m*d - 2*Y), d ** 2)
-    c6 = faults.bump("C6", 2*m*(X - Z) + m*m*d + 2*xi*Y, d)
+    c1 = 2*m*(X + Z) + m*m*d - 2*xi*Y
+    c2 = 2*X*Z + xi*Y*d
+    c3 = m*d + 2*Z
+    c4 = (2*(X + Z + Y) - xi*d) * (2*(X + Z - Y) + xi*d)
+    c5 = (m*d + 2*Y) * (m*d - 2*Y)
+    c6 = 2*m*(X - Z) + m*m*d + 2*xi*Y
+    if faults.ARMED:            # each row of a tabulation runs here: no site call unarmed
+        c1, c3, c6 = faults.bump("C1", c1, d), faults.bump("C3", c3, d), faults.bump("C6", c6, d)
+        c2, c4, c5 = (faults.bump("C2", c2, d ** 2), faults.bump("C4", c4, d ** 2),
+                      faults.bump("C5", c5, d ** 2))
     for name, c in (("C3", c3), ("C4", c4), ("C1", c1)):
         if c == 0:
             return name
@@ -514,15 +518,18 @@ def spectrum_rows(params: Params, keys: Sequence[Key]) -> Iterator[tuple]:
     which a tabulation would fill and never hit.
 
     A run computes each value its window repeats once, in tables that are
-    locals of the call and its rows: J per (2j, eps), looked up once per key;
-    the cells of each distinct z; each gamma argument's (log|Gamma|, sign),
-    one table for every ``exact.pq_numeric`` call; the block kernel's r terms
-    (:func:`_block_point`) and eps J rd per (2j, eps); the text of each 2f,
-    2j and small int.  What can raise is done at the call, in key order:
-    every J, and every distinct z (a z whose log-gammas cancel past
-    lgamma's range raises ``OverflowError`` naming its row).  The rows are
-    lazy; each block is read as its row is drawn, and nothing keeps a row
-    once it is given."""
+    locals of the call and its rows: J per (2j, eps), read from
+    ``ktypes.label_dirac`` on the ints (n, 2j, eps) and looked up once per
+    key; the cells of each distinct z; each gamma argument's (log|Gamma|,
+    sign), one table for every ``exact.pq_numeric`` call; the block kernel's
+    r terms (:func:`_block_point`) and eps J rd per (2j, eps); the text of
+    each 2f, 2j and small int.  No Fraction is made per key, and the block
+    kernel makes no fault-site call while nothing is armed.  What can raise
+    is done at the call, in key order: every J, and every distinct z (a z
+    whose log-gammas cancel past lgamma's range raises ``OverflowError``
+    naming its row).  The rows are lazy; each block is read as its row is
+    drawn, and nothing keeps a row once it is given: the CLI writes each as
+    it comes (``cli._rows_text``)."""
     labels = Labels(params)
     r, scale = params.r, labels.scale
     half = scale // 2

@@ -482,7 +482,7 @@ def verify_interface(labels: Labels, centers: Iterable[KType],
             d33s[node] = _d33(table, kt) if (kt.j, kt.eps) in table else None
         d33 = d33s[node]
         if d33 is not None:
-            for _, key in partners:
+            for key in partners:
                 beta = labels.at(key)
                 rows += (1, kt, beta.ktype, None)
                 rows += _check_case1_edge(labels, center, beta, d33, texts)

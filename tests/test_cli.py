@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from twistor_spectra import cli, faults, ktypes, operators, spectra, verify
 from twistor_spectra.cli import main
 from twistor_spectra.exact import (GammaQuotient, NonCommensurableError, pq_ratio,
-                                   ratio_tagged)
+                                   ratio_tagged, rational)
 from twistor_spectra.ktypes import KType, Labels, Params, enumerate_ktypes, window_keys
 from twistor_spectra.spectra import SPECTRUM_COLUMNS, spectrum_rows, z_for
 
@@ -1187,6 +1187,10 @@ class TestOutFile:
 # str cells and column names: quotes, backslashes, control characters, non-ASCII
 CELLS = st.text(st.one_of(st.sampled_from(',:{}[]"\\ '), st.characters(max_codepoint=0x1f),
                           st.characters()), max_size=6)
+# column names and rows of as many cells
+TABLES = st.lists(CELLS, max_size=4).flatmap(lambda columns: st.tuples(
+    st.just(columns),
+    st.lists(st.lists(CELLS, min_size=len(columns), max_size=len(columns)), max_size=4)))
 
 
 class TestRowsText:
@@ -1203,6 +1207,71 @@ class TestRowsText:
                            "rows": [dict(zip(columns, row)) for row in rows]},
                           indent=2, sort_keys=True) + "\n"
         assert "".join(cli._rows_text(rows, columns, "json")) == want
+
+    @given(TABLES)
+    @example(([], [[], []]))
+    @example((["a"], [[""], ["x"], [","], ['"'], ["\r"]]))
+    @example((["a", "b"], [["", ""], ["x,y", ""], ["\n", "\u00e9"], ["a b", "\x00"]]))
+    def test_csv_is_the_stdlib_text(self, table):
+        # commas, quotes, CR/LF, empty cells, one- and two-column rows, non-ASCII
+        columns, rows = table
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        assert "".join(cli._rows_text(rows, columns, "csv")) == want.getvalue()
+
+    @given(TABLES)
+    @example(([], []))
+    @example((["a", "bb"], [["ccc", ""]]))
+    def test_table_is_the_per_cell_text(self, table):
+        # the padding and joins as a loop over each cell wrote them
+        columns, rows = table
+        widths = [max([len(c), *(len(row[i]) for row in rows)]) for i, c in enumerate(columns)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)),
+                 "  ".join("-" * w for w in widths)]
+        lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows]
+        assert "".join(cli._rows_text(rows, columns, "table")) == "\n".join(lines) + "\n"
+
+
+# flag texts: plain ints and ratios, texts of the characters Fraction's parser
+# treats specially, and any text
+FLAG_TEXTS = st.one_of(
+    st.from_regex(r"\A-?[0-9]{1,40}(/[0-9]{1,40})?\Z"),
+    st.text(st.sampled_from("0123456789-+/_ .eE\t\u0663\u00b2"), max_size=10),
+    st.text(max_size=6))
+
+
+class TestFlagRational:
+    """A plain ``k`` or ``p/q`` is read by int; everything else by Fraction."""
+
+    @given(FLAG_TEXTS)
+    @example("+1")
+    @example(" 1")
+    @example("1_0")
+    @example("\u0663")
+    @example("1/0")
+    @example("-0")
+    @example("--1")
+    @example("1/-2")
+    @example("1e3")
+    @example("-19/2")
+    @example("007/0")
+    def test_the_value_or_error_is_the_fraction_parse(self, text):
+        try:
+            got = cli._flag_rational("region", "--f-min", text)
+        except cli.UsageError as exc:
+            got = str(exc).rpartition(": ")[2]
+        if got == (f"more than {cli.MAX_FLAG_DIGITS} digits after the first, the "
+                   "exponent included"):
+            return          # the digit bound's own test covers it
+        try:
+            want = rational(text)
+        except ZeroDivisionError:
+            want = "zero denominator"
+        except ValueError:
+            want = "not a rational number"
+        assert got == want and type(got) is type(want)
 
 
 # the benchmark's wide tabulation window: 8400 K-types

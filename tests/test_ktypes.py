@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -5,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistor_spectra import faults
-from twistor_spectra.ktypes import (BadDimensionError, Direction,
+from twistor_spectra.ktypes import (DEFAULT_EIGENVALUES, BadDimensionError, Direction,
                                     InvalidWeightError, KType, Labels, Params,
                                     enumerate_ktypes, f2_range, interface_square,
-                                    label_dirac, label_key, label_twistor_tt,
+                                    j2_range, label_dirac, label_key, label_twistor_tt,
                                     make_ktype, partner_keys, window_keys)
 
 P4 = Params(4, Q(1, 2))
@@ -92,13 +93,24 @@ class TestMakeKType:
 
 class TestEigenvalues:
     def test_dirac_closed_form(self):
-        assert label_dirac(4, Q(1, 2), 1) == Q(3, 2)
-        assert label_dirac(4, Q(1, 2), -1) == Q(-3, 2)
-        assert label_dirac(6, Q(3, 2), 1) == Q(7, 2)
+        assert label_dirac(4, 1, 1) == Q(3, 2)
+        assert label_dirac(4, 1, -1) == Q(-3, 2)
+        assert label_dirac(6, 3, 1) == Q(7, 2)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.sampled_from([4, 6, 8, 10]), st.integers(0, 20), st.sampled_from([1, -1]),
+           st.fractions(-5, 5, max_denominator=7))
+    def test_the_int_keyed_table_under_an_armed_dirac_fault(self, n, k, eps, delta):
+        exact = eps * (Q(2 * k + 1, 2) + Q(n - 2, 2))
+        with faults.inject("DIRAC", delta):
+            got = label_dirac(n, 2 * k + 1, eps)
+            assert got == exact + delta
+            # the one table: the Fraction-j entry point reads the same entry
+            assert DEFAULT_EIGENVALUES.dirac(Params(n, Q(1)), Q(2 * k + 1, 2), eps) is got
+        assert label_dirac(n, 2 * k + 1, eps) == exact       # disarming emptied the table
 
     def test_dirac_unit_steps(self):
-        js = [Q(1, 2) + k for k in range(6)]
-        mags = [label_dirac(4, j, 1) for j in js]
+        mags = [label_dirac(4, 1 + 2 * k, 1) for k in range(6)]
         assert all(b - a == 1 for a, b in zip(mags, mags[1:]))
 
     def test_tt_vanishes_exactly_at_bottom(self):
@@ -113,7 +125,7 @@ class TestEigenvalues:
         for params in (P4, P6):
             m = params.n - 1
             for j in (Q(1, 2), Q(3, 2), Q(5, 2), Q(9, 2)):
-                D = label_dirac(params.n, j, 1)
+                D = label_dirac(params.n, int(2 * j), 1)
                 want = Q(m - 1, m) * (D * D - Q(m * m, 4))
                 assert label_twistor_tt(params.n, j) == want
 
@@ -127,7 +139,7 @@ class TestLabelsSpectralJ:
         for j2 in (1, 3, 9):
             for eps in (1, -1):
                 J = Q(labels.spectral_J(j2, eps), labels.scale)
-                assert J == eps * label_dirac(6, Q(j2, 2), eps) == Q(j2, 2) + 2
+                assert J == eps * label_dirac(6, j2, eps) == Q(j2, 2) + 2
 
     def test_a_table_made_before_a_fractional_dirac_offset_refuses_J(self):
         labels = Labels(P4)
@@ -186,7 +198,7 @@ class TestInterfaceSquare:
 
     def test_case1_partners(self):
         kt = make_ktype(P4, 1, Q(1, 2), Q(3, 2), 0, 1)
-        assert partner_keys(label_key(kt)) == [(1, (1, 3, 3, 1, 1)), (-1, (1, -1, 3, 1, 1))]
+        assert partner_keys(label_key(kt)) == [(1, 3, 3, 1, 1), (1, -1, 3, 1, 1)]
         assert partner_keys(label_key(make_ktype(P4, 1, Q(1, 2), Q(1, 2), 0, 1))) == []
 
     @pytest.mark.parametrize("lattice", ["half", "int"])
@@ -249,6 +261,24 @@ class TestEnumeration:
             f += 1
         assert list(f2_range(params, f_min, f_max)) == [int(2 * f) for f in want]
         assert list(f2_range(params, str(f_min), str(f_max))) == [int(2 * f) for f in want]
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.fractions(), st.fractions(-10, 10, max_denominator=12),
+                              st.builds(Q, st.integers(-10 ** 60, 10 ** 60),
+                                        st.integers(1, 10 ** 30))),
+                    min_size=3, max_size=3),
+           st.sampled_from(["half", "int"]))
+    def test_the_int_ranges_are_the_fraction_ceil_and_floor(self, bounds, lattice):
+        # negative, huge and non-half bounds, on both lattices
+        f_min, f_max, j_max = bounds
+        params = Params(4, Q(1), lattice)
+        lo = math.ceil(2 * f_min)
+        lo += (lo - (lattice == "half")) % 2
+        f2s = f2_range(params, f_min, f_max)
+        assert (f2s.start, f2s.stop, f2s.step) == (lo, math.floor(2 * f_max) + 1, 2)
+        for q in (0, 1):
+            j2s = j2_range(j_max, q)
+            assert (j2s.start, j2s.stop, j2s.step) == (1 + 2 * q, math.floor(2 * j_max) + 1, 2)
 
     def test_a_huge_window_is_a_range_at_once(self):
         f2s = f2_range(P4, -10 ** 300, 10 ** 300)

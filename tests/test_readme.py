@@ -18,4 +18,4 @@ def test_library_example_runs():
     assert out.getvalue().splitlines()[0] == "1/2"
     n, table = namespace["params"].n, namespace["cal"].table
     assert table
-    assert all(L == label_dirac(n, j, eps) for (j, eps), L in table.items())
+    assert all(L == label_dirac(n, int(2 * j), eps) for (j, eps), L in table.items())

@@ -194,7 +194,7 @@ def shape_calls(labels, shape, center):
         return [z_terms(nb, 1, block=True) + at_center for nb in nbs]
     assert shape == "z/block"
     at_center = z_terms(center, -1, block=True)
-    return [z_terms(labels.at(key), 1) + at_center for _, key in partner_keys(center.key)]
+    return [z_terms(labels.at(key), 1) + at_center for key in partner_keys(center.key)]
 
 
 def per_argument_template(scale, pattern):
@@ -391,7 +391,7 @@ class TestZForms:
         j = Q(3, 2) + steps
         with faults.inject("DIRAC", dirac) if dirac else contextlib.nullcontext():
             scale = label_scale(n)
-            J = eps * label_dirac(n, j, eps)
+            J = eps * label_dirac(n, int(2 * j), eps)
             prefactor, pq = z_forms(r, scale, int(f * scale), int(J * scale), s)
             zq = spectra._z_cached(r, f, J, s)
             assert (prefactor, pq) == (zq.prefactor, zq._pq)
@@ -757,7 +757,7 @@ def block_outcomes(params, kt, offsets=None):
         got = block_coefficients(params, kt)
     except SingularCoefficientError as exc:
         got = exc.which
-    Ja = label_dirac(params.n, kt.j, kt.eps)
+    Ja = label_dirac(params.n, int(2 * kt.j), kt.eps)
     return got, block_reference(params.n, params.r, kt.f, Ja, kt.xi,
                                 params.strict_paper, offsets)
 
@@ -800,7 +800,7 @@ def lcm_route_block_coefficients(params, center):
     """block_coefficients as it read the kernel before it read block_ints: at
     the scaling by the lcm d of the denominators of f, Ja and r; or the name
     of the vanished coefficient."""
-    Ja = label_dirac(params.n, center.j, center.eps)
+    Ja = label_dirac(params.n, int(2 * center.j), center.eps)
     f, r = center.f, params.r
     d = math.lcm(f.denominator, Ja.denominator, r.denominator)
     coeffs = spectra._block_coeffs(params.n, f.numerator * (d // f.denominator),
@@ -852,7 +852,7 @@ class TestScaledFault:
         params = Params(6, Q(7, 3))
         centers = list(enumerate_ktypes(params, Q(-5, 2), Q(5, 2), Q(5, 2), (0,)))
         for kt in centers:
-            Ja = label_dirac(params.n, kt.j, kt.eps)
+            Ja = label_dirac(params.n, int(2 * kt.j), kt.eps)
             assert math.lcm(kt.f.denominator, Ja.denominator, params.r.denominator) == 6
         for site in ("C1", "C2", "C3", "C4", "C5", "C6"):
             for delta in (Q(1), Q(1, 3)):
@@ -996,7 +996,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_the_solved_table_is_the_signed_dirac_eigenvalue(self, n):
-        # L(j, eps) = label_dirac(n, j, eps) whatever r, xi and the lattice;
+        # L(j, eps) = label_dirac(n, 2j, eps) whatever r, xi and the lattice;
         # off the grid r runs on the half lattice only, but for the unpinned
         # n = 4, r = -3/2, where the table is off by one constant
         grid = [Q(1, 2), Q(1), Q(3, 2), Q(5, 2), Q(7, 3)]
@@ -1005,7 +1005,7 @@ class TestCalibration:
             for lattice, xi in itertools.product(lattices, (1, -1)):
                 params = Params(n, r, lattice)
                 result = calibrate_L(Labels(params), xi, Q(-3, 2), Q(3, 2), Q(7, 2))
-                offsets = {L - label_dirac(n, j, eps)
+                offsets = {L - label_dirac(n, int(2 * j), eps)
                            for (j, eps), L in result.table.items()}
                 unpinned = (n, r) == (4, Q(-3, 2))
                 assert result.consistent != unpinned, (r, lattice, xi)
