@@ -7,8 +7,9 @@ is byte-identical to ``json.dumps(obj, indent=2, sort_keys=True)``, written as
 its fixed shape, and CSV to ``csv.writer``'s text.  CSV and JSON tables are
 streamed, one piece per row as the rows are made; a table holds its rows,
 for its column widths.  No table writer takes a Python step per cell.  The verify
-report is streamed too, its suites' texts spliced into the stdlib's text of its
-head.  Every output goes through :func:`_emit`.  Exit codes: 0 success, 1
+report is streamed too: :func:`cmd_verify` assembles its head, and
+:func:`~twistor_spectra.verify.report_pieces` writes the whole report's text.
+Every output goes through :func:`_emit`.  Exit codes: 0 success, 1
 verification failure, 2 usage error.  Bad input (a malformed label, a zero
 denominator or a value past :data:`MAX_FLAG_DIGITS`, named with its flag, an
 empty or unwritable ``--out`` path, a spectrum or verify window with no
@@ -23,7 +24,9 @@ bare store_true flag; every value non-empty and valid, every required flag
 given) against it directly; argparse is imported and its parser built, once
 per process, only for help, errors and every other argv.
 A query stays on ints from the flag text (:func:`_flag_rational`) to the
-printed cell; a window's ranges are built once, by :func:`_check_size`.
+printed cell.  A ``spectrum`` window's ranges are built once, by
+:func:`_check_size`; ``verify`` and ``calibrate`` build theirs again as they
+walk the window (``enumerate_ktypes``, ``calibrate_L``).
 """
 from __future__ import annotations
 
@@ -37,19 +40,19 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from operator import add, itemgetter
 from types import SimpleNamespace
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from . import faults
 from .exact import format_ratio, format_rational, pq_json, rational
 from .ktypes import (BadDimensionError, InvalidWeightError, KType, Labels, Params,
                      enumerate_ktypes, f2_range, interface_square, j2_range,
-                     label_key, make_ktype, range_keys, window_keys)
+                     label_key, make_ktype, range_keys)
 from .spectra import (SPECTRUM_COLUMNS, EmptyWindowError, InconsistentSystemError,
                       block_ints, calibrate_L, mult1_quotient_matrix,
                       mult2_det_quotient_matrix, first_order_block, spectrum_rows,
                       z_forms)
-from .verify import CONVENTION, SuiteReport, run_all_suites, resolve_block_factor_reading
+from .verify import CONVENTION, report_pieces, run_all_suites, resolve_block_factor_reading
 
 if TYPE_CHECKING:
     import argparse
@@ -251,11 +254,6 @@ def _rows_csv(rows: Iterable[tuple], columns: Sequence[str]) -> Iterator[str]:
             yield writerow(row)
 
 
-def _array(items: Sequence[str], nl: str) -> str:
-    """A JSON array of the texts ``items``, each on the newline ``nl``."""
-    return f"[{nl}{(',' + nl).join(items)}{nl[:-2]}]" if items else "[]"
-
-
 def _rows_json(rows: Iterable[tuple], columns: Sequence[str]) -> Iterator[str]:
     """``json.dumps({"schema_version": 1, "columns": columns, "rows": [dict(zip(columns,
     row)) for row in rows]}, indent=2, sort_keys=True)`` and a newline, for str cells:
@@ -267,7 +265,8 @@ def _rows_json(rows: Iterable[tuple], columns: Sequence[str]) -> Iterator[str]:
     # the cells in key order, and one more, so that a single column's is a
     # tuple too; joined through ``map`` over ``names``, the extra one is never read
     cells = itemgetter(*[i for _, i in keys], 0) if keys else None
-    yield f'{{\n  "columns": {_array([_string(c) for c in columns], nl)},\n  "rows": ['
+    columns_text = f"[{nl}{(',' + nl).join(map(_string, columns))}\n  ]" if columns else "[]"
+    yield f'{{\n  "columns": {columns_text},\n  "rows": ['
     sep = nl
     for row in rows:
         yield sep + ("{" + ",".join(map(add, names, map(_string, cells(row)))) + nl + "}"
@@ -397,21 +396,8 @@ def cmd_verify(args) -> int:
                             for xi, cal in calibrations.items()},
             "ok": all_ok,
         }
-        _emit(_report_pieces(head, reports), args.out)
+        _emit(report_pieces(head, reports), args.out)
     return 0 if all_ok else 1
-
-
-def _report_pieces(head: dict, reports: Dict[str, SuiteReport]) -> Iterator[str]:
-    """``json.dumps(dict(head, suites=reports), indent=2, sort_keys=True)`` with
-    each suite as its ``to_json``, and a newline, one piece per edge.  The head
-    is plain data and its keys sort before ``"suites"``."""
-    sep = json.dumps(head, indent=2, sort_keys=True)[:-2] + ',\n  "suites": {'
-    label_texts: Dict[int, str] = {}     # each label's text, once for the four suites
-    for name, report in sorted(reports.items()):
-        yield f"{sep}\n    {_string(name)}: "
-        yield from report.json_chunks(2, label_texts)
-        sep = ","
-    yield "\n  }\n}\n"
 
 
 def _unsolved(cal) -> bool:

@@ -20,22 +20,20 @@ and rendered only where the report shows it.  A suite appends each edge to
 its :class:`SuiteReport` as one flat row of the fields it already has (the
 run's shared ``KType``s and ``Direction``s, strings, small ints, dicts of
 strings), so an edge leaves the cycle collector nothing to track; an
-:class:`EdgeCheck` is a view of a row, made on demand.  The report writes a
-suite straight from its rows (:meth:`SuiteReport.json_chunks`), one
+:class:`EdgeCheck` is a view of a row, made on demand.  One function writes
+the verify report's text, :func:`report_pieces`: the stdlib's text of the
+head the CLI assembles, then each suite straight from its rows, one
 fixed-shape text per edge with each label's text rendered once per report.
 
 What is not integer work is paid once per run where it can be: the texts of
 the constants a label-pair row fixes (c_ba, g1 and g2 up to sign, A1 and A2)
 are made once per row, each center's neighbors are one flat list, and the
-writer makes each dict layout once.  On the n = 8, r = 5/2 acceptance slice
-(2-core Xeon, Python 3.11, the fewest milliseconds of 15 runs in one
-process) the suites take about 50 ms (case-2 20, mult2 12, interface 10,
-mult1 8), of which about 11 ms are the 2970 distinct ``z_product`` ratios;
-the calibration takes 4 ms, the report writer 11, the block-factor reading
-1.4, and the collector's young generations run 23 times.
+writer makes each dict layout once.  README's "Where a verify-grid slice's
+time goes" gives what each part of a run costs.
 """
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
@@ -56,7 +54,7 @@ __all__ = [
     "EdgeCheck", "SuiteReport",
     "verify_mult1_quotients", "verify_mult2_quotients",
     "verify_case2_relation", "verify_interface",
-    "resolve_block_factor_reading", "run_all_suites", "edges_text",
+    "resolve_block_factor_reading", "run_all_suites", "report_pieces",
     "CONVENTION",
 ]
 
@@ -74,6 +72,9 @@ _DEGENERATE_TARGET = "lambda(T*T) = 0 at target"
 _UNBALANCED = "the gamma classes of the {} do not balance"
 _UP = DIRECTIONS[1]         # Direction(1, 1): f+1, j+1, same eps
 _INDENT = "  "              # the report's text is json.dumps(..., indent=2)
+# the report's newlines by depth: a suite's keys at 3, its edges at 4, an
+# edge's keys at 5, a label's at 6
+_NL3, _NL4, _NL5, _NL6 = ("\n" + _INDENT * depth for depth in range(3, 7))
 
 # conventions the verdicts certify; recorded in every report header
 CONVENTION = {
@@ -180,19 +181,6 @@ class SuiteReport(Record):
         return {"suite": self.suite, "counts": self.counts, "ok": self.ok,
                 "edges": [c.to_json() for c in self.checks]}
 
-    def json_chunks(self, depth: int, label_texts: Dict[int, str]) -> Iterator[str]:
-        """The text of :meth:`to_json` at ``depth`` as ``json.dumps(...,
-        indent=2, sort_keys=True)`` nests it, one piece per edge; the CLI
-        splices it into the verify report's text and writes it in batches.
-        ``label_texts`` keeps the label texts by KType id for the suites
-        written at the same depth, so each label is rendered once per
-        report."""
-        nl = "\n" + _INDENT * (depth + 1)
-        yield f'{{{nl}"counts": {_dict_texts(nl)(self.counts)},{nl}"edges": '
-        yield from _rows_text(self._rows, depth + 1, label_texts)
-        yield (f',{nl}"ok": {"true" if self.ok else "false"},{nl}"suite": '
-               f'{_string(self.suite)}\n{_INDENT * depth}}}')
-
     def summary_line(self) -> str:
         counts = self.counts
         body = ", ".join(f"{k}={counts[k]}" for k in sorted(counts))
@@ -226,14 +214,27 @@ def _dict_texts(nl: str) -> Callable[[Dict[str, Union[str, int]]], str]:
     return text
 
 
-def edges_text(checks: Iterable[EdgeCheck], depth: int = 0) -> Iterator[str]:
-    """``json.dumps([c.to_json() for c in checks], indent=2, sort_keys=True)``
-    nested at ``depth``, one piece per edge."""
-    return _rows_text(SuiteReport("", checks)._rows, depth, {})
+def report_pieces(head: dict, reports: Dict[str, SuiteReport]) -> Iterator[str]:
+    """``json.dumps(dict(head, suites=reports), indent=2, sort_keys=True)`` with
+    each suite as its :meth:`~SuiteReport.to_json`, and a newline, one piece
+    per edge; the CLI writes it in batches.  The head is plain data, not
+    empty, and its keys sort before ``"suites"``.  Each label's text is
+    rendered once for the report's suites together."""
+    sep = json.dumps(head, indent=2, sort_keys=True)[:-2] + ',\n  "suites": {'
+    label_texts = {id(None): "null"}
+    counts_text = _dict_texts(_NL3)
+    for name, report in sorted(reports.items()):
+        yield (f'{sep}\n    {_string(name)}: {{{_NL3}"counts": {counts_text(report.counts)},'
+               f'{_NL3}"edges": ')
+        yield from _edges_text(report._rows, label_texts)
+        yield (f',{_NL3}"ok": {"true" if report.ok else "false"},{_NL3}"suite": '
+               f'{_string(report.suite)}\n    }}')
+        sep = ","
+    yield "\n  }\n}\n"
 
 
-def _rows_text(rows: list, depth: int, label_texts: Dict[int, str]) -> Iterator[str]:
-    """:func:`edges_text` of a report's rows.
+def _edges_text(rows: list, label_texts: Dict[int, str]) -> Iterator[str]:
+    """The text of a suite's ``"edges"`` list in the report, from its rows.
 
     Every edge has the same shape, so its text is put together from its
     fields in sorted key order; the text of each label (in ``label_texts``,
@@ -244,44 +245,41 @@ def _rows_text(rows: list, depth: int, label_texts: Dict[int, str]) -> Iterator[
     if not rows:
         yield "[]"
         return
-    nl, nl1, nl2 = ("\n" + _INDENT * (depth + k) for k in range(3))
-    nl3 = nl2 + _INDENT
-    dict_text = _dict_texts(nl2)
-    label_texts[id(None)] = "null"
+    dict_text = _dict_texts(_NL5)
 
     def label(kt: KType) -> str:
         text = label_texts[id(kt)] = (
-            f'{{{nl3}"eps": {kt.eps},{nl3}"f": "{format_rational(kt.f)}",{nl3}"j": '
-            f'"{format_rational(kt.j)}",{nl3}"q": {kt.q},{nl3}"xi": {kt.xi}{nl2}}}')
+            f'{{{_NL6}"eps": {kt.eps},{_NL6}"f": "{format_rational(kt.f)}",{_NL6}"j": '
+            f'"{format_rational(kt.j)}",{_NL6}"q": {kt.q},{_NL6}"xi": {kt.xi}{_NL5}}}')
         return text
 
     heads: Dict[int, str] = {}
-    directions = {None: f'{nl2}"direction": null,{nl2}"from": '}
+    directions = {None: f'{_NL5}"direction": null,{_NL5}"from": '}
     tails: Dict[str, str] = {}
     detail_key, quantities_key, residuals_key, to_key = (
-        f'{nl2}"{key}": ' for key in ("detail", "quantities", "residuals", "to"))
-    sep = "[" + nl1
+        f'{_NL5}"{key}": ' for key in ("detail", "quantities", "residuals", "to"))
+    sep = "[" + _NL4
     fields = iter(rows)
     for case, center, nb, direction, verdict, detail, quantities, residuals in zip(
             *[fields] * _WIDTH):
         head = heads.get(case)
         if head is None:
-            head = heads[case] = f'{{{nl2}"case": {case},'
+            head = heads[case] = f'{{{_NL5}"case": {case},'
         arrow = directions.get(direction)
         if arrow is None:
             df, dj = direction
             arrow = directions[direction] = (
-                f'{nl2}"direction": [{nl3}{df},{nl3}{dj}{nl2}],{nl2}"from": ')
+                f'{_NL5}"direction": [{_NL6}{df},{_NL6}{dj}{_NL5}],{_NL5}"from": ')
         tail = tails.get(verdict)
         if tail is None:
-            tail = tails[verdict] = f',{nl2}"verdict": {_string(verdict)}{nl1}}}'
+            tail = tails[verdict] = f',{_NL5}"verdict": {_string(verdict)}{_NL4}}}'
         yield (f'{sep}{head}{detail_key + _string(detail) + "," if detail else ""}{arrow}'
                f'{label_texts.get(id(center)) or label(center)},'
                f'{quantities_key + dict_text(quantities) + "," if quantities else ""}'
                f'{residuals_key + dict_text(residuals) + "," if residuals else ""}'
                f'{to_key}{label_texts.get(id(nb)) or label(nb)}{tail}')
-        sep = "," + nl1
-    yield nl + "]"
+        sep = "," + _NL4
+    yield _NL3 + "]"
 
 
 def _compare_entry(num, den, tagged: Tagged, key: str) -> tuple:

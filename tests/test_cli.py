@@ -514,7 +514,7 @@ class TestUsageErrors:
                                                          monkeypatch, argv):
         def walk(*args):        # fails at once where a regression would walk for ever
             raise AssertionError("the window was walked")
-        for name in ("window_keys", "enumerate_ktypes", "calibrate_L"):
+        for name in ("range_keys", "enumerate_ktypes", "calibrate_L"):
             monkeypatch.setattr(cli, name, walk)
         out_path = tmp_path / "out"
         code = main([argv[0], "--n", "4", *argv[1:], "--out", str(out_path)])
@@ -591,7 +591,7 @@ class TestUsageErrors:
                                                          window, xis, epss):
         params = Params(4, Q(1), lattice)
         bounds = [Q(v) for v in window]
-        size = len(cli.window_keys(params, *bounds, (0, 1), xis, epss))
+        size = len(window_keys(params, *bounds, (0, 1), xis, epss))
         assert size <= cli.MAX_WINDOW_LABELS
         monkeypatch.setattr(cli, "MAX_WINDOW_LABELS", size)
         cli._check_size(params, *bounds, xis, epss)

@@ -12,7 +12,7 @@ from conftest import dirac_l_table
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from twistor_spectra import cli, faults, spectra
+from twistor_spectra import cli, faults, spectra, verify
 from twistor_spectra.exact import format_rational
 from twistor_spectra.ktypes import (Direction, KType, Label, Labels, Params,
                                     enumerate_ktypes, make_ktype)
@@ -21,8 +21,7 @@ from twistor_spectra.spectra import (SingularCoefficientError,
 from twistor_spectra.verify import (FAIL, INDETERMINATE, PASS, POLE,
                                     SKIP_DEGENERATE, SKIP_POLE, SKIP_SINGULAR, ZERO,
                                     EdgeCheck, SuiteReport, _case2_residuals,
-                                    edges_text,
-                                    resolve_block_factor_reading,
+                                    report_pieces, resolve_block_factor_reading,
                                     run_all_suites, verify_case2_relation,
                                     verify_interface, verify_mult1_quotients,
                                     verify_mult2_quotients)
@@ -338,6 +337,16 @@ def slice_reports(n, r, strict=False, window=(Q(-19, 2), Q(19, 2), Q(11, 2))):
     return reports
 
 
+def report_texts(*suites):
+    """The text of a report of ``suites`` with a minimal head, as
+    :func:`report_pieces` writes it and as the stdlib writes it from each
+    suite's ``to_json``."""
+    head, reports = {"ok": True}, {report.suite: report for report in suites}
+    return ("".join(report_pieces(head, reports)),
+            json.dumps(dict(head, suites=reports), indent=2, sort_keys=True,
+                       default=SuiteReport.to_json) + "\n")
+
+
 class TestReportWriter:
     """The fixed-shape edge text against the stdlib's rendering of ``to_json``."""
 
@@ -362,9 +371,10 @@ class TestReportWriter:
         assert {bool(e.residuals) for e in edges} == {True, False}
         assert {e.verdict for e in edges} >= {PASS, FAIL, POLE, ZERO, INDETERMINATE,
                                               SKIP_DEGENERATE, SKIP_SINGULAR}
-        want = json.dumps([e.to_json() for e in edges], indent=2, sort_keys=True)
-        assert "".join(edges_text(edges)) == want
-        assert "".join(edges_text([])) == json.dumps([]) == "[]"
+        got, want = report_texts(SuiteReport("case2-relation", edges))
+        assert got == want
+        got, want = report_texts(SuiteReport("interface"))
+        assert got == want and '"edges": [],' in got
         # the whole verify report against the stdlib's text of its head and
         # of each suite's to_json: with solved calibrations, with both skipped
         # (and an empty interface suite), and with both unsolved under an
@@ -388,12 +398,29 @@ class TestReportWriter:
             assert len(payload["calibration"]) == 2
             assert all(cal.get(kind) for cal in payload["calibration"].values())
 
+    def test_each_label_is_rendered_once_per_report(self, monkeypatch):
+        # a label's text holds its f and j: two format_rational calls per
+        # distinct label object in the rows, however many suites show it
+        reports = slice_reports(4, Q(1))
+        per_suite = [{id(kt) for c in rep.checks for kt in (c.center, c.neighbor)
+                      if kt is not None} for rep in reports.values()]
+        labels = set().union(*per_suite)
+        assert len(reports) == 4 and sum(map(len, per_suite)) > len(labels)
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return format_rational(value)
+        monkeypatch.setattr(verify, "format_rational", counted)
+        "".join(report_pieces({"ok": True}, reports))
+        assert len(calls) == 2 * len(labels)
+
     def test_an_n8_slice_streams_in_bounded_chunks(self, monkeypatch):
         # every write of the largest grid slice's report stays near
         # cli.CHUNK, so the report is never held as one string
         writes = []
         monkeypatch.setattr(sys, "stdout", RecordingFile(writes))
-        cli._emit(cli._report_pieces({"ok": True}, slice_reports(8, Q(5, 2))), None)
+        cli._emit(report_pieces({"ok": True}, slice_reports(8, Q(5, 2))), None)
         sizes = [len(text) for text in writes]
         assert cli.CHUNK == 1 << 16 and sum(sizes) > 40 * cli.CHUNK
         # batched: every write but the last holds at least CHUNK characters
@@ -419,22 +446,14 @@ class TestEdgesText:
         EdgeCheck(1, KT, KT2, None, PASS, quantities={"a1": "1/2"}),
     ]
 
-    @staticmethod
-    def nested(value, depth):
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-
-    def test_the_text_is_the_stdlib_text_at_each_depth(self):
-        for depth in (0, 1, 3):
-            for checks in (self.CHECKS, self.CHECKS[::-1], self.CHECKS[2:3], []):
-                want = self.nested([c.to_json() for c in checks], depth)
-                assert "".join(edges_text(checks, depth)) == want
-
     def test_a_suite_is_the_stdlib_text_of_its_to_json(self):
-        for depth in (0, 2):
-            report = SuiteReport("case2-relation", list(self.CHECKS))
-            assert "".join(report.json_chunks(depth, {})) == self.nested(report.to_json(), depth)
-            empty = SuiteReport("interface")
-            assert "".join(empty.json_chunks(depth, {})) == self.nested(empty.to_json(), depth)
+        # each edge set as a one-suite report, and an empty suite beside a full one
+        for checks in (self.CHECKS, self.CHECKS[::-1], self.CHECKS[2:3], []):
+            got, want = report_texts(SuiteReport("case2-relation", checks))
+            assert got == want
+        got, want = report_texts(SuiteReport("case2-relation", self.CHECKS),
+                                 SuiteReport("interface"))
+        assert got == want
 
     def test_a_report_gives_back_the_checks_it_was_made_from(self):
         # its rows keep every field, a None and a {} residuals among them
@@ -450,8 +469,8 @@ class TestEdgesText:
     def test_any_dicts_of_str_or_int(self, dicts):
         checks = [EdgeCheck(2, self.KT, self.KT2, Direction(1, 0), FAIL, quantities=d,
                             residuals=dicts[k - 1]) for k, d in enumerate(dicts)]
-        assert "".join(edges_text(checks, 1)) == self.nested(
-            [c.to_json() for c in checks], 1)
+        got, want = report_texts(SuiteReport("case2-relation", checks))
+        assert got == want
 
 
 class TestRunsLeaveNoCycles:
