@@ -446,6 +446,16 @@ class TestEdgesText:
         EdgeCheck(1, KT, KT2, None, PASS, quantities={"a1": "1/2"}),
     ]
 
+    def test_the_text_is_the_stdlib_text_at_each_depth(self):
+        # the report has one nesting: the edge list at depth 3, each edge at
+        # depth 4; the list's own pieces are the stdlib's text of it there
+        for checks in (self.CHECKS, self.CHECKS[::-1], self.CHECKS[2:3], []):
+            pieces = list(report_pieces({"ok": True},
+                                        {"s": SuiteReport("case2-relation", checks)}))
+            want = json.dumps([c.to_json() for c in checks], indent=2, sort_keys=True)
+            assert "".join(pieces[1:-2]) == want.replace("\n", "\n" + "  " * 3)
+            assert pieces[0].endswith('"edges": ') and pieces[-2].startswith(",")
+
     def test_a_suite_is_the_stdlib_text_of_its_to_json(self):
         # each edge set as a one-suite report, and an empty suite beside a full one
         for checks in (self.CHECKS, self.CHECKS[::-1], self.CHECKS[2:3], []):
