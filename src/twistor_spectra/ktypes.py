@@ -20,8 +20,9 @@ A verify run reads each label through one :class:`Label` record of a
 ``KType`` and its (J, s) on the run's integer scale; the table keeps, once
 asked for, each record's diagram neighbors as one flat list of directions and
 records, so no record refers to another and no arrow costs a tuple.  A label
-is its key: the diagram's arrows, partners and interface square walk keys, and
-a table states J on its scale once per (2j, eps) (:meth:`Labels.spectral_J`).
+is its key: the diagram's arrows, partners and interface square walk keys; a
+table reads J from :func:`label_dirac`'s memo (:meth:`Labels.spectral_J`) and
+holds the block kernel's run terms.
 A window is two integer ranges, its 2f (:func:`f2_range`) and its 2j
 (:func:`j2_range`), read off the bounds' numerators and denominators, so its
 size is known without walking it; :func:`range_keys` walks them.
@@ -244,13 +245,15 @@ class Label:
 class Labels:
     """The label records of one run, keyed by (xi, 2f, 2j, q, eps) and made on first use.
 
-    :meth:`spectral_J` runs once per (2j, eps) and :meth:`neighbors` once per
-    center.  ``scale`` is :func:`label_scale`, the one integer scale of every
-    record's f and J.  A table belongs to one :class:`Params`, the one source
-    of n, r and the variant for every function that walks the run, and lives
-    as long as its caller keeps it, so nothing of a run outlives the run.  It
-    keeps the values made under the fault that was armed when they were made,
-    so a test builds it inside the ``faults.inject`` block.
+    :meth:`neighbors` runs once per center; :meth:`spectral_J` reads J from
+    :func:`label_dirac`'s memo.  ``scale`` is :func:`label_scale`, the one
+    integer scale of every record's f and J, and ``block_terms`` the block
+    kernel's run terms (n, rd, rn scale, scale rd, strict_paper), r = rn/rd.
+    A table belongs to one :class:`Params`, the one source of n, r and the
+    variant for every function that walks the run, and lives as long as its
+    caller keeps it, so nothing of a run outlives the run.  Its records keep
+    the values made under the fault armed when they were made, so a test
+    builds it inside the ``faults.inject`` block.
 
     A record is found by its key alone and keeps the ``KType`` that made it:
     the caller's (:meth:`of`) or a new one on the table's halves (:meth:`at`).
@@ -259,10 +262,11 @@ class Labels:
 
     def __init__(self, params: Params):
         self.params = params
-        self.scale = label_scale(params.n)
+        self.scale = d = label_scale(params.n)
+        rn, rd = params.r.numerator, params.r.denominator
+        self.block_terms = (params.n, rd, rn * d, d * rd, params.strict_paper)
         self._by_key: Dict[Key, Label] = {}
         self._halves: Dict[int, Fraction] = {}
-        self._J: Dict[Tuple[int, int], int] = {}
         self._neighbors: Dict[Label, list] = {}
         self.pairs: Dict[tuple, object] = {}    # label pair data and z ratios, for other modules
 
@@ -270,18 +274,15 @@ class Labels:
         """The spectral J = eps * J_signed of the labels (2j, eps), times ``scale``;
         a ``ValueError`` if that is no integer (a ``DIRAC`` offset armed later).
 
-        Computed once per (2j, eps) and kept: J_signed is read once from
-        :func:`label_dirac` on the ints, and the sign and the scale are
-        applied to its numerator, an int."""
-        J = self._J.get((j2, eps))
-        if J is None:
-            signed = label_dirac(self.params.n, j2, eps)
-            d = self.scale
-            if d % signed.denominator:
-                raise ValueError(f"J = {eps * signed} of 2j = {j2}, eps = {eps} "
-                                 f"is off the scale 1/{d}")
-            J = self._J[j2, eps] = eps * signed.numerator * (d // signed.denominator)
-        return J
+        J_signed is read from :func:`label_dirac`'s memo on the ints at every
+        call, so it is the convention armed now, and the sign and the scale
+        are applied to its numerator, an int."""
+        signed = label_dirac(self.params.n, j2, eps)
+        d = self.scale
+        if d % signed.denominator:
+            raise ValueError(f"J = {eps * signed} of 2j = {j2}, eps = {eps} "
+                             f"is off the scale 1/{d}")
+        return eps * signed.numerator * (d // signed.denominator)
 
     def _half(self, k: int) -> Fraction:
         half = self._halves.get(k)

@@ -20,8 +20,8 @@ unreduced int ratio (``exact.Tagged``), once per distinct ratio in a run
 (``z_ratio``).
 The closed forms are ints too: ``quotient_entries`` gives each entry as an
 int (num, den) pair, and the block coefficients are four numerators over
-one denominator (``block_ints``, at an integer point whose r terms
-``_block_point`` gives).  The library functions that return ``Fraction``
+one denominator (``block_ints``, at an integer point whose r terms the
+run's ``Labels`` table holds).  The library functions that return ``Fraction``
 values (``block_coefficients``, the quotient matrices) read the same
 kernels.  The CLI's ``spectrum`` rows (:func:`spectrum_rows`) read each z
 from its integer gamma forms (:func:`z_forms`, the triples of the quotient
@@ -478,19 +478,12 @@ def _block_coeffs(n: int, X: int, Y: int, Z: int, d: int, xi: int, strict_paper:
             m * m * T * d * c1)
 
 
-def _block_point(params: Params, scale: int) -> tuple:
-    """What the block kernel's arguments at f = F/scale, spectral J = J/scale
-    take from the run, for r = rn/rd: (n, rd, rn scale, scale rd, strict_paper);
-    the kernel reads (n, F rd, eps J rd, rn scale, scale rd, xi, strict_paper)."""
-    rn, rd = params.r.numerator, params.r.denominator
-    return params.n, rd, rn * scale, scale * rd, params.strict_paper
-
-
 def block_ints(labels: Labels, label: Label) -> Union[str, Tuple[int, int, int, int, int]]:
     """(b11, b12, b21, b22, den) of a multiplicity-two label on its table's
-    scale, or the name of the vanished coefficient."""
+    scale, or the name of the vanished coefficient: the kernel reads (n, F rd,
+    eps J rd, rn scale, scale rd, xi, strict_paper) from ``labels.block_terms``."""
     xi, _, _, _, eps = label.key
-    n, rd, Z, D, strict = _block_point(labels.params, labels.scale)
+    n, rd, Z, D, strict = labels.block_terms
     return _block_coeffs(n, label.F * rd, eps * label.J * rd, Z, D, xi, strict)
 
 
@@ -522,7 +515,7 @@ def spectrum_rows(params: Params, keys: Sequence[Key]) -> Iterator[tuple]:
     ``ktypes.label_dirac`` on the ints (n, 2j, eps) and looked up once per
     key; the cells of each distinct z; each gamma argument's (log|Gamma|,
     sign), one table for every ``exact.pq_numeric`` call; the block kernel's
-    r terms (:func:`_block_point`) and eps J rd per (2j, eps); the text of
+    r terms (``labels.block_terms``) and eps J rd per (2j, eps); the text of
     each 2f, 2j and small int.  No Fraction is made per key, and the block
     kernel makes no fault-site call while nothing is armed.  What can raise
     is done at the call, in key order: every J, and every distinct z (a z
@@ -556,7 +549,7 @@ def spectrum_rows(params: Params, keys: Sequence[Key]) -> Iterator[tuple]:
             tail = z_cells[F, J, s] = ("1", *chains.relative(F, J, s, pq, label), numeric,
                                        "", "", "", "", "")
         z_tails.append(tail)
-    n, rd, Z, D, strict = _block_point(params, scale)
+    n, rd, Z, D, strict = labels.block_terms
     X = half * rd                   # the kernel's F rd is 2f X
     Ys = {(j2, eps): eps * J * rd for (j2, eps), J in Js.items()}
     block = _block_coeffs.__wrapped__

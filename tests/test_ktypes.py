@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from twistor_spectra import faults
 from twistor_spectra.ktypes import (DEFAULT_EIGENVALUES, BadDimensionError, Direction,
                                     InvalidWeightError, KType, Labels, Params,
-                                    enumerate_ktypes, f2_range, interface_square,
-                                    j2_range, label_dirac, label_key, label_twistor_tt,
-                                    make_ktype, partner_keys, window_keys)
+                                    _neighbor_keys, enumerate_ktypes, f2_range,
+                                    interface_square, j2_range, label_dirac, label_key,
+                                    label_twistor_tt, make_ktype, partner_keys, window_keys)
 
 P4 = Params(4, Q(1, 2))
 P6 = Params(6, Q(1, 2))
@@ -142,13 +142,29 @@ class TestLabelsSpectralJ:
                 assert J == eps * label_dirac(6, j2, eps) == Q(j2, 2) + 2
 
     def test_a_table_made_before_a_fractional_dirac_offset_refuses_J(self):
+        # J is read from label_dirac's memo on every call, so a J read before
+        # arming is not kept; the record made before arming keeps its J
         labels = Labels(P4)
+        rec = labels.at((1, 1, 3, 0, 1))
+        assert labels.spectral_J(3, 1) == rec.J == 5
         with faults.inject("DIRAC", Q(1, 3)):
             with pytest.raises(ValueError, match=r"J = 17/6 of 2j = 3, eps = 1 is off "
                                                  r"the scale 1/2"):
                 labels.spectral_J(3, 1)
+            assert labels.at((1, 1, 3, 0, 1)) is rec and rec.J == 5
             armed = Labels(P4)          # a table made while armed has the scale 1/6
             assert (armed.scale, armed.spectral_J(3, 1)) == (6, 17)
+        assert labels.spectral_J(3, 1) == 5
+
+    def test_a_table_made_under_a_dirac_fault_reads_the_armed_convention(self):
+        with faults.inject("DIRAC", Q(1, 3)):
+            for params in (P4, P6, Params(8, Q(7, 3), "int")):
+                labels = Labels(params)
+                for j2 in (1, 3, 5, 11):
+                    for eps in (1, -1):
+                        want = eps * label_dirac(params.n, j2, eps) * labels.scale
+                        for _ in range(2):
+                            assert labels.spectral_J(j2, eps) == want
 
 
 class TestNeighbors:
@@ -183,6 +199,31 @@ class TestNeighbors:
         for d, nb in neighbors(kt):
             back = Direction(-d.df, -d.dj)
             assert dict(neighbors(nb))[back] == kt
+
+
+class TestNeighborList:
+    @pytest.mark.parametrize("lattice", ["half", "int"])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_the_flat_positions_callers_read(self, n, lattice):
+        # the even entries are the arrows' directions and the odd ones their
+        # records; verify_interface reads [3] as the (1, 1) arrow's record and
+        # calibrate_L reads [1::2] as the records
+        params = Params(n, Q(5, 2), lattice)
+        labels = Labels(params)
+        squares = 0
+        for key in window_keys(params, Q(-7, 2), Q(7, 2), Q(9, 2)):
+            arrows = labels.neighbors(labels.at(key))
+            want = _neighbor_keys(key)
+            assert arrows[0::2] == [direction for direction, _ in want]
+            assert len(arrows[1::2]) == len(want)
+            for rec, (_, nb_key) in zip(arrows[1::2], want):
+                assert rec is labels.at(nb_key)
+            assert arrows[2] == Direction(1, 1)
+            square = interface_square(key)
+            if square:
+                assert arrows[3].key == square[1]
+                squares += 1
+        assert squares
 
 
 class TestInterfaceSquare:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from twistor_spectra import faults, spectra, verify
 from twistor_spectra.operators import d_block
 from twistor_spectra.exact import (GammaPoleError, GammaQuotient,
-                                   NonCommensurableError, evaluate_numeric,
+                                   NonCommensurableError, evaluate_numeric, format_ratio,
                                    pq_numeric, ratio_tagged, reduce_exact)
 from twistor_spectra.ktypes import (DIRECTIONS, Direction, KType, Labels, Params,
                                     enumerate_ktypes, f2_range, label_dirac, label_scale,
@@ -830,6 +830,33 @@ class TestBlockCoefficientsRoute:
                     assert got == lcm_route_block_coefficients(params, kt), (params, kt)
                     if isinstance(got, str):
                         singular.add(got)
+        assert singular == {"C1", "C3", "C4"}
+
+    def test_spectrum_rows_read_block_ints_on_the_run_table(self):
+        # spectrum_rows calls the kernel past its table with its own X and Ys;
+        # every q = 0 row's b11..b22 cells are block_ints on a run's table
+        cells = [SPECTRUM_COLUMNS.index(c) for c in ("b11", "b12", "b21", "b22")]
+        note = SPECTRUM_COLUMNS.index("note")
+        singular = set()
+        for fault, n, r, lattice, strict in itertools.product(
+                (None, "C2"), (4, 6, 8), (Q(1, 2), Q(7, 3), Q(-3, 2), Q(0), Q(13, 11)),
+                ("half", "int"), (False, True)):
+            params = Params(n, r, lattice, strict)
+            armed = faults.inject(fault, Q(1, 3)) if fault else contextlib.nullcontext()
+            with armed:
+                keys = window_keys(params, Q(-5, 2), Q(5, 2), Q(7, 2), (0,))
+                labels = Labels(params)
+                for key, row in zip(keys, spectrum_rows(params, keys), strict=True):
+                    coeffs = spectra.block_ints(labels, labels.at(key))
+                    if isinstance(coeffs, str):
+                        assert [row[i] for i in cells] == [""] * 4
+                        assert row[note] == f"SINGULAR({coeffs})"
+                        singular.add(coeffs)
+                    else:
+                        *nums, den = coeffs
+                        assert [row[i] for i in cells] == [
+                            format_ratio(num, den) for num in nums], (params, key)
+                        assert row[note] == ""
         assert singular == {"C1", "C3", "C4"}
 
 
