@@ -24,9 +24,9 @@ bare store_true flag; every value non-empty and valid, every required flag
 given) against it directly; argparse is imported and its parser built, once
 per process, only for help, errors and every other argv.
 A query stays on ints from the flag text (:func:`_flag_rational`) to the
-printed cell.  A ``spectrum`` window's ranges are built once, by
-:func:`_check_size`; ``verify`` and ``calibrate`` build theirs again as they
-walk the window (``enumerate_ktypes``, ``calibrate_L``).
+printed cell.  A ``spectrum`` or ``verify`` window's ranges are built once,
+by :func:`_check_size`, and walked as label keys (``range_keys``); only
+``calibrate`` builds its ranges again, in ``calibrate_L``.
 """
 from __future__ import annotations
 
@@ -45,9 +45,8 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional,
 
 from . import faults
 from .exact import format_ratio, format_rational, pq_json, rational
-from .ktypes import (BadDimensionError, InvalidWeightError, KType, Labels, Params,
-                     enumerate_ktypes, f2_range, interface_square, j2_range,
-                     label_key, make_ktype, range_keys)
+from .ktypes import (BadDimensionError, InvalidWeightError, KType, Labels, Params, f2_range,
+                     interface_square, j2_range, label_key, make_ktype, range_keys)
 from .spectra import (SPECTRUM_COLUMNS, EmptyWindowError, InconsistentSystemError,
                       block_ints, calibrate_L, mult1_quotient_matrix,
                       mult2_det_quotient_matrix, first_order_block, spectrum_rows,
@@ -366,13 +365,12 @@ def cmd_neighbors(args) -> int:
 def cmd_verify(args) -> int:
     params = _params(args)
     f_min, f_max, j_max, xis, epss = _region_args(args)
-    _check_size(params, f_min, f_max, j_max, xis, epss)
-    centers = list(enumerate_ktypes(params, f_min, f_max, j_max, (0, 1), xis, epss))
-    if not centers:
+    keys = range_keys(*_check_size(params, f_min, f_max, j_max, xis, epss), (0, 1), xis, epss)
+    if not keys:
         raise _empty_window(f_min, f_max, j_max)
-    reports, calibrations = run_all_suites(params, centers, f_min, f_max, j_max)
+    reports, calibrations = run_all_suites(params, keys, f_min, f_max, j_max)
     reading = resolve_block_factor_reading(
-        params, [c for c in centers if c.multiplicity == 2][:MAX_READING_CENTERS])
+        params, [key for key in keys if key[3] == 0][:MAX_READING_CENTERS])
     unsolved = [cal for _, cal in sorted(calibrations.items()) if _unsolved(cal)]
     all_ok = not unsolved and all(rep.ok for rep in reports.values()) and \
         reading["resolved"] != "neither" and \

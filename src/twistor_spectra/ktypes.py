@@ -213,14 +213,13 @@ def label_key(ktype: KType) -> Key:
     return ktype.xi, f2, j2, ktype.q, ktype.eps
 
 
-def _neighbor_keys(key: Key, directions: Sequence[Direction] = DIRECTIONS
-                   ) -> List[Tuple[Direction, Key]]:
-    """The diagram's arrows from ``key`` along ``directions``: the bottom row
-    is omitted at j = 1/2 + q, the middle row (dj = 0) flips eps, the j +- 1
-    rows keep it, and q and xi never change."""
+def _neighbor_keys(key: Key) -> List[Tuple[Direction, Key]]:
+    """The diagram's arrows from ``key`` in :data:`DIRECTIONS` order: the
+    bottom row is omitted at j = 1/2 + q, the middle row (dj = 0) flips eps,
+    the j +- 1 rows keep it, and q and xi never change."""
     xi, f2, j2, q, eps = key
     out = []
-    for direction in directions:
+    for direction in DIRECTIONS:
         df, dj = direction
         if j2 + 2 * dj >= 1 + 2 * q:
             out.append((direction, (xi, f2 + 2 * df, j2 + 2 * dj, q, -eps if dj == 0 else eps)))
@@ -340,7 +339,7 @@ def interface_square(key: Key) -> Tuple[Key, ...]:
     partners = [] if key[3] else partner_keys(key)
     if not partners:
         return ()
-    (_, alpha2), = _neighbor_keys(key, DIRECTIONS[1:2])
+    alpha2 = _neighbor_keys(key)[1][1]      # the top row is never omitted
     return key, alpha2, partners[0], partner_keys(alpha2)[1]
 
 

@@ -29,7 +29,7 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from . import faults
 from .ktypes import (DEFAULT_EIGENVALUES, KType, Label, Labels, Params,
-                     label_dirac, label_twistor_tt)
+                     label_dirac, label_key, label_twistor_tt, partner_keys)
 
 __all__ = [
     "DBlock",
@@ -109,16 +109,14 @@ def classify_pair(frm: KType, to: KType) -> Optional[str]:
     Same-q transitions allow any eps combination with |df| = 1 and |dj| <= 1
     (the transition quantities are defined for general neighbor labels; the
     six-arrow diagram is the subset the verification suites walk).  Mixed
-    pairs keep j (at least 3/2) and eps and flip q.  Only the ``case*_data``
-    records ask, so it compares the labels' Fractions.
+    pairs are :func:`~twistor_spectra.ktypes.partner_keys`: they keep j (at
+    least 3/2) and eps and flip q.  Only the ``case*_data`` records ask.
     """
     if frm.xi != to.xi or abs(to.f - frm.f) != 1:
         return None
     if frm.q == to.q:
         return "same-mult" if to.j - frm.j in (-1, 0, 1) else None
-    if frm.j == to.j and frm.eps == to.eps and frm.j >= Fraction(3, 2):
-        return "mixed"
-    return None
+    return "mixed" if label_key(to) in partner_keys(label_key(frm)) else None
 
 
 class Case1Data(NamedTuple):

@@ -124,19 +124,18 @@ _Z_GAMMAS = {s: (Fraction(s, 2), ((2, 2, 2, 2 - s, 1), (-2, 2, 2, 2 + s, 1),
 
 @faults.run_memo
 def _z_cached(r: Fraction, f: Fraction, J: Fraction, s: int) -> GammaQuotient:
-    d = lcm(f.denominator, J.denominator, r.denominator)
-    x, y, z = (v.numerator * (d // v.denominator) for v in (f, J, r))
-    prefactor, args = _Z_GAMMAS[s]
-    return GammaQuotient(prefactor, [(Fraction(A * x + B * y + C * z + K * d, 4 * d), e)
-                                     for A, B, C, K, e in args])
+    d = lcm(f.denominator, J.denominator)
+    prefactor, pq = z_forms(r, d, f.numerator * (d // f.denominator),
+                            J.numerator * (d // J.denominator), s)
+    return GammaQuotient(prefactor, [(Fraction(p, q), e) for p, q, e in pq])
 
 
 def z_forms(r: Fraction, scale: int, F: int, J: int, s: int) -> Tuple[Fraction, tuple]:
     """(s/2, triples): z(r; F/scale, J/scale, s)'s prefactor and its gamma
-    arguments as the (p, q, exp) triples ``_z_cached(r, f, J, s)._pq`` holds,
-    built on integers: each argument is (A F rd + B J rd + C rn scale + K
-    scale rd) / (4 scale rd), equal arguments merged, zero exponents dropped,
-    sorted by value and each reduced by its gcd.
+    arguments as (p, q, exp) triples on integers, the one statement of them
+    (``_z_cached`` builds its quotient from them): each argument is (A F rd +
+    B J rd + C rn scale + K scale rd) / (4 scale rd), equal arguments merged,
+    zero exponents dropped, sorted by value and each reduced by its gcd.
     """
     prefactor, args = _Z_GAMMAS[s]
     rn, rd = r.numerator, r.denominator
@@ -727,8 +726,7 @@ def calibrate_L(labels: Labels, xi: int, f_min: RationalLike, f_max: RationalLik
                     raise InconsistentSystemError(
                         "the z-ratio's gamma classes do not balance on the edge "
                         f"{center.ktype.label()} -> {nb.ktype.label()}",
-                        witness={"edge": {"center": center.ktype.to_json(),
-                                          "neighbor": nb.ktype.to_json()}}) from None
+                        witness={"edge": _edge_witness(center, nb)}) from None
                 mid, mid_den = case3_bracket(center, nb)
                 # with S = mid_den rd: mid + r = plus/S and mid - r = minus/S
                 plus, minus, S = mid * rd + rn * mid_den, mid * rd - rn * mid_den, mid_den * rd
@@ -740,8 +738,7 @@ def calibrate_L(labels: Labels, xi: int, f_min: RationalLike, f_max: RationalLik
                         if mid != 0:
                             raise InconsistentSystemError(
                                 "unconstraining edge with a nonzero bracket",
-                                witness={"edge": {"center": center.ktype.to_json(),
-                                                  "neighbor": nb.ktype.to_json()},
+                                witness={"edge": _edge_witness(center, nb),
                                          "residual": format_ratio(2 * mid, mid_den)})
                         n_unconstraining += 1
                         continue
@@ -758,8 +755,10 @@ def calibrate_L(labels: Labels, xi: int, f_min: RationalLike, f_max: RationalLik
                     raise InconsistentSystemError(
                         "conflicting difference constraints for "
                         f"{_class_name(key[0])} - {_class_name(key[1])}: {was} vs {now}",
-                        witness={"edge": _edge_witness(now, center, nb),
-                                 "previous": _edge_witness(was, prev[2], prev[3]),
+                        witness={"edge": dict(_edge_witness(center, nb),
+                                              delta=format_rational(now)),
+                                 "previous": dict(_edge_witness(prev[2], prev[3]),
+                                                  delta=format_rational(was)),
                                  "residual": format_rational(now - was)})
                 deltas[key] = (*delta, center, nb)
 
@@ -799,9 +798,8 @@ def _class_name(node: Tuple[int, int]) -> str:
     return f"(j={format_ratio(node[0], 2)}, eps={node[1]:+d})"
 
 
-def _edge_witness(delta: Fraction, center: Label, nb: Label) -> dict:
-    return {"center": center.ktype.to_json(), "neighbor": nb.ktype.to_json(),
-            "delta": format_rational(delta)}
+def _edge_witness(center: Label, nb: Label) -> dict:
+    return {"center": center.ktype.to_json(), "neighbor": nb.ktype.to_json()}
 
 
 def _pin_constant(labels, xi, f2s, potential):

@@ -1,13 +1,14 @@
 """Exact-identity verification suites over finite lattice regions.
 
 Every suite takes the run's :class:`~twistor_spectra.ktypes.Labels` table, its
-one source of n, r and the variant, and K-types of any multiplicity, walks the
-centers its identities apply to, checks them edge by edge in exact arithmetic,
-and returns verdicts rather than raising: ``pass`` and ``fail`` for decidable
-comparisons, ``pole`` / ``zero`` when both routes flag the same degeneration
-symmetrically, ``indeterminate`` when a closed form degenerates to 0/0, and
-``skipped-*`` when an edge cannot be decided (degenerate compression target,
-vanishing block denominator coefficient, or a non-finite shared-factor ratio).
+one source of n, r and the variant, and label keys (xi, 2f, 2j, q, eps) of
+any multiplicity, reads the centers its identities apply to as records
+(``labels.at``), checks them edge by edge in exact arithmetic, and returns
+verdicts rather than raising: ``pass`` and ``fail`` for decidable comparisons,
+``pole`` / ``zero`` when both routes flag the same degeneration symmetrically,
+``indeterminate`` when a closed form degenerates to 0/0, and ``skipped-*``
+when an edge cannot be decided (degenerate compression target, vanishing
+block denominator coefficient, or a non-finite shared-factor ratio).
 A failing verdict carries the exact residual as a rational string.
 
 Every per-edge step runs on integers through the records of that table, which
@@ -42,7 +43,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
 from .exact import Frozen, NonCommensurableError, Record, format_ratio, format_rational
-from .ktypes import DIRECTIONS, Direction, KType, Label, Labels, Params, partner_keys
+from .ktypes import DIRECTIONS, Direction, Key, KType, Label, Labels, Params, partner_keys
 from .operators import _d33, case1_ints, case2_ints, det2, relation_matrices
 from .spectra import (CalibrationResult, EmptyWindowError, InconsistentSystemError, Tagged,
                       _entry_kind, block_ints, calibrate_L, first_order_block,
@@ -297,13 +298,13 @@ def _compare_entry(num, den, tagged: Tagged, key: str) -> tuple:
     return FAIL, "", quantities, dict(residuals, expected=entry, got=got)
 
 
-def _walk_quotients(suite: str, case: int, labels: Labels, centers: Iterable[KType], q: int,
+def _walk_quotients(suite: str, case: int, labels: Labels, centers: Iterable[Key], q: int,
                     terms_of: Callable[[Label, int], tuple], key: str) -> SuiteReport:
     """Each quotient entry of the centers with this q vs the oracle's exact
     neighbor/center ratio, kept under ``key``."""
     report = SuiteReport(suite)
     rows = report._rows
-    for center in [labels.of(c) for c in centers if c.q == q]:
+    for center in [labels.at(c) for c in centers if c[3] == q]:
         at_center = terms_of(center, -1)
         kt = center.ktype
         for direction, nb, num, den in quotient_entries(labels, center):
@@ -318,12 +319,12 @@ def _walk_quotients(suite: str, case: int, labels: Labels, centers: Iterable[KTy
     return report
 
 
-def verify_mult1_quotients(labels: Labels, centers: Iterable[KType]) -> SuiteReport:
+def verify_mult1_quotients(labels: Labels, centers: Iterable[Key]) -> SuiteReport:
     """Eigenvalue-quotient matrix vs exact spectral-function ratios."""
     return _walk_quotients("mult1-quotients", 3, labels, centers, 1, z_terms, "z_ratio")
 
 
-def verify_mult2_quotients(labels: Labels, centers: Iterable[KType]) -> SuiteReport:
+def verify_mult2_quotients(labels: Labels, centers: Iterable[Key]) -> SuiteReport:
     """Determinant-quotient matrix vs exact eight-gamma product ratios."""
     return _walk_quotients("mult2-quotients", 2, labels, centers, 0, w_terms, "product_ratio")
 
@@ -349,7 +350,7 @@ def _case2_residuals(block_b, m1, m2, block_a, p: int, q: int, mden: int) -> Dic
     return residuals
 
 
-def verify_case2_relation(labels: Labels, centers: Iterable[KType]) -> SuiteReport:
+def verify_case2_relation(labels: Labels, centers: Iterable[Key]) -> SuiteReport:
     """Full 2x2 relation  B(neighbor) M1 = M2 B(center)  on every edge.
 
     Both blocks share their own gamma-quotient factor; dividing by the
@@ -360,7 +361,7 @@ def verify_case2_relation(labels: Labels, centers: Iterable[KType]) -> SuiteRepo
     report = SuiteReport("case2-relation")
     rows = report._rows
     texts: Dict[tuple, List[str]] = {}     # the texts of c_ba, g1 and g2 by row and sign
-    for center in [labels.of(c) for c in centers if c.q == 0]:
+    for center in [labels.at(c) for c in centers if c[3] == 0]:
         kt = center.ktype
         arrows = iter(labels.neighbors(center))
         block_a = block_ints(labels, center)
@@ -458,7 +459,7 @@ def _check_case1_edge(labels: Labels, alpha: Label, beta: Label, d33: Fraction,
     return FAIL if residuals else PASS, detail, quantities, residuals or None
 
 
-def verify_interface(labels: Labels, centers: Iterable[KType],
+def verify_interface(labels: Labels, centers: Iterable[Key],
                      table: Dict[Tuple[Fraction, int], Fraction]) -> SuiteReport:
     """Interface coherence between the multiplicity 1 and 2 parts.
 
@@ -470,7 +471,7 @@ def verify_interface(labels: Labels, centers: Iterable[KType],
     rows = report._rows
     texts: Dict[tuple, List[str]] = {}
     d33s: Dict[Tuple[int, int], Optional[Fraction]] = {}    # by (2j, eps); None: no L there
-    for center in [labels.of(c) for c in centers if c.q == 0]:
+    for center in [labels.at(c) for c in centers if c[3] == 0]:
         partners = partner_keys(center.key)
         if not partners:        # j = 1/2: no partner and no square
             continue
@@ -522,7 +523,7 @@ def _check_square(labels: Labels, alpha1: Label, alpha2: Label) -> tuple:
         "det": format_ratio(lhs * det_m1 - rhs, cb[4] ** 2 * q * q * ca[4] ** 2 * det_m1)}
 
 
-def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> dict:
+def resolve_block_factor_reading(params: Params, centers: Sequence[Key]) -> dict:
     """Adjudicate where the block's shared factor sits: weight f+1 or f.
 
     Tries both readings of the degeneration at r = 1/2, where -4 z is the
@@ -530,22 +531,22 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> di
     ``resolved`` only if it matched every checked center ('f+1' if both did),
     else 'neither', a verification failure; None when no center was checked
     (none has multiplicity two, or each one's r = 1/2 block is singular).
-    The centers are records of one r = 1/2 table: each block is
-    :func:`block_ints` and each eigenvalue f - sJ an integer on the table's
-    scale, compared with the first-order block by cross multiplication.
+    The centers are keys, read as records of one r = 1/2 table: each block
+    is :func:`block_ints` and each eigenvalue f - sJ an integer on the
+    table's scale, compared with the first-order block by cross multiplication.
     """
     labels = Labels(Params(params.n, Fraction(1, 2), params.f_lattice))
     d = labels.scale
     outcome = {"f+1": 0, "f": 0, "checked": 0}
-    for center in centers:
-        if center.multiplicity != 2:
+    for key in centers:
+        if key[3] != 0:
             continue
-        rec = labels.of(center)
+        rec = labels.at(key)
         block = block_ints(labels, rec)
         if isinstance(block, str):
             continue
         *nums, den = block
-        (w11, w12), (w21, w22) = first_order_block(labels.params, center)
+        (w11, w12), (w21, w22) = first_order_block(labels.params, rec.ktype)
         outcome["checked"] += 1
         for reading, F in (("f+1", rec.F + d), ("f", rec.F)):
             eigenvalue = F - rec.s * rec.J          # (f - sJ) d
@@ -558,11 +559,11 @@ def resolve_block_factor_reading(params: Params, centers: Sequence[KType]) -> di
     return outcome
 
 
-def run_all_suites(params: Params, centers: Sequence[KType], f_min, f_max, j_max):
-    """Drive all four suites on one K-type list plus calibration; returns
-    (reports, calibrations).  One :class:`Labels` table serves the run.  The
-    xi set follows ``centers``: each xi in it is calibrated and its
-    interface suite gets that xi's centers.  A
+def run_all_suites(params: Params, centers: Sequence[Key], f_min, f_max, j_max):
+    """Drive all four suites on one list of label keys plus calibration;
+    returns (reports, calibrations).  One :class:`Labels` table serves the
+    run.  The xi set follows ``centers``: each xi in it (``key[0]``) is
+    calibrated and its interface suite gets that xi's centers.  A
     calibration with nothing to solve maps its xi to the
     :class:`EmptyWindowError` naming why (an interface center would need
     j >= 3/2 and an f point in the same window, so none exists), and one
@@ -576,7 +577,7 @@ def run_all_suites(params: Params, centers: Sequence[KType], f_min, f_max, j_max
     reports["case2-relation"] = verify_case2_relation(labels, centers)
     calibrations: Dict[int, Union[CalibrationResult, EmptyWindowError]] = {}
     interface = SuiteReport("interface")
-    for xi in sorted({c.xi for c in centers}):
+    for xi in sorted({key[0] for key in centers}):
         try:
             result = calibrate_L(labels, xi, f_min, f_max, j_max)
         except InconsistentSystemError as exc:     # an EmptyWindowError among them
@@ -585,7 +586,7 @@ def run_all_suites(params: Params, centers: Sequence[KType], f_min, f_max, j_max
                 exc.__traceback__, exc = None, exc.__context__
             continue
         calibrations[xi] = result
-        sub = verify_interface(labels, [c for c in centers if c.xi == xi], result.table)
+        sub = verify_interface(labels, [key for key in centers if key[0] == xi], result.table)
         interface._rows += sub._rows
     reports["interface"] = interface
     return reports, calibrations

@@ -16,7 +16,7 @@ from conftest import record_acceptance
 
 from twistor_spectra import faults
 from twistor_spectra.exact import evaluate_numeric, ratio_tagged, reduce_exact
-from twistor_spectra.ktypes import KType, Labels, Params, enumerate_ktypes
+from twistor_spectra.ktypes import KType, Labels, Params, enumerate_ktypes, window_keys
 from twistor_spectra.spectra import (SingularCoefficientError,
                                      block_coefficients, calibrate_L,
                                      first_order_block, z_for, z_value)
@@ -54,7 +54,7 @@ def f_points():
 
 
 def centers(params, q):
-    return list(enumerate_ktypes(params, F_LO, F_HI, J_MAX, (q,)))
+    return window_keys(params, F_LO, F_HI, J_MAX, (q,))
 
 
 @criterion(1, "order-one closed form of the spectral function")
@@ -131,7 +131,7 @@ def test_block_degenerates_to_first_order_block():
     passed = skipped = 0
     for n in NS:
         params = Params(n, Q(1, 2))
-        for center in centers(params, 0):
+        for center in enumerate_ktypes(params, F_LO, F_HI, J_MAX, (0,)):
             try:
                 coeffs = block_coefficients(params, center)
             except SingularCoefficientError:
@@ -172,7 +172,7 @@ def test_interface_and_calibration():
                 assert result.consistent, (n, r, xi, result.issues[:1])
                 _assert_cycles_close(result.table, n)
                 report = verify_interface(
-                    Labels(params), [c for c in mult2 if c.xi == xi], result.table)
+                    Labels(params), [c for c in mult2 if c[0] == xi], result.table)
                 assert report.counts.get(FAIL, 0) == 0, report.first_failure
                 case1 = [c for c in report.checks if c.case == 1]
                 assert any(c.verdict == PASS for c in case1)
@@ -222,10 +222,10 @@ def test_numeric_agreement():
 def test_mutation_sanity():
     params = Params(4, Q(1))
     f_lo, f_hi, j_max = Q(-3, 2), Q(3, 2), Q(7, 2)
-    mult1 = list(enumerate_ktypes(params, f_lo, f_hi, j_max, (1,)))
-    mult2 = list(enumerate_ktypes(params, f_lo, f_hi, j_max, (0,)))
+    mult1 = window_keys(params, f_lo, f_hi, j_max, (1,))
+    mult2 = window_keys(params, f_lo, f_hi, j_max, (0,))
     baseline_table = calibrate_L(Labels(params), 1, f_lo, f_hi, j_max).table
-    mult2_pos = [c for c in mult2 if c.xi == 1]
+    mult2_pos = [c for c in mult2 if c[0] == 1]
 
     def any_suite_fails():
         if not verify_mult1_quotients(Labels(params), mult1).ok:

@@ -514,7 +514,7 @@ class TestUsageErrors:
                                                          monkeypatch, argv):
         def walk(*args):        # fails at once where a regression would walk for ever
             raise AssertionError("the window was walked")
-        for name in ("range_keys", "enumerate_ktypes", "calibrate_L"):
+        for name in ("range_keys", "calibrate_L"):
             monkeypatch.setattr(cli, name, walk)
         out_path = tmp_path / "out"
         code = main([argv[0], "--n", "4", *argv[1:], "--out", str(out_path)])
@@ -829,12 +829,12 @@ class TestVerify:
 
     def test_the_window_is_enumerated_once(self, capsys, monkeypatch):
         calls = []
-        enumerate_ktypes = cli.enumerate_ktypes
+        range_keys = cli.range_keys
 
-        def counting_enumerate(*args):
+        def counting_range_keys(*args):
             calls.append(args)
-            return enumerate_ktypes(*args)
-        monkeypatch.setattr(cli, "enumerate_ktypes", counting_enumerate)
+            return range_keys(*args)
+        monkeypatch.setattr(cli, "range_keys", counting_range_keys)
         code, _ = run(capsys, "verify", "--n", "4", "--r", "1", *REGION)
         assert code == 0
         assert len(calls) == 1
@@ -866,6 +866,33 @@ class TestVerify:
         run(capsys, "verify", "--n", "4", "--r", "1", *REGION, "--out", str(a))
         run(capsys, "verify", "--n", "4", "--r", "1", *REGION, "--out", str(b))
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("argv, code", [
+        (("verify", "--n", "4", "--r", "1", *REGION, "--out", "{out}"), 0),
+        (("verify", "--n", "6", "--r", "3/2", "--strict-paper", *REGION, "--out", "{out}"), 1),
+        (("spectrum", "--n", "6", "--r", "1/2", "--format", "csv"), 0),
+        (("calibrate", "--n", "4", "--r", "1", "--format", "json"), 0),
+        (("neighbors", "--n", "4", "--r", "1", "--f", "1/2", "--j", "3/2", "--q", "0",
+          "--eps", "1"), 0),
+    ], ids=["verify", "strict", "spectrum", "calibrate", "neighbors"])
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path, argv, code):
+        # one process has one hash seed, so two runs in it cannot tell
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"out-{seed}"
+            done = subprocess.run(
+                [sys.executable, "-m", "twistor_spectra.cli",
+                 *(arg.format(out=out) for arg in argv)],
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+                capture_output=True, text=True, timeout=60)
+            assert done.returncode == code, done.stderr
+            outputs.append((done.stdout, done.stderr,
+                            out.read_bytes() if out.exists() else None))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] or outputs[0][2]
+        if argv[0] == "neighbors":
+            assert "interface square:" in outputs[0][0]
 
     @pytest.mark.parametrize("argv, code, digest", [
         (("--n", "4", "--r", "1"), 0,

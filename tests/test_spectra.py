@@ -336,8 +336,7 @@ class TestZRatio:
         monkeypatch.setattr(spectra, "z_product", spy)
         params = Params(6, Q(5, 2))
         window = (Q(-7, 2), Q(7, 2), Q(9, 2))
-        centers = list(enumerate_ktypes(params, *window))
-        reports, _ = verify.run_all_suites(params, centers, *window)
+        reports, _ = verify.run_all_suites(params, window_keys(params, *window), *window)
         assert seen and set(seen.values()) == {1}
         edges = sum(len(rep.checks) for rep in reports.values())
         assert len(seen) < edges        # the suites meet most ratios more than once
@@ -398,6 +397,23 @@ class TestZForms:
             assert z_value(Params(n, r, lattice), f, J, s) is zq
             assert (numeric_outcome(lambda: pq_numeric(prefactor, pq, {}))
                     == numeric_outcome(lambda: evaluate_numeric(zq)))
+
+    def test_off_the_lattice_the_quotient_is_the_forms_at_the_least_scale(self):
+        # a run reads z_forms at scale 2 (or a fractional DIRAC's), so f and J
+        # off the half-integers, at the least scale d of both, are checked here
+        fs = (Q(1, 3), Q(-5, 7), Q(4, 9))
+        Js = (Q(1, 3), Q(5, 7), Q(4, 9), Q(11, 7))
+        cases = 0
+        for r, f, J, s in itertools.product((Q(1, 2), Q(7, 3), Q(-3, 2), Q(13, 11)),
+                                            fs, Js, (1, -1)):
+            d = math.lcm(f.denominator, J.denominator)
+            zq = z_value(Params(4, r), f, J, s)
+            assert (zq.prefactor, zq._pq) == z_forms(r, d, int(f * d), int(J * d), s)
+            if r == Q(1, 2):        # -(f - sJ)/4, a zero of order 1 where f = sJ
+                out, want = reduce_exact(zq), -(f - s * J) / 4
+                assert (out.order, out.value) == ((0, want) if want else (1, 0)), (f, J, s)
+            cases += 1
+        assert cases == 96
 
     def test_the_examples_hold_a_zero_and_a_pole(self):
         zero = z_forms(Q(5, 2), 2, -9, 5, -1)      # n = 4: J = j + 1 = 5/2

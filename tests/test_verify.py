@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from twistor_spectra import cli, faults, spectra, verify
 from twistor_spectra.exact import format_rational
 from twistor_spectra.ktypes import (Direction, KType, Label, Labels, Params,
-                                    enumerate_ktypes, make_ktype)
+                                    enumerate_ktypes, label_key, make_ktype, window_keys)
 from twistor_spectra.spectra import (SingularCoefficientError,
                                      block_coefficients, calibrate_L)
 from twistor_spectra.verify import (FAIL, INDETERMINATE, PASS, POLE,
@@ -28,7 +28,7 @@ from twistor_spectra.verify import (FAIL, INDETERMINATE, PASS, POLE,
 
 
 def region(params, q, f_lo=Q(-5, 2), f_hi=Q(5, 2), j_max=Q(7, 2)):
-    return list(enumerate_ktypes(params, f_lo, f_hi, j_max, (q,)))
+    return window_keys(params, f_lo, f_hi, j_max, (q,))
 
 
 class TestMult1Suite:
@@ -50,7 +50,7 @@ class TestMult1Suite:
         # at r = sJ with f = 1/2 the printed middle-left form is 0/0
         params = Params(4, Q(5, 2))
         kt = make_ktype(params, 1, Q(1, 2), Q(3, 2), 1, 1)
-        report = verify_mult1_quotients(Labels(params), [kt])
+        report = verify_mult1_quotients(Labels(params), [label_key(kt)])
         verdicts = {(c.direction.df, c.direction.dj): c.verdict for c in report.checks}
         assert verdicts[(-1, 0)] == INDETERMINATE
 
@@ -187,7 +187,7 @@ class TestSingularBlocks:
                     if c.verdict == SKIP_SINGULAR] for rep in runs]
         assert details[0] and details[0] == details[1]
         whiches = set()
-        for center in centers:
+        for center in enumerate_ktypes(params, Q(-5, 2), Q(5, 2), Q(7, 2), (0,)):
             for _ in range(2):
                 try:
                     block_coefficients(params, center)
@@ -201,7 +201,7 @@ class TestInterfaceSuite:
     def test_all_pass_with_calibrated_table(self):
         params = Params(4, Q(1))
         result = calibrate_L(Labels(params), 1, Q(-5, 2), Q(5, 2), Q(7, 2))
-        centers = [c for c in region(params, 0) if c.xi == 1]
+        centers = [c for c in region(params, 0) if c[0] == 1]
         report = verify_interface(Labels(params), centers, result.table)
         assert report.ok and report.counts[PASS] > 50
 
@@ -211,7 +211,7 @@ class TestInterfaceSuite:
         params = Params(4, Q(1))
         table = dirac_l_table(params)
         shifted = {k: v + 2 for k, v in table.items()}
-        centers = [c for c in region(params, 0) if c.xi == 1]
+        centers = [c for c in region(params, 0) if c[0] == 1]
         report = verify_interface(Labels(params), centers, shifted)
         fails = [c for c in report.checks if c.verdict == FAIL]
         assert fails and all(c.case == 1 for c in fails)
@@ -219,7 +219,7 @@ class TestInterfaceSuite:
     def test_d33_fault_flips_a_verdict(self):
         params = Params(4, Q(1))
         table = dirac_l_table(params)
-        centers = [c for c in region(params, 0) if c.xi == 1]
+        centers = [c for c in region(params, 0) if c[0] == 1]
         with faults.inject("D33"):
             report = verify_interface(Labels(params), centers, table)
         assert not report.ok
@@ -231,11 +231,11 @@ class TestInterfaceSuite:
         # leaves it nonzero and the square is skipped on the ratio
         params = Params(4, Q(3, 2))
         center = KType(1, Q(-5, 2), Q(3, 2), 0, -1)
-        [square] = verify_interface(Labels(params), [center], {}).checks
+        [square] = verify_interface(Labels(params), [label_key(center)], {}).checks
         assert (square.verdict, square.detail) == (
             SKIP_DEGENERATE, "det M1 = 0: propagation is vacuous")
         with faults.inject(site):
-            [square] = verify_interface(Labels(params), [center], {}).checks
+            [square] = verify_interface(Labels(params), [label_key(center)], {}).checks
         assert (square.verdict, square.detail) == (SKIP_POLE, "shared-factor ratio is pole")
 
 
@@ -255,7 +255,7 @@ class TestDrivers:
         # each suite keeps its own multiplicity; the xi set follows the list
         params = Params(4, Q(1))
         window = (Q(-3, 2), Q(3, 2), Q(5, 2))
-        centers = list(enumerate_ktypes(params, *window))
+        centers = window_keys(params, *window)
         m1, m2 = region(params, 1, *window), region(params, 0, *window)
         reports, calibrations = run_all_suites(params, centers, *window)
         for name, suite, own in (("mult1-quotients", verify_mult1_quotients, m1),
@@ -264,9 +264,9 @@ class TestDrivers:
             assert reports[name].checks == suite(Labels(params), own).checks, name
         assert sorted(calibrations) == [-1, 1]
         interface = [check for xi in (-1, 1) for check in verify_interface(
-            Labels(params), [c for c in m2 if c.xi == xi], calibrations[xi].table).checks]
+            Labels(params), [c for c in m2 if c[0] == xi], calibrations[xi].table).checks]
         assert interface and reports["interface"].checks == interface
-        _, one_xi = run_all_suites(params, [c for c in centers if c.xi == -1], *window)
+        _, one_xi = run_all_suites(params, [c for c in centers if c[0] == -1], *window)
         assert list(one_xi) == [-1]
 
     def test_a_table_the_other_runs_filled_gives_the_fresh_checks(self):
@@ -333,7 +333,7 @@ class TestFaultCatalogue:
 
 def slice_reports(n, r, strict=False, window=(Q(-19, 2), Q(19, 2), Q(11, 2))):
     params = Params(n, r, strict_paper=strict)
-    reports, _ = run_all_suites(params, list(enumerate_ktypes(params, *window)), *window)
+    reports, _ = run_all_suites(params, window_keys(params, *window), *window)
     return reports
 
 
@@ -389,8 +389,7 @@ class TestReportWriter:
                       for flag, v in zip(("f-min", "f-max", "j-max"), window))]
             with faults.inject(site) if site else contextlib.nullcontext():
                 cli.main(argv)
-                reports, _ = run_all_suites(params, list(enumerate_ktypes(params, *window)),
-                                            *window)
+                reports, _ = run_all_suites(params, window_keys(params, *window), *window)
             text = path.read_text(encoding="utf-8")
             payload = dict(json.loads(text), suites=reports)
             assert text == json.dumps(payload, indent=2, sort_keys=True,
@@ -494,7 +493,7 @@ class TestRunsLeaveNoCycles:
     def test_suites_and_calibrate_free_their_records(self, capsys):
         params = Params(4, Q(5, 2))
         window = (Q(-3, 2), Q(3, 2), Q(7, 2))
-        centers = list(enumerate_ktypes(params, *window))
+        centers = window_keys(params, *window)
         gc.collect()
         before = self.records_alive()
         gc.disable()
@@ -524,7 +523,7 @@ class TestRunsLeaveNoCycles:
         try:
             with faults.inject("DIRAC", delta):
                 reports, calibrations = run_all_suites(
-                    params, list(enumerate_ktypes(params, *window)), *window)
+                    params, window_keys(params, *window), *window)
             assert all(isinstance(cal, spectra.InconsistentSystemError)
                        for cal in calibrations.values())
             del reports, calibrations
@@ -548,11 +547,11 @@ class TestRunsKeepFlatRows:
                    verify_case2_relation(labels, centers)]
         for xi in (1, -1):
             table = calibrate_L(labels, xi, *self.WINDOW).table
-            reports.append(verify_interface(labels, [c for c in centers if c.xi == xi], table))
+            reports.append(verify_interface(labels, [c for c in centers if c[0] == xi], table))
         return labels, reports
 
     def test_tracked_objects_per_edge(self):
-        centers = list(enumerate_ktypes(self.PARAMS, *self.WINDOW))
+        centers = window_keys(self.PARAMS, *self.WINDOW)
         self.run(centers)       # fills the process-wide tables first
         gc.collect()
         gc.disable()
